@@ -49,12 +49,13 @@ fn bench_fluid_recompute(c: &mut Criterion) {
                 net
             },
             |mut net| {
-                // 200 flows; each start triggers one recompute over the
-                // growing flow set.
+                // 200 flows; flushing after each start makes every start
+                // pay one recompute over the growing flow set.
                 for i in 0..200u32 {
                     let src = NodeId(i % 200);
                     let dst = NodeId((i * 37 + 1) % 200);
                     net.start_flow(SimTime::ZERO, src, dst, 64 << 20, i as u64);
+                    net.flush();
                 }
                 black_box(net.active_flows())
             },

@@ -5,6 +5,9 @@
 //!   one flow start while N flows are already in the air. The incremental
 //!   engine only re-waterfills the connected component the new flow
 //!   touches, so cost scales with component size, not N.
+//!   `burst_64_at_1000` starts 64 flows at one instant (the
+//!   replication-monitor tick pattern), which the deferred recompute
+//!   settles with one pass per touched component.
 //! * `namenode_tick/*` — one replication-monitor tick with a deep
 //!   under-replication queue. The bucketed queue dispatches without the
 //!   per-tick sort of the whole backlog.
@@ -21,7 +24,8 @@ use hog_sim_core::{SimRng, SimTime};
 use std::hint::black_box;
 
 /// A fluid net with `flows` active transfers spread over 8 sites × 50
-/// nodes (enough endpoints that NICs are not all shared).
+/// nodes (enough endpoints that NICs are not all shared), with its
+/// deferred recompute already settled.
 fn loaded_net(flows: u32) -> FluidNet {
     let mut net = FluidNet::new(NetParams::grid_default());
     let nodes = 400u32;
@@ -33,6 +37,7 @@ fn loaded_net(flows: u32) -> FluidNet {
         let dst = NodeId((i * 131 + 11) % nodes);
         net.start_flow(SimTime::ZERO, src, dst, 256 << 20, i as u64);
     }
+    net.flush();
     net
 }
 
@@ -44,15 +49,32 @@ fn bench_fluid_recompute(c: &mut Criterion) {
             b.iter_batched(
                 || loaded_net(flows),
                 |mut net| {
-                    // One start = one incremental recompute of the touched
-                    // component.
+                    // One start, flushed = one incremental recompute of the
+                    // touched component.
                     net.start_flow(SimTime::ZERO, NodeId(3), NodeId(397), 256 << 20, 1 << 40);
+                    black_box(net.next_completion());
                     black_box(net.recompute_work())
                 },
                 BatchSize::SmallInput,
             )
         });
     }
+    group.bench_function("burst_64_at_1000", |b| {
+        b.iter_batched(
+            || loaded_net(1000),
+            |mut net| {
+                // 64 same-instant repair copies, settled by one flush.
+                for i in 0..64u32 {
+                    let src = NodeId(i * 13 % 400);
+                    let dst = NodeId((i * 61 + 5) % 400);
+                    net.start_flow(SimTime::ZERO, src, dst, 64 << 20, (1 << 40) + i as u64);
+                }
+                black_box(net.next_completion());
+                black_box(net.recompute_work())
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

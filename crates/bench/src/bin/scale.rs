@@ -12,7 +12,9 @@
 //!
 //! * `--smoke`          run only the 100-node tier (CI per-PR gate)
 //! * `--seed S`         cluster seed (default 7; schedule seed is 1000+S)
-//! * `--out PATH`       where to write the JSON report (default BENCH_scale.json)
+//! * `--out PATH`       where to write the JSON report (default
+//!   BENCH_scale.json, or BENCH_scale.smoke.json with `--smoke`, so a
+//!   smoke run never overwrites the committed five-tier report)
 //! * `--check BASELINE` compare against a previously written report and
 //!   exit non-zero if any shared tier's wall-clock regressed by more than
 //!   25% (and by more than an absolute noise floor) **or** its outcome
@@ -159,7 +161,14 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
+        .unwrap_or_else(|| {
+            if smoke {
+                "BENCH_scale.smoke.json"
+            } else {
+                "BENCH_scale.json"
+            }
+            .to_string()
+        });
     let check_path = args
         .iter()
         .position(|a| a == "--check")

@@ -2516,6 +2516,9 @@ impl Cluster {
         // at crash time; auditing a dead master against live ground truth
         // is meaningless (promotion reconciles the views).
         if self.auditor.is_some() && !self.masters.is_down() {
+            // Flows started this instant carry no rate until the net's
+            // deferred recompute runs.
+            self.net.flush();
             let mut violations =
                 hog_chaos::collect_violations(&[&self.net, &self.masters.nn, &self.masters.jt]);
             violations.extend(self.cross_layer_violations());

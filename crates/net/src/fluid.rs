@@ -29,8 +29,8 @@
 //!   once, node→site lookups are a dense `Vec`, and each link keeps its
 //!   member-flow list up to date, so no per-recompute `HashMap` is built.
 //! * **Lazy flow progress** — a flow's `remaining` is rebased only when its
-//!   own rate changes. Completion instants are *predicted* with the same
-//!   millisecond-grain arithmetic the eager version used
+//!   component is recomputed. Completion instants are *predicted* with the
+//!   same millisecond-grain arithmetic the eager version used
 //!   (`remaining − rate·(Δms/1000) < DONE_EPS`), kept in a min-heap, and
 //!   harvested when simulation time passes them.
 //! * **Component-local recompute** — a flow start/end only re-waterfills
@@ -38,6 +38,19 @@
 //!   cannot exchange bandwidth, and the freezing pass visits the affected
 //!   links in the same relative order as the global pass, so the computed
 //!   rates are identical (see DESIGN.md §10 for the argument).
+//! * **Deferred recompute** — a flow start only registers the flow and
+//!   queues its links. The queue is flushed before any other [`Network`]
+//!   call and whenever time advances, with one pass per connected
+//!   component reachable from the queued links, so a burst of starts at
+//!   one instant (a block write fanning out to its replicas, a
+//!   replication-monitor tick) costs one pass per component instead of one
+//!   per start. Between flushes components only merge, so each flushed
+//!   pass has the same members in the same order as that component's last
+//!   one-per-start pass would have had.
+//! * **Allocation-free passes** — the waterfilling tables live in buffers
+//!   reused across passes (each local link's members in one CSR array),
+//!   and a flow whose predicted instants survive a rebase keeps its live
+//!   heap entries instead of pushing fresh ones.
 
 use crate::params::NetParams;
 use crate::topology::{NodeId, SiteId};
@@ -45,8 +58,8 @@ use crate::{FlowEnd, FlowId, FlowOutcome, Network};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sim_core::{SimDuration, SimTime};
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::collections::HashMap;
-use std::collections::{BTreeSet, BinaryHeap};
 
 /// One shared capacity on a flow's path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -87,8 +100,29 @@ struct Flow {
     rate: f64,
     /// Epoch start: the instant `remaining`/`rate` were last rebased.
     upd: SimTime,
-    /// Bumped on every rate change; stale heap entries carry old values.
+    /// Bumped whenever the predicted instants change; heap entries
+    /// carrying an older value are stale.
     gen: u32,
+    /// Instants of the live `crossings` / `projections` entries (tagged
+    /// `gen`). `None` = no entry: not yet scheduled, or stalled at rate 0.
+    crossing: Option<SimTime>,
+    projection: Option<SimTime>,
+}
+
+/// Reusable tables of one waterfilling pass, indexed by local link id
+/// (first-touch order) or by member index. They keep their capacity across
+/// passes, so a pass allocates nothing once they have grown.
+#[derive(Default)]
+struct Fill {
+    residual: Vec<f64>,
+    unfrozen_on: Vec<u32>,
+    /// CSR member lists: local link `l` carries the members
+    /// `on_link[on_start[l]..on_start[l + 1]]`, in member order.
+    on_start: Vec<u32>,
+    on_link: Vec<u32>,
+    flow_links: Vec<[u32; MAX_PATH]>,
+    frozen: Vec<bool>,
+    rates: Vec<f64>,
 }
 
 /// Sentinel for "node not registered" in the dense site table.
@@ -117,6 +151,9 @@ pub struct FluidNet {
     finished: Vec<FlowEnd>,
     last_update: SimTime,
     next_flow_id: u64,
+    /// Links of the flows started since the last [`FluidNet::flush`], in
+    /// start order: the seeds of the deferred recompute.
+    pending: Vec<LinkId>,
     /// Number of rate recomputation passes performed (diagnostics /
     /// benches). One pass may cover several touched components.
     recomputes: u64,
@@ -136,11 +173,27 @@ pub struct FluidNet {
     mark_gen: u32,
     scratch_flows: Vec<u32>,
     scratch_links: Vec<LinkId>,
+    /// Links freed by a harvest or a node removal (recompute seeds).
+    dirty: Vec<LinkId>,
+    /// Positions of the flows a harvest completes.
+    due: Vec<u32>,
+    fill: Fill,
 }
 
 /// Completion threshold: a flow with fewer than this many bytes left is
 /// done. Covers f64 rounding noise from progressing at millisecond grain.
 const DONE_EPS: f64 = 0.5;
+
+/// Capacity of `link` under `params`, with site links scaled by the WAN
+/// degradation multiplier.
+fn link_cap(params: &NetParams, wan_factor: f64, link: LinkKey) -> f64 {
+    match link {
+        LinkKey::NodeUp(_) => params.nic_up,
+        LinkKey::NodeDown(_) => params.nic_down,
+        LinkKey::SiteUp(_) => params.site_up * wan_factor,
+        LinkKey::SiteDown(_) => params.site_down * wan_factor,
+    }
+}
 
 impl FluidNet {
     /// A fluid network with the given parameters.
@@ -157,6 +210,7 @@ impl FluidNet {
             finished: Vec::new(),
             last_update: SimTime::ZERO,
             next_flow_id: 0,
+            pending: Vec::new(),
             recomputes: 0,
             recompute_work: 0,
             wan_factor: 1.0,
@@ -167,6 +221,9 @@ impl FluidNet {
             mark_gen: 0,
             scratch_flows: Vec::new(),
             scratch_links: Vec::new(),
+            dirty: Vec::new(),
+            due: Vec::new(),
+            fill: Fill::default(),
         }
     }
 
@@ -195,7 +252,9 @@ impl FluidNet {
     }
 
     /// The current rate of a flow, if it is still active (testing hook).
-    pub fn rate_of(&self, id: FlowId) -> Option<f64> {
+    /// Flushes the deferred recompute first.
+    pub fn rate_of(&mut self, id: FlowId) -> Option<f64> {
+        self.flush();
         let p = *self.flow_pos.get(id.0 as usize)?;
         if p == NO_FLOW {
             return None;
@@ -210,21 +269,13 @@ impl FluidNet {
         }
     }
 
-    fn cap_of(&self, link: LinkKey) -> f64 {
-        match link {
-            LinkKey::NodeUp(_) => self.params.nic_up,
-            LinkKey::NodeDown(_) => self.params.nic_down,
-            LinkKey::SiteUp(_) => self.params.site_up * self.wan_factor,
-            LinkKey::SiteDown(_) => self.params.site_down * self.wan_factor,
-        }
-    }
-
     /// Scale every site up/downlink to `factor` × its configured capacity
     /// (chaos: WAN degradation window). `factor` is clamped to a small
     /// positive minimum so flows keep draining; `1.0` restores full
     /// bandwidth. In-flight flows are progressed to `now` first and their
     /// rates recomputed under the new capacities.
     pub fn set_wan_factor(&mut self, now: SimTime, factor: f64) {
+        self.flush();
         self.progress_to(now);
         self.wan_factor = factor.max(1e-3);
         self.tracer
@@ -241,6 +292,32 @@ impl FluidNet {
     /// The WAN degradation multiplier currently in force.
     pub fn wan_factor(&self) -> f64 {
         self.wan_factor
+    }
+
+    /// Run the deferred recompute for the flows started since the last
+    /// flush: one waterfilling pass per connected component reachable from
+    /// their links, at the instant they started. Every [`Network`] call
+    /// flushes on its own; call this before reading rates through `&self`
+    /// (the invariant audit).
+    pub fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut pending = std::mem::take(&mut self.pending);
+        // Stamps only grow, so a link stamped above `base` lies in a
+        // component this flush has already recomputed.
+        let base = self.mark_gen;
+        for &l in &pending {
+            if self.link_mark[l as usize] > base {
+                continue;
+            }
+            // One pass per component, never one over their union: a union
+            // pass's global minimum-share cutoff could freeze a near-tied
+            // link of another component at a different share.
+            self.recompute_from(&[l]);
+        }
+        pending.clear();
+        self.pending = pending;
     }
 
     fn intern(&mut self, key: LinkKey) -> LinkId {
@@ -342,14 +419,24 @@ impl FluidNet {
         Some(f.upd + SimDuration::from_millis(ms as u64))
     }
 
-    /// Push fresh heap entries for `f` after a rate change (its `gen` must
-    /// already be bumped).
-    fn schedule_flow(&mut self, p: usize) {
+    /// Re-predict `flows[p]`'s instants. If either moved, bump its `gen`
+    /// (staling its old heap entries) and push fresh ones; otherwise its
+    /// live entries stay valid and nothing is pushed.
+    fn reschedule(&mut self, p: usize) {
         let f = &self.flows[p];
-        if let Some(t) = self.crossing_of(f) {
+        let crossing = self.crossing_of(f);
+        let projection = self.projection_of(f);
+        if crossing == f.crossing && projection == f.projection {
+            return;
+        }
+        let f = &mut self.flows[p];
+        f.gen = f.gen.wrapping_add(1);
+        f.crossing = crossing;
+        f.projection = projection;
+        if let Some(t) = crossing {
             self.crossings.push(Reverse((t, f.id.0, f.gen)));
         }
-        if let Some(t) = self.projection_of(f) {
+        if let Some(t) = projection {
             self.projections.push(Reverse((t, f.id.0, f.gen)));
         }
     }
@@ -361,8 +448,8 @@ impl FluidNet {
         }
     }
 
-    /// Drop stale heads so `next_completion` (a `&self` method) can peek
-    /// in O(1), and rebuild the heaps outright if stale entries dominate.
+    /// Drop stale heads so `next_completion` can peek in O(1), and rebuild
+    /// the heaps outright if stale entries dominate.
     fn settle_heaps(&mut self) {
         while let Some(&Reverse((_, id, gen))) = self.projections.peek() {
             if self.entry_valid(id, gen) {
@@ -374,8 +461,13 @@ impl FluidNet {
         if self.projections.len() > cap || self.crossings.len() > cap {
             self.projections.clear();
             self.crossings.clear();
-            for p in 0..self.flows.len() {
-                self.schedule_flow(p);
+            for f in &self.flows {
+                if let Some(t) = f.crossing {
+                    self.crossings.push(Reverse((t, f.id.0, f.gen)));
+                }
+                if let Some(t) = f.projection {
+                    self.projections.push(Reverse((t, f.id.0, f.gen)));
+                }
             }
         }
     }
@@ -461,6 +553,16 @@ impl FluidNet {
         self.scratch_flows.sort_unstable();
     }
 
+    /// One waterfilling pass over the union of the components reachable
+    /// from `seeds`.
+    fn recompute_from(&mut self, seeds: &[LinkId]) {
+        self.recomputes += 1;
+        self.collect_component(seeds);
+        let members = std::mem::take(&mut self.scratch_flows);
+        self.recompute_for(&members);
+        self.scratch_flows = members;
+    }
+
     /// Max-min fair progressive filling over the given flow positions
     /// (ascending — the same relative order the global pass used). Each
     /// round freezes *every* link currently at the minimum fair share — in
@@ -473,52 +575,76 @@ impl FluidNet {
         if n == 0 {
             return;
         }
-        // Local dense link table in first-touch order (matches the relative
-        // enumeration order of the global pass; see module docs).
         self.mark_gen += 1;
         let stamp = self.mark_gen;
-        let mut residual: Vec<f64> = Vec::new();
-        let mut unfrozen_on: Vec<u32> = Vec::new();
-        let mut flows_on: Vec<Vec<u32>> = Vec::new();
-        let mut flow_links: Vec<[u32; MAX_PATH]> = vec![[u32::MAX; MAX_PATH]; n];
-        let mut frozen: Vec<bool> = vec![false; n];
-        let mut rates: Vec<f64> = vec![0.0; n];
-        let mut n_unfrozen = 0usize;
+        let fill = &mut self.fill;
+        fill.residual.clear();
+        fill.unfrozen_on.clear();
+        fill.flow_links.clear();
+        fill.flow_links.resize(n, [u32::MAX; MAX_PATH]);
+        fill.frozen.clear();
+        fill.frozen.resize(n, false);
+        fill.rates.clear();
+        fill.rates.resize(n, 0.0);
 
-        // `link_mark[l] == stamp` ⇔ l already interned locally, with its
-        // local id in `link_local[l]`. First-touch assignment order matches
-        // the relative link-enumeration order of a global pass.
+        // Local dense link table in first-touch order (matches the relative
+        // enumeration order of the global pass; see module docs).
+        // `link_mark[l] == stamp` ⇔ l already has its local id in
+        // `link_local[l]`.
         for (i, &p) in members.iter().enumerate() {
             let f = &self.flows[p as usize];
             debug_assert!(f.links_len > 0, "loopback flows have no component");
-            n_unfrozen += 1;
             for (k, &gl) in f.links.iter().enumerate().take(f.links_len as usize) {
-                let lid = if self.link_mark[gl as usize] == stamp {
-                    self.link_local[gl as usize]
+                let gl = gl as usize;
+                let lid = if self.link_mark[gl] == stamp {
+                    self.link_local[gl]
                 } else {
-                    self.link_mark[gl as usize] = stamp;
-                    let l = residual.len() as u32;
-                    self.link_local[gl as usize] = l;
-                    residual.push(self.cap_of(self.links[gl as usize].key));
-                    unfrozen_on.push(0);
-                    flows_on.push(Vec::new());
+                    self.link_mark[gl] = stamp;
+                    let l = fill.residual.len() as u32;
+                    self.link_local[gl] = l;
+                    fill.residual
+                        .push(link_cap(&self.params, self.wan_factor, self.links[gl].key));
+                    fill.unfrozen_on.push(0);
                     l
                 };
-                flow_links[i][k] = lid;
-                unfrozen_on[lid as usize] += 1;
-                flows_on[lid as usize].push(i as u32);
+                fill.flow_links[i][k] = lid;
+                fill.unfrozen_on[lid as usize] += 1;
+            }
+        }
+        let nl = fill.residual.len();
+
+        // Member lists as CSR: `on_start[l]` first holds the end of link
+        // `l`'s slice; filling members back to front walks each entry down
+        // to the slice start, leaving every slice in member order.
+        fill.on_start.clear();
+        let mut end = 0u32;
+        for &c in &fill.unfrozen_on {
+            end += c;
+            fill.on_start.push(end);
+        }
+        fill.on_start.push(end);
+        fill.on_link.clear();
+        fill.on_link.resize(end as usize, 0);
+        for i in (0..n).rev() {
+            for &lid in &fill.flow_links[i] {
+                if lid == u32::MAX {
+                    break;
+                }
+                fill.on_start[lid as usize] -= 1;
+                fill.on_link[fill.on_start[lid as usize] as usize] = i as u32;
             }
         }
 
+        let mut n_unfrozen = n;
         while n_unfrozen > 0 {
             // Minimum fair share among links still carrying unfrozen flows.
             let mut min_share = f64::INFINITY;
-            for id in 0..residual.len() {
-                let c = unfrozen_on[id];
+            for id in 0..nl {
+                let c = fill.unfrozen_on[id];
                 if c == 0 {
                     continue;
                 }
-                let share = residual[id].max(0.0) / c as f64;
+                let share = fill.residual[id].max(0.0) / c as f64;
                 if share < min_share {
                     min_share = share;
                 }
@@ -527,34 +653,34 @@ impl FluidNet {
                 break;
             }
             let cutoff = min_share * (1.0 + 1e-9) + 1e-9;
-            // Freeze flows on every link at the minimum share.
+            // Freeze flows on every link at the minimum share. Freezing
+            // drops a link's unfrozen count to zero, so no link's member
+            // list is walked twice.
             let mut froze_any = false;
-            for id in 0..residual.len() {
-                let c = unfrozen_on[id];
+            for id in 0..nl {
+                let c = fill.unfrozen_on[id];
                 if c == 0 {
                     continue;
                 }
-                let share = residual[id].max(0.0) / c as f64;
+                let share = fill.residual[id].max(0.0) / c as f64;
                 if share > cutoff {
                     continue;
                 }
-                // Iterate a snapshot: freezing mutates unfrozen counts.
-                let snapshot = std::mem::take(&mut flows_on[id]);
-                for &fi in &snapshot {
-                    let fi = fi as usize;
-                    if frozen[fi] {
+                for j in fill.on_start[id]..fill.on_start[id + 1] {
+                    let fi = fill.on_link[j as usize] as usize;
+                    if fill.frozen[fi] {
                         continue;
                     }
-                    rates[fi] = min_share;
-                    frozen[fi] = true;
+                    fill.rates[fi] = min_share;
+                    fill.frozen[fi] = true;
                     n_unfrozen -= 1;
                     froze_any = true;
-                    for &lid in &flow_links[fi] {
+                    for &lid in &fill.flow_links[fi] {
                         if lid == u32::MAX {
                             break;
                         }
-                        residual[lid as usize] -= min_share;
-                        unfrozen_on[lid as usize] -= 1;
+                        fill.residual[lid as usize] -= min_share;
+                        fill.unfrozen_on[lid as usize] -= 1;
                     }
                 }
             }
@@ -574,43 +700,46 @@ impl FluidNet {
                 f.remaining
             };
             f.upd = now;
-            f.rate = rates[i];
-            f.gen = f.gen.wrapping_add(1);
-            self.schedule_flow(p as usize);
+            f.rate = self.fill.rates[i];
+            self.reschedule(p as usize);
         }
     }
 
     /// Advance the clock to `now`, harvesting every flow whose predicted
     /// crossing has passed. Completions are emitted in exactly the order
-    /// the eager ascending swap-remove scan produced, and each touched
-    /// component is re-waterfilled once.
+    /// the eager ascending swap-remove scan produced, and the touched
+    /// components are re-waterfilled in one pass over their union.
     fn progress_to(&mut self, now: SimTime) {
         debug_assert!(now >= self.last_update, "time went backwards");
+        if now > self.last_update {
+            // Deferred passes belong to the instant their flows started.
+            self.flush();
+        }
         self.last_update = now;
-        let mut due: BTreeSet<u32> = BTreeSet::new();
+        let mut due = std::mem::take(&mut self.due);
         while let Some(&Reverse((t, id, gen))) = self.crossings.peek() {
             if t > now {
                 break;
             }
             self.crossings.pop();
             if self.entry_valid(id, gen) {
-                due.insert(self.flow_pos[id as usize]);
+                due.push(self.flow_pos[id as usize]);
             }
         }
-        if due.is_empty() {
-            return;
-        }
-        self.scratch_links.clear();
-        let mut dirty: Vec<LinkId> = std::mem::take(&mut self.scratch_links);
+        // At the queue's own instant only a zero-byte start can be due, and
+        // it flushed the queue when it started.
+        debug_assert!(due.is_empty() || self.pending.is_empty());
+        due.sort_unstable();
+        due.dedup();
+        let mut dirty = std::mem::take(&mut self.dirty);
         // Emulate the eager scan: ascending index, and when the swapped-in
         // tail flow is itself done, re-check slot `p` immediately.
-        while let Some(p) = due.pop_first() {
-            let p = p as usize;
+        let mut next = 0;
+        while next < due.len() {
+            let p = due[next] as usize;
             let tail = self.flows.len() - 1;
             let f = self.remove_flow_at(p);
-            for k in 0..f.links_len as usize {
-                dirty.push(f.links[k]);
-            }
+            dirty.extend_from_slice(&f.links[..f.links_len as usize]);
             self.tracer.emit(|| {
                 TraceEvent::new(Layer::Net, "flow_end")
                     .with("flow", f.id.0)
@@ -623,21 +752,21 @@ impl FluidNet {
                 dst: f.dst,
                 outcome: FlowOutcome::Completed,
             });
-            if p != tail && due.remove(&(tail as u32)) {
-                due.insert(p as u32);
+            // The tail is the highest position, so if it is due it is the
+            // last entry; it now lives at `p`, which stays next in line.
+            if p != tail && due.last() == Some(&(tail as u32)) {
+                due.pop();
+            } else {
+                next += 1;
             }
         }
         if !dirty.is_empty() {
-            self.recomputes += 1;
-            let seeds = std::mem::take(&mut dirty);
-            self.collect_component(&seeds);
-            let members = std::mem::take(&mut self.scratch_flows);
-            self.recompute_for(&members);
-            self.scratch_flows = members;
-            self.scratch_links = seeds;
-        } else {
-            self.scratch_links = dirty;
+            self.recompute_from(&dirty);
         }
+        due.clear();
+        self.due = due;
+        dirty.clear();
+        self.dirty = dirty;
     }
 
     fn push_flow(
@@ -688,20 +817,22 @@ impl FluidNet {
             },
             upd: now,
             gen: 0,
+            crossing: None,
+            projection: None,
         });
         self.flow_pos.push(p as u32);
         debug_assert_eq!(self.flow_pos.len() as u64, self.next_flow_id);
         if links_len == 0 {
             // Loopback: fixed rate, no shared capacity — no recompute.
-            self.schedule_flow(p);
+            self.reschedule(p);
         } else {
-            self.recomputes += 1;
-            self.collect_component(&links[..links_len as usize]);
-            let members = std::mem::take(&mut self.scratch_flows);
-            self.recompute_for(&members);
-            self.scratch_flows = members;
+            self.pending.extend_from_slice(&links[..links_len as usize]);
         }
-        self.settle_heaps();
+        if (bytes as f64) < DONE_EPS {
+            // Due the instant it starts, and the next call must harvest it
+            // exactly as if every start had run its own pass.
+            self.flush();
+        }
         id
     }
 }
@@ -710,7 +841,9 @@ impl hog_sim_core::Auditable for FluidNet {
     /// Flow-conservation / feasibility audit: every active flow must have
     /// a finite non-negative rate and positive remaining bytes, both
     /// endpoints must be registered, and the summed rate over each shared
-    /// link must not exceed its (possibly WAN-degraded) capacity.
+    /// link must not exceed its (possibly WAN-degraded) capacity. Flows
+    /// still awaiting a deferred recompute read rate 0, so
+    /// [`FluidNet::flush`] first.
     fn audit(&self) -> Vec<hog_sim_core::Violation> {
         use hog_sim_core::Violation;
         let mut out = Vec::new();
@@ -744,7 +877,7 @@ impl hog_sim_core::Auditable for FluidNet {
             }
         }
         for (l, used) in &load {
-            let cap = self.cap_of(*l);
+            let cap = link_cap(&self.params, self.wan_factor, *l);
             if *used > cap * (1.0 + 1e-6) + 1.0 {
                 out.push(Violation::new(
                     "net",
@@ -766,17 +899,15 @@ impl Network for FluidNet {
     }
 
     fn remove_node(&mut self, now: SimTime, node: NodeId) -> Vec<FlowEnd> {
+        self.flush();
         self.progress_to(now);
         let mut killed = Vec::new();
-        self.scratch_links.clear();
-        let mut dirty: Vec<LinkId> = std::mem::take(&mut self.scratch_links);
+        let mut dirty = std::mem::take(&mut self.dirty);
         let mut i = 0;
         while i < self.flows.len() {
             if self.flows[i].src == node || self.flows[i].dst == node {
                 let f = self.remove_flow_at(i);
-                for k in 0..f.links_len as usize {
-                    dirty.push(f.links[k]);
-                }
+                dirty.extend_from_slice(&f.links[..f.links_len as usize]);
                 self.tracer.emit(|| {
                     TraceEvent::new(Layer::Net, "flow_end")
                         .with("flow", f.id.0)
@@ -798,16 +929,10 @@ impl Network for FluidNet {
             *s = NO_SITE;
         }
         if !dirty.is_empty() {
-            self.recomputes += 1;
-            let seeds = std::mem::take(&mut dirty);
-            self.collect_component(&seeds);
-            let members = std::mem::take(&mut self.scratch_flows);
-            self.recompute_for(&members);
-            self.scratch_flows = members;
-            self.scratch_links = seeds;
-        } else {
-            self.scratch_links = dirty;
+            self.recompute_from(&dirty);
         }
+        dirty.clear();
+        self.dirty = dirty;
         self.settle_heaps();
         killed
     }
@@ -845,6 +970,7 @@ impl Network for FluidNet {
     }
 
     fn cancel_flow(&mut self, now: SimTime, id: FlowId) {
+        self.flush();
         self.progress_to(now);
         let p = match self.flow_pos.get(id.0 as usize) {
             Some(&p) if p != NO_FLOW => p as usize,
@@ -852,11 +978,7 @@ impl Network for FluidNet {
         };
         let f = self.remove_flow_at(p);
         if f.links_len > 0 {
-            self.recomputes += 1;
-            self.collect_component(&f.links[..f.links_len as usize]);
-            let members = std::mem::take(&mut self.scratch_flows);
-            self.recompute_for(&members);
-            self.scratch_flows = members;
+            self.recompute_from(&f.links[..f.links_len as usize]);
         }
         self.settle_heaps();
     }
@@ -868,17 +990,18 @@ impl Network for FluidNet {
     }
 
     fn advance_into(&mut self, now: SimTime, out: &mut Vec<FlowEnd>) {
+        self.flush();
         self.progress_to(now);
         self.settle_heaps();
         out.append(&mut self.finished);
     }
 
-    fn next_completion(&self) -> Option<SimTime> {
+    fn next_completion(&mut self) -> Option<SimTime> {
+        self.flush();
         if !self.finished.is_empty() {
             return Some(self.last_update);
         }
-        // `settle_heaps` ran at the end of every mutating call, so the top
-        // entry (if any) is live.
+        self.settle_heaps();
         self.projections.peek().map(|&Reverse((t, _, _))| t)
     }
 
@@ -1131,6 +1254,64 @@ mod tests {
         assert_eq!(net.active_flows(), 4);
     }
 
+    #[test]
+    fn same_instant_burst_runs_one_pass_per_component() {
+        // A block fanning out to three replicas plus one unrelated
+        // transfer: two components, so two passes instead of four.
+        let (mut net, a, b) = two_site_net();
+        for &dst in &[a[1], a[2], a[3]] {
+            net.start_flow(SimTime::ZERO, a[0], dst, 100 * MIB, 0);
+        }
+        net.start_flow(SimTime::ZERO, b[0], b[1], 100 * MIB, 1);
+        assert_eq!(net.recompute_count(), 0, "starts only queue");
+        net.next_completion();
+        assert_eq!(net.recompute_count(), 2);
+        for i in 0..3 {
+            let r = net.rate_of(FlowId(i)).unwrap();
+            assert!((r - gbit_per_s(1.0) / 3.0).abs() < 1.0, "flow {i} rate {r}");
+        }
+        let r = net.rate_of(FlowId(3)).unwrap();
+        assert!((r - gbit_per_s(1.0)).abs() < 1.0, "rate {r}");
+    }
+
+    #[test]
+    fn unchanged_instants_keep_their_heap_entries() {
+        // Receivers faster than senders: a second sender into the same
+        // receiver joins the first flow's component without changing its
+        // rate, so that flow's live heap entries stay valid and only the
+        // newcomer pushes.
+        let mut params = NetParams::grid_default();
+        params.nic_down = params.nic_up * 2.5;
+        let mut net = FluidNet::new(params);
+        for n in 0..3 {
+            net.register_node(NodeId(n), SiteId(0));
+        }
+        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MIB, 0);
+        net.next_completion();
+        net.start_flow(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MIB, 1);
+        net.next_completion();
+        assert_eq!(net.recompute_work(), 3, "the second pass covers both flows");
+        assert_eq!(net.projections.len(), 2);
+        assert_eq!(net.crossings.len(), 2);
+    }
+
+    #[test]
+    fn a_moved_projection_alone_reschedules() {
+        // 1000 bytes at 1 MB/s: crossing and projection both land at 1 ms.
+        // Slowing the WAN by 0.02 % keeps the crossing at 1 ms but moves
+        // the projection to 2 ms, and `next_completion` must follow it.
+        let mut params = NetParams::grid_default();
+        params.site_up = 1e6;
+        params.site_down = 1e6;
+        let mut net = FluidNet::new(params);
+        net.register_node(NodeId(0), SiteId(0));
+        net.register_node(NodeId(1), SiteId(1));
+        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 1000, 0);
+        assert_eq!(net.next_completion(), Some(SimTime::from_millis(1)));
+        net.set_wan_factor(SimTime::ZERO, 0.9998);
+        assert_eq!(net.next_completion(), Some(SimTime::from_millis(2)));
+    }
+
     /// From-scratch waterfilling oracle, written independently of the
     /// incremental implementation: classic per-round progressive filling
     /// over (path, capacity) tuples.
@@ -1287,11 +1468,14 @@ mod tests {
         /// cancellations, and WAN-factor changes, the incremental rates
         /// must match a from-scratch full waterfilling pass over the same
         /// surviving flow set, on both homogeneous and heterogeneous
-        /// capacities, within 1e-9 relative.
+        /// capacities, within 1e-9 relative. A third of the ops share the
+        /// previous op's instant, so bursts of starts reach the net
+        /// unflushed; each burst is checked once complete, before time
+        /// moves on.
         #[test]
         fn prop_incremental_matches_full_oracle(
             ops in proptest::collection::vec(
-                (0u32..16, 0u32..16, 1u64..500_000_000, 0u8..10, 0u8..4),
+                (0u32..16, 0u32..16, 1u64..500_000_000, 0u8..10, 0u8..4, 0u8..3),
                 1..60,
             ),
             hetero_sel in 0u8..2,
@@ -1314,31 +1498,17 @@ mod tests {
                 net.register_node(NodeId(n), SiteId((n / 4) as u16));
             }
             let site_of = |n: u32| (n / 4) as u16;
-            let mut wan = 1.0f64;
-            let mut live: Vec<(FlowId, u32, u32)> = Vec::new(); // (id, src, dst)
-            let mut now = SimTime::ZERO;
-            for (step, &(src, dst, bytes, cancel_sel, op)) in ops.iter().enumerate() {
-                now += SimDuration::from_millis(1); // keep ops ordered
-                match op {
-                    0 | 1 => {
-                        let id = net.start_flow(now, NodeId(src), NodeId(dst), bytes, step as u64);
-                        live.push((id, src, dst));
-                    }
-                    2 if !live.is_empty() => {
-                        let idx = cancel_sel as usize % live.len();
-                        let (id, _, _) = live.swap_remove(idx);
-                        net.cancel_flow(now, id);
-                    }
-                    _ => {
-                        wan = wan_move as f64 / 10.0;
-                        net.set_wan_factor(now, wan);
-                    }
-                }
-                // Drop any flows that completed during this op.
+            // Drop the flows completed by `now`, then hold every surviving
+            // rate against the oracle.
+            let check = |net: &mut FluidNet,
+                         live: &mut Vec<(FlowId, u32, u32)>,
+                         now: SimTime,
+                         wan: f64,
+                         step: usize|
+             -> Result<(), TestCaseError> {
                 for e in net.advance(now) {
                     live.retain(|&(id, _, _)| id != e.id);
                 }
-                // Oracle over the surviving flow set.
                 let paths: Vec<Vec<String>> = live
                     .iter()
                     .map(|&(_, s, d)| oracle_path(s, d, site_of))
@@ -1362,7 +1532,151 @@ mod tests {
                         step, s, d, got, w
                     );
                 }
+                Ok(())
+            };
+            let mut wan = 1.0f64;
+            let mut live: Vec<(FlowId, u32, u32)> = Vec::new(); // (id, src, dst)
+            let mut now = SimTime::ZERO;
+            for (step, &(src, dst, bytes, cancel_sel, op, gap)) in ops.iter().enumerate() {
+                if gap > 0 {
+                    check(&mut net, &mut live, now, wan, step)?;
+                    now += SimDuration::from_millis(1);
+                }
+                match op {
+                    0 | 1 => {
+                        let id = net.start_flow(now, NodeId(src), NodeId(dst), bytes, step as u64);
+                        live.push((id, src, dst));
+                    }
+                    2 if !live.is_empty() => {
+                        let idx = cancel_sel as usize % live.len();
+                        let (id, _, _) = live.swap_remove(idx);
+                        net.cancel_flow(now, id);
+                    }
+                    _ => {
+                        wan = wan_move as f64 / 10.0;
+                        net.set_wan_factor(now, wan);
+                    }
+                }
             }
+            check(&mut net, &mut live, now, wan, ops.len())?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Deferred recompute is exact. Net `a` waterfills once per burst
+        /// of same-instant starts; net `b` calls `next_completion` after
+        /// every start, which runs one pass per start. Through bursts of
+        /// regular, diffuse, loopback and zero-byte starts mixed with
+        /// cancels, node removals, WAN changes and advances, both must
+        /// agree bit for bit on every rate, every next completion and
+        /// every delivered `FlowEnd`.
+        #[test]
+        fn prop_deferred_recompute_is_bit_identical(
+            ops in proptest::collection::vec(
+                (0u8..10, 0u32..12, 0u32..12, 1u64..300_000_000, 0u8..6),
+                1..80,
+            ),
+        ) {
+            let new_net = || {
+                let mut net = FluidNet::new(NetParams::grid_default());
+                // 3 sites × 4 nodes.
+                for n in 0..12u32 {
+                    net.register_node(NodeId(n), SiteId((n / 4) as u16));
+                }
+                net
+            };
+            let agree = |a: &mut FluidNet,
+                         b: &mut FluidNet,
+                         live: &[FlowId],
+                         step: usize|
+             -> Result<(), TestCaseError> {
+                for &id in live {
+                    prop_assert_eq!(
+                        a.rate_of(id).map(f64::to_bits),
+                        b.rate_of(id).map(f64::to_bits),
+                        "step {}: rate of flow {}",
+                        step,
+                        id.0
+                    );
+                }
+                prop_assert_eq!(
+                    a.next_completion(),
+                    b.next_completion(),
+                    "step {}: next completion",
+                    step
+                );
+                Ok(())
+            };
+            let (mut a, mut b) = (new_net(), new_net());
+            let mut live: Vec<FlowId> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for (step, &(kind, x, y, bytes, gap)) in ops.iter().enumerate() {
+                // Half the ops share the previous op's instant. Comparing
+                // flushes `a`, so it happens only once a burst is over, and
+                // not before 100 ms steps: those carry an unflushed burst
+                // across a clock advance.
+                let ms = match gap {
+                    0..=2 => 0,
+                    3 => 1,
+                    4 => 100,
+                    _ => 2000,
+                };
+                if ms > 0 {
+                    if ms != 100 {
+                        agree(&mut a, &mut b, &live, step)?;
+                    }
+                    now += SimDuration::from_millis(ms);
+                }
+                let src = NodeId(x);
+                match kind {
+                    0..=5 => {
+                        let (dst, bytes) = match kind {
+                            4 => (src, bytes),
+                            5 => (NodeId(y), 0),
+                            _ => (NodeId(y), bytes),
+                        };
+                        let start = |net: &mut FluidNet| {
+                            if kind == 3 {
+                                net.start_flow_diffuse(now, src, dst, bytes, step as u64)
+                            } else {
+                                net.start_flow(now, src, dst, bytes, step as u64)
+                            }
+                        };
+                        let id = start(&mut a);
+                        prop_assert_eq!(id, start(&mut b));
+                        b.next_completion();
+                        live.push(id);
+                    }
+                    6 if !live.is_empty() => {
+                        let id = live.swap_remove(y as usize % live.len());
+                        a.cancel_flow(now, id);
+                        b.cancel_flow(now, id);
+                    }
+                    7 => {
+                        let killed = a.remove_node(now, src);
+                        prop_assert_eq!(&killed, &b.remove_node(now, src));
+                        live.retain(|id| killed.iter().all(|e| e.id != *id));
+                        // The node rejoins at once, so later starts may use it.
+                        a.register_node(src, SiteId((x / 4) as u16));
+                        b.register_node(src, SiteId((x / 4) as u16));
+                    }
+                    8 => {
+                        let factor = (bytes % 10 + 1) as f64 / 10.0;
+                        a.set_wan_factor(now, factor);
+                        b.set_wan_factor(now, factor);
+                    }
+                    _ => {
+                        let ends = a.advance(now);
+                        prop_assert_eq!(&ends, &b.advance(now));
+                        live.retain(|id| ends.iter().all(|e| e.id != *id));
+                    }
+                }
+            }
+            agree(&mut a, &mut b, &live, ops.len())?;
+            prop_assert!(a.recompute_count() <= b.recompute_count());
+            prop_assert_eq!(drain(&mut a), drain(&mut b));
         }
     }
 }

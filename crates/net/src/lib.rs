@@ -71,6 +71,12 @@ pub struct FlowEnd {
 /// 2. start/cancel flows as needed;
 /// 3. re-arm one tick at [`Network::next_completion`] (spurious ticks are
 ///    harmless — `advance` just returns nothing).
+///
+/// A model may defer the rate recompute a start triggers: [`FluidNet`]
+/// queues same-instant starts and settles them all with one pass per
+/// touched component. Every other call (and the clock moving on) flushes
+/// that queue first, which is why [`Network::next_completion`] takes
+/// `&mut self`; no `Network` caller can observe the deferral.
 pub trait Network {
     /// Make `node` (living in `site`) usable as a flow endpoint.
     fn register_node(&mut self, node: NodeId, site: SiteId);
@@ -126,8 +132,9 @@ pub trait Network {
         out.append(&mut self.advance(now));
     }
 
-    /// The instant the earliest in-flight flow will finish, if any.
-    fn next_completion(&self) -> Option<SimTime>;
+    /// The instant the earliest in-flight flow will finish, if any
+    /// (settling any deferred recompute first).
+    fn next_completion(&mut self) -> Option<SimTime>;
 
     /// Number of in-flight flows (diagnostics).
     fn active_flows(&self) -> usize;

@@ -142,7 +142,7 @@ impl Network for StaticNet {
         done
     }
 
-    fn next_completion(&self) -> Option<SimTime> {
+    fn next_completion(&mut self) -> Option<SimTime> {
         self.flows.values().map(|f| f.finish).min()
     }
 
