@@ -50,7 +50,9 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.bench_function("ring256", |b| {
         b.iter(|| black_box(run(TraceMode::Ring(256), false)))
     });
-    group.bench_function("full", |b| b.iter(|| black_box(run(TraceMode::Full, false))));
+    group.bench_function("full", |b| {
+        b.iter(|| black_box(run(TraceMode::Full, false)))
+    });
     group.bench_function("full_export", |b| {
         b.iter(|| black_box(run(TraceMode::Full, true)))
     });

@@ -3,6 +3,9 @@
 //!
 //! Usage: `ablations [heartbeat|replication|zombie|disk|baselines|multicopy|siteaware|chaos|all]
 //!                   [--nodes N] [--threads N]`
+//!
+//! No subcommand means `all`; an unknown one exits 2. `--threads`
+//! defaults to the available cores.
 
 use hog_core::baselines::compare_hog_moon_hod;
 use hog_core::experiments::{
@@ -37,9 +40,9 @@ fn header() -> TextTable {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let which = args.get(1).cloned().unwrap_or_else(|| "all".into());
+    let which = args.get(1).map_or("all", String::as_str);
     let nodes = hog_bench::arg_usize(&args, "--nodes", 60);
-    let threads = hog_bench::arg_usize(&args, "--threads", 4);
+    let threads = hog_bench::arg_threads(&args);
     let mut out = String::new();
 
     let run_heartbeat = |out: &mut String| {
@@ -197,7 +200,7 @@ fn main() {
         ));
     };
 
-    match which.as_str() {
+    match which {
         "heartbeat" => run_heartbeat(&mut out),
         "replication" => run_replication(&mut out),
         "zombie" => run_zombie(&mut out),
@@ -206,7 +209,7 @@ fn main() {
         "multicopy" => run_multicopy(&mut out),
         "siteaware" => run_siteaware(&mut out),
         "chaos" => run_chaos(&mut out),
-        _ => {
+        "all" => {
             run_heartbeat(&mut out);
             run_replication(&mut out);
             run_zombie(&mut out);
@@ -215,6 +218,14 @@ fn main() {
             run_multicopy(&mut out);
             run_siteaware(&mut out);
             run_chaos(&mut out);
+        }
+        other => {
+            eprintln!(
+                "ablations: unknown subcommand `{other}`\nusage: ablations \
+                 [heartbeat|replication|zombie|disk|baselines|multicopy|siteaware|chaos|all] \
+                 [--nodes N] [--threads N]"
+            );
+            std::process::exit(2);
         }
     }
 

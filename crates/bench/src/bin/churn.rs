@@ -19,42 +19,19 @@
 //!   without the diurnal forecast (DESIGN §16.3), measuring whether
 //!   pre-growth ahead of the predicted wave saves response time.
 //!
-//! Usage:
-//!   churn [--smoke] [--seed S] [--wave H] [--out PATH] [--check BASELINE]
-//!         [--threads N] [--verify-threads]
-//!
-//! * `--smoke`          run only the 2×2 truncated-workload grid at the
-//!   base seed (CI gate); the full sweep repeats the grid at
-//!   [`VERDICT_SEEDS`] consecutive seeds and holds the win bar against
-//!   the pooled result
-//! * `--seed S`         base cluster seed (default 7; each grid seed `s`
-//!   uses schedule seed 1000+s)
-//! * `--wave H`         start the calibrated cells at hour `H` of the
-//!   campus day (default [`WAVE_START_HOUR`]; tuning knob for studying
-//!   other workload/wave phase alignments)
-//! * `--out PATH`       where to write the JSON report (default BENCH_churn.json)
-//! * `--check BASELINE` compare each shared cell's outcome fingerprint
-//!   against a previously written report (BENCH_churn.baseline.json in
-//!   CI) and exit non-zero on any mismatch — the sweep is deterministic,
-//!   so a changed fingerprint means the simulated outcome changed
-//!
-//! * `--threads N`      run sweep cells N-wide (default: available cores;
-//!   every cell is an independent deterministic simulation, so the report
-//!   is the same at any width — only wall clocks move)
-//! * `--verify-threads` rerun the sweep at `--threads 1` and assert the
-//!   two reports are byte-identical modulo wall-clock fields
-//!
-//! The JSON is hand-rolled (no serde in the workspace); the schema
-//! mirrors BENCH_sched.json plus the rescue counters. Keep it in sync
-//! with EXPERIMENTS.md X16.
+//! `--smoke` runs only the 2×2 truncated-workload grid at the base seed;
+//! the full sweep repeats the grid at [`VERDICT_SEEDS`] consecutive seeds
+//! and holds the win bar against the pooled result. Each grid seed `s`
+//! uses schedule seed 1000+s. Flags, report layout and `--check`: see
+//! `hog_bench::study`.
 
+use hog_bench::{outcome_fingerprint, timed, Group, Report, Row, Study};
 use hog_core::driver::{run_workload, RunResult};
+use hog_core::sweep::run_ordered;
 use hog_core::{ClusterConfig, SchedPolicy};
 use hog_grid::{DiurnalForecast, ElasticConfig};
 use hog_sim_core::SimDuration;
 use hog_workload::{StragglerMix, SubmissionSchedule};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Pool size of the truncated-workload grid.
 const NODES: usize = 300;
@@ -89,63 +66,41 @@ const ELASTIC_MAX: usize = 300;
 /// least this fraction of mean job response vs placement-only handling.
 const PREDICTIVE_WIN: f64 = 0.10;
 
-struct CellReport {
-    policy: SchedPolicy,
-    churn: &'static str,
-    workload: &'static str,
-    seed: u64,
-    wall_ms: u64,
-    response_secs: f64,
-    mean_job_secs: f64,
-    jobs_ok: usize,
-    jobs: usize,
-    speculative: u64,
-    failures: u64,
-    rescue_copies: u64,
-    rescue_hits: u64,
-    rescue_misses: u64,
-    fingerprint: String,
-}
+/// The failure-handling policies of the grid, in report order.
+const POLICIES: [SchedPolicy; 2] = [SchedPolicy::FailureAware, SchedPolicy::Predictive];
 
-impl CellReport {
-    /// Share of rescue copies that were placed on time: the doomed
-    /// attempt's node really died and the copy was still alive to cover
-    /// for it (1.0 when prediction never fired).
-    fn hit_rate(&self) -> f64 {
-        let judged = self.rescue_hits + self.rescue_misses;
-        if judged == 0 {
-            1.0
-        } else {
-            self.rescue_hits as f64 / judged as f64
-        }
-    }
-}
-
-fn cell_from(
+fn cell_row(
     policy: SchedPolicy,
-    churn: &'static str,
-    workload: &'static str,
+    churn: &str,
+    workload: &str,
     seed: u64,
     wall_ms: u64,
     r: &RunResult,
-) -> CellReport {
-    CellReport {
-        policy,
-        churn,
-        workload,
-        seed,
-        wall_ms,
-        response_secs: r.response_time.map(|d| d.as_secs_f64()).unwrap_or(0.0),
-        mean_job_secs: r.mean_job_response_secs(),
-        jobs_ok: r.jobs_succeeded(),
-        jobs: r.jobs.len(),
-        speculative: r.jt.speculative,
-        failures: r.jt.failures,
-        rescue_copies: r.jt.rescue_copies,
-        rescue_hits: r.jt.rescue_hits,
-        rescue_misses: r.jt.rescue_misses,
-        fingerprint: hog_bench::outcome_fingerprint(r),
-    }
+) -> Row {
+    let jt = &r.jt;
+    // Share of rescue copies placed on time: the doomed attempt's node
+    // really died and the copy was still alive to cover for it (1.0 when
+    // prediction never fired).
+    let judged = jt.rescue_hits + jt.rescue_misses;
+    let hit_rate = if judged == 0 {
+        1.0
+    } else {
+        jt.rescue_hits as f64 / judged as f64
+    };
+    Row::new()
+        .with("policy", policy.as_str())
+        .with("churn", churn)
+        .with("workload", workload)
+        .with("seed", seed)
+        .with("wall_ms", wall_ms)
+        .outcome(r)
+        .with("speculative", jt.speculative)
+        .with("failures", jt.failures)
+        .with("rescue_copies", jt.rescue_copies)
+        .with("rescue_hits", jt.rescue_hits)
+        .with("rescue_misses", jt.rescue_misses)
+        .float("rescue_hit_rate", hit_rate, 4)
+        .with("fingerprint", outcome_fingerprint(r))
 }
 
 /// Base config for a grid cell: 300 nodes, stragglers on (the churn
@@ -154,164 +109,105 @@ fn cell_from(
 /// columns differ only in the preemption process).
 fn cell_cfg(
     policy: SchedPolicy,
-    churn: &'static str,
+    churn: &str,
     start_hour: f64,
     seed: u64,
     label: String,
 ) -> ClusterConfig {
-    let mut cfg = ClusterConfig::hog(NODES, seed)
+    let cfg = ClusterConfig::hog(NODES, seed)
         .with_scheduler(policy)
         .with_stragglers(StragglerMix::osg_default())
         .named(label);
-    cfg = match churn {
+    match churn {
         "exponential" => cfg.with_mean_lifetime(SimDuration::from_secs(EXP_LIFETIME_SECS)),
         "calibrated" => cfg.with_calibrated_churn_at(start_hour),
         other => panic!("unknown churn label {other}"),
-    };
-    cfg
+    }
 }
 
-fn run_cell(policy: SchedPolicy, churn: &'static str, wave: f64, seed: u64) -> CellReport {
+fn run_cell(policy: SchedPolicy, churn: &'static str, seed: u64) -> Row {
     // Each seed gets its own arrival pattern too (schedule seed 1000+S,
     // the convention every bench bin shares), so pooling over seeds
     // averages over workload phase as well as preemption draws.
     let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    let cfg = cell_cfg(
-        policy,
-        churn,
-        wave,
-        seed,
-        format!("churn-{}-{}", churn, policy.as_str()),
-    );
-    let wall = Instant::now();
-    let r = run_workload(cfg, &schedule, SimDuration::from_secs(100 * 3600));
-    cell_from(
-        policy,
-        churn,
-        "truncated",
-        seed,
-        wall.elapsed().as_millis() as u64,
-        &r,
-    )
+    let label = format!("churn-{}-{}", churn, policy.as_str());
+    let cfg = cell_cfg(policy, churn, WAVE_START_HOUR, seed, label);
+    let (r, wall_ms) = timed(|| run_workload(cfg, &schedule, SimDuration::from_secs(100 * 3600)));
+    cell_row(policy, churn, "truncated", seed, wall_ms, &r)
 }
 
 /// Day-long diurnal trace under calibrated churn: the ≈1000-job SWIM
 /// shape whose arrival peak overlaps the campuses' preemption waves.
-fn run_day(policy: SchedPolicy, seed: u64, schedule: &SubmissionSchedule) -> CellReport {
-    let cfg = cell_cfg(
-        policy,
-        "calibrated",
-        0.0,
-        seed,
-        format!("churn-day-{}", policy.as_str()),
-    );
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(60 * 3600));
-    cell_from(
-        policy,
-        "calibrated",
-        "day",
-        seed,
-        wall.elapsed().as_millis() as u64,
-        &r,
-    )
+fn run_day(policy: SchedPolicy, seed: u64) -> Row {
+    let schedule = SubmissionSchedule::facebook_day(1000 + seed);
+    let label = format!("churn-day-{}", policy.as_str());
+    let cfg = cell_cfg(policy, "calibrated", 0.0, seed, label);
+    let (r, wall_ms) = timed(|| run_workload(cfg, &schedule, SimDuration::from_secs(60 * 3600)));
+    cell_row(policy, "calibrated", "day", seed, wall_ms, &r)
 }
 
 /// Elastic controller under calibrated churn, with or without the
 /// diurnal pre-growth forecast (both predictive, truncated workload).
-fn run_forecast(forecast: bool, wave: f64, seed: u64, schedule: &SubmissionSchedule) -> CellReport {
-    let churn: &'static str = if forecast { "forecast" } else { "reactive" };
+fn run_forecast(forecast: bool, seed: u64) -> Row {
+    let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
     let mut ecfg = ElasticConfig::new(ELASTIC_MIN, ELASTIC_MAX);
     if forecast {
         // Same wave phase as the churn driving the pool: peak 14:00 on a
         // clock whose t = 0 is the wave start hour.
         ecfg = ecfg.with_forecast(DiurnalForecast {
             amplitude: 0.5,
-            peak_hour: (14.0 - wave).rem_euclid(24.0),
+            peak_hour: (14.0 - WAVE_START_HOUR).rem_euclid(24.0),
         });
     }
-    let cfg = cell_cfg(
-        SchedPolicy::Predictive,
-        "calibrated",
-        wave,
-        seed,
-        format!("churn-elastic-{churn}"),
-    )
-    .with_elastic_config(ecfg);
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600));
-    let mut c = cell_from(
-        SchedPolicy::Predictive,
-        "calibrated",
-        "truncated",
-        seed,
-        wall.elapsed().as_millis() as u64,
-        &r,
-    );
-    c.workload = if forecast { "elastic+forecast" } else { "elastic" };
-    c
+    let (mode, workload) = if forecast {
+        ("forecast", "elastic+forecast")
+    } else {
+        ("reactive", "elastic")
+    };
+    let policy = SchedPolicy::Predictive;
+    let label = format!("churn-elastic-{mode}");
+    let cfg =
+        cell_cfg(policy, "calibrated", WAVE_START_HOUR, seed, label).with_elastic_config(ecfg);
+    let (r, wall_ms) = timed(|| run_workload(cfg, &schedule, SimDuration::from_secs(100 * 3600)));
+    cell_row(policy, "calibrated", workload, seed, wall_ms, &r)
 }
 
-fn cell_json(c: &CellReport) -> String {
-    format!(
-        "{{\"policy\": \"{}\", \"churn\": \"{}\", \"workload\": \"{}\", \"seed\": {}, \"wall_ms\": {}, \"response_secs\": {:.3}, \"mean_job_secs\": {:.3}, \"jobs_ok\": {}, \"jobs\": {}, \"speculative\": {}, \"failures\": {}, \"rescue_copies\": {}, \"rescue_hits\": {}, \"rescue_misses\": {}, \"rescue_hit_rate\": {:.4}, \"fingerprint\": \"{}\"}}",
-        c.policy.as_str(),
-        c.churn,
-        c.workload,
-        c.seed,
-        c.wall_ms,
-        c.response_secs,
-        c.mean_job_secs,
-        c.jobs_ok,
-        c.jobs,
-        c.speculative,
-        c.failures,
-        c.rescue_copies,
-        c.rescue_hits,
-        c.rescue_misses,
-        c.hit_rate(),
-        c.fingerprint
-    )
+/// A cell of the full sweep's `extended` group.
+enum Extended {
+    /// The day-long trace under one failure-handling policy.
+    Day(SchedPolicy),
+    /// The elastic controller, with or without the diurnal forecast.
+    Elastic { forecast: bool },
 }
 
-fn to_json(seed: u64, cells: &[CellReport], extra: &[CellReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"churn\",");
-    let _ = writeln!(s, "  \"workload\": \"facebook_truncated\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    for (key, group) in [("cells", cells), ("extended", extra)] {
-        let _ = writeln!(s, "  \"{key}\": [");
-        for (i, c) in group.iter().enumerate() {
-            let _ = write!(s, "    {}", cell_json(c));
-            s.push_str(if i + 1 < group.len() { ",\n" } else { "\n" });
-        }
-        s.push_str(if key == "cells" { "  ],\n" } else { "  ]\n" });
-    }
-    s.push_str("}\n");
-    s
-}
-
-fn print_cell(c: &CellReport) {
-    println!(
-        "  {:>13} {:>11} {:>16} s{}: resp={:>7.0}s mean_job={:>6.1}s ok={}/{} spec={} fail={} rescue={} hit/miss={}/{} ({:.0}%) wall={}ms fp={}",
-        c.policy.as_str(),
-        c.churn,
-        c.workload,
-        c.seed,
-        c.response_secs,
-        c.mean_job_secs,
-        c.jobs_ok,
-        c.jobs,
-        c.speculative,
-        c.failures,
-        c.rescue_copies,
-        c.rescue_hits,
-        c.rescue_misses,
-        c.hit_rate() * 100.0,
-        c.wall_ms,
-        c.fingerprint
-    );
+fn sweep(seed: u64, smoke: bool, threads: usize) -> Vec<Group> {
+    // Smoke runs the 2×2 grid at the base seed; the full sweep runs it
+    // at every verdict seed so the study bar is judged on pooled
+    // responses rather than one draw.
+    let seeds = if smoke { 1 } else { VERDICT_SEEDS };
+    let grid: Vec<_> = (seed..seed + seeds)
+        .flat_map(|s| {
+            ["exponential", "calibrated"]
+                .into_iter()
+                .flat_map(move |churn| POLICIES.map(|p| (p, churn, s)))
+        })
+        .collect();
+    let cells = run_ordered(grid, threads, |(p, churn, s)| run_cell(p, churn, s));
+    let extra = if smoke {
+        vec![]
+    } else {
+        vec![
+            Extended::Day(SchedPolicy::FailureAware),
+            Extended::Day(SchedPolicy::Predictive),
+            Extended::Elastic { forecast: false },
+            Extended::Elastic { forecast: true },
+        ]
+    };
+    let extended = run_ordered(extra, threads, |cell| match cell {
+        Extended::Day(policy) => run_day(policy, seed),
+        Extended::Elastic { forecast } => run_forecast(forecast, seed),
+    });
+    vec![("cells", cells), ("extended", extended)]
 }
 
 /// The study bar: every cell completes its whole workload, and under
@@ -321,34 +217,37 @@ fn print_cell(c: &CellReport) {
 /// fair duel — schedule divergence makes per-seed deltas swing ±10% —
 /// so, like BENCH_elastic, only the full multi-seed sweep enforces the
 /// win bar; smoke still enforces completion and prints the observed win.
-fn verdict(cells: &[CellReport], extra: &[CellReport]) -> bool {
+fn verdict(report: &Report, _smoke: bool) -> bool {
     let mut ok = true;
-    for c in cells.iter().chain(extra) {
-        if c.jobs_ok != c.jobs {
+    for c in report.rows() {
+        if c.num("jobs_ok") != c.num("jobs") {
             ok = false;
             println!(
                 "  verdict: {} {} {} s{} finished only {}/{} jobs — FAIL",
-                c.policy.as_str(),
-                c.churn,
-                c.workload,
-                c.seed,
-                c.jobs_ok,
-                c.jobs
+                c.text("policy"),
+                c.text("churn"),
+                c.text("workload"),
+                c.int("seed"),
+                c.int("jobs_ok"),
+                c.int("jobs")
             );
         }
     }
-    let pooled = |policy: &str, churn: &str| -> (f64, usize) {
-        let ms: Vec<f64> = cells
+    let pooled = |policy: &str| -> (f64, usize) {
+        let ms: Vec<f64> = report
+            .group("cells")
             .iter()
             .filter(|c| {
-                c.policy.as_str() == policy && c.churn == churn && c.workload == "truncated"
+                c.text("policy") == policy
+                    && c.text("churn") == "calibrated"
+                    && c.text("workload") == "truncated"
             })
-            .map(|c| c.mean_job_secs)
+            .map(|c| c.num("mean_job_secs"))
             .collect();
         (ms.iter().sum(), ms.len())
     };
-    let (base, n_base) = pooled("failure_aware", "calibrated");
-    let (pred, n_pred) = pooled("predictive", "calibrated");
+    let (base, n_base) = pooled("failure_aware");
+    let (pred, n_pred) = pooled("predictive");
     if n_base > 0 && n_base == n_pred {
         let win = 1.0 - pred / base;
         let enforced = n_base as u64 >= VERDICT_SEEDS;
@@ -375,178 +274,13 @@ fn verdict(cells: &[CellReport], extra: &[CellReport]) -> bool {
     ok
 }
 
-/// Extract `(policy, churn, workload, seed, fingerprint)` rows from a
-/// report written by [`to_json`] (schema-coupled on purpose; no JSON dep).
-fn parse_baseline(text: &str) -> Vec<(String, String, String, u64, String)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"policy\":") {
-            continue;
-        }
-        let str_field = |key: &str| -> Option<String> {
-            let pat = format!("\"{key}\": \"");
-            let start = line.find(&pat)? + pat.len();
-            let rest = &line[start..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        };
-        let seed = line
-            .find("\"seed\": ")
-            .map(|i| &line[i + "\"seed\": ".len()..])
-            .and_then(|rest| {
-                let end = rest.find([',', '}'])?;
-                rest[..end].trim().parse::<u64>().ok()
-            });
-        if let (Some(p), Some(c), Some(w), Some(seed), Some(fp)) = (
-            str_field("policy"),
-            str_field("churn"),
-            str_field("workload"),
-            seed,
-            str_field("fingerprint"),
-        ) {
-            out.push((p, c, w, seed, fp));
-        }
-    }
-    out
-}
-
-/// Compare every cell present in the baseline by fingerprint; returns
-/// whether any mismatched. Cells absent from the baseline (e.g. the
-/// extra verdict seeds when smoke-checking against a full baseline) are
-/// skipped.
-fn check_cells(cells: &[CellReport], baseline: &[(String, String, String, u64, String)]) -> bool {
-    let mut failed = false;
-    for c in cells {
-        let Some((_, _, _, _, fp)) = baseline.iter().find(|(p, ch, w, s, _)| {
-            *p == c.policy.as_str() && *ch == c.churn && *w == c.workload && *s == c.seed
-        }) else {
-            continue;
-        };
-        if *fp != c.fingerprint {
-            failed = true;
-            println!(
-                "  check {} {} {} s{}: fingerprint {} != baseline {} — OUTCOME CHANGED",
-                c.policy.as_str(),
-                c.churn,
-                c.workload,
-                c.seed,
-                c.fingerprint,
-                fp
-            );
-        } else {
-            println!(
-                "  check {} {} {} s{}: fingerprint matches baseline",
-                c.policy.as_str(),
-                c.churn,
-                c.workload,
-                c.seed
-            );
-        }
-    }
-    failed
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = hog_bench::arg_usize(&args, "--seed", 7) as u64;
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_churn.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wave = args
-        .iter()
-        .position(|a| a == "--wave")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(WAVE_START_HOUR);
-
-    let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    println!(
-        "churn: {} jobs / {} maps / {} reduces, seed {seed}",
-        schedule.len(),
-        schedule.total_maps(),
-        schedule.total_reduces()
-    );
-    let day = (!smoke).then(|| SubmissionSchedule::facebook_day(1000 + seed));
-
-    let threads = hog_bench::arg_threads(&args);
-    let verify_threads = args.iter().any(|a| a == "--verify-threads");
-    let sweep = |threads: usize| {
-        let schedule = &schedule;
-        let day = day.as_ref();
-        // Smoke runs the 2×2 grid at the base seed; the full sweep runs
-        // it at every verdict seed so the study bar is judged on pooled
-        // responses rather than one draw.
-        let grid_seeds = if smoke { 1 } else { VERDICT_SEEDS };
-        let mut jobs: Vec<Box<dyn FnOnce() -> CellReport + Send>> = Vec::new();
-        for s in seed..seed + grid_seeds {
-            for &churn in &["exponential", "calibrated"] {
-                for &policy in &[SchedPolicy::FailureAware, SchedPolicy::Predictive] {
-                    jobs.push(Box::new(move || run_cell(policy, churn, wave, s)));
-                }
-            }
-        }
-        let cells = hog_bench::run_cells(jobs, threads);
-        let mut extra_jobs: Vec<Box<dyn FnOnce() -> CellReport + Send>> = Vec::new();
-        if let Some(day) = day {
-            for &policy in &[SchedPolicy::FailureAware, SchedPolicy::Predictive] {
-                extra_jobs.push(Box::new(move || run_day(policy, seed, day)));
-            }
-            for forecast in [false, true] {
-                extra_jobs.push(Box::new(move || run_forecast(forecast, wave, seed, schedule)));
-            }
-        }
-        let extra = hog_bench::run_cells(extra_jobs, threads);
-        (cells, extra)
-    };
-
-    let (cells, extra) = sweep(threads);
-    for c in &cells {
-        print_cell(c);
-    }
-    if !extra.is_empty() {
-        println!("  -- day-long diurnal trace + forecast comparison --");
-        for c in &extra {
-            print_cell(c);
-        }
-    }
-    let ok = verdict(&cells, &extra);
-
-    let json = to_json(seed, &cells, &extra);
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    if verify_threads {
-        let (c1, e1) = sweep(1);
-        hog_bench::assert_threads_identical("churn", &json, &to_json(seed, &c1, &e1));
-    }
-
-    if let Some(base) = check_path {
-        let text = std::fs::read_to_string(&base)
-            .unwrap_or_else(|e| panic!("cannot read baseline {base}: {e}"));
-        let baseline = parse_baseline(&text);
-        assert!(
-            !baseline.is_empty(),
-            "baseline {base} has no fingerprinted cells"
-        );
-        let mut failed = check_cells(&cells, &baseline);
-        failed |= check_cells(&extra, &baseline);
-        if failed {
-            eprintln!("churn: outcome fingerprints diverged from {base}");
-            std::process::exit(1);
-        }
-    }
-
-    if !ok {
-        eprintln!("churn: study bar missed (see verdict above)");
-        std::process::exit(1);
-    }
+    hog_bench::run_study(&Study {
+        name: "churn",
+        header: &[],
+        keys: &["policy", "churn", "workload", "seed"],
+        wall_gated: false,
+        sweep,
+        verdict,
+    });
 }

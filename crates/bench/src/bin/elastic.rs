@@ -9,425 +9,138 @@
 //! the best static pool's mean job response while consuming fewer
 //! node·hours of grid allocation?
 //!
-//! A second section repeats the comparison under the X11 correlated
+//! The `ablation` group repeats the comparison under the X11 correlated
 //! preemption-burst plan: the controller must re-grow through the same
 //! churn the bursts inflict, and its failure-aware shrink should avoid
 //! handing nodes back at the blasted sites.
 //!
-//! Usage:
-//!   elastic [--smoke] [--seed S] [--out PATH] [--check BASELINE]
-//!           [--threads N] [--verify-threads]
-//!
-//! * `--smoke`    run only the static-100 and elastic tiers (CI gate)
-//! * `--seed S`   cluster seed (default 7; schedule seed is 1000+S)
-//! * `--out PATH` where to write the JSON report (default BENCH_elastic.json)
-//! * `--check BASELINE` compare wall-clock and outcome fingerprints per
-//!   shared label against a previous report; exit non-zero on a >25%
-//!   (+noise floor) wall regression or any fingerprint change
-//!
-//! * `--threads N`      run sweep cells N-wide (default: available cores;
-//!   every cell is an independent deterministic simulation, so the report
-//!   is the same at any width — only wall clocks move)
-//! * `--verify-threads` rerun the sweep at `--threads 1` and assert the
-//!   two reports are byte-identical modulo wall-clock fields
-//!
-//! The JSON is hand-rolled (no serde in the workspace); schema mirrors
-//! BENCH_scale.json. Keep it in sync with EXPERIMENTS.md X12.
+//! `--smoke` runs only the static-100 and elastic tiers, and only the full
+//! sweep enforces the study bar. `--check` gates wall-clock as well as
+//! fingerprints. Flags, report layout and `--check`: see
+//! `hog_bench::study`.
 
-use hog_chaos::{Fault, FaultPlan};
-use hog_core::driver::{run_workload, RunResult};
+use hog_bench::{outcome_fingerprint, timed, x11_burst_plan, Group, Report, Row, Study};
+use hog_core::driver::run_workload;
+use hog_core::sweep::run_ordered;
 use hog_core::ClusterConfig;
 use hog_sim_core::SimDuration;
 use hog_workload::SubmissionSchedule;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Static pool sizes compared against the controller.
 const STATIC_TIERS: [usize; 3] = [40, 100, 300];
 /// Controller bounds for the elastic runs.
 const ELASTIC_MIN: usize = 40;
 const ELASTIC_MAX: usize = 300;
-/// Sites hammered by the burst ablation (same pair as the sched bench).
-const BURST_SITES: [&str; 2] = ["UCSDT2", "AGLT2"];
-/// Wall-clock regression gate for `--check` (fraction of baseline).
-const REGRESSION_FRAC: f64 = 0.25;
-/// Absolute slack below which a regression is considered timer noise.
-const NOISE_FLOOR_MS: u64 = 250;
 
-struct TierReport {
-    label: String,
+/// One tier: a static pool of `nodes`, or (`elastic`) the controller
+/// starting from its floor; `burst` arms the X11 plan.
+fn run_tier(
+    nodes: usize,
     elastic: bool,
-    wall_ms: u64,
-    response_secs: f64,
-    mean_job_secs: f64,
-    jobs_ok: usize,
-    jobs: usize,
-    node_hours: f64,
-    grows: usize,
-    shrinks: usize,
-    peak_target: usize,
-    fingerprint: String,
-}
-
-fn report(label: String, initial: usize, elastic: bool, wall_ms: u64, r: &RunResult) -> TierReport {
-    if std::env::var_os("HOG_ELASTIC_JOBS").is_some() {
-        let t0 = r.workload_start.unwrap_or(hog_sim_core::SimTime::ZERO);
-        for j in &r.jobs {
-            let resp = j
-                .finished
-                .map(|f| f.saturating_since(j.submitted).as_secs_f64())
-                .unwrap_or(-1.0);
-            eprintln!(
-                "JOB {} {} {} {:.0} {:.1} {}",
-                label,
-                j.index,
-                j.maps,
-                j.submitted.saturating_since(t0).as_secs_f64(),
-                resp,
-                j.bin
-            );
-        }
+    burst: bool,
+    seed: u64,
+    schedule: &SubmissionSchedule,
+) -> Row {
+    let pool = if elastic {
+        format!("elastic-{ELASTIC_MIN}-{ELASTIC_MAX}")
+    } else {
+        format!("static-{nodes}")
+    };
+    let label = if burst { format!("burst-{pool}") } else { pool };
+    let mut cfg = ClusterConfig::hog(nodes, seed).named(label.clone());
+    if elastic {
+        cfg = cfg.with_elastic(ELASTIC_MIN, ELASTIC_MAX);
     }
+    if burst {
+        cfg = cfg.with_fault_plan(x11_burst_plan());
+    }
+    let (r, wall_ms) = timed(|| run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600)));
+    assert!(!r.stopped_early, "{label} did not finish");
     let grows = r.elastic_actions.iter().filter(|&&(_, d)| d > 0).count();
-    let shrinks = r.elastic_actions.len() - grows;
     // Walk the resize history to find the largest pool the controller
     // ever asked for (static runs: the fixed tier size).
-    let mut target = initial as i64;
+    let mut target = nodes as i64;
     let mut peak = target;
     for &(_, d) in &r.elastic_actions {
         target += d;
         peak = peak.max(target);
     }
-    TierReport {
-        label,
-        elastic,
-        wall_ms,
-        response_secs: r.response_time.map(|d| d.as_secs_f64()).unwrap_or(0.0),
-        mean_job_secs: r.mean_job_response_secs(),
-        jobs_ok: r.jobs_succeeded(),
-        jobs: r.jobs.len(),
-        node_hours: r.area_reported / 3600.0,
-        grows,
-        shrinks,
-        peak_target: peak.max(0) as usize,
-        fingerprint: hog_bench::outcome_fingerprint(r),
-    }
+    Row::new()
+        .with("label", label)
+        .with("elastic", elastic)
+        .with("wall_ms", wall_ms)
+        .outcome(&r)
+        .float("node_hours", r.area_reported / 3600.0, 1)
+        .with("grows", grows)
+        .with("shrinks", r.elastic_actions.len() - grows)
+        .with("peak_target", peak.max(0) as usize)
+        .with("fingerprint", outcome_fingerprint(&r))
 }
 
-fn run_static(nodes: usize, seed: u64, schedule: &SubmissionSchedule) -> TierReport {
-    let cfg = ClusterConfig::hog(nodes, seed).named(format!("static-{nodes}"));
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600));
-    assert!(!r.stopped_early, "static-{nodes} did not finish");
-    report(
-        format!("static-{nodes}"),
-        nodes,
-        false,
-        wall.elapsed().as_millis() as u64,
-        &r,
-    )
-}
-
-fn run_elastic(seed: u64, schedule: &SubmissionSchedule) -> TierReport {
-    let cfg = ClusterConfig::hog(ELASTIC_MIN, seed)
-        .with_elastic(ELASTIC_MIN, ELASTIC_MAX)
-        .named(format!("elastic-{ELASTIC_MIN}-{ELASTIC_MAX}"));
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600));
-    assert!(!r.stopped_early, "elastic run did not finish");
-    if std::env::var_os("HOG_ELASTIC_TIMELINE").is_some() {
-        let t0 = r.workload_start.unwrap_or(hog_sim_core::SimTime::ZERO);
-        for &(t, d) in &r.elastic_actions {
-            println!(
-                "    t+{:>6.0}s {:>+4}",
-                t.saturating_since(t0).as_secs_f64(),
-                d
-            );
-        }
-    }
-    report(
-        format!("elastic-{ELASTIC_MIN}-{ELASTIC_MAX}"),
-        ELASTIC_MIN,
-        true,
-        wall.elapsed().as_millis() as u64,
-        &r,
-    )
-}
-
-/// The X11 plan: a 45-victim burst every 5 minutes for ~90 minutes,
-/// alternating between the two target sites.
-fn burst_plan() -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for k in 0..18u64 {
-        plan = plan.at(
-            SimDuration::from_secs(300 + k * 300),
-            Fault::PreemptBurst {
-                site: BURST_SITES[(k % 2) as usize].to_string(),
-                count: 45,
-            },
-        );
-    }
-    plan
-}
-
-fn run_burst(elastic: bool, seed: u64, schedule: &SubmissionSchedule) -> TierReport {
-    let label = if elastic {
-        format!("burst-elastic-{ELASTIC_MIN}-{ELASTIC_MAX}")
+fn sweep(seed: u64, smoke: bool, threads: usize) -> Vec<Group> {
+    let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
+    let mut grid: Vec<(usize, bool)> = STATIC_TIERS
+        .iter()
+        .filter(|&&n| !smoke || n == 100)
+        .map(|&n| (n, false))
+        .collect();
+    grid.push((ELASTIC_MIN, true));
+    let tiers = run_ordered(grid, threads, |(n, elastic)| {
+        run_tier(n, elastic, false, seed, &schedule)
+    });
+    let bursts = if smoke {
+        vec![]
     } else {
-        "burst-static-300".to_string()
+        vec![(300, false), (ELASTIC_MIN, true)]
     };
-    let mut cfg = ClusterConfig::hog(if elastic { ELASTIC_MIN } else { 300 }, seed)
-        .with_fault_plan(burst_plan())
-        .named(label.clone());
-    if elastic {
-        cfg = cfg.with_elastic(ELASTIC_MIN, ELASTIC_MAX);
-    }
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600));
-    assert!(!r.stopped_early, "{label} did not finish");
-    let initial = if elastic { ELASTIC_MIN } else { 300 };
-    report(
-        label,
-        initial,
-        elastic,
-        wall.elapsed().as_millis() as u64,
-        &r,
-    )
+    let ablation = run_ordered(bursts, threads, |(n, elastic)| {
+        run_tier(n, elastic, true, seed, &schedule)
+    });
+    vec![("tiers", tiers), ("ablation", ablation)]
 }
 
-fn tier_json(t: &TierReport) -> String {
-    format!(
-        "{{\"label\": \"{}\", \"elastic\": {}, \"wall_ms\": {}, \"response_secs\": {:.3}, \"mean_job_secs\": {:.3}, \"jobs_ok\": {}, \"jobs\": {}, \"node_hours\": {:.1}, \"grows\": {}, \"shrinks\": {}, \"peak_target\": {}, \"fingerprint\": \"{}\"}}",
-        t.label,
-        t.elastic,
-        t.wall_ms,
-        t.response_secs,
-        t.mean_job_secs,
-        t.jobs_ok,
-        t.jobs,
-        t.node_hours,
-        t.grows,
-        t.shrinks,
-        t.peak_target,
-        t.fingerprint
-    )
-}
-
-fn to_json(seed: u64, tiers: &[TierReport], ablation: &[TierReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"elastic\",");
-    let _ = writeln!(s, "  \"workload\": \"facebook_truncated\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    for (key, group) in [("tiers", tiers), ("ablation", ablation)] {
-        let _ = writeln!(s, "  \"{key}\": [");
-        for (i, t) in group.iter().enumerate() {
-            let _ = write!(s, "    {}", tier_json(t));
-            s.push_str(if i + 1 < group.len() { ",\n" } else { "\n" });
-        }
-        s.push_str(if key == "tiers" { "  ],\n" } else { "  ]\n" });
-    }
-    s.push_str("}\n");
-    s
-}
-
-fn print_tier(t: &TierReport) {
-    println!(
-        "  {:>22}: resp={:>7.0}s mean_job={:>6.1}s ok={}/{} node_hours={:>8.1} resizes={}+{} peak={} wall={}ms fp={}",
-        t.label,
-        t.response_secs,
-        t.mean_job_secs,
-        t.jobs_ok,
-        t.jobs,
-        t.node_hours,
-        t.grows,
-        t.shrinks,
-        t.peak_target,
-        t.wall_ms,
-        t.fingerprint
-    );
-}
-
-/// The study's pass bar: the controller lands within 10% of the best
-/// static pool's mean job response while spending fewer node·hours.
-fn verdict(tiers: &[TierReport]) -> bool {
-    let Some(el) = tiers.iter().find(|t| t.elastic) else {
+/// The study bar: the controller lands within 10% of the best static
+/// pool's mean job response while spending fewer node·hours. The smoke
+/// grid only compares against static-100, which elastic legitimately
+/// beats on node-hours but not necessarily on response, so only the
+/// full sweep enforces it.
+fn verdict(report: &Report, smoke: bool) -> bool {
+    let tiers = report.group("tiers");
+    let Some(el) = tiers.iter().find(|t| t.flag("elastic")) else {
         return true;
     };
     let Some(best) = tiers
         .iter()
-        .filter(|t| !t.elastic)
-        .min_by(|a, b| a.mean_job_secs.total_cmp(&b.mean_job_secs))
+        .filter(|t| !t.flag("elastic"))
+        .min_by(|a, b| a.num("mean_job_secs").total_cmp(&b.num("mean_job_secs")))
     else {
         return true;
     };
-    let bar = best.mean_job_secs * 1.10;
-    let ok = el.mean_job_secs <= bar && el.node_hours < best.node_hours;
+    let bar = best.num("mean_job_secs") * 1.10;
+    let ok = el.num("mean_job_secs") <= bar && el.num("node_hours") < best.num("node_hours");
     println!(
-        "  verdict: elastic mean_job={:.1}s vs best static ({}) {:.1}s (bar {:.1}s), node_hours {:.1} vs {:.1} — {}",
-        el.mean_job_secs,
-        best.label,
-        best.mean_job_secs,
-        bar,
-        el.node_hours,
-        best.node_hours,
-        if ok { "PASS" } else { "FAIL" }
+        "  verdict: elastic mean_job={:.1}s vs best static ({}) {:.1}s (bar {bar:.1}s), node_hours {:.1} vs {:.1} — {}",
+        el.num("mean_job_secs"),
+        best.text("label"),
+        best.num("mean_job_secs"),
+        el.num("node_hours"),
+        best.num("node_hours"),
+        match (ok, smoke) {
+            (true, _) => "PASS",
+            (false, true) => "FAIL (not enforced on the smoke grid)",
+            (false, false) => "FAIL",
+        }
     );
-    ok
-}
-
-/// Extract `(label, wall_ms, fingerprint)` triples from a report written
-/// by [`to_json`] (schema-coupled on purpose; no JSON dep).
-fn parse_baseline(text: &str) -> Vec<(String, u64, Option<String>)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"label\":") {
-            continue;
-        }
-        let label = line.find("\"label\": \"").and_then(|i| {
-            let rest = &line[i + "\"label\": \"".len()..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        });
-        let wall = line.find("\"wall_ms\": ").and_then(|i| {
-            let rest = &line[i + "\"wall_ms\": ".len()..];
-            let end = rest
-                .find(|ch: char| !ch.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse::<u64>().ok()
-        });
-        let fp = line.find("\"fingerprint\": \"").and_then(|i| {
-            let rest = &line[i + "\"fingerprint\": \"".len()..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        });
-        if let (Some(l), Some(w)) = (label, wall) {
-            out.push((l, w, fp));
-        }
-    }
-    out
-}
-
-/// `--check`: every tier of this run that shares a label with the
-/// baseline must stay within the wall-clock gate and keep its outcome
-/// fingerprint. Returns false on regression.
-fn check_against(baseline_path: &str, tiers: &[TierReport]) -> bool {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-    let baseline = parse_baseline(&text);
-    assert!(
-        !baseline.is_empty(),
-        "baseline {baseline_path} has no tiers"
-    );
-    let mut ok = true;
-    for t in tiers {
-        let Some((_, base_ms, base_fp)) = baseline.iter().find(|(l, _, _)| *l == t.label) else {
-            continue;
-        };
-        let limit = base_ms + (*base_ms as f64 * REGRESSION_FRAC) as u64 + NOISE_FLOOR_MS;
-        let verdict = if t.wall_ms > limit {
-            ok = false;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "  check {:>22}: {}ms vs baseline {}ms (limit {}ms) — {}",
-            t.label, t.wall_ms, base_ms, limit, verdict
-        );
-        if let Some(fp) = base_fp {
-            if fp != &t.fingerprint {
-                ok = false;
-                println!(
-                    "  check {:>22}: fingerprint {} != baseline {} — OUTCOME CHANGED",
-                    t.label, t.fingerprint, fp
-                );
-            }
-        }
-    }
-    ok
+    ok || smoke
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = hog_bench::arg_usize(&args, "--seed", 7) as u64;
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_elastic.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
-    let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    println!(
-        "elastic: {} jobs / {} maps / {} reduces, seed {seed}",
-        schedule.len(),
-        schedule.total_maps(),
-        schedule.total_reduces()
-    );
-
-    let threads = hog_bench::arg_threads(&args);
-    let verify_threads = args.iter().any(|a| a == "--verify-threads");
-    let sweep = |threads: usize| {
-        let schedule = &schedule;
-        let mut jobs: Vec<Box<dyn FnOnce() -> TierReport + Send>> = Vec::new();
-        for &n in &STATIC_TIERS {
-            if smoke && n != 100 {
-                continue;
-            }
-            jobs.push(Box::new(move || run_static(n, seed, schedule)));
-        }
-        jobs.push(Box::new(move || run_elastic(seed, schedule)));
-        let tiers = hog_bench::run_cells(jobs, threads);
-        let mut ablation_jobs: Vec<Box<dyn FnOnce() -> TierReport + Send>> = Vec::new();
-        if !smoke {
-            for elastic in [false, true] {
-                ablation_jobs.push(Box::new(move || run_burst(elastic, seed, schedule)));
-            }
-        }
-        let ablation = hog_bench::run_cells(ablation_jobs, threads);
-        (tiers, ablation)
-    };
-
-    let (tiers, ablation) = sweep(threads);
-    for t in &tiers {
-        print_tier(t);
-    }
-    let ok = verdict(&tiers);
-    if !ablation.is_empty() {
-        println!("  -- X11 preemption bursts on {BURST_SITES:?} --");
-        for t in &ablation {
-            print_tier(t);
-        }
-    }
-
-    let json = to_json(seed, &tiers, &ablation);
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    if verify_threads {
-        let (t1, a1) = sweep(1);
-        hog_bench::assert_threads_identical("elastic", &json, &to_json(seed, &t1, &a1));
-    }
-
-    if let Some(base) = check_path {
-        let all: Vec<TierReport> = tiers.into_iter().chain(ablation).collect();
-        if !check_against(&base, &all) {
-            eprintln!("elastic: wall-clock regression beyond {REGRESSION_FRAC:.0}% + {NOISE_FLOOR_MS}ms noise floor, or outcome changed");
-            std::process::exit(1);
-        }
-    }
-
-    // The smoke tier only compares against static-100, which elastic
-    // legitimately beats on node-hours but not necessarily on response;
-    // only the full sweep enforces the study bar.
-    if !smoke && !ok {
-        eprintln!("elastic: controller missed the study bar (see verdict above)");
-        std::process::exit(1);
-    }
+    hog_bench::run_study(&Study {
+        name: "elastic",
+        header: &[],
+        keys: &["label"],
+        wall_gated: true,
+        sweep,
+        verdict,
+    });
 }

@@ -11,33 +11,18 @@
 //! lost edit window (≤ checkpoint interval) + a replay allowance for
 //! re-running the killed in-flight tasks.
 //!
-//! Usage:
-//!   failover [--smoke] [--seed S] [--out PATH] [--check BASELINE]
-//!            [--threads N] [--verify-threads]
-//!
-//! * `--smoke`          run only the 100-node pool, one crash cell (CI gate)
-//! * `--seed S`         cluster seed (default 7; schedule seed is 1000+S)
-//! * `--out PATH`       JSON report path (default BENCH_failover.json)
-//! * `--check BASELINE` compare wall-clock and outcome fingerprints per
-//!   label against a previous report; exit non-zero on a >25% (+noise
-//!   floor) wall regression or any fingerprint change
-//!
-//! * `--threads N`      run sweep cells N-wide (default: available cores;
-//!   every cell is an independent deterministic simulation, so the report
-//!   is the same at any width — only wall clocks move)
-//! * `--verify-threads` rerun the sweep at `--threads 1` and assert the
-//!   two reports are byte-identical modulo wall-clock fields
-//!
-//! The JSON is hand-rolled (no serde in the workspace); keep the schema
-//! in sync with `.github/workflows/ci.yml` and EXPERIMENTS.md X13.
+//! `--smoke` runs only the 100-node pool and one crash cell; the bound is
+//! enforced on every grid. `--check` gates wall-clock as well as
+//! fingerprints. Flags, report layout and `--check`: see
+//! `hog_bench::study`.
 
+use hog_bench::{outcome_fingerprint, response_secs, timed, Group, Report, Row, Study};
 use hog_chaos::{Fault, FaultPlan};
-use hog_core::driver::{run_workload, RunResult};
+use hog_core::driver::run_workload;
+use hog_core::sweep::run_ordered;
 use hog_core::ClusterConfig;
 use hog_sim_core::SimDuration;
 use hog_workload::SubmissionSchedule;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Pool sizes swept (both finish the truncated Facebook workload well
 /// after the latest crash offset).
@@ -52,43 +37,17 @@ const DETECTION_SECS: u64 = 30;
 /// Calibrated generously: the killed tasks re-run in parallel across the
 /// surviving pool, overlapping work that was pending anyway.
 const REPLAY_ALLOWANCE_SECS: f64 = 900.0;
-/// Wall-clock regression gate for `--check` (fraction of baseline).
-const REGRESSION_FRAC: f64 = 0.25;
-/// Absolute slack below which a regression is considered timer noise.
-const NOISE_FLOOR_MS: u64 = 250;
 
-#[derive(Clone)]
-struct CellReport {
-    label: String,
-    nodes: usize,
-    crash_at: Option<u64>,
-    interval: u64,
-    wall_ms: u64,
-    response_secs: f64,
-    overhead_secs: f64,
-    bound_secs: f64,
-    passed: bool,
-    jobs_ok: usize,
-    jobs: usize,
-    recovery_secs: f64,
-    lost_window_secs: f64,
-    reregistrations: u64,
-    checkpoints: usize,
-    fingerprint: String,
-}
-
-fn horizon() -> SimDuration {
-    SimDuration::from_secs(100 * 3600)
-}
-
+/// One cell; a crash cell (`crash_at` set) is judged against the
+/// crash-free response `free_response` of the same pool.
 fn run_cell(
     nodes: usize,
-    seed: u64,
-    schedule: &SubmissionSchedule,
     interval: u64,
     crash_at: Option<u64>,
-    baseline_response: Option<f64>,
-) -> CellReport {
+    free_response: f64,
+    seed: u64,
+    schedule: &SubmissionSchedule,
+) -> Row {
     let label = match crash_at {
         None => format!("p{nodes}-free"),
         Some(c) => format!("p{nodes}-c{c}-i{interval}"),
@@ -103,273 +62,113 @@ fn run_cell(
         cfg =
             cfg.with_fault_plan(FaultPlan::new().at(SimDuration::from_secs(c), Fault::MasterCrash));
     }
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, horizon());
-    let wall_ms = wall.elapsed().as_millis() as u64;
+    let (r, wall_ms) = timed(|| run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600)));
     assert!(
         !r.stopped_early,
         "{label} did not finish: {:?}",
         r.stuck_jobs
     );
-    let response = r.response_time.map(|d| d.as_secs_f64()).unwrap_or(0.0);
-    let (overhead, bound, passed) = match (crash_at, baseline_response) {
-        (Some(_), Some(base)) => {
-            let overhead = response - base;
+    let response = response_secs(&r);
+    let all_jobs = r.jobs_succeeded() == r.jobs.len();
+    let (overhead, bound, passed) = match crash_at {
+        Some(_) => {
+            let overhead = response - free_response;
             // Lost edit window is bounded by the checkpoint interval;
             // the measured value is tighter, but the *bound* quoted is
             // the configuration-level guarantee.
             let bound = DETECTION_SECS as f64 + interval as f64 + REPLAY_ALLOWANCE_SECS;
-            let all_jobs = r.jobs_succeeded() == r.jobs.len();
             (overhead, bound, overhead <= bound && all_jobs)
         }
-        _ => (0.0, 0.0, r.jobs_succeeded() == r.jobs.len()),
+        None => (0.0, 0.0, all_jobs),
     };
-    CellReport {
-        label,
-        nodes,
-        crash_at,
-        interval,
-        wall_ms,
-        response_secs: response,
-        overhead_secs: overhead,
-        bound_secs: bound,
-        passed,
-        jobs_ok: r.jobs_succeeded(),
-        jobs: r.jobs.len(),
-        recovery_secs: r.failover.total_recovery.as_secs_f64(),
-        lost_window_secs: r.failover.total_lost_window.as_secs_f64(),
-        reregistrations: r.failover.reregistrations,
-        checkpoints: r.failover.checkpoints.len(),
-        fingerprint: fingerprint(&r),
+    Row::new()
+        .with("label", label)
+        .with("nodes", nodes)
+        .with("crash_at", crash_at)
+        .with("interval", interval)
+        .with("wall_ms", wall_ms)
+        .float("response_secs", response, 3)
+        .float("overhead_secs", overhead, 3)
+        .float("bound_secs", bound, 1)
+        .with("passed", passed)
+        .with("jobs_ok", r.jobs_succeeded())
+        .with("jobs", r.jobs.len())
+        .float("recovery_secs", r.failover.total_recovery.as_secs_f64(), 1)
+        .float(
+            "lost_window_secs",
+            r.failover.total_lost_window.as_secs_f64(),
+            1,
+        )
+        .with("reregistrations", r.failover.reregistrations)
+        .with("checkpoints", r.failover.checkpoints.len())
+        .with("fingerprint", outcome_fingerprint(&r))
+}
+
+/// Crash cells judge themselves against the crash-free response of the
+/// same pool size, so the sweep runs in two waves: the per-pool
+/// crash-free cells first, then every crash cell. The report lists each
+/// pool's crash-free cell followed by its crash grid.
+fn sweep(seed: u64, smoke: bool, threads: usize) -> Vec<Group> {
+    let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
+    let pools = if smoke { &POOLS[..1] } else { &POOLS[..] };
+    let crashes: Vec<(u64, u64)> = CRASH_TIMES
+        .iter()
+        .flat_map(|&c| INTERVALS.map(|i| (c, i)))
+        .filter(|&ci| !smoke || ci == (CRASH_TIMES[0], INTERVALS[0]))
+        .collect();
+    let frees = run_ordered(pools.to_vec(), threads, |n| {
+        run_cell(n, INTERVALS[0], None, 0.0, seed, &schedule)
+    });
+    let grid: Vec<_> = pools
+        .iter()
+        .zip(&frees)
+        .flat_map(|(&n, free)| {
+            crashes
+                .iter()
+                .map(move |&ci| (n, ci, free.num("response_secs")))
+        })
+        .collect();
+    let mut crashed = run_ordered(grid, threads, |(n, (c, i), free)| {
+        run_cell(n, i, Some(c), free, seed, &schedule)
+    })
+    .into_iter();
+    let mut cells = Vec::new();
+    for free in frees {
+        cells.push(free);
+        cells.extend(crashed.by_ref().take(crashes.len()));
     }
+    vec![("cells", cells)]
 }
 
-fn fingerprint(r: &RunResult) -> String {
-    hog_bench::outcome_fingerprint(r)
-}
-
-fn cell_json(c: &CellReport) -> String {
-    format!(
-        "{{\"label\": \"{}\", \"nodes\": {}, \"crash_at\": {}, \"interval\": {}, \"wall_ms\": {}, \"response_secs\": {:.3}, \"overhead_secs\": {:.3}, \"bound_secs\": {:.1}, \"passed\": {}, \"jobs_ok\": {}, \"jobs\": {}, \"recovery_secs\": {:.1}, \"lost_window_secs\": {:.1}, \"reregistrations\": {}, \"checkpoints\": {}, \"fingerprint\": \"{}\"}}",
-        c.label,
-        c.nodes,
-        c.crash_at.map(|v| v.to_string()).unwrap_or_else(|| "null".into()),
-        c.interval,
-        c.wall_ms,
-        c.response_secs,
-        c.overhead_secs,
-        c.bound_secs,
-        c.passed,
-        c.jobs_ok,
-        c.jobs,
-        c.recovery_secs,
-        c.lost_window_secs,
-        c.reregistrations,
-        c.checkpoints,
-        c.fingerprint
-    )
-}
-
-fn to_json(seed: u64, cells: &[CellReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"failover\",");
-    let _ = writeln!(s, "  \"workload\": \"facebook_truncated\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"detection_secs\": {DETECTION_SECS},");
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(s, "    {}", cell_json(c));
-        s.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-fn print_cell(c: &CellReport) {
+/// Every cell completes all its jobs, and every crash cell's overhead
+/// stays within its bound — on the smoke grid too.
+fn verdict(report: &Report, _smoke: bool) -> bool {
+    let cells = report.group("cells");
+    let failed: Vec<&str> = cells
+        .iter()
+        .filter(|c| !c.flag("passed"))
+        .map(|c| c.text("label"))
+        .collect();
     println!(
-        "  {:>14}: resp={:>7.0}s overhead={:>+7.0}s (bound {:>5.0}s) ok={}/{} recovery={:.0}s lost={:.0}s rereg={} ckpts={} wall={}ms fp={} — {}",
-        c.label,
-        c.response_secs,
-        c.overhead_secs,
-        c.bound_secs,
-        c.jobs_ok,
-        c.jobs,
-        c.recovery_secs,
-        c.lost_window_secs,
-        c.reregistrations,
-        c.checkpoints,
-        c.wall_ms,
-        c.fingerprint,
-        if c.passed { "PASS" } else { "FAIL" }
+        "  verdict: {}/{} cells recovered within their bound with every job done — {}",
+        cells.len() - failed.len(),
+        cells.len(),
+        if failed.is_empty() {
+            "PASS".to_string()
+        } else {
+            format!("FAIL ({})", failed.join(", "))
+        }
     );
-}
-
-/// Extract `(label, wall_ms, fingerprint)` triples from a report written
-/// by [`to_json`] (schema-coupled on purpose; no JSON dep).
-fn parse_baseline(text: &str) -> Vec<(String, u64, Option<String>)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"label\":") {
-            continue;
-        }
-        let label = line.find("\"label\": \"").and_then(|i| {
-            let rest = &line[i + "\"label\": \"".len()..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        });
-        let wall = line.find("\"wall_ms\": ").and_then(|i| {
-            let rest = &line[i + "\"wall_ms\": ".len()..];
-            let end = rest
-                .find(|ch: char| !ch.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse::<u64>().ok()
-        });
-        let fp = line.find("\"fingerprint\": \"").and_then(|i| {
-            let rest = &line[i + "\"fingerprint\": \"".len()..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        });
-        if let (Some(l), Some(w)) = (label, wall) {
-            out.push((l, w, fp));
-        }
-    }
-    out
+    failed.is_empty()
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = hog_bench::arg_usize(&args, "--seed", 7) as u64;
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_failover.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
-    let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    println!(
-        "failover: {} jobs / {} maps / {} reduces, seed {seed}, detection {DETECTION_SECS}s",
-        schedule.len(),
-        schedule.total_maps(),
-        schedule.total_reduces()
-    );
-
-    let threads = hog_bench::arg_threads(&args);
-    let verify_threads = args.iter().any(|a| a == "--verify-threads");
-    let pools: Vec<usize> = POOLS
-        .iter()
-        .copied()
-        .filter(|&n| !smoke || n == POOLS[0])
-        .collect();
-    // Crash cells judge themselves against the crash-free response of
-    // the same pool size, so the sweep runs in two waves: the per-pool
-    // baselines first, then every crash cell.
-    let sweep = |threads: usize| {
-        let schedule = &schedule;
-        let free_jobs: Vec<Box<dyn FnOnce() -> CellReport + Send>> = pools
-            .iter()
-            .map(|&nodes| {
-                Box::new(move || run_cell(nodes, seed, schedule, INTERVALS[0], None, None))
-                    as Box<dyn FnOnce() -> CellReport + Send>
-            })
-            .collect();
-        let frees = hog_bench::run_cells(free_jobs, threads);
-        let mut crash_jobs: Vec<Box<dyn FnOnce() -> CellReport + Send>> = Vec::new();
-        for (pi, &nodes) in pools.iter().enumerate() {
-            let base = frees[pi].response_secs;
-            for &crash in &CRASH_TIMES {
-                for &interval in &INTERVALS {
-                    if smoke && !(crash == CRASH_TIMES[0] && interval == INTERVALS[0]) {
-                        continue;
-                    }
-                    crash_jobs.push(Box::new(move || {
-                        run_cell(nodes, seed, schedule, interval, Some(crash), Some(base))
-                    }));
-                }
-            }
-        }
-        let mut crashes = hog_bench::run_cells(crash_jobs, threads).into_iter();
-        // Re-interleave into the report's historical order: each pool's
-        // crash-free cell followed by its crash grid.
-        let mut cells = Vec::new();
-        for (pi, _) in pools.iter().enumerate() {
-            let n_crashes = CRASH_TIMES
-                .iter()
-                .flat_map(|&c| INTERVALS.iter().map(move |&i| (c, i)))
-                .filter(|&(c, i)| !smoke || (c == CRASH_TIMES[0] && i == INTERVALS[0]))
-                .count();
-            cells.push(frees[pi].clone());
-            for _ in 0..n_crashes {
-                cells.push(crashes.next().expect("crash cell"));
-            }
-        }
-        cells
-    };
-
-    let cells = sweep(threads);
-    let mut all_passed = true;
-    for c in &cells {
-        print_cell(c);
-        all_passed &= c.passed;
-    }
-
-    let json = to_json(seed, &cells);
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    if verify_threads {
-        let c1 = sweep(1);
-        hog_bench::assert_threads_identical("failover", &json, &to_json(seed, &c1));
-    }
-
-    if let Some(base) = check_path {
-        let text = std::fs::read_to_string(&base)
-            .unwrap_or_else(|e| panic!("cannot read baseline {base}: {e}"));
-        let baseline = parse_baseline(&text);
-        assert!(!baseline.is_empty(), "baseline {base} has no cells");
-        let mut failed = false;
-        for c in &cells {
-            let Some((_, base_ms, base_fp)) = baseline.iter().find(|(l, _, _)| *l == c.label)
-            else {
-                continue;
-            };
-            let limit = base_ms + (*base_ms as f64 * REGRESSION_FRAC) as u64 + NOISE_FLOOR_MS;
-            let verdict = if c.wall_ms > limit {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "  check {:>14}: {}ms vs baseline {}ms (limit {}ms) — {}",
-                c.label, c.wall_ms, base_ms, limit, verdict
-            );
-            if let Some(fp) = base_fp {
-                if fp != &c.fingerprint {
-                    failed = true;
-                    println!(
-                        "  check {:>14}: fingerprint {} != baseline {} — OUTCOME CHANGED",
-                        c.label, c.fingerprint, fp
-                    );
-                }
-            }
-        }
-        if failed {
-            eprintln!("failover: regression beyond {REGRESSION_FRAC:.0}% + {NOISE_FLOOR_MS}ms noise floor, or outcome changed");
-            std::process::exit(1);
-        }
-    }
-
-    if !all_passed {
-        eprintln!(
-            "failover: a crash cell exceeded its recovery bound or lost jobs (see FAIL rows)"
-        );
-        std::process::exit(1);
-    }
+    hog_bench::run_study(&Study {
+        name: "failover",
+        header: &[("detection_secs", DETECTION_SECS)],
+        keys: &["label"],
+        wall_gated: true,
+        sweep,
+        verdict,
+    });
 }

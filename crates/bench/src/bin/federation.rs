@@ -5,38 +5,27 @@
 //!
 //! The headline claim (EXPERIMENTS.md X14): locality-aware routing beats
 //! random routing on **mean job response** and on **cross-pool WAN
-//! bytes** at 2 and 4 pools. The bench computes that verdict itself and
-//! exits non-zero when it fails, so CI gates on it directly.
+//! bytes** at 2 and 4 pools. The bench records that verdict per tier in
+//! the report's `verdicts` group and exits non-zero when it fails, so CI
+//! gates on it directly.
 //!
-//! Usage:
-//!   federation [--smoke] [--seed S] [--out PATH] [--check BASELINE]
-//!              [--threads N] [--verify-threads]
-//!
-//! * `--smoke`          run only the 1-pool cell and the 2-pool pair at
-//!   the low sharing fraction (CI per-PR gate)
-//! * `--seed S`         base seed (default 7; schedule seed is 1000+S;
-//!   pool p's cluster seed is S+p)
-//! * `--out PATH`       JSON report path (default BENCH_federation.json)
-//! * `--check BASELINE` compare outcome fingerprints against a previous
-//!   report and exit non-zero on any drift
-//! * `--threads N`      run cells N-wide (default: available cores)
-//! * `--verify-threads` rerun at `--threads 1`, assert byte-identity
-//!   modulo wall-clock fields
+//! `--smoke` runs only the 1-pool cell and the 2-pool pair at the low
+//! sharing fraction; the verdict is enforced on every grid. Pool p's
+//! cluster seed is S+p. Flags, report layout and `--check`: see
+//! `hog_bench::study`.
 //!
 //! The 1-pool cell is the federation-overhead control: its pool
 //! fingerprint must equal the plain 100-node `Cluster` fingerprint from
 //! the scale bench (tests/federation.rs proves the identity; the shared
 //! fingerprint makes it visible across baselines).
-//!
-//! JSON is hand-rolled (no serde in the workspace); keep the schema in
-//! sync with `.github/workflows/ci.yml` and DESIGN.md §14.
 
+use hog_bench::{fnv1a_hex, outcome_fingerprint, timed, Group, Report, Row, Study};
+use hog_core::sweep::run_ordered;
 use hog_core::ClusterConfig;
 use hog_fed::{assert_fed_finished, run_federation, FedConfig, FedResult, RoutingPolicy};
 use hog_sim_core::SimDuration;
 use hog_workload::SubmissionSchedule;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Node budget split evenly across the pools of every cell.
 const TOTAL_NODES: usize = 100;
@@ -49,40 +38,17 @@ const PEERS: usize = 1;
 /// Cross-pool replication factor for shared copies.
 const R_REMOTE: u16 = 2;
 
-struct CellReport {
-    pools: usize,
-    policy: &'static str,
-    shared_pct: u32,
-    wall_ms: u64,
-    mean_job_secs: f64,
-    response_secs: f64,
-    jobs_ok: usize,
-    jobs: usize,
-    wan_bytes: u64,
-    wan_transfers: u64,
-    route_stagings: u64,
-    initial_stagings: u64,
-    fairness: f64,
-    routed: Vec<u64>,
-    fingerprint: String,
-}
-
 /// Federation-level outcome fingerprint: FNV-1a over every pool's
-/// canonical [`hog_bench::outcome_fingerprint`] plus the routing vector
-/// and WAN byte total — any change in any pool's simulated outcome, in
-/// where a job ran, or in cross-pool traffic moves it.
+/// canonical [`outcome_fingerprint`] plus the routing vector and WAN
+/// byte total — any change in any pool's simulated outcome, in where a
+/// job ran, or in cross-pool traffic moves it.
 fn fed_fingerprint(r: &FedResult) -> String {
     let mut canon = String::new();
     for p in &r.pools {
-        let _ = write!(canon, "{};", hog_bench::outcome_fingerprint(p));
+        let _ = write!(canon, "{};", outcome_fingerprint(p));
     }
     let _ = write!(canon, "routed={:?};wan={}", r.routed_to, r.wan_bytes);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in canon.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    format!("{h:016x}")
+    fnv1a_hex(&canon)
 }
 
 fn run_cell(
@@ -91,7 +57,7 @@ fn run_cell(
     shared_pct: u32,
     seed: u64,
     schedule: &SubmissionSchedule,
-) -> CellReport {
+) -> Row {
     let pool_cfgs: Vec<ClusterConfig> = (0..pools)
         .map(|p| ClusterConfig::hog(TOTAL_NODES / pools, seed + p as u64))
         .collect();
@@ -100,161 +66,65 @@ fn run_cell(
         .with_sharing(shared_pct as f64 / 100.0, PEERS, R_REMOTE)
         .with_audit(true)
         .named(format!("fed-{pools}p-{}-s{shared_pct}", policy.name()));
-    let wall = Instant::now();
-    let r = run_federation(cfg, schedule, SimDuration::from_secs(100 * 3600));
-    let wall_ms = wall.elapsed().as_millis() as u64;
+    let (r, wall_ms) = timed(|| run_federation(cfg, schedule, SimDuration::from_secs(100 * 3600)));
     assert_fed_finished(&r);
-    CellReport {
-        pools,
-        policy: r.policy,
-        shared_pct,
-        wall_ms,
-        mean_job_secs: r.mean_job_response_secs(),
-        response_secs: r.response_time.map(|d| d.as_secs_f64()).unwrap_or(0.0),
-        jobs_ok: r.jobs_succeeded(),
-        jobs: r.jobs.len(),
-        wan_bytes: r.wan_bytes,
-        wan_transfers: r.wan_transfers,
-        route_stagings: r.route_stagings,
-        initial_stagings: r.initial_stagings,
-        fairness: r.pool_fairness(),
-        routed: r.routed_counts.clone(),
-        fingerprint: fed_fingerprint(&r),
-    }
-}
-
-fn cell_json(c: &CellReport) -> String {
-    let routed: Vec<String> = c.routed.iter().map(|n| n.to_string()).collect();
-    format!(
-        "{{\"pools\": {}, \"policy\": \"{}\", \"shared_pct\": {}, \"wall_ms\": {}, \"mean_job_secs\": {:.3}, \"response_secs\": {:.3}, \"jobs_ok\": {}, \"jobs\": {}, \"wan_bytes\": {}, \"wan_transfers\": {}, \"route_stagings\": {}, \"initial_stagings\": {}, \"fairness\": {:.4}, \"routed\": [{}], \"fingerprint\": \"{}\"}}",
-        c.pools,
-        c.policy,
-        c.shared_pct,
-        c.wall_ms,
-        c.mean_job_secs,
-        c.response_secs,
-        c.jobs_ok,
-        c.jobs,
-        c.wan_bytes,
-        c.wan_transfers,
-        c.route_stagings,
-        c.initial_stagings,
-        c.fairness,
-        routed.join(", "),
-        c.fingerprint
-    )
+    Row::new()
+        .with("pools", pools)
+        .with("policy", r.policy)
+        .with("shared_pct", shared_pct)
+        .with("wall_ms", wall_ms)
+        .float("mean_job_secs", r.mean_job_response_secs(), 3)
+        .float(
+            "response_secs",
+            r.response_time.map(|d| d.as_secs_f64()).unwrap_or(0.0),
+            3,
+        )
+        .with("jobs_ok", r.jobs_succeeded())
+        .with("jobs", r.jobs.len())
+        .with("wan_bytes", r.wan_bytes)
+        .with("wan_transfers", r.wan_transfers)
+        .with("route_stagings", r.route_stagings)
+        .with("initial_stagings", r.initial_stagings)
+        .float("fairness", r.pool_fairness(), 4)
+        .with("routed", r.routed_counts.clone())
+        .with("fingerprint", fed_fingerprint(&r))
 }
 
 /// The locality-vs-random verdicts, one per multi-pool tier present in
 /// the sweep: locality must win (mean job response strictly lower, WAN
 /// bytes no higher) aggregated across the shared fractions run.
-fn verdicts(cells: &[CellReport]) -> Vec<(usize, bool, f64, f64, u64, u64)> {
+fn verdict_rows(cells: &[Row]) -> Vec<Row> {
     let mut out = Vec::new();
     for &n in &POOL_TIERS[1..] {
         let agg = |policy: &str| -> Option<(f64, u64)> {
-            let picked: Vec<&CellReport> = cells
+            let picked: Vec<&Row> = cells
                 .iter()
-                .filter(|c| c.pools == n && c.policy == policy)
+                .filter(|c| c.int("pools") == n as u64 && c.text("policy") == policy)
                 .collect();
             if picked.is_empty() {
                 return None;
             }
-            let mean = picked.iter().map(|c| c.mean_job_secs).sum::<f64>() / picked.len() as f64;
-            let wan = picked.iter().map(|c| c.wan_bytes).sum();
-            Some((mean, wan))
+            let mean =
+                picked.iter().map(|c| c.num("mean_job_secs")).sum::<f64>() / picked.len() as f64;
+            Some((mean, picked.iter().map(|c| c.int("wan_bytes")).sum()))
         };
         if let (Some((lm, lw)), Some((rm, rw))) = (agg("locality"), agg("random")) {
-            out.push((n, lm < rm && lw <= rw, lm, rm, lw, rw));
+            out.push(
+                Row::new()
+                    .with("pools", n)
+                    .with("locality_beats_random", lm < rm && lw <= rw)
+                    .float("locality_mean_secs", lm, 3)
+                    .float("random_mean_secs", rm, 3)
+                    .with("locality_wan_bytes", lw)
+                    .with("random_wan_bytes", rw),
+            );
         }
     }
     out
 }
 
-fn to_json(seed: u64, cells: &[CellReport], verdicts: &[(usize, bool, f64, f64, u64, u64)]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"federation\",");
-    let _ = writeln!(s, "  \"workload\": \"facebook_truncated\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"total_nodes\": {TOTAL_NODES},");
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(s, "    {}", cell_json(c));
-        s.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"verdicts\": [\n");
-    for (i, (n, ok, lm, rm, lw, rw)) in verdicts.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"pools\": {n}, \"locality_beats_random\": {ok}, \"locality_mean_secs\": {lm:.3}, \"random_mean_secs\": {rm:.3}, \"locality_wan_bytes\": {lw}, \"random_wan_bytes\": {rw}}}"
-        );
-        s.push_str(if i + 1 < verdicts.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Extract `(pools, policy, shared_pct, fingerprint)` per cell line from
-/// a report written by [`to_json`] (schema-coupled on purpose).
-fn parse_baseline(text: &str) -> Vec<(usize, String, u32, String)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"pools\":") || !line.contains("\"policy\":") {
-            continue;
-        }
-        let num = |key: &str| -> Option<u64> {
-            let pat = format!("\"{key}\": ");
-            let start = line.find(&pat)? + pat.len();
-            let rest = &line[start..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let string = |key: &str| -> Option<String> {
-            let pat = format!("\"{key}\": \"");
-            let start = line.find(&pat)? + pat.len();
-            let rest = &line[start..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        };
-        if let (Some(n), Some(p), Some(s), Some(fp)) = (
-            num("pools"),
-            string("policy"),
-            num("shared_pct"),
-            string("fingerprint"),
-        ) {
-            out.push((n as usize, p, s as u32, fp));
-        }
-    }
-    out
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = hog_bench::arg_usize(&args, "--seed", 7) as u64;
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_federation.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
+fn sweep(seed: u64, smoke: bool, threads: usize) -> Vec<Group> {
     let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    println!(
-        "federation: {} jobs / {} maps / {} reduces, seed {seed}, {TOTAL_NODES} nodes",
-        schedule.len(),
-        schedule.total_maps(),
-        schedule.total_reduces()
-    );
-
     // Cell grid: the 1-pool control plus (policy × shared fraction) at
     // each multi-pool tier. Smoke keeps the control and the 2-pool pair
     // at the low fraction so the verdict still gates per-PR CI.
@@ -269,83 +139,44 @@ fn main() {
     if smoke {
         grid.retain(|&(n, _, pct)| n == 1 || (n == 2 && pct == SHARED_PCTS[0]));
     }
+    let cells = run_ordered(grid, threads, |(n, policy, pct)| {
+        run_cell(n, policy, pct, seed, &schedule)
+    });
+    let verdicts = verdict_rows(&cells);
+    vec![("cells", cells), ("verdicts", verdicts)]
+}
 
-    let threads = hog_bench::arg_threads(&args);
-    let verify_threads = args.iter().any(|a| a == "--verify-threads");
-    let sweep = |threads: usize| {
-        let schedule = &schedule;
-        let jobs: Vec<Box<dyn FnOnce() -> CellReport + Send>> = grid
-            .iter()
-            .map(|&(n, policy, pct)| {
-                Box::new(move || run_cell(n, policy, pct, seed, schedule))
-                    as Box<dyn FnOnce() -> CellReport + Send>
-            })
-            .collect();
-        hog_bench::run_cells(jobs, threads)
-    };
-
-    let cells = sweep(threads);
-    for c in &cells {
+/// Locality must beat random at every multi-pool tier run — on the smoke
+/// grid too.
+fn verdict(report: &Report, _smoke: bool) -> bool {
+    let mut ok = true;
+    for v in report.group("verdicts") {
+        let wins = v.flag("locality_beats_random");
         println!(
-            "  {}p {:>8} s={:>2}%: wall={:>6}ms mean_job={:>8.1}s wan={:>11}B route_stage={:>3} fair={:.3} routed={:?} fp={}",
-            c.pools,
-            c.policy,
-            c.shared_pct,
-            c.wall_ms,
-            c.mean_job_secs,
-            c.wan_bytes,
-            c.route_stagings,
-            c.fairness,
-            c.routed,
-            c.fingerprint
-        );
-    }
-
-    let vs = verdicts(&cells);
-    let mut failed = false;
-    for (n, ok, lm, rm, lw, rw) in &vs {
-        println!(
-            "  verdict {n} pools: locality mean {lm:.1}s / {lw}B vs random {rm:.1}s / {rw}B — {}",
-            if *ok { "LOCALITY WINS" } else { "LOCALITY LOSES" }
-        );
-        if !ok {
-            failed = true;
-        }
-    }
-
-    let json = to_json(seed, &cells, &vs);
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    if verify_threads {
-        let t1 = sweep(1);
-        hog_bench::assert_threads_identical("federation", &json, &to_json(seed, &t1, &verdicts(&t1)));
-    }
-
-    if let Some(base) = check_path {
-        let text = std::fs::read_to_string(&base)
-            .unwrap_or_else(|e| panic!("cannot read baseline {base}: {e}"));
-        let baseline = parse_baseline(&text);
-        assert!(!baseline.is_empty(), "baseline {base} has no cells");
-        for c in &cells {
-            let Some((_, _, _, fp)) = baseline
-                .iter()
-                .find(|(n, p, s, _)| *n == c.pools && p == c.policy && *s == c.shared_pct)
-            else {
-                continue;
-            };
-            if fp != &c.fingerprint {
-                failed = true;
-                println!(
-                    "  check {}p {} s={}%: fingerprint {} != baseline {} — OUTCOME CHANGED",
-                    c.pools, c.policy, c.shared_pct, c.fingerprint, fp
-                );
+            "  verdict {} pools: locality mean {:.1}s / {}B vs random {:.1}s / {}B — {}",
+            v.int("pools"),
+            v.num("locality_mean_secs"),
+            v.int("locality_wan_bytes"),
+            v.num("random_mean_secs"),
+            v.int("random_wan_bytes"),
+            if wins {
+                "LOCALITY WINS"
+            } else {
+                "LOCALITY LOSES"
             }
-        }
+        );
+        ok &= wins;
     }
+    ok
+}
 
-    if failed {
-        eprintln!("federation: verdict or baseline check failed");
-        std::process::exit(1);
-    }
+fn main() {
+    hog_bench::run_study(&Study {
+        name: "federation",
+        header: &[("total_nodes", TOTAL_NODES as u64)],
+        keys: &["pools", "policy", "shared_pct"],
+        wall_gated: false,
+        sweep,
+        verdict,
+    });
 }

@@ -5,7 +5,8 @@
 //! reports the equivalent-performance crossover (paper: 99–100 nodes).
 //!
 //! Usage: `fig4 [--quick] [--threads N] [--runs N]`
-//! `--quick` samples a 5-point subset (fast smoke run).
+//! `--quick` samples a 5-point subset (fast smoke run); `--threads`
+//! defaults to the available cores.
 
 use hog_core::experiments::{figure4, FIG4_POOL_SIZES};
 use hog_core::report::TextTable;
@@ -14,7 +15,7 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let threads = hog_bench::arg_usize(&args, "--threads", num_threads());
+    let threads = hog_bench::arg_threads(&args);
     let runs = hog_bench::arg_usize(&args, "--runs", 3);
     let sizes: Vec<usize> = if quick {
         vec![40, 60, 100, 180, 500]
@@ -30,7 +31,12 @@ fn main() {
     let fig = figure4(&sizes, runs, threads);
     eprintln!("fig4: swept in {:.0}s wall", wall.elapsed().as_secs_f64());
 
-    let mut t = TextTable::new(&["Nodes in HOG", "Runs (s)", "Mean response (s)", "vs cluster"]);
+    let mut t = TextTable::new(&[
+        "Nodes in HOG",
+        "Runs (s)",
+        "Mean response (s)",
+        "vs cluster",
+    ]);
     let base = fig.cluster_mean();
     for p in &fig.hog {
         let runs_s = p
@@ -83,10 +89,4 @@ fn main() {
     std::fs::write(dir.join("fig4.csv"), csv.to_csv()).expect("write fig4.csv");
     std::fs::write(dir.join("fig4.txt"), &rendered).expect("write fig4.txt");
     eprintln!("(written to {}/fig4.{{csv,txt}})", dir.display());
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1).max(1))
-        .unwrap_or(4)
 }

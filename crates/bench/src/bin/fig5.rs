@@ -6,14 +6,14 @@
 //! / area table. The paper's observation to reproduce: more node
 //! fluctuation (smaller area) ⇒ longer response time.
 //!
-//! Usage: `fig5 [--threads N]`
+//! Usage: `fig5 [--threads N]` (default: available cores)
 
 use hog_core::experiments::{figure5, workload_window};
 use hog_core::report::{ascii_series, TextTable};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let threads = hog_bench::arg_usize(&args, "--threads", 3);
+    let threads = hog_bench::arg_threads(&args);
     eprintln!("fig5: three 55-node runs, {threads} threads");
     let runs = figure5(threads);
 

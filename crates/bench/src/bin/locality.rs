@@ -5,7 +5,7 @@
 //! Sweeps the replication factor on a fixed HOG pool and prints the map
 //! locality mix achieved by the FIFO + locality scheduler.
 //!
-//! Usage: `locality [--nodes N] [--threads N]`
+//! Usage: `locality [--nodes N] [--threads N]` (default: available cores)
 
 use hog_core::experiments::locality_vs_replication;
 use hog_core::report::TextTable;
@@ -13,7 +13,7 @@ use hog_core::report::TextTable;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let nodes = hog_bench::arg_usize(&args, "--nodes", 100);
-    let threads = hog_bench::arg_usize(&args, "--threads", 2);
+    let threads = hog_bench::arg_threads(&args);
     eprintln!("locality sweep at {nodes} nodes…");
     let rows = locality_vs_replication(nodes, &[1, 3, 5, 10], threads);
 

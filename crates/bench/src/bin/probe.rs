@@ -56,7 +56,12 @@ fn main() {
     );
     println!(
         "  nn: repl_ok={} repl_fail={} lost={} bad_reports={} missing_now={} missing_input={}",
-        r.nn_counters.0, r.nn_counters.1, r.nn_counters.2, r.nn_counters.3, r.missing_blocks, r.missing_input_blocks
+        r.nn_counters.0,
+        r.nn_counters.1,
+        r.nn_counters.2,
+        r.nn_counters.3,
+        r.missing_blocks,
+        r.missing_input_blocks
     );
     if let Some((pre, out, starts)) = r.grid {
         println!("  grid: preemptions={pre} outages={out} starts={starts}");

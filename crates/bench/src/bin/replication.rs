@@ -13,33 +13,18 @@
 //! traffic does the adaptive policy save, and what does it cost in mean
 //! job response?
 //!
-//! Usage:
-//!   replication [--smoke] [--seed S] [--wave H] [--out PATH]
-//!               [--check BASELINE] [--threads N] [--verify-threads]
-//!
-//! * `--smoke`          run the 3-policy grid at the base seed only (CI
-//!   gate); the full sweep repeats it at [`VERDICT_SEEDS`] consecutive
-//!   seeds and holds the study bar against the pooled result
-//! * `--seed S`         base cluster seed (default 7; each grid seed `s`
-//!   uses schedule seed 1000+s)
-//! * `--wave H`         start the calibrated campus day at hour `H`
-//!   (default [`WAVE_START_HOUR`], as in BENCH_churn)
-//! * `--out PATH`       JSON report path (default BENCH_replication.json)
-//! * `--check BASELINE` compare each cell's outcome fingerprint against a
-//!   previous report and exit non-zero on any mismatch
-//! * `--threads N`      sweep width (default: available cores)
-//! * `--verify-threads` rerun at width 1 and assert identical reports
-//!
-//! The JSON is hand-rolled (no serde in the workspace). Keep the schema
-//! in sync with EXPERIMENTS.md X17.
+//! `--smoke` runs the 3-policy grid at the base seed only; the full sweep
+//! repeats it at [`VERDICT_SEEDS`] consecutive seeds and holds the study
+//! bar against the pooled result. Each grid seed `s` uses schedule seed
+//! 1000+s. Flags, report layout and `--check`: see `hog_bench::study`.
 
-use hog_core::driver::{run_workload, RunResult};
+use hog_bench::{outcome_fingerprint, timed, Group, Report, Row, Study};
+use hog_core::driver::run_workload;
+use hog_core::sweep::run_ordered;
 use hog_core::ClusterConfig;
 use hog_hdfs::AvailabilityPolicy;
 use hog_sim_core::SimDuration;
 use hog_workload::{StragglerMix, SubmissionSchedule};
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Pool size of the grid (matches BENCH_churn).
 const NODES: usize = 300;
@@ -60,124 +45,54 @@ const RESPONSE_SLACK: f64 = 1.05;
 /// flat-10's.
 const STORAGE_BAR: f64 = 0.85;
 
+/// Policies compared, in report order.
+const POLICIES: [&str; 3] = ["flat10", "adaptive", "kcopies"];
+
 const GIB: f64 = (1u64 << 30) as f64;
-
-struct CellReport {
-    policy: &'static str,
-    seed: u64,
-    wall_ms: u64,
-    response_secs: f64,
-    mean_job_secs: f64,
-    jobs_ok: usize,
-    jobs: usize,
-    /// Total replica bytes materialised (writes + repairs), GiB.
-    replica_gb: f64,
-    /// Re-replication (repair) traffic subset, GiB.
-    repair_gb: f64,
-    /// Usable node-hours integrated over the workload window.
-    node_hours: f64,
-    targets_raised: u64,
-    targets_lowered: u64,
-    replicas_trimmed: u64,
-    fingerprint: String,
-}
-
-fn cell_from(policy: &'static str, seed: u64, wall_ms: u64, r: &RunResult) -> CellReport {
-    let node_hours = match (r.workload_start, r.response_time) {
-        (Some(s), Some(d)) => r.actual_series.area(s, s + d) / 3600.0,
-        _ => 0.0,
-    };
-    CellReport {
-        policy,
-        seed,
-        wall_ms,
-        response_secs: r.response_time.map(|d| d.as_secs_f64()).unwrap_or(0.0),
-        mean_job_secs: r.mean_job_response_secs(),
-        jobs_ok: r.jobs_succeeded(),
-        jobs: r.jobs.len(),
-        replica_gb: r.replica_bytes as f64 / GIB,
-        repair_gb: r.repair_bytes as f64 / GIB,
-        node_hours,
-        targets_raised: r.availability.0,
-        targets_lowered: r.availability.1,
-        replicas_trimmed: r.availability.2,
-        fingerprint: hog_bench::outcome_fingerprint(r),
-    }
-}
 
 /// One grid cell: 300 nodes under the calibrated campus wave with the
 /// straggler mix on (same environment as BENCH_churn's calibrated
 /// column), differing only in the replication/durability policy.
-fn run_cell(policy: &'static str, wave: f64, seed: u64) -> CellReport {
+fn run_cell(policy: &'static str, seed: u64) -> Row {
     let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    let mut cfg = ClusterConfig::hog(NODES, seed)
-        .with_calibrated_churn_at(wave)
+    let cfg = ClusterConfig::hog(NODES, seed)
+        .with_calibrated_churn_at(WAVE_START_HOUR)
         .with_stragglers(StragglerMix::osg_default())
         .named(format!("replication-{policy}"));
-    cfg = match policy {
+    let cfg = match policy {
         "flat10" => cfg,
         "adaptive" => cfg.with_availability_policy(AvailabilityPolicy::trua_default()),
         "kcopies" => cfg.with_task_copies(2, true),
         other => panic!("unknown policy label {other}"),
     };
-    let wall = Instant::now();
-    let r = run_workload(cfg, &schedule, SimDuration::from_secs(100 * 3600));
-    cell_from(policy, seed, wall.elapsed().as_millis() as u64, &r)
+    let (r, wall_ms) = timed(|| run_workload(cfg, &schedule, SimDuration::from_secs(100 * 3600)));
+    // Usable node-hours integrated over the workload window.
+    let node_hours = match (r.workload_start, r.response_time) {
+        (Some(s), Some(d)) => r.actual_series.area(s, s + d) / 3600.0,
+        _ => 0.0,
+    };
+    Row::new()
+        .with("policy", policy)
+        .with("seed", seed)
+        .with("wall_ms", wall_ms)
+        .outcome(&r)
+        // Total replica bytes materialised (writes + repairs), then the
+        // re-replication (repair) subset.
+        .float("replica_gb", r.replica_bytes as f64 / GIB, 3)
+        .float("repair_gb", r.repair_bytes as f64 / GIB, 3)
+        .float("node_hours", node_hours, 1)
+        .with("targets_raised", r.availability.0)
+        .with("targets_lowered", r.availability.1)
+        .with("replicas_trimmed", r.availability.2)
+        .with("fingerprint", outcome_fingerprint(&r))
 }
 
-fn cell_json(c: &CellReport) -> String {
-    format!(
-        "{{\"policy\": \"{}\", \"seed\": {}, \"wall_ms\": {}, \"response_secs\": {:.3}, \"mean_job_secs\": {:.3}, \"jobs_ok\": {}, \"jobs\": {}, \"replica_gb\": {:.3}, \"repair_gb\": {:.3}, \"node_hours\": {:.1}, \"targets_raised\": {}, \"targets_lowered\": {}, \"replicas_trimmed\": {}, \"fingerprint\": \"{}\"}}",
-        c.policy,
-        c.seed,
-        c.wall_ms,
-        c.response_secs,
-        c.mean_job_secs,
-        c.jobs_ok,
-        c.jobs,
-        c.replica_gb,
-        c.repair_gb,
-        c.node_hours,
-        c.targets_raised,
-        c.targets_lowered,
-        c.replicas_trimmed,
-        c.fingerprint
-    )
-}
-
-fn to_json(seed: u64, cells: &[CellReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"replication\",");
-    let _ = writeln!(s, "  \"workload\": \"facebook_truncated\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(s, "    {}", cell_json(c));
-        s.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-fn print_cell(c: &CellReport) {
-    println!(
-        "  {:>8} s{}: resp={:>7.0}s mean_job={:>6.1}s ok={}/{} replica={:>6.1}GiB repair={:>6.1}GiB node_h={:>7.0} raise/lower/trim={}/{}/{} wall={}ms fp={}",
-        c.policy,
-        c.seed,
-        c.response_secs,
-        c.mean_job_secs,
-        c.jobs_ok,
-        c.jobs,
-        c.replica_gb,
-        c.repair_gb,
-        c.node_hours,
-        c.targets_raised,
-        c.targets_lowered,
-        c.replicas_trimmed,
-        c.wall_ms,
-        c.fingerprint
-    );
+fn sweep(seed: u64, smoke: bool, threads: usize) -> Vec<Group> {
+    let seeds = if smoke { 1 } else { VERDICT_SEEDS };
+    let grid: Vec<_> = (seed..seed + seeds)
+        .flat_map(|s| POLICIES.map(|p| (p, s)))
+        .collect();
+    vec![("cells", run_ordered(grid, threads, |(p, s)| run_cell(p, s)))]
 }
 
 /// The study bar: every cell completes its workload; pooled over the
@@ -187,22 +102,29 @@ fn print_cell(c: &CellReport) {
 /// noisy for the response half, so like BENCH_churn the bar is enforced
 /// only at ≥ [`VERDICT_SEEDS`] seeds; smoke still enforces completion
 /// and prints the observed deltas.
-fn verdict(cells: &[CellReport]) -> bool {
+fn verdict(report: &Report, _smoke: bool) -> bool {
+    let cells = report.group("cells");
     let mut ok = true;
     for c in cells {
-        if c.jobs_ok != c.jobs {
+        if c.num("jobs_ok") != c.num("jobs") {
             ok = false;
             println!(
                 "  verdict: {} s{} finished only {}/{} jobs — FAIL",
-                c.policy, c.seed, c.jobs_ok, c.jobs
+                c.text("policy"),
+                c.int("seed"),
+                c.int("jobs_ok"),
+                c.int("jobs")
             );
         }
     }
     let pooled = |policy: &str| -> (f64, f64, usize) {
-        let rows: Vec<&CellReport> = cells.iter().filter(|c| c.policy == policy).collect();
+        let rows: Vec<&Row> = cells
+            .iter()
+            .filter(|c| c.text("policy") == policy)
+            .collect();
         (
-            rows.iter().map(|c| c.mean_job_secs).sum(),
-            rows.iter().map(|c| c.replica_gb).sum(),
+            rows.iter().map(|c| c.num("mean_job_secs")).sum(),
+            rows.iter().map(|c| c.num("replica_gb")).sum(),
             rows.len(),
         )
     };
@@ -215,6 +137,11 @@ fn verdict(cells: &[CellReport]) -> bool {
         if enforced {
             ok &= resp_pass && gb_pass;
         }
+        let judged = |pass: bool| match (enforced, pass) {
+            (false, _) => "not enforced on the smoke grid",
+            (true, true) => "PASS",
+            (true, false) => "FAIL",
+        };
         println!(
             "  verdict: adaptive vs flat10 over {} seed(s): mean_job {:.1}s -> {:.1}s ({:+.1}% vs +{:.0}% slack) — {}",
             n_flat,
@@ -222,13 +149,7 @@ fn verdict(cells: &[CellReport]) -> bool {
             ad_resp / n_ad as f64,
             (ad_resp / flat_resp - 1.0) * 100.0,
             (RESPONSE_SLACK - 1.0) * 100.0,
-            if !enforced {
-                "not enforced on the smoke grid"
-            } else if resp_pass {
-                "PASS"
-            } else {
-                "FAIL"
-            }
+            judged(resp_pass)
         );
         println!(
             "  verdict: replica storage {:.1}GiB -> {:.1}GiB ({:.1}% of flat vs the {:.0}% bar) — {}",
@@ -236,145 +157,19 @@ fn verdict(cells: &[CellReport]) -> bool {
             ad_gb / n_ad as f64,
             ad_gb / flat_gb * 100.0,
             STORAGE_BAR * 100.0,
-            if !enforced {
-                "not enforced on the smoke grid"
-            } else if gb_pass {
-                "PASS"
-            } else {
-                "FAIL"
-            }
+            judged(gb_pass)
         );
     }
     ok
 }
 
-/// Extract `(policy, seed, fingerprint)` rows from a report written by
-/// [`to_json`] (schema-coupled on purpose; no JSON dep).
-fn parse_baseline(text: &str) -> Vec<(String, u64, String)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"policy\":") {
-            continue;
-        }
-        let str_field = |key: &str| -> Option<String> {
-            let pat = format!("\"{key}\": \"");
-            let start = line.find(&pat)? + pat.len();
-            let rest = &line[start..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        };
-        let seed = line
-            .find("\"seed\": ")
-            .map(|i| &line[i + "\"seed\": ".len()..])
-            .and_then(|rest| {
-                let end = rest.find([',', '}'])?;
-                rest[..end].trim().parse::<u64>().ok()
-            });
-        if let (Some(p), Some(seed), Some(fp)) =
-            (str_field("policy"), seed, str_field("fingerprint"))
-        {
-            out.push((p, seed, fp));
-        }
-    }
-    out
-}
-
-fn check_cells(cells: &[CellReport], baseline: &[(String, u64, String)]) -> bool {
-    let mut failed = false;
-    for c in cells {
-        let Some((_, _, fp)) = baseline
-            .iter()
-            .find(|(p, s, _)| *p == c.policy && *s == c.seed)
-        else {
-            continue;
-        };
-        if *fp != c.fingerprint {
-            failed = true;
-            println!(
-                "  check {} s{}: fingerprint {} != baseline {} — OUTCOME CHANGED",
-                c.policy, c.seed, c.fingerprint, fp
-            );
-        } else {
-            println!("  check {} s{}: fingerprint matches baseline", c.policy, c.seed);
-        }
-    }
-    failed
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = hog_bench::arg_usize(&args, "--seed", 7) as u64;
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_replication.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wave = args
-        .iter()
-        .position(|a| a == "--wave")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(WAVE_START_HOUR);
-
-    let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    println!(
-        "replication: {} jobs / {} maps / {} reduces, seed {seed}",
-        schedule.len(),
-        schedule.total_maps(),
-        schedule.total_reduces()
-    );
-
-    let threads = hog_bench::arg_threads(&args);
-    let verify_threads = args.iter().any(|a| a == "--verify-threads");
-    let sweep = |threads: usize| {
-        let grid_seeds = if smoke { 1 } else { VERDICT_SEEDS };
-        let mut jobs: Vec<Box<dyn FnOnce() -> CellReport + Send>> = Vec::new();
-        for s in seed..seed + grid_seeds {
-            for &policy in &["flat10", "adaptive", "kcopies"] {
-                jobs.push(Box::new(move || run_cell(policy, wave, s)));
-            }
-        }
-        hog_bench::run_cells(jobs, threads)
-    };
-
-    let cells = sweep(threads);
-    for c in &cells {
-        print_cell(c);
-    }
-    let ok = verdict(&cells);
-
-    let json = to_json(seed, &cells);
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    if verify_threads {
-        let c1 = sweep(1);
-        hog_bench::assert_threads_identical("replication", &json, &to_json(seed, &c1));
-    }
-
-    if let Some(base) = check_path {
-        let text = std::fs::read_to_string(&base)
-            .unwrap_or_else(|e| panic!("cannot read baseline {base}: {e}"));
-        let baseline = parse_baseline(&text);
-        assert!(
-            !baseline.is_empty(),
-            "baseline {base} has no fingerprinted cells"
-        );
-        if check_cells(&cells, &baseline) {
-            eprintln!("replication: outcome fingerprints diverged from {base}");
-            std::process::exit(1);
-        }
-    }
-
-    if !ok {
-        eprintln!("replication: study bar missed (see verdict above)");
-        std::process::exit(1);
-    }
+    hog_bench::run_study(&Study {
+        name: "replication",
+        header: &[],
+        keys: &["policy", "seed"],
+        wall_gated: false,
+        sweep,
+        verdict,
+    });
 }

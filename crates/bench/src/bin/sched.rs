@@ -5,41 +5,22 @@
 //! response time per cell — the data behind EXPERIMENTS.md's scheduler
 //! study.
 //!
-//! A second section runs the preemption-burst ablation (X11): a scripted
-//! chaos plan hammers two sites with correlated `PreemptBurst`s while the
-//! invariant audit is armed, comparing FIFO's placement (which keeps
-//! walking into the blast zone) against the failure-aware policy (which
-//! learns the sites' reliability scores and routes work around them).
+//! The `ablation` group runs the preemption-burst ablation (X11): a
+//! scripted chaos plan hammers two sites with correlated `PreemptBurst`s
+//! while the invariant audit is armed, comparing FIFO's placement (which
+//! keeps walking into the blast zone) against the failure-aware policy
+//! (which learns the sites' reliability scores and routes work around
+//! them).
 //!
-//! Usage:
-//!   sched [--smoke] [--ablation] [--seed S] [--out PATH] [--check BASELINE]
-//!         [--threads N] [--verify-threads]
-//!
-//! * `--smoke`          run only the 100-node stable tier (CI-friendly)
-//! * `--ablation`       run only the X11 burst ablation
-//! * `--seed S`         cluster seed (default 7; schedule seed is 1000+S)
-//! * `--out PATH`       where to write the JSON report (default BENCH_sched.json)
-//! * `--check BASELINE` compare each shared cell's outcome fingerprint
-//!   against a previously written report (BENCH_sched.baseline.json in
-//!   CI) and exit non-zero on any mismatch — the sweep is deterministic,
-//!   so a changed fingerprint means the simulated outcome changed
-//!
-//! * `--threads N`      run sweep cells N-wide (default: available cores;
-//!   every cell is an independent deterministic simulation, so the report
-//!   is the same at any width — only wall clocks move)
-//! * `--verify-threads` rerun the sweep at `--threads 1` and assert the
-//!   two reports are byte-identical modulo wall-clock fields
-//!
-//! The JSON is hand-rolled (no serde in the workspace); the schema mirrors
-//! BENCH_scale.json. Keep it in sync with EXPERIMENTS.md.
+//! `--smoke` runs only the 100-node stable tier. Flags, report layout and
+//! `--check`: see `hog_bench::study`.
 
-use hog_chaos::{Fault, FaultPlan};
+use hog_bench::{outcome_fingerprint, timed, x11_burst_plan, Group, Row, Study};
 use hog_core::driver::{run_workload, RunResult};
+use hog_core::sweep::run_ordered;
 use hog_core::{ClusterConfig, SchedPolicy};
 use hog_sim_core::SimDuration;
 use hog_workload::SubmissionSchedule;
-use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Policies swept, in report order.
 const POLICIES: [SchedPolicy; 3] = [
@@ -58,42 +39,6 @@ const CELLS: [(usize, &str, Option<u64>); 3] = [
     (100, "churn", Some(2 * 3600)),
 ];
 
-/// Sites targeted by the X11 preemption-burst plan. Concentrating every
-/// burst on the same two sites is what gives a history-keeping scheduler
-/// something to learn.
-const BURST_SITES: [&str; 2] = ["UCSDT2", "AGLT2"];
-
-struct CellReport {
-    policy: SchedPolicy,
-    nodes: usize,
-    churn: &'static str,
-    wall_ms: u64,
-    response_secs: f64,
-    mean_job_secs: f64,
-    jobs_ok: usize,
-    jobs: usize,
-    node_local: u64,
-    rack_local: u64,
-    site_local: u64,
-    remote: u64,
-    speculative: u64,
-    failures: u64,
-    fairness: f64,
-    fingerprint: String,
-}
-
-impl CellReport {
-    /// Share of map launches that hit node- or rack-local input.
-    fn local_share(&self) -> f64 {
-        let total = self.node_local + self.rack_local + self.site_local + self.remote;
-        if total == 0 {
-            0.0
-        } else {
-            (self.node_local + self.rack_local) as f64 / total as f64
-        }
-    }
-}
-
 /// Time-weighted mean of the `mapreduce/fairness_jain` gauge over the
 /// workload window (1.0 when metrics are off or nothing was recorded).
 fn mean_fairness(r: &RunResult) -> f64 {
@@ -107,302 +52,80 @@ fn mean_fairness(r: &RunResult) -> f64 {
     }
 }
 
-fn cell_from(
-    policy: SchedPolicy,
-    nodes: usize,
-    churn: &'static str,
-    wall_ms: u64,
-    r: &RunResult,
-) -> CellReport {
-    CellReport {
-        policy,
-        nodes,
-        churn,
-        wall_ms,
-        response_secs: r.response_time.map(|d| d.as_secs_f64()).unwrap_or(0.0),
-        mean_job_secs: r.mean_job_response_secs(),
-        jobs_ok: r.jobs_succeeded(),
-        jobs: r.jobs.len(),
-        node_local: r.jt.node_local,
-        rack_local: r.jt.rack_local,
-        site_local: r.jt.site_local,
-        remote: r.jt.remote,
-        speculative: r.jt.speculative,
-        failures: r.jt.failures,
-        fairness: mean_fairness(r),
-        fingerprint: hog_bench::outcome_fingerprint(r),
-    }
-}
-
+/// Run one cell; the `bursts` churn label arms the X11 plan and the
+/// invariant audit.
 fn run_cell(
     policy: SchedPolicy,
-    nodes: usize,
-    churn: &'static str,
-    lifetime: Option<u64>,
+    (nodes, churn, lifetime): (usize, &str, Option<u64>),
     seed: u64,
     schedule: &SubmissionSchedule,
-) -> CellReport {
+) -> Row {
     let mut cfg = ClusterConfig::hog(nodes, seed)
         .with_scheduler(policy)
-        .with_metrics()
-        .named(format!("sched-{}-{nodes}-{churn}", policy.as_str()));
+        .with_metrics();
+    cfg = if churn == "bursts" {
+        cfg.with_fault_plan(x11_burst_plan())
+            .with_audit(true)
+            .named(format!("sched-burst-{}", policy.as_str()))
+    } else {
+        cfg.named(format!("sched-{}-{nodes}-{churn}", policy.as_str()))
+    };
     if let Some(secs) = lifetime {
         cfg = cfg.with_mean_lifetime(SimDuration::from_secs(secs));
     }
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600));
-    cell_from(policy, nodes, churn, wall.elapsed().as_millis() as u64, &r)
+    let (r, wall_ms) = timed(|| run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600)));
+    let jt = &r.jt;
+    let launches = jt.node_local + jt.rack_local + jt.site_local + jt.remote;
+    let local_share = if launches == 0 {
+        0.0
+    } else {
+        (jt.node_local + jt.rack_local) as f64 / launches as f64
+    };
+    Row::new()
+        .with("policy", policy.as_str())
+        .with("nodes", nodes)
+        .with("churn", churn)
+        .with("wall_ms", wall_ms)
+        .outcome(&r)
+        .with("node_local", jt.node_local)
+        .with("rack_local", jt.rack_local)
+        .with("site_local", jt.site_local)
+        .with("remote", jt.remote)
+        .float("local_share", local_share, 4)
+        .with("speculative", jt.speculative)
+        .with("failures", jt.failures)
+        .float("fairness", mean_fairness(&r), 4)
+        .with("fingerprint", outcome_fingerprint(&r))
 }
 
-/// X11: repeated correlated preemption bursts against [`BURST_SITES`]
-/// through the workload window, invariant audit armed.
-fn burst_plan() -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    // One 45-victim burst every 5 minutes for the first ~90 minutes,
-    // alternating between the two target sites, so each site is hit
-    // every 10 minutes — within a half-life (600 s) of the previous hit,
-    // which is what lets the failure-aware policy's reliability score
-    // stay above threshold between bursts.
-    for k in 0..18u64 {
-        plan = plan.at(
-            SimDuration::from_secs(300 + k * 300),
-            Fault::PreemptBurst {
-                site: BURST_SITES[(k % 2) as usize].to_string(),
-                count: 45,
-            },
-        );
-    }
-    plan
-}
-
-fn run_burst(policy: SchedPolicy, seed: u64, schedule: &SubmissionSchedule) -> CellReport {
-    let cfg = ClusterConfig::hog(300, seed)
-        .with_scheduler(policy)
-        .with_fault_plan(burst_plan())
-        .with_audit(true)
-        .with_metrics()
-        .named(format!("sched-burst-{}", policy.as_str()));
-    let wall = Instant::now();
-    let r = run_workload(cfg, schedule, SimDuration::from_secs(100 * 3600));
-    cell_from(policy, 300, "bursts", wall.elapsed().as_millis() as u64, &r)
-}
-
-fn cell_json(c: &CellReport) -> String {
-    format!(
-        "{{\"policy\": \"{}\", \"nodes\": {}, \"churn\": \"{}\", \"wall_ms\": {}, \"response_secs\": {:.3}, \"mean_job_secs\": {:.3}, \"jobs_ok\": {}, \"jobs\": {}, \"node_local\": {}, \"rack_local\": {}, \"site_local\": {}, \"remote\": {}, \"local_share\": {:.4}, \"speculative\": {}, \"failures\": {}, \"fairness\": {:.4}, \"fingerprint\": \"{}\"}}",
-        c.policy.as_str(),
-        c.nodes,
-        c.churn,
-        c.wall_ms,
-        c.response_secs,
-        c.mean_job_secs,
-        c.jobs_ok,
-        c.jobs,
-        c.node_local,
-        c.rack_local,
-        c.site_local,
-        c.remote,
-        c.local_share(),
-        c.speculative,
-        c.failures,
-        c.fairness,
-        c.fingerprint
-    )
-}
-
-fn to_json(seed: u64, cells: &[CellReport], ablation: &[CellReport]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"sched\",");
-    let _ = writeln!(s, "  \"workload\": \"facebook_truncated\",");
-    let _ = writeln!(s, "  \"seed\": {seed},");
-    for (key, group) in [("cells", cells), ("ablation", ablation)] {
-        let _ = writeln!(s, "  \"{key}\": [");
-        for (i, c) in group.iter().enumerate() {
-            let _ = write!(s, "    {}", cell_json(c));
-            s.push_str(if i + 1 < group.len() { ",\n" } else { "\n" });
-        }
-        s.push_str(if key == "cells" { "  ],\n" } else { "  ]\n" });
-    }
-    s.push_str("}\n");
-    s
-}
-
-fn print_cell(c: &CellReport) {
-    println!(
-        "  {:>13} {:>4}n {:>6}: resp={:>7.0}s mean_job={:>6.1}s ok={}/{} locality n/r/s/rem={}/{}/{}/{} local={:.1}% spec={} fail={} jain={:.3} wall={}ms fp={}",
-        c.policy.as_str(),
-        c.nodes,
-        c.churn,
-        c.response_secs,
-        c.mean_job_secs,
-        c.jobs_ok,
-        c.jobs,
-        c.node_local,
-        c.rack_local,
-        c.site_local,
-        c.remote,
-        c.local_share() * 100.0,
-        c.speculative,
-        c.failures,
-        c.fairness,
-        c.wall_ms,
-        c.fingerprint
-    );
-}
-
-/// Extract `(policy, nodes, churn, fingerprint)` rows from a report
-/// written by [`to_json`] (schema-coupled on purpose; no JSON dep).
-/// Baselines written before fingerprints were recorded yield no rows.
-fn parse_baseline(text: &str) -> Vec<(String, usize, String, String)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.starts_with("{\"policy\":") {
-            continue;
-        }
-        let str_field = |key: &str| -> Option<String> {
-            let pat = format!("\"{key}\": \"");
-            let start = line.find(&pat)? + pat.len();
-            let rest = &line[start..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        };
-        let nodes = line.find("\"nodes\": ").and_then(|i| {
-            let rest = &line[i + "\"nodes\": ".len()..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse::<usize>().ok()
-        });
-        if let (Some(p), Some(n), Some(c), Some(fp)) = (
-            str_field("policy"),
-            nodes,
-            str_field("churn"),
-            str_field("fingerprint"),
-        ) {
-            out.push((p, n, c, fp));
-        }
-    }
-    out
-}
-
-/// Compare every swept cell present in the baseline by fingerprint;
-/// returns whether any mismatched.
-fn check_cells(cells: &[CellReport], baseline: &[(String, usize, String, String)]) -> bool {
-    let mut failed = false;
-    for c in cells {
-        let Some((_, _, _, fp)) = baseline
-            .iter()
-            .find(|(p, n, ch, _)| *p == c.policy.as_str() && *n == c.nodes && *ch == c.churn)
-        else {
-            continue;
-        };
-        if *fp != c.fingerprint {
-            failed = true;
-            println!(
-                "  check {} {}n {}: fingerprint {} != baseline {} — OUTCOME CHANGED",
-                c.policy.as_str(),
-                c.nodes,
-                c.churn,
-                c.fingerprint,
-                fp
-            );
-        } else {
-            println!(
-                "  check {} {}n {}: fingerprint matches baseline",
-                c.policy.as_str(),
-                c.nodes,
-                c.churn
-            );
-        }
-    }
-    failed
+fn sweep(seed: u64, smoke: bool, threads: usize) -> Vec<Group> {
+    let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
+    let tiers = if smoke { &CELLS[..1] } else { &CELLS[..] };
+    let grid: Vec<_> = tiers
+        .iter()
+        .flat_map(|&cell| POLICIES.map(|p| (p, cell)))
+        .collect();
+    let cells = run_ordered(grid, threads, |(p, cell)| {
+        run_cell(p, cell, seed, &schedule)
+    });
+    let bursts = if smoke {
+        vec![]
+    } else {
+        vec![SchedPolicy::Fifo, SchedPolicy::FailureAware]
+    };
+    let ablation = run_ordered(bursts, threads, |p| {
+        run_cell(p, (300, "bursts", None), seed, &schedule)
+    });
+    vec![("cells", cells), ("ablation", ablation)]
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let ablation_only = args.iter().any(|a| a == "--ablation");
-    let seed = hog_bench::arg_usize(&args, "--seed", 7) as u64;
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sched.json".to_string());
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
-    let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    println!(
-        "sched: {} jobs / {} maps / {} reduces, seed {seed}",
-        schedule.len(),
-        schedule.total_maps(),
-        schedule.total_reduces()
-    );
-
-    let threads = hog_bench::arg_threads(&args);
-    let verify_threads = args.iter().any(|a| a == "--verify-threads");
-    let sweep = |threads: usize| {
-        let schedule = &schedule;
-        let mut jobs: Vec<Box<dyn FnOnce() -> CellReport + Send>> = Vec::new();
-        for &(nodes, churn, lifetime) in &CELLS {
-            if ablation_only || (smoke && (nodes, churn) != (CELLS[0].0, CELLS[0].1)) {
-                continue;
-            }
-            for &policy in &POLICIES {
-                jobs.push(Box::new(move || {
-                    run_cell(policy, nodes, churn, lifetime, seed, schedule)
-                }));
-            }
-        }
-        let cells = hog_bench::run_cells(jobs, threads);
-        let mut ablation_jobs: Vec<Box<dyn FnOnce() -> CellReport + Send>> = Vec::new();
-        if !smoke {
-            for policy in [SchedPolicy::Fifo, SchedPolicy::FailureAware] {
-                ablation_jobs.push(Box::new(move || run_burst(policy, seed, schedule)));
-            }
-        }
-        let ablation = hog_bench::run_cells(ablation_jobs, threads);
-        (cells, ablation)
-    };
-
-    let (cells, ablation) = sweep(threads);
-    for c in &cells {
-        print_cell(c);
-    }
-    if !ablation.is_empty() {
-        println!("  -- X11 preemption bursts on {BURST_SITES:?}, audit on --");
-        for c in &ablation {
-            print_cell(c);
-        }
-    }
-
-    let json = to_json(seed, &cells, &ablation);
-    std::fs::write(&out_path, &json).expect("write report");
-    println!("wrote {out_path}");
-
-    if verify_threads {
-        let (c1, a1) = sweep(1);
-        hog_bench::assert_threads_identical("sched", &json, &to_json(seed, &c1, &a1));
-    }
-
-    if let Some(base) = check_path {
-        let text = std::fs::read_to_string(&base)
-            .unwrap_or_else(|e| panic!("cannot read baseline {base}: {e}"));
-        let baseline = parse_baseline(&text);
-        assert!(
-            !baseline.is_empty(),
-            "baseline {base} has no fingerprinted cells"
-        );
-        let mut failed = check_cells(&cells, &baseline);
-        failed |= check_cells(&ablation, &baseline);
-        if failed {
-            eprintln!("sched: outcome fingerprints diverged from {base}");
-            std::process::exit(1);
-        }
-    }
+    hog_bench::run_study(&Study {
+        name: "sched",
+        header: &[],
+        keys: &["policy", "nodes", "churn"],
+        wall_gated: false,
+        sweep,
+        verdict: |_, _| true,
+    });
 }

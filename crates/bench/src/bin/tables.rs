@@ -1,6 +1,7 @@
 //! Regenerate Tables I, II and III of the paper.
 //!
-//! Usage: `tables [table1|table2|table3|all]`
+//! Usage: `tables [table1|table2|table3|all]` (no argument means `all`;
+//! anything else exits 2)
 
 use hog_core::config::{ClusterConfig, ResourceConfig};
 use hog_core::report::TextTable;
@@ -95,7 +96,11 @@ fn main() {
         "table1" => table1(),
         "table2" => table2(),
         "table3" => table3(),
-        _ => format!("{}\n{}\n{}", table1(), table2(), table3()),
+        "all" => format!("{}\n{}\n{}", table1(), table2(), table3()),
+        other => {
+            eprintln!("tables: unknown table `{other}`\nusage: tables [table1|table2|table3|all]");
+            std::process::exit(2);
+        }
     };
     println!("{out}");
     let dir = hog_bench::results_dir();

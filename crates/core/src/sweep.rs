@@ -2,8 +2,9 @@
 //!
 //! Every simulation run is independent (its own RNG streams, its own
 //! world), so parameter sweeps — Figure 4 needs 12 pool sizes × 3 seeds —
-//! are embarrassingly parallel. Runs execute on crossbeam scoped threads;
-//! results land in submission order regardless of completion order.
+//! are embarrassingly parallel. [`run_ordered`] runs them (and the bench
+//! studies' cells) on crossbeam scoped threads; results land in
+//! submission order regardless of completion order.
 
 use crate::config::ClusterConfig;
 use crate::driver::{run_workload, RunResult};
@@ -29,16 +30,46 @@ pub struct SchedulePoint {
     pub schedule: SubmissionSchedule,
 }
 
+/// Apply `f` to every item, `threads`-wide, returning the results in
+/// input order whatever order they finish in. Workers pull the next item
+/// from a shared queue; one thread (or one item) runs inline.
+pub fn run_ordered<I, T, F>(items: Vec<I>, threads: usize, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
+{
+    let n = items.len();
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let work = Mutex::new(items.into_iter().enumerate());
+    crossbeam::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|_| loop {
+                let next = work.lock().next();
+                let Some((idx, item)) = next else { break };
+                let out = f(item);
+                results.lock()[idx] = Some(out);
+            });
+        }
+    })
+    .expect("sweep worker panicked");
+    results
+        .into_inner()
+        .into_iter()
+        .map(|r| r.expect("every item ran"))
+        .collect()
+}
+
 /// Run all `points`, `threads`-wide, preserving input order.
 pub fn run_sweep(points: Vec<SweepPoint>, horizon: SimDuration, threads: usize) -> Vec<RunResult> {
-    let points = points
-        .into_iter()
-        .map(|p| SchedulePoint {
-            cfg: p.cfg,
-            schedule: SubmissionSchedule::facebook_truncated(p.workload_seed),
-        })
-        .collect();
-    run_sweep_schedules(points, horizon, threads)
+    run_ordered(points, threads, |p| {
+        let schedule = SubmissionSchedule::facebook_truncated(p.workload_seed);
+        run_workload(p.cfg, &schedule, horizon)
+    })
 }
 
 /// Run explicit `(config, schedule)` pairs, `threads`-wide, preserving
@@ -48,29 +79,9 @@ pub fn run_sweep_schedules(
     horizon: SimDuration,
     threads: usize,
 ) -> Vec<RunResult> {
-    let threads = threads.max(1);
-    let n = points.len();
-    let results: Mutex<Vec<Option<RunResult>>> = Mutex::new((0..n).map(|_| None).collect());
-    let work: Mutex<std::vec::IntoIter<(usize, SchedulePoint)>> =
-        Mutex::new(points.into_iter().enumerate().collect::<Vec<_>>().into_iter());
-
-    crossbeam::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|_| loop {
-                let item = { work.lock().next() };
-                let Some((idx, point)) = item else { break };
-                let result = run_workload(point.cfg, &point.schedule, horizon);
-                results.lock()[idx] = Some(result);
-            });
-        }
+    run_ordered(points, threads, |p| {
+        run_workload(p.cfg, &p.schedule, horizon)
     })
-    .expect("sweep worker panicked");
-
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("missing sweep result"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -98,5 +109,26 @@ mod tests {
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].name, "a");
         assert_eq!(results[1].name, "b");
+
+        // The runner itself, serial and parallel: input order whatever
+        // the completion order.
+        let items: Vec<u64> = (0..20).collect();
+        let squares: Vec<u64> = items.iter().map(|i| i * i).collect();
+        assert_eq!(run_ordered(items.clone(), 1, |i| i * i), squares);
+        assert_eq!(run_ordered(items, 4, |i| i * i), squares);
+        assert!(run_ordered(Vec::<u64>::new(), 4, |i| i).is_empty());
+        // Force item 1 to finish before item 0: item 0 waits for the
+        // signal item 1 sends.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let out = run_ordered(vec![0u64, 1], 2, |i| {
+            if i == 0 {
+                rx.lock().recv().expect("item 1 signals");
+            } else {
+                tx.lock().send(()).expect("item 0 listens");
+            }
+            i
+        });
+        assert_eq!(out, vec![0, 1]);
     }
 }

@@ -2,8 +2,9 @@
 //! under each slot-assignment policy (DESIGN.md §11). FIFO is the
 //! paper's scheduler; Fair adds delay scheduling and wins on locality
 //! and mean job response; FailureAware only differs once the pool
-//! starts killing trackers (see `hog-bench --bin sched -- --ablation`
-//! for that story).
+//! starts killing trackers (see the `ablation` group of
+//! `hog-bench --bin sched`, the X11 preemption-burst cells, for that
+//! story).
 //!
 //! ```sh
 //! cargo run --release --example sched_showdown
