@@ -79,7 +79,10 @@ pub fn run_hod_workload(
     let mut overheads = Vec::new();
     let mut ok = 0usize;
     let mut last_finish = SimTime::ZERO;
-    let first_submit = schedule.jobs().first().map_or(SimTime::ZERO, |j| j.submit_at);
+    let first_submit = schedule
+        .jobs()
+        .first()
+        .map_or(SimTime::ZERO, |j| j.submit_at);
     for (spec, r) in schedule.jobs().iter().zip(&results) {
         // HOD total = formation + upload (workload_start, since t=0) plus
         // the job's own execution.
@@ -97,7 +100,11 @@ pub fn run_hod_workload(
     let response = last_finish.saturating_since(first_submit).as_secs_f64();
     HodResult {
         response_secs: response,
-        mean_overhead_secs: overheads.iter().copied().filter(|x| x.is_finite()).sum::<f64>()
+        mean_overhead_secs: overheads
+            .iter()
+            .copied()
+            .filter(|x| x.is_finite())
+            .sum::<f64>()
             / overheads.len().max(1) as f64,
         jobs_succeeded: ok,
         jobs: schedule.len(),

@@ -17,9 +17,11 @@
 
 use crate::config::{ClusterConfig, PlacementKind, ResourceConfig};
 use crate::event::{DoomReason, Event};
-use crate::master::{MasterStack, SingleMasterStack};
+use crate::master::SingleMasterStack;
 use hog_chaos::{Auditor, ChaosFailure, Fault, ProgressSig, Watchdog};
-use hog_grid::{ElasticController, ElasticDecision, GridModel, GridNote, LossReason, PoolSnapshot};
+use hog_grid::{
+    ElasticController, ElasticDecision, GridModel, GridNote, GridOutput, LossReason, PoolSnapshot,
+};
 use hog_hdfs::datanode::DnLiveness;
 use hog_hdfs::{
     AvailabilitySnapshot, BlockId, FileId, Namenode, RackAwarePolicy, RackObliviousPolicy,
@@ -83,10 +85,9 @@ struct WriteState {
     owner: WriteOwner,
     retries: u8,
     size: u64,
-    flow_ids: Vec<FlowId>,
     /// Datanodes this write already saw fail; excluded on retry, like an
     /// HDFS client's excluded-nodes list.
-    excluded: std::collections::BTreeSet<NodeId>,
+    excluded: BTreeSet<NodeId>,
 }
 
 /// Cached per-map-attempt execution parameters.
@@ -265,10 +266,6 @@ pub struct Cluster {
     /// Mediator counters.
     pub counters: ClusterCounters,
     target_nodes: usize,
-    /// Adaptive-replication controller (extension X9), when enabled.
-    adaptive: Option<crate::adaptive::AdaptiveReplication>,
-    /// History of adaptive factor changes: (time, factor).
-    pub adaptive_changes: Vec<(SimTime, u16)>,
     /// Last availability-policy sweep instant (X17), when armed.
     avail_last: Option<SimTime>,
     /// History of availability sweeps that changed any target:
@@ -381,7 +378,6 @@ impl Cluster {
             ResourceConfig::Fixed { .. } => None,
         });
         let n_jobs = schedule.len();
-        let cfg2 = cfg.adaptive_replication;
         let chaos_seed = cfg.seed ^ 0x686f_675f_6368_616f; // b"hog_chao"
         let straggler_seed = cfg.seed ^ 0x686f_675f_7374_7261; // b"hog_stra"
         let straggler_on = cfg.straggler.is_some();
@@ -418,8 +414,6 @@ impl Cluster {
             workload_end: None,
             counters: ClusterCounters::default(),
             target_nodes,
-            adaptive: cfg2.map(|(min, max)| crate::adaptive::AdaptiveReplication::new(min, max)),
-            adaptive_changes: Vec::new(),
             avail_last: None,
             avail_actions: Vec::new(),
             elastic,
@@ -468,11 +462,7 @@ impl Cluster {
         // Anchor placement needs the anchor site's id, known only now.
         if let PlacementKind::AnchorFirst { site_name } = self.cfg.placement.clone() {
             let anchor = self
-                .topo
-                .sites()
-                .iter()
-                .find(|s| s.name == site_name)
-                .map(|s| s.id)
+                .site_by_name(&site_name)
                 .expect("anchor site not registered");
             self.masters
                 .nn
@@ -491,15 +481,14 @@ impl Cluster {
                 let (mut grid, init) =
                     GridModel::new(params, sites, &mut self.topo, self.rng.fork(1));
                 grid.set_tracer(self.tracer.clone());
-                for (d, e) in init {
-                    sched.at(SimTime::ZERO + d, Event::Grid(e));
-                }
                 let out = grid.submit_workers(SimTime::ZERO, target_nodes);
-                for (d, e) in out.defer {
-                    sched.at(SimTime::ZERO + d, Event::Grid(e));
-                }
-                debug_assert!(out.notes.is_empty());
                 self.grid = Some(grid);
+                let seed = GridOutput {
+                    defer: init,
+                    notes: Vec::new(),
+                };
+                self.apply_grid_output(sched, seed, false);
+                self.apply_grid_output(sched, out, false);
             }
             ResourceConfig::Fixed {
                 site_name,
@@ -514,29 +503,15 @@ impl Cluster {
                 for (node, (m, r)) in specs {
                     self.register_worker(node, m, r, sched);
                 }
-                self.phase = RunPhase::Uploading;
+                self.set_phase(RunPhase::Uploading);
                 self.begin_upload_queue();
                 sched.at(SimTime::ZERO, Event::PumpUpload);
             }
         }
     }
 
-    fn register_worker(
-        &mut self,
-        node: NodeId,
-        map_slots: u8,
-        reduce_slots: u8,
-        sched: &mut Scheduler<'_, Event>,
-    ) {
-        self.register_worker_common(sched.now(), node, map_slots, reduce_slots);
-        let (hb, check) = self.worker_timers(node);
-        sched.after(hb, Event::Heartbeat { node });
-        if let Some(d) = check {
-            sched.after(d, Event::DiskCheck { node });
-        }
-    }
-
-    fn register_worker_common(&mut self, now: SimTime, node: NodeId, m: u8, r: u8) {
+    fn register_worker(&mut self, node: NodeId, m: u8, r: u8, sched: &mut Scheduler<'_, Event>) {
+        let now = sched.now();
         self.daemons_up.insert(node);
         self.slots_of.insert(node, (m, r));
         self.net.register_node(node, self.topo.site_of(node));
@@ -544,6 +519,11 @@ impl Cluster {
         self.masters
             .jt
             .register_tracker(now, node, self.topo.site_of(node), m, r);
+        let (hb, check) = self.worker_timers(node);
+        sched.after(hb, Event::Heartbeat { node });
+        if let Some(d) = check {
+            sched.after(d, Event::DiskCheck { node });
+        }
     }
 
     /// Stagger heartbeats so 1000 nodes don't tick in the same
@@ -560,6 +540,22 @@ impl Cluster {
     /// The current run phase.
     pub fn phase(&self) -> RunPhase {
         self.phase
+    }
+
+    /// Enter `phase` and trace the transition.
+    fn set_phase(&mut self, phase: RunPhase) {
+        self.phase = phase;
+        let to = match phase {
+            RunPhase::Forming => "forming",
+            RunPhase::Uploading => "uploading",
+            RunPhase::Running => "running",
+            RunPhase::Done => "done",
+        };
+        self.tracer.emit(|| {
+            TraceEvent::new(Layer::Core, "phase")
+                .with("to", to)
+                .with("pool", self.daemons_up.len())
+        });
     }
 
     /// Topology access (reports).
@@ -717,9 +713,10 @@ impl Cluster {
                 break;
             };
             match self.masters.nn.allocate_block(file, size, None, &self.topo) {
-                Some((block, targets)) => {
+                Some(alloc) => {
                     self.upload_in_flight += 1;
-                    self.start_write(sched, WriteOwner::Upload, file, block, size, targets, None);
+                    let owner = WriteOwner::Upload;
+                    self.start_write(sched, owner, file, size, alloc, 0, BTreeSet::new());
                 }
                 None => {
                     self.counters.upload_alloc_failures += 1;
@@ -744,23 +741,7 @@ impl Cluster {
             }
             self.masters.nn.complete_file(f);
         }
-        if std::env::var("HOG_DEBUG_WRITES").is_ok() {
-            let mut hist = std::collections::BTreeMap::new();
-            for &f in &self.input_files {
-                for &b in self.masters.nn.blocks_of(f) {
-                    *hist
-                        .entry(self.masters.nn.block(b).replicas.len())
-                        .or_insert(0u32) += 1;
-                }
-            }
-            eprintln!("upload done at {}: replica histogram {hist:?}", sched.now());
-        }
-        self.phase = RunPhase::Running;
-        self.tracer.emit(|| {
-            TraceEvent::new(Layer::Core, "phase")
-                .with("to", "running")
-                .with("files", self.input_files.len())
-        });
+        self.set_phase(RunPhase::Running);
         // Checkpoint zero: the standby always has at least the complete
         // post-upload state, so even an immediate crash restores a master
         // that knows every input file. (Mirror mode needs no snapshots.)
@@ -843,34 +824,35 @@ impl Cluster {
     // Pipelined block writes
     // ==================================================================
 
-    /// Begin writing `block` to `targets`. `writer` is the local datanode
-    /// for output writes (None = the central server is the client).
+    /// Start a pipelined write of `block` to `targets` by sending the
+    /// first replica to the pipeline head. `retries` counts the block's
+    /// earlier failed tries; `excluded` lists the datanodes they saw fail.
     #[allow(clippy::too_many_arguments)]
     fn start_write(
         &mut self,
         sched: &mut Scheduler<'_, Event>,
         owner: WriteOwner,
         file: FileId,
-        block: BlockId,
         size: u64,
-        targets: Vec<NodeId>,
-        writer: Option<NodeId>,
+        (block, targets): (BlockId, Vec<NodeId>),
+        retries: u8,
+        excluded: BTreeSet<NodeId>,
     ) {
         debug_assert!(!targets.is_empty());
         let id = self.next_write_id;
         self.next_write_id += 1;
         let head = targets[0];
+        let writer = self.writer_of(owner);
         let mut st = WriteState {
             block,
             file,
-            targets: targets.clone(),
+            targets,
             written: Vec::new(),
             outstanding: 0,
             owner,
-            retries: 0,
+            retries,
             size,
-            flow_ids: Vec::new(),
-            excluded: std::collections::BTreeSet::new(),
+            excluded,
         };
         if writer == Some(head) {
             // Writer-local first replica: the local disk write overlaps
@@ -888,18 +870,26 @@ impl Cluster {
             let src = writer.unwrap_or(self.master);
             let fid = self.net.start_flow(sched.now(), src, head, size, 0);
             self.flows.insert(fid, FlowCtx::PipeHead { write: id });
-            st.flow_ids.push(fid);
             self.writes.insert(id, st);
+            self.track_write_flow(owner, fid);
             self.arm_net(sched);
         }
+    }
+
+    /// The datanode a write streams from: the reduce attempt's own node
+    /// for output writes, `None` (the central server) for uploads.
+    fn writer_of(&self, owner: WriteOwner) -> Option<NodeId> {
+        match owner {
+            WriteOwner::Upload => None,
+            WriteOwner::ReduceOutput { attempt } => Some(self.attempt_node(attempt)),
+        }
+    }
+
+    /// Register a reduce-output write's flow under its attempt, so a kill
+    /// cancels it.
+    fn track_write_flow(&mut self, owner: WriteOwner, fid: FlowId) {
         if let WriteOwner::ReduceOutput { attempt } = owner {
-            // Track the write's flows under the attempt for cancellation.
-            // (The write may already be gone if the unusable-head branch
-            // above retried/failed it synchronously.)
-            if let Some(st) = self.writes.get(&id) {
-                let ids = st.flow_ids.clone();
-                self.attempt_flows.entry(attempt).or_default().extend(ids);
-            }
+            self.attempt_flows.entry(attempt).or_default().push(fid);
         }
     }
 
@@ -940,32 +930,26 @@ impl Cluster {
     /// Targets that died (or zombified) since allocation are skipped —
     /// the replication monitor repairs the deficit later.
     fn start_fan(&mut self, sched: &mut Scheduler<'_, Event>, write: u64) {
-        let (head, rest, size, owner) = {
-            let st = &self.writes[&write];
-            (st.written[0], st.targets[1..].to_vec(), st.size, st.owner)
-        };
-        let rest: Vec<NodeId> = rest.into_iter().filter(|&t| self.node_usable(t)).collect();
+        let st = &self.writes[&write];
+        let (head, size, owner) = (st.written[0], st.size, st.owner);
+        let rest: Vec<NodeId> = st.targets[1..]
+            .iter()
+            .copied()
+            .filter(|&t| self.node_usable(t))
+            .collect();
         if rest.is_empty() {
             self.finish_write(sched, write);
             return;
         }
-        let mut new_flows = Vec::new();
+        self.writes
+            .get_mut(&write)
+            .expect("fanning write is live")
+            .outstanding = rest.len();
         for t in rest {
             let fid = self.net.start_flow(sched.now(), head, t, size, 0);
             self.flows
                 .insert(fid, FlowCtx::PipeFan { write, target: t });
-            new_flows.push(fid);
-        }
-        {
-            let st = self.writes.get_mut(&write).unwrap();
-            st.outstanding = new_flows.len();
-            st.flow_ids.extend(new_flows.iter().copied());
-        }
-        if let WriteOwner::ReduceOutput { attempt } = owner {
-            self.attempt_flows
-                .entry(attempt)
-                .or_default()
-                .extend(new_flows);
+            self.track_write_flow(owner, fid);
         }
         self.arm_net(sched);
     }
@@ -999,7 +983,7 @@ impl Cluster {
             WriteOwner::ReduceOutput { attempt } => {
                 self.masters.nn.complete_file(st.file);
                 let notes = self.masters.jt.reduce_done(sched.now(), attempt);
-                self.reduce_out.remove(&attempt);
+                self.forget_attempt(attempt);
                 self.handle_notes(sched, notes);
             }
         }
@@ -1008,87 +992,50 @@ impl Cluster {
     /// A pipeline write lost its head transfer: retry with fresh targets
     /// or abandon.
     fn retry_or_fail_write(&mut self, sched: &mut Scheduler<'_, Event>, write: u64) {
-        let Some(st) = self.writes.get(&write) else {
+        let Some(mut st) = self.writes.remove(&write) else {
             return;
         };
-        let (owner, file, size, retries, old_block) =
-            (st.owner, st.file, st.size, st.retries, st.block);
-        let mut excluded = st.excluded.clone();
         // Whatever head this write last targeted has now failed it.
         if let Some(&head) = st.targets.first() {
-            excluded.insert(head);
+            st.excluded.insert(head);
         }
-        self.writes.remove(&write);
         // The failed allocation leaves the namespace entirely.
-        self.masters.nn.abandon_block(old_block);
-        let writer = match owner {
-            WriteOwner::Upload => None,
-            WriteOwner::ReduceOutput { attempt } => Some(self.attempt_node(attempt)),
-        };
+        self.masters.nn.abandon_block(st.block);
+        let writer = self.writer_of(st.owner);
         // A reduce whose own node died cannot retry its output write; the
         // JobTracker's tracker timeout reschedules the whole attempt.
         let writer_gone = writer.is_some_and(|w| !self.node_reachable(w));
-        if retries < 3 && !writer_gone {
-            if let Some((block, targets)) = self
-                .masters
-                .nn
-                .allocate_block_excluding(file, size, writer, &excluded, &self.topo)
-            {
-                let id = self.next_write_id;
-                self.next_write_id += 1;
-                self.writes.insert(
-                    id,
-                    WriteState {
-                        block,
-                        file,
-                        targets: targets.clone(),
-                        written: Vec::new(),
-                        outstanding: 0,
-                        owner,
-                        retries: retries + 1,
-                        size,
-                        flow_ids: Vec::new(),
-                        excluded,
-                    },
+        if st.retries < 3 && !writer_gone {
+            if let Some(alloc) = self.masters.nn.allocate_block_excluding(
+                st.file,
+                st.size,
+                writer,
+                &st.excluded,
+                &self.topo,
+            ) {
+                let retries = st.retries + 1;
+                self.start_write(
+                    sched,
+                    st.owner,
+                    st.file,
+                    st.size,
+                    alloc,
+                    retries,
+                    st.excluded,
                 );
-                let head = targets[0];
-                if writer == Some(head) {
-                    let st = self.writes.get_mut(&id).unwrap();
-                    st.written.push(head);
-                    self.start_fan(sched, id);
-                } else if !self.node_usable(head) {
-                    self.writes.get_mut(&id).unwrap().excluded.insert(head);
-                    self.retry_or_fail_write(sched, id);
-                } else {
-                    let src = writer.unwrap_or(self.master);
-                    let fid = self.net.start_flow(sched.now(), src, head, size, 0);
-                    self.flows.insert(fid, FlowCtx::PipeHead { write: id });
-                    self.writes.get_mut(&id).unwrap().flow_ids.push(fid);
-                    self.arm_net(sched);
-                }
                 return;
             }
         }
         self.counters.write_failures += 1;
-        if std::env::var("HOG_DEBUG_WRITES").is_ok() {
-            eprintln!(
-                "write failed: owner={owner:?} retries={retries} block={old_block:?} size={size}"
-            );
-        }
-        match owner {
+        match st.owner {
             WriteOwner::Upload => {
                 self.upload_in_flight -= 1;
                 self.counters.upload_alloc_failures += 1;
-                self.staging_block_done(file);
+                self.staging_block_done(st.file);
                 sched.now_event(Event::PumpUpload);
             }
             WriteOwner::ReduceOutput { attempt } => {
-                let notes =
-                    self.masters
-                        .jt
-                        .attempt_failed(sched.now(), attempt, FailReason::DiskFull);
-                self.reduce_out.remove(&attempt);
-                self.handle_notes(sched, notes);
+                self.fail_attempt(sched, attempt, FailReason::DiskFull);
             }
         }
     }
@@ -1121,22 +1068,8 @@ impl Cluster {
         }
         match ctx {
             FlowCtx::MapInput { attempt } => {
-                if !self.masters.jt.attempt_active(attempt) {
-                    return;
-                }
-                let Some(meta) = self.map_meta.get(&attempt).copied() else {
-                    return;
-                };
-                if !self.node_reachable(meta.node) {
-                    return; // node died; JT timeout will requeue
-                }
                 if ok {
-                    let (cpu, _) = self.slow(meta.node);
-                    let strag = self.straggler_factor();
-                    sched.after(
-                        SimDuration::from_secs_f64(meta.cpu_secs * cpu * strag),
-                        Event::MapComputeDone { attempt },
-                    );
+                    self.start_map_compute(sched, attempt);
                 } else {
                     // Source died: pick another replica and retry.
                     self.start_map_read(sched, attempt);
@@ -1179,12 +1112,6 @@ impl Cluster {
                     self.writes.get_mut(&write).unwrap().written.push(head);
                     self.start_fan(sched, write);
                 } else {
-                    if std::env::var("HOG_DEBUG_WRITES").is_ok() {
-                        eprintln!(
-                            "pipe head end: ok={ok} usable={} head={head:?}",
-                            self.node_usable(head)
-                        );
-                    }
                     // Transfer failed, or the head zombified mid-write
                     // (bytes landed in a deleted working directory).
                     self.retry_or_fail_write(sched, write);
@@ -1221,21 +1148,13 @@ impl Cluster {
         // hit `target_nodes` exactly; `formation_grace` admits that slack.
         let grace = (self.target_nodes as f64 * self.cfg.formation_grace) as usize;
         if self.phase == RunPhase::Forming && self.daemons_up.len() >= self.target_nodes - grace {
-            self.phase = RunPhase::Uploading;
-            self.tracer.emit(|| {
-                TraceEvent::new(Layer::Core, "phase")
-                    .with("to", "uploading")
-                    .with("pool", self.daemons_up.len())
-            });
+            self.set_phase(RunPhase::Uploading);
             self.begin_upload_queue();
             sched.now_event(Event::PumpUpload);
         }
     }
 
     fn on_node_lost(&mut self, node: NodeId, reason: LossReason, sched: &mut Scheduler<'_, Event>) {
-        if let Some(ad) = &mut self.adaptive {
-            ad.note_loss(sched.now());
-        }
         let zombie_roll = self.cfg.zombie.enabled
             && reason == LossReason::Preempted
             && self.rng.chance(self.cfg.zombie.probability);
@@ -1247,28 +1166,74 @@ impl Cluster {
                 .emit(|| TraceEvent::new(Layer::Core, "zombie_spawn").with("node", node.0));
             self.masters.nn.mark_storage_failed(node);
         } else {
-            self.shutdown_daemons(node, sched);
+            self.shutdown_daemons(node, false, sched);
         }
     }
 
-    /// Daemons on `node` are gone: kill flows, stop heartbeats, let the
-    /// masters time the node out.
-    fn shutdown_daemons(&mut self, node: NodeId, sched: &mut Scheduler<'_, Event>) {
+    /// Daemons on `node` are gone: kill its flows and stop its
+    /// heartbeats. After a crash the masters time the node out. A
+    /// `decommission` (a node the elastic controller released) is
+    /// voluntary: the JobTracker is told at once instead of waiting out
+    /// its death detector, and completed map outputs on the node are not
+    /// proactively re-run — the victim filter only hands over trackers
+    /// whose outputs no unfinished reduce still needs.
+    fn shutdown_daemons(
+        &mut self,
+        node: NodeId,
+        decommission: bool,
+        sched: &mut Scheduler<'_, Event>,
+    ) {
         self.daemons_up.remove(&node);
         self.zombies.remove(&node);
         self.partitioned.remove(&node);
         self.straggle.remove(&node);
         self.slots_of.remove(&node);
-        // Mark the masters' views FIRST: killed-flow handlers below may
-        // retry writes, and the namenode must not hand the dead node out
-        // as a fresh pipeline target.
         self.masters.nn.mark_silent(sched.now(), node);
-        self.masters.jt.tracker_silent(sched.now(), node);
-        let killed = self.net.remove_node(sched.now(), node);
-        for end in killed {
+        let notes = if decommission {
+            self.masters.jt.decommission_tracker(sched.now(), node)
+        } else {
+            self.masters.jt.tracker_silent(sched.now(), node);
+            Vec::new()
+        };
+        self.drain_node(sched, node);
+        self.arm_net(sched);
+        self.handle_notes(sched, notes);
+    }
+
+    /// Kill every flow touching `node` and run their failure handlers.
+    /// Callers mark the node silent at the masters first: the handlers
+    /// may retry writes, and the namenode must not hand the departing
+    /// node out as a fresh pipeline target. Callers re-arm the network
+    /// tick.
+    fn drain_node(&mut self, sched: &mut Scheduler<'_, Event>, node: NodeId) {
+        for end in self.net.remove_node(sched.now(), node) {
             self.on_flow_end(sched, end);
         }
-        self.arm_net(sched);
+    }
+
+    /// Queue a grid output's deferred events and wire its node notes into
+    /// the masters. With `decommission_removed`, nodes the elastic
+    /// controller picked (`LossReason::Removed`) retire gracefully
+    /// instead of crashing.
+    fn apply_grid_output(
+        &mut self,
+        sched: &mut Scheduler<'_, Event>,
+        out: GridOutput,
+        decommission_removed: bool,
+    ) {
+        for (d, e) in out.defer {
+            sched.after(d, Event::Grid(e));
+        }
+        for note in out.notes {
+            match note {
+                GridNote::NodeStarted { node } => self.on_node_started(node, sched),
+                GridNote::NodeLost {
+                    node,
+                    reason: LossReason::Removed,
+                } if decommission_removed => self.shutdown_daemons(node, true, sched),
+                GridNote::NodeLost { node, reason } => self.on_node_lost(node, reason, sched),
+            }
+        }
     }
 
     // ==================================================================
@@ -1279,11 +1244,36 @@ impl Cluster {
         self.masters.jt.job(att.task.job).task(att.task).attempts[att.attempt as usize].node
     }
 
+    /// The node `attempt` runs on, while the JobTracker still counts it
+    /// running and the node is reachable. Anything else makes an event
+    /// for the attempt stale: it was killed or failed, or its node died
+    /// and the JobTracker timeout requeues the task.
+    fn live_attempt_node(&self, attempt: AttemptRef) -> Option<NodeId> {
+        if !self.masters.jt.attempt_active(attempt) {
+            return None;
+        }
+        let node = self.attempt_node(attempt);
+        self.node_reachable(node).then_some(node)
+    }
+
+    /// A live map attempt's cached execution parameters (see
+    /// [`Cluster::live_attempt_node`]).
+    fn live_map(&self, attempt: AttemptRef) -> Option<MapMeta> {
+        self.live_attempt_node(attempt)?;
+        self.map_meta.get(&attempt).copied()
+    }
+
+    /// Whether the masters are serving: not crashed, and not inside a
+    /// chaos `MasterStall`.
+    fn master_serving(&self, now: SimTime) -> bool {
+        !self.masters.is_down() && self.master_stalled_until.is_none_or(|until| now >= until)
+    }
+
     /// One tasktracker heartbeat: deliver it to the JobTracker (unless
-    /// the worker is partitioned or the master is stalled/down) and
+    /// the worker is partitioned or the masters are not `serving`) and
     /// launch whatever was assigned, then re-arm the timer. The
     /// assignment buffer is reused across every heartbeat of the run.
-    fn on_heartbeat(&mut self, sched: &mut Scheduler<'_, Event>, node: NodeId) {
+    fn deliver_heartbeat(&mut self, sched: &mut Scheduler<'_, Event>, node: NodeId, serving: bool) {
         if !self.daemons_up.contains(&node) {
             return; // daemon gone: heartbeats stop
         }
@@ -1291,16 +1281,12 @@ impl Cluster {
         // alive, but its heartbeats never reach the JobTracker; a
         // stalled or crashed master receives nothing. Either way
         // the masters' timeout machinery sees silence.
-        let stalled = self
-            .master_stalled_until
-            .is_some_and(|until| sched.now() < until);
-        if !self.partitioned.contains(&node) && !stalled && !self.masters.is_down() {
+        if serving && !self.partitioned.contains(&node) {
             let mut assignments = std::mem::take(&mut self.assign_buf);
             self.masters
                 .jt
                 .heartbeat_into(sched.now(), node, &self.topo, &mut assignments);
             self.start_assignments(sched, node, &assignments);
-            assignments.clear();
             self.assign_buf = assignments;
         }
         sched.after(self.cfg.mr.heartbeat_interval, Event::Heartbeat { node });
@@ -1364,12 +1350,9 @@ impl Cluster {
     /// Resolve the input source for a map attempt and start the read
     /// (local disk or a network flow).
     fn start_map_read(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
-        let Some(meta) = self.map_meta.get(&attempt).copied() else {
+        let Some(meta) = self.live_map(attempt) else {
             return;
         };
-        if !self.node_reachable(meta.node) {
-            return; // node died; the JobTracker timeout requeues the task
-        }
         let rtt = self.net.latency(self.master, meta.node) * 2;
         loop {
             match self
@@ -1415,24 +1398,26 @@ impl Cluster {
         }
     }
 
-    fn on_map_compute_done(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
-        if !self.masters.jt.attempt_active(attempt) {
-            return;
-        }
-        let Some(meta) = self.map_meta.get(&attempt).copied() else {
+    /// A map's input is in memory: schedule its compute phase.
+    fn start_map_compute(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
+        let Some(meta) = self.live_map(attempt) else {
             return;
         };
-        if !self.node_reachable(meta.node) {
+        let (cpu, _) = self.slow(meta.node);
+        let strag = self.straggler_factor();
+        sched.after(
+            SimDuration::from_secs_f64(meta.cpu_secs * cpu * strag),
+            Event::MapComputeDone { attempt },
+        );
+    }
+
+    fn on_map_compute_done(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
+        let Some(meta) = self.live_map(attempt) else {
             return;
-        }
+        };
         if !self.masters.jt.reserve_map_scratch(attempt, meta.node) {
             // Out of local disk: the §IV-D.2 failure mode.
-            let notes = self
-                .masters
-                .jt
-                .attempt_failed(sched.now(), attempt, FailReason::DiskFull);
-            self.map_meta.remove(&attempt);
-            self.handle_notes(sched, notes);
+            self.fail_attempt(sched, attempt, FailReason::DiskFull);
             return;
         }
         let (_, disk) = self.slow(meta.node);
@@ -1444,15 +1429,11 @@ impl Cluster {
     }
 
     fn on_map_spill_done(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
-        if !self.masters.jt.attempt_active(attempt) {
-            return;
-        }
-        let node = self.attempt_node(attempt);
-        if !self.node_reachable(node) {
+        if self.live_attempt_node(attempt).is_none() {
             return;
         }
         let out = self.masters.jt.map_done(sched.now(), attempt, &self.topo);
-        self.map_meta.remove(&attempt);
+        self.forget_attempt(attempt);
         self.handle_notes(sched, out.notes);
         for r in out.wake_reduces {
             self.drive_reduce(sched, r);
@@ -1465,13 +1446,9 @@ impl Cluster {
     }
 
     fn drive_reduce(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
-        if !self.masters.jt.attempt_active(attempt) {
+        let Some(node) = self.live_attempt_node(attempt) else {
             return;
-        }
-        let node = self.attempt_node(attempt);
-        if !self.node_reachable(node) {
-            return;
-        }
+        };
         match self.masters.jt.reduce_next(attempt) {
             ReduceStep::Fetch(orders) => {
                 for (id, order) in orders {
@@ -1515,13 +1492,9 @@ impl Cluster {
     }
 
     fn on_reduce_sort_done(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
-        if !self.masters.jt.attempt_active(attempt) {
+        let Some(node) = self.live_attempt_node(attempt) else {
             return;
-        }
-        let node = self.attempt_node(attempt);
-        if !self.node_reachable(node) {
-            return;
-        }
+        };
         let Some(&(bytes, repl)) = self.reduce_out.get(&attempt) else {
             return;
         };
@@ -1535,24 +1508,11 @@ impl Cluster {
             .nn
             .allocate_block(file, bytes, Some(node), &self.topo)
         {
-            Some((block, targets)) => {
-                self.start_write(
-                    sched,
-                    WriteOwner::ReduceOutput { attempt },
-                    file,
-                    block,
-                    bytes,
-                    targets,
-                    Some(node),
-                );
+            Some(alloc) => {
+                let owner = WriteOwner::ReduceOutput { attempt };
+                self.start_write(sched, owner, file, bytes, alloc, 0, BTreeSet::new());
             }
-            None => {
-                let notes =
-                    self.masters
-                        .jt
-                        .attempt_failed(sched.now(), attempt, FailReason::DiskFull);
-                self.handle_notes(sched, notes);
-            }
+            None => self.fail_attempt(sched, attempt, FailReason::DiskFull),
         }
     }
 
@@ -1568,21 +1528,37 @@ impl Cluster {
         }
     }
 
-    fn cancel_attempt_work(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
-        if let Some(ids) = self.attempt_flows.remove(&attempt) {
-            for fid in ids {
-                // The flow may belong to a pipeline write; abandon it.
-                if let Some(FlowCtx::PipeHead { write } | FlowCtx::PipeFan { write, .. }) =
-                    self.flows.get(&fid)
-                {
-                    self.writes.remove(write);
-                }
-                self.flows.remove(&fid);
-                self.net.cancel_flow(sched.now(), fid);
-            }
-        }
+    /// The mediator fails a running attempt: report it, drop its state,
+    /// and act on the JobTracker's fallout.
+    fn fail_attempt(
+        &mut self,
+        sched: &mut Scheduler<'_, Event>,
+        attempt: AttemptRef,
+        why: FailReason,
+    ) {
+        let notes = self.masters.jt.attempt_failed(sched.now(), attempt, why);
+        self.forget_attempt(attempt);
+        self.handle_notes(sched, notes);
+    }
+
+    /// Drop the per-attempt state of an attempt that ended (succeeded,
+    /// failed or killed), returning the flows registered under it.
+    fn forget_attempt(&mut self, attempt: AttemptRef) -> Vec<FlowId> {
         self.map_meta.remove(&attempt);
         self.reduce_out.remove(&attempt);
+        self.attempt_flows.remove(&attempt).unwrap_or_default()
+    }
+
+    fn cancel_attempt_work(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
+        for fid in self.forget_attempt(attempt) {
+            // The flow may belong to a pipeline write; abandon it.
+            if let Some(FlowCtx::PipeHead { write } | FlowCtx::PipeFan { write, .. }) =
+                self.flows.remove(&fid)
+            {
+                self.writes.remove(&write);
+            }
+            self.net.cancel_flow(sched.now(), fid);
+        }
         self.arm_net(sched);
     }
 
@@ -1594,26 +1570,28 @@ impl Cluster {
         if self.masters.is_down() {
             return;
         }
-        let Some(&idx) = self.job_of_schedule.get(&job) else {
+        if let Some(&idx) = self.job_of_schedule.get(&job) {
+            self.record_job_result(sched.now(), idx, ok);
+        }
+    }
+
+    /// Record schedule index `idx`'s outcome (the first report wins); the
+    /// last job to finish ends the run.
+    fn record_job_result(&mut self, now: SimTime, idx: usize, ok: bool) {
+        if self.job_results[idx].is_some() {
             return;
-        };
-        if self.job_results[idx].is_none() {
-            self.job_results[idx] = Some((sched.now(), ok));
-            self.finished_jobs += 1;
-            if ok {
-                if let (Some(m), Some(start)) = (&mut self.obs_metrics, self.workload_start) {
-                    m.reg.observe(
-                        m.job_secs,
-                        sched.now().saturating_since(start).as_secs_f64(),
-                    );
-                }
+        }
+        self.job_results[idx] = Some((now, ok));
+        self.finished_jobs += 1;
+        if ok {
+            if let (Some(m), Some(start)) = (&mut self.obs_metrics, self.workload_start) {
+                m.reg
+                    .observe(m.job_secs, now.saturating_since(start).as_secs_f64());
             }
-            if self.finished_jobs == self.schedule.len() {
-                self.workload_end = Some(sched.now());
-                self.phase = RunPhase::Done;
-                self.tracer
-                    .emit(|| TraceEvent::new(Layer::Core, "phase").with("to", "done"));
-            }
+        }
+        if self.finished_jobs == self.schedule.len() {
+            self.workload_end = Some(now);
+            self.set_phase(RunPhase::Done);
         }
     }
 
@@ -1661,28 +1639,36 @@ impl Cluster {
         // A job whose input vanished entirely (zero blocks uploaded) can
         // never run; terminal-fail it immediately.
         if self.schedule[index].maps > 0 && self.masters.jt.job(jid).spec.maps() == 0 {
-            self.job_results[index] = Some((sched.now(), false));
-            self.finished_jobs += 1;
-            if self.finished_jobs == self.schedule.len() {
-                self.workload_end = Some(sched.now());
-                self.phase = RunPhase::Done;
-            }
+            self.record_job_result(sched.now(), index, false);
         }
     }
 
     /// Elastic resize (§IV-C): growing submits more glidein requests;
-    /// shrinking removes queued requests first, then the newest workers.
-    fn on_resize_pool(&mut self, sched: &mut Scheduler<'_, Event>, delta: i64) {
+    /// shrinking removes queued requests first, then running workers —
+    /// the newest, or only nodes from `victims` when the elastic
+    /// controller picked them (those decommission gracefully). With fewer
+    /// eligible victims than asked the shrink under-delivers and the
+    /// controller retries after its cooldown.
+    fn resize_pool(
+        &mut self,
+        sched: &mut Scheduler<'_, Event>,
+        delta: i64,
+        victims: Option<&[NodeId]>,
+    ) {
         let Some(mut grid) = self.grid.take() else {
             return; // fixed clusters don't resize
         };
+        let now = sched.now();
         let out = if delta >= 0 {
             self.target_nodes += delta as usize;
-            grid.submit_workers(sched.now(), delta as usize)
+            grid.submit_workers(now, delta as usize)
         } else {
-            let shrink = (-delta) as usize;
+            let shrink = delta.unsigned_abs() as usize;
             self.target_nodes = self.target_nodes.saturating_sub(shrink);
-            grid.remove_workers(sched.now(), shrink, &mut self.topo)
+            match victims {
+                Some(v) => grid.remove_workers_preferring(now, shrink, &mut self.topo, v),
+                None => grid.remove_workers(now, shrink, &mut self.topo),
+            }
         };
         self.grid = Some(grid);
         self.tracer.emit(|| {
@@ -1690,15 +1676,7 @@ impl Cluster {
                 .with("delta", delta)
                 .with("target", self.target_nodes)
         });
-        for (d, e) in out.defer {
-            sched.after(d, Event::Grid(e));
-        }
-        for note in out.notes {
-            match note {
-                GridNote::NodeStarted { node } => self.on_node_started(node, sched),
-                GridNote::NodeLost { node, reason } => self.on_node_lost(node, reason, sched),
-            }
-        }
+        self.apply_grid_output(sched, out, victims.is_some());
     }
 
     /// One controller step of the elastic feedback loop (tentpole of
@@ -1731,7 +1709,7 @@ impl Cluster {
                         .with("nodes", n)
                         .with("target", self.target_nodes + n)
                 });
-                self.on_resize_pool(sched, n as i64);
+                self.resize_pool(sched, n as i64, None);
             }
             ElasticDecision::Shrink(n) => {
                 let victims = self.shrink_victims(sched.now(), n);
@@ -1741,23 +1719,21 @@ impl Cluster {
                         .with("nodes", n)
                         .with("eligible", victims.len())
                 });
-                self.on_shrink_preferring(sched, n, &victims);
+                self.resize_pool(sched, -(n as i64), Some(&victims));
             }
         }
     }
 
-    /// Rank the running workers the controller may reclaim, most
+    /// Pick up to `n` running workers the controller may release, most
     /// expendable first: highest decayed site failure score (hog-sched)
     /// breaks toward churny sites, newest node id breaks ties. Busy
-    /// trackers and nodes hosting the only live replica of any block are
-    /// excluded outright — reclaiming either converts a voluntary shrink
-    /// into rescheduling churn or data loss.
-    /// Rank release candidates for a shrink of up to `n` nodes: idle
-    /// trackers only, churn-prone sites first. Selection is batch-aware:
-    /// a candidate joins the victim list only if every block it stores
-    /// keeps at least one live replica *outside the list*, so a large
-    /// shrink can never collectively erase a block that each victim
-    /// individually appeared to leave safe.
+    /// trackers are excluded outright — reclaiming one converts a
+    /// voluntary shrink into rescheduling churn. Selection is
+    /// batch-aware: a candidate joins the victim list only if every block
+    /// it stores keeps enough live replicas *outside the list*
+    /// ([`Cluster::replicas_survive_without`]), so a large shrink can
+    /// never collectively erase a block that each victim individually
+    /// appeared to leave safe.
     fn shrink_victims(&self, now: SimTime, n: usize) -> Vec<NodeId> {
         let mut ranked: Vec<(f64, NodeId)> = self
             .daemons_up
@@ -1808,66 +1784,6 @@ impl Cluster {
                 .count()
                 >= floor
         })
-    }
-
-    /// Shrink by `n`, but only ever killing nodes from `victims` (the
-    /// grid still cancels queued/in-flight requests first). When fewer
-    /// eligible victims than `n` exist the shrink under-delivers and the
-    /// controller retries after its cooldown.
-    fn on_shrink_preferring(
-        &mut self,
-        sched: &mut Scheduler<'_, Event>,
-        n: usize,
-        victims: &[NodeId],
-    ) {
-        let Some(mut grid) = self.grid.take() else {
-            return;
-        };
-        self.target_nodes = self.target_nodes.saturating_sub(n);
-        let out = grid.remove_workers_preferring(sched.now(), n, &mut self.topo, victims);
-        self.grid = Some(grid);
-        self.tracer.emit(|| {
-            TraceEvent::new(Layer::Core, "pool_resize")
-                .with("delta", -(n as i64))
-                .with("target", self.target_nodes)
-        });
-        for (d, e) in out.defer {
-            sched.after(d, Event::Grid(e));
-        }
-        for note in out.notes {
-            match note {
-                GridNote::NodeStarted { node } => self.on_node_started(node, sched),
-                // The controller picked these nodes, so they retire
-                // gracefully instead of crashing.
-                GridNote::NodeLost {
-                    node,
-                    reason: LossReason::Removed,
-                } => self.on_node_decommissioned(node, sched),
-                GridNote::NodeLost { node, reason } => self.on_node_lost(node, reason, sched),
-            }
-        }
-    }
-
-    /// A controller-initiated release. Unlike [`Cluster::on_node_lost`]
-    /// this is voluntary: the JobTracker is told immediately (no 30 s
-    /// death detector), the adaptive replication monitor does not count
-    /// it as churn, and completed map outputs on the node are not
-    /// proactively re-run — the victim filter only hands over trackers
-    /// whose outputs no unfinished reduce still needs.
-    fn on_node_decommissioned(&mut self, node: NodeId, sched: &mut Scheduler<'_, Event>) {
-        self.daemons_up.remove(&node);
-        self.zombies.remove(&node);
-        self.partitioned.remove(&node);
-        self.straggle.remove(&node);
-        self.slots_of.remove(&node);
-        self.masters.nn.mark_silent(sched.now(), node);
-        let notes = self.masters.jt.decommission_tracker(sched.now(), node);
-        let killed = self.net.remove_node(sched.now(), node);
-        for end in killed {
-            self.on_flow_end(sched, end);
-        }
-        self.arm_net(sched);
-        self.handle_notes(sched, notes);
     }
 
     /// One balancer iteration: plan moves toward mean utilisation and
@@ -1961,10 +1877,7 @@ impl Cluster {
     }
 
     fn on_master_tick(&mut self, sched: &mut Scheduler<'_, Event>) {
-        let stalled = self
-            .master_stalled_until
-            .is_some_and(|until| sched.now() < until)
-            || self.masters.is_down();
+        let stalled = !self.master_serving(sched.now());
         // Periodic checkpoint: only while the workload runs (the initial
         // checkpoint is taken at upload completion) and only from a
         // healthy master — a stalled master's checkpoint thread is just
@@ -2015,29 +1928,13 @@ impl Cluster {
                 .with("stalled", stalled)
         });
         self.sample_metrics(sched.now());
-        // Adaptive replication (X9): scale durability with instability.
-        if !stalled {
-            if let Some(ad) = &mut self.adaptive {
-                if let Some(factor) = ad.update(sched.now(), self.daemons_up.len().max(1)) {
-                    self.masters.nn.set_default_replication(factor);
-                    let files = self.input_files.clone();
-                    for f in files {
-                        self.masters.nn.set_file_replication(f, factor);
-                    }
-                    self.adaptive_changes.push((sched.now(), factor));
-                }
-            }
-        }
-        // Availability policy (X17): per-block targets tracking site
-        // risk. Running phase only — the forming/upload pool has no
-        // failure history to classify against yet.
+        // Availability policy (X17: per-block targets tracking site risk)
+        // and elastic pool controller: Running phase only. The
+        // forming/upload pool has no failure history to classify against
+        // yet and stays at the configured target, and a stalled master
+        // can't see the backlog it would act on.
         if !stalled && self.phase == RunPhase::Running {
             self.on_availability_tick(sched.now());
-        }
-        // Elastic pool controller: only while the workload is actually
-        // running — forming/upload pools stay at the configured target,
-        // and a stalled master can't see the backlog it would act on.
-        if !stalled && self.phase == RunPhase::Running {
             self.on_elastic_tick(sched);
         }
         self.run_chaos_supervision(sched.now());
@@ -2360,17 +2257,7 @@ impl Cluster {
                 };
                 let out = grid.inject_preemptions(sched.now(), site, count, &mut self.topo);
                 self.grid = Some(grid);
-                for (d, e) in out.defer {
-                    sched.after(d, Event::Grid(e));
-                }
-                for note in out.notes {
-                    match note {
-                        GridNote::NodeStarted { node } => self.on_node_started(node, sched),
-                        GridNote::NodeLost { node, reason } => {
-                            self.on_node_lost(node, reason, sched)
-                        }
-                    }
-                }
+                self.apply_grid_output(sched, out, false);
             }
             Fault::SitePartition { site, .. } => {
                 let Some(site) = self.site_by_name(&site) else {
@@ -2389,10 +2276,7 @@ impl Cluster {
                     // node dies.
                     self.masters.nn.mark_silent(sched.now(), n);
                     self.masters.jt.tracker_silent(sched.now(), n);
-                    let killed = self.net.remove_node(sched.now(), n);
-                    for end in killed {
-                        self.on_flow_end(sched, end);
-                    }
+                    self.drain_node(sched, n);
                 }
                 self.partition_members.insert(index, members);
                 self.arm_net(sched);
@@ -2630,17 +2514,7 @@ impl Model for Cluster {
                 };
                 let out = grid.handle(sched.now(), g, &mut self.topo);
                 self.grid = Some(grid);
-                for (d, e) in out.defer {
-                    sched.after(d, Event::Grid(e));
-                }
-                for note in out.notes {
-                    match note {
-                        GridNote::NodeStarted { node } => self.on_node_started(node, sched),
-                        GridNote::NodeLost { node, reason } => {
-                            self.on_node_lost(node, reason, sched)
-                        }
-                    }
-                }
+                self.apply_grid_output(sched, out, false);
             }
             Event::NetTick => {
                 self.armed_net_ticks.remove(&sched.now());
@@ -2654,7 +2528,10 @@ impl Model for Cluster {
                 self.arm_net(sched);
             }
             Event::MasterTick => self.on_master_tick(sched),
-            Event::Heartbeat { node } => self.on_heartbeat(sched, node),
+            Event::Heartbeat { node } => {
+                let serving = self.master_serving(sched.now());
+                self.deliver_heartbeat(sched, node, serving);
+            }
             Event::DiskCheck { node } => {
                 if !self.daemons_up.contains(&node) {
                     return;
@@ -2665,28 +2542,12 @@ impl Model for Cluster {
                     self.tracer.emit(|| {
                         TraceEvent::new(Layer::Core, "zombie_detected").with("node", node.0)
                     });
-                    self.shutdown_daemons(node, sched);
+                    self.shutdown_daemons(node, false, sched);
                 } else if let Some(d) = self.cfg.hdfs.disk_check_interval {
                     sched.after(d, Event::DiskCheck { node });
                 }
             }
-            Event::MapInputReady { attempt } => {
-                if !self.masters.jt.attempt_active(attempt) {
-                    return;
-                }
-                let Some(meta) = self.map_meta.get(&attempt).copied() else {
-                    return;
-                };
-                if !self.node_reachable(meta.node) {
-                    return;
-                }
-                let (cpu, _) = self.slow(meta.node);
-                let strag = self.straggler_factor();
-                sched.after(
-                    SimDuration::from_secs_f64(meta.cpu_secs * cpu * strag),
-                    Event::MapComputeDone { attempt },
-                );
-            }
+            Event::MapInputReady { attempt } => self.start_map_compute(sched, attempt),
             Event::MapComputeDone { attempt } => self.on_map_compute_done(sched, attempt),
             Event::MapSpillDone { attempt } => self.on_map_spill_done(sched, attempt),
             Event::ReduceSortDone { attempt } => self.on_reduce_sort_done(sched, attempt),
@@ -2711,8 +2572,7 @@ impl Model for Cluster {
                         FailReason::LostBlock
                     }
                 };
-                let notes = self.masters.jt.attempt_failed(sched.now(), attempt, fr);
-                self.handle_notes(sched, notes);
+                self.fail_attempt(sched, attempt, fr);
             }
             Event::SubmitJob { index } => {
                 self.pump_dispatch(sched);
@@ -2726,7 +2586,7 @@ impl Model for Cluster {
                 }
             }
             Event::PumpUpload => self.pump_upload(sched),
-            Event::ResizePool { delta } => self.on_resize_pool(sched, delta),
+            Event::ResizePool { delta } => self.resize_pool(sched, delta, None),
             Event::BalancerTick => self.on_balancer_tick(sched),
             Event::Chaos { index } => {
                 self.pump_dispatch(sched);
@@ -2751,49 +2611,60 @@ impl Model for Cluster {
 
     /// Drain a same-instant run of heartbeats in one dispatch, hoisting
     /// the per-batch constants a single heartbeat would recompute: the
-    /// trace clock and the master-side delivery predicates. A heartbeat
-    /// only mutates JobTracker/worker state — nothing in it stalls,
-    /// crashes or revives the master, so reading those predicates once
-    /// per instant is decision-identical to re-reading them per event.
-    /// Per-node gates (daemon up, partitioned) stay inside the loop.
-    fn handle_batch(
-        &mut self,
-        events: &mut std::collections::VecDeque<Event>,
-        sched: &mut Scheduler<'_, Event>,
-    ) {
+    /// trace clock and whether the masters are serving. A heartbeat only
+    /// mutates JobTracker/worker state — nothing in it stalls, crashes
+    /// or revives the master, so reading that predicate once per instant
+    /// is decision-identical to re-reading it per event. Per-node gates
+    /// (daemon up, partitioned) stay per heartbeat.
+    fn handle_batch(&mut self, events: &mut VecDeque<Event>, sched: &mut Scheduler<'_, Event>) {
         self.tracer.advance(sched.now());
-        let stalled = self
-            .master_stalled_until
-            .is_some_and(|until| sched.now() < until);
-        let master_reachable = !stalled && !self.masters.is_down();
-        let hb = self.cfg.mr.heartbeat_interval;
-        let mut assignments = std::mem::take(&mut self.assign_buf);
+        let serving = self.master_serving(sched.now());
         while !self.finished() {
-            let Some(event) = events.pop_front() else { break };
-            let Event::Heartbeat { node } = event else {
+            match events.pop_front() {
+                Some(Event::Heartbeat { node }) => self.deliver_heartbeat(sched, node, serving),
                 // `batchable` admits only heartbeats; keep the contract
                 // anyway.
-                self.handle(event, sched);
-                continue;
-            };
-            if !self.daemons_up.contains(&node) {
-                continue; // daemon gone: heartbeats stop
+                Some(event) => self.handle(event, sched),
+                None => break,
             }
-            if master_reachable && !self.partitioned.contains(&node) {
-                self.masters
-                    .jt
-                    .heartbeat_into(sched.now(), node, &self.topo, &mut assignments);
-                self.start_assignments(sched, node, &assignments);
-            }
-            sched.after(hb, Event::Heartbeat { node });
         }
-        assignments.clear();
-        self.assign_buf = assignments;
     }
 
     fn finished(&self) -> bool {
         // A chaos failure (invariant violation or livelock) freezes the
         // run immediately so the dump reflects the moment of detection.
         self.phase == RunPhase::Done || self.chaos_failure.is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hog_sim_core::Simulation;
+    use hog_workload::facebook::Bin;
+
+    #[test]
+    fn a_finished_run_keeps_no_per_attempt_state() {
+        let bin = Bin {
+            number: 1,
+            maps_at_facebook: (8, 8),
+            fraction_at_facebook: 1.0,
+            maps: 8,
+            jobs_in_benchmark: 6,
+            reduces: 2,
+        };
+        let schedule = SubmissionSchedule::from_bins(&[bin], 5);
+        let mut cluster = Cluster::new(ClusterConfig::dedicated(1), &schedule);
+        let mut sim = Simulation::new();
+        cluster.bootstrap(&mut sim);
+        sim.run(&mut cluster);
+        assert_eq!(cluster.phase(), RunPhase::Done);
+        assert!(cluster.map_meta.is_empty(), "{:?}", cluster.map_meta);
+        assert!(cluster.reduce_out.is_empty(), "{:?}", cluster.reduce_out);
+        assert!(
+            cluster.attempt_flows.is_empty(),
+            "{:?}",
+            cluster.attempt_flows
+        );
     }
 }

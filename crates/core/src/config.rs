@@ -211,10 +211,6 @@ pub struct ClusterConfig {
     pub zombie_fail_delay: SimDuration,
     /// Retry backoff for shuffle fetches aimed at unusable sources.
     pub fetch_retry_delay: SimDuration,
-    /// Adaptive replication (§VI future work, extension X9): when set to
-    /// `(min, max)`, a controller scales the replication factor with the
-    /// observed node-loss rate instead of pinning it at `hdfs.replication`.
-    pub adaptive_replication: Option<(u16, u16)>,
     /// Fault injection / auditing / watchdog (hog-chaos); inert by
     /// default.
     pub chaos: ChaosOptions,
@@ -284,7 +280,6 @@ impl ClusterConfig {
             upload_parallel: 8,
             zombie_fail_delay: SimDuration::from_secs(2),
             fetch_retry_delay: SimDuration::from_secs(15),
-            adaptive_replication: None,
             chaos: ChaosOptions::default(),
             obs: ObsOptions::default(),
             elastic: None,
@@ -324,7 +319,6 @@ impl ClusterConfig {
             upload_parallel: 8,
             zombie_fail_delay: SimDuration::from_secs(2),
             fetch_retry_delay: SimDuration::from_secs(15),
-            adaptive_replication: None,
             chaos: ChaosOptions::default(),
             obs: ObsOptions::default(),
             elastic: None,
@@ -430,13 +424,6 @@ impl ClusterConfig {
     /// failure-aware placement.
     pub fn with_scheduler(mut self, policy: SchedPolicy) -> Self {
         self.mr = self.mr.with_scheduler(policy);
-        self
-    }
-
-    /// Enable adaptive replication between `min` and `max` (extension X9,
-    /// paper §VI).
-    pub fn with_adaptive_replication(mut self, min: u16, max: u16) -> Self {
-        self.adaptive_replication = Some((min, max));
         self
     }
 
@@ -602,9 +589,7 @@ mod tests {
         assert!(plain.straggler.is_none(), "stragglers must default off");
         match &plain.resource {
             ResourceConfig::Grid { sites, .. } => {
-                assert!(sites
-                    .iter()
-                    .all(|s| s.churn == ChurnModel::Exponential));
+                assert!(sites.iter().all(|s| s.churn == ChurnModel::Exponential));
             }
             _ => panic!("HOG runs on the grid"),
         }
@@ -624,9 +609,7 @@ mod tests {
         let back = armed.with_churn_model(ChurnModel::Exponential);
         match &back.resource {
             ResourceConfig::Grid { sites, .. } => {
-                assert!(sites
-                    .iter()
-                    .all(|s| s.churn == ChurnModel::Exponential));
+                assert!(sites.iter().all(|s| s.churn == ChurnModel::Exponential));
             }
             _ => unreachable!(),
         }

@@ -107,7 +107,10 @@ pub fn figure4(sizes: &[usize], runs_per_point: usize, threads: usize) -> Fig4 {
             }
             idx += 1;
         }
-        hog.push(Fig4Point { nodes: n, responses });
+        hog.push(Fig4Point {
+            nodes: n,
+            responses,
+        });
     }
     let cluster: Vec<f64> = results[idx..]
         .iter()
@@ -171,10 +174,7 @@ pub fn figure5(threads: usize) -> Vec<Fig5Run> {
         .into_iter()
         .map(|r| Fig5Run {
             label: r.name.clone(),
-            response: r
-                .response_time
-                .map(|d| d.as_secs_f64())
-                .unwrap_or(f64::NAN),
+            response: r.response_time.map(|d| d.as_secs_f64()).unwrap_or(f64::NAN),
             area: r.area_reported,
             result: r,
         })

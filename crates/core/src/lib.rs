@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod baselines;
 pub mod cluster;
 pub mod config;
@@ -48,4 +47,4 @@ pub use driver::{run_workload, JobOutcome, RunResult};
 pub use hog_chaos as chaos;
 pub use hog_mapreduce::SchedPolicy;
 pub use hog_obs as obs;
-pub use master::{FailoverStats, MasterCheckpoint, MasterStack, MasterStatus, SingleMasterStack};
+pub use master::{FailoverStats, MasterCheckpoint, MasterStatus, SingleMasterStack};

@@ -1,12 +1,9 @@
 //! The master stack: Namenode + JobTracker behind an explicit lifecycle.
 //!
-//! Historically the mediator owned the two master state machines as bare
-//! fields. This module puts them behind [`MasterStack`] — a trait with an
-//! explicit *checkpoint / crash / promote* lifecycle — so the mediator
-//! talks to "the masters" as one unit. [`SingleMasterStack`] is the only
-//! implementation today (one active master, one cold standby restored
-//! from the latest checkpoint); the trait is the stepping stone to
-//! federated namespaces and hot-standby pairs.
+//! [`SingleMasterStack`] owns the two master state machines: one active
+//! master, one cold standby restored from the latest checkpoint. The
+//! mediator drives the live masters through its public `nn`/`jt` fields
+//! and the *checkpoint / crash / promote* lifecycle through its methods.
 //!
 //! # Checkpointing
 //!
@@ -112,8 +109,8 @@ impl MasterCheckpoint {
     }
 }
 
-/// What [`MasterStack::promote`] hands back: the crashed masters' final
-/// state ("ghosts"), used by the mediator as physical ground truth
+/// What [`SingleMasterStack::promote`] hands back: the crashed masters'
+/// final state ("ghosts"), used by the mediator as physical ground truth
 /// during reconciliation, plus when the restored state was captured.
 pub struct PromotedMasters {
     /// The crashed namenode's final state.
@@ -124,48 +121,12 @@ pub struct PromotedMasters {
     pub checkpoint_at: SimTime,
 }
 
-/// The Namenode + JobTracker stack with an explicit lifecycle. See the
-/// module docs for the protocol.
-pub trait MasterStack {
-    /// The armed failover configuration, if any.
-    fn failover(&self) -> Option<FailoverConfig>;
-
-    /// Current lifecycle state.
-    fn status(&self) -> MasterStatus;
-
-    /// Whether the stack is down (crashed, awaiting promotion).
-    fn is_down(&self) -> bool {
-        matches!(self.status(), MasterStatus::Down { .. })
-    }
-
-    /// Whether a periodic checkpoint is due at `now`.
-    fn checkpoint_due(&self, now: SimTime) -> bool;
-
-    /// Take a checkpoint at `now` (deep-clone both masters).
-    fn take_checkpoint(&mut self, now: SimTime);
-
-    /// The active master host dies. Returns `true` if the stack actually
-    /// went down (a promotion must be scheduled); `false` if the fault
-    /// was absorbed — no failover configured (recorded and ignored, the
-    /// paper's single-master deployment), mirror mode (the synchronous
-    /// standby takes over with zero downtime), or already down.
-    fn crash(&mut self, now: SimTime) -> bool;
-
-    /// The standby's detection timeout fired: swap the checkpoint in as
-    /// the live masters. Returns the crashed masters' final state for
-    /// reconciliation, or `None` if the stack was not down (stale
-    /// promotion event — ignore).
-    fn promote(&mut self, now: SimTime) -> Option<PromotedMasters>;
-
-    /// Failover accounting so far.
-    fn stats(&self) -> &FailoverStats;
-}
-
-/// One active master, one standby restored from the latest periodic
-/// checkpoint. The only [`MasterStack`] today.
+/// The Namenode + JobTracker stack: one active master, one standby
+/// restored from the latest periodic checkpoint. See the module docs for
+/// the protocol.
 pub struct SingleMasterStack {
     /// The live namenode. Public: the mediator drives it directly on
-    /// every event, exactly as it drove the bare field before.
+    /// every event.
     pub nn: Namenode,
     /// The live jobtracker.
     pub jt: JobTracker,
@@ -194,18 +155,24 @@ impl SingleMasterStack {
     pub fn checkpoint(&self) -> Option<&MasterCheckpoint> {
         self.checkpoint.as_ref()
     }
-}
 
-impl MasterStack for SingleMasterStack {
-    fn failover(&self) -> Option<FailoverConfig> {
+    /// The armed failover configuration, if any.
+    pub fn failover(&self) -> Option<FailoverConfig> {
         self.cfg
     }
 
-    fn status(&self) -> MasterStatus {
+    /// Current lifecycle state.
+    pub fn status(&self) -> MasterStatus {
         self.status
     }
 
-    fn checkpoint_due(&self, now: SimTime) -> bool {
+    /// Whether the stack is down (crashed, awaiting promotion).
+    pub fn is_down(&self) -> bool {
+        matches!(self.status, MasterStatus::Down { .. })
+    }
+
+    /// Whether a periodic checkpoint is due at `now`.
+    pub fn checkpoint_due(&self, now: SimTime) -> bool {
         let Some(cfg) = self.cfg else { return false };
         if cfg.is_mirror() || self.is_down() {
             return false;
@@ -216,7 +183,8 @@ impl MasterStack for SingleMasterStack {
         }
     }
 
-    fn take_checkpoint(&mut self, now: SimTime) {
+    /// Take a checkpoint at `now` (deep-clone both masters).
+    pub fn take_checkpoint(&mut self, now: SimTime) {
         self.checkpoint = Some(MasterCheckpoint {
             taken_at: now,
             nn: self.nn.clone(),
@@ -225,7 +193,12 @@ impl MasterStack for SingleMasterStack {
         self.stats.checkpoints.push(now);
     }
 
-    fn crash(&mut self, now: SimTime) -> bool {
+    /// The active master host dies. Returns `true` if the stack actually
+    /// went down (a promotion must be scheduled); `false` if the fault
+    /// was absorbed — no failover configured (recorded and ignored, the
+    /// paper's single-master deployment), mirror mode (the synchronous
+    /// standby takes over with zero downtime), or already down.
+    pub fn crash(&mut self, now: SimTime) -> bool {
         let Some(cfg) = self.cfg else {
             // Single-master deployment: nothing to promote. The fault is
             // recorded by the mediator's trace; state is untouched (the
@@ -247,7 +220,11 @@ impl MasterStack for SingleMasterStack {
         true
     }
 
-    fn promote(&mut self, now: SimTime) -> Option<PromotedMasters> {
+    /// The standby's detection timeout fired: swap the checkpoint in as
+    /// the live masters. Returns the crashed masters' final state for
+    /// reconciliation, or `None` if the stack was not down (stale
+    /// promotion event — ignore).
+    pub fn promote(&mut self, now: SimTime) -> Option<PromotedMasters> {
         let MasterStatus::Down { since } = self.status else {
             return None;
         };
@@ -279,7 +256,8 @@ impl MasterStack for SingleMasterStack {
         })
     }
 
-    fn stats(&self) -> &FailoverStats {
+    /// Failover accounting so far.
+    pub fn stats(&self) -> &FailoverStats {
         &self.stats
     }
 }

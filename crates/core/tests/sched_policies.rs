@@ -48,7 +48,11 @@ fn outcome(policy: SchedPolicy) -> (Option<u64>, u64, usize, [u64; 6]) {
 
 #[test]
 fn every_policy_is_deterministic() {
-    for policy in [SchedPolicy::Fifo, SchedPolicy::Fair, SchedPolicy::FailureAware] {
+    for policy in [
+        SchedPolicy::Fifo,
+        SchedPolicy::Fair,
+        SchedPolicy::FailureAware,
+    ] {
         let a = outcome(policy);
         let b = outcome(policy);
         assert_eq!(a, b, "same-seed runs diverged under {policy:?}");

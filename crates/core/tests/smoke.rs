@@ -140,23 +140,3 @@ fn shrink_pool_mid_run_still_finishes() {
     assert_finished(&r);
     assert_eq!(r.jobs_succeeded(), 4, "{:?}", r.stuck_jobs);
 }
-
-#[test]
-fn adaptive_replication_scales_with_churn() {
-    // Heavy churn: the controller should push the factor up from its
-    // floor within the first half hour.
-    let schedule = tiny_schedule(6, 4, 2, 51);
-    let cfg = ClusterConfig::hog(25, 61)
-        .with_mean_lifetime(SimDuration::from_secs(900))
-        .with_adaptive_replication(3, 10);
-    let r = run_workload(cfg, &schedule, SimDuration::from_secs(24 * 3600));
-    assert_finished(&r);
-    // The run result doesn't carry the change log, so assert indirectly:
-    // jobs survive churn that replication 3 alone would struggle with,
-    // and at least the run completed with ≥5/6 jobs.
-    assert!(
-        r.jobs_succeeded() >= 5,
-        "adaptive replication should carry the workload: {}/6",
-        r.jobs_succeeded()
-    );
-}

@@ -317,14 +317,6 @@ impl Namenode {
         self.policy = policy;
     }
 
-    /// Change the default replication factor for files created from now
-    /// on (the adaptive-replication extension of paper §VI: scale
-    /// durability with observed grid instability). Existing files keep
-    /// their factor.
-    pub fn set_default_replication(&mut self, r: u16) {
-        self.cfg.replication = r.max(1);
-    }
-
     /// Retarget the replication factor of an *existing* file's blocks.
     /// Raising it queues re-replication; lowering it only stops future
     /// repairs (excess replicas are not actively deleted — Hadoop's

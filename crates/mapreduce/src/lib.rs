@@ -14,7 +14,8 @@
 //! * **Speculative execution** — a task running ≥ 1/3 slower than the
 //!   job's average gets a second attempt; at most two copies ever run
 //!   (paper §IV-B; making this configurable for K > 2 is the paper's
-//!   future work, implemented in `hog-core::multicopy`).
+//!   future work, implemented by [`MrParams::with_task_copies`] and
+//!   measured by hog-core's `experiments::ablation_multicopy`).
 //! * **Shuffle** — each reduce fetches every map's partition; fetches are
 //!   batched by source site and moved over the network model, which is
 //!   where HOG's WAN penalty bites (§IV-D.2).

@@ -7,7 +7,7 @@
 //! identity, and a property test that `restore(checkpoint(state))` is
 //! bit-identical for randomized master states.
 
-use hog_repro::core::{FailoverConfig, MasterStack, SingleMasterStack};
+use hog_repro::core::{FailoverConfig, SingleMasterStack};
 use hog_repro::hdfs::{HdfsConfig, Namenode, SiteAwarePolicy};
 use hog_repro::mapreduce::{JobSubmission, JobTracker, MrParams};
 use hog_repro::net::Topology;

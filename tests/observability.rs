@@ -69,6 +69,36 @@ fn tracing_does_not_perturb_the_run() {
 }
 
 #[test]
+fn every_run_traces_each_phase_transition_once() {
+    // No block fits on a datanode: every upload fails, so every job
+    // fails at submission and the run ends from the submission path.
+    let mut all_fail = ClusterConfig::dedicated(1);
+    all_fail.hdfs.datanode_capacity = 1;
+    let runs = [
+        ("hog", ClusterConfig::hog(40, 11), 4),
+        ("dedicated", ClusterConfig::dedicated(1), 4),
+        ("all-fail", all_fail, 0),
+    ];
+    for (label, cfg, succeeded) in runs {
+        let r = run_workload(cfg.with_tracing(TraceMode::Full), &schedule(3), HORIZON);
+        assert_eq!(r.jobs_succeeded(), succeeded, "{label}");
+        let phases: Vec<String> = r
+            .trace
+            .expect("full tracing keeps the log")
+            .events
+            .iter()
+            .filter(|e| e.layer == Layer::Core && e.kind == "phase")
+            .map(|e| {
+                e.field("to")
+                    .expect("phase events name their target")
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(phases, ["uploading", "running", "done"], "{label}");
+    }
+}
+
+#[test]
 fn traces_are_deterministic_and_cover_every_layer() {
     let run = |_: ()| {
         run_workload(
