@@ -22,21 +22,20 @@ use hog_chaos::{Auditor, ChaosFailure, Fault, ProgressSig, Watchdog};
 use hog_grid::{
     ElasticController, ElasticDecision, GridModel, GridNote, GridOutput, LossReason, PoolSnapshot,
 };
-use hog_hdfs::datanode::DnLiveness;
 use hog_hdfs::{
     AvailabilitySnapshot, BlockId, FileId, Namenode, RackAwarePolicy, RackObliviousPolicy,
     ReplOrder, SiteAwarePolicy, SiteRisk,
 };
 use hog_mapreduce::jobtracker::FailReason;
 use hog_mapreduce::{Assignment, AttemptRef, JobId, JobSubmission, JobTracker, JtNote, ReduceStep};
-use hog_net::{FlowEnd, FlowId, FlowOutcome, FluidNet, Network, NodeId, Topology};
+use hog_net::{FlowEnd, FlowId, FlowOutcome, FluidNet, NodeId, Topology};
 use hog_obs::{
     render_tail, HistogramId, Layer, MetricId, MetricsRegistry, TraceEvent, TraceLog, Tracer,
 };
 use hog_sim_core::engine::{Model, Scheduler};
 use hog_sim_core::metrics::StepSeries;
 use hog_sim_core::units::transfer_secs;
-use hog_sim_core::{SimDuration, SimRng, SimTime, Violation};
+use hog_sim_core::{Liveness, SimDuration, SimRng, SimTime, Violation};
 use hog_workload::{JobSpec, SubmissionSchedule};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -305,7 +304,7 @@ pub struct Cluster {
     /// it is skipped. Distinct instants must all stay armed — a stale
     /// earlier tick is a real progress point.
     armed_net_ticks: BTreeSet<SimTime>,
-    /// Reusable buffer for `Network::advance_into` (NetTick hot path).
+    /// Reusable buffer for `FluidNet::advance_into` (NetTick hot path).
     flow_end_buf: Vec<FlowEnd>,
     /// Reusable buffer for `JobTracker::heartbeat_into` (Heartbeat hot
     /// path): one allocation serves every heartbeat of the run.
@@ -1438,11 +1437,6 @@ impl Cluster {
         for r in out.wake_reduces {
             self.drive_reduce(sched, r);
         }
-        let notes = self
-            .masters
-            .jt
-            .try_complete_maponly(sched.now(), attempt.task.job);
-        self.handle_notes(sched, notes);
     }
 
     fn drive_reduce(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
@@ -2159,7 +2153,7 @@ impl Cluster {
             .nn
             .datanodes()
             .filter(|&(n, d)| {
-                d.liveness == DnLiveness::Live
+                d.liveness == Liveness::Live
                     && (!self.daemons_up.contains(&n) || self.partitioned.contains(&n))
             })
             .map(|(n, _)| n)
@@ -2357,7 +2351,7 @@ impl Cluster {
                         .masters
                         .nn
                         .datanode(n)
-                        .is_none_or(|d| d.liveness == DnLiveness::Dead);
+                        .is_none_or(|d| d.liveness == Liveness::Dead);
                     if dn_dead {
                         // The namenode wrote the node off (and dropped its
                         // block accounting); it reports back in empty, as
@@ -2437,7 +2431,7 @@ impl Cluster {
     fn cross_layer_violations(&self) -> Vec<Violation> {
         let mut v = Vec::new();
         for (n, dn) in self.masters.nn.datanodes() {
-            if dn.liveness == DnLiveness::Live && !self.node_reachable(n) {
+            if dn.liveness == Liveness::Live && !self.node_reachable(n) {
                 v.push(Violation::new(
                     "cluster",
                     format!("namenode believes {n:?} is Live but it is unreachable"),

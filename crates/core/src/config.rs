@@ -577,10 +577,8 @@ mod tests {
     fn availability_policy_defaults_off_and_builder_arms_it() {
         let plain = ClusterConfig::hog(100, 1);
         assert!(plain.hdfs.availability.is_none());
-        assert!(!plain.hdfs.repl_fairness);
         let armed = plain.with_availability_policy(hog_hdfs::AvailabilityPolicy::trua_default());
         assert!(armed.hdfs.availability.is_some());
-        assert!(armed.hdfs.repl_fairness, "policy arms fair dispatch too");
     }
 
     #[test]

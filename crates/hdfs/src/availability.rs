@@ -274,11 +274,26 @@ mod tests {
         let p = policy();
         let snap = AvailabilitySnapshot {
             sites: vec![
-                SiteRisk { penalty: 0.0, lifetime_secs: 3600.0 }, // stable
-                SiteRisk { penalty: 3.0, lifetime_secs: 3600.0 }, // risky (penalty)
-                SiteRisk { penalty: 0.0, lifetime_secs: 900.0 },  // risky (lifetime)
-                SiteRisk { penalty: 1.0, lifetime_secs: 3600.0 }, // neutral (mid penalty)
-                SiteRisk { penalty: 0.0, lifetime_secs: 1500.0 }, // neutral (mid lifetime)
+                SiteRisk {
+                    penalty: 0.0,
+                    lifetime_secs: 3600.0,
+                }, // stable
+                SiteRisk {
+                    penalty: 3.0,
+                    lifetime_secs: 3600.0,
+                }, // risky (penalty)
+                SiteRisk {
+                    penalty: 0.0,
+                    lifetime_secs: 900.0,
+                }, // risky (lifetime)
+                SiteRisk {
+                    penalty: 1.0,
+                    lifetime_secs: 3600.0,
+                }, // neutral (mid penalty)
+                SiteRisk {
+                    penalty: 0.0,
+                    lifetime_secs: 1500.0,
+                }, // neutral (mid lifetime)
             ],
         };
         assert_eq!(snap.classify(SiteId(0), &p), SiteBand::Stable);

@@ -88,7 +88,9 @@ pub fn plan(nn: &Namenode, topo: &Topology, threshold: f64, max_moves: usize) ->
                 break; // source is balanced now
             }
             let meta = nn.block(b);
-            let excess = meta.excess().saturating_sub(trimmed.get(&b).copied().unwrap_or(0));
+            let excess = meta
+                .excess()
+                .saturating_sub(trimmed.get(&b).copied().unwrap_or(0));
             if excess == 0 {
                 continue;
             }

@@ -14,8 +14,6 @@ pub struct HdfsConfig {
     pub block_size: u64,
     /// Default replication factor for new files.
     pub replication: u16,
-    /// Datanode heartbeat period.
-    pub heartbeat_interval: SimDuration,
     /// Silence after which the namenode declares a datanode dead. The
     /// paper: "If the worker nodes do not report every 30 seconds, then the
     /// node is marked dead for both the namenode and jobtracker", versus
@@ -37,14 +35,13 @@ pub struct HdfsConfig {
     pub disk_check_interval: Option<SimDuration>,
     /// Trua-style per-block replication targets. `None` (the default)
     /// keeps the flat factor and is bit-identical to the pre-policy
-    /// namenode.
+    /// namenode. Armed, it also makes the replication monitor's
+    /// dispatch fair: the order rotates across ticks so a standing
+    /// stream of critical (1-replica) blocks cannot starve higher
+    /// buckets when the per-tick order budget runs out (adaptive
+    /// targets widen the bucket spread, which makes that starvation
+    /// much more likely).
     pub availability: Option<AvailabilityPolicy>,
-    /// Rotate the replication monitor's dispatch order across ticks so
-    /// a standing stream of critical (1-replica) blocks cannot starve
-    /// higher buckets when the per-tick order budget runs out. Off by
-    /// default to preserve the legacy lowest-bucket-first order
-    /// bit-for-bit; armed automatically with the availability policy.
-    pub repl_fairness: bool,
 }
 
 impl HdfsConfig {
@@ -54,7 +51,6 @@ impl HdfsConfig {
         HdfsConfig {
             block_size: 64 * MIB,
             replication: 10,
-            heartbeat_interval: SimDuration::from_secs(3),
             dead_node_timeout: SimDuration::from_secs(30),
             replication_monitor_interval: SimDuration::from_secs(3),
             max_repl_streams_per_node: 2,
@@ -62,7 +58,6 @@ impl HdfsConfig {
             datanode_capacity: 40 * GIB,
             disk_check_interval: Some(SimDuration::from_secs(180)),
             availability: None,
-            repl_fairness: false,
         }
     }
 
@@ -72,7 +67,6 @@ impl HdfsConfig {
         HdfsConfig {
             block_size: 64 * MIB,
             replication: 3,
-            heartbeat_interval: SimDuration::from_secs(3),
             dead_node_timeout: SimDuration::from_secs(630),
             replication_monitor_interval: SimDuration::from_secs(3),
             max_repl_streams_per_node: 2,
@@ -80,7 +74,6 @@ impl HdfsConfig {
             datanode_capacity: 400 * GIB,
             disk_check_interval: None,
             availability: None,
-            repl_fairness: false,
         }
     }
 
@@ -102,19 +95,10 @@ impl HdfsConfig {
         self
     }
 
-    /// Arm the Trua-style per-block availability policy. Also turns on
-    /// fair replication dispatch: adaptive targets widen the bucket
-    /// spread, which makes budget-induced starvation of high buckets
-    /// much more likely.
+    /// Arm the Trua-style per-block availability policy (and with it
+    /// fair replication dispatch).
     pub fn with_availability(mut self, p: AvailabilityPolicy) -> Self {
         self.availability = Some(p);
-        self.repl_fairness = true;
-        self
-    }
-
-    /// Arm fair (rotating) replication dispatch on its own.
-    pub fn with_repl_fairness(mut self) -> Self {
-        self.repl_fairness = true;
         self
     }
 }
@@ -148,13 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn availability_defaults_off_and_builder_arms_fairness() {
+    fn availability_defaults_off_and_builder_arms_it() {
         assert!(HdfsConfig::hog().availability.is_none());
-        assert!(!HdfsConfig::hog().repl_fairness);
         assert!(HdfsConfig::stock().availability.is_none());
         let c = HdfsConfig::hog().with_availability(AvailabilityPolicy::trua_default());
-        assert!(c.availability.is_some());
-        assert!(c.repl_fairness);
-        assert!(HdfsConfig::hog().with_repl_fairness().repl_fairness);
+        assert_eq!(c.availability, Some(AvailabilityPolicy::trua_default()));
     }
 }

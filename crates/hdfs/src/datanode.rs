@@ -1,21 +1,8 @@
 //! Datanode-side state as tracked by the namenode and the mediator.
 
 use crate::types::BlockId;
-use hog_sim_core::SimTime;
+use hog_sim_core::{Liveness, SimTime};
 use std::collections::BTreeSet;
-
-/// Liveness classification of a datanode from the namenode's viewpoint.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DnLiveness {
-    /// Heartbeating normally.
-    Live,
-    /// Stopped heartbeating but not yet past the dead-node timeout — the
-    /// window in which Figure 5's "reported nodes" momentarily exceeds the
-    /// real pool.
-    Silent,
-    /// Declared dead; blocks are being re-replicated.
-    Dead,
-}
 
 /// Per-datanode record.
 #[derive(Clone, Debug)]
@@ -28,8 +15,9 @@ pub struct DatanodeInfo {
     pub blocks: BTreeSet<BlockId>,
     /// Instant of the last heartbeat the namenode saw.
     pub last_heartbeat: SimTime,
-    /// Current liveness classification.
-    pub liveness: DnLiveness,
+    /// Liveness as the namenode sees it (changed only through the
+    /// namenode's [`hog_sim_core::LivenessIndex`]).
+    pub liveness: Liveness,
     /// The zombie failure mode (§IV-D.1): the site preempted the glidein
     /// but the double-forked daemon survived; its working directory is
     /// gone, so the daemon keeps heartbeating while every disk operation
@@ -47,7 +35,7 @@ impl DatanodeInfo {
             used: 0,
             blocks: BTreeSet::new(),
             last_heartbeat: now,
-            liveness: DnLiveness::Live,
+            liveness: Liveness::Live,
             storage_failed: false,
             repl_streams: 0,
         }
@@ -62,7 +50,7 @@ impl DatanodeInfo {
     /// claims it can (its heartbeats look healthy) — the namenode finds out
     /// when the write fails.
     pub fn can_accept(&self, bytes: u64) -> bool {
-        self.liveness == DnLiveness::Live && self.free() >= bytes
+        self.liveness == Liveness::Live && self.free() >= bytes
     }
 
     /// Account a stored block.
@@ -109,7 +97,7 @@ mod tests {
     #[test]
     fn dead_nodes_accept_nothing() {
         let mut dn = DatanodeInfo::new(100, SimTime::ZERO);
-        dn.liveness = DnLiveness::Dead;
+        dn.liveness = Liveness::Dead;
         assert!(!dn.can_accept(1));
     }
 }

@@ -4,9 +4,11 @@
 //! depends on:
 //!
 //! * a **Namenode** ([`namenode::Namenode`]) holding the namespace, the
-//!   block→replica map, datanode liveness (heartbeat timeout — HOG lowers
-//!   it from ~10 minutes to 30 s), and the replication monitor that
-//!   re-replicates under-replicated blocks after node loss;
+//!   block→replica map, datanode liveness (heartbeat timeout — HOG
+//!   lowers it from ~10 minutes to 30 s — through the failure detector
+//!   the JobTracker also uses, [`hog_sim_core::LivenessIndex`]), and the
+//!   replication monitor that re-replicates under-replicated blocks
+//!   after node loss;
 //! * **datanode** accounting ([`datanode::DatanodeInfo`]): disk capacity,
 //!   hosted blocks, and the *zombie* failure mode from §IV-D.1 (daemon
 //!   alive and heartbeating, but its working directory was deleted by the

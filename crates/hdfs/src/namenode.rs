@@ -19,13 +19,13 @@
 
 use crate::availability::{AvailabilitySnapshot, SiteBand};
 use crate::config::HdfsConfig;
-use crate::datanode::{DatanodeInfo, DnLiveness};
+use crate::datanode::DatanodeInfo;
 use crate::placement::{Candidate, PlacementPolicy};
 use crate::types::{BlockId, BlockMeta, FileId, FileMeta};
 use hog_net::{NodeId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sim_core::metrics::Counter;
-use hog_sim_core::{SimRng, SimTime};
+use hog_sim_core::{Liveness, LivenessIndex, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A replication transfer the namenode wants executed.
@@ -214,12 +214,9 @@ pub struct Namenode {
     files: Vec<FileMeta>,
     blocks: Vec<BlockMeta>,
     datanodes: BTreeMap<NodeId, DatanodeInfo>,
-    /// Exactly the datanodes whose liveness is `Silent`, so the per-tick
-    /// death check walks suspects instead of the whole datanode map.
-    /// Ascending, like a full scan of `datanodes` (audited).
-    silent: BTreeSet<NodeId>,
-    /// Datanodes whose liveness is `Dead`, for O(1) `reported_live`.
-    dead_datanodes: usize,
+    /// The failure detector's suspect set and dead count over
+    /// `datanodes` (audited).
+    live: LivenessIndex<NodeId>,
     /// Generation counter for `datanodes`: any mutation of a datanode
     /// record (liveness, usage, registration) bumps it, invalidating
     /// `cand_cache`.
@@ -234,7 +231,7 @@ pub struct Namenode {
     /// flat runs never lower a target, so this stays empty and the trim
     /// pass is a no-op.
     over_repl: BTreeSet<BlockId>,
-    /// Fair-dispatch resume cursor (`cfg.repl_fairness`): the queue
+    /// Fair-dispatch resume cursor (availability policy armed): the queue
     /// position of the first entry the previous budget-exhausted tick
     /// did not serve. `None` after any tick that finished its pass.
     fair_resume: Option<(u32, BlockId)>,
@@ -275,8 +272,7 @@ impl Namenode {
             files: Vec::new(),
             blocks: Vec::new(),
             datanodes: BTreeMap::new(),
-            silent: BTreeSet::new(),
-            dead_datanodes: 0,
+            live: LivenessIndex::default(),
             dn_epoch: 1,
             cand_cache: CandCache::default(),
             needs_repl: ReplQueue::default(),
@@ -360,13 +356,8 @@ impl Namenode {
         let old = self
             .datanodes
             .insert(node, DatanodeInfo::new(self.cfg.datanode_capacity, now));
-        match old.map(|d| d.liveness) {
-            Some(DnLiveness::Dead) => self.dead_datanodes -= 1,
-            Some(DnLiveness::Silent) => {
-                self.silent.remove(&node);
-            }
-            _ => {}
-        }
+        self.live
+            .transition(node, old.map(|d| d.liveness), Liveness::Live);
     }
 
     /// The worker vanished cleanly: heartbeats stop now; death is declared
@@ -374,10 +365,11 @@ impl Namenode {
     pub fn mark_silent(&mut self, now: SimTime, node: NodeId) {
         self.dn_changed();
         if let Some(dn) = self.datanodes.get_mut(&node) {
-            if dn.liveness == DnLiveness::Live {
-                dn.liveness = DnLiveness::Silent;
+            if dn.liveness == Liveness::Live {
+                self.live
+                    .transition(node, Some(dn.liveness), Liveness::Silent);
+                dn.liveness = Liveness::Silent;
                 dn.last_heartbeat = now;
-                self.silent.insert(node);
                 self.tracer
                     .emit(|| TraceEvent::new(Layer::Hdfs, "dn_silent").with("node", node.0));
             }
@@ -406,20 +398,10 @@ impl Namenode {
     /// replication work.
     pub fn tick(&mut self, now: SimTime, topo: &Topology) -> NamenodeTickOutput {
         let mut out = NamenodeTickOutput::default();
-        // 1. Death detection. Walk only the Silent suspects
-        // (`self.silent` mirrors the liveness field exactly); ascending
-        // like the full-map scan this replaces, so the declaration order
-        // is unchanged.
-        let overdue: Vec<NodeId> = self
-            .silent
-            .iter()
-            .copied()
-            .filter(|n| {
-                self.datanodes.get(n).is_some_and(|dn| {
-                    now.saturating_since(dn.last_heartbeat) >= self.cfg.dead_node_timeout
-                })
-            })
-            .collect();
+        // 1. Death detection: the overdue suspects, ascending.
+        let overdue = self.live.overdue(now, self.cfg.dead_node_timeout, |n| {
+            self.datanodes.get(&n).map(|dn| dn.last_heartbeat)
+        });
         for node in overdue {
             self.declare_dead(node);
             self.tracer
@@ -450,45 +432,53 @@ impl Namenode {
         let Some(dn) = self.datanodes.get_mut(&node) else {
             return;
         };
-        if dn.liveness != DnLiveness::Dead {
-            self.dead_datanodes += 1;
-        }
-        self.silent.remove(&node);
-        dn.liveness = DnLiveness::Dead;
+        self.live
+            .transition(node, Some(dn.liveness), Liveness::Dead);
+        dn.liveness = Liveness::Dead;
         let hosted: Vec<BlockId> = dn.blocks.iter().copied().collect();
         dn.blocks.clear();
         dn.used = 0;
         for b in hosted {
-            let meta = &mut self.blocks[b.0 as usize];
-            meta.replicas.remove(&node);
-            if meta.is_missing() {
-                self.blocks_lost.incr();
-            }
-            if meta.deficit() > 0 {
-                let count = meta.replicas.len();
-                self.needs_repl.insert(b, count);
-            }
+            self.blocks[b.0 as usize].replicas.remove(&node);
+            self.count_loss_and_requeue(b);
+        }
+    }
+
+    /// The lost-block step after a block's replica set changed: count
+    /// the block lost if no replica is left, then requeue it if short.
+    fn count_loss_and_requeue(&mut self, block: BlockId) {
+        if self.blocks[block.0 as usize].is_missing() {
+            self.blocks_lost.incr();
+        }
+        self.requeue_if_short(block);
+    }
+
+    /// Queue `block` for repair under its live replica count if it is
+    /// below target.
+    fn requeue_if_short(&mut self, block: BlockId) {
+        let meta = &self.blocks[block.0 as usize];
+        if meta.deficit() > 0 {
+            self.needs_repl.insert(block, meta.replicas.len());
         }
     }
 
     /// Number of datanodes the namenode currently believes alive (`Live`
     /// or `Silent`-within-timeout) — the "reported nodes" curve of Fig. 5.
-    /// O(1): `dead_datanodes` is maintained at every liveness transition.
+    /// O(1), like [`Namenode::live_count`].
     pub fn reported_live(&self) -> usize {
-        self.datanodes.len() - self.dead_datanodes
+        self.live.reported_live(self.datanodes.len())
     }
 
     /// Number of datanodes heartbeating right now.
-    /// O(1): everything neither dead nor on the silent suspect list.
     pub fn live_count(&self) -> usize {
-        self.datanodes.len() - self.dead_datanodes - self.silent.len()
+        self.live.live_count(self.datanodes.len())
     }
 
     /// Whether the namenode currently believes `node` usable.
     pub fn is_live(&self, node: NodeId) -> bool {
         self.datanodes
             .get(&node)
-            .is_some_and(|d| d.liveness == DnLiveness::Live)
+            .is_some_and(|d| d.liveness == Liveness::Live)
     }
 
     /// Inspect a datanode record.
@@ -568,20 +558,12 @@ impl Namenode {
         // with `self.policy`/`self.rng` below; an excluded-nodes retry is
         // rare, so it recomputes and leaves the cache invalidated.
         let mut cache = std::mem::take(&mut self.cand_cache);
-        let usable =
-            exclude.is_empty() && cache.epoch == self.dn_epoch && cache.size == size;
+        let usable = exclude.is_empty() && cache.epoch == self.dn_epoch && cache.size == size;
         if !usable {
             cache.cands.clear();
-            cache.cands.extend(
-                self.datanodes
-                    .iter()
-                    .filter(|(n, dn)| dn.can_accept(size) && !exclude.contains(n))
-                    .map(|(&n, dn)| Candidate {
-                        node: n,
-                        site: topo.site_of(n),
-                        free: dn.free(),
-                    }),
-            );
+            cache
+                .cands
+                .extend(self.candidates(size, exclude, None, topo));
             if exclude.is_empty() {
                 cache.epoch = self.dn_epoch;
                 cache.size = size;
@@ -617,7 +599,7 @@ impl Namenode {
         let size = self.blocks[block.0 as usize].size;
         for &n in written {
             if let Some(dn) = self.datanodes.get_mut(&n) {
-                if dn.liveness != DnLiveness::Dead {
+                if dn.liveness != Liveness::Dead {
                     dn.add_block(block, size);
                     self.blocks[block.0 as usize].replicas.insert(n);
                     self.bytes_written.add(size);
@@ -634,11 +616,7 @@ impl Namenode {
         // relative order.
         if self.cand_cache.epoch == self.dn_epoch {
             for &n in written {
-                let Ok(i) = self
-                    .cand_cache
-                    .cands
-                    .binary_search_by_key(&n, |c| c.node)
-                else {
+                let Ok(i) = self.cand_cache.cands.binary_search_by_key(&n, |c| c.node) else {
                     continue;
                 };
                 match self.datanodes.get(&n) {
@@ -652,19 +630,13 @@ impl Namenode {
             }
         }
         let meta = &self.blocks[block.0 as usize];
-        if meta.is_missing() {
-            self.blocks_lost.incr();
-        }
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "block_commit")
                 .with("block", block.0)
                 .with("replicas", meta.replicas.len())
                 .with("deficit", meta.deficit())
         });
-        if meta.deficit() > 0 {
-            let count = meta.replicas.len();
-            self.needs_repl.insert(block, count);
-        }
+        self.count_loss_and_requeue(block);
     }
 
     /// Mark the file complete (write-once-read-many).
@@ -779,14 +751,7 @@ impl Namenode {
             if let Some(dn) = self.datanodes.get_mut(&node) {
                 dn.remove_block(block, size);
             }
-            let meta = &self.blocks[block.0 as usize];
-            if meta.is_missing() {
-                self.blocks_lost.incr();
-            }
-            if meta.deficit() > 0 {
-                let count = meta.replicas.len();
-                self.needs_repl.insert(block, count);
-            }
+            self.count_loss_and_requeue(block);
         }
     }
 
@@ -794,25 +759,33 @@ impl Namenode {
     // Replication monitor
     // ------------------------------------------------------------------
 
-    /// Eligible targets for `size` more bytes, excluding `exclude`.
-    fn candidates(&self, size: u64, exclude: &BTreeSet<NodeId>, topo: &Topology) -> Vec<Candidate> {
+    /// The datanodes that can take `size` more bytes, outside `exclude`
+    /// and, when `streams_below` is set, with a replication stream to
+    /// spare: placement candidates in ascending node order.
+    fn candidates<'a>(
+        &'a self,
+        size: u64,
+        exclude: &'a BTreeSet<NodeId>,
+        streams_below: Option<u8>,
+        topo: &'a Topology,
+    ) -> impl Iterator<Item = Candidate> + 'a {
+        let spare = move |dn: &DatanodeInfo| streams_below.is_none_or(|m| dn.repl_streams < m);
         self.datanodes
             .iter()
-            .filter(|(n, dn)| dn.can_accept(size) && !exclude.contains(n))
+            .filter(move |(n, dn)| dn.can_accept(size) && !exclude.contains(n) && spare(dn))
             .map(|(&n, dn)| Candidate {
                 node: n,
                 site: topo.site_of(n),
                 free: dn.free(),
             })
-            .collect()
     }
 
     /// Issue replication orders for under-replicated blocks, most-critical
     /// (fewest live replicas) first, bounded by per-node stream limits and
-    /// the per-tick order budget. With `cfg.repl_fairness` the walk
-    /// resumes where a budget-exhausted tick stopped instead of always
-    /// restarting at bucket 0, so a standing trickle of critical blocks
-    /// cannot starve higher buckets forever.
+    /// the per-tick order budget. With the availability policy armed the
+    /// walk is fair: it resumes where a budget-exhausted tick stopped
+    /// instead of always restarting at bucket 0, so a standing trickle of
+    /// critical blocks cannot starve higher buckets forever.
     fn dispatch_replication(&mut self, topo: &Topology) -> Vec<ReplOrder> {
         if self.needs_repl.is_empty() {
             self.fair_resume = None;
@@ -820,12 +793,13 @@ impl Namenode {
         }
         // Priority: fewest replicas first (Hadoop's priority queues).
         // The buckets already hold that order — no per-tick sort.
-        let queue: Vec<BlockId> = if self.cfg.repl_fairness {
+        let avail = self.cfg.availability;
+        let fair = avail.is_some();
+        let queue: Vec<BlockId> = if fair {
             self.needs_repl.iter_rotated(self.fair_resume)
         } else {
             self.needs_repl.iter().collect()
         };
-        let avail = self.cfg.availability;
         let mut orders = Vec::new();
         // First block the order budget refused to serve; next tick's
         // fair walk resumes there.
@@ -851,17 +825,17 @@ impl Namenode {
             // The stream check goes through `get` rather than indexing:
             // a replica map entry whose datanode record vanished (a
             // registration race) must be skipped, not panic the master.
-            let srcs: Vec<NodeId> = meta
-                .replicas
-                .iter()
-                .copied()
-                .filter(|n| {
-                    self.is_live(*n)
-                        && self.datanodes.get(n).is_some_and(|d| {
-                            d.repl_streams < self.cfg.max_repl_streams_per_node
-                        })
-                })
-                .collect();
+            let srcs: Vec<NodeId> =
+                meta.replicas
+                    .iter()
+                    .copied()
+                    .filter(|n| {
+                        self.is_live(*n)
+                            && self.datanodes.get(n).is_some_and(|d| {
+                                d.repl_streams < self.cfg.max_repl_streams_per_node
+                            })
+                    })
+                    .collect();
             if srcs.is_empty() {
                 continue; // nothing usable yet; retry next tick
             }
@@ -887,15 +861,9 @@ impl Namenode {
                 if let Some(p) = self.pending_repl.get(&b) {
                     exclude.extend(p.iter().copied());
                 }
-                let mut cands: Vec<Candidate> = self
-                    .candidates(size, &exclude, topo)
-                    .into_iter()
-                    .filter(|c| {
-                        self.datanodes.get(&c.node).is_some_and(|d| {
-                            d.repl_streams < self.cfg.max_repl_streams_per_node
-                        })
-                    })
-                    .collect();
+                let streams = Some(self.cfg.max_repl_streams_per_node);
+                let mut cands: Vec<Candidate> =
+                    self.candidates(size, &exclude, streams, topo).collect();
                 // Availability-boosted copies (target above the birth
                 // target) exist to *survive*: prefer stable sites for
                 // them, falling back to the full set when none qualify.
@@ -940,7 +908,7 @@ impl Namenode {
                 });
             }
         }
-        self.fair_resume = if self.cfg.repl_fairness {
+        self.fair_resume = if fair {
             // Anchor the cursor at the first unserved block's *current*
             // bucket; if it got dequeued meanwhile the rotation simply
             // starts at the next position in (bucket, block) order.
@@ -986,7 +954,7 @@ impl Namenode {
             }
             let size = self.blocks[block.0 as usize].size;
             if let Some(dn) = self.datanodes.get_mut(&dst) {
-                if dn.liveness != DnLiveness::Dead {
+                if dn.liveness != Liveness::Dead {
                     dn.add_block(block, size);
                     self.blocks[block.0 as usize].replicas.insert(dst);
                     self.bytes_written.add(size);
@@ -1009,11 +977,7 @@ impl Namenode {
         } else {
             self.repl_failed.incr();
             // Stays (or re-enters) the queue if still deficient.
-            let meta = &self.blocks[block.0 as usize];
-            if meta.deficit() > 0 {
-                let count = meta.replicas.len();
-                self.needs_repl.insert(block, count);
-            }
+            self.requeue_if_short(block);
         }
     }
 
@@ -1306,7 +1270,7 @@ impl Namenode {
     pub fn total_used(&self) -> u64 {
         self.datanodes
             .values()
-            .filter(|d| d.liveness != DnLiveness::Dead)
+            .filter(|d| d.liveness != Liveness::Dead)
             .map(|d| d.used)
             .sum()
     }
@@ -1323,10 +1287,11 @@ impl Namenode {
     pub fn mark_live(&mut self, now: SimTime, node: NodeId) {
         self.dn_changed();
         if let Some(dn) = self.datanodes.get_mut(&node) {
-            if dn.liveness == DnLiveness::Silent {
-                dn.liveness = DnLiveness::Live;
+            if dn.liveness == Liveness::Silent {
+                self.live
+                    .transition(node, Some(dn.liveness), Liveness::Live);
+                dn.liveness = Liveness::Live;
                 dn.last_heartbeat = now;
-                self.silent.remove(&node);
                 self.tracer
                     .emit(|| TraceEvent::new(Layer::Hdfs, "dn_revived").with("node", node.0));
             }
@@ -1364,14 +1329,9 @@ impl Namenode {
             .datanodes
             .entry(node)
             .or_insert_with(|| DatanodeInfo::new(cap, now));
-        match dn.liveness {
-            DnLiveness::Dead => self.dead_datanodes -= 1,
-            DnLiveness::Silent => {
-                self.silent.remove(&node);
-            }
-            DnLiveness::Live => {}
-        }
-        dn.liveness = DnLiveness::Live;
+        self.live
+            .transition(node, Some(dn.liveness), Liveness::Live);
+        dn.liveness = Liveness::Live;
         dn.last_heartbeat = now;
         dn.storage_failed = false;
         dn.repl_streams = 0;
@@ -1555,7 +1515,7 @@ impl hog_sim_core::Auditable for Namenode {
                     ),
                 ));
             }
-            if dn.liveness == DnLiveness::Dead && (!dn.blocks.is_empty() || dn.used != 0) {
+            if dn.liveness == Liveness::Dead && (!dn.blocks.is_empty() || dn.used != 0) {
                 out.push(Violation::new(
                     "hdfs",
                     format!(
@@ -1585,7 +1545,7 @@ impl hog_sim_core::Auditable for Namenode {
                         "hdfs",
                         format!("block {i} lists unknown datanode {}", n.0),
                     )),
-                    Some(dn) if dn.liveness == DnLiveness::Dead => out.push(Violation::new(
+                    Some(dn) if dn.liveness == Liveness::Dead => out.push(Violation::new(
                         "hdfs",
                         format!("block {i} lists dead datanode {} as replica", n.0),
                     )),
@@ -1599,38 +1559,9 @@ impl hog_sim_core::Auditable for Namenode {
                 }
             }
         }
-        // The silent suspect set and dead counter must mirror the
-        // per-datanode liveness fields exactly.
-        let silent_recount: BTreeSet<NodeId> = self
-            .datanodes
-            .iter()
-            .filter(|(_, dn)| dn.liveness == DnLiveness::Silent)
-            .map(|(&n, _)| n)
-            .collect();
-        if silent_recount != self.silent {
-            out.push(Violation::new(
-                "hdfs",
-                format!(
-                    "silent-datanode set drifted: cached {}, recounted {}",
-                    self.silent.len(),
-                    silent_recount.len()
-                ),
-            ));
-        }
-        let dead_recount = self
-            .datanodes
-            .values()
-            .filter(|d| d.liveness == DnLiveness::Dead)
-            .count();
-        if dead_recount != self.dead_datanodes {
-            out.push(Violation::new(
-                "hdfs",
-                format!(
-                    "dead-datanode count drifted: cached {}, recounted {dead_recount}",
-                    self.dead_datanodes
-                ),
-            ));
-        }
+        // The failure detector's summaries must mirror the records.
+        let liveness = self.datanodes.iter().map(|(&n, dn)| (n, dn.liveness));
+        out.extend(self.live.audit("hdfs", "datanode", liveness));
         out
     }
 }
@@ -1915,7 +1846,14 @@ mod tests {
             let mut cfg = HdfsConfig::hog().with_replication(3);
             cfg.max_repl_orders_per_tick = 1;
             if fair {
-                cfg = cfg.with_repl_fairness();
+                // Fair dispatch comes with the availability policy; one
+                // pinned to 3 copies keeps every target where it was.
+                cfg = cfg.with_availability(crate::AvailabilityPolicy {
+                    r_min: 3,
+                    initial: 3,
+                    r_max: 3,
+                    ..crate::AvailabilityPolicy::trua_default()
+                });
             }
             let (mut nn, topo, _) = setup(4, cfg);
             let fa = nn.create_file_default("/a");
@@ -1941,7 +1879,11 @@ mod tests {
         );
         let fair = serve(true);
         let unique: BTreeSet<u64> = fair.iter().copied().collect();
-        assert_eq!(unique.len(), 2, "fair dispatch serves both blocks: {fair:?}");
+        assert_eq!(
+            unique.len(),
+            2,
+            "fair dispatch serves both blocks: {fair:?}"
+        );
     }
 
     #[test]
@@ -2024,7 +1966,7 @@ mod tests {
         assert_eq!((raised, lowered), (1, 1));
         assert_eq!(nn.block(hot).expected, 8); // birth 6 + hot boost 2
         assert_eq!(nn.block(cold).expected, 4); // birth 6 - stable drop 2
-        // Every site risky: both blocks buy protection.
+                                                // Every site risky: both blocks buy protection.
         let risky = AvailabilitySnapshot {
             sites: vec![
                 SiteRisk {

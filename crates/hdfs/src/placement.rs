@@ -356,9 +356,15 @@ impl PlacementPolicy for RackObliviousPolicy {
 /// sits on a stable site — durability first, placement preference
 /// second. Relative candidate order is preserved, so downstream policy
 /// choices stay deterministic.
-pub fn stable_first<F: Fn(SiteId) -> bool>(candidates: Vec<Candidate>, is_stable: F) -> Vec<Candidate> {
+pub fn stable_first<F: Fn(SiteId) -> bool>(
+    candidates: Vec<Candidate>,
+    is_stable: F,
+) -> Vec<Candidate> {
     if candidates.iter().any(|c| is_stable(c.site)) {
-        candidates.into_iter().filter(|c| is_stable(c.site)).collect()
+        candidates
+            .into_iter()
+            .filter(|c| is_stable(c.site))
+            .collect()
     } else {
         candidates
     }
@@ -566,7 +572,7 @@ mod tests {
     #[test]
     fn stable_first_filters_and_falls_back() {
         let cands = cluster(12, 4); // sites 0..4, 3 nodes each
-        // Sites 1 and 3 stable: only their nodes survive, order kept.
+                                    // Sites 1 and 3 stable: only their nodes survive, order kept.
         let filtered = stable_first(cands.clone(), |s| s.0 % 2 == 1);
         assert_eq!(filtered.len(), 6);
         assert!(filtered.iter().all(|c| c.site.0 % 2 == 1));

@@ -25,10 +25,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (1u64..64_000_000).prop_map(|size| Op::Write { size }),
         (0usize..64).prop_map(|idx| Op::Kill { idx }),
-        ((0usize..64), (0usize..8)).prop_map(|(block_idx, rep_idx)| Op::BadReplica {
-            block_idx,
-            rep_idx
-        }),
+        ((0usize..64), (0usize..8))
+            .prop_map(|(block_idx, rep_idx)| Op::BadReplica { block_idx, rep_idx }),
         Just(Op::TickAndRepair),
     ]
 }
@@ -52,9 +50,7 @@ fn check_consistency(nn: &Namenode, blocks: &[hog_hdfs::BlockId]) {
         let meta = nn.block(b);
         for &r in &meta.replicas {
             assert!(
-                dn_blocks
-                    .get(&r)
-                    .is_some_and(|v| v.contains(&b)),
+                dn_blocks.get(&r).is_some_and(|v| v.contains(&b)),
                 "replica {r:?} of {b:?} missing from datanode accounting"
             );
         }

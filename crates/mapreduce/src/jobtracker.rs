@@ -12,16 +12,16 @@
 use crate::config::MrParams;
 use crate::job::{
     AttemptPhase, AttemptState, JobId, JobState, JobStatus, JobSubmission, TaskKind, TaskRef,
+    TaskState,
 };
 use crate::shuffle::{FetchOrder, ReducePlan};
-use crate::tracker::{TrackerLiveness, TrackerState};
+use crate::tracker::TrackerState;
 use crate::AttemptRef;
 use hog_hdfs::BlockId;
 use hog_net::{NodeId, RackId, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sched::{Gate, JobSnapshot, Scheduler, SlotKind};
-use hog_sim_core::metrics::Counter;
-use hog_sim_core::{SimDuration, SimRng, SimTime};
+use hog_sim_core::{Liveness, LivenessIndex, SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 pub use hog_sched::Locality;
@@ -250,12 +250,9 @@ pub struct JobTracker {
     /// Incomplete jobs in submission order (the queue policies reorder).
     fifo: Vec<JobId>,
     trackers: BTreeMap<NodeId, TrackerState>,
-    /// Exactly the trackers whose liveness is `Silent`, so the per-tick
-    /// death check walks suspects instead of the whole tracker map.
-    /// Ascending, like a full scan of `trackers` (audited).
-    silent: BTreeSet<NodeId>,
-    /// Trackers whose liveness is `Dead`, for O(1) `reported_live`.
-    dead_trackers: usize,
+    /// The failure detector's suspect set and dead count over
+    /// `trackers` (audited).
+    live: LivenessIndex<NodeId>,
     /// Reduce attempts that returned `StartSort` already.
     sorting: HashSet<AttemptRef>,
     /// Attempts launched as predicted-failure rescues, kept to tell
@@ -270,7 +267,6 @@ pub struct JobTracker {
     sched: Box<dyn Scheduler>,
     rng: SimRng,
     counters: JtCounters,
-    _spec_counter: Counter,
     tracer: Tracer,
     /// Monotonic epoch, bumped on every scheduling-relevant mutation
     /// (job submitted/retired, a task changed pending↔running). Guards
@@ -296,6 +292,41 @@ impl TaskKind {
             TaskKind::Reduce => "reduce",
         }
     }
+
+    /// The policy's slot kind for this task kind.
+    fn slot(self) -> SlotKind {
+        match self {
+            TaskKind::Map => SlotKind::Map,
+            TaskKind::Reduce => SlotKind::Reduce,
+        }
+    }
+}
+
+/// The copy budget rescue and speculation share: `t` is unfinished,
+/// already running somewhere, below `max_copies` running attempts, and
+/// not running on the heartbeating node (`on_node`).
+fn may_copy(t: &TaskState, max_copies: usize, on_node: bool) -> bool {
+    let running = t.running_attempts();
+    !t.done && running >= 1 && running < max_copies && !on_node
+}
+
+/// The non-empty sets of a pending-locality map (removals leave empty
+/// sets behind, which the audit must not count as drift).
+fn nonempty<K: Copy + Eq + std::hash::Hash>(
+    m: &HashMap<K, BTreeSet<u32>>,
+) -> HashMap<K, BTreeSet<u32>> {
+    m.iter()
+        .filter(|(_, s)| !s.is_empty())
+        .map(|(&k, s)| (k, s.clone()))
+        .collect()
+}
+
+/// `items` in ascending order (deterministic ledger lines from hash
+/// maps and sets).
+fn sorted<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut v: Vec<T> = items.collect();
+    v.sort();
+    v
 }
 
 impl FailReason {
@@ -319,8 +350,7 @@ impl JobTracker {
             locality: Vec::new(),
             fifo: Vec::new(),
             trackers: BTreeMap::new(),
-            silent: BTreeSet::new(),
-            dead_trackers: 0,
+            live: LivenessIndex::default(),
             sorting: HashSet::new(),
             rescue_attempts: HashSet::new(),
             rescue_last_scan: [[None; 2]; 2],
@@ -328,7 +358,6 @@ impl JobTracker {
             cfg,
             rng,
             counters: JtCounters::default(),
-            _spec_counter: Counter::new(),
             tracer: Tracer::disabled(),
             sched_epoch: 1,
             order_cache: [OrderCache::default(), OrderCache::default()],
@@ -449,23 +478,19 @@ impl JobTracker {
             node,
             TrackerState::new(map_slots, reduce_slots, self.cfg.scratch_capacity, now),
         );
-        match old.map(|t| t.liveness) {
-            Some(TrackerLiveness::Dead) => self.dead_trackers -= 1,
-            Some(TrackerLiveness::Silent) => {
-                self.silent.remove(&node);
-            }
-            _ => {}
-        }
+        self.live
+            .transition(node, old.map(|t| t.liveness), Liveness::Live);
         self.sched.on_tracker_registered(node, site, now);
     }
 
     /// The tracker stopped heartbeating (worker preempted cleanly).
     pub fn tracker_silent(&mut self, now: SimTime, node: NodeId) {
         if let Some(t) = self.trackers.get_mut(&node) {
-            if t.liveness == TrackerLiveness::Live {
-                t.liveness = TrackerLiveness::Silent;
+            if t.liveness == Liveness::Live {
+                self.live
+                    .transition(node, Some(t.liveness), Liveness::Silent);
+                t.liveness = Liveness::Silent;
                 t.last_heartbeat = now;
-                self.silent.insert(node);
             }
         }
     }
@@ -474,7 +499,7 @@ impl JobTracker {
     pub fn tracker_live(&self, node: NodeId) -> bool {
         self.trackers
             .get(&node)
-            .is_some_and(|t| t.liveness == TrackerLiveness::Live)
+            .is_some_and(|t| t.liveness == Liveness::Live)
     }
 
     /// Whether a tracker currently hosts running attempts *or* map
@@ -505,10 +530,9 @@ impl JobTracker {
         })
     }
 
-    /// Trackers the JobTracker believes alive (Fig. 5 master view).
-    /// O(1): `dead_trackers` is maintained at every liveness transition.
+    /// Trackers the JobTracker believes alive (Fig. 5 master view). O(1).
     pub fn reported_live(&self) -> usize {
-        self.trackers.len() - self.dead_trackers
+        self.live.reported_live(self.trackers.len())
     }
 
     /// Aggregate task backlog over incomplete jobs — the demand half of
@@ -587,28 +611,14 @@ impl JobTracker {
     /// Declare overdue silent trackers dead: reschedule their running
     /// attempts and re-run completed maps whose outputs died with them.
     pub fn check_dead(&mut self, now: SimTime) -> (Vec<NodeId>, Vec<JtNote>) {
-        // Walk only the Silent suspects (`self.silent` mirrors the
-        // liveness field exactly). Ascending like the full-map scan this
-        // replaces, so the declaration order is unchanged.
-        let overdue: Vec<NodeId> = self
-            .silent
-            .iter()
-            .copied()
-            .filter(|n| {
-                self.trackers.get(n).is_some_and(|t| {
-                    now.saturating_since(t.last_heartbeat) >= self.cfg.tracker_dead_timeout
-                })
-            })
-            .collect();
+        let overdue = self.live.overdue(now, self.cfg.tracker_dead_timeout, |n| {
+            self.trackers.get(&n).map(|t| t.last_heartbeat)
+        });
         let mut notes = Vec::new();
-        for node in &overdue {
-            notes.extend(self.declare_tracker_dead(now, *node));
+        for &node in &overdue {
+            notes.extend(self.tracker_gone(now, node, false));
         }
         (overdue, notes)
-    }
-
-    fn declare_tracker_dead(&mut self, now: SimTime, node: NodeId) -> Vec<JtNote> {
-        self.tracker_gone(now, node, false)
     }
 
     /// Gracefully retire a tracker the elastic controller is releasing.
@@ -632,15 +642,12 @@ impl JobTracker {
             let Some(t) = self.trackers.get_mut(&node) else {
                 return notes; // unknown tracker: nothing to declare
             };
-            if t.liveness != TrackerLiveness::Dead {
-                self.dead_trackers += 1;
-            }
-            t.liveness = TrackerLiveness::Dead;
+            self.live.transition(node, Some(t.liveness), Liveness::Dead);
+            t.liveness = Liveness::Dead;
             let running: Vec<AttemptRef> = std::mem::take(&mut t.running).into_iter().collect();
             t.scratch_used = 0;
             running
         };
-        self.silent.remove(&node);
         if !planned {
             self.sched.on_tracker_dead(node, now);
             // Score the predictor against reality: each attempt this
@@ -668,7 +675,7 @@ impl JobTracker {
         });
         // Requeue running attempts (killed, not failed: no blame).
         for att in running {
-            notes.extend(self.abort_attempt(now, att, node, false));
+            notes.extend(self.abort_attempt(now, att, false));
         }
         // Re-run completed maps whose intermediate output is gone, for
         // jobs that still need their shuffle data.
@@ -693,28 +700,34 @@ impl JobTracker {
             {
                 continue;
             }
-            let mut lost: Vec<u32> = Vec::new();
-            for (i, task) in job.maps.iter_mut().enumerate() {
-                if task.done && task.completed_on == Some(node) {
-                    task.done = false;
-                    task.completed_on = None;
-                    lost.push(i as u32);
-                }
-            }
-            if lost.is_empty() {
-                continue;
-            }
-            job.maps_done -= lost.len() as u32;
-            for &m in &lost {
-                for plan in job.reduce_plans.values_mut() {
-                    plan.map_lost(m);
-                }
-            }
-            for &m in &lost {
-                self.pending_map_insert(jid, m);
-            }
+            let lost: Vec<u32> = (0..job.spec.maps())
+                .filter(|&m| {
+                    let t = &job.maps[m as usize];
+                    t.done && t.completed_on == Some(node)
+                })
+                .collect();
+            self.maps_lost(jid, &lost);
         }
         notes
+    }
+
+    /// Completed maps whose output is gone run again: each is undone,
+    /// every running reduce's shuffle plan forgets it, and it requeues.
+    /// Fetch-failure strikes are left alone.
+    fn maps_lost(&mut self, jid: JobId, lost: &[u32]) {
+        let job = &mut self.jobs[jid.0 as usize];
+        for &m in lost {
+            let task = &mut job.maps[m as usize];
+            task.done = false;
+            task.completed_on = None;
+            job.maps_done -= 1;
+            for plan in job.reduce_plans.values_mut() {
+                plan.map_lost(m);
+            }
+        }
+        for &m in lost {
+            self.pending_map_insert(jid, m);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -808,39 +821,28 @@ impl JobTracker {
         // assignment starts exactly one attempt of its kind on this node,
         // so the free counts can be tracked locally instead of recounting
         // the running set per slot.
-        let (mut free_maps, mut free_reduces) = {
+        let free = {
             let Some(t) = self.trackers.get_mut(&node) else {
                 return;
             };
-            if t.liveness == TrackerLiveness::Dead {
+            if t.liveness == Liveness::Dead {
                 return;
             }
             t.last_heartbeat = now;
-            if t.liveness == TrackerLiveness::Silent {
-                // Partition healed before the timeout: off the suspect
-                // list (the branch keeps the hot Live→Live path free of
-                // a set lookup).
-                self.silent.remove(&node);
-            }
-            t.liveness = TrackerLiveness::Live;
-            (t.free_map_slots(), t.free_reduce_slots())
+            // A partition healed before the timeout: off the suspect list.
+            self.live.transition(node, Some(t.liveness), Liveness::Live);
+            t.liveness = Liveness::Live;
+            [
+                (TaskKind::Map, t.free_map_slots()),
+                (TaskKind::Reduce, t.free_reduce_slots()),
+            ]
         };
-        while free_maps > 0 {
-            match self.assign_map(now, node, topo) {
-                Some(a) => {
-                    out.push(a);
-                    free_maps -= 1;
+        for (kind, free) in free {
+            for _ in 0..free {
+                match self.assign(now, node, kind, topo) {
+                    Some(a) => out.push(a),
+                    None => break,
                 }
-                None => break,
-            }
-        }
-        while free_reduces > 0 {
-            match self.assign_reduce(now, node, topo) {
-                Some(a) => {
-                    out.push(a);
-                    free_reduces -= 1;
-                }
-                None => break,
             }
         }
     }
@@ -895,7 +897,8 @@ impl JobTracker {
                 });
             }
             cache.buf.clear();
-            self.sched.job_order(&self.snap_buf, kind, now, &mut cache.buf);
+            self.sched
+                .job_order(&self.snap_buf, kind, now, &mut cache.buf);
             cache.epoch = self.sched_epoch;
         }
         cache
@@ -908,37 +911,55 @@ impl JobTracker {
         self.order_cache[kind as usize] = cache;
     }
 
-    fn assign_map(&mut self, now: SimTime, node: NodeId, topo: &Topology) -> Option<Assignment> {
-        let site = topo.site_of(node);
-        if !self.sched.admit(node, site, SlotKind::Map, now) {
+    /// Fill one free `kind` slot on `node`: an urgent rescue (maps only),
+    /// else pending work in policy order, else a rescue copy off a
+    /// predicted-doomed node, else a speculative copy of a straggler.
+    fn assign(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        kind: TaskKind,
+        topo: &Topology,
+    ) -> Option<Assignment> {
+        if !self.sched.admit(node, topo.site_of(node), kind.slot(), now) {
             return None;
         }
-        // Urgent rescues outrank fresh work: an attempt with substantial
+        // Urgent rescues outrank fresh maps: an attempt with substantial
         // sunk work on a doomed node loses all of it when the node dies,
         // while a pending task merely waits one more heartbeat. Without
         // this tier a backlogged preemption wave — when every heartbeat
         // finds pending work — starves the rescue path exactly when it
-        // matters most.
-        if self.sched.prediction_enabled() {
-            if let Some(a) = self.rescue(now, node, TaskKind::Map, topo, RESCUE_URGENT_SUNK) {
+        // matters most. Reduces get no urgent tier: a reduce copy
+        // re-fetches its whole shuffle over the same (often cross-site)
+        // links the original is using, so buying one at the cost of a
+        // fresh assignment doubles the most expensive traffic in the
+        // system — a measured net loss in BENCH_churn. On an otherwise
+        // idle slot the copy only costs the duplicate fetch, which the
+        // relative placement bar and the site-median gate keep rare
+        // enough to pay.
+        if kind == TaskKind::Map && self.sched.prediction_enabled() {
+            if let Some(a) = self.rescue(now, node, kind, topo, RESCUE_URGENT_SUNK) {
                 return Some(a);
             }
         }
-        let order = self.take_order(SlotKind::Map, now);
-        let picked = self.try_assign_map(now, node, site, topo, &order.buf);
-        self.put_order(SlotKind::Map, order);
+        let order = self.take_order(kind.slot(), now);
+        let picked = match kind {
+            TaskKind::Map => self.try_assign_map(now, node, topo, &order.buf),
+            TaskKind::Reduce => self.try_assign_reduce(now, node, topo, &order.buf),
+        };
+        self.put_order(kind.slot(), order);
         if picked.is_some() {
             return picked;
         }
-        // No pending map anywhere: rescue tasks off predicted-doomed
+        // Nothing pending anywhere: rescue tasks off predicted-doomed
         // nodes first (more urgent than stragglers), then speculate.
         if self.sched.prediction_enabled() {
-            if let Some(a) = self.rescue(now, node, TaskKind::Map, topo, SimDuration::ZERO) {
+            if let Some(a) = self.rescue(now, node, kind, topo, SimDuration::ZERO) {
                 return Some(a);
             }
         }
         if self.cfg.speculative_enabled {
-            return self.speculate(now, node, TaskKind::Map, topo);
+            return self.speculate(now, node, kind, topo);
         }
         None
     }
@@ -947,11 +968,11 @@ impl JobTracker {
         &mut self,
         now: SimTime,
         node: NodeId,
-        site: SiteId,
         topo: &Topology,
         order: &[u32],
     ) -> Option<Assignment> {
         let rack = topo.rack_of(node);
+        let site = topo.site_of(node);
         let rack_aware = self.sched.rack_aware();
         for &jid in order {
             let jid = JobId(jid);
@@ -1010,62 +1031,13 @@ impl JobTracker {
             if self.sched.locality_gate(jid.0, locality, now) == Gate::Defer {
                 continue;
             }
-            match locality {
-                Locality::NodeLocal => self.counters.node_local += 1,
-                Locality::RackLocal => self.counters.rack_local += 1,
-                Locality::SiteLocal => self.counters.site_local += 1,
-                Locality::Remote => self.counters.remote += 1,
-            }
             self.pending_map_remove(jid, m);
-            let spec = &self.jobs[jid.0 as usize].spec;
-            let (block, input_bytes) = spec.input_blocks[m as usize];
-            let cpu_secs = spec.map_cpu_secs;
-            let output_bytes = spec.map_output_bytes;
             let task = TaskRef {
                 job: jid,
                 kind: TaskKind::Map,
                 index: m,
             };
-            let attempt = self.start_attempt(now, task, node);
-            self.sched
-                .on_assigned(jid.0, SlotKind::Map, node, Some(locality), now);
-            return Some(Assignment::Map {
-                attempt,
-                block,
-                input_bytes,
-                cpu_secs,
-                output_bytes,
-                locality,
-            });
-        }
-        None
-    }
-
-    fn assign_reduce(&mut self, now: SimTime, node: NodeId, topo: &Topology) -> Option<Assignment> {
-        let site = topo.site_of(node);
-        if !self.sched.admit(node, site, SlotKind::Reduce, now) {
-            return None;
-        }
-        let order = self.take_order(SlotKind::Reduce, now);
-        let picked = self.try_assign_reduce(now, node, topo, &order.buf);
-        self.put_order(SlotKind::Reduce, order);
-        if picked.is_some() {
-            return picked;
-        }
-        // Reduces get no *urgent* rescue tier: a reduce copy re-fetches
-        // its whole shuffle over the same (often cross-site) links the
-        // original is using, so buying one at the cost of a fresh
-        // assignment doubles the most expensive traffic in the system —
-        // a measured net loss in BENCH_churn. On an otherwise idle slot
-        // the copy only costs the duplicate fetch, which the relative
-        // placement bar and the site-median gate keep rare enough to pay.
-        if self.sched.prediction_enabled() {
-            if let Some(a) = self.rescue(now, node, TaskKind::Reduce, topo, SimDuration::ZERO) {
-                return Some(a);
-            }
-        }
-        if self.cfg.speculative_enabled {
-            return self.speculate(now, node, TaskKind::Reduce, topo);
+            return Some(self.launch(now, task, node, locality, topo));
         }
         None
     }
@@ -1101,13 +1073,50 @@ impl JobTracker {
                 kind: TaskKind::Reduce,
                 index: r,
             };
-            let attempt = self.start_attempt(now, task, node);
-            self.init_reduce_plan(attempt, topo);
-            self.sched
-                .on_assigned(jid.0, SlotKind::Reduce, node, None, now);
-            return Some(Assignment::Reduce { attempt });
+            return Some(self.launch(now, task, node, Locality::Remote, topo));
         }
         None
+    }
+
+    /// Start `task` on `node` and build its assignment: a map counts the
+    /// `locality` it achieved and reads its input block from the spec; a
+    /// reduce gets its shuffle plan (and ignores `locality`). Then the
+    /// policy hears of the assignment. Every assignment path — pending
+    /// work, rescue and speculation — launches through here.
+    fn launch(
+        &mut self,
+        now: SimTime,
+        task: TaskRef,
+        node: NodeId,
+        locality: Locality,
+        topo: &Topology,
+    ) -> Assignment {
+        let attempt = self.start_attempt(now, task, node);
+        let job = task.job.0;
+        if task.kind == TaskKind::Reduce {
+            self.init_reduce_plan(attempt, topo);
+            self.sched
+                .on_assigned(job, SlotKind::Reduce, node, None, now);
+            return Assignment::Reduce { attempt };
+        }
+        match locality {
+            Locality::NodeLocal => self.counters.node_local += 1,
+            Locality::RackLocal => self.counters.rack_local += 1,
+            Locality::SiteLocal => self.counters.site_local += 1,
+            Locality::Remote => self.counters.remote += 1,
+        }
+        self.sched
+            .on_assigned(job, SlotKind::Map, node, Some(locality), now);
+        let spec = &self.jobs[job as usize].spec;
+        let (block, input_bytes) = spec.input_blocks[task.index as usize];
+        Assignment::Map {
+            attempt,
+            block,
+            input_bytes,
+            cpu_secs: spec.map_cpu_secs,
+            output_bytes: spec.map_output_bytes,
+            locality,
+        }
     }
 
     /// Populate a fresh reduce attempt's shuffle plan with every map
@@ -1120,39 +1129,24 @@ impl JobTracker {
     /// master already observed would stretch recovery by hours.
     fn init_reduce_plan(&mut self, att: AttemptRef, topo: &Topology) {
         let jid = att.task.job;
-        let total = self.jobs[jid.0 as usize].spec.maps();
         let part = self.partition_bytes(jid);
-        let mut plan = ReducePlan::new(total);
-        // Collect (map, node) of completed maps first to appease borrows.
-        type MapLoc = Vec<(u32, NodeId)>;
-        let (done, lost): (MapLoc, MapLoc) = self.jobs[jid.0 as usize]
-            .maps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.completed_on.filter(|_| t.done).map(|n| (i as u32, n)))
-            .partition(|&(_, n)| {
-                self.trackers
-                    .get(&n)
-                    .is_none_or(|t| t.liveness != TrackerLiveness::Dead)
-            });
-        for (m, n) in done {
-            plan.map_available(m, n, topo.site_of(n), part);
-        }
-        if !lost.is_empty() {
-            let job = &mut self.jobs[jid.0 as usize];
-            job.maps_done -= lost.len() as u32;
-            for &(m, _) in &lost {
-                let task = &mut job.maps[m as usize];
-                task.done = false;
-                task.completed_on = None;
-                for p in job.reduce_plans.values_mut() {
-                    p.map_lost(m);
-                }
-            }
-            for &(m, _) in &lost {
-                self.pending_map_insert(jid, m);
+        let mut plan = ReducePlan::new(self.jobs[jid.0 as usize].spec.maps());
+        let mut lost: Vec<u32> = Vec::new();
+        for (m, t) in self.jobs[jid.0 as usize].maps.iter().enumerate() {
+            let Some(n) = t.completed_on.filter(|_| t.done) else {
+                continue;
+            };
+            if self
+                .trackers
+                .get(&n)
+                .is_some_and(|t| t.liveness == Liveness::Dead)
+            {
+                lost.push(m as u32);
+            } else {
+                plan.map_available(m as u32, n, topo.site_of(n), part);
             }
         }
+        self.maps_lost(jid, &lost);
         self.jobs[jid.0 as usize].reduce_plans.insert(att, plan);
     }
 
@@ -1178,10 +1172,7 @@ impl JobTracker {
         topo: &Topology,
         min_sunk: SimDuration,
     ) -> Option<Assignment> {
-        let slot_kind = match kind {
-            TaskKind::Map => SlotKind::Map,
-            TaskKind::Reduce => SlotKind::Reduce,
-        };
+        let slot_kind = kind.slot();
         // Negative cache: a fruitless scan suppresses rescans of this
         // urgency tier until the clock moves (coalesced heartbeats share
         // one instant). The tiers cache separately — a fruitless urgent
@@ -1250,17 +1241,13 @@ impl JobTracker {
                 }
             }
             let site = topo.site_of(node);
-            let candidate = doomed.iter().map(|(&i, &n)| (i, n)).find(|&(index, dn)| {
-                let t = &tasks[index as usize];
-                let running = t.running_attempts();
-                !t.done
-                    && running >= 1
-                    && running < max_copies
-                    && !on_node.contains(&index)
-                    && self.sched.allow_rescue(node, site, dn, topo.site_of(dn), now)
+            let candidate = doomed.iter().find(|&(&index, &dn)| {
+                may_copy(&tasks[index as usize], max_copies, on_node.contains(&index))
+                    && self
+                        .sched
+                        .allow_rescue(node, site, dn, topo.site_of(dn), now)
             });
-            let candidate = candidate.map(|(index, _)| index);
-            let Some(index) = candidate else {
+            let Some((&index, _)) = candidate else {
                 continue;
             };
             self.counters.rescue_copies += 1;
@@ -1271,17 +1258,14 @@ impl JobTracker {
                     .with("task", index)
                     .with("node", node.0)
             });
-            let task = TaskRef { job: jid, kind, index };
-            let attempt = self.start_attempt(now, task, node);
-            self.rescue_attempts.insert(attempt);
-            return Some(match kind {
+            // A rescue map reads the same fixed replica set as the
+            // doomed original, so it gets whatever locality the rescuing
+            // node actually has — unlike speculation, which models
+            // Hadoop's blind remote re-execution.
+            let locality = match kind {
                 TaskKind::Map => {
-                    // The rescue copy reads the same fixed replica set as
-                    // the doomed original, so it gets whatever locality the
-                    // rescuing node actually has — unlike speculation,
-                    // which models Hadoop's blind remote re-execution.
                     let replicas = &self.locality[jid.0 as usize].locs[index as usize];
-                    let locality = if replicas.iter().any(|&(n, _, _)| n == node) {
+                    if replicas.iter().any(|&(n, _, _)| n == node) {
                         Locality::NodeLocal
                     } else if self.sched.rack_aware()
                         && replicas.iter().any(|&(_, r, _)| r == topo.rack_of(node))
@@ -1291,34 +1275,18 @@ impl JobTracker {
                         Locality::SiteLocal
                     } else {
                         Locality::Remote
-                    };
-                    match locality {
-                        Locality::NodeLocal => self.counters.node_local += 1,
-                        Locality::RackLocal => self.counters.rack_local += 1,
-                        Locality::SiteLocal => self.counters.site_local += 1,
-                        Locality::Remote => self.counters.remote += 1,
                     }
-                    let spec = &self.jobs[jid.0 as usize].spec;
-                    let (block, input_bytes) = spec.input_blocks[index as usize];
-                    let a = Assignment::Map {
-                        attempt,
-                        block,
-                        input_bytes,
-                        cpu_secs: spec.map_cpu_secs,
-                        output_bytes: spec.map_output_bytes,
-                        locality,
-                    };
-                    self.sched
-                        .on_assigned(jid.0, SlotKind::Map, node, Some(locality), now);
-                    a
                 }
-                TaskKind::Reduce => {
-                    self.init_reduce_plan(attempt, topo);
-                    self.sched
-                        .on_assigned(jid.0, SlotKind::Reduce, node, None, now);
-                    Assignment::Reduce { attempt }
-                }
-            });
+                TaskKind::Reduce => Locality::Remote,
+            };
+            let task = TaskRef {
+                job: jid,
+                kind,
+                index,
+            };
+            let assignment = self.launch(now, task, node, locality, topo);
+            self.rescue_attempts.insert(assignment.attempt());
+            return Some(assignment);
         }
         None
     }
@@ -1362,13 +1330,9 @@ impl JobTracker {
         if !self.sched.allow_speculation(node, topo.site_of(node), now) {
             return None;
         }
-        let slot_kind = match kind {
-            TaskKind::Map => SlotKind::Map,
-            TaskKind::Reduce => SlotKind::Reduce,
-        };
-        let order = self.take_order(slot_kind, now);
+        let order = self.take_order(kind.slot(), now);
         let picked = self.try_speculate(now, node, kind, topo, &order.buf);
-        self.put_order(slot_kind, order);
+        self.put_order(kind.slot(), order);
         picked
     }
 
@@ -1437,17 +1401,12 @@ impl JobTracker {
                     *old_ok.entry(index).or_insert(0) += 1;
                 }
             }
-            let candidate = old_ok.iter().find_map(|(&index, &qualifying)| {
+            let candidate = old_ok.iter().find(|&(&index, &qualifying)| {
                 let t = &tasks[index as usize];
-                let running = t.running_attempts();
-                (!t.done
-                    && running >= 1
-                    && running < max_copies
-                    && !on_node.contains(&index)
-                    && qualifying == running)
-                    .then_some(index as usize)
+                may_copy(t, max_copies, on_node.contains(&index))
+                    && qualifying == t.running_attempts()
             });
-            let Some(index) = candidate else {
+            let Some((&index, _)) = candidate else {
                 self.jobs[jid.0 as usize].spec_last_scan = now;
                 continue;
             };
@@ -1462,33 +1421,11 @@ impl JobTracker {
             let task = TaskRef {
                 job: jid,
                 kind,
-                index: index as u32,
+                index,
             };
-            let attempt = self.start_attempt(now, task, node);
-            return Some(match kind {
-                TaskKind::Map => {
-                    let spec = &self.jobs[jid.0 as usize].spec;
-                    let (block, input_bytes) = spec.input_blocks[index];
-                    self.counters.remote += 1;
-                    let a = Assignment::Map {
-                        attempt,
-                        block,
-                        input_bytes,
-                        cpu_secs: spec.map_cpu_secs,
-                        output_bytes: spec.map_output_bytes,
-                        locality: Locality::Remote,
-                    };
-                    self.sched
-                        .on_assigned(jid.0, SlotKind::Map, node, Some(Locality::Remote), now);
-                    a
-                }
-                TaskKind::Reduce => {
-                    self.init_reduce_plan(attempt, topo);
-                    self.sched
-                        .on_assigned(jid.0, SlotKind::Reduce, node, None, now);
-                    Assignment::Reduce { attempt }
-                }
-            });
+            // A speculative map is always a remote read: its draw
+            // pattern is fingerprint-critical (DESIGN §16.2).
+            return Some(self.launch(now, task, node, Locality::Remote, topo));
         }
         None
     }
@@ -1533,105 +1470,142 @@ impl JobTracker {
             return out;
         }
         let jid = att.task.job;
-        let (node, dur) = {
-            let job = &mut self.jobs[jid.0 as usize];
-            let ts = job.task_mut(att.task);
-            let a = &mut ts.attempts[att.attempt as usize];
-            a.phase = AttemptPhase::Succeeded;
-            let node = a.node;
-            let started = a.started;
-            let dur = now.saturating_since(a.started).as_secs_f64();
-            ts.done = true;
-            ts.completed_on = Some(node);
-            job.note_attempt_stopped(att.task.kind, att.task.index, att.attempt, started);
-            job.maps_done += 1;
-            job.map_duration_stats.0 += dur;
-            job.map_duration_stats.1 += 1;
-            (node, dur)
+        let (node, notes) = self.task_succeeded(now, att);
+        out.notes = notes;
+        // Announce the new output to running reduce attempts.
+        let site = topo.site_of(node);
+        let part = self.partition_bytes(jid);
+        for (ratt, plan) in self.jobs[jid.0 as usize].reduce_plans.iter_mut() {
+            plan.map_available(att.task.index, node, site, part);
+            out.wake_reduces.push(*ratt);
+        }
+        out.wake_reduces.sort();
+        // The last map closes a map-only job; a re-executed map can also
+        // be the last piece of an otherwise-finished job (every reduce
+        // already completed before the original output was lost).
+        out.notes.extend(self.maybe_complete_job(now, jid));
+        out
+    }
+
+    /// The reduce attempt wrote its output to HDFS: the task is complete.
+    pub fn reduce_done(&mut self, now: SimTime, att: AttemptRef) -> Vec<JtNote> {
+        if !self.attempt_active(att) {
+            return Vec::new();
+        }
+        let (_, mut notes) = self.task_succeeded(now, att);
+        notes.extend(self.maybe_complete_job(now, att.task.job));
+        notes
+    }
+
+    /// The winning attempt `att` finished: its task is done. Records the
+    /// duration for speculation, traces `task_done` and kills the
+    /// siblings. Returns where it ran and the kill notes.
+    fn task_succeeded(&mut self, now: SimTime, att: AttemptRef) -> (NodeId, Vec<JtNote>) {
+        let (node, started) = self.stop_attempt(att, AttemptPhase::Succeeded);
+        let dur = now.saturating_since(started).as_secs_f64();
+        let job = &mut self.jobs[att.task.job.0 as usize];
+        let ts = job.task_mut(att.task);
+        ts.done = true;
+        ts.completed_on = Some(node);
+        let (done, stats) = match att.task.kind {
+            TaskKind::Map => (&mut job.maps_done, &mut job.map_duration_stats),
+            TaskKind::Reduce => (&mut job.reduces_done, &mut job.reduce_duration_stats),
         };
-        self.note_running_delta(TaskKind::Map, -1);
+        *done += 1;
+        stats.0 += dur;
+        stats.1 += 1;
         self.tracer.emit(|| {
             TraceEvent::new(Layer::MapReduce, "task_done")
-                .with("job", jid.0)
-                .with("kind", "map")
+                .with("job", att.task.job.0)
+                .with("kind", att.task.kind.as_str())
                 .with("task", att.task.index)
                 .with("attempt", att.attempt as u64)
                 .with("node", node.0)
                 .with("secs", dur)
         });
-        self.trackers.get_mut(&node).map(|t| t.running.remove(&att));
-        out.notes.extend(self.kill_siblings(att));
-        // Announce the new output to running reduce attempts.
-        let site = topo.site_of(node);
-        let part = self.partition_bytes(jid);
-        let job = &mut self.jobs[jid.0 as usize];
-        for (ratt, plan) in job.reduce_plans.iter_mut() {
-            plan.map_available(att.task.index, node, site, part);
-            out.wake_reduces.push(*ratt);
-        }
-        out.wake_reduces.sort();
-        // A re-executed map can be the last piece of an otherwise-finished
-        // job (every reduce already completed before the original output
-        // was lost).
-        out.notes.extend(self.maybe_complete_job(now, jid));
-        out
+        (node, self.kill_siblings(att))
     }
 
-    /// Close the job if everything is done. Idempotent.
+    /// Take a running attempt out of `Running` into `phase`: it leaves
+    /// the running index and counts, its tracker slot, and any shuffle
+    /// or sort state. Success, sibling kills and aborts all stop
+    /// attempts here. Returns where it ran and when it started.
+    fn stop_attempt(&mut self, att: AttemptRef, phase: AttemptPhase) -> (NodeId, SimTime) {
+        let job = &mut self.jobs[att.task.job.0 as usize];
+        let a = &mut job.task_mut(att.task).attempts[att.attempt as usize];
+        a.phase = phase;
+        let (node, started) = (a.node, a.started);
+        job.note_attempt_stopped(att.task.kind, att.task.index, att.attempt, started);
+        job.reduce_plans.remove(&att);
+        self.note_running_delta(att.task.kind, -1);
+        if let Some(t) = self.trackers.get_mut(&node) {
+            t.running.remove(&att);
+        }
+        self.sorting.remove(&att);
+        (node, started)
+    }
+
+    /// Close the job if every task is done (a map-only job once its last
+    /// map is). Idempotent.
     fn maybe_complete_job(&mut self, now: SimTime, jid: JobId) -> Vec<JtNote> {
-        let job = &mut self.jobs[jid.0 as usize];
+        let job = &self.jobs[jid.0 as usize];
         if job.status != JobStatus::Running || !job.all_done() {
             return Vec::new();
         }
-        if job.spec.reduces == 0 && job.spec.maps() > 0 {
-            // Map-only jobs complete via try_complete_maponly (kept
-            // separate so the mediator controls when it fires).
-            return Vec::new();
+        self.close_job(now, jid, Some(now), "job_done");
+        vec![JtNote::JobCompleted { job: jid }]
+    }
+
+    /// Close a job: a finish instant means success, none failure. Sets
+    /// the status, counts it, traces `kind` and retires the job.
+    fn close_job(
+        &mut self,
+        now: SimTime,
+        jid: JobId,
+        finished: Option<SimTime>,
+        kind: &'static str,
+    ) {
+        let ok = finished.is_some();
+        let job = &mut self.jobs[jid.0 as usize];
+        job.status = if ok {
+            JobStatus::Succeeded
+        } else {
+            JobStatus::Failed
+        };
+        job.finished = finished;
+        if ok {
+            self.counters.jobs_completed += 1;
+        } else {
+            self.counters.jobs_failed += 1;
         }
-        job.status = JobStatus::Succeeded;
-        job.finished = Some(now);
-        self.counters.jobs_completed += 1;
         self.tracer.emit(|| {
-            TraceEvent::new(Layer::MapReduce, "job_done")
+            TraceEvent::new(Layer::MapReduce, kind)
                 .with("job", jid.0)
-                .with("ok", true)
+                .with("ok", ok)
         });
         self.retire_job(now, jid);
-        vec![JtNote::JobCompleted { job: jid }]
     }
 
     /// Kill the other running attempts of `att`'s task.
     fn kill_siblings(&mut self, att: AttemptRef) -> Vec<JtNote> {
-        let mut notes = Vec::new();
-        let job = &mut self.jobs[att.task.job.0 as usize];
-        let ts = job.task_mut(att.task);
-        let mut to_kill: Vec<(u8, NodeId, SimTime)> = Vec::new();
-        for (i, a) in ts.attempts.iter_mut().enumerate() {
-            if i as u8 != att.attempt && a.phase == AttemptPhase::Running {
-                a.phase = AttemptPhase::Killed;
-                to_kill.push((i as u8, a.node, a.started));
-            }
-        }
-        for (i, node, started) in to_kill {
-            job.note_attempt_stopped(att.task.kind, att.task.index, i, started);
-            let sibling = AttemptRef {
+        let siblings: Vec<AttemptRef> = self.jobs[att.task.job.0 as usize]
+            .task(att.task)
+            .attempts
+            .iter()
+            .enumerate()
+            .filter(|&(i, a)| i as u8 != att.attempt && a.phase == AttemptPhase::Running)
+            .map(|(i, _)| AttemptRef {
                 task: att.task,
-                attempt: i,
-            };
-            if let Some(t) = self.trackers.get_mut(&node) {
-                t.running.remove(&sibling);
-            }
-            job.reduce_plans.remove(&sibling);
-            self.sorting.remove(&sibling);
-            notes.push(JtNote::KillAttempt {
-                attempt: sibling,
-                node,
-            });
-        }
-        if !notes.is_empty() {
-            self.note_running_delta(att.task.kind, -(notes.len() as isize));
-        }
-        notes
+                attempt: i as u8,
+            })
+            .collect();
+        siblings
+            .into_iter()
+            .map(|attempt| {
+                let (node, _) = self.stop_attempt(attempt, AttemptPhase::Killed);
+                JtNote::KillAttempt { attempt, node }
+            })
+            .collect()
     }
 
     /// An attempt failed. Counts toward the task's failure budget and the
@@ -1663,128 +1637,101 @@ impl JobTracker {
                 .with("node", node.0)
                 .with("reason", reason.as_str())
         });
-        self.abort_attempt(now, att, node, true)
+        self.abort_attempt(now, att, true)
     }
 
     /// Common path for failure (`blame = true`) and node-death requeue
-    /// (`blame = false`). The tracker's slot is freed by the caller when
-    /// the tracker is dead; otherwise here.
-    fn abort_attempt(
-        &mut self,
-        now: SimTime,
-        att: AttemptRef,
-        node: NodeId,
-        blame: bool,
-    ) -> Vec<JtNote> {
-        let mut notes = Vec::new();
-        let jid = att.task.job;
-        let max_attempts = self.cfg.max_attempts;
-        let job = &mut self.jobs[jid.0 as usize];
-        if job.status != JobStatus::Running {
-            return notes;
+    /// (`blame = false`): stop the attempt; a blamed one charges the
+    /// task's failure budget (failing the job at `max_attempts`) and
+    /// backs off its retry. The task requeues unless a sibling still
+    /// runs.
+    fn abort_attempt(&mut self, now: SimTime, att: AttemptRef, blame: bool) -> Vec<JtNote> {
+        if !self.attempt_active(att) {
+            return Vec::new();
         }
-        let ts = job.task_mut(att.task);
-        let Some(a) = ts.attempts.get_mut(att.attempt as usize) else {
-            return notes;
-        };
-        if a.phase != AttemptPhase::Running {
-            return notes;
-        }
-        a.phase = if blame {
+        let phase = if blame {
             AttemptPhase::Failed
         } else {
             AttemptPhase::Killed
         };
-        let started = a.started;
+        self.stop_attempt(att, phase);
+        let jid = att.task.job;
+        let job = &mut self.jobs[jid.0 as usize];
+        let ts = job.task_mut(att.task);
         if blame {
             ts.failures += 1;
-        }
-        let exhausted = blame && ts.failures >= max_attempts;
-        let still_running = ts.running_attempts() > 0;
-        job.note_attempt_stopped(att.task.kind, att.task.index, att.attempt, started);
-        self.note_running_delta(att.task.kind, -1);
-        if let Some(t) = self.trackers.get_mut(&node) {
-            t.running.remove(&att);
-        }
-        // Drop any shuffle state of a failed reduce attempt.
-        self.jobs[jid.0 as usize].reduce_plans.remove(&att);
-        self.sorting.remove(&att);
-        if exhausted {
-            notes.extend(self.fail_job(now, jid));
-            return notes;
-        }
-        if !still_running && !self.jobs[jid.0 as usize].task(att.task).done {
-            if blame {
-                // Retry backoff: don't immediately hand the task back out.
-                let backoff = self.cfg.retry_backoff;
-                self.jobs[jid.0 as usize]
-                    .retry_after
-                    .insert((att.task.kind, att.task.index), now + backoff);
-            }
-            match att.task.kind {
-                TaskKind::Map => self.pending_map_insert(jid, att.task.index),
-                TaskKind::Reduce => self.pending_reduce_insert(jid, att.task.index),
+            if ts.failures >= self.cfg.max_attempts {
+                return self.fail_job(now, jid);
             }
         }
+        if ts.running_attempts() > 0 || ts.done {
+            return Vec::new();
+        }
+        if blame {
+            // Retry backoff: don't immediately hand the task back out.
+            job.retry_after.insert(
+                (att.task.kind, att.task.index),
+                now + self.cfg.retry_backoff,
+            );
+        }
+        match att.task.kind {
+            TaskKind::Map => self.pending_map_insert(jid, att.task.index),
+            TaskKind::Reduce => self.pending_reduce_insert(jid, att.task.index),
+        }
+        Vec::new()
+    }
+
+    /// A task exhausted its attempts: kill the job's running attempts
+    /// and close it as failed.
+    fn fail_job(&mut self, now: SimTime, jid: JobId) -> Vec<JtNote> {
+        let mut notes: Vec<JtNote> = self
+            .kill_all(jid)
+            .into_iter()
+            .map(|(attempt, node)| JtNote::KillAttempt { attempt, node })
+            .collect();
+        self.close_job(now, jid, None, "job_done");
+        notes.push(JtNote::JobFailed { job: jid });
         notes
     }
 
-    fn fail_job(&mut self, now: SimTime, jid: JobId) -> Vec<JtNote> {
-        let mut notes = Vec::new();
-        self.counters.jobs_failed += 1;
-        self.tracer.emit(|| {
-            TraceEvent::new(Layer::MapReduce, "job_done")
-                .with("job", jid.0)
-                .with("ok", false)
-        });
+    /// Kill every running attempt of `jid` wholesale, without blame: the
+    /// running index, counts and shuffle plans empty, and each attempt
+    /// leaves its tracker slot and the sort set. Returns the killed
+    /// attempts in task order, with the nodes they ran on.
+    fn kill_all(&mut self, jid: JobId) -> Vec<(AttemptRef, NodeId)> {
         let job = &mut self.jobs[jid.0 as usize];
-        job.status = JobStatus::Failed;
-        job.finished = None;
-        // Kill every running attempt of the job.
-        let mut to_kill: Vec<(AttemptRef, NodeId)> = Vec::new();
+        let mut killed = Vec::new();
         for (kind, tasks) in [
             (TaskKind::Map, &mut job.maps),
             (TaskKind::Reduce, &mut job.reduces),
         ] {
-            for (i, ts) in tasks.iter_mut().enumerate() {
-                for (ai, a) in ts.attempts.iter_mut().enumerate() {
+            for (index, ts) in tasks.iter_mut().enumerate() {
+                for (attempt, a) in ts.attempts.iter_mut().enumerate() {
                     if a.phase == AttemptPhase::Running {
                         a.phase = AttemptPhase::Killed;
-                        to_kill.push((
-                            AttemptRef {
-                                task: TaskRef {
-                                    job: jid,
-                                    kind,
-                                    index: i as u32,
-                                },
-                                attempt: ai as u8,
-                            },
-                            a.node,
-                        ));
+                        let task = TaskRef {
+                            job: jid,
+                            kind,
+                            index: index as u32,
+                        };
+                        let attempt = attempt as u8;
+                        killed.push((AttemptRef { task, attempt }, a.node));
                     }
                 }
             }
         }
         job.reduce_plans.clear();
-        // Every running attempt was just killed: the running index and
-        // counts empty wholesale.
         job.running_by_start.clear();
-        let (rm, rr) = (job.running_maps, job.running_reduces);
-        job.running_maps = 0;
-        job.running_reduces = 0;
-        self.agg.running_maps -= rm as usize;
-        self.agg.running_reduces -= rr as usize;
+        self.agg.running_maps -= std::mem::take(&mut job.running_maps) as usize;
+        self.agg.running_reduces -= std::mem::take(&mut job.running_reduces) as usize;
         self.bump_epoch();
-        for (att, node) in to_kill {
-            if let Some(t) = self.trackers.get_mut(&node) {
-                t.running.remove(&att);
+        for (att, node) in &killed {
+            if let Some(t) = self.trackers.get_mut(node) {
+                t.running.remove(att);
             }
-            self.sorting.remove(&att);
-            notes.push(JtNote::KillAttempt { attempt: att, node });
+            self.sorting.remove(att);
         }
-        self.retire_job(now, jid);
-        notes.push(JtNote::JobFailed { job: jid });
-        notes
+        killed
     }
 
     /// Free the job's scratch space everywhere, drop it from the queue
@@ -1890,7 +1837,7 @@ impl JobTracker {
         let tracker_alive: HashSet<NodeId> = self
             .trackers
             .iter()
-            .filter(|(_, t)| t.liveness == TrackerLiveness::Live)
+            .filter(|(_, t)| t.liveness == Liveness::Live)
             .map(|(&n, _)| n)
             .collect();
         let job = &mut self.jobs[jid.0 as usize];
@@ -1914,19 +1861,11 @@ impl JobTracker {
                 reexecute.push(m);
             }
         }
+        // Re-executed maps start over with a clean strike count.
         for m in &reexecute {
-            let task = &mut job.maps[*m as usize];
-            task.done = false;
-            task.completed_on = None;
-            job.maps_done -= 1;
             job.map_fetch_failures.remove(m);
-            for plan in job.reduce_plans.values_mut() {
-                plan.map_lost(*m);
-            }
         }
-        for &m in &reexecute {
-            self.pending_map_insert(jid, m);
-        }
+        self.maps_lost(jid, &reexecute);
         self.tracer.emit(|| {
             TraceEvent::new(Layer::MapReduce, "fetch_fail")
                 .with("job", jid.0)
@@ -1947,67 +1886,6 @@ impl JobTracker {
         }
     }
 
-    /// The reduce attempt wrote its output to HDFS: the task is complete.
-    pub fn reduce_done(&mut self, now: SimTime, att: AttemptRef) -> Vec<JtNote> {
-        if !self.attempt_active(att) {
-            return Vec::new();
-        }
-        let jid = att.task.job;
-        let (node, dur) = {
-            let job = &mut self.jobs[jid.0 as usize];
-            let ts = job.task_mut(att.task);
-            let a = &mut ts.attempts[att.attempt as usize];
-            a.phase = AttemptPhase::Succeeded;
-            let node = a.node;
-            let started = a.started;
-            let dur = now.saturating_since(a.started).as_secs_f64();
-            ts.done = true;
-            ts.completed_on = Some(node);
-            job.note_attempt_stopped(att.task.kind, att.task.index, att.attempt, started);
-            job.reduces_done += 1;
-            job.reduce_duration_stats.0 += dur;
-            job.reduce_duration_stats.1 += 1;
-            (node, dur)
-        };
-        self.note_running_delta(TaskKind::Reduce, -1);
-        self.tracer.emit(|| {
-            TraceEvent::new(Layer::MapReduce, "task_done")
-                .with("job", jid.0)
-                .with("kind", "reduce")
-                .with("task", att.task.index)
-                .with("attempt", att.attempt as u64)
-                .with("node", node.0)
-                .with("secs", dur)
-        });
-        if let Some(t) = self.trackers.get_mut(&node) {
-            t.running.remove(&att);
-        }
-        self.jobs[jid.0 as usize].reduce_plans.remove(&att);
-        self.sorting.remove(&att);
-        let mut notes = self.kill_siblings(att);
-        notes.extend(self.maybe_complete_job(now, jid));
-        notes
-    }
-
-    /// Map-only jobs: the mediator calls this after every map completes to
-    /// close jobs with zero reduces.
-    pub fn try_complete_maponly(&mut self, now: SimTime, jid: JobId) -> Vec<JtNote> {
-        let job = &mut self.jobs[jid.0 as usize];
-        if job.status == JobStatus::Running && job.spec.reduces == 0 && job.all_maps_done() {
-            job.status = JobStatus::Succeeded;
-            job.finished = Some(now);
-            self.counters.jobs_completed += 1;
-            self.tracer.emit(|| {
-                TraceEvent::new(Layer::MapReduce, "job_done")
-                    .with("job", jid.0)
-                    .with("ok", true)
-            });
-            self.retire_job(now, jid);
-            return vec![JtNote::JobCompleted { job: jid }];
-        }
-        Vec::new()
-    }
-
     // ------------------------------------------------------------------
     // Master failover & recovery
     // ------------------------------------------------------------------
@@ -2024,47 +1902,23 @@ impl JobTracker {
     pub fn recover_kill_all(&mut self) -> usize {
         let mut killed = 0usize;
         for jid in self.fifo.clone() {
-            let (requeue, rm, rr) = {
-                let job = &mut self.jobs[jid.0 as usize];
-                if job.status != JobStatus::Running {
-                    continue;
-                }
-                let mut requeue: Vec<(TaskKind, u32)> = Vec::new();
-                for (kind, tasks) in [
-                    (TaskKind::Map, &mut job.maps),
-                    (TaskKind::Reduce, &mut job.reduces),
-                ] {
-                    for (i, ts) in tasks.iter_mut().enumerate() {
-                        let mut had_running = false;
-                        for a in ts.attempts.iter_mut() {
-                            if a.phase == AttemptPhase::Running {
-                                a.phase = AttemptPhase::Killed;
-                                had_running = true;
-                                killed += 1;
-                            }
-                        }
-                        if had_running && !ts.done {
-                            requeue.push((kind, i as u32));
-                        }
-                    }
-                }
-                job.reduce_plans.clear();
-                job.running_by_start.clear();
-                let (rm, rr) = (job.running_maps, job.running_reduces);
-                job.running_maps = 0;
-                job.running_reduces = 0;
-                // Retry bookkeeping died with the old master: the new one
-                // hands everything back out as soon as slots heartbeat.
-                job.retry_after.clear();
-                (requeue, rm, rr)
-            };
-            self.agg.running_maps -= rm as usize;
-            self.agg.running_reduces -= rr as usize;
-            self.bump_epoch();
-            for (kind, i) in requeue {
-                match kind {
-                    TaskKind::Map => self.pending_map_insert(jid, i),
-                    TaskKind::Reduce => self.pending_reduce_insert(jid, i),
+            if self.jobs[jid.0 as usize].status != JobStatus::Running {
+                continue;
+            }
+            let mut requeue: Vec<TaskRef> =
+                self.kill_all(jid).iter().map(|(a, _)| a.task).collect();
+            killed += requeue.len();
+            // A task's killed attempts sit together: one entry per task.
+            requeue.dedup();
+            let job = &mut self.jobs[jid.0 as usize];
+            requeue.retain(|&t| !job.task(t).done);
+            // Retry bookkeeping died with the old master: the new one
+            // hands everything back out as soon as slots heartbeat.
+            job.retry_after.clear();
+            for t in requeue {
+                match t.kind {
+                    TaskKind::Map => self.pending_map_insert(jid, t.index),
+                    TaskKind::Reduce => self.pending_reduce_insert(jid, t.index),
                 }
             }
         }
@@ -2142,27 +1996,9 @@ impl JobTracker {
         finished: SimTime,
         ok: bool,
     ) {
-        let job = &mut self.jobs[jid.0 as usize];
-        if job.status != JobStatus::Running {
-            return;
+        if self.jobs[jid.0 as usize].status == JobStatus::Running {
+            self.close_job(now, jid, ok.then_some(finished), "recover_force_terminal");
         }
-        job.status = if ok {
-            JobStatus::Succeeded
-        } else {
-            JobStatus::Failed
-        };
-        job.finished = ok.then_some(finished);
-        if ok {
-            self.counters.jobs_completed += 1;
-        } else {
-            self.counters.jobs_failed += 1;
-        }
-        self.tracer.emit(|| {
-            TraceEvent::new(Layer::MapReduce, "recover_force_terminal")
-                .with("job", jid.0)
-                .with("ok", ok)
-        });
-        self.retire_job(now, jid);
     }
 
     /// Recompute per-tracker scratch accounting from the surviving jobs'
@@ -2181,7 +2017,7 @@ impl JobTracker {
             job.scratch_by_node.retain(|n, _| {
                 trackers
                     .get(n)
-                    .is_some_and(|t| t.liveness != TrackerLiveness::Dead)
+                    .is_some_and(|t| t.liveness != Liveness::Dead)
             });
         }
         let mut usage: Vec<(NodeId, u64)> = Vec::new();
@@ -2199,8 +2035,12 @@ impl JobTracker {
 
     /// Deterministic serialization of the job/task ledger (the checkpoint
     /// counterpart of the namenode's fsimage): jobs in id order with
-    /// full task/attempt detail, tracker records, queue and counters.
-    /// Equal logical state produces byte-identical output.
+    /// full task/attempt detail and every per-job field a scheduling
+    /// decision reads (blacklist counts, fetch strikes, the speculation
+    /// scan stamp, duration sums), tracker records, queue, rescue
+    /// attempts and counters. Equal logical state produces byte-identical
+    /// output. The scheduling policy's own state (its failure history)
+    /// is not part of the ledger.
     pub fn export_ledger(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -2242,22 +2082,25 @@ impl JobTracker {
                     );
                 }
             }
-            let mut plans: Vec<(AttemptRef, bool)> = job
-                .reduce_plans
-                .iter()
-                .map(|(&a, p)| (a, p.complete()))
-                .collect();
-            plans.sort();
-            let mut scratch: Vec<(u32, u64)> =
-                job.scratch_by_node.iter().map(|(n, &b)| (n.0, b)).collect();
-            scratch.sort();
-            let mut retry: Vec<((TaskKind, u32), SimTime)> =
-                job.retry_after.iter().map(|(&k, &t)| (k, t)).collect();
-            retry.sort();
+            let plans = sorted(job.reduce_plans.iter().map(|(&a, p)| (a, p.complete())));
+            let scratch = sorted(job.scratch_by_node.iter().map(|(n, &b)| (n.0, b)));
+            let retry = sorted(job.retry_after.iter().map(|(&k, &t)| (k, t)));
             let _ = writeln!(
                 s,
                 "  plans={plans:?} scratch={scratch:?} retry={retry:?} rbs={:?}",
                 job.running_by_start
+            );
+            // Everything else the scheduling decisions read: blacklist
+            // counts, fetch strikes, the speculation scan stamp and the
+            // duration sums behind the straggler threshold.
+            let _ = writeln!(
+                s,
+                "  blacklist={:?} strikes={:?} spec_scan={:?} durations={:?}/{:?}",
+                sorted(job.tracker_failures.iter().map(|(n, &c)| (n.0, c))),
+                sorted(job.map_fetch_failures.iter().map(|(&m, &c)| (m, c))),
+                job.spec_last_scan,
+                job.map_duration_stats,
+                job.reduce_duration_stats
             );
         }
         for (n, t) in &self.trackers {
@@ -2274,10 +2117,9 @@ impl JobTracker {
                 t.running
             );
         }
-        let mut sorting: Vec<AttemptRef> = self.sorting.iter().copied().collect();
-        sorting.sort();
         let _ = writeln!(s, "fifo={:?}", self.fifo);
-        let _ = writeln!(s, "sorting={sorting:?}");
+        let _ = writeln!(s, "sorting={:?}", sorted(self.sorting.iter()));
+        let _ = writeln!(s, "rescue={:?}", sorted(self.rescue_attempts.iter()));
         let _ = writeln!(s, "counters={:?}", self.counters);
         s
     }
@@ -2339,7 +2181,7 @@ impl hog_sim_core::Auditable for JobTracker {
                     ),
                 ));
             }
-            if t.liveness == TrackerLiveness::Dead && !t.running.is_empty() {
+            if t.liveness == Liveness::Dead && !t.running.is_empty() {
                 out.push(Violation::new(
                     "mapreduce",
                     format!(
@@ -2403,38 +2245,9 @@ impl hog_sim_core::Auditable for JobTracker {
                 ));
             }
         }
-        // The silent suspect set and dead counter must mirror the
-        // per-tracker liveness fields exactly.
-        let silent_recount: BTreeSet<NodeId> = self
-            .trackers
-            .iter()
-            .filter(|(_, t)| t.liveness == TrackerLiveness::Silent)
-            .map(|(&n, _)| n)
-            .collect();
-        if silent_recount != self.silent {
-            out.push(Violation::new(
-                "mapreduce",
-                format!(
-                    "silent-tracker set drifted: cached {}, recounted {}",
-                    self.silent.len(),
-                    silent_recount.len()
-                ),
-            ));
-        }
-        let dead_recount = self
-            .trackers
-            .values()
-            .filter(|t| t.liveness == TrackerLiveness::Dead)
-            .count();
-        if dead_recount != self.dead_trackers {
-            out.push(Violation::new(
-                "mapreduce",
-                format!(
-                    "dead-tracker count drifted: cached {}, recounted {dead_recount}",
-                    self.dead_trackers
-                ),
-            ));
-        }
+        // The failure detector's summaries must mirror the records.
+        let liveness = self.trackers.iter().map(|(&n, t)| (n, t.liveness));
+        out.extend(self.live.audit("mapreduce", "tracker", liveness));
         // The O(1) aggregate backlog must equal a full recount.
         let recount = self.recount_backlog();
         if recount != self.agg {
@@ -2465,27 +2278,9 @@ impl hog_sim_core::Auditable for JobTracker {
                     site.entry(s).or_default().insert(m);
                 }
             }
-            let nonempty = |m: &HashMap<NodeId, BTreeSet<u32>>| {
-                m.iter()
-                    .filter(|(_, s)| !s.is_empty())
-                    .map(|(k, s)| (*k, s.clone()))
-                    .collect::<HashMap<_, _>>()
-            };
             let stale = nonempty(&idx.pend_node) != node
-                || idx
-                    .pend_rack
-                    .iter()
-                    .filter(|(_, s)| !s.is_empty())
-                    .map(|(k, s)| (*k, s.clone()))
-                    .collect::<HashMap<_, _>>()
-                    != rack
-                || idx
-                    .pend_site
-                    .iter()
-                    .filter(|(_, s)| !s.is_empty())
-                    .map(|(k, s)| (*k, s.clone()))
-                    .collect::<HashMap<_, _>>()
-                    != site;
+                || nonempty(&idx.pend_rack) != rack
+                || nonempty(&idx.pend_site) != site;
             if stale {
                 out.push(Violation::new(
                     "mapreduce",
@@ -2519,5 +2314,80 @@ impl hog_sim_core::Auditable for JobTracker {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A JobTracker on a two-node pool with one job (2 maps, 1 reduce)
+    /// submitted, and one of its nodes.
+    fn one_job() -> (JobTracker, NodeId) {
+        let mut topo = Topology::new();
+        let site = topo.add_site("S0".to_string(), "s0.edu".to_string());
+        let nodes: Vec<NodeId> = (0..2).map(|_| topo.add_node(site)).collect();
+        let mut jt = JobTracker::new(MrParams::hog(), SimRng::seed_from_u64(1));
+        for &n in &nodes {
+            jt.register_tracker(SimTime::ZERO, n, site, 1, 1);
+        }
+        let spec = JobSubmission {
+            input_blocks: vec![(BlockId(0), 64), (BlockId(1), 64)],
+            split_locations: vec![vec![nodes[0]], vec![nodes[1]]],
+            reduces: 1,
+            map_cpu_secs: 1.0,
+            map_output_bytes: 100,
+            reduce_cpu_secs: 1.0,
+            reduce_output_bytes: 10,
+            output_replication: 1,
+        };
+        jt.submit_job(SimTime::ZERO, spec, &topo);
+        (jt, nodes[0])
+    }
+
+    #[test]
+    fn ledger_carries_the_state_scheduling_reads() {
+        let (base, node) = one_job();
+        let ledger = base.export_ledger();
+        let differs = |edit: &dyn Fn(&mut JobTracker)| {
+            let mut jt = base.clone();
+            edit(&mut jt);
+            jt.export_ledger() != ledger
+        };
+        assert!(
+            differs(&|jt| {
+                jt.jobs[0].tracker_failures.insert(node, 1);
+            }),
+            "one blacklist count"
+        );
+        assert!(
+            differs(&|jt| {
+                jt.jobs[0].map_fetch_failures.insert(0, 1);
+            }),
+            "one fetch strike"
+        );
+        assert!(
+            differs(&|jt| jt.jobs[0].spec_last_scan = SimTime::from_secs(5)),
+            "the speculation scan stamp"
+        );
+        assert!(
+            differs(&|jt| jt.jobs[0].map_duration_stats = (3.0, 1)),
+            "the map duration sums"
+        );
+        assert!(
+            differs(&|jt| jt.jobs[0].reduce_duration_stats = (3.0, 1)),
+            "the reduce duration sums"
+        );
+        let task = TaskRef {
+            job: JobId(0),
+            kind: TaskKind::Map,
+            index: 0,
+        };
+        assert!(
+            differs(&|jt| {
+                jt.rescue_attempts.insert(AttemptRef { task, attempt: 0 });
+            }),
+            "the rescue attempts"
+        );
     }
 }

@@ -23,10 +23,12 @@
 //!   worker's scratch disk until the whole job finishes; workers run out
 //!   of disk under reduce backlog, failing tasks (the §IV-D.2 disk
 //!   overflow lesson).
-//! * **Failure handling** — tasktracker death (30 s timeout like the
-//!   namenode) reschedules running attempts *and re-runs completed maps
-//!   whose outputs died with the node*; per-job tasktracker blacklisting
-//!   after repeated failures; jobs fail after `max_attempts` per task.
+//! * **Failure handling** — tasktracker death (30 s timeout, detected by
+//!   the failure detector the namenode also uses,
+//!   [`hog_sim_core::LivenessIndex`]) reschedules running attempts *and
+//!   re-runs completed maps whose outputs died with the node*; per-job
+//!   tasktracker blacklisting after repeated failures; jobs fail after
+//!   `max_attempts` per task.
 //!
 //! As with `hog-hdfs`, everything here is a synchronous state machine; the
 //! mediator in `hog-core` owns time and bytes.

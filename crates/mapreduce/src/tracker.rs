@@ -2,20 +2,8 @@
 
 use crate::job::TaskKind;
 use crate::AttemptRef;
-use hog_sim_core::SimTime;
+use hog_sim_core::{Liveness, SimTime};
 use std::collections::BTreeSet;
-
-/// Liveness of a tracker from the JobTracker's viewpoint (mirrors the
-/// namenode's view of datanodes; HOG lowers both timeouts together).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrackerLiveness {
-    /// Heartbeating.
-    Live,
-    /// Stopped heartbeating, timeout pending.
-    Silent,
-    /// Declared dead.
-    Dead,
-}
 
 /// Per-tracker record.
 #[derive(Clone, Debug)]
@@ -29,8 +17,9 @@ pub struct TrackerState {
     pub running: BTreeSet<AttemptRef>,
     /// Last heartbeat instant.
     pub last_heartbeat: SimTime,
-    /// Liveness.
-    pub liveness: TrackerLiveness,
+    /// Liveness as the JobTracker sees it (changed only through the
+    /// JobTracker's [`hog_sim_core::LivenessIndex`]).
+    pub liveness: Liveness,
     /// Scratch disk capacity for intermediate data.
     pub scratch_capacity: u64,
     /// Scratch bytes in use (map outputs of unfinished jobs).
@@ -45,7 +34,7 @@ impl TrackerState {
             reduce_slots,
             running: BTreeSet::new(),
             last_heartbeat: now,
-            liveness: TrackerLiveness::Live,
+            liveness: Liveness::Live,
             scratch_capacity: scratch,
             scratch_used: 0,
         }

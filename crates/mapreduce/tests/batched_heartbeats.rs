@@ -18,11 +18,10 @@
 //!   index before its retry backoff expires, and must be served after.
 
 use hog_hdfs::BlockId;
-use hog_mapreduce::tracker::TrackerLiveness;
 use hog_mapreduce::jobtracker::FailReason;
 use hog_mapreduce::{Assignment, AttemptRef, JobSubmission, JobTracker, MrParams};
 use hog_net::{NodeId, SiteId, Topology};
-use hog_sim_core::{SimDuration, SimRng, SimTime};
+use hog_sim_core::{Liveness, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
 /// One step of the random schedule. A `Round` heartbeats every live
@@ -145,7 +144,7 @@ impl World {
             if self
                 .jt
                 .tracker(node)
-                .is_some_and(|t| t.liveness == TrackerLiveness::Dead)
+                .is_some_and(|t| t.liveness == Liveness::Dead)
             {
                 continue;
             }

@@ -14,7 +14,9 @@
 use hog_hdfs::BlockId;
 use hog_mapreduce::job::JobStatus;
 use hog_mapreduce::jobtracker::FailReason;
-use hog_mapreduce::{Assignment, AttemptRef, JobSubmission, JobTracker, MrParams, ReduceStep, TaskKind};
+use hog_mapreduce::{
+    Assignment, AttemptRef, JobSubmission, JobTracker, MrParams, ReduceStep, TaskKind,
+};
 use hog_net::{NodeId, Topology};
 use hog_sim_core::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -175,7 +177,6 @@ proptest! {
                         for r in out.wake_reduces {
                             drive(&mut w.jt, r, w.now);
                         }
-                        w.jt.try_complete_maponly(w.now, a.task.job);
                     }
                 }
                 Chaos::FailAttempt(i) => {
@@ -254,7 +255,6 @@ proptest! {
                 for r in out.wake_reduces {
                     drive(&mut w.jt, r, w.now);
                 }
-                w.jt.try_complete_maponly(w.now, a.task.job);
             }
             let reds: Vec<AttemptRef> = w
                 .running

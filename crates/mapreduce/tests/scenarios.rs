@@ -4,7 +4,10 @@
 use hog_hdfs::BlockId;
 use hog_mapreduce::job::JobStatus;
 use hog_mapreduce::jobtracker::{FailReason, Locality};
-use hog_mapreduce::{Assignment, AttemptRef, JobId, JobSubmission, JobTracker, JtNote, MrParams, ReduceStep, TaskKind};
+use hog_mapreduce::{
+    Assignment, AttemptRef, JobId, JobSubmission, JobTracker, JtNote, MrParams, ReduceStep,
+    TaskKind,
+};
 use hog_net::{NodeId, Topology};
 use hog_sim_core::{SimDuration, SimRng, SimTime};
 
@@ -70,11 +73,8 @@ impl Mini {
             for a in assignments {
                 match a {
                     Assignment::Map { attempt, .. } => {
-                        let node = self
-                            .jt
-                            .job(attempt.task.job)
-                            .task(attempt.task)
-                            .attempts[attempt.attempt as usize]
+                        let node = self.jt.job(attempt.task.job).task(attempt.task).attempts
+                            [attempt.attempt as usize]
                             .node;
                         assert!(self.jt.reserve_map_scratch(attempt, node));
                         let out = self.jt.map_done(now, attempt, &self.topo);
@@ -84,7 +84,6 @@ impl Mini {
                                 reduce_attempts.push(r);
                             }
                         }
-                        notes.extend(self.jt.try_complete_maponly(now, attempt.task.job));
                     }
                     Assignment::Reduce { attempt } => {
                         reduce_attempts.push(attempt);
@@ -206,7 +205,9 @@ fn slowstart_gates_reduces() {
     m.submit(SimTime::ZERO, 4, 2);
     let assignments = m.heartbeat_all(SimTime::from_secs(3));
     // All four map slots busy; no reduce yet (0% maps done).
-    assert!(assignments.iter().all(|a| matches!(a, Assignment::Map { .. })));
+    assert!(assignments
+        .iter()
+        .all(|a| matches!(a, Assignment::Map { .. })));
     // Finish 2 maps (50%): reduces may start.
     for a in assignments.iter().take(2) {
         let att = a.attempt();
@@ -289,8 +290,11 @@ fn max_attempts_fails_the_job() {
             .map(|x| x.attempt())
             .find(|x| x.task.kind == TaskKind::Map)
             .unwrap();
-        let notes =
-            m.jt.attempt_failed(SimTime::from_secs(3 * (round + 1) + 1), map_att, FailReason::LostBlock);
+        let notes = m.jt.attempt_failed(
+            SimTime::from_secs(3 * (round + 1) + 1),
+            map_att,
+            FailReason::LostBlock,
+        );
         if round == 1 {
             assert!(notes.contains(&JtNote::JobFailed { job: j }));
         }
@@ -329,8 +333,7 @@ fn tracker_death_requeues_running_and_reruns_lost_maps() {
         .map(|a| a.attempt())
         .find(|a| {
             a.task.kind == TaskKind::Map
-                && m.jt.job(a.task.job).task(a.task).attempts[a.attempt as usize].node
-                    == m.nodes[0]
+                && m.jt.job(a.task.job).task(a.task).attempts[a.attempt as usize].node == m.nodes[0]
         })
         .unwrap();
     m.jt.map_done(SimTime::from_secs(10), att0, &m.topo);
@@ -388,7 +391,8 @@ fn speculation_disabled_means_no_second_copies() {
     let atts: Vec<AttemptRef> = assignments.iter().map(|a| a.attempt()).collect();
     m.jt.map_done(SimTime::from_secs(10), atts[0], &m.topo);
     m.jt.map_done(SimTime::from_secs(10), atts[1], &m.topo);
-    let a = m.jt.heartbeat(SimTime::from_secs(1000), m.nodes[0], &m.topo);
+    let a =
+        m.jt.heartbeat(SimTime::from_secs(1000), m.nodes[0], &m.topo);
     assert!(a.is_empty());
     assert_eq!(m.jt.counters().speculative, 0);
 }

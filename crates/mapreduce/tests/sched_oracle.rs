@@ -18,10 +18,9 @@
 use hog_hdfs::BlockId;
 use hog_mapreduce::job::JobStatus;
 use hog_mapreduce::jobtracker::Locality;
-use hog_mapreduce::tracker::TrackerLiveness;
 use hog_mapreduce::{Assignment, AttemptRef, JobId, JobSubmission, JobTracker, MrParams, TaskKind};
 use hog_net::{NodeId, SiteId, Topology};
-use hog_sim_core::{SimDuration, SimRng, SimTime};
+use hog_sim_core::{Liveness, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
 /// One step of the random schedule.
@@ -67,11 +66,12 @@ fn oracle_map(
         {
             continue;
         }
-        let elig = |m: u32| {
-            job.pending_maps.contains(&m) && job.retry_eligible(TaskKind::Map, m, now)
-        };
+        let elig =
+            |m: u32| job.pending_maps.contains(&m) && job.retry_eligible(TaskKind::Map, m, now);
         let replica_at = |m: u32, pred: &dyn Fn(NodeId) -> bool| {
-            job.spec.split_locations[m as usize].iter().any(|&n| pred(n))
+            job.spec.split_locations[m as usize]
+                .iter()
+                .any(|&n| pred(n))
         };
         let mut pick = None;
         for m in 0..job.spec.maps() {
@@ -173,7 +173,9 @@ impl World {
                 })
                 .collect();
             let spec = JobSubmission {
-                input_blocks: (0..maps).map(|i| (BlockId(j * 100 + i as u64), 64)).collect(),
+                input_blocks: (0..maps)
+                    .map(|i| (BlockId(j * 100 + i as u64), 64))
+                    .collect(),
                 split_locations: locs,
                 reduces,
                 map_cpu_secs: 10.0,
@@ -212,7 +214,7 @@ impl World {
                 // A tracker already declared Dead gets nothing (it must
                 // re-register); Silent ones revive on heartbeat and are
                 // assignable like live ones.
-                if liveness == TrackerLiveness::Dead {
+                if liveness == Liveness::Dead {
                     let out = self.jt.heartbeat(self.now, node, &self.topo);
                     prop_assert!(out.is_empty(), "dead tracker got work: {:?}", out);
                     return Ok(());
@@ -223,14 +225,17 @@ impl World {
                 let want_map = (free_m > 0)
                     .then(|| oracle_map(&self.jt, &self.topo, node, self.now))
                     .flatten();
-                let want_reduce =
-                    (free_r > 0).then(|| oracle_reduce(&self.jt, node, self.now)).flatten();
+                let want_reduce = (free_r > 0)
+                    .then(|| oracle_reduce(&self.jt, node, self.now))
+                    .flatten();
                 let out = self.jt.heartbeat(self.now, node, &self.topo);
                 let mut got_map = None;
                 let mut got_reduce = None;
                 for a in &out {
                     match a {
-                        Assignment::Map { attempt, locality, .. } => {
+                        Assignment::Map {
+                            attempt, locality, ..
+                        } => {
                             got_map = Some((attempt.task.job, attempt.task.index, *locality));
                             self.running_maps.push(*attempt);
                         }
@@ -260,9 +265,8 @@ impl World {
                     return Ok(());
                 }
                 let att = self.running_maps.swap_remove(i % self.running_maps.len());
-                let node = self.jt.job(att.task.job).task(att.task).attempts
-                    [att.attempt as usize]
-                    .node;
+                let node =
+                    self.jt.job(att.task.job).task(att.task).attempts[att.attempt as usize].node;
                 prop_assert!(self.jt.reserve_map_scratch(att, node));
                 let _ = self.jt.map_done(self.now, att, &self.topo);
             }

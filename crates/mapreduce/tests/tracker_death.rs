@@ -1,6 +1,6 @@
 //! Tracker-death handling under every scheduler policy.
 //!
-//! Regression for the `declare_tracker_dead` borrow bug: the path used
+//! Regression for the tracker-death borrow bug: the death path used
 //! to re-fetch the tracker with successive `get_mut(..).unwrap()` calls
 //! around the `sched.on_tracker_dead` policy hook, so any hook (or
 //! future refactor) that removed the entry mid-path would panic instead

@@ -16,7 +16,7 @@
 //!
 //! Propagation latency is deliberately **not** folded into flow completion
 //! times; bulk transfers are bandwidth-dominated and RPC latency is modelled
-//! explicitly by the substrates via [`Network::latency`].
+//! explicitly by the substrates via [`FluidNet::latency`].
 //!
 //! # Scale path (DESIGN.md §10)
 //!
@@ -39,7 +39,7 @@
 //!   links in the same relative order as the global pass, so the computed
 //!   rates are identical (see DESIGN.md §10 for the argument).
 //! * **Deferred recompute** — a flow start only registers the flow and
-//!   queues its links. The queue is flushed before any other [`Network`]
+//!   queues its links. The queue is flushed before any other flow-protocol
 //!   call and whenever time advances, with one pass per connected
 //!   component reachable from the queued links, so a burst of starts at
 //!   one instant (a block write fanning out to its replicas, a
@@ -54,7 +54,7 @@
 
 use crate::params::NetParams;
 use crate::topology::{NodeId, SiteId};
-use crate::{FlowEnd, FlowId, FlowOutcome, Network};
+use crate::{FlowEnd, FlowId, FlowOutcome};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sim_core::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -131,6 +131,20 @@ const NO_SITE: u16 = u16::MAX;
 const NO_FLOW: u32 = u32::MAX;
 
 /// The fluid network model. See the module docs for semantics.
+///
+/// Protocol expected by the simulation mediator:
+/// 1. on a network tick, call [`FluidNet::advance_into`] (or
+///    [`FluidNet::advance`]) with the current time and handle the
+///    returned [`FlowEnd`]s;
+/// 2. start/cancel flows as needed;
+/// 3. re-arm one tick at [`FluidNet::next_completion`] (spurious ticks
+///    are harmless — `advance` just returns nothing).
+///
+/// Same-instant starts defer their rate recompute and settle with one
+/// pass per touched component. Every other protocol call (and the clock
+/// moving on) flushes that queue first, which is why
+/// [`FluidNet::next_completion`] takes `&mut self`; no caller can observe
+/// the deferral.
 pub struct FluidNet {
     params: NetParams,
     /// Dense node → site table (`NO_SITE` = unregistered).
@@ -145,7 +159,7 @@ pub struct FluidNet {
     /// Predicted completion instants: `(first ms where remaining dips
     /// below DONE_EPS, flow id, gen)`.
     crossings: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Projected finish instants as reported by [`Network::next_completion`]
+    /// Projected finish instants as reported by [`FluidNet::next_completion`]
     /// (ceil of remaining/rate — up to one ms *after* the crossing).
     projections: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     finished: Vec<FlowEnd>,
@@ -296,7 +310,7 @@ impl FluidNet {
 
     /// Run the deferred recompute for the flows started since the last
     /// flush: one waterfilling pass per connected component reachable from
-    /// their links, at the instant they started. Every [`Network`] call
+    /// their links, at the instant they started. Every protocol call
     /// flushes on its own; call this before reading rates through `&self`
     /// (the invariant audit).
     pub fn flush(&mut self) {
@@ -889,8 +903,10 @@ impl hog_sim_core::Auditable for FluidNet {
     }
 }
 
-impl Network for FluidNet {
-    fn register_node(&mut self, node: NodeId, site: SiteId) {
+/// The flow protocol (see [`FluidNet`]).
+impl FluidNet {
+    /// Make `node` (living in `site`) usable as a flow endpoint.
+    pub fn register_node(&mut self, node: NodeId, site: SiteId) {
         let idx = node.0 as usize;
         if self.site_of_node.len() <= idx {
             self.site_of_node.resize(idx + 1, NO_SITE);
@@ -898,7 +914,9 @@ impl Network for FluidNet {
         self.site_of_node[idx] = site.0;
     }
 
-    fn remove_node(&mut self, now: SimTime, node: NodeId) -> Vec<FlowEnd> {
+    /// Remove `node`; every flow touching it is killed and reported in the
+    /// returned vector immediately (not via `advance`).
+    pub fn remove_node(&mut self, now: SimTime, node: NodeId) -> Vec<FlowEnd> {
         self.flush();
         self.progress_to(now);
         let mut killed = Vec::new();
@@ -937,7 +955,8 @@ impl Network for FluidNet {
         killed
     }
 
-    fn latency(&self, src: NodeId, dst: NodeId) -> SimDuration {
+    /// One-way propagation latency between two (registered) nodes.
+    pub fn latency(&self, src: NodeId, dst: NodeId) -> SimDuration {
         if src == dst {
             return SimDuration::ZERO;
         }
@@ -947,7 +966,10 @@ impl Network for FluidNet {
         }
     }
 
-    fn start_flow(
+    /// Begin transferring `bytes` from `src` to `dst`. `tag` is returned in
+    /// the eventual [`FlowEnd`]. Zero-byte flows complete on the next
+    /// `advance`.
+    pub fn start_flow(
         &mut self,
         now: SimTime,
         src: NodeId,
@@ -958,7 +980,13 @@ impl Network for FluidNet {
         self.push_flow(now, src, dst, bytes, tag, false)
     }
 
-    fn start_flow_diffuse(
+    /// Like [`FluidNet::start_flow`], but the source side is *diffuse*: the
+    /// bytes really originate from many nodes of the source's site (e.g. a
+    /// shuffle batch covering every map output at that site), so the
+    /// single representative node's NIC must not be modelled as the
+    /// bottleneck — only the site uplink and the receiver constrain the
+    /// flow.
+    pub fn start_flow_diffuse(
         &mut self,
         now: SimTime,
         src: NodeId,
@@ -969,7 +997,9 @@ impl Network for FluidNet {
         self.push_flow(now, src, dst, bytes, tag, true)
     }
 
-    fn cancel_flow(&mut self, now: SimTime, id: FlowId) {
+    /// Cancel an in-flight flow (no `FlowEnd` is emitted). Unknown ids are
+    /// ignored (the flow may have completed in the same instant).
+    pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) {
         self.flush();
         self.progress_to(now);
         let p = match self.flow_pos.get(id.0 as usize) {
@@ -983,20 +1013,26 @@ impl Network for FluidNet {
         self.settle_heaps();
     }
 
-    fn advance(&mut self, now: SimTime) -> Vec<FlowEnd> {
+    /// Progress the model to `now`, returning every flow that finished at or
+    /// before `now`.
+    pub fn advance(&mut self, now: SimTime) -> Vec<FlowEnd> {
         let mut out = Vec::new();
         self.advance_into(now, &mut out);
         out
     }
 
-    fn advance_into(&mut self, now: SimTime, out: &mut Vec<FlowEnd>) {
+    /// Like [`FluidNet::advance`], but appends the finished flows to a
+    /// caller-owned buffer so hot loops can reuse its allocation.
+    pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<FlowEnd>) {
         self.flush();
         self.progress_to(now);
         self.settle_heaps();
         out.append(&mut self.finished);
     }
 
-    fn next_completion(&mut self) -> Option<SimTime> {
+    /// The instant the earliest in-flight flow will finish, if any
+    /// (settling any deferred recompute first).
+    pub fn next_completion(&mut self) -> Option<SimTime> {
         self.flush();
         if !self.finished.is_empty() {
             return Some(self.last_update);
@@ -1005,7 +1041,8 @@ impl Network for FluidNet {
         self.projections.peek().map(|&Reverse((t, _, _))| t)
     }
 
-    fn active_flows(&self) -> usize {
+    /// Number of in-flight flows (diagnostics).
+    pub fn active_flows(&self) -> usize {
         self.flows.len()
     }
 }

@@ -303,10 +303,7 @@ mod tests {
             ("AGLT2", "aglt2.org"),
             ("MIT_CMS", "mit.edu"),
         ];
-        let ids: Vec<SiteId> = sites
-            .iter()
-            .map(|&(n, d)| t.add_site(n, d))
-            .collect();
+        let ids: Vec<SiteId> = sites.iter().map(|&(n, d)| t.add_site(n, d)).collect();
         for &sid in &ids {
             let node = t.add_node(sid);
             let via_dns = t.site_by_dns(node).unwrap();

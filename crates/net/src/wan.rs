@@ -16,7 +16,7 @@
 //! (rates drop to zero) to model an inter-pool partition fault; transfers
 //! resume, not restart, when the partition heals.
 //!
-//! Protocol (mirrors [`crate::Network`]): on a tick call
+//! Protocol (mirrors [`crate::FluidNet`]'s): on a tick call
 //! [`WanTier::advance`], handle the returned [`WanDone`]s, then re-arm one
 //! tick at [`WanTier::next_completion`]. Spurious ticks are harmless.
 
@@ -170,7 +170,11 @@ impl WanTier {
         // `not_before` even while frozen (their bytes are already in
         // flight past the cut).
         let mut best: Option<SimTime> = None;
-        let active = self.transfers.values().filter(|t| t.remaining > 0.0).count();
+        let active = self
+            .transfers
+            .values()
+            .filter(|t| t.remaining > 0.0)
+            .count();
         let rate = if active > 0 {
             self.capacity / active as f64
         } else {
@@ -240,9 +244,8 @@ impl WanTier {
                 .map(|id| self.transfers[id].remaining)
                 .fold(f64::INFINITY, f64::min);
             // First drain, rounded up to the millisecond clock.
-            let drain = SimDuration::from_secs_f64(min_remaining / rate).max(
-                SimDuration::from_millis(1),
-            );
+            let drain =
+                SimDuration::from_secs_f64(min_remaining / rate).max(SimDuration::from_millis(1));
             let step_end = now.min(self.last_advance + drain);
             let dt = step_end.saturating_since(self.last_advance).as_secs_f64();
             let drained = rate * dt;
@@ -277,7 +280,10 @@ mod tests {
         let eta = w.next_completion().unwrap();
         assert!(eta >= SimTime::from_millis(1000));
         assert!(eta <= SimTime::from_millis(1200));
-        let just_before = SimTime::ZERO + eta.saturating_since(SimTime::ZERO).saturating_sub(SimDuration::from_millis(1));
+        let just_before = SimTime::ZERO
+            + eta
+                .saturating_since(SimTime::ZERO)
+                .saturating_sub(SimDuration::from_millis(1));
         assert!(w.advance(just_before).is_empty());
         let done = w.advance(eta);
         assert_eq!(done.len(), 1);

@@ -246,7 +246,10 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(11);
         let n = 20_000;
         let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng).as_secs_f64()).collect();
-        assert!(samples.iter().all(|&s| s >= 60.0), "support starts at scale");
+        assert!(
+            samples.iter().all(|&s| s >= 60.0),
+            "support starts at scale"
+        );
         // P(X > 2*scale) = 2^-1.5 ~= 0.3536.
         let over = samples.iter().filter(|&&s| s > 120.0).count() as f64 / n as f64;
         assert!((over - 0.3536).abs() < 0.02, "tail probability {over}");

@@ -125,7 +125,9 @@ pub trait Model {
         sched: &mut Scheduler<'_, Self::Event>,
     ) {
         while !self.finished() {
-            let Some(event) = events.pop_front() else { break };
+            let Some(event) = events.pop_front() else {
+                break;
+            };
             self.handle(event, sched);
         }
     }

@@ -20,6 +20,8 @@
 //! * [`units`] — byte/bandwidth helper constants.
 //! * [`audit`] — runtime invariant auditing ([`Violation`], [`Auditable`])
 //!   used by the chaos/fault-injection layer.
+//! * [`liveness`] — the heartbeat failure detector the Namenode and the
+//!   JobTracker share ([`Liveness`], [`LivenessIndex`]).
 //!
 //! Everything is deterministic given a seed: the same
 //! `(model, seed)` pair replays the exact same event sequence. This is the
@@ -31,6 +33,7 @@
 pub mod audit;
 pub mod dist;
 pub mod engine;
+pub mod liveness;
 pub mod metrics;
 pub mod queue;
 pub mod rng;
@@ -40,6 +43,7 @@ pub mod units;
 pub use audit::{Auditable, Violation};
 pub use dist::{Exponential, LogNormal, UniformDuration};
 pub use engine::{Model, Scheduler, Simulation};
+pub use liveness::{Liveness, LivenessIndex};
 pub use metrics::{Counter, Histogram, StepSeries, Summary, TimeRegression};
 pub use queue::EventQueue;
 pub use rng::SimRng;

@@ -462,7 +462,9 @@ mod tests {
         let s = StepSeries::new();
         assert_eq!(s.value_at(SimTime::from_secs(5)), 0.0);
         assert_eq!(s.area(SimTime::ZERO, SimTime::from_secs(5)), 0.0);
-        assert!(s.min_max_over(SimTime::ZERO, SimTime::from_secs(5)).is_none());
+        assert!(s
+            .min_max_over(SimTime::ZERO, SimTime::from_secs(5))
+            .is_none());
     }
 
     #[test]

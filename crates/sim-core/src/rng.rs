@@ -124,7 +124,10 @@ mod tests {
         let mut a = SimRng::seed_from_u64(1);
         let mut b = SimRng::seed_from_u64(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same < 4, "streams should be decorrelated, {same} collisions");
+        assert!(
+            same < 4,
+            "streams should be decorrelated, {same} collisions"
+        );
     }
 
     #[test]
@@ -176,7 +179,11 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "astronomically unlikely identity");
+        assert_ne!(
+            v,
+            (0..50).collect::<Vec<_>>(),
+            "astronomically unlikely identity"
+        );
     }
 
     #[test]
