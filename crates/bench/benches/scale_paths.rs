@@ -1,6 +1,9 @@
-//! Criterion benches for the two scale-path hot spots this repo's
+//! Criterion benches for the scale-path hot spots this repo's
 //! incremental rework targets (DESIGN.md §10):
 //!
+//! * `event_queue/*` — popping and re-arming 10k per-node periodic timers
+//!   beside 10k one-shot timers, with the re-arms on the queue's
+//!   fixed-period lane or on its heap.
 //! * `fluid_recompute/*` — cost of the waterfilling recompute triggered by
 //!   one flow start while N flows are already in the air. The incremental
 //!   engine only re-waterfills the connected component the new flow
@@ -14,13 +17,17 @@
 //! * `jobtracker_heartbeat/*` — one cluster-wide heartbeat round against
 //!   a loaded job queue. The incremental job-order cache and pending-only
 //!   locality index keep the per-heartbeat cost flat in tracker count.
+//!   `idle_10000_trackers_spec_on` is the long tail of a 10k-node run:
+//!   nothing pending, speculation on, every job with a mean.
+//! * `site_aware_choose/*` — one 10-replica block placement over 10k
+//!   candidates in 32 sites.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hog_hdfs::placement::SiteAwarePolicy;
+use hog_hdfs::placement::{Candidate, PlacementPolicy, SiteAwarePolicy};
 use hog_hdfs::{BlockId, HdfsConfig, Namenode};
 use hog_mapreduce::{Assignment, JobSubmission, JobTracker, MrParams};
 use hog_net::{FluidNet, NetParams, NodeId, SiteId, Topology};
-use hog_sim_core::{SimRng, SimTime};
+use hog_sim_core::{EventQueue, SimDuration, SimRng, SimTime};
 use std::hint::black_box;
 
 /// A fluid net with `flows` active transfers spread over 8 sites × 50
@@ -127,11 +134,55 @@ fn bench_namenode_tick(c: &mut Criterion) {
     group.finish();
 }
 
+/// Pop and re-arm 20k timers: 10k per-node periodic timers (first arms
+/// staggered over one 3 s period, like the cluster's heartbeats) and 10k
+/// one-shot timers spread over 30 s that re-arm at a spread later instant.
+fn bench_event_queue(c: &mut Criterion) {
+    const TIMERS: u64 = 10_000;
+    let period = SimDuration::from_secs(3);
+    let setup = || {
+        let mut q = EventQueue::with_capacity(2 * TIMERS as usize);
+        for n in 0..TIMERS {
+            q.push(SimTime::from_millis(n * 5741 % 3000 + 1), (true, n));
+            q.push(SimTime::from_millis(n * 7919 % 30_000), (false, n));
+        }
+        q
+    };
+    let mut group = c.benchmark_group("event_queue");
+    for (name, lane) in [("rearm_on_lane", true), ("rearm_on_heap", false)] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                setup,
+                |mut q| {
+                    for _ in 0..2 * TIMERS {
+                        let (at, (periodic, n)) = q.pop().expect("timers re-arm");
+                        if !periodic {
+                            let later = SimDuration::from_millis(n * 104_729 % 30_000 + 1);
+                            q.push(at + later, (false, n));
+                        } else if lane {
+                            q.push_periodic(at + period, period, (true, n));
+                        } else {
+                            q.push(at + period, (true, n));
+                        }
+                    }
+                    black_box(q.len())
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 /// A JobTracker with `trackers` registered workers over `trackers / 200`
-/// sites and `jobs` submitted jobs whose splits land on real workers, plus
-/// the matching topology. Speculation is off so the measured round is the
-/// pure assignment path (no speculative rescans).
-fn loaded_jt(trackers: u32, jobs: u32) -> (JobTracker, Topology, Vec<NodeId>) {
+/// sites and `jobs` submitted jobs (50 maps and `reduces` reduces each)
+/// whose splits land on real workers, plus the matching topology.
+fn loaded_jt(
+    trackers: u32,
+    jobs: u32,
+    speculation: bool,
+    reduces: u32,
+) -> (JobTracker, Topology, Vec<NodeId>) {
     let mut topo = Topology::new();
     let mut nodes = Vec::with_capacity(trackers as usize);
     let sites = (trackers / 200).max(1);
@@ -144,7 +195,7 @@ fn loaded_jt(trackers: u32, jobs: u32) -> (JobTracker, Topology, Vec<NodeId>) {
         }
     }
     let mut jt = JobTracker::new(
-        MrParams::hog().with_speculation(false),
+        MrParams::hog().with_speculation(speculation),
         SimRng::seed_from_u64(11),
     );
     for &n in &nodes {
@@ -165,7 +216,7 @@ fn loaded_jt(trackers: u32, jobs: u32) -> (JobTracker, Topology, Vec<NodeId>) {
                         .collect()
                 })
                 .collect(),
-            reduces: 4,
+            reduces,
             map_cpu_secs: 30.0,
             map_output_bytes: 16 << 20,
             reduce_cpu_secs: 10.0,
@@ -177,38 +228,107 @@ fn loaded_jt(trackers: u32, jobs: u32) -> (JobTracker, Topology, Vec<NodeId>) {
     (jt, topo, nodes)
 }
 
+/// One heartbeat round: every node in turn, assignments drained into a
+/// reused buffer exactly like the cluster's batched dispatch loop does.
+/// Returns the number of assignments.
+fn heartbeat_round(jt: &mut JobTracker, topo: &Topology, nodes: &[NodeId], now: SimTime) -> usize {
+    let mut out: Vec<Assignment> = Vec::new();
+    let mut assigned = 0usize;
+    for &n in nodes {
+        jt.heartbeat_into(now, n, topo, &mut out);
+        assigned += out.len();
+    }
+    assigned
+}
+
+/// 10k trackers, speculation on, and 20 map-only jobs whose 1,000 maps
+/// all started at 3 s; three maps per job finished at 30 s, so every job
+/// has a mean and nothing is pending.
+fn idle_jt() -> (JobTracker, Topology, Vec<NodeId>) {
+    let (mut jt, topo, nodes) = loaded_jt(10_000, 20, true, 0);
+    let mut out: Vec<Assignment> = Vec::new();
+    let mut started: Vec<Vec<Assignment>> = vec![Vec::new(); 20];
+    for &n in &nodes {
+        jt.heartbeat_into(SimTime::from_secs(3), n, &topo, &mut out);
+        for a in &out {
+            started[a.attempt().task.job.0 as usize].push(a.clone());
+        }
+    }
+    for job in &started {
+        for a in job.iter().take(3) {
+            jt.map_done(SimTime::from_secs(30), a.attempt(), &topo);
+        }
+    }
+    assert_eq!(jt.backlog().pending_maps, 0);
+    (jt, topo, nodes)
+}
+
 fn bench_jobtracker_heartbeat(c: &mut Criterion) {
     let mut group = c.benchmark_group("jobtracker_heartbeat");
     group.sample_size(10);
+    // Speculation is off so these rounds are the pure assignment path
+    // (no speculative rescans).
     for &(trackers, jobs) in &[(1_000u32, 10u32), (1_000, 100), (10_000, 10), (10_000, 100)] {
         let name = format!("{trackers}_trackers_{jobs}_jobs");
         group.bench_function(&name, |b| {
             b.iter_batched(
-                || loaded_jt(trackers, jobs),
+                || loaded_jt(trackers, jobs, false, 4),
                 |(mut jt, topo, nodes)| {
-                    // One cluster-wide heartbeat round, assignments
-                    // drained into a reused buffer exactly like the
-                    // cluster's batched dispatch loop does.
-                    let now = SimTime::from_secs(3);
-                    let mut out: Vec<Assignment> = Vec::new();
-                    let mut assigned = 0usize;
-                    for &n in &nodes {
-                        jt.heartbeat_into(now, n, &topo, &mut out);
-                        assigned += out.len();
-                    }
-                    black_box(assigned)
+                    black_box(heartbeat_round(
+                        &mut jt,
+                        &topo,
+                        &nodes,
+                        SimTime::from_secs(3),
+                    ))
                 },
                 BatchSize::SmallInput,
             )
         });
     }
+    // The idle round: the running maps are too young to be stragglers,
+    // so the first heartbeat scans every job and the rest skip the scan
+    // until the cooldown ends.
+    group.bench_function("idle_10000_trackers_spec_on", |b| {
+        b.iter_batched(
+            idle_jt,
+            |(mut jt, topo, nodes)| {
+                black_box(heartbeat_round(
+                    &mut jt,
+                    &topo,
+                    &nodes,
+                    SimTime::from_secs(35),
+                ))
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+/// One 10-replica placement over 10k candidates in 32 sites, with free
+/// space drawn from a few hundred values so in-site ties occur.
+fn bench_site_aware_choose(c: &mut Criterion) {
+    let cands: Vec<Candidate> = (0..10_000u32)
+        .map(|i| Candidate {
+            node: NodeId(i),
+            site: SiteId((i / 313) as u16),
+            free: (40u64 << 30) - (u64::from(i) * 7919 % 300) * (64 << 20),
+        })
+        .collect();
+    let mut group = c.benchmark_group("site_aware_choose");
+    group.bench_function("10k_candidates_32_sites_10_replicas", |b| {
+        let mut rng = SimRng::seed_from_u64(5);
+        b.iter(|| black_box(SiteAwarePolicy.choose(None, 10, &[], &cands, &mut rng)))
+    });
     group.finish();
 }
 
 criterion_group!(
     benches,
+    bench_event_queue,
     bench_fluid_recompute,
     bench_namenode_tick,
-    bench_jobtracker_heartbeat
+    bench_jobtracker_heartbeat,
+    bench_site_aware_choose
 );
 criterion_main!(benches);

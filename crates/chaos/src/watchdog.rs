@@ -101,7 +101,10 @@ impl Watchdog {
             stalled_for.as_millis() / 1000,
             self.window.as_millis() / 1000,
             now.as_millis() / 1000,
-            self.last.as_ref().expect("signature was just compared").render(),
+            self.last
+                .as_ref()
+                .expect("signature was just compared")
+                .render(),
         );
         Some(ChaosFailure::Livelock {
             at: now,

@@ -28,7 +28,7 @@ use hog_hdfs::{
 };
 use hog_mapreduce::jobtracker::FailReason;
 use hog_mapreduce::{Assignment, AttemptRef, JobId, JobSubmission, JobTracker, JtNote, ReduceStep};
-use hog_net::{FlowEnd, FlowId, FlowOutcome, FluidNet, NodeId, Topology};
+use hog_net::{FlowEnd, FlowId, FlowOutcome, FluidNet, NodeId, NodeSet, Topology};
 use hog_obs::{
     render_tail, HistogramId, Layer, MetricId, MetricsRegistry, TraceEvent, TraceLog, Tracer,
 };
@@ -235,8 +235,9 @@ pub struct Cluster {
     masters: SingleMasterStack,
     rng: SimRng,
     master: NodeId,
-    /// Nodes whose daemons are running (zombies included).
-    daemons_up: BTreeSet<NodeId>,
+    /// Nodes whose daemons are running (zombies included): the
+    /// per-heartbeat and per-disk-check gate, one bit per node.
+    daemons_up: NodeSet,
     /// Zombie nodes: daemons up, storage gone.
     zombies: BTreeSet<NodeId>,
     flows: HashMap<FlowId, FlowCtx>,
@@ -391,7 +392,7 @@ impl Cluster {
             masters: SingleMasterStack::new(nn, jt, failover_cfg),
             rng,
             master,
-            daemons_up: BTreeSet::new(),
+            daemons_up: NodeSet::new(),
             zombies: BTreeSet::new(),
             flows: HashMap::new(),
             attempt_flows: HashMap::new(),
@@ -521,7 +522,7 @@ impl Cluster {
         let (hb, check) = self.worker_timers(node);
         sched.after(hb, Event::Heartbeat { node });
         if let Some(d) = check {
-            sched.after(d, Event::DiskCheck { node });
+            sched.every(d, Event::DiskCheck { node });
         }
     }
 
@@ -894,7 +895,7 @@ impl Cluster {
 
     /// Whether a node is alive with working storage (writable target).
     fn node_usable(&self, node: NodeId) -> bool {
-        self.daemons_up.contains(&node)
+        self.daemons_up.contains(node)
             && !self.zombies.contains(&node)
             && !self.partitioned.contains(&node)
     }
@@ -903,7 +904,7 @@ impl Cluster {
     /// not cut off by an injected partition. Storage state is irrelevant
     /// (a zombie still serves cached map output and heartbeats).
     fn node_reachable(&self, node: NodeId) -> bool {
-        self.daemons_up.contains(&node) && !self.partitioned.contains(&node)
+        self.daemons_up.contains(node) && !self.partitioned.contains(&node)
     }
 
     /// Chaos straggler multipliers for `node`: `(cpu, disk)`, 1.0 = no
@@ -1182,7 +1183,7 @@ impl Cluster {
         decommission: bool,
         sched: &mut Scheduler<'_, Event>,
     ) {
-        self.daemons_up.remove(&node);
+        self.daemons_up.remove(node);
         self.zombies.remove(&node);
         self.partitioned.remove(&node);
         self.straggle.remove(&node);
@@ -1270,10 +1271,11 @@ impl Cluster {
 
     /// One tasktracker heartbeat: deliver it to the JobTracker (unless
     /// the worker is partitioned or the masters are not `serving`) and
-    /// launch whatever was assigned, then re-arm the timer. The
-    /// assignment buffer is reused across every heartbeat of the run.
+    /// launch whatever was assigned, then re-arm the timer on the
+    /// queue's heartbeat lane. The assignment buffer is reused across
+    /// every heartbeat of the run.
     fn deliver_heartbeat(&mut self, sched: &mut Scheduler<'_, Event>, node: NodeId, serving: bool) {
-        if !self.daemons_up.contains(&node) {
+        if !self.daemons_up.contains(node) {
             return; // daemon gone: heartbeats stop
         }
         // A partitioned worker keeps its daemons (and this timer)
@@ -1288,7 +1290,7 @@ impl Cluster {
             self.start_assignments(sched, node, &assignments);
             self.assign_buf = assignments;
         }
-        sched.after(self.cfg.mr.heartbeat_interval, Event::Heartbeat { node });
+        sched.every(self.cfg.mr.heartbeat_interval, Event::Heartbeat { node });
     }
 
     fn start_assignments(
@@ -1732,7 +1734,6 @@ impl Cluster {
         let mut ranked: Vec<(f64, NodeId)> = self
             .daemons_up
             .iter()
-            .copied()
             .filter(|n| !self.zombies.contains(n))
             .filter(|&n| !self.masters.jt.tracker_busy(n))
             .map(|n| (self.masters.jt.site_penalty(self.topo.site_of(n), now), n))
@@ -2130,7 +2131,6 @@ impl Cluster {
         let reachable: Vec<NodeId> = self
             .daemons_up
             .iter()
-            .copied()
             .filter(|&n| !self.partitioned.contains(&n))
             .collect();
         let mut rereg = 0u64;
@@ -2154,7 +2154,7 @@ impl Cluster {
             .datanodes()
             .filter(|&(n, d)| {
                 d.liveness == Liveness::Live
-                    && (!self.daemons_up.contains(&n) || self.partitioned.contains(&n))
+                    && (!self.daemons_up.contains(n) || self.partitioned.contains(&n))
             })
             .map(|(n, _)| n)
             .collect();
@@ -2178,7 +2178,6 @@ impl Cluster {
         let mut tracker_silent: Vec<NodeId> = self
             .daemons_up
             .iter()
-            .copied()
             .filter(|&n| self.partitioned.contains(&n) && self.masters.jt.tracker_live(n))
             .collect();
         tracker_silent.sort_by_key(|n| n.0);
@@ -2260,7 +2259,6 @@ impl Cluster {
                 let members: Vec<NodeId> = self
                     .daemons_up
                     .iter()
-                    .copied()
                     .filter(|&n| self.topo.site_of(n) == site && !self.partitioned.contains(&n))
                     .collect();
                 for &n in &members {
@@ -2283,7 +2281,6 @@ impl Cluster {
                 let mut candidates: Vec<NodeId> = self
                     .daemons_up
                     .iter()
-                    .copied()
                     .filter(|&n| !self.zombies.contains(&n) && !self.partitioned.contains(&n))
                     .collect();
                 self.chaos_rng.shuffle(&mut candidates);
@@ -2300,7 +2297,6 @@ impl Cluster {
                 let mut candidates: Vec<NodeId> = self
                     .daemons_up
                     .iter()
-                    .copied()
                     .filter(|n| !self.straggle.contains_key(n))
                     .collect();
                 self.chaos_rng.shuffle(&mut candidates);
@@ -2315,7 +2311,7 @@ impl Cluster {
             Fault::CorruptAccounting { delta_bytes } => {
                 // Deliberately breaks the namenode's books so the auditor
                 // has something real to catch (negative-testing fault).
-                if let Some(&n) = self.daemons_up.iter().next() {
+                if let Some(n) = self.daemons_up.iter().next() {
                     self.masters.nn.debug_skew_used(n, delta_bytes);
                 }
             }
@@ -2343,7 +2339,7 @@ impl Cluster {
                 let members = self.partition_members.remove(&index).unwrap_or_default();
                 for n in members {
                     self.partitioned.remove(&n);
-                    if !self.daemons_up.contains(&n) {
+                    if !self.daemons_up.contains(n) {
                         continue; // lost for real while cut off
                     }
                     self.net.register_node(n, self.topo.site_of(n));
@@ -2438,7 +2434,7 @@ impl Cluster {
                 ));
             }
         }
-        for &n in self.daemons_up.iter() {
+        for n in self.daemons_up.iter() {
             if self.masters.jt.tracker_live(n) && self.partitioned.contains(&n) {
                 v.push(Violation::new(
                     "cluster",
@@ -2464,7 +2460,7 @@ impl Cluster {
             pool_size: self
                 .daemons_up
                 .iter()
-                .filter(|&&n| self.node_usable(n))
+                .filter(|&n| self.node_usable(n))
                 .count(),
             node_starts: self.grid.as_ref().map_or(0, |g| g.node_start_count()),
             upload_remaining: self.upload_queue.len() + self.upload_in_flight,
@@ -2527,7 +2523,7 @@ impl Model for Cluster {
                 self.deliver_heartbeat(sched, node, serving);
             }
             Event::DiskCheck { node } => {
-                if !self.daemons_up.contains(&node) {
+                if !self.daemons_up.contains(node) {
                     return;
                 }
                 if self.zombies.contains(&node) {
@@ -2538,7 +2534,7 @@ impl Model for Cluster {
                     });
                     self.shutdown_daemons(node, false, sched);
                 } else if let Some(d) = self.cfg.hdfs.disk_check_interval {
-                    sched.after(d, Event::DiskCheck { node });
+                    sched.every(d, Event::DiskCheck { node });
                 }
             }
             Event::MapInputReady { attempt } => self.start_map_compute(sched, attempt),

@@ -51,9 +51,7 @@ use hog_core::event::Event;
 use hog_net::{WanDone, WanTier, WanTransferId};
 use hog_obs::{Layer, MetricId, MetricsRegistry};
 use hog_sim_core::engine::{RunStats, StopReason};
-use hog_sim_core::{
-    EventQueue, Model, Scheduler, SimDuration, SimRng, SimTime, Violation,
-};
+use hog_sim_core::{EventQueue, Model, Scheduler, SimDuration, SimRng, SimTime, Violation};
 use hog_workload::SubmissionSchedule;
 
 use crate::config::FedConfig;
@@ -295,14 +293,12 @@ impl Federation {
                 }
             })
             .collect();
-        let residency: Vec<BTreeSet<usize>> =
-            home.iter().map(|&h| BTreeSet::from([h])).collect();
+        let residency: Vec<BTreeSet<usize>> = home.iter().map(|&h| BTreeSet::from([h])).collect();
 
         // Stamp pool roles and build the member stacks.
         let mut pools = Vec::with_capacity(n);
         for (p, pool_cfg) in cfg.pools.iter_mut().enumerate() {
-            let home_jobs: Vec<usize> =
-                (0..n_jobs).filter(|&i| home[i] == p).collect();
+            let home_jobs: Vec<usize> = (0..n_jobs).filter(|&i| home[i] == p).collect();
             pool_cfg.pool = Some(hog_core::config::PoolRole {
                 pool_id: p,
                 home_jobs,
@@ -326,8 +322,7 @@ impl Federation {
                 backlog: registry.register_owned(Layer::Fed, format!("pool{p}_backlog")),
                 size: registry.register_owned(Layer::Fed, format!("pool{p}_size")),
                 routed: registry.register_owned(Layer::Fed, format!("pool{p}_routed")),
-                staged_bytes: registry
-                    .register_owned(Layer::Fed, format!("pool{p}_staged_bytes")),
+                staged_bytes: registry.register_owned(Layer::Fed, format!("pool{p}_staged_bytes")),
             })
             .collect();
 
@@ -524,9 +519,7 @@ impl Federation {
     /// Pick up everything pool `who` noted during its last handler:
     /// readiness, completed stagings, fired submissions, finished jobs.
     fn drain_pool_notes(&mut self, now: SimTime, who: usize) {
-        if !self.staging_started
-            && self.pools.iter().all(|p| p.cluster.pool_ready())
-        {
+        if !self.staging_started && self.pools.iter().all(|p| p.cluster.pool_ready()) {
             self.begin_initial_staging(now);
         }
         loop {
@@ -585,8 +578,7 @@ impl Federation {
     /// Launch one dataset transfer over the WAN.
     fn start_stage(&mut self, now: SimTime, job: usize, to: usize, kind: StageKind) {
         let from = self.home[job];
-        let bytes = self.schedule.jobs()[job].maps as u64
-            * self.cfg.pools[from].hdfs.block_size;
+        let bytes = self.schedule.jobs()[job].maps as u64 * self.cfg.pools[from].hdfs.block_size;
         let id = self.wan.start_transfer(now, from, to, bytes, job as u64);
         self.wan_pending.insert(id, (job, to, kind));
         self.awaiting.insert((job, to), kind);
@@ -604,10 +596,7 @@ impl Federation {
                 }
             }
             Some(StageKind::Route) => {
-                debug_assert_eq!(
-                    self.phase[job],
-                    JobPhase::AwaitingStage { pool: who }
-                );
+                debug_assert_eq!(self.phase[job], JobPhase::AwaitingStage { pool: who });
                 self.submit_to(now, job, who);
             }
             // A home upload completing is not tracked here.
@@ -638,10 +627,9 @@ impl Federation {
             .map(|(p, pool)| {
                 let jt = pool.cluster.jobtracker();
                 let b = jt.backlog();
-                let tasks = (b.pending_maps
-                    + b.running_maps
-                    + b.pending_reduces
-                    + b.running_reduces) as f64;
+                let tasks =
+                    (b.pending_maps + b.running_maps + b.pending_reduces + b.running_reduces)
+                        as f64;
                 let live = jt.reported_live().max(1) as f64;
                 PoolSnapshot {
                     locality: if self.residency[job].contains(&p) {
@@ -654,8 +642,8 @@ impl Federation {
                 }
             })
             .collect();
-        let bytes = self.schedule.jobs()[job].maps as u64
-            * self.cfg.pools[self.home[job]].hdfs.block_size;
+        let bytes =
+            self.schedule.jobs()[job].maps as u64 * self.cfg.pools[self.home[job]].hdfs.block_size;
         let stage_units = bytes as f64 / self.cfg.wan_capacity / BACKLOG_UNIT_SECS;
         let picked = self.meta.route(self.home[job], stage_units, &snaps);
         self.routed_to[job] = Some(picked);
@@ -698,13 +686,9 @@ impl Federation {
             let failures = jt.counters().failures;
             let delta = failures.saturating_sub(self.last_failures[p]);
             self.last_failures[p] = failures;
-            self.health[p] =
-                self.health[p] * HEALTH_DECAY + delta as f64 * HEALTH_SCALE;
+            self.health[p] = self.health[p] * HEALTH_DECAY + delta as f64 * HEALTH_SCALE;
             let b = jt.backlog();
-            let tasks = b.pending_maps
-                + b.running_maps
-                + b.pending_reduces
-                + b.running_reduces;
+            let tasks = b.pending_maps + b.running_maps + b.pending_reduces + b.running_reduces;
             let g = &self.gauges[p];
             self.registry.set(g.backlog, tasks as f64);
             self.registry.set(g.size, jt.reported_live() as f64);
@@ -827,8 +811,7 @@ impl Federation {
             .collect();
         let completed = remaining == 0 && chaos_failure.is_none();
         let response_time = if completed {
-            let first = workload_base
-                .map(|b| b + (schedule.jobs()[0].submit_at - SimTime::ZERO));
+            let first = workload_base.map(|b| b + (schedule.jobs()[0].submit_at - SimTime::ZERO));
             let last = jobs.iter().filter_map(|j| j.finished).max();
             match (first, last) {
                 (Some(f), Some(l)) => Some(l.saturating_since(f)),

@@ -29,7 +29,5 @@ pub mod federation;
 pub mod meta;
 
 pub use config::FedConfig;
-pub use federation::{
-    assert_fed_finished, jain, run_federation, FedResult, Federation,
-};
+pub use federation::{assert_fed_finished, jain, run_federation, FedResult, Federation};
 pub use meta::{MetaScheduler, PoolSnapshot, RoutingPolicy};

@@ -31,7 +31,9 @@ pub struct BalancerPlan {
 /// default 0.10 = 10 percentage points). `max_moves` bounds the plan so
 /// each iteration stays cheap, like the real balancer's bandwidth cap.
 pub fn plan(nn: &Namenode, topo: &Topology, threshold: f64, max_moves: usize) -> BalancerPlan {
-    // Utilisation per live datanode.
+    // Utilisation per live datanode. A zero-capacity node can be neither
+    // a source nor a sink (and its utilisation would be 0/0), so it
+    // stays out of the plan.
     let mut nodes: Vec<(NodeId, u64, u64)> = nn
         .datanodes()
         .filter(|(n, d)| nn.is_live(*n) && d.capacity > 0 && !d.storage_failed)
@@ -49,8 +51,7 @@ pub fn plan(nn: &Namenode, topo: &Topology, threshold: f64, max_moves: usize) ->
     // last (sinks).
     nodes.sort_by(|a, b| {
         util(b.1, b.2)
-            .partial_cmp(&util(a.1, a.2))
-            .unwrap()
+            .total_cmp(&util(a.1, a.2))
             .then(a.0.cmp(&b.0))
     });
 
@@ -300,6 +301,19 @@ mod tests {
         // Flat runs (no lowered targets) plan no trims.
         let (nn2, topo2, _) = setup_unbalanced();
         assert!(plan(&nn2, &topo2, 0.10, 100).trims.is_empty());
+    }
+
+    #[test]
+    fn zero_capacity_datanodes_stay_out_of_the_plan() {
+        let mut topo = Topology::new();
+        let site = topo.add_site("S0", "s0.edu");
+        let cfg = HdfsConfig::hog().with_replication(1).with_capacity(0);
+        let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(1));
+        for _ in 0..4 {
+            nn.register_datanode(SimTime::ZERO, topo.add_node(site));
+        }
+        let p = plan(&nn, &topo, 0.1, 10);
+        assert!(p.moves.is_empty() && p.trims.is_empty());
     }
 
     #[test]

@@ -86,73 +86,85 @@ impl PlacementPolicy for SiteAwarePolicy {
             return chosen;
         }
         // This runs on every block allocation with n = the replication
-        // factor (10 under the HOG preset), so it stays allocation-lean:
-        // a `taken` bitmap plus dense per-site replica counts replace the
-        // per-replica bucketing-into-HashMap-and-sort formulation. Every
-        // selection below is the unique minimum of a total order, so the
-        // chosen pipeline is identical to what that code produced.
-        let max_site = candidates
-            .iter()
-            .map(|c| c.site.0)
-            .chain(existing.iter().map(|&(_, s)| s.0))
-            .max()
-            .unwrap_or(0) as usize;
-        let mut site_count = vec![0u32; max_site + 1];
-        for &(_, s) in existing {
-            site_count[s.0 as usize] += 1;
+        // factor (10 under the HOG preset) over every datanode that can
+        // take the block, so it makes one pass over the candidates per
+        // call, not per replica. The result depends only on the
+        // candidate *set*: the site key is `(replicas so far, site id)`
+        // over sites with an unchosen candidate, and inside a site the
+        // most free space wins, ties drawn in ascending node order. So
+        // the pass threads each candidate onto its site's list (two flat
+        // buffers: a head per site, a link per candidate), and each
+        // replica scans the sites and then only the chosen site's list.
+        const END: u32 = u32::MAX;
+        // Per site: (replicas so far, head of its unchosen-candidate list).
+        // 64 slots cover every pool the presets build (32 sites at 10k
+        // nodes) without a regrowth.
+        let mut sites: Vec<(u32, u32)> = Vec::with_capacity(64);
+        let slot = |sites: &mut Vec<(u32, u32)>, site: SiteId| {
+            let s = site.0 as usize;
+            if s >= sites.len() {
+                sites.resize(s + 1, (0, END));
+            }
+            s
+        };
+        for &(_, site) in existing {
+            let s = slot(&mut sites, site);
+            sites[s].0 += 1;
         }
-        let mut taken = vec![false; candidates.len()];
         // First replica: data locality — the writer's own datanode, when
         // it is a candidate and this is a fresh write.
-        if existing.is_empty() {
-            if let Some(w) = writer {
-                if let Some(i) = candidates.iter().position(|c| c.node == w) {
-                    chosen.push(w);
-                    taken[i] = true;
-                    site_count[candidates[i].site.0 as usize] += 1;
-                }
+        let writer = writer.filter(|_| existing.is_empty());
+        let mut next = vec![END; candidates.len()];
+        for (i, c) in candidates.iter().enumerate() {
+            let s = slot(&mut sites, c.site);
+            if Some(c.node) == writer {
+                chosen.push(c.node);
+                sites[s].0 += 1;
+                continue;
             }
+            next[i] = sites[s].1;
+            sites[s].1 = i as u32;
         }
-        let mut ties: Vec<usize> = Vec::new();
+        // `(node, candidate, predecessor on its site list)`.
+        let mut ties: Vec<(NodeId, u32, u32)> = Vec::new();
         while chosen.len() < n {
-            // Pick the site with the fewest replicas so far; break count
-            // ties by site id for determinism. Only sites that still have
-            // an unchosen candidate qualify.
-            let mut best: Option<(u32, SiteId)> = None;
-            for (i, c) in candidates.iter().enumerate() {
-                if taken[i] {
-                    continue;
-                }
-                let key = (site_count[c.site.0 as usize], c.site);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
+            // The site with the fewest replicas so far; count ties go to
+            // the lowest site id. Only sites that still have an unchosen
+            // candidate qualify.
+            let mut best: Option<(u32, usize)> = None;
+            for (s, &(count, head)) in sites.iter().enumerate() {
+                if head != END && best.is_none_or(|(c, _)| count < c) {
+                    best = Some((count, s));
                 }
             }
-            let Some((_, site)) = best else { break };
-            // Inside the site prefer the emptiest node, tie-broken
-            // randomly (via node id shuffle under the run rng). Ties are
-            // ordered by ascending node id — what a stable sort by
-            // `(Reverse(free), node)` yields — so the draw below lands on
-            // the same node the sort-based code picked.
+            let Some((_, s)) = best else { break };
+            // Inside the site prefer the emptiest node, ties drawn under
+            // the run rng in ascending node order.
             let mut top_free = 0u64;
             ties.clear();
-            for (i, c) in candidates.iter().enumerate() {
-                if taken[i] || c.site != site {
-                    continue;
-                }
+            let (mut prev, mut i) = (END, sites[s].1);
+            while i != END {
+                let c = &candidates[i as usize];
                 if ties.is_empty() || c.free > top_free {
                     top_free = c.free;
                     ties.clear();
-                    ties.push(i);
+                    ties.push((c.node, i, prev));
                 } else if c.free == top_free {
-                    ties.push(i);
+                    ties.push((c.node, i, prev));
                 }
+                prev = i;
+                i = next[i as usize];
             }
-            ties.sort_unstable_by_key(|&i| candidates[i].node);
-            let pick = ties[rng.index(ties.len())];
-            taken[pick] = true;
-            site_count[site.0 as usize] += 1;
-            chosen.push(candidates[pick].node);
+            ties.sort_unstable_by_key(|&(node, _, _)| node);
+            let (node, pick, prev) = ties[rng.index(ties.len())];
+            // Unlink the pick from its site's list.
+            let after = next[pick as usize];
+            match prev {
+                END => sites[s].1 = after,
+                p => next[p as usize] = after,
+            }
+            sites[s].0 += 1;
+            chosen.push(node);
         }
         chosen
     }
@@ -374,6 +386,86 @@ pub fn stable_first<F: Fn(SiteId) -> bool>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The linear site-aware choice this module shipped before the
+    /// site-bucketed one: two passes over every candidate per replica.
+    /// Kept as the oracle `SiteAwarePolicy::choose` must match.
+    fn choose_linear(
+        writer: Option<NodeId>,
+        n: usize,
+        existing: &[(NodeId, SiteId)],
+        candidates: &[Candidate],
+        rng: &mut SimRng,
+    ) -> Vec<NodeId> {
+        let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
+        if n == 0 || candidates.is_empty() {
+            return chosen;
+        }
+        let max_site = candidates
+            .iter()
+            .map(|c| c.site.0)
+            .chain(existing.iter().map(|&(_, s)| s.0))
+            .max()
+            .unwrap_or(0) as usize;
+        let mut site_count = vec![0u32; max_site + 1];
+        for &(_, s) in existing {
+            site_count[s.0 as usize] += 1;
+        }
+        let mut taken = vec![false; candidates.len()];
+        // First replica: data locality — the writer's own datanode, when
+        // it is a candidate and this is a fresh write.
+        if existing.is_empty() {
+            if let Some(w) = writer {
+                if let Some(i) = candidates.iter().position(|c| c.node == w) {
+                    chosen.push(w);
+                    taken[i] = true;
+                    site_count[candidates[i].site.0 as usize] += 1;
+                }
+            }
+        }
+        let mut ties: Vec<usize> = Vec::new();
+        while chosen.len() < n {
+            // Pick the site with the fewest replicas so far; break count
+            // ties by site id for determinism. Only sites that still have
+            // an unchosen candidate qualify.
+            let mut best: Option<(u32, SiteId)> = None;
+            for (i, c) in candidates.iter().enumerate() {
+                if taken[i] {
+                    continue;
+                }
+                let key = (site_count[c.site.0 as usize], c.site);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
+            let Some((_, site)) = best else { break };
+            // Inside the site prefer the emptiest node, tie-broken
+            // randomly (via node id shuffle under the run rng). Ties are
+            // ordered by ascending node id — what a stable sort by
+            // `(Reverse(free), node)` yields — so the draw below lands on
+            // the same node the sort-based code picked.
+            let mut top_free = 0u64;
+            ties.clear();
+            for (i, c) in candidates.iter().enumerate() {
+                if taken[i] || c.site != site {
+                    continue;
+                }
+                if ties.is_empty() || c.free > top_free {
+                    top_free = c.free;
+                    ties.clear();
+                    ties.push(i);
+                } else if c.free == top_free {
+                    ties.push(i);
+                }
+            }
+            ties.sort_unstable_by_key(|&i| candidates[i].node);
+            let pick = ties[rng.index(ties.len())];
+            taken[pick] = true;
+            site_count[site.0 as usize] += 1;
+            chosen.push(candidates[pick].node);
+        }
+        chosen
+    }
 
     /// `sites` nodes spread round-robin over `n_sites` sites.
     fn cluster(n_nodes: u32, n_sites: u16) -> Vec<Candidate> {
@@ -618,6 +710,52 @@ mod tests {
             for c in &chosen {
                 prop_assert!(cands.iter().any(|x| x.node == *c));
             }
+        }
+
+        /// The site-bucketed choice returns what the linear oracle
+        /// returns under the same rng, draws the rng the same number of
+        /// times, and ignores the order of its candidates. Free space
+        /// comes from a few values so in-site ties are common, and some
+        /// existing replicas sit on sites with no candidate.
+        #[test]
+        fn prop_site_aware_matches_linear_oracle_in_any_order(
+            spec in proptest::collection::vec((0u16..12, 0u64..4), 1..80),
+            existing_sites in proptest::collection::vec(0u16..14, 0..4),
+            writer in 0u32..100,
+            want in 0usize..14,
+            seed in 0u64..10_000,
+        ) {
+            let cands: Vec<Candidate> = spec
+                .iter()
+                .enumerate()
+                .map(|(i, &(site, free))| Candidate {
+                    node: NodeId(i as u32 * 3 + 1),
+                    site: SiteId(site),
+                    free: free * 1_000,
+                })
+                .collect();
+            let existing: Vec<(NodeId, SiteId)> = existing_sites
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| (NodeId(10_000 + i as u32), SiteId(s)))
+                .collect();
+            let writer = Some(NodeId(writer));
+            let run = |cands: &[Candidate], linear: bool| {
+                let mut rng = SimRng::seed_from_u64(seed);
+                let chosen = if linear {
+                    choose_linear(writer, want, &existing, cands, &mut rng)
+                } else {
+                    SiteAwarePolicy.choose(writer, want, &existing, cands, &mut rng)
+                };
+                (chosen, rng.index(1 << 30))
+            };
+            let want_out = run(&cands, true);
+            prop_assert_eq!(run(&cands, false), want_out.clone());
+            let mut shuffled = cands.clone();
+            SimRng::seed_from_u64(seed ^ 0x5eed).shuffle(&mut shuffled);
+            prop_assert_eq!(run(&shuffled, false), want_out.clone());
+            shuffled.reverse();
+            prop_assert_eq!(run(&shuffled, false), want_out);
         }
 
         /// Site-aware invariant: replica counts across sites never differ

@@ -18,7 +18,7 @@ use crate::shuffle::{FetchOrder, ReducePlan};
 use crate::tracker::TrackerState;
 use crate::AttemptRef;
 use hog_hdfs::BlockId;
-use hog_net::{NodeId, RackId, SiteId, Topology};
+use hog_net::{NodeId, NodeMap, RackId, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sched::{Gate, JobSnapshot, Scheduler, SlotKind};
 use hog_sim_core::{Liveness, LivenessIndex, SimDuration, SimRng, SimTime};
@@ -180,6 +180,10 @@ impl LocalityIndex {
 /// idle slots.
 const RESCUE_URGENT_SUNK: SimDuration = SimDuration::from_secs(60);
 
+/// How long a job sits out of speculation scans after one found no
+/// straggler: repeated idle heartbeats stay cheap.
+const SPEC_SCAN_COOLDOWN: SimDuration = SimDuration::from_secs(5);
+
 /// One slot kind's cached policy job order. Valid while `epoch` matches
 /// the JobTracker's `sched_epoch` (0 never matches — a fresh cache is
 /// always stale). The buffer is reused across rebuilds, so steady-state
@@ -249,7 +253,10 @@ pub struct JobTracker {
     locality: Vec<LocalityIndex>,
     /// Incomplete jobs in submission order (the queue policies reorder).
     fifo: Vec<JobId>,
-    trackers: BTreeMap<NodeId, TrackerState>,
+    /// Tracker records by node id: an O(1) probe per heartbeat, and
+    /// ascending iteration for the death check, the audit and the
+    /// ledger.
+    trackers: NodeMap<TrackerState>,
     /// The failure detector's suspect set and dead count over
     /// `trackers` (audited).
     live: LivenessIndex<NodeId>,
@@ -274,9 +281,16 @@ pub struct JobTracker {
     /// index invariants (see DESIGN §15).
     sched_epoch: u64,
     /// Cached policy job orders (`[map, reduce]`), valid while their
-    /// epoch matches `sched_epoch` and the policy is
-    /// [`Scheduler::order_cacheable`].
+    /// epoch matches `sched_epoch` ([`Scheduler::job_order`] is pure).
     order_cache: [OrderCache; 2],
+    /// The speculation quiet instant per slot kind (`[map, reduce]`): no
+    /// `Running` job can pass both the scan cooldown and the mean test
+    /// before it, so an idle heartbeat earlier than it skips the scan.
+    /// Recomputed after a scan that launched nothing; cleared (`None`,
+    /// scan on the next heartbeat) when a task succeeds or a job is
+    /// submitted. Derived state, audited against a recount and left out
+    /// of the ledger.
+    spec_quiet: [Option<SimTime>; 2],
     /// Reused snapshot scratch for [`Scheduler::job_order`] rebuilds.
     snap_buf: Vec<JobSnapshot>,
     /// Aggregate backlog over incomplete jobs, maintained incrementally
@@ -349,7 +363,7 @@ impl JobTracker {
             jobs: Vec::new(),
             locality: Vec::new(),
             fifo: Vec::new(),
-            trackers: BTreeMap::new(),
+            trackers: NodeMap::new(),
             live: LivenessIndex::default(),
             sorting: HashSet::new(),
             rescue_attempts: HashSet::new(),
@@ -361,6 +375,7 @@ impl JobTracker {
             tracer: Tracer::disabled(),
             sched_epoch: 1,
             order_cache: [OrderCache::default(), OrderCache::default()],
+            spec_quiet: [None; 2],
             snap_buf: Vec::new(),
             agg: Backlog::default(),
         }
@@ -476,7 +491,13 @@ impl JobTracker {
     ) {
         let old = self.trackers.insert(
             node,
-            TrackerState::new(map_slots, reduce_slots, self.cfg.scratch_capacity, now),
+            TrackerState::new(
+                site,
+                map_slots,
+                reduce_slots,
+                self.cfg.scratch_capacity,
+                now,
+            ),
         );
         self.live
             .transition(node, old.map(|t| t.liveness), Liveness::Live);
@@ -485,7 +506,7 @@ impl JobTracker {
 
     /// The tracker stopped heartbeating (worker preempted cleanly).
     pub fn tracker_silent(&mut self, now: SimTime, node: NodeId) {
-        if let Some(t) = self.trackers.get_mut(&node) {
+        if let Some(t) = self.trackers.get_mut(node) {
             if t.liveness == Liveness::Live {
                 self.live
                     .transition(node, Some(t.liveness), Liveness::Silent);
@@ -498,7 +519,7 @@ impl JobTracker {
     /// Whether the JobTracker currently believes the tracker usable.
     pub fn tracker_live(&self, node: NodeId) -> bool {
         self.trackers
-            .get(&node)
+            .get(node)
             .is_some_and(|t| t.liveness == Liveness::Live)
     }
 
@@ -513,7 +534,7 @@ impl JobTracker {
     /// a later re-attempt would recover through the ordinary
     /// fetch-failure → map-re-run path, exactly as after any death.
     pub fn tracker_busy(&self, node: NodeId) -> bool {
-        let Some(t) = self.trackers.get(&node) else {
+        let Some(t) = self.trackers.get(node) else {
             return false;
         };
         if !t.running.is_empty() {
@@ -612,7 +633,7 @@ impl JobTracker {
     /// attempts and re-run completed maps whose outputs died with them.
     pub fn check_dead(&mut self, now: SimTime) -> (Vec<NodeId>, Vec<JtNote>) {
         let overdue = self.live.overdue(now, self.cfg.tracker_dead_timeout, |n| {
-            self.trackers.get(&n).map(|t| t.last_heartbeat)
+            self.trackers.get(n).map(|t| t.last_heartbeat)
         });
         let mut notes = Vec::new();
         for &node in &overdue {
@@ -639,7 +660,7 @@ impl JobTracker {
         // likes to tracker state without an unwrap turning a missing
         // entry into a panic.
         let running = {
-            let Some(t) = self.trackers.get_mut(&node) else {
+            let Some(t) = self.trackers.get_mut(node) else {
                 return notes; // unknown tracker: nothing to declare
             };
             self.live.transition(node, Some(t.liveness), Liveness::Dead);
@@ -761,6 +782,7 @@ impl JobTracker {
         self.agg.pending_maps += maps as usize;
         self.agg.pending_reduces += reduces;
         self.bump_epoch();
+        self.spec_quiet = [None; 2];
         self.sched.on_job_arrived(id.0, now);
         self.tracer.emit(|| {
             let spec = &self.jobs[id.0 as usize].spec;
@@ -821,8 +843,8 @@ impl JobTracker {
         // assignment starts exactly one attempt of its kind on this node,
         // so the free counts can be tracked locally instead of recounting
         // the running set per slot.
-        let free = {
-            let Some(t) = self.trackers.get_mut(&node) else {
+        let (site, free) = {
+            let Some(t) = self.trackers.get_mut(node) else {
                 return;
             };
             if t.liveness == Liveness::Dead {
@@ -832,14 +854,17 @@ impl JobTracker {
             // A partition healed before the timeout: off the suspect list.
             self.live.transition(node, Some(t.liveness), Liveness::Live);
             t.liveness = Liveness::Live;
-            [
-                (TaskKind::Map, t.free_map_slots()),
-                (TaskKind::Reduce, t.free_reduce_slots()),
-            ]
+            (
+                t.site,
+                [
+                    (TaskKind::Map, t.free_map_slots()),
+                    (TaskKind::Reduce, t.free_reduce_slots()),
+                ],
+            )
         };
         for (kind, free) in free {
             for _ in 0..free {
-                match self.assign(now, node, kind, topo) {
+                match self.assign(now, node, site, kind, topo) {
                     Some(a) => out.push(a),
                     None => break,
                 }
@@ -859,7 +884,11 @@ impl JobTracker {
         job.note_attempt_started(task.kind, task.index, attempt, now);
         let att = AttemptRef { task, attempt };
         self.note_running_delta(task.kind, 1);
-        self.trackers.get_mut(&node).unwrap().running.insert(att);
+        self.trackers
+            .get_mut(node)
+            .expect("attempts start on registered trackers")
+            .running
+            .insert(att);
         self.tracer.emit(|| {
             TraceEvent::new(Layer::MapReduce, "attempt_start")
                 .with("job", task.job.0)
@@ -872,16 +901,17 @@ impl JobTracker {
     }
 
     /// The policy's assignment order for one `kind` slot, served from the
-    /// epoch-guarded cache when the policy is [`Scheduler::order_cacheable`]
-    /// and nothing scheduling-relevant changed since the last rebuild.
+    /// epoch-guarded cache while nothing scheduling-relevant changed since
+    /// the last rebuild ([`Scheduler::job_order`] is pure, so a cached
+    /// order is the one a fresh call would return).
     /// The cache is *taken out* (so the caller can iterate it while
     /// mutating `self`) and must be handed back via [`JobTracker::put_order`];
     /// a rebuild reuses both the snapshot scratch and the order buffer, so
     /// the steady state allocates nothing.
-    fn take_order(&mut self, kind: SlotKind, now: SimTime) -> OrderCache {
+    fn take_order(&mut self, kind: SlotKind) -> OrderCache {
         let slot = kind as usize;
         let mut cache = std::mem::take(&mut self.order_cache[slot]);
-        if !self.sched.order_cacheable() || cache.epoch != self.sched_epoch {
+        if cache.epoch != self.sched_epoch {
             self.snap_buf.clear();
             for (queue_pos, &jid) in self.fifo.iter().enumerate() {
                 let job = &self.jobs[jid.0 as usize];
@@ -897,8 +927,7 @@ impl JobTracker {
                 });
             }
             cache.buf.clear();
-            self.sched
-                .job_order(&self.snap_buf, kind, now, &mut cache.buf);
+            self.sched.job_order(&self.snap_buf, kind, &mut cache.buf);
             cache.epoch = self.sched_epoch;
         }
         cache
@@ -911,17 +940,19 @@ impl JobTracker {
         self.order_cache[kind as usize] = cache;
     }
 
-    /// Fill one free `kind` slot on `node`: an urgent rescue (maps only),
-    /// else pending work in policy order, else a rescue copy off a
-    /// predicted-doomed node, else a speculative copy of a straggler.
+    /// Fill one free `kind` slot on `node` (in `site`): an urgent rescue
+    /// (maps only), else pending work in policy order, else a rescue copy
+    /// off a predicted-doomed node, else a speculative copy of a
+    /// straggler.
     fn assign(
         &mut self,
         now: SimTime,
         node: NodeId,
+        site: SiteId,
         kind: TaskKind,
         topo: &Topology,
     ) -> Option<Assignment> {
-        if !self.sched.admit(node, topo.site_of(node), kind.slot(), now) {
+        if !self.sched.admit(node, site, kind.slot(), now) {
             return None;
         }
         // Urgent rescues outrank fresh maps: an attempt with substantial
@@ -942,14 +973,23 @@ impl JobTracker {
                 return Some(a);
             }
         }
-        let order = self.take_order(kind.slot(), now);
-        let picked = match kind {
-            TaskKind::Map => self.try_assign_map(now, node, topo, &order.buf),
-            TaskKind::Reduce => self.try_assign_reduce(now, node, topo, &order.buf),
+        // With nothing of this kind pending in any job, the walk below
+        // cannot pick anything, so it never reaches `locality_gate` or
+        // `launch`; skipping it (and the pure order it walks) is exact.
+        let pending = match kind {
+            TaskKind::Map => self.agg.pending_maps,
+            TaskKind::Reduce => self.agg.pending_reduces,
         };
-        self.put_order(kind.slot(), order);
-        if picked.is_some() {
-            return picked;
+        if pending > 0 {
+            let order = self.take_order(kind.slot());
+            let picked = match kind {
+                TaskKind::Map => self.try_assign_map(now, node, site, topo, &order.buf),
+                TaskKind::Reduce => self.try_assign_reduce(now, node, topo, &order.buf),
+            };
+            self.put_order(kind.slot(), order);
+            if picked.is_some() {
+                return picked;
+            }
         }
         // Nothing pending anywhere: rescue tasks off predicted-doomed
         // nodes first (more urgent than stragglers), then speculate.
@@ -959,7 +999,7 @@ impl JobTracker {
             }
         }
         if self.cfg.speculative_enabled {
-            return self.speculate(now, node, kind, topo);
+            return self.speculate(now, node, site, kind, topo);
         }
         None
     }
@@ -968,11 +1008,11 @@ impl JobTracker {
         &mut self,
         now: SimTime,
         node: NodeId,
+        site: SiteId,
         topo: &Topology,
         order: &[u32],
     ) -> Option<Assignment> {
         let rack = topo.rack_of(node);
-        let site = topo.site_of(node);
         let rack_aware = self.sched.rack_aware();
         for &jid in order {
             let jid = JobId(jid);
@@ -1138,7 +1178,7 @@ impl JobTracker {
             };
             if self
                 .trackers
-                .get(&n)
+                .get(n)
                 .is_some_and(|t| t.liveness == Liveness::Dead)
             {
                 lost.push(m as u32);
@@ -1183,7 +1223,7 @@ impl JobTracker {
         {
             return None;
         }
-        let order = self.take_order(slot_kind, now);
+        let order = self.take_order(slot_kind);
         let picked = self.try_rescue(now, node, kind, topo, &order.buf, min_sunk);
         self.put_order(slot_kind, order);
         if picked.is_none() {
@@ -1320,20 +1360,55 @@ impl JobTracker {
     /// to be a straggler, the same bucketed-queue trick the Namenode uses
     /// for its under-replication scan, so the cost is O(running stragglers)
     /// rather than O(tasks) per idle heartbeat.
+    ///
+    /// Before the kind's speculation quiet instant no job can pass the
+    /// scan cooldown and the mean test, so the scan would neither launch
+    /// nor stamp anything: it is skipped. Eager-copy mode has no
+    /// cooldown and always scans.
     fn speculate(
         &mut self,
         now: SimTime,
         node: NodeId,
+        site: SiteId,
         kind: TaskKind,
         topo: &Topology,
     ) -> Option<Assignment> {
-        if !self.sched.allow_speculation(node, topo.site_of(node), now) {
+        if !self.sched.allow_speculation(node, site, now) {
             return None;
         }
-        let order = self.take_order(kind.slot(), now);
+        let slot = kind.slot() as usize;
+        let eager = self.cfg.eager_copies;
+        if !eager && self.spec_quiet[slot].is_some_and(|quiet| now < quiet) {
+            return None;
+        }
+        let order = self.take_order(kind.slot());
         let picked = self.try_speculate(now, node, kind, topo, &order.buf);
         self.put_order(kind.slot(), order);
+        if picked.is_none() && !eager {
+            self.spec_quiet[slot] = Some(self.spec_quiet_instant(kind));
+        }
         picked
+    }
+
+    /// The earliest instant a `Running` job could pass both the scan
+    /// cooldown and the mean test of a `kind` speculation scan
+    /// ([`SimTime::MAX`] when no job has a mean yet). Blacklisted jobs
+    /// count too, which only makes the instant earlier.
+    fn spec_quiet_instant(&self, kind: TaskKind) -> SimTime {
+        let min_completed = self.cfg.speculative_min_completed;
+        self.fifo
+            .iter()
+            .map(|&jid| &self.jobs[jid.0 as usize])
+            .filter(|job| {
+                job.status == JobStatus::Running
+                    && match kind {
+                        TaskKind::Map => job.mean_map_secs(min_completed).is_some(),
+                        TaskKind::Reduce => job.mean_reduce_secs(min_completed).is_some(),
+                    }
+            })
+            .map(|job| job.spec_last_scan + SPEC_SCAN_COOLDOWN)
+            .min()
+            .unwrap_or(SimTime::MAX)
     }
 
     fn try_speculate(
@@ -1344,9 +1419,6 @@ impl JobTracker {
         topo: &Topology,
         order: &[u32],
     ) -> Option<Assignment> {
-        // Rate-limit unsuccessful scans so repeated idle heartbeats within
-        // the same instant's window stay cheap.
-        const SCAN_COOLDOWN: SimDuration = SimDuration::from_secs(5);
         for &jid in order {
             let jid = JobId(jid);
             let job = &self.jobs[jid.0 as usize];
@@ -1355,7 +1427,9 @@ impl JobTracker {
             {
                 continue;
             }
-            if !self.cfg.eager_copies && now.saturating_since(job.spec_last_scan) < SCAN_COOLDOWN {
+            if !self.cfg.eager_copies
+                && now.saturating_since(job.spec_last_scan) < SPEC_SCAN_COOLDOWN
+            {
                 continue;
             }
             // Eager mode (multi-copy, §VI) skips the straggler threshold;
@@ -1450,7 +1524,7 @@ impl JobTracker {
     /// means the disk is full and the attempt must fail.
     pub fn reserve_map_scratch(&mut self, att: AttemptRef, node: NodeId) -> bool {
         let bytes = self.jobs[att.task.job.0 as usize].spec.map_output_bytes;
-        let Some(t) = self.trackers.get_mut(&node) else {
+        let Some(t) = self.trackers.get_mut(node) else {
             return false;
         };
         if !t.try_reserve_scratch(bytes) {
@@ -1514,6 +1588,8 @@ impl JobTracker {
         *done += 1;
         stats.0 += dur;
         stats.1 += 1;
+        // A new duration may give a job its first mean: scan again.
+        self.spec_quiet = [None; 2];
         self.tracer.emit(|| {
             TraceEvent::new(Layer::MapReduce, "task_done")
                 .with("job", att.task.job.0)
@@ -1538,7 +1614,7 @@ impl JobTracker {
         job.note_attempt_stopped(att.task.kind, att.task.index, att.attempt, started);
         job.reduce_plans.remove(&att);
         self.note_running_delta(att.task.kind, -1);
-        if let Some(t) = self.trackers.get_mut(&node) {
+        if let Some(t) = self.trackers.get_mut(node) {
             t.running.remove(&att);
         }
         self.sorting.remove(&att);
@@ -1725,11 +1801,11 @@ impl JobTracker {
         self.agg.running_maps -= std::mem::take(&mut job.running_maps) as usize;
         self.agg.running_reduces -= std::mem::take(&mut job.running_reduces) as usize;
         self.bump_epoch();
-        for (att, node) in &killed {
+        for &(att, node) in &killed {
             if let Some(t) = self.trackers.get_mut(node) {
-                t.running.remove(att);
+                t.running.remove(&att);
             }
-            self.sorting.remove(att);
+            self.sorting.remove(&att);
         }
         killed
     }
@@ -1739,7 +1815,7 @@ impl JobTracker {
     fn retire_job(&mut self, now: SimTime, jid: JobId) {
         let scratch = std::mem::take(&mut self.jobs[jid.0 as usize].scratch_by_node);
         for (node, bytes) in scratch {
-            if let Some(t) = self.trackers.get_mut(&node) {
+            if let Some(t) = self.trackers.get_mut(node) {
                 t.release_scratch(bytes);
             }
         }
@@ -1834,12 +1910,6 @@ impl JobTracker {
         let jid = att.task.job;
         let part = self.partition_bytes(jid);
         let threshold = self.cfg.fetch_fail_threshold;
-        let tracker_alive: HashSet<NodeId> = self
-            .trackers
-            .iter()
-            .filter(|(_, t)| t.liveness == Liveness::Live)
-            .map(|(&n, _)| n)
-            .collect();
         let job = &mut self.jobs[jid.0 as usize];
         // Snapshot surviving outputs before borrowing the plan mutably.
         let sources: Vec<(u32, NodeId)> = job
@@ -1877,9 +1947,13 @@ impl JobTracker {
         });
         // Re-announce maps whose outputs still exist (and were not just
         // declared lost).
+        let trackers = &self.trackers;
         if let Some(plan) = self.jobs[jid.0 as usize].reduce_plans.get_mut(&att) {
             for (m, n) in sources {
-                if tracker_alive.contains(&n) && !reexecute.contains(&m) {
+                let alive = trackers
+                    .get(n)
+                    .is_some_and(|t| t.liveness == Liveness::Live);
+                if alive && !reexecute.contains(&m) {
                     plan.map_available(m, n, topo.site_of(n), part);
                 }
             }
@@ -2014,7 +2088,7 @@ impl JobTracker {
         for &jid in &fifo {
             let trackers = &self.trackers;
             let job = &mut self.jobs[jid.0 as usize];
-            job.scratch_by_node.retain(|n, _| {
+            job.scratch_by_node.retain(|&n, _| {
                 trackers
                     .get(n)
                     .is_some_and(|t| t.liveness != Liveness::Dead)
@@ -2027,7 +2101,7 @@ impl JobTracker {
             }
         }
         for (n, b) in usage {
-            if let Some(t) = self.trackers.get_mut(&n) {
+            if let Some(t) = self.trackers.get_mut(n) {
                 t.scratch_used += b;
             }
         }
@@ -2040,7 +2114,9 @@ impl JobTracker {
     /// scan stamp, duration sums), tracker records, queue, rescue
     /// attempts and counters. Equal logical state produces byte-identical
     /// output. The scheduling policy's own state (its failure history)
-    /// is not part of the ledger.
+    /// is not part of the ledger, and neither is derived state a recount
+    /// reproduces: the cached job orders and the speculation quiet
+    /// instants.
     pub fn export_ledger(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -2103,7 +2179,7 @@ impl JobTracker {
                 job.reduce_duration_stats
             );
         }
-        for (n, t) in &self.trackers {
+        for (n, t) in self.trackers.iter() {
             let _ = writeln!(
                 s,
                 "tracker {} slots={}/{} live={:?} hb={:?} scratch={}/{} running={:?}",
@@ -2127,13 +2203,13 @@ impl JobTracker {
     /// Scratch usage of a tracker (disk-overflow reporting).
     pub fn tracker_scratch(&self, node: NodeId) -> Option<(u64, u64)> {
         self.trackers
-            .get(&node)
+            .get(node)
             .map(|t| (t.scratch_used, t.scratch_capacity))
     }
 
     /// Immutable tracker view (tests).
     pub fn tracker(&self, node: NodeId) -> Option<&TrackerState> {
-        self.trackers.get(&node)
+        self.trackers.get(node)
     }
 
     /// Deterministic RNG access for mediator-level tie-breaks that should
@@ -2151,7 +2227,7 @@ impl hog_sim_core::Auditable for JobTracker {
     fn audit(&self) -> Vec<hog_sim_core::Violation> {
         use hog_sim_core::Violation;
         let mut out = Vec::new();
-        for (&n, t) in &self.trackers {
+        for (n, t) in self.trackers.iter() {
             let maps = t.running_of(TaskKind::Map);
             let reduces = t.running_of(TaskKind::Reduce);
             if maps > t.map_slots as usize {
@@ -2246,8 +2322,26 @@ impl hog_sim_core::Auditable for JobTracker {
             }
         }
         // The failure detector's summaries must mirror the records.
-        let liveness = self.trackers.iter().map(|(&n, t)| (n, t.liveness));
+        let liveness = self.trackers.iter().map(|(n, t)| (n, t.liveness));
         out.extend(self.live.audit("mapreduce", "tracker", liveness));
+        // A cached speculation quiet instant may lag the true one (scan
+        // stamps only push it later) but never lead it: a later cached
+        // value would skip a scan that could launch or stamp.
+        if !self.cfg.eager_copies {
+            for kind in [TaskKind::Map, TaskKind::Reduce] {
+                let cached = self.spec_quiet[kind.slot() as usize];
+                let recount = self.spec_quiet_instant(kind);
+                if cached.is_some_and(|c| c > recount) {
+                    out.push(Violation::new(
+                        "mapreduce",
+                        format!(
+                            "{} speculation quiet instant {cached:?} is later than the recount {recount:?}",
+                            kind.as_str()
+                        ),
+                    ));
+                }
+            }
+        }
         // The O(1) aggregate backlog must equal a full recount.
         let recount = self.recount_backlog();
         if recount != self.agg {
@@ -2291,7 +2385,7 @@ impl hog_sim_core::Auditable for JobTracker {
                 ));
             }
         }
-        for (&n, t) in &self.trackers {
+        for (n, t) in self.trackers.iter() {
             for &att in &t.running {
                 if !self.attempt_active(att) {
                     out.push(Violation::new(
@@ -2343,6 +2437,54 @@ mod tests {
         };
         jt.submit_job(SimTime::ZERO, spec, &topo);
         (jt, nodes[0])
+    }
+
+    /// A job's first completed task gives it a mean, so the very next
+    /// idle heartbeat scans it for stragglers: the cached speculation
+    /// quiet instant (no job had a mean until then) must not hold the
+    /// scan back. The audit checks the cache against a recount.
+    #[test]
+    fn first_completion_is_scanned_by_the_next_heartbeat() {
+        use hog_sim_core::Auditable;
+        let mut topo = Topology::new();
+        let site = topo.add_site("S0".to_string(), "s0.edu".to_string());
+        let nodes: Vec<NodeId> = (0..3).map(|_| topo.add_node(site)).collect();
+        let mut cfg = MrParams::hog();
+        cfg.speculative_min_completed = 1;
+        let mut jt = JobTracker::new(cfg, SimRng::seed_from_u64(1));
+        for &n in &nodes {
+            jt.register_tracker(SimTime::ZERO, n, site, 1, 1);
+        }
+        let spec = JobSubmission {
+            input_blocks: vec![(BlockId(0), 64), (BlockId(1), 64)],
+            split_locations: vec![vec![nodes[0]], vec![nodes[1]]],
+            reduces: 1,
+            map_cpu_secs: 1.0,
+            map_output_bytes: 100,
+            reduce_cpu_secs: 1.0,
+            reduce_output_bytes: 10,
+            output_replication: 1,
+        };
+        let job = jt.submit_job(SimTime::ZERO, spec, &topo);
+        let t = SimTime::from_secs;
+        let first = jt.heartbeat(t(0), nodes[0], &topo);
+        let second = jt.heartbeat(t(0), nodes[1], &topo);
+        assert!(matches!(first[0], Assignment::Map { .. }));
+        assert!(matches!(second[0], Assignment::Map { .. }));
+        // Nothing pending and no mean yet: the idle tracker scans nothing.
+        jt.heartbeat(t(1), nodes[2], &topo);
+        assert_eq!(jt.job(job).spec_last_scan, SimTime::ZERO);
+        jt.map_done(t(10), first[0].attempt(), &topo);
+        jt.heartbeat(t(11), nodes[2], &topo);
+        assert_eq!(jt.job(job).spec_last_scan, t(11), "scanned at once");
+        assert!(jt.audit().is_empty(), "{:?}", jt.audit());
+        // A cached instant later than the recount is a violation.
+        jt.spec_quiet = [Some(SimTime::MAX); 2];
+        let audit = jt.audit();
+        assert_eq!(audit.len(), 1, "{audit:?}");
+        assert!(audit[0]
+            .to_string()
+            .contains("map speculation quiet instant"));
     }
 
     #[test]

@@ -2,12 +2,16 @@
 
 use crate::job::TaskKind;
 use crate::AttemptRef;
+use hog_net::SiteId;
 use hog_sim_core::{Liveness, SimTime};
 use std::collections::BTreeSet;
 
 /// Per-tracker record.
 #[derive(Clone, Debug)]
 pub struct TrackerState {
+    /// The site the tracker's node lives in (read on every heartbeat by
+    /// the policy's admission checks).
+    pub site: SiteId,
     /// Concurrent map tasks this node may run (1 on HOG glideins; per
     /// Table III, 4 or 2 on the dedicated cluster).
     pub map_slots: u8,
@@ -27,9 +31,10 @@ pub struct TrackerState {
 }
 
 impl TrackerState {
-    /// A fresh tracker.
-    pub fn new(map_slots: u8, reduce_slots: u8, scratch: u64, now: SimTime) -> Self {
+    /// A fresh tracker in `site`.
+    pub fn new(site: SiteId, map_slots: u8, reduce_slots: u8, scratch: u64, now: SimTime) -> Self {
         TrackerState {
+            site,
             map_slots,
             reduce_slots,
             running: BTreeSet::new(),
@@ -89,7 +94,7 @@ mod tests {
 
     #[test]
     fn slot_accounting() {
-        let mut t = TrackerState::new(4, 1, 1000, SimTime::ZERO);
+        let mut t = TrackerState::new(SiteId(0), 4, 1, 1000, SimTime::ZERO);
         assert_eq!(t.free_map_slots(), 4);
         t.running.insert(att(TaskKind::Map, 0));
         t.running.insert(att(TaskKind::Map, 1));
@@ -100,7 +105,7 @@ mod tests {
 
     #[test]
     fn scratch_reservation() {
-        let mut t = TrackerState::new(1, 1, 100, SimTime::ZERO);
+        let mut t = TrackerState::new(SiteId(0), 1, 1, 100, SimTime::ZERO);
         assert!(t.try_reserve_scratch(60));
         assert!(!t.try_reserve_scratch(41), "over capacity");
         assert!(t.try_reserve_scratch(40));

@@ -7,6 +7,8 @@
 //! * [`topology`] — node/site identity, DNS-style hostnames and the
 //!   `workername.site.edu → site.edu` grouping rule HOG's site-awareness
 //!   script applies.
+//! * [`nodes`] — node-indexed containers ([`NodeMap`], [`NodeSet`]) for
+//!   per-node state probed on every heartbeat.
 //! * [`params`] — link capacities and latencies ([`NetParams`]).
 //! * [`fluid`] — an event-driven **max-min fair fluid-flow** network
 //!   ([`FluidNet`]): every active transfer gets a rate from progressive
@@ -18,11 +20,13 @@
 #![forbid(unsafe_code)]
 
 pub mod fluid;
+pub mod nodes;
 pub mod params;
 pub mod topology;
 pub mod wan;
 
 pub use fluid::FluidNet;
+pub use nodes::{NodeMap, NodeSet};
 pub use params::NetParams;
 pub use topology::{site_domain_of, NodeId, RackId, SiteId, Topology, RACK_SIZE};
 pub use wan::{WanDone, WanTier, WanTransferId};

@@ -203,9 +203,9 @@ impl FailureAwareSched {
     /// cheaper tool. Unknown medians (fewer than
     /// [`MIN_LIFETIME_SAMPLES`] deaths) count as long-lived.
     fn rescue_worthy(&self, site: SiteId) -> bool {
-        self.site_lifetimes
-            .get(&site)
-            .is_some_and(|lt| lt.samples.len() >= MIN_LIFETIME_SAMPLES && lt.median <= MEDIAN_RESCUE_CEILING)
+        self.site_lifetimes.get(&site).is_some_and(|lt| {
+            lt.samples.len() >= MIN_LIFETIME_SAMPLES && lt.median <= MEDIAN_RESCUE_CEILING
+        })
     }
 }
 
@@ -224,20 +224,10 @@ impl Scheduler for FailureAwareSched {
         }
     }
 
-    fn job_order(
-        &mut self,
-        jobs: &[JobSnapshot],
-        _kind: SlotKind,
-        _now: SimTime,
-        out: &mut Vec<u32>,
-    ) {
-        out.extend(jobs.iter().map(|j| j.id));
-    }
-
     // Submission-order passthrough; failure scores gate placement via
     // `admit`, not the job order.
-    fn order_cacheable(&self) -> bool {
-        true
+    fn job_order(&self, jobs: &[JobSnapshot], _kind: SlotKind, out: &mut Vec<u32>) {
+        out.extend(jobs.iter().map(|j| j.id));
     }
 
     fn admit(&mut self, node: NodeId, site: SiteId, kind: SlotKind, now: SimTime) -> bool {
@@ -265,8 +255,7 @@ impl Scheduler for FailureAwareSched {
 
     fn on_tracker_dead(&mut self, node: NodeId, now: SimTime) {
         self.bump_node(node, TRACKER_DEATH_PENALTY, now);
-        if let (Some(&birth), Some(&site)) =
-            (self.node_birth.get(&node), self.node_site.get(&node))
+        if let (Some(&birth), Some(&site)) = (self.node_birth.get(&node), self.node_site.get(&node))
         {
             let lifetime = now.saturating_since(birth).as_secs_f64();
             self.site_lifetimes.entry(site).or_default().push(lifetime);
@@ -329,8 +318,7 @@ impl Scheduler for FailureAwareSched {
             return false;
         }
         let eff = self.effective_penalty(node, site, now);
-        eff < self.spec_threshold
-            || eff <= 0.5 * self.effective_penalty(doomed, doomed_site, now)
+        eff < self.spec_threshold || eff <= 0.5 * self.effective_penalty(doomed, doomed_site, now)
     }
 
     fn box_clone(&self) -> Box<dyn Scheduler> {

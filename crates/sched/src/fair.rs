@@ -84,24 +84,14 @@ impl Scheduler for FairSched {
         true
     }
 
-    fn job_order(
-        &mut self,
-        jobs: &[JobSnapshot],
-        _kind: SlotKind,
-        _now: SimTime,
-        out: &mut Vec<u32>,
-    ) {
+    // Sorts on snapshot fields only; `waiting_since` never feeds the order.
+    fn job_order(&self, jobs: &[JobSnapshot], _kind: SlotKind, out: &mut Vec<u32>) {
         let mut order: Vec<(u32, usize, u32)> = jobs
             .iter()
             .map(|j| (j.running, j.queue_pos, j.id))
             .collect();
         order.sort_unstable();
         out.extend(order.into_iter().map(|(_, _, id)| id));
-    }
-
-    // Sorts on snapshot fields only; `waiting_since` never feeds the order.
-    fn order_cacheable(&self) -> bool {
-        true
     }
 
     fn locality_gate(&mut self, job: u32, level: Locality, now: SimTime) -> Gate {
@@ -157,10 +147,10 @@ mod tests {
 
     #[test]
     fn fewest_running_first_ties_by_submission() {
-        let mut f = FairSched::new();
+        let f = FairSched::new();
         let jobs = [snap(0, 0, 4), snap(1, 1, 1), snap(2, 2, 1), snap(3, 3, 0)];
         let mut out = Vec::new();
-        f.job_order(&jobs, SlotKind::Map, SimTime::ZERO, &mut out);
+        f.job_order(&jobs, SlotKind::Map, &mut out);
         assert_eq!(out, vec![3, 1, 2, 0]);
     }
 

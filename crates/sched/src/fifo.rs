@@ -1,7 +1,6 @@
 //! Stock Hadoop FIFO: the policy the paper ran.
 
 use crate::{JobSnapshot, Scheduler, SlotKind};
-use hog_sim_core::SimTime;
 
 /// Strict submission-order scheduling with the three-level locality
 /// ladder and no gating — a faithful port of the pre-trait JobTracker.
@@ -25,18 +24,8 @@ impl Scheduler for FifoSched {
         "fifo"
     }
 
-    fn job_order(
-        &mut self,
-        jobs: &[JobSnapshot],
-        _kind: SlotKind,
-        _now: SimTime,
-        out: &mut Vec<u32>,
-    ) {
+    fn job_order(&self, jobs: &[JobSnapshot], _kind: SlotKind, out: &mut Vec<u32>) {
         out.extend(jobs.iter().map(|j| j.id));
-    }
-
-    fn order_cacheable(&self) -> bool {
-        true
     }
 
     fn box_clone(&self) -> Box<dyn Scheduler> {
@@ -47,6 +36,7 @@ impl Scheduler for FifoSched {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hog_sim_core::SimTime;
 
     fn snap(id: u32, queue_pos: usize) -> JobSnapshot {
         JobSnapshot {
@@ -59,10 +49,10 @@ mod tests {
 
     #[test]
     fn preserves_submission_order() {
-        let mut f = FifoSched::new();
+        let f = FifoSched::new();
         let jobs = [snap(3, 0), snap(7, 1), snap(1, 2)];
         let mut out = Vec::new();
-        f.job_order(&jobs, SlotKind::Map, SimTime::ZERO, &mut out);
+        f.job_order(&jobs, SlotKind::Map, &mut out);
         assert_eq!(out, vec![3, 7, 1]);
     }
 

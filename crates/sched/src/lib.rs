@@ -125,25 +125,17 @@ pub trait Scheduler {
     /// Order the incomplete jobs for assignment of one `kind` slot: push
     /// job ids into `out`, highest priority first. Jobs arrive in
     /// submission order; a pure FIFO policy copies the ids through.
-    fn job_order(&mut self, jobs: &[JobSnapshot], kind: SlotKind, now: SimTime, out: &mut Vec<u32>);
-
-    /// Whether [`Scheduler::job_order`] is a *pure function* of the
-    /// snapshot slice and slot kind: no dependence on `now` or on policy
-    /// state mutated between calls, and no side effects of its own.
     ///
-    /// When `true`, the JobTracker caches the computed order and only
-    /// calls `job_order` again after a scheduling-relevant mutation
-    /// (job submitted/retired, a task changed pending↔running state) —
-    /// the dirty-tracked index that makes idle heartbeats O(1) instead
-    /// of O(jobs) at 10k nodes. All three shipped policies qualify:
-    /// Fifo and FailureAware pass submission order through, and Fair
-    /// sorts on snapshot fields only (its *stateful* hooks —
-    /// `locality_gate`, `on_assigned` — still run on every attempt).
-    /// The conservative default keeps external stateful policies
-    /// correct at the old cost.
-    fn order_cacheable(&self) -> bool {
-        false
-    }
+    /// The order must be a *pure function* of the snapshot slice and the
+    /// slot kind — `&self` and the absence of a clock enforce it. The
+    /// JobTracker caches the result and asks again only after a
+    /// scheduling-relevant mutation (job submitted or retired, a task
+    /// moved between pending and running), and it skips the call
+    /// outright while nothing of that kind is pending: that is what keeps
+    /// idle heartbeats O(1) instead of O(jobs) at 10k nodes. Stateful
+    /// choices belong in [`Scheduler::locality_gate`] and the `on_*`
+    /// hooks, which still run on every attempt.
+    fn job_order(&self, jobs: &[JobSnapshot], kind: SlotKind, out: &mut Vec<u32>);
 
     /// The best locality level available to `job` on the heartbeating
     /// node is `level`: take it, or defer hoping for better placement?
@@ -328,9 +320,9 @@ pub fn build(policy: SchedPolicy) -> Box<dyn Scheduler> {
         SchedPolicy::Fifo => Box::new(FifoSched::new()),
         SchedPolicy::Fair => Box::new(FairSched::new()),
         SchedPolicy::FailureAware => Box::new(FailureAwareSched::new()),
-        SchedPolicy::Predictive => Box::new(FailureAwareSched::new().with_prediction(
-            failure::DEFAULT_PREDICT_THRESHOLD,
-        )),
+        SchedPolicy::Predictive => {
+            Box::new(FailureAwareSched::new().with_prediction(failure::DEFAULT_PREDICT_THRESHOLD))
+        }
     }
 }
 

@@ -42,6 +42,16 @@ impl<'a, E> Scheduler<'a, E> {
         self.queue.push(self.now + delay, event);
     }
 
+    /// Re-arm a fixed-period timer: schedule `event` after `period`, like
+    /// [`Scheduler::after`], on the queue's lane for `period` (see
+    /// [`EventQueue::push_periodic`]). The pop order is the one `after`
+    /// gives; only the cost differs, so a timer every live node re-arms
+    /// (heartbeats, disk checks) stays out of the heap.
+    #[inline]
+    pub fn every(&mut self, period: SimDuration, event: E) {
+        self.queue.push_periodic(self.now + period, period, event);
+    }
+
     /// Schedule `event` at the absolute instant `at`. Events scheduled in
     /// the past are clamped to fire "now" (still after the current event)
     /// rather than violating clock monotonicity.

@@ -7,7 +7,8 @@
 //! * [`time`] — integer-millisecond simulation clock ([`SimTime`],
 //!   [`SimDuration`]) with no floating-point drift.
 //! * [`queue`] — a deterministic [`EventQueue`] (min-heap keyed by time with
-//!   a monotone sequence number for FIFO tie-breaking).
+//!   a monotone sequence number for FIFO tie-breaking, plus FIFO lanes for
+//!   fixed-period timers).
 //! * [`engine`] — the [`Simulation`] driver loop over a user-supplied
 //!   [`Model`].
 //! * [`rng`] — seedable, reproducible random number generation

@@ -1,13 +1,23 @@
 //! Deterministic pending-event set.
 //!
-//! A binary min-heap keyed on `(time, sequence)`. The monotonically
-//! increasing sequence number guarantees that events scheduled for the same
-//! instant pop in the order they were pushed, which makes whole-simulation
-//! replays bit-identical — a property the reproduction tests rely on.
+//! A binary min-heap keyed on `(time, sequence)`, plus one FIFO *lane* per
+//! timer period. The monotonically increasing sequence number guarantees
+//! that events scheduled for the same instant pop in the order they were
+//! pushed, which makes whole-simulation replays bit-identical — a property
+//! the reproduction tests rely on.
+//!
+//! A lane holds the firings of one fixed-period timer
+//! ([`EventQueue::push_periodic`]): each entry is pushed at `now + period`
+//! with a fresh sequence number, and neither `now` nor the sequence ever
+//! goes back, so a lane is already sorted by `(time, sequence)`. Popping
+//! the smallest of the heap head and the lane heads therefore yields
+//! exactly the order one heap of every entry would, while tens of
+//! thousands of per-node heartbeats cost an O(1) append and pop instead of
+//! two heap sifts each.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Internal heap entry. Ordered so that the *earliest* `(at, seq)` pair is
 /// the heap maximum (we invert the comparison instead of wrapping in
@@ -18,9 +28,16 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -33,24 +50,44 @@ impl<E> Ord for Entry<E> {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Inverted: smaller (at, seq) compares Greater so it surfaces first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key().cmp(&self.key())
     }
+}
+
+/// The re-arms of one fixed-period timer, ascending by `(at, seq)`.
+struct Lane<E> {
+    period: SimDuration,
+    fifo: VecDeque<Entry<E>>,
+}
+
+/// Where the earliest pending entry sits.
+#[derive(Clone, Copy)]
+enum Head {
+    Heap,
+    Lane(usize),
 }
 
 /// A deterministic future-event list.
 ///
 /// ```
-/// use hog_sim_core::{EventQueue, SimTime};
+/// use hog_sim_core::{EventQueue, SimDuration, SimTime};
 ///
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_secs(2), "later");
+/// q.push_periodic(SimTime::from_secs(1), SimDuration::from_secs(1), "tick");
 /// q.push(SimTime::from_secs(1), "sooner");
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "tick")));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "sooner")));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(2), "later")));
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// One lane per period seen by [`EventQueue::push_periodic`] (a
+    /// handful at most, so a linear lookup).
+    lanes: Vec<Lane<E>>,
+    /// Pending entries across the heap and every lane.
+    len: usize,
     next_seq: u64,
     /// Total number of events ever pushed (for instrumentation).
     pushed: u64,
@@ -67,18 +104,15 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            pushed: 0,
-            peak_len: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Create an empty queue with pre-reserved capacity.
+    /// Create an empty queue with pre-reserved heap capacity.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
+            lanes: Vec::new(),
+            len: 0,
             next_seq: 0,
             pushed: 0,
             peak_len: 0,
@@ -91,6 +125,42 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.push_with_seq(at, seq, event);
+    }
+
+    /// Schedule the next firing of a timer that re-arms every `period`:
+    /// `event` fires at `at` (normally `now + period`) and pops exactly
+    /// where [`EventQueue::push`] would have put it. The entry joins the
+    /// FIFO lane kept for `period`; an `at` earlier than the lane's tail
+    /// (a clock that went back) goes to the heap instead, so the pop
+    /// order never depends on the caller keeping the lane sorted.
+    #[inline]
+    pub fn push_periodic(&mut self, at: SimTime, period: SimDuration, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let entry = Entry { at, seq, event };
+        let lane = match self.lanes.iter().position(|l| l.period == period) {
+            Some(i) => &mut self.lanes[i],
+            None => {
+                self.lanes.push(Lane {
+                    period,
+                    fifo: VecDeque::new(),
+                });
+                self.lanes.last_mut().expect("lane just pushed")
+            }
+        };
+        if lane.fifo.back().is_none_or(|b| b.at <= at) {
+            if lane.fifo.len() == lane.fifo.capacity() {
+                // A lane holds about one entry per live node, and its ring
+                // touches its whole capacity as it turns: grow by an
+                // eighth, not twofold, so resident memory stays close to
+                // what the same entries took in the heap.
+                lane.fifo.reserve_exact(lane.fifo.len() / 8 + 16);
+            }
+            lane.fifo.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
+        self.note_push();
     }
 
     /// Reserve `n` consecutive sequence numbers without pushing anything,
@@ -107,17 +177,46 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `event` at `at` with an explicitly reserved sequence number
-    /// (from [`reserve_seqs`]). The heap orders solely on `(at, seq)`, so an
-    /// event pushed late with an early reserved seq pops exactly where it
-    /// would have had it been pushed eagerly.
+    /// (from [`reserve_seqs`]). The queue orders solely on `(at, seq)`, so
+    /// an event pushed late with an early reserved seq pops exactly where
+    /// it would have had it been pushed eagerly.
     ///
     /// [`reserve_seqs`]: EventQueue::reserve_seqs
     #[inline]
     pub fn push_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
-        self.pushed += 1;
         self.heap.push(Entry { at, seq, event });
-        if self.heap.len() > self.peak_len {
-            self.peak_len = self.heap.len();
+        self.note_push();
+    }
+
+    #[inline]
+    fn note_push(&mut self) {
+        self.pushed += 1;
+        self.len += 1;
+        if self.len > self.peak_len {
+            self.peak_len = self.len;
+        }
+    }
+
+    /// The source holding the smallest `(at, seq)`, if any entry is
+    /// pending.
+    #[inline]
+    fn head(&self) -> Option<Head> {
+        let mut best = self.heap.peek().map(|e| (e.key(), Head::Heap));
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(e) = lane.fifo.front() {
+                if best.is_none_or(|(k, _)| e.key() < k) {
+                    best = Some((e.key(), Head::Lane(i)));
+                }
+            }
+        }
+        best.map(|(_, h)| h)
+    }
+
+    #[inline]
+    fn head_entry(&self) -> Option<&Entry<E>> {
+        match self.head()? {
+            Head::Heap => self.heap.peek(),
+            Head::Lane(i) => self.lanes[i].fifo.front(),
         }
     }
 
@@ -125,13 +224,18 @@ impl<E> EventQueue<E> {
     /// Ties in time pop in push order.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
+        let e = match self.head()? {
+            Head::Heap => self.heap.pop(),
+            Head::Lane(i) => self.lanes[i].fifo.pop_front(),
+        }?;
+        self.len -= 1;
+        Some((e.at, e.event))
     }
 
     /// The firing time of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.head_entry().map(|e| e.at)
     }
 
     /// Borrow the earliest pending event without removing it. Lets the
@@ -139,19 +243,19 @@ impl<E> EventQueue<E> {
     /// (see `Model::batchable`) before committing to the pop.
     #[inline]
     pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.peek().map(|e| (e.at, &e.event))
+        self.head_entry().map(|e| (e.at, &e.event))
     }
 
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// True if no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Total number of events pushed over the queue's lifetime.
@@ -169,6 +273,10 @@ impl<E> EventQueue<E> {
     /// Drop every pending event (the lifetime push counter is preserved).
     pub fn clear(&mut self) {
         self.heap.clear();
+        for lane in &mut self.lanes {
+            lane.fifo.clear();
+        }
+        self.len = 0;
     }
 }
 
@@ -239,6 +347,141 @@ mod tests {
         q.push_with_seq(t, first + 1, "r1");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["r0", "r1", "r2", "plain-after-reserve"]);
+    }
+
+    #[test]
+    fn periodic_lane_interleaves_with_the_heap() {
+        let mut q = EventQueue::new();
+        let p = SimDuration::from_secs(3);
+        q.push_periodic(SimTime::from_secs(3), p, "beat-a");
+        q.push(SimTime::from_secs(3), "one-shot");
+        q.push_periodic(SimTime::from_secs(3), p, "beat-b");
+        q.push(SimTime::from_secs(1), "early");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["early", "beat-a", "one-shot", "beat-b"]);
+        // A re-arm behind the lane's tail still pops in time order.
+        q.push_periodic(SimTime::from_secs(9), p, "late");
+        q.push_periodic(SimTime::from_secs(5), p, "behind");
+        assert_eq!(q.pop().unwrap().1, "behind");
+        assert_eq!(q.pop().unwrap().1, "late");
+        assert_eq!((q.total_pushed(), q.peak_len()), (6, 4));
+    }
+
+    /// One step of the lane-vs-heap comparison (see
+    /// `prop_lanes_match_one_heap`).
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Push(u64),
+        /// A timer re-arm at `now + period`, period picked by index.
+        Every(usize),
+        /// A lane push at an arbitrary offset (may fall behind the tail).
+        Periodic(usize, u64),
+        Reserve(u64),
+        /// Hand back the oldest unused reserved sequence number.
+        PushReserved(u64),
+        Pop,
+        Peek,
+        Clear,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..5_000).prop_map(Op::Push),
+            (0usize..3).prop_map(Op::Every),
+            (0usize..3, 0u64..5_000).prop_map(|(i, a)| Op::Periodic(i, a)),
+            (1u64..4).prop_map(Op::Reserve),
+            (0u64..5_000).prop_map(Op::PushReserved),
+            Just(Op::Pop),
+            Just(Op::Pop),
+            Just(Op::Peek),
+            (0u8..40).prop_map(|x| if x == 0 { Op::Clear } else { Op::Pop }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The lanes are invisible: any interleaving of pushes, timer
+        /// re-arms, reserved-sequence pushes, pops, peeks and clears pops
+        /// the same `(time, event)` sequence, and reports the same length,
+        /// peak and push count, as one `BinaryHeap` holding every entry.
+        #[test]
+        fn prop_lanes_match_one_heap(ops in proptest::collection::vec(op(), 1..400)) {
+            use std::cmp::Reverse;
+            const PERIODS: [u64; 3] = [3_000, 180_000, 7];
+            let mut q: EventQueue<u32> = EventQueue::new();
+            let mut heap: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
+            let (mut seq, mut pushed, mut peak) = (0u64, 0u64, 0usize);
+            let mut reserved: VecDeque<u64> = VecDeque::new();
+            let mut now = SimTime::ZERO;
+            for (id, op) in ops.into_iter().enumerate() {
+                let id = id as u32;
+                let mut model_push = |at: SimTime, s: u64| {
+                    heap.push(Reverse((at, s, id)));
+                    pushed += 1;
+                };
+                match op {
+                    Op::Push(a) => {
+                        let at = now + SimDuration::from_millis(a);
+                        q.push(at, id);
+                        model_push(at, seq);
+                        seq += 1;
+                    }
+                    Op::Every(i) => {
+                        let period = SimDuration::from_millis(PERIODS[i]);
+                        q.push_periodic(now + period, period, id);
+                        model_push(now + period, seq);
+                        seq += 1;
+                    }
+                    Op::Periodic(i, a) => {
+                        let at = now + SimDuration::from_millis(a);
+                        q.push_periodic(at, SimDuration::from_millis(PERIODS[i]), id);
+                        model_push(at, seq);
+                        seq += 1;
+                    }
+                    Op::Reserve(n) => {
+                        let first = q.reserve_seqs(n);
+                        prop_assert_eq!(first, seq);
+                        reserved.extend(first..first + n);
+                        seq += n;
+                    }
+                    Op::PushReserved(a) => {
+                        if let Some(s) = reserved.pop_front() {
+                            let at = now + SimDuration::from_millis(a);
+                            q.push_with_seq(at, s, id);
+                            model_push(at, s);
+                        }
+                    }
+                    Op::Pop => {
+                        let want = heap.pop().map(|Reverse((at, _, e))| (at, e));
+                        prop_assert_eq!(q.pop(), want);
+                        if let Some((at, _)) = want {
+                            now = at;
+                        }
+                    }
+                    Op::Peek => {
+                        let want = heap.peek().map(|Reverse((at, _, e))| (*at, *e));
+                        prop_assert_eq!(q.peek().map(|(at, e)| (at, *e)), want);
+                        prop_assert_eq!(q.peek_time(), want.map(|(at, _)| at));
+                    }
+                    Op::Clear => {
+                        q.clear();
+                        heap.clear();
+                    }
+                }
+                peak = peak.max(heap.len());
+                prop_assert_eq!(q.len(), heap.len());
+                prop_assert_eq!(q.is_empty(), heap.is_empty());
+                prop_assert_eq!(q.peak_len(), peak);
+                prop_assert_eq!(q.total_pushed(), pushed);
+            }
+            while let Some(Reverse((at, _, e))) = heap.pop() {
+                prop_assert_eq!(q.pop(), Some((at, e)));
+            }
+            prop_assert_eq!(q.pop(), None);
+        }
     }
 
     proptest! {

@@ -25,15 +25,78 @@ pub struct Bin {
 /// All nine bins. Bins 1–6 cover ≈89 % of Facebook's jobs and form the
 /// paper's truncated workload.
 pub const FACEBOOK_BINS: [Bin; 9] = [
-    Bin { number: 1, maps_at_facebook: (1, 1), fraction_at_facebook: 0.39, maps: 1, jobs_in_benchmark: 38, reduces: 1 },
-    Bin { number: 2, maps_at_facebook: (2, 2), fraction_at_facebook: 0.16, maps: 2, jobs_in_benchmark: 16, reduces: 1 },
-    Bin { number: 3, maps_at_facebook: (3, 20), fraction_at_facebook: 0.14, maps: 10, jobs_in_benchmark: 14, reduces: 5 },
-    Bin { number: 4, maps_at_facebook: (21, 60), fraction_at_facebook: 0.09, maps: 50, jobs_in_benchmark: 8, reduces: 10 },
-    Bin { number: 5, maps_at_facebook: (61, 150), fraction_at_facebook: 0.06, maps: 100, jobs_in_benchmark: 6, reduces: 20 },
-    Bin { number: 6, maps_at_facebook: (151, 300), fraction_at_facebook: 0.06, maps: 200, jobs_in_benchmark: 6, reduces: 30 },
-    Bin { number: 7, maps_at_facebook: (301, 500), fraction_at_facebook: 0.04, maps: 400, jobs_in_benchmark: 4, reduces: 40 },
-    Bin { number: 8, maps_at_facebook: (501, 1500), fraction_at_facebook: 0.04, maps: 800, jobs_in_benchmark: 4, reduces: 60 },
-    Bin { number: 9, maps_at_facebook: (1501, u32::MAX), fraction_at_facebook: 0.03, maps: 4800, jobs_in_benchmark: 4, reduces: 120 },
+    Bin {
+        number: 1,
+        maps_at_facebook: (1, 1),
+        fraction_at_facebook: 0.39,
+        maps: 1,
+        jobs_in_benchmark: 38,
+        reduces: 1,
+    },
+    Bin {
+        number: 2,
+        maps_at_facebook: (2, 2),
+        fraction_at_facebook: 0.16,
+        maps: 2,
+        jobs_in_benchmark: 16,
+        reduces: 1,
+    },
+    Bin {
+        number: 3,
+        maps_at_facebook: (3, 20),
+        fraction_at_facebook: 0.14,
+        maps: 10,
+        jobs_in_benchmark: 14,
+        reduces: 5,
+    },
+    Bin {
+        number: 4,
+        maps_at_facebook: (21, 60),
+        fraction_at_facebook: 0.09,
+        maps: 50,
+        jobs_in_benchmark: 8,
+        reduces: 10,
+    },
+    Bin {
+        number: 5,
+        maps_at_facebook: (61, 150),
+        fraction_at_facebook: 0.06,
+        maps: 100,
+        jobs_in_benchmark: 6,
+        reduces: 20,
+    },
+    Bin {
+        number: 6,
+        maps_at_facebook: (151, 300),
+        fraction_at_facebook: 0.06,
+        maps: 200,
+        jobs_in_benchmark: 6,
+        reduces: 30,
+    },
+    Bin {
+        number: 7,
+        maps_at_facebook: (301, 500),
+        fraction_at_facebook: 0.04,
+        maps: 400,
+        jobs_in_benchmark: 4,
+        reduces: 40,
+    },
+    Bin {
+        number: 8,
+        maps_at_facebook: (501, 1500),
+        fraction_at_facebook: 0.04,
+        maps: 800,
+        jobs_in_benchmark: 4,
+        reduces: 60,
+    },
+    Bin {
+        number: 9,
+        maps_at_facebook: (1501, u32::MAX),
+        fraction_at_facebook: 0.03,
+        maps: 4800,
+        jobs_in_benchmark: 4,
+        reduces: 120,
+    },
 ];
 
 /// Number of bins in the paper's truncated workload (jobs with more than
@@ -80,7 +143,10 @@ mod tests {
         let sum: f64 = FACEBOOK_BINS.iter().map(|b| b.fraction_at_facebook).sum();
         assert!((sum - 1.01).abs() < 1e-9, "Table I sums to 101% as printed");
         // First six bins cover about 89% (paper: "about 89% of the jobs").
-        let six: f64 = truncated_bins().iter().map(|b| b.fraction_at_facebook).sum();
+        let six: f64 = truncated_bins()
+            .iter()
+            .map(|b| b.fraction_at_facebook)
+            .sum();
         assert!((six - 0.90).abs() < 0.011);
     }
 

@@ -122,8 +122,7 @@ impl SubmissionSchedule {
             // compresses arrivals near the peak without changing the
             // daily total in expectation.
             let hour = (t.as_secs_f64() / 3600.0) % 24.0;
-            let rate = 1.0
-                + amplitude * (std::f64::consts::TAU * (hour - peak_hour) / 24.0).cos();
+            let rate = 1.0 + amplitude * (std::f64::consts::TAU * (hour - peak_hour) / 24.0).cos();
             let gap = Exponential::from_mean_secs(base_gap / rate.max(0.01));
             t += gap.sample(&mut rng);
         }
@@ -264,7 +263,10 @@ mod tests {
             (80_000.0..86_400.0).contains(&span),
             "day trace spans {span}s"
         );
-        assert!(s.jobs().windows(2).all(|w| w[0].submit_at <= w[1].submit_at));
+        assert!(s
+            .jobs()
+            .windows(2)
+            .all(|w| w[0].submit_at <= w[1].submit_at));
         assert!(s.jobs().iter().enumerate().all(|(i, j)| j.id == i as u32));
         // Only truncated bins appear.
         assert!(s.jobs().iter().all(|j| j.bin >= 1 && j.bin <= 6));

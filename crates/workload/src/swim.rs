@@ -147,7 +147,10 @@ mod tests {
         let p = LoadgenParams::calibrated();
         assert!(from_swim("a\t0.0\t0.0\t1\t1\n", &p).is_err(), "5 columns");
         assert!(from_swim("a\tx\t0.0\t1\t1\t1\n", &p).is_err(), "bad float");
-        assert!(from_swim("a\t0.0\t0.0\tz\t1\t1\n", &p).is_err(), "bad bytes");
+        assert!(
+            from_swim("a\t0.0\t0.0\tz\t1\t1\n", &p).is_err(),
+            "bad bytes"
+        );
         let unordered = "a\t5.0\t0.0\t1\t1\t1\nb\t1.0\t0.0\t1\t1\t1\n";
         let e = from_swim(unordered, &p).unwrap_err();
         assert_eq!(e.line, 2);

@@ -57,7 +57,11 @@ fn main() {
         println!(
             "trace: {} events ({} layers of the incident, causally ordered) -> {path}",
             log.recorded,
-            log.events.iter().map(|e| e.layer).collect::<std::collections::BTreeSet<_>>().len()
+            log.events
+                .iter()
+                .map(|e| e.layer)
+                .collect::<std::collections::BTreeSet<_>>()
+                .len()
         );
     }
 
@@ -82,7 +86,10 @@ fn main() {
         r.nn_counters.2
     );
     assert!(r.chaos_failure.is_none());
-    assert!(r.jobs_succeeded() > 0, "the drill must not kill the workload");
+    assert!(
+        r.jobs_succeeded() > 0,
+        "the drill must not kill the workload"
+    );
     println!("\nThe site partition silences ~1/5 of the pool: the masters time the");
     println!("nodes out, re-replication refills block deficits from surviving sites,");
     println!("and when the partition heals the members re-register and rejoin. The");

@@ -16,10 +16,8 @@ fn outage_prone(mut cfg: ClusterConfig) -> ClusterConfig {
         for s in sites.iter_mut() {
             // Every site fails for 5–15 minutes every ~90 minutes.
             s.outage_mtbf = Some(Exponential::from_mean(SimDuration::from_secs(90 * 60)));
-            s.outage_duration = UniformDuration::new(
-                SimDuration::from_mins(5),
-                SimDuration::from_mins(15),
-            );
+            s.outage_duration =
+                UniformDuration::new(SimDuration::from_mins(5), SimDuration::from_mins(15));
         }
     }
     cfg

@@ -214,7 +214,11 @@ fn persist_regression_seed(path: &Option<PathBuf>, seed: u64) {
         let _ = std::fs::create_dir_all(dir);
     }
     let header_needed = !path.exists();
-    if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
+    if let Ok(mut f) = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+    {
         if header_needed {
             let _ = writeln!(
                 f,
@@ -252,7 +256,10 @@ where
     F: Fn(&mut TestRng) -> TestCaseResult,
 {
     let reg_path = regression_path(source_file);
-    let persisted = reg_path.as_ref().map(load_regression_seeds).unwrap_or_default();
+    let persisted = reg_path
+        .as_ref()
+        .map(load_regression_seeds)
+        .unwrap_or_default();
     let base = std::env::var("PROPTEST_RNG_SEED")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -281,7 +288,11 @@ where
         panic!(
             "proptest property `{test_name}` failed{}: {message}\n\
              reproduce with seed {seed} (persisted to {})",
-            if replayed { " (replayed regression seed)" } else { "" },
+            if replayed {
+                " (replayed regression seed)"
+            } else {
+                ""
+            },
             reg_path
                 .as_ref()
                 .map(|p| p.display().to_string())
@@ -367,7 +378,9 @@ macro_rules! prop_assert_ne {
         $crate::prop_assert!(
             *l != *r,
             "assertion failed: `{} != {}` (both: `{:?}`)",
-            stringify!($lhs), stringify!($rhs), l
+            stringify!($lhs),
+            stringify!($rhs),
+            l
         );
     }};
 }
@@ -434,6 +447,9 @@ mod tests {
         let s = p.display().to_string();
         assert!(s.ends_with("proptest-regressions/fluid.txt"), "{s}");
         let p = super::regression_path("crates/mapreduce/tests/chaos.rs").unwrap();
-        assert!(p.display().to_string().ends_with("proptest-regressions/chaos.txt"));
+        assert!(p
+            .display()
+            .to_string()
+            .ends_with("proptest-regressions/chaos.txt"));
     }
 }

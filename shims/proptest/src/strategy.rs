@@ -175,7 +175,11 @@ fn parse_regex_lite(pattern: &str) -> Vec<Atom> {
                         }
                     }
                 }
-                atoms.push(Atom { chars: set, min: 1, max: 1 });
+                atoms.push(Atom {
+                    chars: set,
+                    min: 1,
+                    max: 1,
+                });
             }
             '{' => {
                 let mut spec = String::new();
@@ -198,9 +202,17 @@ fn parse_regex_lite(pattern: &str) -> Vec<Atom> {
             }
             '\\' => {
                 let d = chars.next().expect("dangling escape");
-                atoms.push(Atom { chars: vec![d], min: 1, max: 1 });
+                atoms.push(Atom {
+                    chars: vec![d],
+                    min: 1,
+                    max: 1,
+                });
             }
-            c => atoms.push(Atom { chars: vec![c], min: 1, max: 1 }),
+            c => atoms.push(Atom {
+                chars: vec![c],
+                min: 1,
+                max: 1,
+            }),
         }
     }
     atoms
@@ -244,7 +256,10 @@ mod tests {
             assert!(host.chars().all(|c| c.is_ascii_lowercase()));
             let dom = generate_one("[a-z]{2,8}\\.[a-z]{2,3}", &mut rng);
             let (l, r) = dom.split_once('.').expect("dot");
-            assert!((2..=8).contains(&l.len()) && (2..=3).contains(&r.len()), "{dom}");
+            assert!(
+                (2..=8).contains(&l.len()) && (2..=3).contains(&r.len()),
+                "{dom}"
+            );
         }
     }
 

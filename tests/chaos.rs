@@ -99,12 +99,18 @@ fn corrupted_accounting_trips_the_auditor() {
     let cfg = ClusterConfig::hog(15, 5)
         .with_fault_plan(FaultPlan::new().at(
             SimDuration::from_secs(120),
-            Fault::CorruptAccounting { delta_bytes: 1 << 20 },
+            Fault::CorruptAccounting {
+                delta_bytes: 1 << 20,
+            },
         ))
         .with_audit(true);
     let r = run_workload(cfg, &schedule(7), horizon);
     match &r.chaos_failure {
-        Some(ChaosFailure::InvariantViolation { at, violations, dump }) => {
+        Some(ChaosFailure::InvariantViolation {
+            at,
+            violations,
+            dump,
+        }) => {
             assert!(*at >= SimTime::ZERO + SimDuration::from_secs(120));
             assert!(!violations.is_empty());
             assert!(
@@ -126,7 +132,9 @@ fn auditor_dump_carries_the_flight_recorder_tail() {
     let cfg = ClusterConfig::hog(15, 5)
         .with_fault_plan(FaultPlan::new().at(
             SimDuration::from_secs(120),
-            Fault::CorruptAccounting { delta_bytes: 1 << 20 },
+            Fault::CorruptAccounting {
+                delta_bytes: 1 << 20,
+            },
         ))
         .with_audit(true)
         .with_flight_recorder(40);
@@ -167,7 +175,9 @@ fn wedged_cluster_trips_the_watchdog() {
     }
     let r = run_workload(cfg, &schedule(5), horizon);
     match &r.chaos_failure {
-        Some(ChaosFailure::Livelock { stalled_for, dump, .. }) => {
+        Some(ChaosFailure::Livelock {
+            stalled_for, dump, ..
+        }) => {
             assert!(*stalled_for >= window);
             assert!(dump.contains("frozen signature"), "dump: {dump}");
             assert!(dump.contains("phase=0"), "still Forming: {dump}");

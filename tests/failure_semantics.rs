@@ -25,8 +25,7 @@ fn tiny_scratch_disks_cause_disk_full_failures() {
     // 20 maps × 32 MiB of intermediate output per node on a 64 MiB
     // scratch disk: only two map outputs fit until the job retires its
     // intermediate data.
-    let mut cfg = ClusterConfig::hog(6, 11)
-        .with_mean_lifetime(SimDuration::from_secs(100_000_000));
+    let mut cfg = ClusterConfig::hog(6, 11).with_mean_lifetime(SimDuration::from_secs(100_000_000));
     cfg.mr = cfg.mr.with_scratch(GIB / 16);
     let r = run_workload(cfg, &schedule(3, 20, 4, 12), HORIZON);
     assert!(
@@ -34,8 +33,7 @@ fn tiny_scratch_disks_cause_disk_full_failures() {
         "scratch exhaustion must fail some attempts"
     );
     // Generous scratch: no failures on the same workload.
-    let roomy = ClusterConfig::hog(6, 11)
-        .with_mean_lifetime(SimDuration::from_secs(100_000_000));
+    let roomy = ClusterConfig::hog(6, 11).with_mean_lifetime(SimDuration::from_secs(100_000_000));
     let r2 = run_workload(roomy, &schedule(3, 20, 4, 12), HORIZON);
     assert_eq!(r2.jt.failures, 0);
     assert_eq!(r2.jobs_succeeded(), 3);
@@ -57,8 +55,14 @@ fn fast_detection_beats_stock_timeout_under_churn() {
         &sched,
         HORIZON,
     );
-    let f = fast.response_time.map(|d| d.as_secs_f64()).unwrap_or(f64::INFINITY);
-    let s = slow.response_time.map(|d| d.as_secs_f64()).unwrap_or(f64::INFINITY);
+    let f = fast
+        .response_time
+        .map(|d| d.as_secs_f64())
+        .unwrap_or(f64::INFINITY);
+    let s = slow
+        .response_time
+        .map(|d| d.as_secs_f64())
+        .unwrap_or(f64::INFINITY);
     assert!(
         f <= s,
         "30 s detection ({f}s) should not lose to 630 s detection ({s}s)"
@@ -141,13 +145,7 @@ fn moon_baseline_runs_and_pins_anchor_replicas() {
 fn hod_pays_reconstruction_overhead() {
     use hog_core::baselines::run_hod_workload;
     let sched = schedule(3, 8, 2, 19);
-    let hod = run_hod_workload(
-        &sched,
-        10,
-        SimDuration::from_secs(100_000_000),
-        20,
-        3,
-    );
+    let hod = run_hod_workload(&sched, 10, SimDuration::from_secs(100_000_000), 20, 3);
     assert_eq!(hod.jobs_succeeded, 3);
     assert!(
         hod.mean_overhead_secs > 60.0,

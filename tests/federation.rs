@@ -116,10 +116,7 @@ fn meta_scheduler_routing_is_deterministic_under_fixed_seed() {
             HORIZON,
         )
     };
-    for policy in [
-        RoutingPolicy::locality_default(),
-        RoutingPolicy::Random,
-    ] {
+    for policy in [RoutingPolicy::locality_default(), RoutingPolicy::Random] {
         let a = run(policy, 33);
         let b = run(policy, 33);
         assert_eq!(a.routed_to, b.routed_to, "{policy:?} routing replayed");

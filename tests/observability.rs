@@ -111,10 +111,19 @@ fn traces_are_deterministic_and_cover_every_layer() {
     let b = run(());
     let ja = to_jsonl(&a.trace.as_ref().unwrap().events);
     let jb = to_jsonl(&b.trace.as_ref().unwrap().events);
-    assert_eq!(ja, jb, "same seed + config must export byte-identical JSONL");
+    assert_eq!(
+        ja, jb,
+        "same seed + config must export byte-identical JSONL"
+    );
 
     let events = &a.trace.as_ref().unwrap().events;
-    for layer in [Layer::Core, Layer::Grid, Layer::Hdfs, Layer::MapReduce, Layer::Net] {
+    for layer in [
+        Layer::Core,
+        Layer::Grid,
+        Layer::Hdfs,
+        Layer::MapReduce,
+        Layer::Net,
+    ] {
         assert!(
             events.iter().any(|e| e.layer == layer),
             "no events from {layer}"
@@ -148,7 +157,10 @@ fn metrics_registry_samples_and_diffs() {
     let diffs = diff_registries(&ma, &mb);
     assert_eq!(diffs.len(), ma.len(), "diff covers every registered series");
     let rendered = render_diff(&diffs, 10);
-    assert!(rendered.contains('/'), "rendered diff names series: {rendered}");
+    assert!(
+        rendered.contains('/'),
+        "rendered diff names series: {rendered}"
+    );
     // Scores are sorted descending.
     for w in diffs.windows(2) {
         assert!(w[0].score >= w[1].score);

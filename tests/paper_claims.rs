@@ -10,9 +10,30 @@ use hog_workload::facebook::Bin;
 /// A scaled-down Facebook-like mix: same shape, ~1/8 the work.
 fn mini_facebook(seed: u64) -> SubmissionSchedule {
     let bins = [
-        Bin { number: 1, maps_at_facebook: (1, 1), fraction_at_facebook: 0.4, maps: 1, jobs_in_benchmark: 5, reduces: 1 },
-        Bin { number: 3, maps_at_facebook: (3, 20), fraction_at_facebook: 0.3, maps: 10, jobs_in_benchmark: 3, reduces: 5 },
-        Bin { number: 4, maps_at_facebook: (21, 60), fraction_at_facebook: 0.2, maps: 30, jobs_in_benchmark: 2, reduces: 8 },
+        Bin {
+            number: 1,
+            maps_at_facebook: (1, 1),
+            fraction_at_facebook: 0.4,
+            maps: 1,
+            jobs_in_benchmark: 5,
+            reduces: 1,
+        },
+        Bin {
+            number: 3,
+            maps_at_facebook: (3, 20),
+            fraction_at_facebook: 0.3,
+            maps: 10,
+            jobs_in_benchmark: 3,
+            reduces: 5,
+        },
+        Bin {
+            number: 4,
+            maps_at_facebook: (21, 60),
+            fraction_at_facebook: 0.2,
+            maps: 30,
+            jobs_in_benchmark: 2,
+            reduces: 8,
+        },
     ];
     SubmissionSchedule::from_bins(&bins, seed)
 }
@@ -28,10 +49,7 @@ fn more_hog_nodes_means_faster_workload() {
         small.response_time.unwrap().as_secs_f64(),
         large.response_time.unwrap().as_secs_f64(),
     );
-    assert!(
-        l < s,
-        "80 nodes ({l}s) should beat 20 nodes ({s}s)"
-    );
+    assert!(l < s, "80 nodes ({l}s) should beat 20 nodes ({s}s)");
     assert_eq!(small.jobs_succeeded(), schedule.len());
     assert_eq!(large.jobs_succeeded(), schedule.len());
 }
