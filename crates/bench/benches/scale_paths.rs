@@ -27,7 +27,7 @@ use hog_hdfs::placement::{Candidate, PlacementPolicy, SiteAwarePolicy};
 use hog_hdfs::{BlockId, HdfsConfig, Namenode};
 use hog_mapreduce::{Assignment, JobSubmission, JobTracker, MrParams};
 use hog_net::{FluidNet, NetParams, NodeId, SiteId, Topology};
-use hog_sim_core::{EventQueue, SimDuration, SimRng, SimTime};
+use hog_sim_core::{EventQueue, SimDuration, SimRng, SimTime, HOG_DEAD_TIMEOUT};
 use std::hint::black_box;
 
 /// A fluid net with `flows` active transfers spread over 8 sites × 50
@@ -196,6 +196,7 @@ fn loaded_jt(
     }
     let mut jt = JobTracker::new(
         MrParams::hog().with_speculation(speculation),
+        HOG_DEAD_TIMEOUT,
         SimRng::seed_from_u64(11),
     );
     for &n in &nodes {

@@ -20,7 +20,7 @@ use hog_bench::{outcome_fingerprint, response_secs, timed, Group, Report, Row, S
 use hog_chaos::{Fault, FaultPlan};
 use hog_core::driver::run_workload;
 use hog_core::sweep::run_ordered;
-use hog_core::ClusterConfig;
+use hog_core::{ClusterConfig, DETECTION_TIMEOUT};
 use hog_sim_core::SimDuration;
 use hog_workload::SubmissionSchedule;
 
@@ -32,7 +32,7 @@ const CRASH_TIMES: [u64; 2] = [600, 1200];
 /// Checkpoint intervals swept, seconds.
 const INTERVALS: [u64; 2] = [300, 120];
 /// Failure-detection timeout before standby promotion, seconds.
-const DETECTION_SECS: u64 = 30;
+const DETECTION_SECS: u64 = DETECTION_TIMEOUT.as_millis() / 1000;
 /// Allowance for re-running the in-flight work the promotion killed.
 /// Calibrated generously: the killed tasks re-run in parallel across the
 /// surviving pool, overlapping work that was pending anyway.
@@ -53,10 +53,7 @@ fn run_cell(
         Some(c) => format!("p{nodes}-c{c}-i{interval}"),
     };
     let mut cfg = ClusterConfig::hog(nodes, seed)
-        .with_failover(
-            SimDuration::from_secs(interval),
-            SimDuration::from_secs(DETECTION_SECS),
-        )
+        .with_failover(SimDuration::from_secs(interval))
         .named(label.clone());
     if let Some(c) = crash_at {
         cfg =

@@ -33,8 +33,6 @@ const TOTAL_NODES: usize = 100;
 const POOL_TIERS: [usize; 3] = [1, 2, 4];
 /// Shared-dataset fractions (percent) swept at 2 and 4 pools.
 const SHARED_PCTS: [u32; 2] = [25, 75];
-/// Peer pools receiving a copy of each shared dataset.
-const PEERS: usize = 1;
 /// Cross-pool replication factor for shared copies.
 const R_REMOTE: u16 = 2;
 
@@ -63,7 +61,7 @@ fn run_cell(
         .collect();
     let cfg = FedConfig::new(pool_cfgs, seed)
         .with_routing(policy)
-        .with_sharing(shared_pct as f64 / 100.0, PEERS, R_REMOTE)
+        .with_sharing(shared_pct as f64 / 100.0, R_REMOTE)
         .with_audit(true)
         .named(format!("fed-{pools}p-{}-s{shared_pct}", policy.name()));
     let (r, wall_ms) = timed(|| run_federation(cfg, schedule, SimDuration::from_secs(100 * 3600)));
@@ -131,7 +129,7 @@ fn sweep(seed: u64, smoke: bool, threads: usize) -> Vec<Group> {
     let mut grid: Vec<(usize, RoutingPolicy, u32)> = vec![(1, RoutingPolicy::Home, 0)];
     for &n in &POOL_TIERS[1..] {
         for &pct in &SHARED_PCTS {
-            for policy in [RoutingPolicy::locality_default(), RoutingPolicy::Random] {
+            for policy in [RoutingPolicy::LocalityAware, RoutingPolicy::Random] {
                 grid.push((n, policy, pct));
             }
         }

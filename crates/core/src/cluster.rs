@@ -15,29 +15,42 @@
 //!    measured from the first submission to the last job's completion;
 //! 4. **Done**.
 
-use crate::config::{ClusterConfig, PlacementKind, ResourceConfig};
+use crate::config::{ClusterConfig, PlacementKind, ResourceConfig, DETECTION_TIMEOUT};
 use crate::event::{DoomReason, Event};
 use crate::master::SingleMasterStack;
 use hog_chaos::{Auditor, ChaosFailure, Fault, ProgressSig, Watchdog};
 use hog_grid::{
     ElasticController, ElasticDecision, GridModel, GridNote, GridOutput, LossReason, PoolSnapshot,
 };
+use hog_hdfs::availability::RETARGET_INTERVAL;
 use hog_hdfs::{
     AvailabilitySnapshot, BlockId, FileId, Namenode, RackAwarePolicy, RackObliviousPolicy,
-    ReplOrder, SiteAwarePolicy, SiteRisk,
+    ReplOrder, SiteAwarePolicy, SiteRisk, REPLICATION_MONITOR_INTERVAL,
 };
+use hog_mapreduce::config::{DISK_READ_RATE, DISK_WRITE_RATE, HEARTBEAT_INTERVAL};
 use hog_mapreduce::jobtracker::FailReason;
 use hog_mapreduce::{Assignment, AttemptRef, JobId, JobSubmission, JobTracker, JtNote, ReduceStep};
 use hog_net::{FlowEnd, FlowId, FlowOutcome, FluidNet, NodeId, NodeSet, Topology};
 use hog_obs::{
     render_tail, HistogramId, Layer, MetricId, MetricsRegistry, TraceEvent, TraceLog, Tracer,
+    DUMP_TAIL,
 };
 use hog_sim_core::engine::{Model, Scheduler};
 use hog_sim_core::metrics::StepSeries;
-use hog_sim_core::units::transfer_secs;
+use hog_sim_core::units::{transfer_secs, BLOCK_SIZE};
 use hog_sim_core::{Liveness, SimDuration, SimRng, SimTime, Violation};
-use hog_workload::{JobSpec, SubmissionSchedule};
+use hog_workload::{jobmodel, JobSpec, SubmissionSchedule};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+
+/// Input blocks staged concurrently during upload.
+const UPLOAD_PARALLEL: usize = 8;
+
+/// Delay between a task failing on a zombie node and the failure report
+/// reaching the JobTracker (models the doomed attempt's brief lifetime).
+const ZOMBIE_FAIL_DELAY: SimDuration = SimDuration::from_secs(2);
+
+/// Retry backoff for shuffle fetches aimed at unusable sources.
+const FETCH_RETRY_DELAY: SimDuration = SimDuration::from_secs(15);
 
 /// What an in-flight network transfer means.
 #[derive(Clone, Debug)]
@@ -266,6 +279,14 @@ pub struct Cluster {
     /// Mediator counters.
     pub counters: ClusterCounters,
     target_nodes: usize,
+    /// Fraction of `target_nodes` the forming pool may still be missing
+    /// when the upload phase starts. Within the paper's five-site
+    /// capacity the pool forms completely (its exact behaviour); past it,
+    /// churn keeps a standing deficit of roughly `death_rate ×
+    /// acquisition_delay` glideins, so a full simultaneous pool is
+    /// unreachable and formation tolerates a 1% deficit — far above the
+    /// expected standing deficit at 10k nodes.
+    formation_grace: f64,
     /// Last availability-policy sweep instant (X17), when armed.
     avail_last: Option<SimTime>,
     /// History of availability sweeps that changed any target:
@@ -365,15 +386,26 @@ impl Cluster {
         net.set_tracer(tracer.clone());
         let mut nn = Namenode::new(cfg.hdfs.clone(), placement, rng.fork(2));
         nn.set_tracer(tracer.clone());
-        let mut jt = JobTracker::new(cfg.mr, rng.fork(3));
+        // One failure detector (§III-B): the JobTracker times trackers
+        // out on the namenode's dead-node timeout.
+        let mut jt = JobTracker::new(cfg.mr, cfg.hdfs.dead_node_timeout, rng.fork(3));
         jt.set_tracer(tracer.clone());
         let obs_metrics = cfg.obs.metrics.then(ObsMetrics::new);
         let target_nodes = cfg.resource.target_nodes();
+        let paper_capacity: usize = hog_grid::config::paper_sites()
+            .iter()
+            .map(|s| s.max_slots)
+            .sum();
+        let formation_grace = if target_nodes > paper_capacity {
+            0.01
+        } else {
+            0.0
+        };
         // The controller only makes sense over a glidein pool; on fixed
         // clusters an `elastic` config is silently inert.
         let elastic = cfg.elastic.as_ref().and_then(|ec| match &cfg.resource {
-            ResourceConfig::Grid { params, sites, .. } => {
-                Some(ElasticController::new(ec.clone(), params, sites))
+            ResourceConfig::Grid { sites, slots, .. } => {
+                Some(ElasticController::new(ec.clone(), *slots, sites))
             }
             ResourceConfig::Fixed { .. } => None,
         });
@@ -414,6 +446,7 @@ impl Cluster {
             workload_end: None,
             counters: ClusterCounters::default(),
             target_nodes,
+            formation_grace,
             avail_last: None,
             avail_actions: Vec::new(),
             elastic,
@@ -473,13 +506,11 @@ impl Cluster {
     fn finish_bootstrap(&mut self, sched: &mut Scheduler<'_, Event>) {
         match self.cfg.resource.clone() {
             ResourceConfig::Grid {
-                params,
                 sites,
                 target_nodes,
                 ..
             } => {
-                let (mut grid, init) =
-                    GridModel::new(params, sites, &mut self.topo, self.rng.fork(1));
+                let (mut grid, init) = GridModel::new(sites, &mut self.topo, self.rng.fork(1));
                 grid.set_tracer(self.tracer.clone());
                 let out = grid.submit_workers(SimTime::ZERO, target_nodes);
                 self.grid = Some(grid);
@@ -529,7 +560,7 @@ impl Cluster {
     /// Stagger heartbeats so 1000 nodes don't tick in the same
     /// millisecond; disk-check period from config.
     fn worker_timers(&self, node: NodeId) -> (SimDuration, Option<SimDuration>) {
-        let hb_ms = self.cfg.mr.heartbeat_interval.as_millis().max(1);
+        let hb_ms = HEARTBEAT_INTERVAL.as_millis().max(1);
         let offset = (node.0 as u64).wrapping_mul(5741) % hb_ms;
         (
             SimDuration::from_millis(offset + 1),
@@ -658,9 +689,8 @@ impl Cluster {
             return;
         }
         self.staging.insert(f, (index, blocks));
-        let block_size = self.cfg.hdfs.block_size;
         for _ in 0..blocks {
-            self.upload_queue.push_back((f, block_size));
+            self.upload_queue.push_back((f, BLOCK_SIZE));
         }
         self.pump_upload(sched);
     }
@@ -687,7 +717,6 @@ impl Cluster {
     // ==================================================================
 
     fn begin_upload_queue(&mut self) {
-        let block = self.cfg.hdfs.block_size;
         for (i, spec) in self.schedule.iter().enumerate() {
             let f = self
                 .masters
@@ -702,13 +731,13 @@ impl Cluster {
                 continue;
             }
             for _ in 0..spec.maps {
-                self.upload_queue.push_back((f, block));
+                self.upload_queue.push_back((f, BLOCK_SIZE));
             }
         }
     }
 
     fn pump_upload(&mut self, sched: &mut Scheduler<'_, Event>) {
-        while self.upload_in_flight < self.cfg.upload_parallel {
+        while self.upload_in_flight < UPLOAD_PARALLEL {
             let Some((file, size)) = self.upload_queue.pop_front() else {
                 break;
             };
@@ -765,7 +794,14 @@ impl Cluster {
     /// `finish_upload`; in pool mode the federation calls it once every
     /// pool is ready (so `base` is the same instant federation-wide).
     pub fn begin_workload(&mut self, base: SimTime, sched: &mut Scheduler<'_, Event>) {
-        self.workload_start = Some(base + (self.schedule[0].submit_at - SimTime::ZERO));
+        let Some(first) = self.schedule.first() else {
+            // A zero-job workload is complete the moment it starts.
+            self.workload_start = Some(base);
+            self.workload_end = Some(base);
+            self.set_phase(RunPhase::Done);
+            return;
+        };
+        self.workload_start = Some(base + (first.submit_at - SimTime::ZERO));
         // Build the dispatch plan instead of pushing every event now: the
         // full Facebook schedule plus fault plan used to sit in the queue
         // for hours of simulated time, inflating queue depth for nothing.
@@ -1146,7 +1182,7 @@ impl Cluster {
         // Under churn a glidein pool carries a standing deficit of
         // (death rate x acquisition delay) nodes, so huge pools may never
         // hit `target_nodes` exactly; `formation_grace` admits that slack.
-        let grace = (self.target_nodes as f64 * self.cfg.formation_grace) as usize;
+        let grace = (self.target_nodes as f64 * self.formation_grace) as usize;
         if self.phase == RunPhase::Forming && self.daemons_up.len() >= self.target_nodes - grace {
             self.set_phase(RunPhase::Uploading);
             self.begin_upload_queue();
@@ -1155,9 +1191,10 @@ impl Cluster {
     }
 
     fn on_node_lost(&mut self, node: NodeId, reason: LossReason, sched: &mut Scheduler<'_, Event>) {
-        let zombie_roll = self.cfg.zombie.enabled
-            && reason == LossReason::Preempted
-            && self.rng.chance(self.cfg.zombie.probability);
+        // `chance` draws nothing at probability 0, so a zombie-free run
+        // leaves the RNG stream untouched.
+        let zombie_roll =
+            reason == LossReason::Preempted && self.rng.chance(self.cfg.zombie.probability);
         if zombie_roll {
             // Double-forked daemons survive the kill; their working
             // directory is gone. They keep heartbeating.
@@ -1290,7 +1327,7 @@ impl Cluster {
             self.start_assignments(sched, node, &assignments);
             self.assign_buf = assignments;
         }
-        sched.every(self.cfg.mr.heartbeat_interval, Event::Heartbeat { node });
+        sched.every(HEARTBEAT_INTERVAL, Event::Heartbeat { node });
     }
 
     fn start_assignments(
@@ -1321,7 +1358,7 @@ impl Cluster {
                     );
                     if self.zombies.contains(&node) {
                         sched.after(
-                            self.cfg.zombie_fail_delay,
+                            ZOMBIE_FAIL_DELAY,
                             Event::AttemptDoomed {
                                 attempt,
                                 reason: DoomReason::Zombie,
@@ -1334,7 +1371,7 @@ impl Cluster {
                 Assignment::Reduce { attempt } => {
                     if self.zombies.contains(&node) {
                         sched.after(
-                            self.cfg.zombie_fail_delay,
+                            ZOMBIE_FAIL_DELAY,
                             Event::AttemptDoomed {
                                 attempt,
                                 reason: DoomReason::Zombie,
@@ -1379,7 +1416,7 @@ impl Cluster {
                 }
                 Some(src) if src == meta.node => {
                     let (_, disk) = self.slow(meta.node);
-                    let secs = transfer_secs(meta.input_bytes, self.cfg.mr.disk_read_rate) * disk;
+                    let secs = transfer_secs(meta.input_bytes, DISK_READ_RATE) * disk;
                     sched.after(
                         rtt + SimDuration::from_secs_f64(secs),
                         Event::MapInputReady { attempt },
@@ -1422,7 +1459,7 @@ impl Cluster {
             return;
         }
         let (_, disk) = self.slow(meta.node);
-        let secs = transfer_secs(meta.output_bytes, self.cfg.mr.disk_write_rate) * disk;
+        let secs = transfer_secs(meta.output_bytes, DISK_WRITE_RATE) * disk;
         sched.after(
             SimDuration::from_secs_f64(secs),
             Event::MapSpillDone { attempt },
@@ -1463,7 +1500,7 @@ impl Cluster {
                     } else {
                         self.counters.fetch_timeouts += 1;
                         sched.after(
-                            self.cfg.fetch_retry_delay,
+                            FETCH_RETRY_DELAY,
                             Event::FetchTimeout { attempt, order: id },
                         );
                     }
@@ -1612,20 +1649,19 @@ impl Cluster {
             split_locations.push(meta.replicas.iter().copied().collect::<Vec<_>>());
         }
         let spec = &self.schedule[index];
-        let lg = &self.cfg.loadgen;
         let submission = JobSubmission {
             input_blocks,
             split_locations,
             reduces: spec.reduces,
-            map_cpu_secs: lg.map_cpu_secs(),
-            map_output_bytes: lg.map_output_bytes(),
-            reduce_cpu_secs: lg.reduce_cpu_secs(spec.maps, spec.reduces),
+            map_cpu_secs: jobmodel::map_cpu_secs(),
+            map_output_bytes: jobmodel::map_output_bytes(),
+            reduce_cpu_secs: jobmodel::reduce_cpu_secs(spec.maps, spec.reduces),
             reduce_output_bytes: if spec.reduces == 0 {
                 0
             } else {
-                lg.output_bytes(spec.maps) / spec.reduces as u64
+                jobmodel::output_bytes(spec.maps) / spec.reduces as u64
             },
-            output_replication: lg.output_replication,
+            output_replication: self.cfg.hdfs.replication,
         };
         let jid = self
             .masters
@@ -1814,15 +1850,15 @@ impl Cluster {
     /// decayed failure score (hog-sched, via the JobTracker) and its
     /// churn profile (hog-grid), then let the namenode retarget
     /// per-block replication against the snapshot. A no-op unless
-    /// `cfg.hdfs.availability` is armed and the policy's interval has
+    /// `cfg.hdfs.availability` is armed and [`RETARGET_INTERVAL`] has
     /// elapsed.
     fn on_availability_tick(&mut self, now: SimTime) {
-        let Some(policy) = self.cfg.hdfs.availability else {
+        if self.cfg.hdfs.availability.is_none() {
             return;
-        };
+        }
         if self
             .avail_last
-            .is_some_and(|t| now.saturating_since(t) < policy.interval)
+            .is_some_and(|t| now.saturating_since(t) < RETARGET_INTERVAL)
         {
             return;
         }
@@ -1934,10 +1970,7 @@ impl Cluster {
         }
         self.run_chaos_supervision(sched.now());
         self.arm_net(sched);
-        sched.after(
-            self.cfg.hdfs.replication_monitor_interval,
-            Event::MasterTick,
-        );
+        sched.after(REPLICATION_MONITOR_INTERVAL, Event::MasterTick);
     }
 
     /// Record the current value of every registered metric (when the
@@ -2038,12 +2071,7 @@ impl Cluster {
                 .with("configured", self.masters.failover().is_some())
         });
         if went_down {
-            let detection = self
-                .masters
-                .failover()
-                .expect("crash() only reports downtime when failover is configured")
-                .detection_timeout;
-            sched.after(detection, Event::MasterPromote);
+            sched.after(DETECTION_TIMEOUT, Event::MasterPromote);
         }
     }
 
@@ -2414,7 +2442,7 @@ impl Cluster {
         // dump. The tail is captured before any further event is emitted,
         // so its last entry precedes (or coincides with) the failure time.
         if self.chaos_failure.is_some() && self.tracer.enabled() {
-            let tail = self.tracer.tail(self.cfg.obs.dump_tail);
+            let tail = self.tracer.tail(DUMP_TAIL);
             let rendered = render_tail(&tail, self.tracer.events_recorded(), self.tracer.dropped());
             if let Some(f) = &mut self.chaos_failure {
                 f.append_context(&rendered);
@@ -2656,5 +2684,18 @@ mod tests {
             "{:?}",
             cluster.attempt_flows
         );
+    }
+
+    #[test]
+    fn an_empty_schedule_finishes_as_a_zero_job_run() {
+        let empty = SubmissionSchedule::from_jobs(Vec::new());
+        for cfg in [ClusterConfig::hog(10, 1), ClusterConfig::dedicated(1)] {
+            let name = cfg.name.clone();
+            let r = crate::driver::run_workload(cfg, &empty, SimDuration::from_secs(3600));
+            assert!(!r.stopped_early, "{name} did not finish");
+            assert!(r.jobs.is_empty(), "{name}");
+            assert_eq!(r.response_time, Some(SimDuration::ZERO), "{name}");
+            assert_eq!(r.area_reported, 0.0, "{name}");
+        }
     }
 }

@@ -1,14 +1,20 @@
 //! Cluster configuration and the paper's two reference systems.
 
 use hog_chaos::FaultPlan;
-use hog_grid::{ChurnModel, ElasticConfig, GridParams, SiteConfig};
+use hog_grid::{ChurnModel, ElasticConfig, SiteConfig};
 use hog_hdfs::HdfsConfig;
 use hog_mapreduce::{MrParams, SchedPolicy};
 use hog_net::NetParams;
 use hog_obs::{ObsOptions, TraceMode};
 use hog_sim_core::units::GIB;
 use hog_sim_core::SimDuration;
-use hog_workload::{LoadgenParams, StragglerMix};
+use hog_workload::StragglerMix;
+
+/// How long after a master crash the standby notices the active master is
+/// gone and promotes itself (the paper's 30 s dead-node detection). During
+/// this window heartbeats go unanswered and client submissions buffer with
+/// retry/backoff.
+pub const DETECTION_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 
 /// Which block placement policy the namenode uses.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,8 +37,6 @@ pub enum PlacementKind {
 pub enum ResourceConfig {
     /// Opportunistic glideins from the grid (HOG).
     Grid {
-        /// Global grid parameters.
-        params: GridParams,
         /// Participating sites.
         sites: Vec<SiteConfig>,
         /// Pool size to form before the workload starts (the paper's
@@ -66,28 +70,21 @@ impl ResourceConfig {
 /// The abandoned-datanode failure mode (§IV-D.1).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ZombieConfig {
-    /// Whether preemptions can leave zombie daemons behind (HOG's *first
+    /// Probability that a preemption double-forks into a zombie. Above
+    /// zero, preemptions can leave zombie daemons behind (HOG's *first
     /// iteration*, before the process-tree fix).
-    pub enabled: bool,
-    /// Probability that a preemption double-forks into a zombie.
     pub probability: f64,
 }
 
 impl ZombieConfig {
     /// The fixed HOG: preemptions kill the whole process tree.
     pub fn off() -> Self {
-        ZombieConfig {
-            enabled: false,
-            probability: 0.0,
-        }
+        ZombieConfig { probability: 0.0 }
     }
 
     /// First-iteration HOG: `p` of preemptions leave zombies.
     pub fn on(p: f64) -> Self {
-        ZombieConfig {
-            enabled: true,
-            probability: p,
-        }
+        ZombieConfig { probability: p }
     }
 }
 
@@ -115,9 +112,9 @@ impl ChaosOptions {
 }
 
 /// Master failover: periodic checkpointing of the Namenode+JobTracker
-/// stack plus standby promotion after a crash. `None` (the default)
-/// reproduces the paper's single-master deployment — a `MasterCrash`
-/// fault is then recorded and ignored.
+/// stack plus standby promotion [`DETECTION_TIMEOUT`] after a crash.
+/// `None` (the default) reproduces the paper's single-master deployment —
+/// a `MasterCrash` fault is then recorded and ignored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FailoverConfig {
     /// How often the active master serializes a checkpoint (fsimage +
@@ -126,19 +123,13 @@ pub struct FailoverConfig {
     /// *mirror mode*: the standby tracks every mutation synchronously,
     /// so a crash loses nothing and causes no downtime.
     pub checkpoint_interval: SimDuration,
-    /// How long after the crash the standby notices the active master
-    /// is gone and promotes itself. During this window heartbeats go
-    /// unanswered and client submissions buffer with retry/backoff.
-    pub detection_timeout: SimDuration,
 }
 
 impl FailoverConfig {
-    /// Checkpoint every `interval` with a 30 s detection timeout
-    /// (matching the paper's 30 s dead-node detection).
+    /// Checkpoint every `interval`.
     pub fn every(interval: SimDuration) -> Self {
         FailoverConfig {
             checkpoint_interval: interval,
-            detection_timeout: SimDuration::from_secs(30),
         }
     }
 
@@ -188,29 +179,12 @@ pub struct ClusterConfig {
     pub hdfs: HdfsConfig,
     /// MapReduce settings.
     pub mr: MrParams,
-    /// Job cost model.
-    pub loadgen: LoadgenParams,
     /// Worker provisioning.
     pub resource: ResourceConfig,
-    /// Fraction of `resource.target_nodes` the forming pool may still be
-    /// missing when the upload phase starts. `0.0` (the default) demands
-    /// the full pool — the paper's behaviour, and byte-identical to
-    /// pre-knob builds. Past the paper's scale churn keeps a standing
-    /// deficit of roughly `death_rate × acquisition_delay` glideins, so
-    /// strict equality is unreachable and a small grace is required.
-    pub formation_grace: f64,
     /// Zombie-datanode mode.
     pub zombie: ZombieConfig,
     /// Placement policy.
     pub placement: PlacementKind,
-    /// Input blocks staged concurrently during upload.
-    pub upload_parallel: usize,
-    /// Delay between a task failing on a zombie node and the failure
-    /// report reaching the JobTracker (models the doomed attempt's brief
-    /// lifetime).
-    pub zombie_fail_delay: SimDuration,
-    /// Retry backoff for shuffle fetches aimed at unusable sources.
-    pub fetch_retry_delay: SimDuration,
     /// Fault injection / auditing / watchdog (hog-chaos); inert by
     /// default.
     pub chaos: ChaosOptions,
@@ -241,45 +215,21 @@ impl ClusterConfig {
     /// replication 10, 30 s dead-node detection, site-aware placement,
     /// zombie fix on, 1 map + 1 reduce slot per glidein.
     pub fn hog(target_nodes: usize, seed: u64) -> Self {
-        let hdfs = HdfsConfig::hog().with_capacity(120 * GIB);
-        let loadgen = LoadgenParams {
-            output_replication: hdfs.replication,
-            ..LoadgenParams::calibrated()
-        };
-        // Within the paper's five-site capacity the pool forms completely
-        // (its exact behaviour); past it, preemption churn makes a full
-        // simultaneous pool unreachable, so formation tolerates a 1%
-        // deficit — far above the expected standing deficit at 10k nodes.
-        let paper_capacity: usize = hog_grid::config::paper_sites()
-            .iter()
-            .map(|s| s.max_slots)
-            .sum();
-        let formation_grace = if target_nodes > paper_capacity {
-            0.01
-        } else {
-            0.0
-        };
         ClusterConfig {
             name: format!("hog-{target_nodes}"),
             seed,
             net: NetParams::grid_default(),
-            hdfs,
+            hdfs: HdfsConfig::hog().with_capacity(120 * GIB),
             mr: MrParams::hog(),
-            loadgen,
             resource: ResourceConfig::Grid {
-                params: GridParams::default(),
                 // Exactly the paper's five sites through 1101 nodes;
                 // synthetic OSG sites appear only past the paper's scale.
                 sites: hog_grid::config::scaled_sites(target_nodes),
                 target_nodes,
                 slots: (1, 1),
             },
-            formation_grace,
             zombie: ZombieConfig::off(),
             placement: PlacementKind::SiteAware,
-            upload_parallel: 8,
-            zombie_fail_delay: SimDuration::from_secs(2),
-            fetch_retry_delay: SimDuration::from_secs(15),
             chaos: ChaosOptions::default(),
             obs: ObsOptions::default(),
             elastic: None,
@@ -294,31 +244,21 @@ impl ClusterConfig {
     /// single-core Opterons (2 map slots, 1 reduce slot), 1 Gbps
     /// Ethernet, stock Hadoop 0.20 (replication 3, rack awareness).
     pub fn dedicated(seed: u64) -> Self {
-        let hdfs = HdfsConfig::stock();
-        let loadgen = LoadgenParams {
-            output_replication: hdfs.replication,
-            ..LoadgenParams::calibrated()
-        };
         let mut nodes = vec![(4u8, 1u8); 20];
         nodes.extend(vec![(2u8, 1u8); 10]);
         ClusterConfig {
             name: "dedicated-100-cores".to_string(),
             seed,
             net: NetParams::lan_default(),
-            hdfs,
+            hdfs: HdfsConfig::stock(),
             mr: MrParams::stock(),
-            loadgen,
             resource: ResourceConfig::Fixed {
                 site_name: "LOCAL".to_string(),
                 domain: "local.unl.edu".to_string(),
                 nodes,
             },
-            formation_grace: 0.0,
             zombie: ZombieConfig::off(),
             placement: PlacementKind::RackAware,
-            upload_parallel: 8,
-            zombie_fail_delay: SimDuration::from_secs(2),
-            fetch_retry_delay: SimDuration::from_secs(15),
             chaos: ChaosOptions::default(),
             obs: ObsOptions::default(),
             elastic: None,
@@ -387,15 +327,13 @@ impl ClusterConfig {
     /// Override the replication factor (input and output alike).
     pub fn with_replication(mut self, r: u16) -> Self {
         self.hdfs.replication = r;
-        self.loadgen.output_replication = r;
         self
     }
 
-    /// Override both dead-node timeouts (namenode + jobtracker), ablation
-    /// X1.
+    /// Override the dead-node timeout, which the namenode and the
+    /// JobTracker share (ablation X1).
     pub fn with_dead_timeout(mut self, t: SimDuration) -> Self {
         self.hdfs.dead_node_timeout = t;
-        self.mr.tracker_dead_timeout = t;
         self
     }
 
@@ -494,14 +432,11 @@ impl ClusterConfig {
     }
 
     /// Arm master failover: checkpoint the Namenode+JobTracker stack
-    /// every `interval` and promote a standby `detection` after a
-    /// `MasterCrash`. `interval == ZERO` selects mirror mode (a
+    /// every `interval` and promote a standby [`DETECTION_TIMEOUT`] after
+    /// a `MasterCrash`. `interval == ZERO` selects mirror mode (a
     /// synchronous standby that loses nothing and promotes instantly).
-    pub fn with_failover(mut self, interval: SimDuration, detection: SimDuration) -> Self {
-        self.failover = Some(FailoverConfig {
-            checkpoint_interval: interval,
-            detection_timeout: detection,
-        });
+    pub fn with_failover(mut self, interval: SimDuration) -> Self {
+        self.failover = Some(FailoverConfig::every(interval));
         self
     }
 
@@ -520,8 +455,7 @@ mod tests {
     fn hog_preset_matches_paper() {
         let c = ClusterConfig::hog(100, 1);
         assert_eq!(c.hdfs.replication, 10);
-        assert_eq!(c.loadgen.output_replication, 10);
-        assert_eq!(c.hdfs.dead_node_timeout, SimDuration::from_secs(30));
+        assert_eq!(c.hdfs.dead_node_timeout, hog_sim_core::HOG_DEAD_TIMEOUT);
         assert_eq!(c.placement, PlacementKind::SiteAware);
         match &c.resource {
             ResourceConfig::Grid {
@@ -565,10 +499,9 @@ mod tests {
             .with_zombies(0.5, true)
             .named("x");
         assert_eq!(c.hdfs.replication, 5);
-        assert_eq!(c.loadgen.output_replication, 5);
-        assert_eq!(c.mr.tracker_dead_timeout, SimDuration::from_secs(600));
+        assert_eq!(c.hdfs.dead_node_timeout, SimDuration::from_secs(600));
         assert_eq!(c.placement, PlacementKind::RackOblivious);
-        assert!(c.zombie.enabled);
+        assert_eq!(c.zombie.probability, 0.5);
         assert!(c.hdfs.disk_check_interval.is_some());
         assert_eq!(c.name, "x");
     }

@@ -66,7 +66,7 @@ pub enum Event {
         /// Index into the submission schedule.
         index: usize,
     },
-    /// Try to keep `upload_parallel` input blocks in flight.
+    /// Stage more input blocks, up to eight in flight at once.
     PumpUpload,
     /// Elastically resize the glidein pool (paper §IV-C): positive delta
     /// submits more Condor jobs, negative removes workers.

@@ -42,6 +42,7 @@ pub mod sweep;
 pub use cluster::Cluster;
 pub use config::{
     ChaosOptions, ClusterConfig, FailoverConfig, PlacementKind, ResourceConfig, ZombieConfig,
+    DETECTION_TIMEOUT,
 };
 pub use driver::{run_workload, JobOutcome, RunResult};
 pub use hog_chaos as chaos;

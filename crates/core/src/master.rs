@@ -25,7 +25,7 @@
 //! A [`hog_chaos::Fault::MasterCrash`] kills the active master. The
 //! stack goes [`MasterStatus::Down`]: heartbeats go unanswered, no
 //! scheduling or death detection happens, client submissions buffer.
-//! After `detection_timeout` the standby promotes: the checkpoint clones
+//! After [`crate::config::DETECTION_TIMEOUT`] the standby promotes: the checkpoint clones
 //! are swapped in as the live masters and the *ghosts* (the crashed
 //! masters' final state) are handed back to the mediator, which uses
 //! them as ground truth for reconciliation — block-report replay,
@@ -271,7 +271,7 @@ mod tests {
     use super::*;
     use hog_hdfs::{HdfsConfig, SiteAwarePolicy};
     use hog_mapreduce::MrParams;
-    use hog_sim_core::SimRng;
+    use hog_sim_core::{SimRng, HOG_DEAD_TIMEOUT};
 
     fn stack(cfg: Option<FailoverConfig>) -> SingleMasterStack {
         let nn = Namenode::new(
@@ -279,7 +279,7 @@ mod tests {
             Box::new(SiteAwarePolicy),
             SimRng::seed_from_u64(7),
         );
-        let jt = JobTracker::new(MrParams::hog(), SimRng::seed_from_u64(8));
+        let jt = JobTracker::new(MrParams::hog(), HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(8));
         SingleMasterStack::new(nn, jt, cfg)
     }
 

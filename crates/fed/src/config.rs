@@ -5,6 +5,21 @@ use hog_core::ClusterConfig;
 use hog_sim_core::units::mbit_per_s;
 use hog_sim_core::SimDuration;
 
+/// Inter-pool WAN backbone capacity, bytes/s, shared by all transfers:
+/// 250 Mbps, an order of magnitude under the 6 Gbps site uplinks, so
+/// cross-pool staging is a real cost.
+pub const WAN_CAPACITY: f64 = mbit_per_s(250.0);
+
+/// Inter-pool one-way latency (continental).
+pub const WAN_LATENCY: SimDuration = SimDuration::from_millis(100);
+
+/// How often the federation samples pool health and per-pool gauges.
+pub const TICK_INTERVAL: SimDuration = SimDuration::from_secs(60);
+
+/// How many peer pools receive a copy of each shared dataset: the next
+/// pool after its home, round-robin.
+pub const SHARE_PEERS: usize = 1;
+
 /// Everything needed to build a [`crate::Federation`].
 #[derive(Clone, Debug)]
 pub struct FedConfig {
@@ -23,41 +38,27 @@ pub struct FedConfig {
     /// Fraction of datasets tagged *shared*: replicated into peer pools
     /// up front so locality-aware routing has somewhere to spread load.
     pub shared_fraction: f64,
-    /// How many peer pools receive a copy of each shared dataset.
-    pub peer_count: usize,
     /// Replication factor for cross-pool copies (`r_remote`): lower than
     /// the home pool's factor — the remote copy is a locality/spill-over
     /// asset, not the durability anchor.
     pub r_remote: u16,
-    /// Inter-pool WAN backbone capacity, bytes/s (shared by all
-    /// transfers; slower than any pool's site uplinks).
-    pub wan_capacity: f64,
-    /// Inter-pool one-way latency.
-    pub wan_latency: SimDuration,
-    /// How often the federation samples pool health and per-pool gauges.
-    pub tick_interval: SimDuration,
     /// Run the federation-level no-lost-jobs audit every tick.
     pub audit: bool,
 }
 
 impl FedConfig {
-    /// A federation over the given pool configs with the default WAN
-    /// (250 Mbps shared, 100 ms one-way — an order of magnitude under
-    /// the 6 Gbps site uplinks, so cross-pool staging is a real cost),
-    /// locality-aware routing, and no dataset sharing.
+    /// A federation over the given pool configs with locality-aware
+    /// routing and no dataset sharing. The pools share one WAN
+    /// ([`WAN_CAPACITY`], [`WAN_LATENCY`]).
     pub fn new(pools: Vec<ClusterConfig>, seed: u64) -> Self {
         assert!(!pools.is_empty(), "a federation needs at least one pool");
         FedConfig {
             name: format!("fed-{}p", pools.len()),
             seed,
             pools,
-            routing: RoutingPolicy::locality_default(),
+            routing: RoutingPolicy::LocalityAware,
             shared_fraction: 0.0,
-            peer_count: 1,
             r_remote: 3,
-            wan_capacity: mbit_per_s(250.0),
-            wan_latency: SimDuration::from_millis(100),
-            tick_interval: SimDuration::from_secs(60),
             audit: false,
         }
     }
@@ -68,19 +69,11 @@ impl FedConfig {
         self
     }
 
-    /// Tag `fraction` of datasets shared, each copied to `peers` peer
-    /// pools at replication `r_remote`.
-    pub fn with_sharing(mut self, fraction: f64, peers: usize, r_remote: u16) -> Self {
+    /// Tag `fraction` of datasets shared, each copied to
+    /// [`SHARE_PEERS`] peer pools at replication `r_remote`.
+    pub fn with_sharing(mut self, fraction: f64, r_remote: u16) -> Self {
         self.shared_fraction = fraction;
-        self.peer_count = peers;
         self.r_remote = r_remote;
-        self
-    }
-
-    /// Override the inter-pool WAN tier.
-    pub fn with_wan(mut self, capacity: f64, latency: SimDuration) -> Self {
-        self.wan_capacity = capacity;
-        self.wan_latency = latency;
         self
     }
 

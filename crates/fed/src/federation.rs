@@ -52,9 +52,9 @@ use hog_net::{WanDone, WanTier, WanTransferId};
 use hog_obs::{Layer, MetricId, MetricsRegistry};
 use hog_sim_core::engine::{RunStats, StopReason};
 use hog_sim_core::{EventQueue, Model, Scheduler, SimDuration, SimRng, SimTime, Violation};
-use hog_workload::SubmissionSchedule;
+use hog_workload::{jobmodel, SubmissionSchedule};
 
-use crate::config::FedConfig;
+use crate::config::{FedConfig, SHARE_PEERS, TICK_INTERVAL, WAN_CAPACITY, WAN_LATENCY};
 use crate::meta::{MetaScheduler, PoolSnapshot};
 
 /// Salt decorrelating the shared-dataset tagging draw from every other
@@ -282,7 +282,7 @@ impl Federation {
         // changes only in the trivial 1-pool case).
         let home: Vec<usize> = (0..n_jobs).map(|i| i % n).collect();
         let mut rng = SimRng::seed_from_u64(cfg.seed ^ SHARE_SALT);
-        let peer_count = cfg.peer_count.min(n.saturating_sub(1));
+        let peer_count = SHARE_PEERS.min(n.saturating_sub(1));
         let peers: Vec<Vec<usize>> = (0..n_jobs)
             .map(|i| {
                 let shared = rng.chance(cfg.shared_fraction);
@@ -327,10 +327,10 @@ impl Federation {
             .collect();
 
         let mut fed_queue = EventQueue::new();
-        fed_queue.push(SimTime::ZERO + cfg.tick_interval, FedEvent::FedTick);
+        fed_queue.push(SimTime::ZERO + TICK_INTERVAL, FedEvent::FedTick);
 
         let meta = MetaScheduler::new(cfg.routing, cfg.seed);
-        let wan = WanTier::new(cfg.wan_capacity, cfg.wan_latency);
+        let wan = WanTier::new(WAN_CAPACITY, WAN_LATENCY);
         Federation {
             schedule: schedule.clone(),
             pools,
@@ -479,8 +479,7 @@ impl Federation {
                     }
                 }
                 if self.remaining > 0 {
-                    self.fed_queue
-                        .push(now + self.cfg.tick_interval, FedEvent::FedTick);
+                    self.fed_queue.push(now + TICK_INTERVAL, FedEvent::FedTick);
                 }
             }
         }
@@ -578,7 +577,7 @@ impl Federation {
     /// Launch one dataset transfer over the WAN.
     fn start_stage(&mut self, now: SimTime, job: usize, to: usize, kind: StageKind) {
         let from = self.home[job];
-        let bytes = self.schedule.jobs()[job].maps as u64 * self.cfg.pools[from].hdfs.block_size;
+        let bytes = jobmodel::input_bytes(self.schedule.jobs()[job].maps);
         let id = self.wan.start_transfer(now, from, to, bytes, job as u64);
         self.wan_pending.insert(id, (job, to, kind));
         self.awaiting.insert((job, to), kind);
@@ -642,9 +641,8 @@ impl Federation {
                 }
             })
             .collect();
-        let bytes =
-            self.schedule.jobs()[job].maps as u64 * self.cfg.pools[self.home[job]].hdfs.block_size;
-        let stage_units = bytes as f64 / self.cfg.wan_capacity / BACKLOG_UNIT_SECS;
+        let bytes = jobmodel::input_bytes(self.schedule.jobs()[job].maps);
+        let stage_units = bytes as f64 / WAN_CAPACITY / BACKLOG_UNIT_SECS;
         let picked = self.meta.route(self.home[job], stage_units, &snaps);
         self.routed_to[job] = Some(picked);
         self.routed_counts[picked] += 1;

@@ -18,24 +18,24 @@
 //!    without being blacklisted.
 //!
 //! **Spill-over**: when the best-scoring pool's backlog exceeds
-//! `spill_threshold`, the meta-scheduler re-scores with locality
+//! [`SPILL_THRESHOLD`], the meta-scheduler re-scores with locality
 //! discounted (a WAN staging round-trip beats queueing behind a deep
 //! backlog, but a peer already holding a shared copy still beats an
 //! empty one) and takes the best lightly-loaded pool instead.
 
 use hog_sim_core::SimRng;
 
+/// Backlog (tasks per live slot) above which the locality-aware router
+/// considers the preferred pool saturated and spills the job elsewhere.
+pub const SPILL_THRESHOLD: f64 = 4.0;
+
 /// How the federation routes each fired job submission.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum RoutingPolicy {
     /// Score pools by locality − backlog − health penalty, spilling over
-    /// to the least-loaded pool when the preferred backlog exceeds the
-    /// threshold (tasks per live slot).
-    LocalityAware {
-        /// Backlog (tasks per live slot) above which the preferred pool
-        /// is considered saturated and the job spills elsewhere.
-        spill_threshold: f64,
-    },
+    /// to the least-loaded pool when the preferred backlog exceeds
+    /// [`SPILL_THRESHOLD`] (the default).
+    LocalityAware,
     /// Uniform-random pool choice (the baseline the bench beats).
     Random,
     /// Always the dataset's home pool (no load balancing at all).
@@ -43,18 +43,10 @@ pub enum RoutingPolicy {
 }
 
 impl RoutingPolicy {
-    /// The default locality-aware tuning: spill when a pool's backlog
-    /// exceeds four tasks per live slot.
-    pub fn locality_default() -> Self {
-        RoutingPolicy::LocalityAware {
-            spill_threshold: 4.0,
-        }
-    }
-
     /// Stable name for reports.
     pub fn name(&self) -> &'static str {
         match self {
-            RoutingPolicy::LocalityAware { .. } => "locality",
+            RoutingPolicy::LocalityAware => "locality",
             RoutingPolicy::Random => "random",
             RoutingPolicy::Home => "home",
         }
@@ -122,14 +114,14 @@ impl MetaScheduler {
         match self.policy {
             RoutingPolicy::Home => home,
             RoutingPolicy::Random => self.rng.index(snaps.len()),
-            RoutingPolicy::LocalityAware { spill_threshold } => {
+            RoutingPolicy::LocalityAware => {
                 // Size-aware locality: moving a big dataset costs more,
                 // so its resident pools are proportionally stickier.
                 let w = stage_units.clamp(LOCALITY_WEIGHT, MAX_LOCALITY_WEIGHT);
                 let preferred = Self::argmax(snaps, |s| {
                     w * s.locality - s.backlog_per_slot - s.health_penalty
                 });
-                if snaps[preferred].backlog_per_slot <= spill_threshold {
+                if snaps[preferred].backlog_per_slot <= SPILL_THRESHOLD {
                     return preferred;
                 }
                 // Preferred pool saturated: locality no longer pays for
@@ -172,21 +164,21 @@ mod tests {
 
     #[test]
     fn locality_prefers_resident_pool() {
-        let mut m = MetaScheduler::new(RoutingPolicy::locality_default(), 1);
+        let mut m = MetaScheduler::new(RoutingPolicy::LocalityAware, 1);
         let pick = m.route(0, 2.0, &[snap(1.0, 1.0), snap(0.0, 0.0)]);
         assert_eq!(pick, 0, "resident pool wins a one-task backlog gap");
     }
 
     #[test]
     fn deep_backlog_spills_over() {
-        let mut m = MetaScheduler::new(RoutingPolicy::locality_default(), 1);
+        let mut m = MetaScheduler::new(RoutingPolicy::LocalityAware, 1);
         let pick = m.route(0, 2.0, &[snap(1.0, 9.0), snap(0.0, 0.5)]);
         assert_eq!(pick, 1, "saturated resident pool spills to idle peer");
     }
 
     #[test]
     fn big_dataset_sticks_to_resident_pool() {
-        let mut m = MetaScheduler::new(RoutingPolicy::locality_default(), 1);
+        let mut m = MetaScheduler::new(RoutingPolicy::LocalityAware, 1);
         // Same backlog gap as `deep_backlog_spills_over`, but the
         // dataset costs 20 backlog units to move: spilling to the empty
         // peer no longer pays, while a peer holding a shared copy does.
@@ -198,7 +190,7 @@ mod tests {
 
     #[test]
     fn health_penalty_demotes_failing_pool() {
-        let mut m = MetaScheduler::new(RoutingPolicy::locality_default(), 1);
+        let mut m = MetaScheduler::new(RoutingPolicy::LocalityAware, 1);
         let sick = PoolSnapshot {
             locality: 1.0,
             backlog_per_slot: 0.0,

@@ -39,6 +39,15 @@
 use hog_sim_core::dist::{LogNormal, Pareto};
 use hog_sim_core::{SimDuration, SimRng, SimTime};
 
+/// Minimum (scale) of every calibrated profile's Pareto survival tail,
+/// seconds: the survivors live at least two hours.
+pub const TAIL_SCALE_SECS: f64 = 2.0 * 3600.0;
+
+/// Tail index of every calibrated profile's Pareto component (smaller =
+/// heavier). The sites differ in how often a lifetime lands in the tail
+/// ([`CalibratedChurn::tail_weight`]), not in the tail's shape.
+pub const TAIL_SHAPE: f64 = 1.3;
+
 /// Which lifetime generator a site's preemption process uses.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum ChurnModel {
@@ -94,10 +103,6 @@ pub struct CalibratedChurn {
     pub body_median_secs: f64,
     /// Shape (sigma) of the log-normal body.
     pub body_sigma: f64,
-    /// Minimum (scale) of the Pareto survival tail, seconds.
-    pub tail_scale_secs: f64,
-    /// Tail index of the Pareto component (smaller = heavier).
-    pub tail_shape: f64,
     /// Probability a lifetime is drawn from the Pareto tail instead of
     /// the log-normal body.
     pub tail_weight: f64,
@@ -117,8 +122,6 @@ impl CalibratedChurn {
         CalibratedChurn {
             body_median_secs: 25.0 * 60.0,
             body_sigma: 0.9,
-            tail_scale_secs: 2.0 * 3600.0,
-            tail_shape: 1.3,
             tail_weight: 0.25,
             diurnal_amplitude: 0.5,
             diurnal_peak_hour: 14.0,
@@ -148,11 +151,7 @@ impl CalibratedChurn {
     /// survival. Consumes 2–3 RNG draws; deterministic per seed.
     pub fn sample_lifetime(&self, now: SimTime, rng: &mut SimRng) -> SimDuration {
         let raw = if rng.chance(self.tail_weight) {
-            Pareto::new(
-                SimDuration::from_secs_f64(self.tail_scale_secs),
-                self.tail_shape,
-            )
-            .sample(rng)
+            Pareto::new(SimDuration::from_secs_f64(TAIL_SCALE_SECS), TAIL_SHAPE).sample(rng)
         } else {
             LogNormal::from_median(
                 SimDuration::from_secs_f64(self.body_median_secs),
@@ -164,16 +163,12 @@ impl CalibratedChurn {
         SimDuration::from_secs_f64(raw.as_secs_f64() / m)
     }
 
-    /// Mean lifetime of the mixture, ignoring the diurnal curve (rough:
-    /// the Pareto mean diverges for shapes ≤ 1, where the body mean is
-    /// used as a floor). Reports and tuning only — nothing samples this.
+    /// Mean lifetime of the mixture, ignoring the diurnal curve (the
+    /// Pareto mean is finite because [`TAIL_SHAPE`] exceeds 1). Reports
+    /// and tuning only — nothing samples this.
     pub fn mean_secs(&self) -> f64 {
         let body = self.body_median_secs * (self.body_sigma * self.body_sigma / 2.0).exp();
-        let tail = if self.tail_shape > 1.0 {
-            self.tail_scale_secs * self.tail_shape / (self.tail_shape - 1.0)
-        } else {
-            body
-        };
+        let tail = TAIL_SCALE_SECS * TAIL_SHAPE / (TAIL_SHAPE - 1.0);
         (1.0 - self.tail_weight) * body + self.tail_weight * tail
     }
 }
@@ -195,7 +190,6 @@ fn diurnal_multiplier(amplitude: f64, peak_hour: f64, now: SimTime) -> f64 {
 /// generic profile. Unknown names also get the generic profile, so
 /// ad-hoc test sites behave sensibly.
 pub fn osg_profile(site_name: &str) -> CalibratedChurn {
-    let base = CalibratedChurn::osg_default();
     match site_name {
         // FNAL grid: large, production-managed, calm body but pronounced
         // afternoon reclaim wave when the local experiments ramp.
@@ -205,7 +199,6 @@ pub fn osg_profile(site_name: &str) -> CalibratedChurn {
             tail_weight: 0.35,
             diurnal_amplitude: 0.45,
             diurnal_peak_hour: 14.0,
-            ..base
         },
         "USCMS-FNAL-WC1" => CalibratedChurn {
             body_median_secs: 40.0 * 60.0,
@@ -213,7 +206,6 @@ pub fn osg_profile(site_name: &str) -> CalibratedChurn {
             tail_weight: 0.3,
             diurnal_amplitude: 0.5,
             diurnal_peak_hour: 15.0,
-            ..base
         },
         // University T2s: opportunistic slots evaporate fast when campus
         // users return; short bodies, heavy diurnality.
@@ -223,7 +215,6 @@ pub fn osg_profile(site_name: &str) -> CalibratedChurn {
             tail_weight: 0.2,
             diurnal_amplitude: 0.65,
             diurnal_peak_hour: 13.0,
-            ..base
         },
         "AGLT2" => CalibratedChurn {
             body_median_secs: 22.0 * 60.0,
@@ -231,7 +222,6 @@ pub fn osg_profile(site_name: &str) -> CalibratedChurn {
             tail_weight: 0.22,
             diurnal_amplitude: 0.6,
             diurnal_peak_hour: 14.0,
-            ..base
         },
         "MIT_CMS" => CalibratedChurn {
             body_median_secs: 15.0 * 60.0,
@@ -239,9 +229,8 @@ pub fn osg_profile(site_name: &str) -> CalibratedChurn {
             tail_weight: 0.18,
             diurnal_amplitude: 0.7,
             diurnal_peak_hour: 13.5,
-            ..base
         },
-        _ => base,
+        _ => CalibratedChurn::osg_default(),
     }
 }
 

@@ -5,6 +5,24 @@ use hog_sim_core::dist::{Exponential, UniformDuration};
 use hog_sim_core::units::MIB;
 use hog_sim_core::SimDuration;
 
+/// Size of the compressed Hadoop worker package fetched from the central
+/// repository (75 MB in the evaluation).
+pub const PACKAGE_BYTES: u64 = 75 * MIB;
+
+/// Effective rate (bytes/s) at which a site's workers fetch the worker
+/// package from the central web repository.
+pub const PACKAGE_DOWNLOAD_RATE: f64 = 20.0 * MIB as f64;
+
+/// Fixed time for late-binding configuration + daemon startup after
+/// unpacking (decompression is "trivial" per the paper; this covers
+/// configuration rewriting and JVM startup).
+pub const CONFIGURE_TIME: SimDuration = SimDuration::from_secs(15);
+
+/// Delay before a preempted Condor job re-enters the negotiation cycle
+/// (`OnExitRemove = FALSE` requeue plus negotiator latency).
+pub const RESUBMIT_DELAY: UniformDuration =
+    UniformDuration::new(SimDuration::from_secs(30), SimDuration::from_secs(90));
+
 /// Per-site resource and failure characteristics.
 #[derive(Clone, Debug)]
 pub struct SiteConfig {
@@ -33,9 +51,6 @@ pub struct SiteConfig {
     pub outage_mtbf: Option<Exponential>,
     /// How long an outage lasts.
     pub outage_duration: UniformDuration,
-    /// Effective rate (bytes/s) at which this site's workers fetch the
-    /// worker package from the central web repository.
-    pub package_download_rate: f64,
 }
 
 impl SiteConfig {
@@ -55,21 +70,6 @@ impl SiteConfig {
             churn: ChurnModel::Exponential,
             outage_mtbf: None,
             outage_duration: UniformDuration::point(SimDuration::from_mins(10)),
-            package_download_rate: 20.0 * MIB as f64,
-        }
-    }
-
-    /// An unstable site: short mean lifetime (frequent preemption by
-    /// higher-priority users) and occasional site-wide outages.
-    pub fn unstable(name: &str, domain: &str, max_slots: usize) -> Self {
-        SiteConfig {
-            node_lifetime: Exponential::from_mean(SimDuration::from_secs(35 * 60)),
-            outage_mtbf: Some(Exponential::from_mean(SimDuration::from_secs(4 * 3600))),
-            outage_duration: UniformDuration::new(
-                SimDuration::from_mins(5),
-                SimDuration::from_mins(20),
-            ),
-            ..Self::stable(name, domain, max_slots)
         }
     }
 
@@ -108,34 +108,6 @@ impl SiteConfig {
     pub fn calibrated_at(self, start_hour: f64) -> Self {
         let profile = osg_profile(&self.name).with_clock(start_hour);
         self.with_churn(ChurnModel::Calibrated(profile))
-    }
-}
-
-/// Global grid parameters.
-#[derive(Clone, Debug)]
-pub struct GridParams {
-    /// Size of the compressed Hadoop worker package fetched from the
-    /// central repository (75 MB in the evaluation).
-    pub package_bytes: u64,
-    /// Fixed time for late-binding configuration + daemon startup after
-    /// unpacking (decompression is "trivial" per the paper; this covers
-    /// configuration rewriting and JVM startup).
-    pub configure_time: SimDuration,
-    /// Delay before a preempted Condor job re-enters the negotiation cycle
-    /// (`OnExitRemove = FALSE` requeue plus negotiator latency).
-    pub resubmit_delay: UniformDuration,
-}
-
-impl Default for GridParams {
-    fn default() -> Self {
-        GridParams {
-            package_bytes: 75 * MIB,
-            configure_time: SimDuration::from_secs(15),
-            resubmit_delay: UniformDuration::new(
-                SimDuration::from_secs(30),
-                SimDuration::from_secs(90),
-            ),
-        }
     }
 }
 
@@ -213,18 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn unstable_sites_have_shorter_lifetimes() {
-        let s = SiteConfig::stable("a", "a.edu", 10);
-        let u = SiteConfig::unstable("b", "b.edu", 10);
-        assert!(u.node_lifetime.mean() < s.node_lifetime.mean());
-        assert!(u.outage_mtbf.is_some());
-        assert!(s.outage_mtbf.is_none());
-    }
-
-    #[test]
-    fn default_params_match_paper() {
-        let p = GridParams::default();
-        assert_eq!(p.package_bytes, 75 * MIB);
+    fn package_matches_paper() {
+        assert_eq!(PACKAGE_BYTES, 75 * MIB);
     }
 
     #[test]

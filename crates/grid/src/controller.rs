@@ -11,17 +11,18 @@
 //! detector and the slow glidein pipeline:
 //!
 //! * **Spin-up cost model** — a new worker costs mean batch-queue wait +
-//!   package download + configuration (from [`GridParams`] /
-//!   [`SiteConfig`]). Growth therefore acts on the *full* deficit at
-//!   once (a second request later would pay the whole pipeline again),
-//!   and capacity is never released unless the surplus has outlived the
-//!   cost of re-acquiring it.
+//!   package download + configuration (from [`SiteConfig`] and the
+//!   [`crate::config`] package constants). Growth therefore acts on the
+//!   *full* deficit at once (a second request later would pay the whole
+//!   pipeline again), and capacity is never released unless the surplus
+//!   has outlived the cost of re-acquiring it.
 //! * **Hysteresis band** — grow when supply drops below target, shrink
-//!   only when supply exceeds target by a configurable band, so the
+//!   only when supply exceeds target by a band ([`HYSTERESIS`]), so the
 //!   controller holds still between the two edges.
-//! * **Cooldown** — at most one resize per cooldown window (default
-//!   90 s, comfortably above the 30 s tracker/datanode death timeout),
-//!   so a resize's consequences are observed before the next one.
+//! * **Cooldown** — at most one resize per cooldown window
+//!   ([`COOLDOWN`], 90 s, comfortably above the 30 s tracker/datanode
+//!   death timeout), so a resize's consequences are observed before the
+//!   next one.
 //!
 //! The controller is pure: it owns no RNG and touches nothing but its
 //! own counters, so a controller that never fires leaves the simulation
@@ -32,43 +33,47 @@
 //! [`GridModel::remove_workers_preferring`]: crate::GridModel::remove_workers_preferring
 
 use crate::churn::DiurnalForecast;
-use crate::config::{GridParams, SiteConfig};
+use crate::config::{SiteConfig, CONFIGURE_TIME, PACKAGE_BYTES, PACKAGE_DOWNLOAD_RATE};
 use hog_sim_core::units::transfer_secs;
 use hog_sim_core::{SimDuration, SimTime};
 
-/// Tuning for the elastic pool controller.
+/// Target capacity as a multiple of raw task demand, so churn,
+/// stragglers and the next arrival wave do not immediately starve the
+/// pool.
+pub const HEADROOM: f64 = 1.5;
+
+/// Shrink only when supply exceeds target by this fraction; growth
+/// triggers on any deficit.
+pub const HYSTERESIS: f64 = 0.25;
+
+/// Minimum time from any resize action to the next *shrink* (above the
+/// 30 s death detector, so a shrink's tracker deaths are fully observed
+/// before the next release). Deficit-driven grows are monotone and
+/// bypass it.
+pub const COOLDOWN: SimDuration = SimDuration::from_secs(90);
+
+/// Minimum sustained surplus before a shrink (3 min — long enough to see
+/// through inter-wave lulls in the arrival process). The effective
+/// patience is the max of this and the spin-up estimate: capacity is
+/// never released unless the surplus outlived the cost of re-acquiring
+/// it.
+pub const SHRINK_PATIENCE: SimDuration = SimDuration::from_secs(180);
+
+/// Upper bound on workers released in one shrink (the mediator only
+/// hands over *idle* workers, so large steps are throttled by what is
+/// actually reclaimable).
+pub const MAX_SHRINK_STEP: usize = 150;
+
+/// Bounds of the elastic pool controller, plus its optional forecast.
+/// The tuning is fixed ([`HEADROOM`], [`HYSTERESIS`], [`COOLDOWN`],
+/// [`SHRINK_PATIENCE`], [`MAX_SHRINK_STEP`]); slots per worker come from
+/// the pool's resource config.
 #[derive(Clone, Debug)]
 pub struct ElasticConfig {
     /// Pool floor: never shrink below this many workers.
     pub min_nodes: usize,
     /// Pool ceiling: never request more than this many workers.
     pub max_nodes: usize,
-    /// Map slots per worker (1 on HOG glideins).
-    pub map_slots_per_node: u32,
-    /// Reduce slots per worker (1 everywhere in the paper).
-    pub reduce_slots_per_node: u32,
-    /// Target capacity as a multiple of raw task demand, so churn,
-    /// stragglers and the next arrival wave do not immediately starve
-    /// the pool (default 1.5).
-    pub headroom: f64,
-    /// Shrink only when supply exceeds target by this fraction
-    /// (default 0.25); growth triggers on any deficit.
-    pub hysteresis: f64,
-    /// Minimum time from any resize action to the next *shrink*
-    /// (default 90 s — above the 30 s death detector, so a shrink's
-    /// tracker deaths are fully observed before the next release).
-    /// Deficit-driven grows are monotone and bypass it.
-    pub cooldown: SimDuration,
-    /// Minimum sustained surplus before a shrink (default 3 min — long
-    /// enough to see through inter-wave lulls in the arrival process). The
-    /// effective patience is the max of this and the spin-up estimate:
-    /// capacity is never released unless the surplus outlived the cost
-    /// of re-acquiring it.
-    pub shrink_patience: SimDuration,
-    /// Upper bound on workers released in one shrink (default 150; the
-    /// mediator only hands over *idle* workers, so large steps are
-    /// throttled by what is actually reclaimable).
-    pub max_shrink_step: usize,
     /// Diurnal preemption forecast: when set, the demand target is
     /// scaled by the predicted preemption-rate multiplier at
     /// `now + spinup` (floored at 1), so the controller buys replacement
@@ -79,18 +84,11 @@ pub struct ElasticConfig {
 }
 
 impl ElasticConfig {
-    /// Controller bounds with default tuning.
+    /// Controller bounds, no forecast.
     pub fn new(min_nodes: usize, max_nodes: usize) -> Self {
         ElasticConfig {
             min_nodes,
             max_nodes: max_nodes.max(min_nodes),
-            map_slots_per_node: 1,
-            reduce_slots_per_node: 1,
-            headroom: 1.5,
-            hysteresis: 0.25,
-            cooldown: SimDuration::from_secs(90),
-            shrink_patience: SimDuration::from_secs(180),
-            max_shrink_step: 150,
             forecast: None,
         }
     }
@@ -138,6 +136,8 @@ pub enum ElasticDecision {
 #[derive(Clone, Debug)]
 pub struct ElasticController {
     cfg: ElasticConfig,
+    /// `(map, reduce)` slots per worker.
+    slots: (u8, u8),
     spinup: SimDuration,
     last_action: Option<SimTime>,
     surplus_since: Option<SimTime>,
@@ -150,25 +150,26 @@ fn ceil_div(a: usize, b: usize) -> usize {
 }
 
 impl ElasticController {
-    /// Build a controller, deriving the spin-up estimate from the grid
-    /// configuration: mean batch-queue acquisition over the usable
-    /// sites, plus package download at each site's rate, plus the fixed
-    /// configure time.
-    pub fn new(cfg: ElasticConfig, params: &GridParams, sites: &[SiteConfig]) -> Self {
+    /// Build a controller for workers with `slots` `(map, reduce)` slots
+    /// each, deriving the spin-up estimate from the grid configuration:
+    /// mean batch-queue acquisition over the usable sites, plus package
+    /// download, plus the fixed configure time.
+    pub fn new(cfg: ElasticConfig, slots: (u8, u8), sites: &[SiteConfig]) -> Self {
         let usable: Vec<&SiteConfig> = sites.iter().filter(|s| s.public_ip).collect();
         let mut total = 0.0;
         for s in &usable {
             total += s.acquisition_delay.mean().as_secs_f64()
-                + transfer_secs(params.package_bytes, s.package_download_rate)
-                + params.configure_time.as_secs_f64();
+                + transfer_secs(PACKAGE_BYTES, PACKAGE_DOWNLOAD_RATE)
+                + CONFIGURE_TIME.as_secs_f64();
         }
         let spinup = if usable.is_empty() {
-            params.configure_time
+            CONFIGURE_TIME
         } else {
             SimDuration::from_secs_f64(total / usable.len() as f64)
         };
         ElasticController {
             cfg,
+            slots,
             spinup,
             last_action: None,
             surplus_since: None,
@@ -193,20 +194,17 @@ impl ElasticController {
         if snap.active_jobs == 0 {
             return self.cfg.min_nodes;
         }
-        let map_nodes = ceil_div(
-            snap.pending_maps + snap.running_maps,
-            self.cfg.map_slots_per_node as usize,
-        );
+        let map_nodes = ceil_div(snap.pending_maps + snap.running_maps, self.slots.0 as usize);
         let reduce_nodes = ceil_div(
             snap.pending_reduces + snap.running_reduces,
-            self.cfg.reduce_slots_per_node as usize,
+            self.slots.1 as usize,
         );
         let demand = map_nodes.max(reduce_nodes);
         let forecast = self
             .cfg
             .forecast
             .map_or(1.0, |f| f.growth_factor(now, self.spinup));
-        let padded = (demand as f64 * self.cfg.headroom * forecast).ceil() as usize;
+        let padded = (demand as f64 * HEADROOM * forecast).ceil() as usize;
         padded.clamp(self.cfg.min_nodes, self.cfg.max_nodes)
     }
 
@@ -226,7 +224,7 @@ impl ElasticController {
         let supply = snap.reported_live + snap.outstanding;
         // Shrink edge: target plus the hysteresis band (≥ 2 absolute so
         // a one-worker ripple can never trigger anything).
-        let band = ((target as f64 * self.cfg.hysteresis).ceil() as usize).max(2);
+        let band = ((target as f64 * HYSTERESIS).ceil() as usize).max(2);
         let hi = target + band;
 
         // Track how long the pool has been above the shrink edge even
@@ -253,16 +251,16 @@ impl ElasticController {
         }
 
         if let Some(last) = self.last_action {
-            if now.saturating_since(last) < self.cfg.cooldown {
+            if now.saturating_since(last) < COOLDOWN {
                 return ElasticDecision::Hold;
             }
         }
 
         if supply > hi {
-            let patience = self.cfg.shrink_patience.max(self.spinup);
+            let patience = SHRINK_PATIENCE.max(self.spinup);
             let since = self.surplus_since.expect("tracked above");
             if now.saturating_since(since) >= patience {
-                let step = (supply - target).min(self.cfg.max_shrink_step);
+                let step = (supply - target).min(MAX_SHRINK_STEP);
                 // Never below the floor.
                 let step = step.min(supply.saturating_sub(self.cfg.min_nodes));
                 if step > 0 {
@@ -282,11 +280,7 @@ mod tests {
     use crate::config::paper_sites;
 
     fn controller(min: usize, max: usize) -> ElasticController {
-        ElasticController::new(
-            ElasticConfig::new(min, max),
-            &GridParams::default(),
-            &paper_sites(),
-        )
+        ElasticController::new(ElasticConfig::new(min, max), (1, 1), &paper_sites())
     }
 
     fn busy(pending: usize, live: usize, outstanding: usize) -> PoolSnapshot {
@@ -411,7 +405,7 @@ mod tests {
             amplitude: 0.6,
             peak_hour: 14.0,
         });
-        let mut c = ElasticController::new(cfg, &GridParams::default(), &paper_sites());
+        let mut c = ElasticController::new(cfg, (1, 1), &paper_sites());
         let snap = busy(100, 170, 0);
         // Demand target without a forecast: ceil(100 * 1.5) = 150; supply
         // 170 sits inside the hold band. Just before the daily peak the

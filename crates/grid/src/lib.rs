@@ -38,7 +38,7 @@ pub mod controller;
 pub mod model;
 
 pub use churn::{CalibratedChurn, ChurnModel, DiurnalForecast};
-pub use config::{GridParams, SiteConfig};
+pub use config::SiteConfig;
 pub use controller::{ElasticConfig, ElasticController, ElasticDecision, PoolSnapshot};
 pub use model::{GridModel, GridOutput, LossReason};
 

@@ -15,7 +15,9 @@
 //! which is exactly the overhead the paper blames for the non-monotonic
 //! response times in Figure 4.
 
-use crate::config::{GridParams, SiteConfig};
+use crate::config::{
+    SiteConfig, CONFIGURE_TIME, PACKAGE_BYTES, PACKAGE_DOWNLOAD_RATE, RESUBMIT_DELAY,
+};
 use crate::{Deferred, GridEvent, GridNote, RequestId};
 use hog_net::{NodeId, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
@@ -83,7 +85,6 @@ impl GridOutput {
 /// memory stay proportional to the live pool, not to the total number
 /// of requests ever submitted.
 pub struct GridModel {
-    params: GridParams,
     sites: Vec<SiteState>,
     /// Live requests keyed by raw id. Terminal entries are removed.
     requests: BTreeMap<u64, RequestState>,
@@ -117,7 +118,6 @@ impl GridModel {
     /// expression. Returns the model plus the initial site-outage events to
     /// schedule.
     pub fn new(
-        params: GridParams,
         site_configs: Vec<SiteConfig>,
         topo: &mut Topology,
         mut rng: SimRng,
@@ -142,7 +142,6 @@ impl GridModel {
         }
         (
             GridModel {
-                params,
                 sites,
                 requests: BTreeMap::new(),
                 next_request: 0,
@@ -362,12 +361,14 @@ impl GridModel {
         let Some(&RequestState::WaitingBatch(site)) = self.requests.get(&request.0) else {
             return GridOutput::default(); // cancelled or requeued by outage
         };
-        let s = &self.sites[self.site_idx(site)];
-        debug_assert!(s.up, "outage should have requeued this request");
+        debug_assert!(
+            self.sites[self.site_idx(site)].up,
+            "outage should have requeued this request"
+        );
         self.requests
             .insert(request.0, RequestState::Downloading(site));
-        let dl_secs = transfer_secs(self.params.package_bytes, s.config.package_download_rate);
-        let delay = SimDuration::from_secs_f64(dl_secs) + self.params.configure_time;
+        let dl_secs = transfer_secs(PACKAGE_BYTES, PACKAGE_DOWNLOAD_RATE);
+        let delay = SimDuration::from_secs_f64(dl_secs) + CONFIGURE_TIME;
         let mut out = GridOutput::default();
         out.defer.push((delay, GridEvent::DownloadDone { request }));
         let _ = now;
@@ -438,7 +439,7 @@ impl GridModel {
         out.notes.push(GridNote::NodeLost { node, reason });
         if requeue {
             self.requests.insert(request.0, RequestState::Resubmitting);
-            let delay = self.params.resubmit_delay.sample(&mut self.rng);
+            let delay = RESUBMIT_DELAY.sample(&mut self.rng);
             out.defer.push((delay, GridEvent::Resubmit { request }));
         } else {
             self.requests.remove(&request.0); // terminal: free the entry
@@ -628,7 +629,7 @@ mod tests {
             quick_site("A", "a.edu", 10),
             SiteConfig::nated("N", "n.edu", 10),
         ];
-        let (model, _) = GridModel::new(GridParams::default(), sites, &mut topo, rng);
+        let (model, _) = GridModel::new(sites, &mut topo, rng);
         assert_eq!(model.site_count(), 1);
         assert_eq!(topo.sites().len(), 1);
     }
@@ -637,12 +638,7 @@ mod tests {
     fn submitted_workers_come_up() {
         let mut topo = Topology::new();
         let rng = SimRng::seed_from_u64(2);
-        let (mut model, init) = GridModel::new(
-            GridParams::default(),
-            vec![quick_site("A", "a.edu", 50)],
-            &mut topo,
-            rng,
-        );
+        let (mut model, init) = GridModel::new(vec![quick_site("A", "a.edu", 50)], &mut topo, rng);
         let out = model.submit_workers(SimTime::ZERO, 20);
         let mut all = init;
         all.extend(out.defer);
@@ -660,12 +656,7 @@ mod tests {
     fn capacity_is_respected() {
         let mut topo = Topology::new();
         let rng = SimRng::seed_from_u64(3);
-        let (mut model, init) = GridModel::new(
-            GridParams::default(),
-            vec![quick_site("A", "a.edu", 5)],
-            &mut topo,
-            rng,
-        );
+        let (mut model, init) = GridModel::new(vec![quick_site("A", "a.edu", 5)], &mut topo, rng);
         let out = model.submit_workers(SimTime::ZERO, 20);
         let mut all = init;
         all.extend(out.defer);
@@ -680,7 +671,7 @@ mod tests {
         // Very short lifetimes force constant churn; the single site has
         // spare capacity so the pool keeps healing.
         let site = quick_site("A", "a.edu", 50).with_mean_lifetime(SimDuration::from_secs(300));
-        let (mut model, init) = GridModel::new(GridParams::default(), vec![site], &mut topo, rng);
+        let (mut model, init) = GridModel::new(vec![site], &mut topo, rng);
         let out = model.submit_workers(SimTime::ZERO, 30);
         let mut all = init;
         all.extend(out.defer);
@@ -714,7 +705,7 @@ mod tests {
         let mut site = quick_site("A", "a.edu", 40);
         site.outage_mtbf = Some(Exponential::from_mean(SimDuration::from_secs(1800)));
         site.outage_duration = UniformDuration::point(SimDuration::from_mins(5));
-        let (mut model, init) = GridModel::new(GridParams::default(), vec![site], &mut topo, rng);
+        let (mut model, init) = GridModel::new(vec![site], &mut topo, rng);
         let out = model.submit_workers(SimTime::ZERO, 30);
         let mut all = init;
         all.extend(out.defer);
@@ -739,12 +730,7 @@ mod tests {
     fn remove_workers_prefers_queued_requests() {
         let mut topo = Topology::new();
         let rng = SimRng::seed_from_u64(6);
-        let (mut model, _init) = GridModel::new(
-            GridParams::default(),
-            vec![quick_site("A", "a.edu", 5)],
-            &mut topo,
-            rng,
-        );
+        let (mut model, _init) = GridModel::new(vec![quick_site("A", "a.edu", 5)], &mut topo, rng);
         // 5 match immediately, 15 remain queued.
         let _ = model.submit_workers(SimTime::ZERO, 20);
         let out = model.remove_workers(SimTime::from_secs(1), 10, &mut topo);
@@ -756,12 +742,7 @@ mod tests {
     fn remove_workers_kills_running_when_needed() {
         let mut topo = Topology::new();
         let rng = SimRng::seed_from_u64(7);
-        let (mut model, init) = GridModel::new(
-            GridParams::default(),
-            vec![quick_site("A", "a.edu", 50)],
-            &mut topo,
-            rng,
-        );
+        let (mut model, init) = GridModel::new(vec![quick_site("A", "a.edu", 50)], &mut topo, rng);
         let out = model.submit_workers(SimTime::ZERO, 10);
         let mut all = init;
         all.extend(out.defer);
@@ -797,7 +778,7 @@ mod tests {
                 s.with_mean_lifetime(SimDuration::from_secs(100_000_000))
             })
             .collect();
-        let (mut model, init) = GridModel::new(GridParams::default(), sites, &mut topo, rng);
+        let (mut model, init) = GridModel::new(sites, &mut topo, rng);
         let out = model.submit_workers(SimTime::ZERO, 1101);
         let mut all = init;
         all.extend(out.defer);
@@ -821,12 +802,7 @@ mod tests {
         // leave the table no bigger than the live pool.
         let mut topo = Topology::new();
         let rng = SimRng::seed_from_u64(10);
-        let (mut model, _init) = GridModel::new(
-            GridParams::default(),
-            vec![quick_site("A", "a.edu", 5)],
-            &mut topo,
-            rng,
-        );
+        let (mut model, _init) = GridModel::new(vec![quick_site("A", "a.edu", 5)], &mut topo, rng);
         // Fill the site: 5 in-flight requests pin all slots.
         let _ = model.submit_workers(SimTime::ZERO, 5);
         assert_eq!(model.outstanding_count(), 5);
@@ -858,12 +834,7 @@ mod tests {
     fn preferred_shrink_only_kills_listed_nodes() {
         let mut topo = Topology::new();
         let rng = SimRng::seed_from_u64(11);
-        let (mut model, init) = GridModel::new(
-            GridParams::default(),
-            vec![quick_site("A", "a.edu", 50)],
-            &mut topo,
-            rng,
-        );
+        let (mut model, init) = GridModel::new(vec![quick_site("A", "a.edu", 50)], &mut topo, rng);
         let out = model.submit_workers(SimTime::ZERO, 10);
         let mut all = init;
         all.extend(out.defer);
@@ -891,8 +862,7 @@ mod tests {
             let mut topo = Topology::new();
             let rng = SimRng::seed_from_u64(seed);
             let site = quick_site("A", "a.edu", 30).with_mean_lifetime(SimDuration::from_secs(600));
-            let (mut model, init) =
-                GridModel::new(GridParams::default(), vec![site], &mut topo, rng);
+            let (mut model, init) = GridModel::new(vec![site], &mut topo, rng);
             let out = model.submit_workers(SimTime::ZERO, 25);
             let mut all = init;
             all.extend(out.defer);
@@ -910,12 +880,7 @@ mod tests {
     fn running_series_tracks_counts() {
         let mut topo = Topology::new();
         let rng = SimRng::seed_from_u64(9);
-        let (mut model, init) = GridModel::new(
-            GridParams::default(),
-            vec![quick_site("A", "a.edu", 10)],
-            &mut topo,
-            rng,
-        );
+        let (mut model, init) = GridModel::new(vec![quick_site("A", "a.edu", 10)], &mut topo, rng);
         let out = model.submit_workers(SimTime::ZERO, 10);
         let mut all = init;
         all.extend(out.defer);

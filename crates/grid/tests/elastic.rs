@@ -7,7 +7,8 @@
 //! capacity, and churn kills live workers at a seeded per-tick rate.
 
 use hog_grid::config::paper_sites;
-use hog_grid::{ElasticConfig, ElasticController, ElasticDecision, GridParams, PoolSnapshot};
+use hog_grid::controller::{COOLDOWN, HYSTERESIS, MAX_SHRINK_STEP};
+use hog_grid::{ElasticConfig, ElasticController, ElasticDecision, PoolSnapshot};
 use hog_sim_core::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -71,11 +72,7 @@ fn run_plant(
     churn_permille: u32,
     ticks: u64,
 ) -> (Vec<(SimTime, ElasticDecision)>, Plant, ElasticController) {
-    let mut c = ElasticController::new(
-        ElasticConfig::new(min, max),
-        &GridParams::default(),
-        &paper_sites(),
-    );
+    let mut c = ElasticController::new(ElasticConfig::new(min, max), (1, 1), &paper_sites());
     let spinup = c.spinup_estimate();
     let mut rng = SimRng::seed_from_u64(seed);
     let mut plant = Plant {
@@ -127,8 +124,8 @@ proptest! {
         churn in 0u32..80,
     ) {
         let max = min + extra;
-        let (actions, _, c) = run_plant(seed, min, max, demand, churn, 1200);
-        let cooldown = c.config().cooldown.as_secs_f64();
+        let (actions, _, _) = run_plant(seed, min, max, demand, churn, 1200);
+        let cooldown = COOLDOWN.as_secs_f64();
         for w in actions.windows(2) {
             if !matches!(w[1].1, ElasticDecision::Shrink(_)) {
                 continue;
@@ -174,7 +171,7 @@ proptest! {
             supply >= target.min(max) || supply >= max,
             "steady pool {supply} below target {target}"
         );
-        let band = ((target as f64 * c.config().hysteresis).ceil() as usize).max(2);
+        let band = ((target as f64 * HYSTERESIS).ceil() as usize).max(2);
         prop_assert!(
             supply <= target + band,
             "steady pool {supply} above band edge {}",
@@ -194,7 +191,7 @@ proptest! {
     ) {
         let (_, plant, c) = run_plant(seed, 10, 350, demand, churn, 2400);
         let supply = plant.live + plant.outstanding();
-        prop_assert!(supply <= c.config().max_nodes + c.config().max_shrink_step);
+        prop_assert!(supply <= c.config().max_nodes + MAX_SHRINK_STEP);
         prop_assert!(plant.live <= 350 + 50, "pool overshot: {}", plant.live);
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests on the grid model: slot accounting, pool-size bounds
 //! and self-healing under arbitrary churn/outage interleavings.
 
-use hog_grid::{GridEvent, GridModel, GridNote, GridParams, SiteConfig};
+use hog_grid::{GridEvent, GridModel, GridNote, SiteConfig};
 use hog_net::{SiteId, Topology};
 use hog_sim_core::dist::{Exponential, UniformDuration};
 use hog_sim_core::{EventQueue, SimDuration, SimRng, SimTime};
@@ -42,7 +42,6 @@ proptest! {
         let rng = SimRng::seed_from_u64(seed);
         let capacity_per_site = 20usize;
         let (mut model, init) = GridModel::new(
-            GridParams::default(),
             sites(n_sites, capacity_per_site, lifetime, outages),
             &mut topo,
             rng,

@@ -28,7 +28,47 @@
 use hog_net::SiteId;
 use hog_sim_core::SimDuration;
 
-/// Per-block replication targeting policy. Disabled by default
+/// A block with at least this many reads counts as hot.
+pub const HOT_READS: u32 = 3;
+
+/// Extra copies for a hot block.
+pub const HOT_BOOST: u16 = 2;
+
+/// Extra copies when the majority of a block's hosts sit on risky sites
+/// (high failure penalty or short typical lifetime).
+pub const RISKY_BOOST: u16 = 2;
+
+/// Copies shed when a block is cold and *every* host sits on a stable
+/// site.
+pub const STABLE_DROP: u16 = 2;
+
+/// A site whose pressure-adjusted typical glidein lifetime is at least
+/// this many seconds qualifies as stable (35 min — the paper's measured
+/// mean OSG lifetime).
+pub const STABLE_LIFETIME_SECS: f64 = 35.0 * 60.0;
+
+/// A site whose pressure-adjusted typical lifetime is below this many
+/// seconds is risky regardless of its penalty.
+pub const RISKY_LIFETIME_SECS: f64 = 20.0 * 60.0;
+
+/// A site with a decayed failure penalty at or above this is risky
+/// regardless of its lifetime band.
+pub const RISKY_PENALTY: f64 = 2.0;
+
+/// Stability additionally requires the decayed penalty to sit below
+/// this.
+pub const STABLE_PENALTY: f64 = 0.75;
+
+/// Lower a target only when it exceeds the raw recomputed target by more
+/// than this many copies (raises apply immediately).
+pub const HYSTERESIS: u16 = 1;
+
+/// Minimum spacing between retarget sweeps on the master tick.
+pub const RETARGET_INTERVAL: SimDuration = SimDuration::from_secs(30);
+
+/// Per-block replication targeting policy: the bounds and birth target
+/// of every block's replication. The signal weights and site bands are
+/// the constants above. Disabled by default
 /// (`HdfsConfig::availability == None`); arm it with
 /// [`crate::HdfsConfig::with_availability`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,34 +83,6 @@ pub struct AvailabilityPolicy {
     /// most of the replica-GB saving comes from — trims only reclaim
     /// space, they can't un-write pipeline bytes.
     pub initial: u16,
-    /// A block with at least this many reads counts as hot.
-    pub hot_reads: u32,
-    /// Extra copies for a hot block.
-    pub hot_boost: u16,
-    /// Extra copies when the majority of a block's hosts sit on risky
-    /// sites (high failure penalty or short typical lifetime).
-    pub risky_boost: u16,
-    /// Copies shed when a block is cold and *every* host sits on a
-    /// stable site.
-    pub stable_drop: u16,
-    /// A site whose pressure-adjusted typical glidein lifetime is at
-    /// least this many seconds qualifies as stable (35 min — the
-    /// paper's measured mean OSG lifetime — by default).
-    pub stable_lifetime_secs: f64,
-    /// A site whose pressure-adjusted typical lifetime is below this
-    /// many seconds is risky regardless of its penalty.
-    pub risky_lifetime_secs: f64,
-    /// A site with a decayed failure penalty at or above this is risky
-    /// regardless of its lifetime band.
-    pub risky_penalty: f64,
-    /// Stability additionally requires the decayed penalty to sit
-    /// below this.
-    pub stable_penalty: f64,
-    /// Lower a target only when it exceeds the raw recomputed target
-    /// by more than this many copies (raises apply immediately).
-    pub hysteresis: u16,
-    /// Minimum spacing between retarget sweeps on the master tick.
-    pub interval: SimDuration,
 }
 
 impl AvailabilityPolicy {
@@ -83,16 +95,6 @@ impl AvailabilityPolicy {
             r_min: 4,
             r_max: 12,
             initial: 6,
-            hot_reads: 3,
-            hot_boost: 2,
-            risky_boost: 2,
-            stable_drop: 2,
-            stable_lifetime_secs: 35.0 * 60.0,
-            risky_lifetime_secs: 20.0 * 60.0,
-            risky_penalty: 2.0,
-            stable_penalty: 0.75,
-            hysteresis: 1,
-            interval: SimDuration::from_secs(30),
         }
     }
 
@@ -120,13 +122,13 @@ impl AvailabilityPolicy {
     ) -> u16 {
         let mut t = base as i32;
         if hosts > 0 && 2 * risky_hosts >= hosts {
-            t += self.risky_boost as i32;
+            t += RISKY_BOOST as i32;
         }
-        let hot = reads >= self.hot_reads;
+        let hot = reads >= HOT_READS;
         if hot {
-            t += self.hot_boost as i32;
+            t += HOT_BOOST as i32;
         } else if hosts > 0 && stable_hosts == hosts {
-            t -= self.stable_drop as i32;
+            t -= STABLE_DROP as i32;
         }
         t.clamp(self.r_min as i32, self.r_max as i32) as u16
     }
@@ -135,7 +137,7 @@ impl AvailabilityPolicy {
     /// once the gap exceeds the hysteresis band (and then drop all the
     /// way to the raw target, so the band doesn't ratchet).
     pub fn apply(&self, current: u16, raw: u16) -> u16 {
-        if raw > current || current - raw > self.hysteresis {
+        if raw > current || current - raw > HYSTERESIS {
             raw
         } else {
             current
@@ -190,19 +192,16 @@ pub struct AvailabilitySnapshot {
 }
 
 impl AvailabilitySnapshot {
-    /// Classify a site against the policy's bands. Unknown sites are
-    /// Neutral: they neither trigger a risky boost nor allow a stable
-    /// drop.
-    pub fn classify(&self, site: SiteId, policy: &AvailabilityPolicy) -> SiteBand {
+    /// Classify a site against the risky and stable bands. Unknown
+    /// sites are Neutral: they neither trigger a risky boost nor allow a
+    /// stable drop.
+    pub fn classify(&self, site: SiteId) -> SiteBand {
         let Some(risk) = self.sites.get(site.0 as usize) else {
             return SiteBand::Neutral;
         };
-        if risk.penalty >= policy.risky_penalty || risk.lifetime_secs <= policy.risky_lifetime_secs
-        {
+        if risk.penalty >= RISKY_PENALTY || risk.lifetime_secs <= RISKY_LIFETIME_SECS {
             SiteBand::Risky
-        } else if risk.penalty < policy.stable_penalty
-            && risk.lifetime_secs >= policy.stable_lifetime_secs
-        {
+        } else if risk.penalty < STABLE_PENALTY && risk.lifetime_secs >= STABLE_LIFETIME_SECS {
             SiteBand::Stable
         } else {
             SiteBand::Neutral
@@ -252,7 +251,7 @@ mod tests {
 
     #[test]
     fn hysteresis_raises_eagerly_lowers_reluctantly() {
-        let p = policy(); // hysteresis = 1
+        let p = policy(); // HYSTERESIS = 1
         assert_eq!(p.apply(6, 8), 8); // raise applies immediately
         assert_eq!(p.apply(6, 5), 6); // one-copy lower: held
         assert_eq!(p.apply(6, 4), 4); // beyond the band: drops to raw
@@ -271,7 +270,6 @@ mod tests {
 
     #[test]
     fn classification_bands() {
-        let p = policy();
         let snap = AvailabilitySnapshot {
             sites: vec![
                 SiteRisk {
@@ -296,12 +294,12 @@ mod tests {
                 }, // neutral (mid lifetime)
             ],
         };
-        assert_eq!(snap.classify(SiteId(0), &p), SiteBand::Stable);
-        assert_eq!(snap.classify(SiteId(1), &p), SiteBand::Risky);
-        assert_eq!(snap.classify(SiteId(2), &p), SiteBand::Risky);
-        assert_eq!(snap.classify(SiteId(3), &p), SiteBand::Neutral);
-        assert_eq!(snap.classify(SiteId(4), &p), SiteBand::Neutral);
+        assert_eq!(snap.classify(SiteId(0)), SiteBand::Stable);
+        assert_eq!(snap.classify(SiteId(1)), SiteBand::Risky);
+        assert_eq!(snap.classify(SiteId(2)), SiteBand::Risky);
+        assert_eq!(snap.classify(SiteId(3)), SiteBand::Neutral);
+        assert_eq!(snap.classify(SiteId(4)), SiteBand::Neutral);
         // Unknown site: neutral.
-        assert_eq!(snap.classify(SiteId(99), &p), SiteBand::Neutral);
+        assert_eq!(snap.classify(SiteId(99)), SiteBand::Neutral);
     }
 }

@@ -1,26 +1,28 @@
 //! HDFS configuration.
 
 use crate::availability::AvailabilityPolicy;
-use hog_sim_core::units::{GIB, MIB};
-use hog_sim_core::SimDuration;
+use hog_sim_core::units::GIB;
+use hog_sim_core::{SimDuration, HOG_DEAD_TIMEOUT, STOCK_DEAD_TIMEOUT};
+
+/// Period of the namenode's replication monitor scan, which is also the
+/// cluster's master tick.
+pub const REPLICATION_MONITOR_INTERVAL: SimDuration = SimDuration::from_secs(3);
 
 /// Tunables of the HDFS model. Two presets matter: [`HdfsConfig::hog`]
 /// (replication 10, 30 s dead-node timeout — §III-B) and
 /// [`HdfsConfig::stock`] (replication 3, ~10 min recheck, as on the
-/// dedicated cluster).
+/// dedicated cluster). Files split into
+/// [`hog_sim_core::units::BLOCK_SIZE`] blocks.
 #[derive(Clone, Debug)]
 pub struct HdfsConfig {
-    /// Fixed block size files are split into (64 MB in the paper).
-    pub block_size: u64,
     /// Default replication factor for new files.
     pub replication: u16,
-    /// Silence after which the namenode declares a datanode dead. The
-    /// paper: "If the worker nodes do not report every 30 seconds, then the
-    /// node is marked dead for both the namenode and jobtracker", versus
-    /// the traditional 10+ minute recheck interval.
+    /// Silence after which a worker is declared dead — by the namenode,
+    /// and by the JobTracker, which the cluster hands the same value.
+    /// The paper: "If the worker nodes do not report every 30 seconds,
+    /// then the node is marked dead for both the namenode and
+    /// jobtracker", versus the traditional 10+ minute recheck interval.
     pub dead_node_timeout: SimDuration,
-    /// Period of the namenode's replication monitor scan.
-    pub replication_monitor_interval: SimDuration,
     /// Max concurrent replication transfers a single datanode may source
     /// or sink (`dfs.max-repl-streams` analogue).
     pub max_repl_streams_per_node: u8,
@@ -49,10 +51,8 @@ impl HdfsConfig {
     /// zombie self-check.
     pub fn hog() -> Self {
         HdfsConfig {
-            block_size: 64 * MIB,
             replication: 10,
-            dead_node_timeout: SimDuration::from_secs(30),
-            replication_monitor_interval: SimDuration::from_secs(3),
+            dead_node_timeout: HOG_DEAD_TIMEOUT,
             max_repl_streams_per_node: 2,
             max_repl_orders_per_tick: 64,
             datanode_capacity: 40 * GIB,
@@ -65,10 +65,8 @@ impl HdfsConfig {
     /// replication 3, ~10 minute dead-node detection.
     pub fn stock() -> Self {
         HdfsConfig {
-            block_size: 64 * MIB,
             replication: 3,
-            dead_node_timeout: SimDuration::from_secs(630),
-            replication_monitor_interval: SimDuration::from_secs(3),
+            dead_node_timeout: STOCK_DEAD_TIMEOUT,
             max_repl_streams_per_node: 2,
             max_repl_orders_per_tick: 64,
             datanode_capacity: 400 * GIB,
@@ -83,7 +81,7 @@ impl HdfsConfig {
         self
     }
 
-    /// Override the dead-node timeout (ablation X1).
+    /// Override the dead-node timeout of both masters (ablation X1).
     pub fn with_dead_timeout(mut self, t: SimDuration) -> Self {
         self.dead_node_timeout = t;
         self
@@ -111,12 +109,11 @@ mod tests {
     fn presets_match_paper() {
         let hog = HdfsConfig::hog();
         assert_eq!(hog.replication, 10);
-        assert_eq!(hog.dead_node_timeout, SimDuration::from_secs(30));
-        assert_eq!(hog.block_size, 64 * MIB);
+        assert_eq!(hog.dead_node_timeout, HOG_DEAD_TIMEOUT);
         assert!(hog.disk_check_interval.is_some());
         let stock = HdfsConfig::stock();
         assert_eq!(stock.replication, 3);
-        assert!(stock.dead_node_timeout >= SimDuration::from_secs(600));
+        assert_eq!(stock.dead_node_timeout, STOCK_DEAD_TIMEOUT);
         assert!(stock.disk_check_interval.is_none());
     }
 

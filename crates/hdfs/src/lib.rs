@@ -36,7 +36,7 @@ pub mod placement;
 pub mod types;
 
 pub use availability::{AvailabilityPolicy, AvailabilitySnapshot, SiteBand, SiteRisk};
-pub use config::HdfsConfig;
+pub use config::{HdfsConfig, REPLICATION_MONITOR_INTERVAL};
 pub use datanode::DatanodeInfo;
 pub use namenode::{Namenode, NamenodeTickOutput, ReplOrder};
 pub use placement::{

@@ -872,7 +872,7 @@ impl Namenode {
                     let base = p.birth_target(self.files[meta.file.0 as usize].replication);
                     if meta.expected > base {
                         cands = crate::placement::stable_first(cands, |s| {
-                            snap.classify(s, p) == SiteBand::Stable
+                            snap.classify(s) == SiteBand::Stable
                         });
                     }
                 }
@@ -1057,7 +1057,7 @@ impl Namenode {
             let mut risky = 0usize;
             let mut stable = 0usize;
             for &n in &meta.replicas {
-                match snapshot.classify(topo.site_of(n), &policy) {
+                match snapshot.classify(topo.site_of(n)) {
                     SiteBand::Risky => risky += 1,
                     SiteBand::Stable => stable += 1,
                     SiteBand::Neutral => {}
@@ -1129,7 +1129,7 @@ impl Namenode {
                 .iter()
                 .map(|&n| {
                     let band = match (policy.as_ref(), self.avail_snapshot.as_ref()) {
-                        (Some(p), Some(snap)) => match snap.classify(topo.site_of(n), p) {
+                        (Some(_), Some(snap)) => match snap.classify(topo.site_of(n)) {
                             SiteBand::Risky => 0u8,
                             SiteBand::Neutral => 1,
                             SiteBand::Stable => 2,
@@ -1852,7 +1852,6 @@ mod tests {
                     r_min: 3,
                     initial: 3,
                     r_max: 3,
-                    ..crate::AvailabilityPolicy::trua_default()
                 });
             }
             let (mut nn, topo, _) = setup(4, cfg);

@@ -4,20 +4,37 @@ use hog_sched::SchedPolicy;
 use hog_sim_core::units::{mib_per_s, GIB};
 use hog_sim_core::SimDuration;
 
-/// Tunables of the MapReduce model.
+/// TaskTracker heartbeat period (assignment latency granularity).
+pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(3);
+
+/// Speculation trigger: attempt elapsed > factor × mean completed task
+/// duration (paper: "1/3 slower than average" → 1.33).
+pub const SPECULATIVE_FACTOR: f64 = 1.33;
+
+/// Concurrent shuffle fetch flows per reduce attempt
+/// (`mapred.reduce.parallel.copies`, batched by source site here).
+pub const SHUFFLE_PARALLEL: usize = 2;
+
+/// Failed shuffle fetches of one completed map before the JobTracker
+/// declares its output lost and re-executes the map ("too many fetch
+/// failures" in Hadoop 0.20).
+pub const FETCH_FAIL_THRESHOLD: u8 = 3;
+
+/// Sequential read rate of the worker-local disk (map input when the
+/// block is node-local, reduce merge passes).
+pub const DISK_READ_RATE: f64 = mib_per_s(90.0);
+
+/// Sequential write rate of the worker-local disk (map spill).
+pub const DISK_WRITE_RATE: f64 = mib_per_s(70.0);
+
+/// Tunables of the MapReduce model. The dead-tracker timeout is not
+/// here: the JobTracker shares the namenode's
+/// (`HdfsConfig::dead_node_timeout`), passed to [`crate::JobTracker::new`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MrParams {
-    /// TaskTracker heartbeat period (assignment latency granularity).
-    pub heartbeat_interval: SimDuration,
-    /// Silence after which the JobTracker declares a tracker dead (30 s in
-    /// HOG, ~10 min stock — same knob as the namenode's).
-    pub tracker_dead_timeout: SimDuration,
     /// Fraction of a job's maps that must finish before its reduces are
     /// scheduled (`mapred.reduce.slowstart.completed.maps`).
     pub reduce_slowstart: f64,
-    /// Speculation trigger: attempt elapsed > factor × mean completed task
-    /// duration (paper: "1/3 slower than average" → 1.33).
-    pub speculative_factor: f64,
     /// Whether speculative execution is enabled at all.
     pub speculative_enabled: bool,
     /// Minimum completed tasks of a kind before speculation may trigger.
@@ -30,16 +47,9 @@ pub struct MrParams {
     /// will evict within 3 minutes) cannot burn a task's whole attempt
     /// budget in seconds.
     pub retry_backoff: SimDuration,
-    /// Concurrent shuffle fetch flows per reduce attempt
-    /// (`mapred.reduce.parallel.copies`, batched by source site here).
-    pub shuffle_parallel: usize,
     /// Failed attempts of one job on one tracker before that tracker is
     /// blacklisted for the job.
     pub blacklist_threshold: u8,
-    /// Failed shuffle fetches of one completed map before the JobTracker
-    /// declares its output lost and re-executes the map ("too many fetch
-    /// failures" in Hadoop 0.20).
-    pub fetch_fail_threshold: u8,
     /// Maximum concurrent execution copies of one task. Hadoop 0.20 (and
     /// the paper's HOG) cap this at 2 — original + one speculative copy.
     /// The paper's future work proposes making it configurable; values
@@ -51,46 +61,32 @@ pub struct MrParams {
     pub eager_copies: bool,
     /// Local scratch disk available for intermediate data per worker.
     pub scratch_capacity: u64,
-    /// Sequential read rate of the worker-local disk (map input when the
-    /// block is node-local, reduce merge passes).
-    pub disk_read_rate: f64,
-    /// Sequential write rate of the worker-local disk (map spill).
-    pub disk_write_rate: f64,
     /// Slot-assignment policy (stock Hadoop FIFO by default; see
     /// `hog-sched` for the fair and failure-aware alternatives).
     pub sched: SchedPolicy,
 }
 
 impl MrParams {
-    /// HOG settings: fast failure detection, otherwise stock Hadoop 0.20
-    /// defaults.
+    /// HOG settings: stock Hadoop 0.20 defaults (HOG's fast failure
+    /// detection is the shared dead-node timeout).
     pub fn hog() -> Self {
         MrParams {
-            heartbeat_interval: SimDuration::from_secs(3),
-            tracker_dead_timeout: SimDuration::from_secs(30),
             reduce_slowstart: 0.05,
-            speculative_factor: 1.33,
             speculative_enabled: true,
             speculative_min_completed: 3,
             max_attempts: 4,
             retry_backoff: SimDuration::from_secs(60),
-            shuffle_parallel: 2,
             blacklist_threshold: 3,
-            fetch_fail_threshold: 3,
             max_task_copies: 2,
             eager_copies: false,
             scratch_capacity: 20 * GIB,
-            disk_read_rate: mib_per_s(90.0),
-            disk_write_rate: mib_per_s(70.0),
             sched: SchedPolicy::Fifo,
         }
     }
 
-    /// Stock settings for the dedicated cluster (slow dead-tracker
-    /// detection; ample scratch disk).
+    /// Stock settings for the dedicated cluster (ample scratch disk).
     pub fn stock() -> Self {
         MrParams {
-            tracker_dead_timeout: SimDuration::from_secs(630),
             scratch_capacity: 200 * GIB,
             ..Self::hog()
         }
@@ -99,12 +95,6 @@ impl MrParams {
     /// Builder: scratch capacity (disk-overflow experiment X4).
     pub fn with_scratch(mut self, bytes: u64) -> Self {
         self.scratch_capacity = bytes;
-        self
-    }
-
-    /// Builder: dead-tracker timeout (ablation X1).
-    pub fn with_dead_timeout(mut self, t: SimDuration) -> Self {
-        self.tracker_dead_timeout = t;
         self
     }
 
@@ -138,22 +128,16 @@ mod tests {
     #[test]
     fn presets() {
         let hog = MrParams::hog();
-        assert_eq!(hog.tracker_dead_timeout, SimDuration::from_secs(30));
         assert!(hog.speculative_enabled);
         assert_eq!(hog.max_attempts, 4);
         let stock = MrParams::stock();
-        assert!(stock.tracker_dead_timeout > SimDuration::from_secs(600));
         assert!(stock.scratch_capacity > hog.scratch_capacity);
     }
 
     #[test]
     fn builders() {
-        let p = MrParams::hog()
-            .with_scratch(123)
-            .with_dead_timeout(SimDuration::from_secs(5))
-            .with_speculation(false);
+        let p = MrParams::hog().with_scratch(123).with_speculation(false);
         assert_eq!(p.scratch_capacity, 123);
-        assert_eq!(p.tracker_dead_timeout, SimDuration::from_secs(5));
         assert!(!p.speculative_enabled);
     }
 }

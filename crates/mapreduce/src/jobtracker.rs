@@ -9,7 +9,7 @@
 //! [FIFO policy](hog_sched::FifoSched) reproduces stock Hadoop (and the
 //! pre-trait JobTracker) bit-for-bit.
 
-use crate::config::MrParams;
+use crate::config::{MrParams, FETCH_FAIL_THRESHOLD, SHUFFLE_PARALLEL, SPECULATIVE_FACTOR};
 use crate::job::{
     AttemptPhase, AttemptState, JobId, JobState, JobStatus, JobSubmission, TaskKind, TaskRef,
     TaskState,
@@ -249,6 +249,9 @@ pub struct Backlog {
 #[derive(Clone)]
 pub struct JobTracker {
     cfg: MrParams,
+    /// Silence after which a tracker is declared dead: the namenode's
+    /// dead-node timeout, so both masters time a worker out together.
+    dead_timeout: SimDuration,
     jobs: Vec<JobState>,
     locality: Vec<LocalityIndex>,
     /// Incomplete jobs in submission order (the queue policies reorder).
@@ -356,10 +359,12 @@ impl FailReason {
 }
 
 impl JobTracker {
-    /// A JobTracker with the given parameters; the slot-assignment policy
+    /// A JobTracker with the given parameters that declares a tracker
+    /// dead after `dead_timeout` of silence; the slot-assignment policy
     /// comes from [`MrParams::sched`].
-    pub fn new(cfg: MrParams, rng: SimRng) -> Self {
+    pub fn new(cfg: MrParams, dead_timeout: SimDuration, rng: SimRng) -> Self {
         JobTracker {
+            dead_timeout,
             jobs: Vec::new(),
             locality: Vec::new(),
             fifo: Vec::new(),
@@ -632,7 +637,7 @@ impl JobTracker {
     /// Declare overdue silent trackers dead: reschedule their running
     /// attempts and re-run completed maps whose outputs died with them.
     pub fn check_dead(&mut self, now: SimTime) -> (Vec<NodeId>, Vec<JtNote>) {
-        let overdue = self.live.overdue(now, self.cfg.tracker_dead_timeout, |n| {
+        let overdue = self.live.overdue(now, self.dead_timeout, |n| {
             self.trackers.get(n).map(|t| t.last_heartbeat)
         });
         let mut notes = Vec::new();
@@ -1442,7 +1447,7 @@ impl JobTracker {
                     TaskKind::Reduce => job.mean_reduce_secs(self.cfg.speculative_min_completed),
                 };
                 let Some(mean) = mean else { continue };
-                mean * self.cfg.speculative_factor
+                mean * SPECULATIVE_FACTOR
             };
             let max_copies = self.cfg.max_task_copies as usize;
             let tasks = match kind {
@@ -1860,7 +1865,7 @@ impl JobTracker {
         if !self.attempt_active(att) || self.sorting.contains(&att) {
             return ReduceStep::Wait;
         }
-        let parallel = self.cfg.shuffle_parallel;
+        let parallel = SHUFFLE_PARALLEL;
         let jid = att.task.job;
         let job = &mut self.jobs[jid.0 as usize];
         let all_maps_done = job.all_maps_done();
@@ -1902,14 +1907,14 @@ impl JobTracker {
 
     /// A shuffle fetch failed (source died or its data is gone). The
     /// affected maps become sourceless; each accrues a fetch-failure
-    /// strike, and past `fetch_fail_threshold` the map's output is
+    /// strike, and past [`FETCH_FAIL_THRESHOLD`] the map's output is
     /// declared lost and the map re-executed ("too many fetch failures" —
     /// this is what eventually evicts zombie-hosted outputs). Maps whose
     /// outputs still exist on live trackers are re-announced.
     pub fn fetch_failed(&mut self, att: AttemptRef, order: u64, topo: &Topology) {
         let jid = att.task.job;
         let part = self.partition_bytes(jid);
-        let threshold = self.cfg.fetch_fail_threshold;
+        let threshold = FETCH_FAIL_THRESHOLD;
         let job = &mut self.jobs[jid.0 as usize];
         // Snapshot surviving outputs before borrowing the plan mutably.
         let sources: Vec<(u32, NodeId)> = job
@@ -2414,6 +2419,7 @@ impl hog_sim_core::Auditable for JobTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hog_sim_core::HOG_DEAD_TIMEOUT;
 
     /// A JobTracker on a two-node pool with one job (2 maps, 1 reduce)
     /// submitted, and one of its nodes.
@@ -2421,7 +2427,7 @@ mod tests {
         let mut topo = Topology::new();
         let site = topo.add_site("S0".to_string(), "s0.edu".to_string());
         let nodes: Vec<NodeId> = (0..2).map(|_| topo.add_node(site)).collect();
-        let mut jt = JobTracker::new(MrParams::hog(), SimRng::seed_from_u64(1));
+        let mut jt = JobTracker::new(MrParams::hog(), HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(1));
         for &n in &nodes {
             jt.register_tracker(SimTime::ZERO, n, site, 1, 1);
         }
@@ -2451,7 +2457,7 @@ mod tests {
         let nodes: Vec<NodeId> = (0..3).map(|_| topo.add_node(site)).collect();
         let mut cfg = MrParams::hog();
         cfg.speculative_min_completed = 1;
-        let mut jt = JobTracker::new(cfg, SimRng::seed_from_u64(1));
+        let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(1));
         for &n in &nodes {
             jt.register_tracker(SimTime::ZERO, n, site, 1, 1);
         }

@@ -21,7 +21,7 @@ use hog_hdfs::BlockId;
 use hog_mapreduce::jobtracker::FailReason;
 use hog_mapreduce::{Assignment, AttemptRef, JobSubmission, JobTracker, MrParams};
 use hog_net::{NodeId, SiteId, Topology};
-use hog_sim_core::{Liveness, SimDuration, SimRng, SimTime};
+use hog_sim_core::{Liveness, SimDuration, SimRng, SimTime, HOG_DEAD_TIMEOUT};
 use proptest::prelude::*;
 
 /// One step of the random schedule. A `Round` heartbeats every live
@@ -81,7 +81,7 @@ impl World {
             }
         }
         let cfg = MrParams::hog().with_speculation(false);
-        let mut jt = JobTracker::new(cfg, SimRng::seed_from_u64(seed));
+        let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(seed));
         for &n in &nodes {
             jt.register_tracker(SimTime::ZERO, n, topo.site_of(n), 1, 1);
         }
@@ -249,7 +249,7 @@ proptest! {
         let spare = topo.add_node(site);
         let cfg = MrParams::hog().with_speculation(false);
         let backoff = cfg.retry_backoff;
-        let mut jt = JobTracker::new(cfg, SimRng::seed_from_u64(seed));
+        let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(seed));
         jt.register_tracker(SimTime::ZERO, worker, site, 1, 1);
         jt.register_tracker(SimTime::ZERO, spare, site, 1, 1);
         // One single-map job whose only split replica is on `worker`.

@@ -18,7 +18,7 @@ use hog_mapreduce::{
     Assignment, AttemptRef, JobSubmission, JobTracker, MrParams, ReduceStep, TaskKind,
 };
 use hog_net::{NodeId, Topology};
-use hog_sim_core::{SimDuration, SimRng, SimTime};
+use hog_sim_core::{SimDuration, SimRng, SimTime, HOG_DEAD_TIMEOUT};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -72,7 +72,7 @@ impl World {
         cfg.retry_backoff = SimDuration::from_secs(1);
         cfg.max_attempts = 200; // chaos shouldn't kill jobs; hangs are the bug
         cfg.blacklist_threshold = 200;
-        let mut jt = JobTracker::new(cfg, SimRng::seed_from_u64(seed));
+        let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(seed));
         for &n in &nodes {
             jt.register_tracker(SimTime::ZERO, n, topo.site_of(n), 1, 1);
         }

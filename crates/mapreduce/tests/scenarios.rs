@@ -9,7 +9,7 @@ use hog_mapreduce::{
     TaskKind,
 };
 use hog_net::{NodeId, Topology};
-use hog_sim_core::{SimDuration, SimRng, SimTime};
+use hog_sim_core::{SimDuration, SimRng, SimTime, HOG_DEAD_TIMEOUT};
 
 struct Mini {
     jt: JobTracker,
@@ -27,7 +27,7 @@ impl Mini {
                 nodes.push(topo.add_node(site));
             }
         }
-        let mut jt = JobTracker::new(cfg, SimRng::seed_from_u64(42));
+        let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(42));
         for &n in &nodes {
             jt.register_tracker(SimTime::ZERO, n, topo.site_of(n), 1, 1);
         }

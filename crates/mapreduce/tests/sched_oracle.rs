@@ -20,7 +20,7 @@ use hog_mapreduce::job::JobStatus;
 use hog_mapreduce::jobtracker::Locality;
 use hog_mapreduce::{Assignment, AttemptRef, JobId, JobSubmission, JobTracker, MrParams, TaskKind};
 use hog_net::{NodeId, SiteId, Topology};
-use hog_sim_core::{Liveness, SimDuration, SimRng, SimTime};
+use hog_sim_core::{Liveness, SimDuration, SimRng, SimTime, HOG_DEAD_TIMEOUT};
 use proptest::prelude::*;
 
 /// One step of the random schedule.
@@ -148,7 +148,7 @@ impl World {
         }
         // Speculation off: the oracle is a pure function of queue state.
         let cfg = MrParams::hog().with_speculation(false);
-        let mut jt = JobTracker::new(cfg, SimRng::seed_from_u64(seed));
+        let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(seed));
         for &n in &nodes {
             jt.register_tracker(SimTime::ZERO, n, topo.site_of(n), 1, 1);
         }

@@ -11,7 +11,7 @@
 use hog_hdfs::BlockId;
 use hog_mapreduce::{Assignment, JobSubmission, JobTracker, MrParams, SchedPolicy};
 use hog_net::{NodeId, Topology};
-use hog_sim_core::{SimDuration, SimRng, SimTime};
+use hog_sim_core::{SimDuration, SimRng, SimTime, HOG_DEAD_TIMEOUT};
 
 fn cluster(policy: SchedPolicy, nodes_n: usize) -> (JobTracker, Topology, Vec<NodeId>) {
     let mut topo = Topology::new();
@@ -21,7 +21,7 @@ fn cluster(policy: SchedPolicy, nodes_n: usize) -> (JobTracker, Topology, Vec<No
         sched: policy,
         ..MrParams::hog()
     };
-    let mut jt = JobTracker::new(cfg, SimRng::seed_from_u64(7));
+    let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(7));
     for &n in &nodes {
         jt.register_tracker(SimTime::ZERO, n, site, 1, 1);
     }
@@ -68,7 +68,7 @@ fn drive_death(policy: SchedPolicy) {
     // dead without panicking, whatever state the policy hook keeps.
     let victim = nodes[0];
     jt.tracker_silent(SimTime::from_secs(5), victim);
-    let t_dead = SimTime::from_secs(5) + jt.config().tracker_dead_timeout;
+    let t_dead = SimTime::from_secs(5) + HOG_DEAD_TIMEOUT;
     let (died, _notes) = jt.check_dead(t_dead);
     assert_eq!(died, vec![victim], "{policy:?}: victim not declared dead");
     assert!(!jt.tracker_live(victim));

@@ -52,7 +52,7 @@
 //!   and a flow whose predicted instants survive a rebase keeps its live
 //!   heap entries instead of pushing fresh ones.
 
-use crate::params::NetParams;
+use crate::params::{NetParams, INTRA_SITE_LATENCY, LOOPBACK, NIC_UP};
 use crate::topology::{NodeId, SiteId};
 use crate::{FlowEnd, FlowId, FlowOutcome};
 use hog_obs::{Layer, TraceEvent, Tracer};
@@ -202,7 +202,7 @@ const DONE_EPS: f64 = 0.5;
 /// degradation multiplier.
 fn link_cap(params: &NetParams, wan_factor: f64, link: LinkKey) -> f64 {
     match link {
-        LinkKey::NodeUp(_) => params.nic_up,
+        LinkKey::NodeUp(_) => NIC_UP,
         LinkKey::NodeDown(_) => params.nic_down,
         LinkKey::SiteUp(_) => params.site_up * wan_factor,
         LinkKey::SiteDown(_) => params.site_down * wan_factor,
@@ -824,11 +824,7 @@ impl FluidNet {
             links_len,
             link_pos,
             remaining: bytes as f64,
-            rate: if links_len == 0 {
-                self.params.loopback
-            } else {
-                0.0
-            },
+            rate: if links_len == 0 { LOOPBACK } else { 0.0 },
             upd: now,
             gen: 0,
             crossing: None,
@@ -961,7 +957,7 @@ impl FluidNet {
             return SimDuration::ZERO;
         }
         match (self.site_of(src), self.site_of(dst)) {
-            (Some(a), Some(b)) if a == b => self.params.intra_site_latency,
+            (Some(a), Some(b)) if a == b => INTRA_SITE_LATENCY,
             _ => self.params.inter_site_latency,
         }
     }
@@ -1110,8 +1106,8 @@ mod tests {
     fn inter_site_flows_bottleneck_on_site_uplink() {
         let (mut net, a, b) = two_site_net();
         // 8 cross-site flows from 4 distinct sources (2 each). Site uplink
-        // is 5 Gbps, NICs are 1 Gbps: per-source NIC is the bottleneck at
-        // 0.5 Gbps per flow (8 * 0.5 = 4 < 5).
+        // is 6 Gbps, NICs are 1 Gbps: per-source NIC is the bottleneck at
+        // 0.5 Gbps per flow (8 * 0.5 = 4 < 6).
         for (i, (&src, &dst)) in a.iter().cycle().zip(b.iter().cycle()).take(8).enumerate() {
             net.start_flow(SimTime::ZERO, src, dst, 62_500_000, i as u64);
         }
@@ -1166,7 +1162,7 @@ mod tests {
         let (mut net, a, b) = two_site_net();
         // Two diffuse cross-site flows sharing one representative source:
         // with a normal source they'd halve the 1 Gbps NIC; diffuse they
-        // only share the 5 Gbps site uplink and distinct receiver NICs, so
+        // only share the 6 Gbps site uplink and distinct receiver NICs, so
         // each gets a full 1 Gbps (receiver-limited).
         net.start_flow_diffuse(SimTime::ZERO, a[0], b[0], 100 * MIB, 0);
         net.start_flow_diffuse(SimTime::ZERO, a[0], b[1], 100 * MIB, 1);
@@ -1187,7 +1183,7 @@ mod tests {
         let (mut net, a, _) = two_site_net();
         net.start_flow(SimTime::ZERO, a[0], a[0], 100 * MIB, 0);
         let r = net.rate_of(FlowId(0)).unwrap();
-        assert_eq!(r, NetParams::grid_default().loopback);
+        assert_eq!(r, LOOPBACK);
     }
 
     #[test]
@@ -1245,7 +1241,7 @@ mod tests {
     fn latency_classes() {
         let (net, a, b) = two_site_net();
         let p = NetParams::grid_default();
-        assert_eq!(net.latency(a[0], a[1]), p.intra_site_latency);
+        assert_eq!(net.latency(a[0], a[1]), INTRA_SITE_LATENCY);
         assert_eq!(net.latency(a[0], b[0]), p.inter_site_latency);
         assert_eq!(net.latency(a[0], a[0]), SimDuration::ZERO);
     }
@@ -1318,7 +1314,7 @@ mod tests {
         // rate, so that flow's live heap entries stay valid and only the
         // newcomer pushes.
         let mut params = NetParams::grid_default();
-        params.nic_down = params.nic_up * 2.5;
+        params.nic_down = NIC_UP * 2.5;
         let mut net = FluidNet::new(params);
         for n in 0..3 {
             net.register_node(NodeId(n), SiteId(0));
@@ -1471,7 +1467,7 @@ mod tests {
                 }
             }
             for (k, v) in loads {
-                let cap = if k.starts_with("site") { p.site_up } else { p.nic_up };
+                let cap = if k.starts_with("site") { p.site_up } else { NIC_UP };
                 prop_assert!(v <= cap * 1.0001, "link {} overloaded: {} > {}", k, v, cap);
             }
         }
@@ -1523,12 +1519,12 @@ mod tests {
             if hetero {
                 // Heterogeneous capacities: downlinks faster than uplinks,
                 // asymmetric site pipes.
-                params.nic_down = params.nic_up * 2.5;
+                params.nic_down = NIC_UP * 2.5;
                 params.site_down = params.site_up * 0.6;
             }
-            let loopback = params.loopback;
+            let loopback = LOOPBACK;
             let (nic_up, nic_down, site_up, site_down) =
-                (params.nic_up, params.nic_down, params.site_up, params.site_down);
+                (NIC_UP, params.nic_down, params.site_up, params.site_down);
             let mut net = FluidNet::new(params);
             // 4 sites × 4 nodes.
             for n in 0..16u32 {

@@ -1,9 +1,23 @@
 //! Link capacities and latencies for the network models.
 
-use hog_sim_core::units::{gbit_per_s, mbit_per_s};
+use hog_sim_core::units::gbit_per_s;
 use hog_sim_core::SimDuration;
 
+/// Per-node NIC transmit capacity (bytes/s): the 1 Gbps Ethernet of
+/// Table III, on the grid and the dedicated cluster alike.
+pub const NIC_UP: f64 = gbit_per_s(1.0);
+
+/// Loopback rate for src == dst transfers (bytes/s); effectively local
+/// disk-to-disk copy speed.
+pub const LOOPBACK: f64 = gbit_per_s(8.0);
+
+/// One-way latency between nodes of the same site.
+pub const INTRA_SITE_LATENCY: SimDuration = SimDuration::from_millis(1);
+
 /// Capacities (bytes/second) and latencies for the grid network.
+/// Per-node transmit capacity ([`NIC_UP`]), loopback rate
+/// ([`LOOPBACK`]) and same-site latency ([`INTRA_SITE_LATENCY`]) are the
+/// same in every configuration.
 ///
 /// The defaults mirror the paper's environment: worker nodes with 1 Gbps
 /// NICs (Table III), sites whose internal bandwidth dwarfs their WAN
@@ -12,8 +26,6 @@ use hog_sim_core::SimDuration;
 /// JobTracker↔TaskTracker HTTP traffic).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetParams {
-    /// Per-node NIC transmit capacity (bytes/s).
-    pub nic_up: f64,
     /// Per-node NIC receive capacity (bytes/s).
     pub nic_down: f64,
     /// Per-site WAN egress capacity (bytes/s), shared by all nodes at the
@@ -21,26 +33,18 @@ pub struct NetParams {
     pub site_up: f64,
     /// Per-site WAN ingress capacity (bytes/s).
     pub site_down: f64,
-    /// Loopback rate for src == dst transfers (bytes/s); effectively local
-    /// disk-to-disk copy speed.
-    pub loopback: f64,
-    /// One-way latency between nodes of the same site.
-    pub intra_site_latency: SimDuration,
     /// One-way latency between nodes of different sites.
     pub inter_site_latency: SimDuration,
 }
 
 impl NetParams {
-    /// Grid defaults: 1 Gbps NICs, 5 Gbps site uplinks, 50 ms WAN one-way
-    /// latency, 0.2 ms LAN latency.
+    /// Grid defaults: 1 Gbps NICs, 6 Gbps site uplinks, 50 ms WAN one-way
+    /// latency, 1 ms LAN latency.
     pub fn grid_default() -> Self {
         NetParams {
-            nic_up: gbit_per_s(1.0),
             nic_down: gbit_per_s(1.0),
             site_up: gbit_per_s(6.0),
             site_down: gbit_per_s(6.0),
-            loopback: gbit_per_s(8.0),
-            intra_site_latency: SimDuration::from_millis(1),
             inter_site_latency: SimDuration::from_millis(50),
         }
     }
@@ -50,23 +54,10 @@ impl NetParams {
     /// to never bottleneck before the NICs).
     pub fn lan_default() -> Self {
         NetParams {
-            nic_up: gbit_per_s(1.0),
             nic_down: gbit_per_s(1.0),
             site_up: gbit_per_s(40.0),
             site_down: gbit_per_s(40.0),
-            loopback: gbit_per_s(8.0),
-            intra_site_latency: SimDuration::from_millis(1),
-            inter_site_latency: SimDuration::from_millis(1),
-        }
-    }
-
-    /// A deliberately slow WAN for stress tests (100 Mbps uplinks).
-    pub fn congested_wan() -> Self {
-        NetParams {
-            site_up: mbit_per_s(100.0),
-            site_down: mbit_per_s(100.0),
-            inter_site_latency: SimDuration::from_millis(80),
-            ..Self::grid_default()
+            inter_site_latency: INTRA_SITE_LATENCY,
         }
     }
 }
@@ -84,17 +75,9 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let g = NetParams::grid_default();
-        assert!(g.site_up > g.nic_up, "site uplink should exceed one NIC");
-        assert!(g.inter_site_latency > g.intra_site_latency);
+        assert!(g.site_up > NIC_UP, "site uplink should exceed one NIC");
+        assert!(g.inter_site_latency > INTRA_SITE_LATENCY);
         let l = NetParams::lan_default();
-        assert_eq!(l.inter_site_latency, l.intra_site_latency);
-    }
-
-    #[test]
-    fn congested_wan_is_slower() {
-        let c = NetParams::congested_wan();
-        let g = NetParams::grid_default();
-        assert!(c.site_up < g.site_up);
-        assert!(c.inter_site_latency > g.inter_site_latency);
+        assert_eq!(l.inter_site_latency, INTRA_SITE_LATENCY);
     }
 }

@@ -82,15 +82,6 @@ impl WanTier {
         }
     }
 
-    /// Default federation backbone: 2 Gbps shared — a third of the 6 Gbps
-    /// site uplinks inside a pool — at 100 ms one-way (continental RTT).
-    pub fn inter_pool_default() -> Self {
-        WanTier::new(
-            hog_sim_core::units::gbit_per_s(2.0),
-            SimDuration::from_millis(100),
-        )
-    }
-
     /// Begin moving `bytes` from `from_pool` to `to_pool`. The caller must
     /// have advanced the tier to `now` first (rates of ongoing transfers
     /// change the moment the flow set does).

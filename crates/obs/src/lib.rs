@@ -31,5 +31,5 @@ pub use registry::{
 };
 pub use trace::{
     FieldValue, FullSink, Layer, NoopSink, ObsOptions, RingSink, TraceEvent, TraceLog, TraceMode,
-    TraceSink, Tracer,
+    TraceSink, Tracer, DUMP_TAIL,
 };

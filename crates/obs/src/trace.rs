@@ -417,26 +417,17 @@ pub struct TraceLog {
     pub dropped: u64,
 }
 
+/// How many flight-recorder events a chaos failure dump appends.
+pub const DUMP_TAIL: usize = 30;
+
 /// Observability knobs carried inside a cluster configuration. The default
 /// records nothing and registers no metrics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ObsOptions {
     /// Trace recording mode.
     pub trace: TraceMode,
     /// Register and snapshot the per-layer metrics registry.
     pub metrics: bool,
-    /// How many flight-recorder events to append to a chaos failure dump.
-    pub dump_tail: usize,
-}
-
-impl Default for ObsOptions {
-    fn default() -> Self {
-        ObsOptions {
-            trace: TraceMode::Off,
-            metrics: false,
-            dump_tail: 30,
-        }
-    }
 }
 
 impl ObsOptions {
@@ -529,7 +520,6 @@ mod tests {
         assert!(!o.active());
         assert_eq!(o.trace, TraceMode::Off);
         assert!(!o.metrics);
-        assert!(o.dump_tail > 0);
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub struct UniformDuration {
 
 impl UniformDuration {
     /// Uniform over `[lo, hi]`. If `hi < lo` the bounds are swapped.
-    pub fn new(lo: SimDuration, hi: SimDuration) -> Self {
-        if hi < lo {
+    pub const fn new(lo: SimDuration, hi: SimDuration) -> Self {
+        if hi.as_millis() < lo.as_millis() {
             UniformDuration { lo: hi, hi: lo }
         } else {
             UniformDuration { lo, hi }
@@ -70,7 +70,7 @@ impl UniformDuration {
     }
 
     /// A degenerate point distribution.
-    pub fn point(v: SimDuration) -> Self {
+    pub const fn point(v: SimDuration) -> Self {
         UniformDuration { lo: v, hi: v }
     }
 

@@ -44,7 +44,7 @@ pub mod units;
 pub use audit::{Auditable, Violation};
 pub use dist::{Exponential, LogNormal, UniformDuration};
 pub use engine::{Model, Scheduler, Simulation};
-pub use liveness::{Liveness, LivenessIndex};
+pub use liveness::{Liveness, LivenessIndex, HOG_DEAD_TIMEOUT, STOCK_DEAD_TIMEOUT};
 pub use metrics::{Counter, Histogram, StepSeries, Summary, TimeRegression};
 pub use queue::EventQueue;
 pub use rng::SimRng;

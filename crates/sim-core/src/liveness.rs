@@ -2,18 +2,30 @@
 //! worker nodes do not report every 30 seconds, then the node is marked
 //! dead for both the namenode and jobtracker".
 //!
-//! Each master keeps a [`Liveness`] field in its per-worker record, its
-//! own timeout, and one [`LivenessIndex`] beside the record map. Every
-//! change of a liveness field goes through [`LivenessIndex::transition`],
-//! which keeps two summaries in step with the records: the `Silent`
-//! suspects, so the per-tick death check ([`LivenessIndex::overdue`])
-//! walks suspects instead of every worker, and the number of `Dead`
-//! records, so the live and reported counts are O(1). The master's audit
-//! recounts both from the records ([`LivenessIndex::audit`]).
+//! Both masters read one timeout (`HdfsConfig::dead_node_timeout` in
+//! hog-hdfs; the cluster hands the same value to the JobTracker), preset
+//! to [`HOG_DEAD_TIMEOUT`] or [`STOCK_DEAD_TIMEOUT`]. Each master keeps a
+//! [`Liveness`] field in its per-worker record and one [`LivenessIndex`]
+//! beside the record map. Every change of a liveness field goes through
+//! [`LivenessIndex::transition`], which keeps two summaries in step with
+//! the records: the `Silent` suspects, so the per-tick death check
+//! ([`LivenessIndex::overdue`]) walks suspects instead of every worker,
+//! and the number of `Dead` records, so the live and reported counts are
+//! O(1). The master's audit recounts both from the records
+//! ([`LivenessIndex::audit`]).
 
 use crate::audit::Violation;
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeSet;
+
+/// HOG's dead-node timeout (§III-B): a worker silent for 30 s is dead to
+/// both the namenode and the JobTracker.
+pub const HOG_DEAD_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
+/// Stock Hadoop 0.20's dead-node timeout, as on the dedicated cluster:
+/// twice the 5-minute recheck interval plus ten 3 s heartbeats
+/// (`2 × heartbeat.recheck.interval + 10 × heartbeat.interval`).
+pub const STOCK_DEAD_TIMEOUT: SimDuration = SimDuration::from_secs(630);
 
 /// A worker's liveness as one master sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -13,21 +13,25 @@ pub const GIB: u64 = 1024 * MIB;
 /// One tebibyte.
 pub const TIB: u64 = 1024 * GIB;
 
+/// The HDFS block size (64 MB in the paper). Files split into blocks of
+/// this size, and each map task reads one block.
+pub const BLOCK_SIZE: u64 = 64 * MIB;
+
 /// Convert megabits/second to bytes/second.
 #[inline]
-pub fn mbit_per_s(mbit: f64) -> f64 {
+pub const fn mbit_per_s(mbit: f64) -> f64 {
     mbit * 1_000_000.0 / 8.0
 }
 
 /// Convert gigabits/second to bytes/second.
 #[inline]
-pub fn gbit_per_s(gbit: f64) -> f64 {
+pub const fn gbit_per_s(gbit: f64) -> f64 {
     gbit * 1_000_000_000.0 / 8.0
 }
 
 /// Convert mebibytes/second to bytes/second.
 #[inline]
-pub fn mib_per_s(mib: f64) -> f64 {
+pub const fn mib_per_s(mib: f64) -> f64 {
     mib * MIB as f64
 }
 

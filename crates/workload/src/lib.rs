@@ -31,7 +31,6 @@ pub mod swim;
 pub mod trace;
 
 pub use facebook::{bin_for_maps, Bin, FACEBOOK_BINS, TRUNCATED_BIN_COUNT};
-pub use jobmodel::LoadgenParams;
 pub use schedule::{JobSpec, SubmissionSchedule};
 pub use straggler::StragglerMix;
 pub use swim::{from_swim, to_swim};

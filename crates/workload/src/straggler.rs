@@ -14,29 +14,30 @@
 use hog_sim_core::dist::standard_normal;
 use hog_sim_core::SimRng;
 
+/// Median slowdown multiplier of a straggler: typically 2× slow, as in
+/// published straggler studies.
+pub const SLOWDOWN_MEDIAN: f64 = 2.0;
+
+/// Log-normal sigma of the slowdown multiplier: the tail reaches a few
+/// tasks several× slow.
+pub const SLOWDOWN_SIGMA: f64 = 0.5;
+
 /// Parameters of the straggler slowdown mix. Applied multiplicatively
 /// to task CPU durations by the cluster when configured
-/// (`ClusterConfig::straggler` in `hog-core`).
+/// (`ClusterConfig::straggler` in `hog-core`). A straggler's slowdown
+/// is log-normal around [`SLOWDOWN_MEDIAN`] with sigma
+/// [`SLOWDOWN_SIGMA`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StragglerMix {
     /// Probability that a task attempt is a straggler (0..1).
     pub fraction: f64,
-    /// Median slowdown multiplier of a straggler (≥ 1).
-    pub slowdown_median: f64,
-    /// Log-normal sigma of the slowdown multiplier: larger values
-    /// thicken the tail (a few tasks 5–10× slow).
-    pub slowdown_sigma: f64,
 }
 
 impl StragglerMix {
     /// Defaults matching published straggler studies: ~5 % of tasks
     /// straggle, typically 2× slow, log-normal tail reaching several×.
     pub fn osg_default() -> Self {
-        StragglerMix {
-            fraction: 0.05,
-            slowdown_median: 2.0,
-            slowdown_sigma: 0.5,
-        }
+        StragglerMix { fraction: 0.05 }
     }
 
     /// CPU-time multiplier for one task attempt: 1.0 for the
@@ -48,7 +49,7 @@ impl StragglerMix {
             return 1.0;
         }
         let z = standard_normal(rng);
-        (self.slowdown_median.max(1.0) * (self.slowdown_sigma.max(0.0) * z).exp()).max(1.0)
+        (SLOWDOWN_MEDIAN * (SLOWDOWN_SIGMA * z).exp()).max(1.0)
     }
 }
 
@@ -93,10 +94,7 @@ mod tests {
 
     #[test]
     fn zero_fraction_is_inert_and_drawless() {
-        let mix = StragglerMix {
-            fraction: 0.0,
-            ..StragglerMix::osg_default()
-        };
+        let mix = StragglerMix { fraction: 0.0 };
         let mut a = SimRng::seed_from_u64(9);
         let mut b = SimRng::seed_from_u64(9);
         for _ in 0..100 {

@@ -10,7 +10,7 @@
 //!
 //! SWIM describes jobs by *bytes*, not task counts, so replay maps the
 //! byte columns back onto the simulator's task model: map count is the
-//! input size in 64 MB blocks (per [`LoadgenParams::bytes_per_map`]),
+//! input size in 64 MB blocks ([`BLOCK_SIZE`]),
 //! and the reduce count comes from the Table I bin whose observed
 //! map-count range contains that job ([`bin_for_maps`]) — the same
 //! non-decreasing Table II pattern the synthetic generator uses. A
@@ -19,15 +19,16 @@
 //! re-derived from the bin taxonomy.
 
 use crate::facebook::bin_for_maps;
-use crate::jobmodel::LoadgenParams;
+use crate::jobmodel;
 use crate::schedule::{JobSpec, SubmissionSchedule};
 use crate::trace::TraceError;
+use hog_sim_core::units::BLOCK_SIZE;
 use hog_sim_core::{SimDuration, SimTime};
 
 /// Render a schedule as a SWIM trace (no header; SWIM files have none).
-/// Byte columns follow the cost model: `maps ·` [`LoadgenParams::bytes_per_map`]
-/// input, the configured shuffle ratio, and the final-output ratio.
-pub fn to_swim(schedule: &SubmissionSchedule, params: &LoadgenParams) -> String {
+/// Byte columns follow the cost model ([`crate::jobmodel`]): `maps ·`
+/// [`BLOCK_SIZE`] input, the shuffle ratio, and the final-output ratio.
+pub fn to_swim(schedule: &SubmissionSchedule) -> String {
     let mut out = String::new();
     let mut prev = SimTime::ZERO;
     for j in schedule.jobs() {
@@ -38,9 +39,9 @@ pub fn to_swim(schedule: &SubmissionSchedule, params: &LoadgenParams) -> String 
             j.id,
             j.submit_at.as_secs_f64(),
             gap.as_secs_f64(),
-            params.input_bytes(j.maps),
-            params.shuffle_bytes(j.maps),
-            params.output_bytes(j.maps),
+            jobmodel::input_bytes(j.maps),
+            jobmodel::shuffle_bytes(j.maps),
+            jobmodel::output_bytes(j.maps),
         ));
     }
     out
@@ -50,8 +51,7 @@ pub fn to_swim(schedule: &SubmissionSchedule, params: &LoadgenParams) -> String 
 /// time-ordered; blank lines and `#` comments are skipped. Job ids are
 /// assigned in row order (the trace's own ids are free-form strings and
 /// are not preserved).
-pub fn from_swim(text: &str, params: &LoadgenParams) -> Result<SubmissionSchedule, TraceError> {
-    let block = params.bytes_per_map.max(1);
+pub fn from_swim(text: &str) -> Result<SubmissionSchedule, TraceError> {
     let mut jobs = Vec::new();
     let mut last = SimTime::ZERO;
     for (i, raw) in text.lines().enumerate() {
@@ -85,7 +85,7 @@ pub fn from_swim(text: &str, params: &LoadgenParams) -> Result<SubmissionSchedul
             col.parse::<u64>()
                 .map_err(|e| err(format!("bad {name}: {e}")))?;
         }
-        let maps = input_bytes.div_ceil(block).max(1) as u32;
+        let maps = input_bytes.div_ceil(BLOCK_SIZE).max(1) as u32;
         let bin = bin_for_maps(maps);
         let submit_at = SimTime::ZERO + SimDuration::from_secs_f64(submit_secs);
         if submit_at < last {
@@ -109,13 +109,12 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_bin_generated_schedules() {
-        let params = LoadgenParams::calibrated();
         for original in [
             SubmissionSchedule::facebook_truncated(9),
             SubmissionSchedule::facebook_day(3),
         ] {
-            let swim = to_swim(&original, &params);
-            let parsed = from_swim(&swim, &params).unwrap();
+            let swim = to_swim(&original);
+            let parsed = from_swim(&swim).unwrap();
             assert_eq!(parsed.len(), original.len());
             for (a, b) in original.jobs().iter().zip(parsed.jobs()) {
                 assert_eq!(a.bin, b.bin);
@@ -128,14 +127,13 @@ mod tests {
 
     #[test]
     fn maps_come_from_input_bytes() {
-        let params = LoadgenParams::calibrated();
         // 10 blocks exactly, and a ragged 10.5-block job that rounds up.
-        let ten = 10 * params.bytes_per_map;
+        let ten = 10 * BLOCK_SIZE;
         let text = format!(
             "a\t0.0\t0.0\t{ten}\t0\t0\nb\t5.0\t5.0\t{}\t0\t0\n",
-            ten + params.bytes_per_map / 2
+            ten + BLOCK_SIZE / 2
         );
-        let s = from_swim(&text, &params).unwrap();
+        let s = from_swim(&text).unwrap();
         assert_eq!(s.jobs()[0].maps, 10);
         assert_eq!(s.jobs()[0].bin, 3); // 3..=20 observed range
         assert_eq!(s.jobs()[0].reduces, 5);
@@ -144,23 +142,18 @@ mod tests {
 
     #[test]
     fn rejects_malformed_rows() {
-        let p = LoadgenParams::calibrated();
-        assert!(from_swim("a\t0.0\t0.0\t1\t1\n", &p).is_err(), "5 columns");
-        assert!(from_swim("a\tx\t0.0\t1\t1\t1\n", &p).is_err(), "bad float");
-        assert!(
-            from_swim("a\t0.0\t0.0\tz\t1\t1\n", &p).is_err(),
-            "bad bytes"
-        );
+        assert!(from_swim("a\t0.0\t0.0\t1\t1\n").is_err(), "5 columns");
+        assert!(from_swim("a\tx\t0.0\t1\t1\t1\n").is_err(), "bad float");
+        assert!(from_swim("a\t0.0\t0.0\tz\t1\t1\n").is_err(), "bad bytes");
         let unordered = "a\t5.0\t0.0\t1\t1\t1\nb\t1.0\t0.0\t1\t1\t1\n";
-        let e = from_swim(unordered, &p).unwrap_err();
+        let e = from_swim(unordered).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("time-ordered"));
     }
 
     #[test]
     fn comments_and_tiny_jobs_handled() {
-        let p = LoadgenParams::calibrated();
-        let s = from_swim("# header comment\n\na\t0.0\t0.0\t1\t0\t0\n", &p).unwrap();
+        let s = from_swim("# header comment\n\na\t0.0\t0.0\t1\t0\t0\n").unwrap();
         assert_eq!(s.len(), 1);
         assert_eq!(s.jobs()[0].maps, 1, "sub-block inputs clamp to one map");
         assert_eq!(s.jobs()[0].bin, 1);

@@ -30,7 +30,7 @@ fn main() {
         ClusterConfig::hog(30, 42),
     ];
     let cfg = FedConfig::new(pools, 41)
-        .with_sharing(0.5, 1, 2)
+        .with_sharing(0.5, 2)
         .with_audit(true)
         .named("partition-drill");
     let schedule = SubmissionSchedule::facebook_truncated(2041);

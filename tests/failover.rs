@@ -13,7 +13,7 @@ use hog_repro::mapreduce::{JobSubmission, JobTracker, MrParams};
 use hog_repro::net::Topology;
 use hog_repro::prelude::*;
 use hog_repro::sim::units::GIB;
-use hog_repro::sim::SimRng;
+use hog_repro::sim::{SimRng, HOG_DEAD_TIMEOUT};
 use hog_workload::facebook::Bin;
 use proptest::prelude::*;
 
@@ -69,7 +69,7 @@ fn crash_at(at: u64) -> FaultPlan {
 #[test]
 fn crash_mid_run_recovers_and_completes_every_job() {
     let cfg = base_cfg(21)
-        .with_failover(secs(120), secs(30))
+        .with_failover(secs(120))
         .with_fault_plan(crash_at(300));
     let r = run_workload(cfg, &schedule(9), HORIZON);
     assert!(!r.stopped_early, "stuck jobs: {:?}", r.stuck_jobs);
@@ -118,7 +118,7 @@ fn crash_mid_run_recovers_and_completes_every_job() {
 fn failover_runs_replay_bit_identically() {
     let run = || {
         let cfg = base_cfg(77)
-            .with_failover(secs(120), secs(30))
+            .with_failover(secs(120))
             .with_fault_plan(crash_at(400));
         run_workload(cfg, &schedule(11), HORIZON)
     };
@@ -157,7 +157,7 @@ fn mirror_failover_crash_is_outcome_identical_to_crash_free_run() {
     let crash_free = run_workload(base_cfg(44), &schedule(15), HORIZON);
     let mirrored = run_workload(
         base_cfg(44)
-            .with_failover(SimDuration::ZERO, secs(30))
+            .with_failover(SimDuration::ZERO)
             .with_fault_plan(crash_at(300)),
         &schedule(15),
         HORIZON,
@@ -181,7 +181,7 @@ fn master_stall_defers_checkpoints_outside_the_stall_window() {
     let stall_from = 120u64;
     let stall_secs = 240u64;
     let cfg = base_cfg(55)
-        .with_failover(secs(60), secs(30))
+        .with_failover(secs(60))
         .with_fault_plan(FaultPlan::new().at(
             secs(stall_from),
             Fault::MasterStall {
@@ -223,13 +223,11 @@ fn master_stall_defers_checkpoints_outside_the_stall_window() {
 fn stall_then_crash_still_recovers() {
     // A stall immediately before the crash must not corrupt the
     // checkpoint the standby later restores.
-    let cfg = base_cfg(66)
-        .with_failover(secs(120), secs(30))
-        .with_fault_plan(
-            FaultPlan::new()
-                .at(secs(150), Fault::MasterStall { duration: secs(60) })
-                .at(secs(300), Fault::MasterCrash),
-        );
+    let cfg = base_cfg(66).with_failover(secs(120)).with_fault_plan(
+        FaultPlan::new()
+            .at(secs(150), Fault::MasterStall { duration: secs(60) })
+            .at(secs(300), Fault::MasterCrash),
+    );
     let r = run_workload(cfg, &schedule(19), HORIZON);
     assert!(!r.stopped_early, "stuck jobs: {:?}", r.stuck_jobs);
     assert_eq!(r.jobs_succeeded(), r.jobs.len());
@@ -291,7 +289,11 @@ fn random_masters(
         nn.mark_silent(t0 + secs(5), node_ids[1]);
     }
 
-    let mut jt = JobTracker::new(MrParams::hog(), SimRng::seed_from_u64(seed ^ 1));
+    let mut jt = JobTracker::new(
+        MrParams::hog(),
+        HOG_DEAD_TIMEOUT,
+        SimRng::seed_from_u64(seed ^ 1),
+    );
     for (i, &n) in node_ids.iter().enumerate() {
         let site = if i % 2 == 0 { site_a } else { site_b };
         jt.register_tracker(t0, n, site, 1, 1);

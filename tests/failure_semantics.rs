@@ -39,22 +39,54 @@ fn tiny_scratch_disks_cause_disk_full_failures() {
     assert_eq!(r2.jobs_succeeded(), 3);
 }
 
+/// Every `(instant, node)` at which a trace records a death of `kind`:
+/// the namenode's `dn_dead` or the JobTracker's `tracker_dead`.
+fn deaths(r: &RunResult, kind: &str) -> Vec<(SimTime, String)> {
+    let log = r.trace.as_ref().expect("run was traced");
+    log.events
+        .iter()
+        .filter(|e| e.kind == kind)
+        .map(|e| {
+            (
+                e.time,
+                e.field("node").expect("death names its node").to_string(),
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn fast_detection_beats_stock_timeout_under_churn() {
     let churn = SimDuration::from_secs(20 * 60);
     let sched = schedule(4, 15, 4, 13);
     let fast = run_workload(
-        ClusterConfig::hog(25, 14).with_mean_lifetime(churn),
+        ClusterConfig::hog(25, 14)
+            .with_mean_lifetime(churn)
+            .with_dead_timeout(SimDuration::from_secs(30))
+            .with_tracing(TraceMode::Full),
         &sched,
         HORIZON,
     );
     let slow = run_workload(
         ClusterConfig::hog(25, 14)
             .with_mean_lifetime(churn)
-            .with_dead_timeout(SimDuration::from_secs(630)),
+            .with_dead_timeout(SimDuration::from_secs(630))
+            .with_tracing(TraceMode::Full),
         &sched,
         HORIZON,
     );
+    // One `with_dead_timeout` drives both masters: every worker that
+    // goes silent dies to the namenode and the JobTracker at the same
+    // instant, under either timeout.
+    for (label, r) in [("30 s", &fast), ("630 s", &slow)] {
+        let dn = deaths(r, "dn_dead");
+        assert!(!dn.is_empty(), "{label}: churn must kill some workers");
+        assert_eq!(
+            dn,
+            deaths(r, "tracker_dead"),
+            "{label}: namenode and JobTracker disagree on deaths"
+        );
+    }
     let f = fast
         .response_time
         .map(|d| d.as_secs_f64())

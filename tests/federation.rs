@@ -60,7 +60,7 @@ fn two_pool_federation_completes_and_crosses_the_wan() {
     let pools = vec![ClusterConfig::hog(20, 3), ClusterConfig::hog(20, 4)];
     let fed = run_federation(
         FedConfig::new(pools, 9)
-            .with_sharing(0.5, 1, 2)
+            .with_sharing(0.5, 2)
             .with_audit(true),
         &schedule,
         HORIZON,
@@ -116,7 +116,7 @@ fn meta_scheduler_routing_is_deterministic_under_fixed_seed() {
             HORIZON,
         )
     };
-    for policy in [RoutingPolicy::locality_default(), RoutingPolicy::Random] {
+    for policy in [RoutingPolicy::LocalityAware, RoutingPolicy::Random] {
         let a = run(policy, 33);
         let b = run(policy, 33);
         assert_eq!(a.routed_to, b.routed_to, "{policy:?} routing replayed");
