@@ -57,7 +57,8 @@ fn bench_fluid_recompute(c: &mut Criterion) {
                     net.start_flow(SimTime::ZERO, src, dst, 64 << 20, i as u64);
                     net.flush();
                 }
-                black_box(net.active_flows())
+                black_box(net.active_flows());
+                net
             },
             BatchSize::SmallInput,
         )
@@ -113,7 +114,8 @@ fn bench_namenode_tick(c: &mut Criterion) {
             },
             |(mut nn, topo)| {
                 let out = nn.tick(SimTime::from_secs(60), &topo);
-                black_box(out.orders.len())
+                black_box(out.orders.len());
+                (nn, topo)
             },
             BatchSize::SmallInput,
         )

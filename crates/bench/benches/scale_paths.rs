@@ -13,19 +13,27 @@
 //!   settles with one pass per touched component.
 //! * `namenode_tick/*` — one replication-monitor tick with a deep
 //!   under-replication queue. The bucketed queue dispatches without the
-//!   per-tick sort of the whole backlog.
+//!   per-tick sort of the whole backlog. `300_datanodes_r10` is
+//!   churn_300's shape: 64 repair orders at replication 10, each
+//!   filtering the tick's one candidate table.
 //! * `jobtracker_heartbeat/*` — one cluster-wide heartbeat round against
 //!   a loaded job queue. The incremental job-order cache and pending-only
 //!   locality index keep the per-heartbeat cost flat in tracker count.
 //!   `idle_10000_trackers_spec_on` is the long tail of a 10k-node run:
 //!   nothing pending, speculation on, every job with a mean.
+//!   `idle_300_trackers_failure_aware` is churn_300's idle round: the
+//!   failure-aware policy holds a penalty on every site, and nothing is
+//!   pending.
 //! * `site_aware_choose/*` — one 10-replica block placement over 10k
 //!   candidates in 32 sites.
+//!
+//! Every `iter_batched` routine returns the state it consumed, so the
+//! harness drops it after the clock stops and no sample times teardown.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hog_hdfs::placement::{Candidate, PlacementPolicy, SiteAwarePolicy};
 use hog_hdfs::{BlockId, HdfsConfig, Namenode};
-use hog_mapreduce::{Assignment, JobSubmission, JobTracker, MrParams};
+use hog_mapreduce::{Assignment, JobSubmission, JobTracker, MrParams, SchedPolicy};
 use hog_net::{FluidNet, NetParams, NodeId, SiteId, Topology};
 use hog_sim_core::{EventQueue, SimDuration, SimRng, SimTime, HOG_DEAD_TIMEOUT};
 use std::hint::black_box;
@@ -60,7 +68,8 @@ fn bench_fluid_recompute(c: &mut Criterion) {
                     // touched component.
                     net.start_flow(SimTime::ZERO, NodeId(3), NodeId(397), 256 << 20, 1 << 40);
                     black_box(net.next_completion());
-                    black_box(net.recompute_work())
+                    black_box(net.recompute_work());
+                    net
                 },
                 BatchSize::SmallInput,
             )
@@ -77,7 +86,8 @@ fn bench_fluid_recompute(c: &mut Criterion) {
                     net.start_flow(SimTime::ZERO, src, dst, 64 << 20, (1 << 40) + i as u64);
                 }
                 black_box(net.next_completion());
-                black_box(net.recompute_work())
+                black_box(net.recompute_work());
+                net
             },
             BatchSize::SmallInput,
         )
@@ -85,48 +95,78 @@ fn bench_fluid_recompute(c: &mut Criterion) {
     group.finish();
 }
 
+/// A namenode over `sites` × `per_site` datanodes holding `blocks`
+/// blocks of `block` bytes at the config's replication, with the first
+/// `dead` nodes declared dead by a priming tick, which also fills the
+/// under-replication queue and dispatches its first orders.
+fn loaded_nn(
+    cfg: HdfsConfig,
+    sites: u32,
+    per_site: u32,
+    blocks: u32,
+    block: u64,
+    dead: usize,
+) -> (Namenode, Topology) {
+    let mut topo = Topology::new();
+    let mut nodes = Vec::new();
+    for s in 0..sites {
+        let site = topo.add_site(format!("S{s}"), format!("s{s}.edu"));
+        for _ in 0..per_site {
+            nodes.push(topo.add_node(site));
+        }
+    }
+    let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(3));
+    for &n in &nodes {
+        nn.register_datanode(SimTime::ZERO, n);
+    }
+    let f = nn.create_file_default("/in");
+    for _ in 0..blocks {
+        let (blk, t) = nn.allocate_block(f, block, None, &topo).unwrap();
+        nn.commit_block(blk, &t);
+    }
+    for &n in nodes.iter().take(dead) {
+        nn.mark_silent(SimTime::from_secs(1), n);
+    }
+    let _ = nn.tick(SimTime::from_secs(3600), &topo);
+    (nn, topo)
+}
+
 fn bench_namenode_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("namenode_tick");
     group.sample_size(10);
-    // 10k blocks on 200 datanodes at replication 3; killing 7 nodes puts
-    // ~1k blocks below target, so the measured tick dispatches from a
+    // 10k blocks on 200 datanodes in 10 sites at the hog preset's
+    // replication 10; killing 7 nodes of one site puts thousands of
+    // blocks below target, so the measured tick dispatches from a
     // four-digit priority queue (bounded by max_repl_orders_per_tick).
     group.bench_function("10k_blocks_1k_under", |b| {
         b.iter_batched(
             || {
-                let mut topo = Topology::new();
-                let mut nodes = Vec::new();
-                for s in 0..10 {
-                    let site = topo.add_site(format!("S{s}"), format!("s{s}.edu"));
-                    for _ in 0..20 {
-                        nodes.push(topo.add_node(site));
-                    }
-                }
-                let mut nn = Namenode::new(
-                    HdfsConfig::hog(),
-                    Box::new(SiteAwarePolicy),
-                    SimRng::seed_from_u64(3),
-                );
-                for &n in &nodes {
-                    nn.register_datanode(SimTime::ZERO, n);
-                }
-                let f = nn.create_file_default("/in");
-                for _ in 0..10_000 {
-                    let (blk, t) = nn.allocate_block(f, 8 << 20, None, &topo).unwrap();
-                    nn.commit_block(blk, &t);
-                }
-                for &n in nodes.iter().take(7) {
-                    nn.mark_silent(SimTime::from_secs(1), n);
-                }
-                // Priming tick: declares the silent nodes dead and fills
-                // the under-replication queue.
-                let _ = nn.tick(SimTime::from_secs(3600), &topo);
+                let (nn, topo) = loaded_nn(HdfsConfig::hog(), 10, 20, 10_000, 8 << 20, 7);
                 assert!(nn.under_replicated_count() >= 1000);
                 (nn, topo)
             },
             |(mut nn, topo)| {
                 let out = nn.tick(SimTime::from_secs(3700), &topo);
-                black_box((out.orders.len(), nn.under_replicated_count()))
+                black_box((out.orders.len(), nn.under_replicated_count()));
+                (nn, topo)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // churn_300's shape: 300 datanodes over 5 sites at replication 10,
+    // 30 of them dead, so hundreds of blocks are short and the measured
+    // tick makes its full budget of 64 orders.
+    group.bench_function("300_datanodes_r10", |b| {
+        b.iter_batched(
+            || {
+                let (nn, topo) = loaded_nn(HdfsConfig::hog(), 5, 60, 400, 64 << 20, 30);
+                assert!(nn.under_replicated_count() >= 64);
+                (nn, topo)
+            },
+            |(mut nn, topo)| {
+                let out = nn.tick(SimTime::from_secs(3603), &topo);
+                assert_eq!(out.orders.len(), 64);
+                (nn, topo)
             },
             BatchSize::SmallInput,
         )
@@ -165,7 +205,8 @@ fn bench_event_queue(c: &mut Criterion) {
                             q.push(at + period, (true, n));
                         }
                     }
-                    black_box(q.len())
+                    black_box(q.len());
+                    q
                 },
                 BatchSize::SmallInput,
             )
@@ -174,13 +215,38 @@ fn bench_event_queue(c: &mut Criterion) {
     group.finish();
 }
 
-/// A JobTracker with `trackers` registered workers over `trackers / 200`
-/// sites and `jobs` submitted jobs (50 maps and `reduces` reduces each)
-/// whose splits land on real workers, plus the matching topology.
+/// Job `j` of a loaded queue: 50 maps whose three-replica splits are
+/// scattered over `nodes` like placement would scatter them, and
+/// `reduces` reduces.
+fn submission(j: u32, nodes: &[NodeId], reduces: u32) -> JobSubmission {
+    let maps = 50usize;
+    JobSubmission {
+        input_blocks: (0..maps)
+            .map(|i| (BlockId((j as u64) << 20 | i as u64), 64 << 20))
+            .collect(),
+        split_locations: (0..maps)
+            .map(|i| {
+                (0..3usize)
+                    .map(|r| nodes[(i * 997 + r * 131 + j as usize * 7919) % nodes.len()])
+                    .collect()
+            })
+            .collect(),
+        reduces,
+        map_cpu_secs: 30.0,
+        map_output_bytes: 16 << 20,
+        reduce_cpu_secs: 10.0,
+        reduce_output_bytes: 16 << 20,
+        output_replication: 10,
+    }
+}
+
+/// A JobTracker with `params`, `trackers` registered workers over
+/// `trackers / 200` sites and `jobs` submitted jobs (see [`submission`]),
+/// plus the matching topology.
 fn loaded_jt(
     trackers: u32,
     jobs: u32,
-    speculation: bool,
+    params: MrParams,
     reduces: u32,
 ) -> (JobTracker, Topology, Vec<NodeId>) {
     let mut topo = Topology::new();
@@ -194,37 +260,12 @@ fn loaded_jt(
             }
         }
     }
-    let mut jt = JobTracker::new(
-        MrParams::hog().with_speculation(speculation),
-        HOG_DEAD_TIMEOUT,
-        SimRng::seed_from_u64(11),
-    );
+    let mut jt = JobTracker::new(params, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(11));
     for &n in &nodes {
         jt.register_tracker(SimTime::ZERO, n, topo.site_of(n), 1, 1);
     }
     for j in 0..jobs {
-        let maps = 50usize;
-        let spec = JobSubmission {
-            input_blocks: (0..maps)
-                .map(|i| (BlockId((j as u64) << 20 | i as u64), 64 << 20))
-                .collect(),
-            split_locations: (0..maps)
-                .map(|i| {
-                    // Three replicas per split, scattered like placement
-                    // would scatter them.
-                    (0..3usize)
-                        .map(|r| nodes[(i * 997 + r * 131 + j as usize * 7919) % nodes.len()])
-                        .collect()
-                })
-                .collect(),
-            reduces,
-            map_cpu_secs: 30.0,
-            map_output_bytes: 16 << 20,
-            reduce_cpu_secs: 10.0,
-            reduce_output_bytes: 16 << 20,
-            output_replication: 10,
-        };
-        jt.submit_job(SimTime::ZERO, spec, &topo);
+        jt.submit_job(SimTime::ZERO, submission(j, &nodes, reduces), &topo);
     }
     (jt, topo, nodes)
 }
@@ -246,7 +287,7 @@ fn heartbeat_round(jt: &mut JobTracker, topo: &Topology, nodes: &[NodeId], now: 
 /// all started at 3 s; three maps per job finished at 30 s, so every job
 /// has a mean and nothing is pending.
 fn idle_jt() -> (JobTracker, Topology, Vec<NodeId>) {
-    let (mut jt, topo, nodes) = loaded_jt(10_000, 20, true, 0);
+    let (mut jt, topo, nodes) = loaded_jt(10_000, 20, MrParams::hog(), 0);
     let mut out: Vec<Assignment> = Vec::new();
     let mut started: Vec<Vec<Assignment>> = vec![Vec::new(); 20];
     for &n in &nodes {
@@ -264,6 +305,42 @@ fn idle_jt() -> (JobTracker, Topology, Vec<NodeId>) {
     (jt, topo, nodes)
 }
 
+/// churn_300's pool under the failure-aware policy: 300 trackers over 5
+/// sites, speculation on. One more tracker per site died at 31 s, so
+/// every site carries a penalty score. Four map-only jobs' 200 maps all
+/// started at 32 s, and that round's idle slots found no job with a
+/// mean, so nothing is pending and speculation is quiet.
+fn idle_failure_aware_jt() -> (JobTracker, Topology, Vec<NodeId>) {
+    let mut topo = Topology::new();
+    let (mut nodes, mut victims) = (Vec::new(), Vec::new());
+    for s in 0..5 {
+        let site = topo.add_site(format!("S{s}"), format!("s{s}.edu"));
+        victims.push(topo.add_node(site));
+        for _ in 0..60 {
+            nodes.push(topo.add_node(site));
+        }
+    }
+    let params = MrParams::hog().with_scheduler(SchedPolicy::FailureAware);
+    let mut jt = JobTracker::new(params, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(11));
+    for &n in victims.iter().chain(&nodes) {
+        jt.register_tracker(SimTime::ZERO, n, topo.site_of(n), 1, 1);
+    }
+    for &v in &victims {
+        jt.tracker_silent(SimTime::from_secs(1), v);
+    }
+    assert_eq!(jt.check_dead(SimTime::from_secs(31)).0.len(), victims.len());
+    for j in 0..4 {
+        jt.submit_job(SimTime::from_secs(32), submission(j, &nodes, 0), &topo);
+    }
+    assert_eq!(
+        heartbeat_round(&mut jt, &topo, &nodes, SimTime::from_secs(32)),
+        200
+    );
+    assert_eq!(jt.backlog().pending_maps, 0);
+    assert!((0..5).all(|s| jt.site_penalty(SiteId(s), SimTime::from_secs(35)) > 0.0));
+    (jt, topo, nodes)
+}
+
 fn bench_jobtracker_heartbeat(c: &mut Criterion) {
     let mut group = c.benchmark_group("jobtracker_heartbeat");
     group.sample_size(10);
@@ -273,14 +350,15 @@ fn bench_jobtracker_heartbeat(c: &mut Criterion) {
         let name = format!("{trackers}_trackers_{jobs}_jobs");
         group.bench_function(&name, |b| {
             b.iter_batched(
-                || loaded_jt(trackers, jobs, false, 4),
+                || loaded_jt(trackers, jobs, MrParams::hog().with_speculation(false), 4),
                 |(mut jt, topo, nodes)| {
                     black_box(heartbeat_round(
                         &mut jt,
                         &topo,
                         &nodes,
                         SimTime::from_secs(3),
-                    ))
+                    ));
+                    (jt, topo, nodes)
                 },
                 BatchSize::SmallInput,
             )
@@ -298,7 +376,21 @@ fn bench_jobtracker_heartbeat(c: &mut Criterion) {
                     &topo,
                     &nodes,
                     SimTime::from_secs(35),
-                ))
+                ));
+                (jt, topo, nodes)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // churn_300's idle round: every slot is one the policy's penalty
+    // test could not fill (nothing pending, speculation quiet).
+    group.bench_function("idle_300_trackers_failure_aware", |b| {
+        b.iter_batched(
+            idle_failure_aware_jt,
+            |(mut jt, topo, nodes)| {
+                let assigned = heartbeat_round(&mut jt, &topo, &nodes, SimTime::from_secs(35));
+                assert_eq!(assigned, 0);
+                (jt, topo, nodes)
             },
             BatchSize::SmallInput,
         )

@@ -22,11 +22,11 @@ use crate::config::HdfsConfig;
 use crate::datanode::DatanodeInfo;
 use crate::placement::{Candidate, PlacementPolicy};
 use crate::types::{BlockId, BlockMeta, FileId, FileMeta};
-use hog_net::{NodeId, Topology};
+use hog_net::{NodeId, NodeMap, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sim_core::metrics::Counter;
 use hog_sim_core::{Liveness, LivenessIndex, SimRng, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// A replication transfer the namenode wants executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,6 +188,20 @@ impl ReplQueue {
     }
 }
 
+/// One row of the replication monitor's per-tick candidate table: a
+/// `Live` datanode that had a stream to spare when the tick's dispatch
+/// began. Scratch state of [`Namenode::dispatch_replication`], never
+/// kept between calls.
+#[derive(Clone, Copy)]
+struct SpareNode {
+    node: NodeId,
+    site: SiteId,
+    free: u64,
+    streams: u8,
+    /// A replica holder or in-flight target of the block being served.
+    excluded: bool,
+}
+
 /// Memoized result of [`Namenode::candidates`] for the hot empty-exclude
 /// allocation path (every `allocate_block` call during an upload). Valid
 /// only while `epoch` matches `Namenode::dn_epoch` — bumped on every
@@ -213,7 +227,9 @@ pub struct Namenode {
     files_by_path: HashMap<String, FileId>,
     files: Vec<FileMeta>,
     blocks: Vec<BlockMeta>,
-    datanodes: BTreeMap<NodeId, DatanodeInfo>,
+    /// Datanode records by node id. No record is ever removed, so
+    /// iteration ascends by id over every node ever registered.
+    datanodes: NodeMap<DatanodeInfo>,
     /// The failure detector's suspect set and dead count over
     /// `datanodes` (audited).
     live: LivenessIndex<NodeId>,
@@ -271,7 +287,7 @@ impl Namenode {
             files_by_path: HashMap::new(),
             files: Vec::new(),
             blocks: Vec::new(),
-            datanodes: BTreeMap::new(),
+            datanodes: NodeMap::new(),
             live: LivenessIndex::default(),
             dn_epoch: 1,
             cand_cache: CandCache::default(),
@@ -364,7 +380,7 @@ impl Namenode {
     /// after the timeout.
     pub fn mark_silent(&mut self, now: SimTime, node: NodeId) {
         self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(&node) {
+        if let Some(dn) = self.datanodes.get_mut(node) {
             if dn.liveness == Liveness::Live {
                 self.live
                     .transition(node, Some(dn.liveness), Liveness::Silent);
@@ -380,7 +396,7 @@ impl Namenode {
     /// process tree: heartbeats continue while storage is gone.
     pub fn mark_storage_failed(&mut self, node: NodeId) {
         self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(&node) {
+        if let Some(dn) = self.datanodes.get_mut(node) {
             dn.storage_failed = true;
             self.tracer
                 .emit(|| TraceEvent::new(Layer::Hdfs, "storage_failed").with("node", node.0));
@@ -391,7 +407,7 @@ impl Namenode {
     /// this to fail reads/writes; the namenode itself never consults it —
     /// zombies look healthy to it, which is the point of §IV-D.1.
     pub fn storage_failed(&self, node: NodeId) -> bool {
-        self.datanodes.get(&node).is_some_and(|d| d.storage_failed)
+        self.datanodes.get(node).is_some_and(|d| d.storage_failed)
     }
 
     /// Periodic tick: declare overdue silent nodes dead and dispatch
@@ -400,7 +416,7 @@ impl Namenode {
         let mut out = NamenodeTickOutput::default();
         // 1. Death detection: the overdue suspects, ascending.
         let overdue = self.live.overdue(now, self.cfg.dead_node_timeout, |n| {
-            self.datanodes.get(&n).map(|dn| dn.last_heartbeat)
+            self.datanodes.get(n).map(|dn| dn.last_heartbeat)
         });
         for node in overdue {
             self.declare_dead(node);
@@ -429,7 +445,7 @@ impl Namenode {
 
     fn declare_dead(&mut self, node: NodeId) {
         self.dn_changed();
-        let Some(dn) = self.datanodes.get_mut(&node) else {
+        let Some(dn) = self.datanodes.get_mut(node) else {
             return;
         };
         self.live
@@ -477,13 +493,13 @@ impl Namenode {
     /// Whether the namenode currently believes `node` usable.
     pub fn is_live(&self, node: NodeId) -> bool {
         self.datanodes
-            .get(&node)
+            .get(node)
             .is_some_and(|d| d.liveness == Liveness::Live)
     }
 
     /// Inspect a datanode record.
     pub fn datanode(&self, node: NodeId) -> Option<&DatanodeInfo> {
-        self.datanodes.get(&node)
+        self.datanodes.get(node)
     }
 
     // ------------------------------------------------------------------
@@ -561,9 +577,7 @@ impl Namenode {
         let usable = exclude.is_empty() && cache.epoch == self.dn_epoch && cache.size == size;
         if !usable {
             cache.cands.clear();
-            cache
-                .cands
-                .extend(self.candidates(size, exclude, None, topo));
+            cache.cands.extend(self.candidates(size, exclude, topo));
             if exclude.is_empty() {
                 cache.epoch = self.dn_epoch;
                 cache.size = size;
@@ -598,7 +612,7 @@ impl Namenode {
     pub fn commit_block(&mut self, block: BlockId, written: &[NodeId]) {
         let size = self.blocks[block.0 as usize].size;
         for &n in written {
-            if let Some(dn) = self.datanodes.get_mut(&n) {
+            if let Some(dn) = self.datanodes.get_mut(n) {
                 if dn.liveness != Liveness::Dead {
                     dn.add_block(block, size);
                     self.blocks[block.0 as usize].replicas.insert(n);
@@ -612,14 +626,14 @@ impl Namenode {
         // between every allocate/commit pair of an upload, i.e. exactly
         // where it matters), patch the cached entries in place: the result
         // is byte-identical to a fresh scan. The cache stays node-sorted
-        // because BTreeMap iteration built it ascending and removals keep
+        // because `NodeMap` iteration built it ascending and removals keep
         // relative order.
         if self.cand_cache.epoch == self.dn_epoch {
             for &n in written {
                 let Ok(i) = self.cand_cache.cands.binary_search_by_key(&n, |c| c.node) else {
                     continue;
                 };
-                match self.datanodes.get(&n) {
+                match self.datanodes.get(n) {
                     Some(dn) if dn.can_accept(self.cand_cache.size) => {
                         self.cand_cache.cands[i].free = dn.free();
                     }
@@ -655,7 +669,7 @@ impl Namenode {
         let replicas = std::mem::take(&mut meta.replicas);
         let file = meta.file;
         for n in replicas {
-            if let Some(dn) = self.datanodes.get_mut(&n) {
+            if let Some(dn) = self.datanodes.get_mut(n) {
                 dn.remove_block(block, size);
             }
         }
@@ -675,7 +689,7 @@ impl Namenode {
             let size = self.blocks[b.0 as usize].size;
             let replicas = std::mem::take(&mut self.blocks[b.0 as usize].replicas);
             for n in replicas {
-                if let Some(dn) = self.datanodes.get_mut(&n) {
+                if let Some(dn) = self.datanodes.get_mut(n) {
                     dn.remove_block(b, size);
                 }
             }
@@ -748,7 +762,7 @@ impl Namenode {
         });
         let size = self.blocks[block.0 as usize].size;
         if self.blocks[block.0 as usize].replicas.remove(&node) {
-            if let Some(dn) = self.datanodes.get_mut(&node) {
+            if let Some(dn) = self.datanodes.get_mut(node) {
                 dn.remove_block(block, size);
             }
             self.count_loss_and_requeue(block);
@@ -759,21 +773,18 @@ impl Namenode {
     // Replication monitor
     // ------------------------------------------------------------------
 
-    /// The datanodes that can take `size` more bytes, outside `exclude`
-    /// and, when `streams_below` is set, with a replication stream to
-    /// spare: placement candidates in ascending node order.
+    /// The datanodes that can take `size` more bytes, outside `exclude`:
+    /// placement candidates in ascending node order.
     fn candidates<'a>(
         &'a self,
         size: u64,
         exclude: &'a BTreeSet<NodeId>,
-        streams_below: Option<u8>,
         topo: &'a Topology,
     ) -> impl Iterator<Item = Candidate> + 'a {
-        let spare = move |dn: &DatanodeInfo| streams_below.is_none_or(|m| dn.repl_streams < m);
         self.datanodes
             .iter()
-            .filter(move |(n, dn)| dn.can_accept(size) && !exclude.contains(n) && spare(dn))
-            .map(|(&n, dn)| Candidate {
+            .filter(move |(n, dn)| dn.can_accept(size) && !exclude.contains(n))
+            .map(|(n, dn)| Candidate {
                 node: n,
                 site: topo.site_of(n),
                 free: dn.free(),
@@ -786,6 +797,15 @@ impl Namenode {
     /// walk is fair: it resumes where a budget-exhausted tick stopped
     /// instead of always restarting at bucket 0, so a standing trickle of
     /// critical blocks cannot starve higher buckets forever.
+    ///
+    /// The datanodes are scanned once per call, into a table of every
+    /// `Live` node with a stream to spare; each order filters that table.
+    /// This is exact: inside this call only stream counts change (each
+    /// order patches its two ends in the table and in the records), while
+    /// free space and liveness move only outside it — pipeline commits,
+    /// repair completions, deletes, trims and `tick`'s death step, which
+    /// runs first. So every order sees the candidates, in the order, that
+    /// a fresh scan of the records would yield.
     fn dispatch_replication(&mut self, topo: &Topology) -> Vec<ReplOrder> {
         if self.needs_repl.is_empty() {
             self.fair_resume = None;
@@ -800,12 +820,30 @@ impl Namenode {
         } else {
             self.needs_repl.iter().collect()
         };
+        let cap = self.cfg.max_repl_streams_per_node;
+        let budget = self.cfg.max_repl_orders_per_tick;
+        let mut table: Vec<SpareNode> = self
+            .datanodes
+            .iter()
+            .filter(|(_, dn)| dn.liveness == Liveness::Live && dn.repl_streams < cap)
+            .map(|(n, dn)| SpareNode {
+                node: n,
+                site: topo.site_of(n),
+                free: dn.free(),
+                streams: dn.repl_streams,
+                excluded: false,
+            })
+            .collect();
+        let position = |table: &[SpareNode], n: NodeId| table.binary_search_by_key(&n, |s| s.node);
+        let mut srcs: Vec<NodeId> = Vec::new();
+        let mut existing: Vec<(NodeId, SiteId)> = Vec::new();
+        let mut cands: Vec<Candidate> = Vec::new();
         let mut orders = Vec::new();
         // First block the order budget refused to serve; next tick's
         // fair walk resumes there.
         let mut unserved: Option<BlockId> = None;
         for b in queue {
-            if orders.len() >= self.cfg.max_repl_orders_per_tick {
+            if orders.len() >= budget {
                 unserved = Some(b);
                 break;
             }
@@ -822,83 +860,92 @@ impl Namenode {
             let size = meta.size;
             // A source: live replica holder with stream budget. Zombies
             // qualify — the namenode cannot tell (transfer will fail).
-            // The stream check goes through `get` rather than indexing:
-            // a replica map entry whose datanode record vanished (a
-            // registration race) must be skipped, not panic the master.
-            let srcs: Vec<NodeId> =
-                meta.replicas
-                    .iter()
-                    .copied()
-                    .filter(|n| {
-                        self.is_live(*n)
-                            && self.datanodes.get(n).is_some_and(|d| {
-                                d.repl_streams < self.cfg.max_repl_streams_per_node
-                            })
-                    })
-                    .collect();
+            // A replica whose datanode record is missing (a registration
+            // race) is skipped, not a panic of the master.
+            srcs.clear();
+            srcs.extend(meta.replicas.iter().copied().filter(|&n| {
+                self.datanodes
+                    .get(n)
+                    .is_some_and(|d| d.liveness == Liveness::Live && d.repl_streams < cap)
+            }));
             if srcs.is_empty() {
                 continue; // nothing usable yet; retry next tick
             }
+            existing.clear();
+            existing.extend(meta.replicas.iter().map(|&n| (n, topo.site_of(n))));
+            // Availability-boosted copies (target above the birth
+            // target) exist to *survive*: prefer stable sites for them,
+            // falling back to the full set when none qualify.
+            let stable = match (avail.as_ref(), self.avail_snapshot.as_ref()) {
+                (Some(p), Some(snap))
+                    if meta.expected
+                        > p.birth_target(self.files[meta.file.0 as usize].replication) =>
+                {
+                    Some(snap)
+                }
+                _ => None,
+            };
             for _ in 0..deficit {
                 // Budget exhaustion mid-block only breaks the copy loop;
                 // the *outer* budget check marks the next block unserved,
                 // so a partially-served block yields the fair cursor to
                 // its successor instead of monopolising it.
-                if orders.len() >= self.cfg.max_repl_orders_per_tick {
+                if orders.len() >= budget {
                     break;
                 }
                 let src = *self.rng.choose(&srcs);
                 let src_has_stream = self
                     .datanodes
-                    .get(&src)
-                    .is_some_and(|d| d.repl_streams < self.cfg.max_repl_streams_per_node);
+                    .get(src)
+                    .is_some_and(|d| d.repl_streams < cap);
                 if !src_has_stream {
                     break;
                 }
-                // Exclude existing replicas and in-flight targets.
-                let mut exclude: BTreeSet<NodeId> =
-                    self.blocks[b.0 as usize].replicas.iter().copied().collect();
-                if let Some(p) = self.pending_repl.get(&b) {
-                    exclude.extend(p.iter().copied());
-                }
-                let streams = Some(self.cfg.max_repl_streams_per_node);
-                let mut cands: Vec<Candidate> =
-                    self.candidates(size, &exclude, streams, topo).collect();
-                // Availability-boosted copies (target above the birth
-                // target) exist to *survive*: prefer stable sites for
-                // them, falling back to the full set when none qualify.
-                if let (Some(p), Some(snap)) = (avail.as_ref(), self.avail_snapshot.as_ref()) {
-                    let meta = &self.blocks[b.0 as usize];
-                    let base = p.birth_target(self.files[meta.file.0 as usize].replication);
-                    if meta.expected > base {
-                        cands = crate::placement::stable_first(cands, |s| {
-                            snap.classify(s) == SiteBand::Stable
-                        });
+                // Exclude existing replicas and in-flight targets: mark
+                // them in the table, filter it, unmark them.
+                let in_flight = self.pending_repl.get(&b).map_or(&[][..], Vec::as_slice);
+                let excluded = existing
+                    .iter()
+                    .map(|&(n, _)| n)
+                    .chain(in_flight.iter().copied());
+                for n in excluded.clone() {
+                    if let Ok(i) = position(&table, n) {
+                        table[i].excluded = true;
                     }
                 }
-                let existing: Vec<(NodeId, hog_net::SiteId)> = self.blocks[b.0 as usize]
-                    .replicas
-                    .iter()
-                    .map(|&n| (n, topo.site_of(n)))
-                    .collect();
+                cands.clear();
+                cands.extend(
+                    table
+                        .iter()
+                        .filter(|s| !s.excluded && s.free >= size && s.streams < cap)
+                        .map(|s| Candidate {
+                            node: s.node,
+                            site: s.site,
+                            free: s.free,
+                        }),
+                );
+                for n in excluded {
+                    if let Ok(i) = position(&table, n) {
+                        table[i].excluded = false;
+                    }
+                }
+                if let Some(snap) = stable {
+                    crate::placement::stable_first(&mut cands, |s| {
+                        snap.classify(s) == SiteBand::Stable
+                    });
+                }
                 let targets = self
                     .policy
                     .choose(None, 1, &existing, &cands, &mut self.rng);
                 let Some(&dst) = targets.first() else { break };
-                // Both ends were checked above, but re-fetch defensively:
-                // a missing record between scan and order skips the order
-                // instead of bringing the namenode down.
-                let Some(src_dn) = self.datanodes.get_mut(&src) else {
-                    break;
-                };
-                src_dn.repl_streams += 1;
-                let Some(dst_dn) = self.datanodes.get_mut(&dst) else {
-                    if let Some(s) = self.datanodes.get_mut(&src) {
-                        s.repl_streams = s.repl_streams.saturating_sub(1);
+                for n in [src, dst] {
+                    if let Some(dn) = self.datanodes.get_mut(n) {
+                        dn.repl_streams += 1;
                     }
-                    break;
-                };
-                dst_dn.repl_streams += 1;
+                    if let Ok(i) = position(&table, n) {
+                        table[i].streams += 1;
+                    }
+                }
                 self.pending_repl.entry(b).or_default().push(dst);
                 orders.push(ReplOrder {
                     block: b,
@@ -929,10 +976,10 @@ impl Namenode {
                 .with("dst", dst.0)
                 .with("ok", success)
         });
-        if let Some(dn) = self.datanodes.get_mut(&src) {
+        if let Some(dn) = self.datanodes.get_mut(src) {
             dn.repl_streams = dn.repl_streams.saturating_sub(1);
         }
-        if let Some(dn) = self.datanodes.get_mut(&dst) {
+        if let Some(dn) = self.datanodes.get_mut(dst) {
             dn.repl_streams = dn.repl_streams.saturating_sub(1);
         }
         if let Some(p) = self.pending_repl.get_mut(&block) {
@@ -953,7 +1000,7 @@ impl Namenode {
                 return;
             }
             let size = self.blocks[block.0 as usize].size;
-            if let Some(dn) = self.datanodes.get_mut(&dst) {
+            if let Some(dn) = self.datanodes.get_mut(dst) {
                 if dn.liveness != Liveness::Dead {
                     dn.add_block(block, size);
                     self.blocks[block.0 as usize].replicas.insert(dst);
@@ -1089,7 +1136,7 @@ impl Namenode {
             return;
         }
         self.dn_changed(); // frees space → candidate cache is stale
-        if let Some(dn) = self.datanodes.get_mut(&node) {
+        if let Some(dn) = self.datanodes.get_mut(node) {
             dn.remove_block(block, size);
         }
         self.replicas_trimmed.incr();
@@ -1269,15 +1316,15 @@ impl Namenode {
     /// Total bytes stored across live datanodes.
     pub fn total_used(&self) -> u64 {
         self.datanodes
-            .values()
-            .filter(|d| d.liveness != Liveness::Dead)
-            .map(|d| d.used)
+            .iter()
+            .filter(|(_, d)| d.liveness != Liveness::Dead)
+            .map(|(_, d)| d.used)
             .sum()
     }
 
     /// All datanodes and their records (for the balancer and reports).
     pub fn datanodes(&self) -> impl Iterator<Item = (NodeId, &DatanodeInfo)> {
-        self.datanodes.iter().map(|(&n, d)| (n, d))
+        self.datanodes.iter()
     }
 
     /// A silenced datanode resumed heartbeating (network partition healed
@@ -1286,7 +1333,7 @@ impl Namenode {
     /// blocks were already dropped and queued for re-replication.
     pub fn mark_live(&mut self, now: SimTime, node: NodeId) {
         self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(&node) {
+        if let Some(dn) = self.datanodes.get_mut(node) {
             if dn.liveness == Liveness::Silent {
                 self.live
                     .transition(node, Some(dn.liveness), Liveness::Live);
@@ -1324,11 +1371,14 @@ impl Namenode {
                 .with("node", node.0)
                 .with("blocks", report.len())
         });
-        let cap = self.cfg.datanode_capacity;
+        if self.datanodes.get(node).is_none() {
+            let fresh = DatanodeInfo::new(self.cfg.datanode_capacity, now);
+            self.datanodes.insert(node, fresh);
+        }
         let dn = self
             .datanodes
-            .entry(node)
-            .or_insert_with(|| DatanodeInfo::new(cap, now));
+            .get_mut(node)
+            .expect("replay_block_report: record exists or was just inserted");
         self.live
             .transition(node, Some(dn.liveness), Liveness::Live);
         dn.liveness = Liveness::Live;
@@ -1348,8 +1398,8 @@ impl Namenode {
         // fields, so both can be borrowed through `self` concurrently.
         let dn = self
             .datanodes
-            .get_mut(&node)
-            .expect("replay_block_report: record was (re)inserted above");
+            .get_mut(node)
+            .expect("replay_block_report: record exists or was just inserted");
         for &b in report {
             let known =
                 (b.0 as usize) < self.blocks.len() && self.blocks[b.0 as usize].expected > 0;
@@ -1434,7 +1484,7 @@ impl Namenode {
                 b.file.0, b.size, b.expected
             );
         }
-        for (n, dn) in &self.datanodes {
+        for (n, dn) in self.datanodes.iter() {
             let blocks: Vec<u64> = dn.blocks.iter().map(|b| b.0).collect();
             let _ = writeln!(
                 s,
@@ -1477,7 +1527,7 @@ impl Namenode {
     #[doc(hidden)]
     pub fn debug_skew_used(&mut self, node: NodeId, delta: u64) {
         self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(&node) {
+        if let Some(dn) = self.datanodes.get_mut(node) {
             dn.used += delta;
         }
     }
@@ -1491,7 +1541,7 @@ impl hog_sim_core::Auditable for Namenode {
     fn audit(&self) -> Vec<hog_sim_core::Violation> {
         use hog_sim_core::Violation;
         let mut out = Vec::new();
-        for (&n, dn) in &self.datanodes {
+        for (n, dn) in self.datanodes.iter() {
             let tallied: u64 = dn
                 .blocks
                 .iter()
@@ -1540,7 +1590,7 @@ impl hog_sim_core::Auditable for Namenode {
         }
         for (i, meta) in self.blocks.iter().enumerate() {
             for &n in &meta.replicas {
-                match self.datanodes.get(&n) {
+                match self.datanodes.get(n) {
                     None => out.push(Violation::new(
                         "hdfs",
                         format!("block {i} lists unknown datanode {}", n.0),
@@ -1560,7 +1610,7 @@ impl hog_sim_core::Auditable for Namenode {
             }
         }
         // The failure detector's summaries must mirror the records.
-        let liveness = self.datanodes.iter().map(|(&n, dn)| (n, dn.liveness));
+        let liveness = self.datanodes.iter().map(|(n, dn)| (n, dn.liveness));
         out.extend(self.live.audit("hdfs", "datanode", liveness));
         out
     }
@@ -1991,6 +2041,264 @@ mod tests {
         nn.pick_read_source(b, nodes[0], &topo);
         assert_eq!(nn.read_count(), 0);
         assert_eq!(nn.block_reads(b), 0);
+    }
+
+    /// The replication dispatch this module shipped before the per-tick
+    /// candidate table: for every order a fresh `srcs` vec, an `exclude`
+    /// set, a scan of every datanode and an `existing` vec. Kept as the
+    /// oracle `Namenode::dispatch_replication` must match.
+    fn dispatch_per_order_scan(nn: &mut Namenode, topo: &Topology) -> Vec<ReplOrder> {
+        if nn.needs_repl.is_empty() {
+            nn.fair_resume = None;
+            return Vec::new();
+        }
+        let avail = nn.cfg.availability;
+        let fair = avail.is_some();
+        let queue: Vec<BlockId> = if fair {
+            nn.needs_repl.iter_rotated(nn.fair_resume)
+        } else {
+            nn.needs_repl.iter().collect()
+        };
+        let mut orders = Vec::new();
+        let mut unserved: Option<BlockId> = None;
+        for b in queue {
+            if orders.len() >= nn.cfg.max_repl_orders_per_tick {
+                unserved = Some(b);
+                break;
+            }
+            let meta = &nn.blocks[b.0 as usize];
+            let pending = nn.pending_repl.get(&b).map_or(0, |v| v.len());
+            let deficit = meta.deficit().saturating_sub(pending);
+            if deficit == 0 {
+                if pending == 0 {
+                    nn.needs_repl.remove(b);
+                }
+                continue;
+            }
+            let size = meta.size;
+            let srcs: Vec<NodeId> = meta
+                .replicas
+                .iter()
+                .copied()
+                .filter(|&n| {
+                    nn.is_live(n)
+                        && nn
+                            .datanodes
+                            .get(n)
+                            .is_some_and(|d| d.repl_streams < nn.cfg.max_repl_streams_per_node)
+                })
+                .collect();
+            if srcs.is_empty() {
+                continue;
+            }
+            for _ in 0..deficit {
+                if orders.len() >= nn.cfg.max_repl_orders_per_tick {
+                    break;
+                }
+                let src = *nn.rng.choose(&srcs);
+                let src_has_stream = nn
+                    .datanodes
+                    .get(src)
+                    .is_some_and(|d| d.repl_streams < nn.cfg.max_repl_streams_per_node);
+                if !src_has_stream {
+                    break;
+                }
+                let mut exclude: BTreeSet<NodeId> =
+                    nn.blocks[b.0 as usize].replicas.iter().copied().collect();
+                if let Some(p) = nn.pending_repl.get(&b) {
+                    exclude.extend(p.iter().copied());
+                }
+                let cap = nn.cfg.max_repl_streams_per_node;
+                let mut cands: Vec<Candidate> = nn
+                    .datanodes
+                    .iter()
+                    .filter(|(n, dn)| {
+                        dn.can_accept(size) && !exclude.contains(n) && dn.repl_streams < cap
+                    })
+                    .map(|(n, dn)| Candidate {
+                        node: n,
+                        site: topo.site_of(n),
+                        free: dn.free(),
+                    })
+                    .collect();
+                if let (Some(p), Some(snap)) = (avail.as_ref(), nn.avail_snapshot.as_ref()) {
+                    let meta = &nn.blocks[b.0 as usize];
+                    let base = p.birth_target(nn.files[meta.file.0 as usize].replication);
+                    if meta.expected > base {
+                        crate::placement::stable_first(&mut cands, |s| {
+                            snap.classify(s) == SiteBand::Stable
+                        });
+                    }
+                }
+                let existing: Vec<(NodeId, SiteId)> = nn.blocks[b.0 as usize]
+                    .replicas
+                    .iter()
+                    .map(|&n| (n, topo.site_of(n)))
+                    .collect();
+                let targets = nn.policy.choose(None, 1, &existing, &cands, &mut nn.rng);
+                let Some(&dst) = targets.first() else { break };
+                let Some(src_dn) = nn.datanodes.get_mut(src) else {
+                    break;
+                };
+                src_dn.repl_streams += 1;
+                let Some(dst_dn) = nn.datanodes.get_mut(dst) else {
+                    if let Some(s) = nn.datanodes.get_mut(src) {
+                        s.repl_streams = s.repl_streams.saturating_sub(1);
+                    }
+                    break;
+                };
+                dst_dn.repl_streams += 1;
+                nn.pending_repl.entry(b).or_default().push(dst);
+                orders.push(ReplOrder {
+                    block: b,
+                    src,
+                    dst,
+                    bytes: size,
+                });
+            }
+        }
+        nn.fair_resume = if fair {
+            unserved.map(|b| (nn.needs_repl.bucket_index(b).unwrap_or(0), b))
+        } else {
+            None
+        };
+        orders
+    }
+
+    mod one_pass_dispatch_props {
+        use super::*;
+        use crate::availability::{AvailabilityPolicy, AvailabilitySnapshot, SiteRisk};
+        use proptest::prelude::*;
+
+        /// Full-block and short-block sizes.
+        const BLOCK: u64 = 1 << 20;
+        const SHORT: u64 = 300_000;
+
+        /// What the oracle comparison checks after a dispatch besides the
+        /// orders: the fair cursor, every datanode's stream count, the
+        /// whole fsimage (queues and pending targets included) and the
+        /// next draw of the namenode's rng.
+        #[allow(clippy::type_complexity)]
+        fn observe(nn: &Namenode) -> (Option<(u32, BlockId)>, Vec<(NodeId, u8)>, String, u64) {
+            (
+                nn.fair_resume,
+                nn.datanodes().map(|(n, d)| (n, d.repl_streams)).collect(),
+                nn.export_fsimage(),
+                nn.rng.clone().next_u64(),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The one-pass dispatch makes the oracle's orders and leaves
+            /// the namenode exactly as the oracle does, over random states:
+            /// `Live`, `Silent` and `Dead` nodes and zombies, stream counts
+            /// at and below the cap, a short last block with free space on
+            /// either side of its size, pending targets, order budgets that
+            /// run out, and (armed) the availability policy with raised
+            /// targets and a snapshot, so stable-first filtering fires.
+            /// Three rounds, with half of each round's orders completed or
+            /// failed in between, carry the fair cursor across dispatches.
+            #[test]
+            fn prop_one_pass_dispatch_matches_per_order_oracle(
+                shape in (2u32..5, 2u32..8, 2u16..6, 1usize..6, 1u8..4, 1usize..24),
+                node_ops in proptest::collection::vec((0u8..8, 0u8..4, 0u8..4), 40..41),
+                pending in proptest::collection::vec((0usize..16, 0u32..40), 0..6),
+                raises in proptest::collection::vec((0usize..16, 1u16..4), 0..6),
+                bands in proptest::collection::vec(0u8..3, 5..6),
+                (armed, seed) in (proptest::bool::ANY, 0u64..10_000),
+            ) {
+                let (sites, per_site, r, full_blocks, cap, budget) = shape;
+                let mut cfg = HdfsConfig::hog().with_replication(r).with_capacity(64 * BLOCK);
+                cfg.max_repl_streams_per_node = cap;
+                cfg.max_repl_orders_per_tick = budget;
+                if armed {
+                    cfg = cfg.with_availability(AvailabilityPolicy {
+                        r_min: 1,
+                        r_max: 12,
+                        initial: 3,
+                    });
+                }
+                let mut topo = Topology::new();
+                let mut ids = Vec::new();
+                for s in 0..sites {
+                    let site = topo.add_site(format!("S{s}"), format!("s{s}.edu"));
+                    for _ in 0..per_site {
+                        ids.push(topo.add_node(site));
+                    }
+                }
+                let mut nn =
+                    Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(seed));
+                for &n in &ids {
+                    nn.register_datanode(SimTime::ZERO, n);
+                }
+                let f = nn.create_file_default("/in/a");
+                for i in 0..=full_blocks {
+                    let size = if i == full_blocks { SHORT } else { BLOCK };
+                    let (b, targets) = nn.allocate_block(f, size, None, &topo).unwrap();
+                    nn.commit_block(b, &targets);
+                }
+                let blocks = nn.blocks_of(f).to_vec();
+                for &(bi, extra) in &raises {
+                    let b = blocks[bi % blocks.len()];
+                    let target = nn.block(b).expected + extra;
+                    nn.set_block_replication(b, target);
+                }
+                for (&n, &(op, streams, slack)) in ids.iter().zip(&node_ops) {
+                    match op {
+                        4 => nn.mark_silent(SimTime::ZERO, n),
+                        5 | 6 => {
+                            nn.mark_silent(SimTime::ZERO, n);
+                            nn.declare_dead(n);
+                        }
+                        7 => nn.mark_storage_failed(n),
+                        _ => {}
+                    }
+                    let dn = nn.datanodes.get_mut(n).unwrap();
+                    dn.repl_streams = streams.min(cap);
+                    dn.capacity = dn.used
+                        + match slack {
+                            0 => SHORT - 1,
+                            1 => SHORT,
+                            2 => BLOCK,
+                            _ => 64 * BLOCK,
+                        };
+                }
+                for &(bi, node) in &pending {
+                    let b = blocks[bi % blocks.len()];
+                    let n = ids[node as usize % ids.len()];
+                    let in_flight = nn.pending_repl.entry(b).or_default();
+                    if !nn.blocks[b.0 as usize].replicas.contains(&n) && !in_flight.contains(&n) {
+                        in_flight.push(n);
+                    }
+                }
+                nn.pending_repl.retain(|_, v| !v.is_empty());
+                if armed {
+                    let sites = bands
+                        .iter()
+                        .map(|&band| match band {
+                            0 => SiteRisk { penalty: 0.0, lifetime_secs: 7200.0 },
+                            1 => SiteRisk { penalty: 5.0, lifetime_secs: 600.0 },
+                            _ => SiteRisk { penalty: 1.0, lifetime_secs: 1800.0 },
+                        })
+                        .collect();
+                    nn.avail_snapshot = Some(AvailabilitySnapshot { sites });
+                }
+                let mut oracle = nn.clone();
+                for round in 0..3 {
+                    let got = nn.dispatch_replication(&topo);
+                    let want = dispatch_per_order_scan(&mut oracle, &topo);
+                    prop_assert_eq!(&got, &want, "round {}", round);
+                    prop_assert_eq!(observe(&nn), observe(&oracle), "round {}", round);
+                    for (i, o) in got.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
+                        let ok = i % 4 == 0;
+                        nn.repl_done(o.block, o.src, o.dst, ok);
+                        oracle.repl_done(o.block, o.src, o.dst, ok);
+                    }
+                }
+            }
+        }
     }
 
     mod target_transition_props {

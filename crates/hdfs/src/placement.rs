@@ -364,21 +364,13 @@ impl PlacementPolicy for RackObliviousPolicy {
 /// Restrict `candidates` to stable sites when placing availability-
 /// boosted *extra* copies (Trua-style targets above the birth target):
 /// an extra copy parked on a churn-prone site would be preempted before
-/// it earns its bytes. Falls back to the full set when no candidate
-/// sits on a stable site — durability first, placement preference
-/// second. Relative candidate order is preserved, so downstream policy
-/// choices stay deterministic.
-pub fn stable_first<F: Fn(SiteId) -> bool>(
-    candidates: Vec<Candidate>,
-    is_stable: F,
-) -> Vec<Candidate> {
+/// it earns its bytes. Filters in place, and leaves the full set when
+/// no candidate sits on a stable site — durability first, placement
+/// preference second. Relative candidate order is preserved, so
+/// downstream policy choices stay deterministic.
+pub fn stable_first<F: Fn(SiteId) -> bool>(candidates: &mut Vec<Candidate>, is_stable: F) {
     if candidates.iter().any(|c| is_stable(c.site)) {
-        candidates
-            .into_iter()
-            .filter(|c| is_stable(c.site))
-            .collect()
-    } else {
-        candidates
+        candidates.retain(|c| is_stable(c.site));
     }
 }
 
@@ -663,9 +655,11 @@ mod tests {
 
     #[test]
     fn stable_first_filters_and_falls_back() {
-        let cands = cluster(12, 4); // sites 0..4, 3 nodes each
-                                    // Sites 1 and 3 stable: only their nodes survive, order kept.
-        let filtered = stable_first(cands.clone(), |s| s.0 % 2 == 1);
+        // Sites 0..4, 3 nodes each. Sites 1 and 3 stable: only their
+        // nodes survive, order kept.
+        let cands = cluster(12, 4);
+        let mut filtered = cands.clone();
+        stable_first(&mut filtered, |s| s.0 % 2 == 1);
         assert_eq!(filtered.len(), 6);
         assert!(filtered.iter().all(|c| c.site.0 % 2 == 1));
         let ids: Vec<u32> = filtered.iter().map(|c| c.node.0).collect();
@@ -673,7 +667,8 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(ids, sorted, "relative order preserved");
         // No stable site at all: full set returned unchanged.
-        let fallback = stable_first(cands.clone(), |_| false);
+        let mut fallback = cands.clone();
+        stable_first(&mut fallback, |_| false);
         assert_eq!(fallback.len(), cands.len());
     }
 

@@ -957,6 +957,17 @@ impl JobTracker {
         kind: TaskKind,
         topo: &Topology,
     ) -> Option<Assignment> {
+        let pending = match kind {
+            TaskKind::Map => self.agg.pending_maps,
+            TaskKind::Reduce => self.agg.pending_reduces,
+        };
+        // A slot that can receive nothing — nothing of this kind pending,
+        // no rescue pass, and no speculation scan due — gets nothing
+        // whatever `admit` answers. `admit` and `allow_speculation` are
+        // pure (`&self`), so not asking them is exact.
+        if pending == 0 && !self.sched.prediction_enabled() && self.speculation_idle(now, kind) {
+            return None;
+        }
         if !self.sched.admit(node, site, kind.slot(), now) {
             return None;
         }
@@ -981,10 +992,6 @@ impl JobTracker {
         // With nothing of this kind pending in any job, the walk below
         // cannot pick anything, so it never reaches `locality_gate` or
         // `launch`; skipping it (and the pure order it walks) is exact.
-        let pending = match kind {
-            TaskKind::Map => self.agg.pending_maps,
-            TaskKind::Reduce => self.agg.pending_reduces,
-        };
         if pending > 0 {
             let order = self.take_order(kind.slot());
             let picked = match kind {
@@ -1003,10 +1010,7 @@ impl JobTracker {
                 return Some(a);
             }
         }
-        if self.cfg.speculative_enabled {
-            return self.speculate(now, node, site, kind, topo);
-        }
-        None
+        self.speculate(now, node, site, kind, topo)
     }
 
     fn try_assign_map(
@@ -1368,8 +1372,9 @@ impl JobTracker {
     ///
     /// Before the kind's speculation quiet instant no job can pass the
     /// scan cooldown and the mean test, so the scan would neither launch
-    /// nor stamp anything: it is skipped. Eager-copy mode has no
-    /// cooldown and always scans.
+    /// nor stamp anything: it is skipped, before the pure
+    /// `allow_speculation` is asked. Eager-copy mode has no cooldown and
+    /// always scans.
     fn speculate(
         &mut self,
         now: SimTime,
@@ -1378,21 +1383,25 @@ impl JobTracker {
         kind: TaskKind,
         topo: &Topology,
     ) -> Option<Assignment> {
-        if !self.sched.allow_speculation(node, site, now) {
-            return None;
-        }
-        let slot = kind.slot() as usize;
-        let eager = self.cfg.eager_copies;
-        if !eager && self.spec_quiet[slot].is_some_and(|quiet| now < quiet) {
+        if self.speculation_idle(now, kind) || !self.sched.allow_speculation(node, site, now) {
             return None;
         }
         let order = self.take_order(kind.slot());
         let picked = self.try_speculate(now, node, kind, topo, &order.buf);
         self.put_order(kind.slot(), order);
-        if picked.is_none() && !eager {
-            self.spec_quiet[slot] = Some(self.spec_quiet_instant(kind));
+        if picked.is_none() && !self.cfg.eager_copies {
+            self.spec_quiet[kind.slot() as usize] = Some(self.spec_quiet_instant(kind));
         }
         picked
+    }
+
+    /// Whether a `kind` speculation scan at `now` would find nothing to
+    /// do: speculation is off, or (outside eager-copy mode) `now` is
+    /// before the cached quiet instant.
+    fn speculation_idle(&self, now: SimTime, kind: TaskKind) -> bool {
+        !self.cfg.speculative_enabled
+            || (!self.cfg.eager_copies
+                && self.spec_quiet[kind.slot() as usize].is_some_and(|quiet| now < quiet))
     }
 
     /// The earliest instant a `Running` job could pass both the scan
@@ -2491,6 +2500,58 @@ mod tests {
         assert!(audit[0]
             .to_string()
             .contains("map speculation quiet instant"));
+    }
+
+    /// The idle early-out in `assign` skips `admit` only for slots that
+    /// could receive nothing anyway, so it cannot let work past a
+    /// failure-aware quarantine: with nothing pending and speculation
+    /// quiet both nodes get nothing, and once a map is pending the
+    /// healthy node gets it while the quarantined one — whose split it
+    /// is — still does not.
+    #[test]
+    fn idle_early_out_keeps_the_quarantine() {
+        let mut topo = Topology::new();
+        let calm = topo.add_site("S0".to_string(), "s0.edu".to_string());
+        let hot = topo.add_site("S1".to_string(), "s1.edu".to_string());
+        let (worker, healthy, quarantined) =
+            (topo.add_node(calm), topo.add_node(calm), topo.add_node(hot));
+        let mut cfg = MrParams::hog();
+        cfg.sched = hog_sched::SchedPolicy::FailureAware;
+        let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(1));
+        for n in [worker, healthy, quarantined] {
+            jt.register_tracker(SimTime::ZERO, n, topo.site_of(n), 1, 1);
+        }
+        let t = SimTime::from_secs;
+        for _ in 0..5 {
+            jt.sched.on_attempt_failed(0, quarantined, t(1));
+        }
+        assert!(!jt.sched.admit(quarantined, hot, SlotKind::Map, t(2)));
+        assert!(jt.sched.admit(healthy, calm, SlotKind::Map, t(2)));
+        let one_map = |on: NodeId| JobSubmission {
+            input_blocks: vec![(BlockId(0), 64)],
+            split_locations: vec![vec![on]],
+            reduces: 0,
+            map_cpu_secs: 1.0,
+            map_output_bytes: 100,
+            reduce_cpu_secs: 1.0,
+            reduce_output_bytes: 10,
+            output_replication: 1,
+        };
+        jt.submit_job(t(2), one_map(worker), &topo);
+        assert_eq!(jt.heartbeat(t(2), worker, &topo).len(), 1);
+        // Nothing pending. The first idle heartbeat scans for stragglers,
+        // finds no job with a mean and leaves speculation quiet.
+        assert_eq!(jt.backlog().pending_maps, 0);
+        assert!(jt.heartbeat(t(3), healthy, &topo).is_empty());
+        assert!(jt.speculation_idle(t(3), TaskKind::Map));
+        assert!(jt.heartbeat(t(3), quarantined, &topo).is_empty());
+        assert!(jt.heartbeat(t(3), healthy, &topo).is_empty());
+        // A pending map, node-local to the quarantined node only.
+        jt.submit_job(t(4), one_map(quarantined), &topo);
+        assert!(jt.heartbeat(t(4), quarantined, &topo).is_empty());
+        let got = jt.heartbeat(t(4), healthy, &topo);
+        assert!(matches!(got[..], [Assignment::Map { .. }]), "{got:?}");
+        assert!(jt.heartbeat(t(5), quarantined, &topo).is_empty());
     }
 
     #[test]

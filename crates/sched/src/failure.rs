@@ -230,7 +230,7 @@ impl Scheduler for FailureAwareSched {
         out.extend(jobs.iter().map(|j| j.id));
     }
 
-    fn admit(&mut self, node: NodeId, site: SiteId, kind: SlotKind, now: SimTime) -> bool {
+    fn admit(&self, node: NodeId, site: SiteId, kind: SlotKind, now: SimTime) -> bool {
         let threshold = match kind {
             SlotKind::Map => self.map_threshold,
             SlotKind::Reduce => self.reduce_threshold,
@@ -238,7 +238,7 @@ impl Scheduler for FailureAwareSched {
         self.effective_penalty(node, site, now) < threshold
     }
 
-    fn allow_speculation(&mut self, node: NodeId, site: SiteId, now: SimTime) -> bool {
+    fn allow_speculation(&self, node: NodeId, site: SiteId, now: SimTime) -> bool {
         self.effective_penalty(node, site, now) < self.spec_threshold
     }
 
@@ -342,7 +342,7 @@ mod tests {
 
     #[test]
     fn clean_nodes_admit_everything() {
-        let mut f = registered();
+        let f = registered();
         let t = SimTime::from_secs(100);
         assert!(f.admit(N, S, SlotKind::Map, t));
         assert!(f.admit(N, S, SlotKind::Reduce, t));

@@ -31,7 +31,10 @@
 //! job gets the next slot), [`Scheduler::locality_gate`] (take this
 //! locality level now, or wait), [`Scheduler::admit`] /
 //! [`Scheduler::allow_speculation`] (is this node acceptable at all) —
-//! and observes the world through `on_*` feedback callbacks.
+//! and observes the world through `on_*` feedback callbacks. Of the
+//! query hooks only `locality_gate` takes `&mut self`: the others are
+//! pure, which lets the JobTracker cache `job_order` and skip `admit`
+//! and `allow_speculation` on slots that could receive nothing.
 //!
 //! # Determinism rules
 //!
@@ -107,8 +110,9 @@ pub struct JobSnapshot {
 
 /// A slot-assignment policy.
 ///
-/// The JobTracker consults the policy on every heartbeat; all methods
-/// must be deterministic (see the crate docs). Every hook except
+/// The JobTracker consults the policy on every heartbeat slot that
+/// could receive work; all methods must be deterministic (see the crate
+/// docs). Every hook except
 /// [`Scheduler::name`] and [`Scheduler::job_order`] has a permissive
 /// default, so a minimal policy only decides job order.
 pub trait Scheduler {
@@ -148,15 +152,23 @@ pub trait Scheduler {
     /// Whether `kind` work may be placed on `node` at all (failure-aware
     /// quarantine). Returning `false` leaves the node's slots idle this
     /// heartbeat; the default accepts everything.
-    fn admit(&mut self, node: NodeId, site: SiteId, kind: SlotKind, now: SimTime) -> bool {
+    ///
+    /// The answer must be a *pure function* of the policy state and the
+    /// arguments — `&self` enforces it. The JobTracker therefore skips
+    /// the call for a slot that could receive nothing whatever it
+    /// answers: nothing of `kind` pending, no failure prediction, and
+    /// speculation off or before its quiet instant.
+    fn admit(&self, node: NodeId, site: SiteId, kind: SlotKind, now: SimTime) -> bool {
         let _ = (node, site, kind, now);
         true
     }
 
     /// Whether a *speculative* copy may be placed on `node`. Policies
     /// biasing away from churn-prone nodes typically hold speculation to
-    /// a stricter standard than first attempts.
-    fn allow_speculation(&mut self, node: NodeId, site: SiteId, now: SimTime) -> bool {
+    /// a stricter standard than first attempts. Pure, like
+    /// [`Scheduler::admit`]: the JobTracker asks only once the
+    /// speculation quiet instant has passed.
+    fn allow_speculation(&self, node: NodeId, site: SiteId, now: SimTime) -> bool {
         let _ = (node, site, now);
         true
     }

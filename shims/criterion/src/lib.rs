@@ -53,8 +53,10 @@ impl Bencher {
         }
     }
 
-    /// Time `routine` on fresh inputs from `setup` (setup excluded from
-    /// the measurement).
+    /// Time `routine` on fresh inputs from `setup`. Setup is excluded
+    /// from the measurement, and so is dropping the routine's output:
+    /// the clock stops before the drop, as in criterion, so a routine
+    /// that returns the state it consumed does not time its teardown.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
@@ -64,8 +66,9 @@ impl Bencher {
         for _ in 0..self.samples {
             let input = setup();
             let start = Instant::now();
-            std_black_box(routine(input));
+            let output = std_black_box(routine(input));
             self.results.push(start.elapsed());
+            drop(output);
         }
     }
 }
@@ -187,5 +190,25 @@ mod tests {
     #[test]
     fn harness_runs() {
         benches();
+    }
+
+    /// A routine's output is dropped after the clock stops, so a slow
+    /// teardown does not show in the samples.
+    #[test]
+    fn batched_samples_exclude_the_output_drop() {
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+        let mut b = Bencher::new(3);
+        b.iter_batched(|| (), |()| SlowDrop, BatchSize::SmallInput);
+        assert_eq!(b.results.len(), 3);
+        assert!(
+            b.results.iter().all(|&d| d < Duration::from_millis(20)),
+            "{:?}",
+            b.results
+        );
     }
 }
