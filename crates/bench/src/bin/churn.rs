@@ -1,35 +1,31 @@
-//! Churn-model study (X16): synthetic vs trace-calibrated preemption,
-//! with and without predictive failure handling.
+//! Churn-model study (X16): synthetic vs trace-calibrated preemption
+//! under failure-aware scheduling.
 //!
-//! The grid of cells crosses the churn generator (the legacy exponential
+//! The grid crosses the churn generator — the legacy exponential
 //! lifetime dialled to the paper's fluctuating-pool pressure vs the
-//! OSG-calibrated heavy-tailed + diurnal model of DESIGN §16.1) with the
-//! failure-handling policy (the failure-aware placement scheduler vs the
-//! same scheduler with prediction armed, which launches rescue copies of
-//! tasks running on nodes it expects to die before the 30 s detector
-//! fires — DESIGN §16.2). The study question: how much of the response
-//! time lost to realistic churn does the predictive layer buy back?
+//! OSG-calibrated heavy-tailed + diurnal model of DESIGN §16 — on the
+//! failure-aware placement scheduler (DESIGN §11). The study question:
+//! at the same total pressure, how much does the *shape* of realistic
+//! churn cost in job response?
 //!
-//! The full sweep adds two sections:
+//! The full sweep adds two cells:
 //!
 //! * a day-long SWIM-shaped diurnal trace (≈1000 jobs over 24 h,
 //!   [`SubmissionSchedule::facebook_day`]) replayed under calibrated
 //!   churn, where the preemption wave and the arrival wave overlap;
-//! * an elastic-controller comparison under calibrated churn with and
-//!   without the diurnal forecast (DESIGN §16.3), measuring whether
-//!   pre-growth ahead of the predicted wave saves response time.
+//! * the elastic pool controller under calibrated churn, the one run
+//!   that combines the two.
 //!
-//! `--smoke` runs only the 2×2 truncated-workload grid at the base seed;
-//! the full sweep repeats the grid at [`VERDICT_SEEDS`] consecutive seeds
-//! and holds the win bar against the pooled result. Each grid seed `s`
-//! uses schedule seed 1000+s. Flags, report layout and `--check`: see
-//! `hog_bench::study`.
+//! `--smoke` runs only the two-cell truncated-workload grid at the base
+//! seed; the full sweep repeats the grid at [`GRID_SEEDS`] consecutive
+//! seeds. Each grid seed `s` uses schedule seed 1000+s. Flags, report
+//! layout and `--check`: see `hog_bench::study`.
 
 use hog_bench::{outcome_fingerprint, timed, Group, Report, Row, Study};
 use hog_core::driver::{run_workload, RunResult};
 use hog_core::sweep::run_ordered;
 use hog_core::{ClusterConfig, SchedPolicy};
-use hog_grid::{DiurnalForecast, ElasticConfig};
+use hog_grid::ElasticConfig;
 use hog_sim_core::SimDuration;
 use hog_workload::{StragglerMix, SubmissionSchedule};
 
@@ -47,75 +43,42 @@ const EXP_LIFETIME_SECS: u64 = 2 * 3600;
 /// the morning, and under calibrated churn its makespan stretches into
 /// the 13:00–15:00 reclaim wave of the per-site profiles, so the jobs
 /// at the back of the FIFO queue ride the wave — the regime the study
-/// is about. (Starting *at* the peak collapses every policy equally;
+/// is about. (Starting *at* the peak collapses every run equally;
 /// starting at midnight never meets the wave at all.) The day-long
 /// trace keeps the midnight start and crosses the wave naturally.
 const WAVE_START_HOUR: f64 = 8.0;
 
-/// Seeds per verdict cell in the full sweep: the FA-vs-predictive duel
-/// is paired (both policies see the same preemption schedule per seed),
-/// but schedule divergence makes single-seed deltas noisy, so the study
-/// bar is held against the response pooled over this many seeds.
-const VERDICT_SEEDS: u64 = 3;
+/// Seeds of the full sweep's grid: single-seed responses swing widely
+/// under calibrated churn, so the report carries several draws.
+const GRID_SEEDS: u64 = 3;
 
-/// Controller bounds for the forecast comparison.
+/// Bounds of the elastic cell's controller.
 const ELASTIC_MIN: usize = 60;
 const ELASTIC_MAX: usize = 300;
 
-/// The study bar: under calibrated churn, prediction must recover at
-/// least this fraction of mean job response vs placement-only handling.
-const PREDICTIVE_WIN: f64 = 0.10;
+/// The failure-handling policy every cell runs.
+const POLICY: SchedPolicy = SchedPolicy::FailureAware;
 
-/// The failure-handling policies of the grid, in report order.
-const POLICIES: [SchedPolicy; 2] = [SchedPolicy::FailureAware, SchedPolicy::Predictive];
-
-fn cell_row(
-    policy: SchedPolicy,
-    churn: &str,
-    workload: &str,
-    seed: u64,
-    wall_ms: u64,
-    r: &RunResult,
-) -> Row {
-    let jt = &r.jt;
-    // Share of rescue copies placed on time: the doomed attempt's node
-    // really died and the copy was still alive to cover for it (1.0 when
-    // prediction never fired).
-    let judged = jt.rescue_hits + jt.rescue_misses;
-    let hit_rate = if judged == 0 {
-        1.0
-    } else {
-        jt.rescue_hits as f64 / judged as f64
-    };
+fn cell_row(churn: &str, workload: &str, seed: u64, wall_ms: u64, r: &RunResult) -> Row {
     Row::new()
-        .with("policy", policy.as_str())
+        .with("policy", POLICY.as_str())
         .with("churn", churn)
         .with("workload", workload)
         .with("seed", seed)
         .with("wall_ms", wall_ms)
         .outcome(r)
-        .with("speculative", jt.speculative)
-        .with("failures", jt.failures)
-        .with("rescue_copies", jt.rescue_copies)
-        .with("rescue_hits", jt.rescue_hits)
-        .with("rescue_misses", jt.rescue_misses)
-        .float("rescue_hit_rate", hit_rate, 4)
+        .with("speculative", r.jt.speculative)
+        .with("failures", r.jt.failures)
         .with("fingerprint", outcome_fingerprint(r))
 }
 
-/// Base config for a grid cell: 300 nodes, stragglers on (the churn
-/// study always runs the heavy-tailed slowdown mix — it is part of the
+/// Base config for a cell: 300 nodes, stragglers on (the churn study
+/// always runs the heavy-tailed slowdown mix — it is part of the
 /// calibrated environment, and keeping it in every cell means the churn
 /// columns differ only in the preemption process).
-fn cell_cfg(
-    policy: SchedPolicy,
-    churn: &str,
-    start_hour: f64,
-    seed: u64,
-    label: String,
-) -> ClusterConfig {
+fn cell_cfg(churn: &str, start_hour: f64, seed: u64, label: String) -> ClusterConfig {
     let cfg = ClusterConfig::hog(NODES, seed)
-        .with_scheduler(policy)
+        .with_scheduler(POLICY)
         .with_stragglers(StragglerMix::osg_default())
         .named(label);
     match churn {
@@ -125,106 +88,58 @@ fn cell_cfg(
     }
 }
 
-fn run_cell(policy: SchedPolicy, churn: &'static str, seed: u64) -> Row {
+fn run_cell(churn: &'static str, seed: u64) -> Row {
     // Each seed gets its own arrival pattern too (schedule seed 1000+S,
-    // the convention every bench bin shares), so pooling over seeds
-    // averages over workload phase as well as preemption draws.
+    // the convention every bench bin shares).
     let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    let label = format!("churn-{}-{}", churn, policy.as_str());
-    let cfg = cell_cfg(policy, churn, WAVE_START_HOUR, seed, label);
+    let label = format!("churn-{}-{}", churn, POLICY.as_str());
+    let cfg = cell_cfg(churn, WAVE_START_HOUR, seed, label);
     let (r, wall_ms) = timed(|| run_workload(cfg, &schedule, SimDuration::from_secs(100 * 3600)));
-    cell_row(policy, churn, "truncated", seed, wall_ms, &r)
+    cell_row(churn, "truncated", seed, wall_ms, &r)
 }
 
 /// Day-long diurnal trace under calibrated churn: the ≈1000-job SWIM
 /// shape whose arrival peak overlaps the campuses' preemption waves.
-fn run_day(policy: SchedPolicy, seed: u64) -> Row {
+fn run_day(seed: u64) -> Row {
     let schedule = SubmissionSchedule::facebook_day(1000 + seed);
-    let label = format!("churn-day-{}", policy.as_str());
-    let cfg = cell_cfg(policy, "calibrated", 0.0, seed, label);
+    let label = format!("churn-day-{}", POLICY.as_str());
+    let cfg = cell_cfg("calibrated", 0.0, seed, label);
     let (r, wall_ms) = timed(|| run_workload(cfg, &schedule, SimDuration::from_secs(60 * 3600)));
-    cell_row(policy, "calibrated", "day", seed, wall_ms, &r)
+    cell_row("calibrated", "day", seed, wall_ms, &r)
 }
 
-/// Elastic controller under calibrated churn, with or without the
-/// diurnal pre-growth forecast (both predictive, truncated workload).
-fn run_forecast(forecast: bool, seed: u64) -> Row {
+/// The elastic controller under calibrated churn (truncated workload).
+fn run_elastic(seed: u64) -> Row {
     let schedule = SubmissionSchedule::facebook_truncated(1000 + seed);
-    let mut ecfg = ElasticConfig::new(ELASTIC_MIN, ELASTIC_MAX);
-    if forecast {
-        // Same wave phase as the churn driving the pool: peak 14:00 on a
-        // clock whose t = 0 is the wave start hour.
-        ecfg = ecfg.with_forecast(DiurnalForecast {
-            amplitude: 0.5,
-            peak_hour: (14.0 - WAVE_START_HOUR).rem_euclid(24.0),
-        });
-    }
-    let (mode, workload) = if forecast {
-        ("forecast", "elastic+forecast")
-    } else {
-        ("reactive", "elastic")
-    };
-    let policy = SchedPolicy::Predictive;
-    let label = format!("churn-elastic-{mode}");
-    let cfg =
-        cell_cfg(policy, "calibrated", WAVE_START_HOUR, seed, label).with_elastic_config(ecfg);
+    let cfg = cell_cfg("calibrated", WAVE_START_HOUR, seed, "churn-elastic".into())
+        .with_elastic_config(ElasticConfig::new(ELASTIC_MIN, ELASTIC_MAX));
     let (r, wall_ms) = timed(|| run_workload(cfg, &schedule, SimDuration::from_secs(100 * 3600)));
-    cell_row(policy, "calibrated", workload, seed, wall_ms, &r)
-}
-
-/// A cell of the full sweep's `extended` group.
-enum Extended {
-    /// The day-long trace under one failure-handling policy.
-    Day(SchedPolicy),
-    /// The elastic controller, with or without the diurnal forecast.
-    Elastic { forecast: bool },
+    cell_row("calibrated", "elastic", seed, wall_ms, &r)
 }
 
 fn sweep(seed: u64, smoke: bool, threads: usize) -> Vec<Group> {
-    // Smoke runs the 2×2 grid at the base seed; the full sweep runs it
-    // at every verdict seed so the study bar is judged on pooled
-    // responses rather than one draw.
-    let seeds = if smoke { 1 } else { VERDICT_SEEDS };
+    let seeds = if smoke { 1 } else { GRID_SEEDS };
     let grid: Vec<_> = (seed..seed + seeds)
-        .flat_map(|s| {
-            ["exponential", "calibrated"]
-                .into_iter()
-                .flat_map(move |churn| POLICIES.map(|p| (p, churn, s)))
-        })
+        .flat_map(|s| ["exponential", "calibrated"].map(|churn| (churn, s)))
         .collect();
-    let cells = run_ordered(grid, threads, |(p, churn, s)| run_cell(p, churn, s));
-    let extra = if smoke {
+    let cells = run_ordered(grid, threads, |(churn, s)| run_cell(churn, s));
+    let extra: Vec<fn(u64) -> Row> = if smoke {
         vec![]
     } else {
-        vec![
-            Extended::Day(SchedPolicy::FailureAware),
-            Extended::Day(SchedPolicy::Predictive),
-            Extended::Elastic { forecast: false },
-            Extended::Elastic { forecast: true },
-        ]
+        vec![run_day, run_elastic]
     };
-    let extended = run_ordered(extra, threads, |cell| match cell {
-        Extended::Day(policy) => run_day(policy, seed),
-        Extended::Elastic { forecast } => run_forecast(forecast, seed),
-    });
+    let extended = run_ordered(extra, threads, |run| run(seed));
     vec![("cells", cells), ("extended", extended)]
 }
 
-/// The study bar: every cell completes its whole workload, and under
-/// calibrated churn the predictive policy recovers ≥ [`PREDICTIVE_WIN`]
-/// of mean job response vs placement-only failure handling, pooled over
-/// the verdict seeds. A single seed (the smoke grid) is too noisy for a
-/// fair duel — schedule divergence makes per-seed deltas swing ±10% —
-/// so, like BENCH_elastic, only the full multi-seed sweep enforces the
-/// win bar; smoke still enforces completion and prints the observed win.
+/// The study bar: every cell completes its whole workload.
 fn verdict(report: &Report, _smoke: bool) -> bool {
     let mut ok = true;
     for c in report.rows() {
         if c.num("jobs_ok") != c.num("jobs") {
             ok = false;
             println!(
-                "  verdict: {} {} {} s{} finished only {}/{} jobs — FAIL",
-                c.text("policy"),
+                "  verdict: {} {} s{} finished only {}/{} jobs — FAIL",
                 c.text("churn"),
                 c.text("workload"),
                 c.int("seed"),
@@ -232,44 +147,6 @@ fn verdict(report: &Report, _smoke: bool) -> bool {
                 c.int("jobs")
             );
         }
-    }
-    let pooled = |policy: &str| -> (f64, usize) {
-        let ms: Vec<f64> = report
-            .group("cells")
-            .iter()
-            .filter(|c| {
-                c.text("policy") == policy
-                    && c.text("churn") == "calibrated"
-                    && c.text("workload") == "truncated"
-            })
-            .map(|c| c.num("mean_job_secs"))
-            .collect();
-        (ms.iter().sum(), ms.len())
-    };
-    let (base, n_base) = pooled("failure_aware");
-    let (pred, n_pred) = pooled("predictive");
-    if n_base > 0 && n_base == n_pred {
-        let win = 1.0 - pred / base;
-        let enforced = n_base as u64 >= VERDICT_SEEDS;
-        let pass = pred <= base * (1.0 - PREDICTIVE_WIN);
-        if enforced {
-            ok &= pass;
-        }
-        println!(
-            "  verdict: calibrated mean_job {:.1}s -> {:.1}s with prediction over {} seed(s) ({:+.1}% vs the {:.0}% bar) — {}",
-            base / n_base as f64,
-            pred / n_pred as f64,
-            n_base,
-            win * 100.0,
-            PREDICTIVE_WIN * 100.0,
-            if !enforced {
-                "not enforced on the smoke grid"
-            } else if pass {
-                "PASS"
-            } else {
-                "FAIL"
-            }
-        );
     }
     ok
 }

@@ -99,9 +99,9 @@ fn sweep(seed: u64, smoke: bool, threads: usize) -> Vec<Group> {
 /// verdict seeds, adaptive holds mean job response within
 /// [`RESPONSE_SLACK`] of flat-10 while cutting replica storage to at
 /// most [`STORAGE_BAR`] of flat-10's. One seed (the smoke grid) is too
-/// noisy for the response half, so like BENCH_churn the bar is enforced
-/// only at ≥ [`VERDICT_SEEDS`] seeds; smoke still enforces completion
-/// and prints the observed deltas.
+/// noisy for the response half, so the bar is enforced only at
+/// ≥ [`VERDICT_SEEDS`] seeds; smoke still enforces completion and
+/// prints the observed deltas.
 fn verdict(report: &Report, _smoke: bool) -> bool {
     let cells = report.group("cells");
     let mut ok = true;

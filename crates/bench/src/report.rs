@@ -416,7 +416,7 @@ mod tests {
             "churn",
             include_str!("../../../BENCH_churn.baseline.json"),
             &["policy", "churn", "workload", "seed"],
-            16,
+            8,
         ),
         (
             "replication",
@@ -447,6 +447,6 @@ mod tests {
             }
             total += keyed.len();
         }
-        assert_eq!(total, 66);
+        assert_eq!(total, 58);
     }
 }

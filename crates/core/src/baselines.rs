@@ -23,7 +23,7 @@ use crate::sweep::{run_sweep_schedules, SchedulePoint};
 use hog_grid::SiteConfig;
 use hog_sim_core::{SimDuration, SimTime};
 use hog_workload::facebook::Bin;
-use hog_workload::{JobSpec, SubmissionSchedule};
+use hog_workload::SubmissionSchedule;
 
 /// Outcome of a HOD workload replay.
 #[derive(Clone, Debug)]
@@ -163,9 +163,4 @@ pub fn compare_hog_moon_hod(
     let moon = run_workload(moon_cfg, &schedule, horizon);
     let hod = run_hod_workload(&schedule, nodes / 4, mean_lifetime, 703, threads);
     (hog, moon, hod)
-}
-
-/// Expose the per-job spec list of a schedule (report helper).
-pub fn job_specs(schedule: &SubmissionSchedule) -> &[JobSpec] {
-    schedule.jobs()
 }

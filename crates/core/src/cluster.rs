@@ -163,9 +163,6 @@ struct ObsMetrics {
     sched_rack_local: MetricId,
     sched_site_local: MetricId,
     sched_remote: MetricId,
-    rescue_copies: MetricId,
-    rescue_hits: MetricId,
-    rescue_misses: MetricId,
     flows_active: MetricId,
     flows_done: MetricId,
     pool_target: MetricId,
@@ -205,9 +202,6 @@ impl ObsMetrics {
             sched_rack_local: reg.register(Layer::MapReduce, "sched_rack_local"),
             sched_site_local: reg.register(Layer::MapReduce, "sched_site_local"),
             sched_remote: reg.register(Layer::MapReduce, "sched_remote"),
-            rescue_copies: reg.register(Layer::MapReduce, "rescue_copies"),
-            rescue_hits: reg.register(Layer::MapReduce, "rescue_hits"),
-            rescue_misses: reg.register(Layer::MapReduce, "rescue_misses"),
             flows_active: reg.register(Layer::Net, "flows_active"),
             flows_done: reg.register(Layer::Net, "flows_done"),
             pool_target: reg.register(Layer::Core, "pool_target"),
@@ -2047,9 +2041,6 @@ impl Cluster {
         m.reg.set(m.sched_rack_local, jtc.rack_local as f64);
         m.reg.set(m.sched_site_local, jtc.site_local as f64);
         m.reg.set(m.sched_remote, jtc.remote as f64);
-        m.reg.set(m.rescue_copies, jtc.rescue_copies as f64);
-        m.reg.set(m.rescue_hits, jtc.rescue_hits as f64);
-        m.reg.set(m.rescue_misses, jtc.rescue_misses as f64);
         m.reg.set(m.flows_active, flows_active as f64);
         m.reg.set(m.flows_done, sig.flows_finished as f64);
         m.reg.snapshot(now);

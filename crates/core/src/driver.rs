@@ -137,9 +137,6 @@ impl RunResult {
     }
 }
 
-/// Default safety horizon for a single workload run (simulated time).
-pub const DEFAULT_HORIZON: SimDuration = SimDuration::from_secs(60 * 3600);
-
 /// Run `schedule` on a cluster built from `cfg`. The horizon bounds the
 /// *simulated* time (a safety net for pathological configurations — e.g.
 /// first-iteration HOG with zombies and no fix).

@@ -6,10 +6,9 @@
 //! given its seeds.
 
 use crate::config::{ClusterConfig, PlacementKind};
-use crate::driver::{run_workload, RunResult};
+use crate::driver::RunResult;
 use crate::sweep::{run_sweep, SweepPoint};
 use hog_sim_core::{SimDuration, SimTime};
-use hog_workload::SubmissionSchedule;
 
 /// The pool sizes the paper samples in Figure 4.
 pub const FIG4_POOL_SIZES: [usize; 12] = [40, 50, 55, 60, 99, 100, 132, 160, 171, 180, 974, 1101];
@@ -483,13 +482,6 @@ pub fn ablation_chaos(
         .collect();
     let cmp = compare(points, threads);
     intensities.iter().copied().zip(cmp.arms).collect()
-}
-
-/// Run one configuration against the paper workload (used by examples and
-/// tests).
-pub fn single_run(cfg: ClusterConfig, workload_seed: u64) -> RunResult {
-    let schedule = SubmissionSchedule::facebook_truncated(workload_seed);
-    run_workload(cfg, &schedule, HORIZON)
 }
 
 /// The workload window of a run (for rendering availability traces).

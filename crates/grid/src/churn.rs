@@ -28,10 +28,6 @@
 //! consumes its own draw pattern from the same grid RNG stream and is
 //! deterministic under a fixed seed.
 //!
-//! The diurnal curve is also exported standalone as [`DiurnalForecast`]
-//! so the elastic pool controller can *pre-grow* ahead of a predicted
-//! preemption wave (DESIGN §16.3).
-//!
 //! [`SiteConfig::node_lifetime`]: crate::config::SiteConfig::node_lifetime
 //! [`LogNormal`]: hog_sim_core::dist::LogNormal
 //! [`Pareto`]: hog_sim_core::dist::Pareto
@@ -143,7 +139,9 @@ impl CalibratedChurn {
     /// more preemption pressure than the daily mean (and therefore
     /// shorter lifetimes); the curve integrates to ~1 over a day.
     pub fn diurnal_multiplier(&self, now: SimTime) -> f64 {
-        diurnal_multiplier(self.diurnal_amplitude, self.diurnal_peak_hour, now)
+        let hour = (now.as_secs_f64() / 3600.0) % 24.0;
+        let phase = (hour - self.diurnal_peak_hour) / 24.0 * std::f64::consts::TAU;
+        1.0 + self.diurnal_amplitude.clamp(0.0, 0.99) * phase.cos()
     }
 
     /// Draw a lifetime starting at `now`: pick body or tail, then divide
@@ -171,14 +169,6 @@ impl CalibratedChurn {
         let tail = TAIL_SCALE_SECS * TAIL_SHAPE / (TAIL_SHAPE - 1.0);
         (1.0 - self.tail_weight) * body + self.tail_weight * tail
     }
-}
-
-/// `1 + amplitude·cos(2π(hour − peak)/24)`, the shared diurnal rate
-/// curve (churn sampling and elastic forecasting use the same shape).
-fn diurnal_multiplier(amplitude: f64, peak_hour: f64, now: SimTime) -> f64 {
-    let hour = (now.as_secs_f64() / 3600.0) % 24.0;
-    let phase = (hour - peak_hour) / 24.0 * std::f64::consts::TAU;
-    1.0 + amplitude.clamp(0.0, 0.99) * phase.cos()
 }
 
 /// The calibrated churn profile for an OSG site, keyed by resource name.
@@ -231,43 +221,6 @@ pub fn osg_profile(site_name: &str) -> CalibratedChurn {
             diurnal_peak_hour: 13.5,
         },
         _ => CalibratedChurn::osg_default(),
-    }
-}
-
-/// The diurnal half of the churn calibration, exported standalone so the
-/// elastic pool controller can anticipate the preemption wave: when the
-/// rate multiplier at `now + spinup` exceeds 1, the controller scales its
-/// demand target up by that factor and buys replacement glideins *before*
-/// the wave kills the ones it has (DESIGN §16.3).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DiurnalForecast {
-    /// Amplitude of the rate curve (matches the churn profile driving
-    /// the pool).
-    pub amplitude: f64,
-    /// Peak hour of the rate curve.
-    pub peak_hour: f64,
-}
-
-impl DiurnalForecast {
-    /// A forecast matching [`CalibratedChurn`]'s diurnal parameters.
-    pub fn from_churn(c: &CalibratedChurn) -> Self {
-        DiurnalForecast {
-            amplitude: c.diurnal_amplitude,
-            peak_hour: c.diurnal_peak_hour,
-        }
-    }
-
-    /// The preemption-rate multiplier expected at `at`.
-    pub fn multiplier(&self, at: SimTime) -> f64 {
-        diurnal_multiplier(self.amplitude, self.peak_hour, at)
-    }
-
-    /// The pre-growth factor for a controller deciding at `now` about
-    /// capacity that arrives after `spinup`: the forecast rate there,
-    /// floored at 1 (the forecast only ever *adds* headroom — quiet
-    /// hours fall back to the ordinary demand target).
-    pub fn growth_factor(&self, now: SimTime, spinup: SimDuration) -> f64 {
-        self.multiplier(now + spinup).max(1.0)
     }
 }
 
@@ -375,20 +328,5 @@ mod tests {
         let trough = peak + SimDuration::from_secs(12 * 3600);
         assert!(cal.pressure(peak) > 1.4);
         assert!(cal.pressure(trough) < 0.6);
-    }
-
-    #[test]
-    fn forecast_only_adds_headroom() {
-        let f = DiurnalForecast {
-            amplitude: 0.6,
-            peak_hour: 14.0,
-        };
-        let spin = SimDuration::from_secs(90);
-        // Just before the peak: factor > 1.
-        let before_peak = SimTime::from_secs(13 * 3600);
-        assert!(f.growth_factor(before_peak, spin) > 1.3);
-        // The middle of the night: never below 1.
-        let night = SimTime::from_secs(2 * 3600);
-        assert!((f.growth_factor(night, spin) - 1.0).abs() < 1e-9);
     }
 }

@@ -32,7 +32,6 @@
 //! [`GridModel::submit_workers`]: crate::GridModel::submit_workers
 //! [`GridModel::remove_workers_preferring`]: crate::GridModel::remove_workers_preferring
 
-use crate::churn::DiurnalForecast;
 use crate::config::{SiteConfig, CONFIGURE_TIME, PACKAGE_BYTES, PACKAGE_DOWNLOAD_RATE};
 use hog_sim_core::units::transfer_secs;
 use hog_sim_core::{SimDuration, SimTime};
@@ -64,7 +63,7 @@ pub const SHRINK_PATIENCE: SimDuration = SimDuration::from_secs(180);
 /// actually reclaimable).
 pub const MAX_SHRINK_STEP: usize = 150;
 
-/// Bounds of the elastic pool controller, plus its optional forecast.
+/// Bounds of the elastic pool controller.
 /// The tuning is fixed ([`HEADROOM`], [`HYSTERESIS`], [`COOLDOWN`],
 /// [`SHRINK_PATIENCE`], [`MAX_SHRINK_STEP`]); slots per worker come from
 /// the pool's resource config.
@@ -74,29 +73,15 @@ pub struct ElasticConfig {
     pub min_nodes: usize,
     /// Pool ceiling: never request more than this many workers.
     pub max_nodes: usize,
-    /// Diurnal preemption forecast: when set, the demand target is
-    /// scaled by the predicted preemption-rate multiplier at
-    /// `now + spinup` (floored at 1), so the controller buys replacement
-    /// capacity *before* the daily reclaim wave kills what it has.
-    /// `None` (the default) keeps the pure demand law — bit-identical to
-    /// pre-forecast builds.
-    pub forecast: Option<DiurnalForecast>,
 }
 
 impl ElasticConfig {
-    /// Controller bounds, no forecast.
+    /// Controller bounds.
     pub fn new(min_nodes: usize, max_nodes: usize) -> Self {
         ElasticConfig {
             min_nodes,
             max_nodes: max_nodes.max(min_nodes),
-            forecast: None,
         }
-    }
-
-    /// Enable diurnal pre-growth with the given forecast.
-    pub fn with_forecast(mut self, forecast: DiurnalForecast) -> Self {
-        self.forecast = Some(forecast);
-        self
     }
 }
 
@@ -184,13 +169,11 @@ impl ElasticController {
         self.spinup
     }
 
-    /// The demand-driven pool target for a snapshot at `now`: enough
-    /// workers to run every pending+running task at once (per slot
-    /// kind), times the headroom factor and — when a [`DiurnalForecast`]
-    /// is configured — the predicted preemption-rate multiplier at
-    /// `now + spinup` (floored at 1, so quiet hours are unaffected),
-    /// clamped to the configured bounds. An idle pool targets the floor.
-    pub fn target(&self, now: SimTime, snap: &PoolSnapshot) -> usize {
+    /// The demand-driven pool target for a snapshot: enough workers to
+    /// run every pending+running task at once (per slot kind), times the
+    /// headroom factor, clamped to the configured bounds. An idle pool
+    /// targets the floor.
+    pub fn target(&self, snap: &PoolSnapshot) -> usize {
         if snap.active_jobs == 0 {
             return self.cfg.min_nodes;
         }
@@ -200,11 +183,7 @@ impl ElasticController {
             self.slots.1 as usize,
         );
         let demand = map_nodes.max(reduce_nodes);
-        let forecast = self
-            .cfg
-            .forecast
-            .map_or(1.0, |f| f.growth_factor(now, self.spinup));
-        let padded = (demand as f64 * HEADROOM * forecast).ceil() as usize;
+        let padded = (demand as f64 * HEADROOM).ceil() as usize;
         padded.clamp(self.cfg.min_nodes, self.cfg.max_nodes)
     }
 
@@ -220,7 +199,7 @@ impl ElasticController {
 
     /// One control step. `now` must be non-decreasing across calls.
     pub fn decide(&mut self, now: SimTime, snap: &PoolSnapshot) -> ElasticDecision {
-        let target = self.target(now, snap);
+        let target = self.target(snap);
         let supply = snap.reported_live + snap.outstanding;
         // Shrink edge: target plus the hysteresis band (≥ 2 absolute so
         // a one-worker ripple can never trigger anything).
@@ -397,31 +376,6 @@ mod tests {
             ElasticDecision::Hold,
             "patience restarted at 200 s"
         );
-    }
-
-    #[test]
-    fn forecast_pre_grows_ahead_of_the_wave() {
-        let cfg = ElasticConfig::new(10, 600).with_forecast(DiurnalForecast {
-            amplitude: 0.6,
-            peak_hour: 14.0,
-        });
-        let mut c = ElasticController::new(cfg, (1, 1), &paper_sites());
-        let snap = busy(100, 170, 0);
-        // Demand target without a forecast: ceil(100 * 1.5) = 150; supply
-        // 170 sits inside the hold band. Just before the daily peak the
-        // forecast scales the target past the supply and the controller
-        // buys ahead.
-        let night = SimTime::from_secs(2 * 3600);
-        assert_eq!(c.decide(night, &snap), ElasticDecision::Hold);
-        let before_peak = SimTime::from_secs(13 * 3600 + 1800);
-        match c.decide(before_peak, &snap) {
-            ElasticDecision::Grow(n) => assert!(n > 0, "pre-growth must request workers"),
-            d => panic!("expected pre-growth near the peak, got {d:?}"),
-        }
-        // No forecast: same snapshot holds at any hour.
-        let mut plain = controller(10, 600);
-        assert_eq!(plain.decide(night, &snap), ElasticDecision::Hold);
-        assert_eq!(plain.decide(before_peak, &snap), ElasticDecision::Hold);
     }
 
     #[test]

@@ -18,9 +18,7 @@
 //!   makes the pool self-healing.
 //! * [`churn`] — the preemption generators behind [`ChurnModel`]: the
 //!   legacy exponential default (bit-identical to pre-churn builds) and
-//!   the OSG-calibrated heavy-tailed diurnal model, plus the
-//!   [`DiurnalForecast`] the elastic controller uses to pre-grow ahead
-//!   of predicted preemption waves.
+//!   the OSG-calibrated heavy-tailed diurnal model.
 //! * [`controller`] — the deterministic [`ElasticController`] feedback
 //!   loop that resizes the glidein pool from backlog/supply snapshots.
 //!
@@ -37,7 +35,7 @@ pub mod config;
 pub mod controller;
 pub mod model;
 
-pub use churn::{CalibratedChurn, ChurnModel, DiurnalForecast};
+pub use churn::{CalibratedChurn, ChurnModel};
 pub use config::SiteConfig;
 pub use controller::{ElasticConfig, ElasticController, ElasticDecision, PoolSnapshot};
 pub use model::{GridModel, GridOutput, LossReason};

@@ -165,7 +165,7 @@ proptest! {
             active_jobs: usize::from(demand > 0),
             ..PoolSnapshot::default()
         };
-        let target = c.target(SimTime::from_secs(ticks * TICK_SECS), &snap);
+        let target = c.target(&snap);
         let supply = plant.live + plant.outstanding();
         prop_assert!(
             supply >= target.min(max) || supply >= max,

@@ -12,7 +12,6 @@
 use crate::config::{MrParams, FETCH_FAIL_THRESHOLD, SHUFFLE_PARALLEL, SPECULATIVE_FACTOR};
 use crate::job::{
     AttemptPhase, AttemptState, JobId, JobState, JobStatus, JobSubmission, TaskKind, TaskRef,
-    TaskState,
 };
 use crate::shuffle::{FetchOrder, ReducePlan};
 use crate::tracker::TrackerState;
@@ -173,13 +172,6 @@ impl LocalityIndex {
     }
 }
 
-/// Sunk work that makes a doomed attempt's rescue *urgent* — worth a
-/// copy ahead of fresh pending work. Losing this much progress (plus the
-/// 30 s detector and a from-scratch rerun) costs more than making one
-/// pending task wait a heartbeat; below it, rescues only fill otherwise
-/// idle slots.
-const RESCUE_URGENT_SUNK: SimDuration = SimDuration::from_secs(60);
-
 /// How long a job sits out of speculation scans after one found no
 /// straggler: repeated idle heartbeats stay cheap.
 const SPEC_SCAN_COOLDOWN: SimDuration = SimDuration::from_secs(5);
@@ -208,15 +200,6 @@ pub struct JtCounters {
     pub remote: u64,
     /// Speculative attempts launched.
     pub speculative: u64,
-    /// Rescue copies launched on predicted-failure signals
-    /// ([`Scheduler::predicts_failure`]).
-    pub rescue_copies: u64,
-    /// Unplanned node deaths whose running tasks already had a live
-    /// rescue copy elsewhere (the prediction paid off).
-    pub rescue_hits: u64,
-    /// Unplanned node deaths that caught a running task with no rescue
-    /// copy in flight (the predictor was late or never fired).
-    pub rescue_misses: u64,
     /// Attempt failures.
     pub failures: u64,
     /// Jobs completed.
@@ -265,16 +248,13 @@ pub struct JobTracker {
     live: LivenessIndex<NodeId>,
     /// Reduce attempts that returned `StartSort` already.
     sorting: HashSet<AttemptRef>,
-    /// Attempts launched as predicted-failure rescues, kept to tell
-    /// prediction hits from misses when the doomed node actually dies.
-    rescue_attempts: HashSet<AttemptRef>,
-    /// Negative cache for rescue scans, per slot kind × urgency tier:
-    /// an unsuccessful scan at `t` suppresses rescans of that tier until
-    /// the clock moves on, so heartbeats within one master tick pay for
-    /// at most one walk each.
-    rescue_last_scan: [[Option<SimTime>; 2]; 2],
     /// The slot-assignment policy (chosen by [`MrParams::sched`]).
     sched: Box<dyn Scheduler>,
+    /// Nothing draws from this stream. It stays until the next
+    /// deliberate re-baseline, which drops it together with the
+    /// mediator's `rng.fork(3)` that creates it (the fork advances the
+    /// parent stream, so removing it alone would move fingerprints).
+    #[allow(dead_code)]
     rng: SimRng,
     counters: JtCounters,
     tracer: Tracer,
@@ -317,14 +297,6 @@ impl TaskKind {
             TaskKind::Reduce => SlotKind::Reduce,
         }
     }
-}
-
-/// The copy budget rescue and speculation share: `t` is unfinished,
-/// already running somewhere, below `max_copies` running attempts, and
-/// not running on the heartbeating node (`on_node`).
-fn may_copy(t: &TaskState, max_copies: usize, on_node: bool) -> bool {
-    let running = t.running_attempts();
-    !t.done && running >= 1 && running < max_copies && !on_node
 }
 
 /// The non-empty sets of a pending-locality map (removals leave empty
@@ -371,8 +343,6 @@ impl JobTracker {
             trackers: NodeMap::new(),
             live: LivenessIndex::default(),
             sorting: HashSet::new(),
-            rescue_attempts: HashSet::new(),
-            rescue_last_scan: [[None; 2]; 2],
             sched: hog_sched::build(cfg.sched),
             cfg,
             rng,
@@ -468,11 +438,6 @@ impl JobTracker {
     /// Scheduling counters.
     pub fn counters(&self) -> JtCounters {
         self.counters
-    }
-
-    /// Name of the active slot-assignment policy.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.sched.name()
     }
 
     /// Incomplete jobs in submission order (the raw queue the policy
@@ -676,18 +641,6 @@ impl JobTracker {
         };
         if !planned {
             self.sched.on_tracker_dead(node, now);
-            // Score the predictor against reality: each attempt this
-            // crash caught either had a rescue copy in flight (hit) or
-            // did not (miss).
-            if self.sched.prediction_enabled() {
-                for &att in &running {
-                    match self.rescue_outcome(att) {
-                        Some(true) => self.counters.rescue_hits += 1,
-                        Some(false) => self.counters.rescue_misses += 1,
-                        None => {}
-                    }
-                }
-            }
         }
         self.tracer.emit(|| {
             let kind = if planned {
@@ -945,10 +898,8 @@ impl JobTracker {
         self.order_cache[kind as usize] = cache;
     }
 
-    /// Fill one free `kind` slot on `node` (in `site`): an urgent rescue
-    /// (maps only), else pending work in policy order, else a rescue copy
-    /// off a predicted-doomed node, else a speculative copy of a
-    /// straggler.
+    /// Fill one free `kind` slot on `node` (in `site`): pending work in
+    /// policy order, else a speculative copy of a straggler.
     fn assign(
         &mut self,
         now: SimTime,
@@ -961,33 +912,15 @@ impl JobTracker {
             TaskKind::Map => self.agg.pending_maps,
             TaskKind::Reduce => self.agg.pending_reduces,
         };
-        // A slot that can receive nothing — nothing of this kind pending,
-        // no rescue pass, and no speculation scan due — gets nothing
-        // whatever `admit` answers. `admit` and `allow_speculation` are
-        // pure (`&self`), so not asking them is exact.
-        if pending == 0 && !self.sched.prediction_enabled() && self.speculation_idle(now, kind) {
+        // A slot that can receive nothing — nothing of this kind pending
+        // and no speculation scan due — gets nothing whatever `admit`
+        // answers. `admit` and `allow_speculation` are pure (`&self`), so
+        // not asking them is exact.
+        if pending == 0 && self.speculation_idle(now, kind) {
             return None;
         }
         if !self.sched.admit(node, site, kind.slot(), now) {
             return None;
-        }
-        // Urgent rescues outrank fresh maps: an attempt with substantial
-        // sunk work on a doomed node loses all of it when the node dies,
-        // while a pending task merely waits one more heartbeat. Without
-        // this tier a backlogged preemption wave — when every heartbeat
-        // finds pending work — starves the rescue path exactly when it
-        // matters most. Reduces get no urgent tier: a reduce copy
-        // re-fetches its whole shuffle over the same (often cross-site)
-        // links the original is using, so buying one at the cost of a
-        // fresh assignment doubles the most expensive traffic in the
-        // system — a measured net loss in BENCH_churn. On an otherwise
-        // idle slot the copy only costs the duplicate fetch, which the
-        // relative placement bar and the site-median gate keep rare
-        // enough to pay.
-        if kind == TaskKind::Map && self.sched.prediction_enabled() {
-            if let Some(a) = self.rescue(now, node, kind, topo, RESCUE_URGENT_SUNK) {
-                return Some(a);
-            }
         }
         // With nothing of this kind pending in any job, the walk below
         // cannot pick anything, so it never reaches `locality_gate` or
@@ -1001,13 +934,6 @@ impl JobTracker {
             self.put_order(kind.slot(), order);
             if picked.is_some() {
                 return picked;
-            }
-        }
-        // Nothing pending anywhere: rescue tasks off predicted-doomed
-        // nodes first (more urgent than stragglers), then speculate.
-        if self.sched.prediction_enabled() {
-            if let Some(a) = self.rescue(now, node, kind, topo, SimDuration::ZERO) {
-                return Some(a);
             }
         }
         self.speculate(now, node, site, kind, topo)
@@ -1130,8 +1056,8 @@ impl JobTracker {
     /// Start `task` on `node` and build its assignment: a map counts the
     /// `locality` it achieved and reads its input block from the spec; a
     /// reduce gets its shuffle plan (and ignores `locality`). Then the
-    /// policy hears of the assignment. Every assignment path — pending
-    /// work, rescue and speculation — launches through here.
+    /// policy hears of the assignment. Both assignment paths — pending
+    /// work and speculation — launch through here.
     fn launch(
         &mut self,
         now: SimTime,
@@ -1203,162 +1129,6 @@ impl JobTracker {
     fn partition_bytes(&self, job: JobId) -> u64 {
         let spec = &self.jobs[job.0 as usize].spec;
         spec.map_output_bytes / spec.reduces.max(1) as u64
-    }
-
-    /// One rescue copy of a `kind` task currently running on a node the
-    /// policy predicts will die ([`Scheduler::predicts_failure`]),
-    /// launched *before* the 30 s liveness detector can fire. Rescues
-    /// share speculation's ≤ 2 copy budget, so a rescued task is never
-    /// rescued twice; placement is judged per doomed candidate by
-    /// [`Scheduler::allow_rescue`], a bar *relative* to the node being
-    /// rescued from so the pass keeps working when a preemption wave
-    /// taints the whole pool.
-    fn rescue(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        kind: TaskKind,
-        topo: &Topology,
-        min_sunk: SimDuration,
-    ) -> Option<Assignment> {
-        let slot_kind = kind.slot();
-        // Negative cache: a fruitless scan suppresses rescans of this
-        // urgency tier until the clock moves (coalesced heartbeats share
-        // one instant). The tiers cache separately — a fruitless urgent
-        // scan says nothing about the wider any-sunk scan.
-        let tier = usize::from(min_sunk > SimDuration::ZERO);
-        if self.rescue_last_scan[slot_kind as usize][tier]
-            .is_some_and(|t| now.saturating_since(t) == SimDuration::ZERO)
-        {
-            return None;
-        }
-        let order = self.take_order(slot_kind);
-        let picked = self.try_rescue(now, node, kind, topo, &order.buf, min_sunk);
-        self.put_order(slot_kind, order);
-        if picked.is_none() {
-            self.rescue_last_scan[slot_kind as usize][tier] = Some(now);
-        }
-        picked
-    }
-
-    fn try_rescue(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        kind: TaskKind,
-        topo: &Topology,
-        order: &[u32],
-        min_sunk: SimDuration,
-    ) -> Option<Assignment> {
-        for &jid in order {
-            let jid = JobId(jid);
-            let job = &self.jobs[jid.0 as usize];
-            if job.status != JobStatus::Running
-                || job.blacklisted(node, self.cfg.blacklist_threshold)
-            {
-                continue;
-            }
-            let max_copies = self.cfg.max_task_copies as usize;
-            let tasks = match kind {
-                TaskKind::Map => &job.maps,
-                TaskKind::Reduce => &job.reduces,
-            };
-            // Walk the whole running index: unlike speculation there is
-            // no age cutoff (doom is a property of the node, not the
-            // attempt), so the negative cache above does the cost control.
-            // `min_sunk` filters the urgent tier to attempts whose sunk
-            // work is actually worth outranking fresh assignments for.
-            // Candidates are taken in task-index order (BTreeMap), not
-            // sunk-work order: the oldest running attempts are mostly
-            // stragglers, whose slowness is task-intrinsic — a copy of
-            // one is just as slow, so chasing sunk work buys the most
-            // expensive duplicates with the least residual exposure.
-            let mut doomed: BTreeMap<u32, NodeId> = BTreeMap::new();
-            let mut on_node: HashSet<u32> = HashSet::new();
-            for &(start, k, index, attempt) in &job.running_by_start {
-                if k != kind {
-                    continue;
-                }
-                let a = &tasks[index as usize].attempts[attempt as usize];
-                debug_assert_eq!(a.phase, AttemptPhase::Running);
-                if a.node == node {
-                    on_node.insert(index);
-                } else if now.saturating_since(start) >= min_sunk
-                    && self.sched.marks_doomed(a.node, topo.site_of(a.node), now)
-                {
-                    doomed.insert(index, a.node);
-                }
-            }
-            let site = topo.site_of(node);
-            let candidate = doomed.iter().find(|&(&index, &dn)| {
-                may_copy(&tasks[index as usize], max_copies, on_node.contains(&index))
-                    && self
-                        .sched
-                        .allow_rescue(node, site, dn, topo.site_of(dn), now)
-            });
-            let Some((&index, _)) = candidate else {
-                continue;
-            };
-            self.counters.rescue_copies += 1;
-            self.tracer.emit(|| {
-                TraceEvent::new(Layer::MapReduce, "rescue")
-                    .with("job", jid.0)
-                    .with("kind", kind.as_str())
-                    .with("task", index)
-                    .with("node", node.0)
-            });
-            // A rescue map reads the same fixed replica set as the
-            // doomed original, so it gets whatever locality the rescuing
-            // node actually has — unlike speculation, which models
-            // Hadoop's blind remote re-execution.
-            let locality = match kind {
-                TaskKind::Map => {
-                    let replicas = &self.locality[jid.0 as usize].locs[index as usize];
-                    if replicas.iter().any(|&(n, _, _)| n == node) {
-                        Locality::NodeLocal
-                    } else if self.sched.rack_aware()
-                        && replicas.iter().any(|&(_, r, _)| r == topo.rack_of(node))
-                    {
-                        Locality::RackLocal
-                    } else if replicas.iter().any(|&(_, _, s)| s == site) {
-                        Locality::SiteLocal
-                    } else {
-                        Locality::Remote
-                    }
-                }
-                TaskKind::Reduce => Locality::Remote,
-            };
-            let task = TaskRef {
-                job: jid,
-                kind,
-                index,
-            };
-            let assignment = self.launch(now, task, node, locality, topo);
-            self.rescue_attempts.insert(assignment.attempt());
-            return Some(assignment);
-        }
-        None
-    }
-
-    /// Prediction outcome for an attempt lost to an unplanned death:
-    /// `Some(true)` when a rescue sibling is already running (or even
-    /// finished) elsewhere, `Some(false)` when the predictor left it
-    /// uncovered, `None` when the lost attempt is itself a rescue copy
-    /// (the rescue was mis-placed; neither hit nor miss).
-    fn rescue_outcome(&self, att: AttemptRef) -> Option<bool> {
-        if self.rescue_attempts.contains(&att) {
-            return None;
-        }
-        let ts = self.jobs[att.task.job.0 as usize].task(att.task);
-        let hit = ts.attempts.iter().enumerate().any(|(i, a)| {
-            i as u8 != att.attempt
-                && matches!(a.phase, AttemptPhase::Running | AttemptPhase::Succeeded)
-                && self.rescue_attempts.contains(&AttemptRef {
-                    task: att.task,
-                    attempt: i as u8,
-                })
-        });
-        Some(hit)
     }
 
     /// One speculative attempt for a straggling `kind` task, if any
@@ -1489,10 +1259,17 @@ impl JobTracker {
                     *old_ok.entry(index).or_insert(0) += 1;
                 }
             }
+            // A task qualifies when it is unfinished, below `max_copies`
+            // running attempts, not running on this node, and every one
+            // of its running attempts is old.
             let candidate = old_ok.iter().find(|&(&index, &qualifying)| {
                 let t = &tasks[index as usize];
-                may_copy(t, max_copies, on_node.contains(&index))
-                    && qualifying == t.running_attempts()
+                let running = t.running_attempts();
+                !t.done
+                    && running >= 1
+                    && running < max_copies
+                    && !on_node.contains(&index)
+                    && qualifying == running
             });
             let Some((&index, _)) = candidate else {
                 self.jobs[jid.0 as usize].spec_last_scan = now;
@@ -1511,8 +1288,8 @@ impl JobTracker {
                 kind,
                 index,
             };
-            // A speculative map is always a remote read: its draw
-            // pattern is fingerprint-critical (DESIGN §16.2).
+            // A speculative map is always a remote read, Hadoop's blind
+            // re-execution: its draw pattern is fingerprint-critical.
             return Some(self.launch(now, task, node, Locality::Remote, topo));
         }
         None
@@ -1835,9 +1612,6 @@ impl JobTracker {
         }
         let was_queued = self.fifo.contains(&jid);
         self.fifo.retain(|&j| j != jid);
-        if !self.rescue_attempts.is_empty() {
-            self.rescue_attempts.retain(|a| a.task.job != jid);
-        }
         if was_queued {
             // Whatever the job still contributed to the aggregate backlog
             // (failed jobs retire with tasks still pending) leaves with it.
@@ -2125,8 +1899,7 @@ impl JobTracker {
     /// counterpart of the namenode's fsimage): jobs in id order with
     /// full task/attempt detail and every per-job field a scheduling
     /// decision reads (blacklist counts, fetch strikes, the speculation
-    /// scan stamp, duration sums), tracker records, queue, rescue
-    /// attempts and counters. Equal logical state produces byte-identical
+    /// scan stamp, duration sums), tracker records, queue and counters. Equal logical state produces byte-identical
     /// output. The scheduling policy's own state (its failure history)
     /// is not part of the ledger, and neither is derived state a recount
     /// reproduces: the cached job orders and the speculation quiet
@@ -2209,7 +1982,6 @@ impl JobTracker {
         }
         let _ = writeln!(s, "fifo={:?}", self.fifo);
         let _ = writeln!(s, "sorting={:?}", sorted(self.sorting.iter()));
-        let _ = writeln!(s, "rescue={:?}", sorted(self.rescue_attempts.iter()));
         let _ = writeln!(s, "counters={:?}", self.counters);
         s
     }
@@ -2224,12 +1996,6 @@ impl JobTracker {
     /// Immutable tracker view (tests).
     pub fn tracker(&self, node: NodeId) -> Option<&TrackerState> {
         self.trackers.get(node)
-    }
-
-    /// Deterministic RNG access for mediator-level tie-breaks that should
-    /// share the JobTracker's stream.
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
     }
 }
 
@@ -2586,17 +2352,6 @@ mod tests {
         assert!(
             differs(&|jt| jt.jobs[0].reduce_duration_stats = (3.0, 1)),
             "the reduce duration sums"
-        );
-        let task = TaskRef {
-            job: JobId(0),
-            kind: TaskKind::Map,
-            index: 0,
-        };
-        assert!(
-            differs(&|jt| {
-                jt.rescue_attempts.insert(AttemptRef { task, attempt: 0 });
-            }),
-            "the rescue attempts"
         );
     }
 }

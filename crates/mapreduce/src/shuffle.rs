@@ -187,10 +187,6 @@ impl ReducePlan {
         v.sort_unstable();
         v
     }
-    /// Number of partitions currently pending (diagnostics/tests).
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]

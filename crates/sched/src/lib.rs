@@ -156,8 +156,8 @@ pub trait Scheduler {
     /// The answer must be a *pure function* of the policy state and the
     /// arguments — `&self` enforces it. The JobTracker therefore skips
     /// the call for a slot that could receive nothing whatever it
-    /// answers: nothing of `kind` pending, no failure prediction, and
-    /// speculation off or before its quiet instant.
+    /// answers: nothing of `kind` pending, and speculation off or before
+    /// its quiet instant.
     fn admit(&self, node: NodeId, site: SiteId, kind: SlotKind, now: SimTime) -> bool {
         let _ = (node, site, kind, now);
         true
@@ -220,57 +220,6 @@ pub trait Scheduler {
         0.0
     }
 
-    /// Whether this policy forecasts node failures at all. When `false`
-    /// (the default) the JobTracker never runs its rescue-copy pass, so
-    /// non-predictive runs stay bit-identical to pre-prediction builds.
-    fn prediction_enabled(&self) -> bool {
-        false
-    }
-
-    /// Whether the policy predicts `node` will die soon (ATLAS-style:
-    /// launch a *rescue copy* of its running work elsewhere before the
-    /// 30 s death detector fires). Must be derived only from observed
-    /// failure history — never from simulator internals — and must be
-    /// deterministic. Only consulted when [`Scheduler::prediction_enabled`]
-    /// is `true`.
-    fn predicts_failure(&self, node: NodeId, site: SiteId, now: SimTime) -> bool {
-        let _ = (node, site, now);
-        false
-    }
-
-    /// Whether running work on `node` should be treated as *doomed* for
-    /// rescue sourcing. Defaults to [`Scheduler::predicts_failure`], but
-    /// policies whose prediction mixes node-specific and pool-wide
-    /// signals should answer with the node-specific subset only: every
-    /// doomed task is a rescue-copy magnet, and sourcing copies off a
-    /// site-wide alarm (which flags every survivor at the site at once)
-    /// collapses precision — most of those survivors outlive their
-    /// tasks, and each wasted copy is load.
-    fn marks_doomed(&self, node: NodeId, site: SiteId, now: SimTime) -> bool {
-        self.predicts_failure(node, site, now)
-    }
-
-    /// Whether a *rescue* copy of work running on `doomed` (a node the
-    /// policy [`predicts_failure`] for) may be placed on `node`. The
-    /// default refuses only placements themselves predicted to die —
-    /// policies with graded reliability scores should hold rescues to a
-    /// *relative* bar instead (meaningfully healthier than the node being
-    /// rescued from), so the mechanism keeps working when a preemption
-    /// wave taints the whole pool and no node looks absolutely safe.
-    ///
-    /// [`predicts_failure`]: Scheduler::predicts_failure
-    fn allow_rescue(
-        &self,
-        node: NodeId,
-        site: SiteId,
-        doomed: NodeId,
-        doomed_site: SiteId,
-        now: SimTime,
-    ) -> bool {
-        let _ = (doomed, doomed_site);
-        !self.predicts_failure(node, site, now)
-    }
-
     /// Clone this policy, state included, into a fresh box. Master
     /// checkpointing snapshots the live policy through this hook so
     /// accumulated failure history survives a JobTracker failover.
@@ -295,11 +244,6 @@ pub enum SchedPolicy {
     Fair,
     /// ATLAS-style failure-aware placement on top of FIFO order.
     FailureAware,
-    /// [`SchedPolicy::FailureAware`] plus failure *prediction*: nodes
-    /// whose decayed penalty crosses a forecast threshold get rescue
-    /// copies of their running tasks launched elsewhere before the death
-    /// detector fires (the ATLAS loop closed; DESIGN §16.2).
-    Predictive,
 }
 
 impl SchedPolicy {
@@ -309,18 +253,6 @@ impl SchedPolicy {
             SchedPolicy::Fifo => "fifo",
             SchedPolicy::Fair => "fair",
             SchedPolicy::FailureAware => "failure_aware",
-            SchedPolicy::Predictive => "predictive",
-        }
-    }
-
-    /// Parse a policy name as produced by [`SchedPolicy::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "fifo" => Some(SchedPolicy::Fifo),
-            "fair" => Some(SchedPolicy::Fair),
-            "failure_aware" | "failure-aware" => Some(SchedPolicy::FailureAware),
-            "predictive" => Some(SchedPolicy::Predictive),
-            _ => None,
         }
     }
 }
@@ -332,9 +264,6 @@ pub fn build(policy: SchedPolicy) -> Box<dyn Scheduler> {
         SchedPolicy::Fifo => Box::new(FifoSched::new()),
         SchedPolicy::Fair => Box::new(FairSched::new()),
         SchedPolicy::FailureAware => Box::new(FailureAwareSched::new()),
-        SchedPolicy::Predictive => {
-            Box::new(FailureAwareSched::new().with_prediction(failure::DEFAULT_PREDICT_THRESHOLD))
-        }
     }
 }
 
@@ -348,12 +277,9 @@ mod tests {
             SchedPolicy::Fifo,
             SchedPolicy::Fair,
             SchedPolicy::FailureAware,
-            SchedPolicy::Predictive,
         ] {
-            assert_eq!(SchedPolicy::parse(p.as_str()), Some(p));
             assert_eq!(build(p).name(), p.as_str());
         }
-        assert_eq!(SchedPolicy::parse("lottery"), None);
         assert_eq!(SchedPolicy::default(), SchedPolicy::Fifo);
     }
 

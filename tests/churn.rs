@@ -25,7 +25,7 @@ fn scale_fingerprint(nodes: usize, seed: u64) -> String {
 }
 
 /// The anchors every churn-layer change must hold: byte-identical
-/// outcomes for the default (exponential, prediction off) configuration
+/// outcomes for the default (exponential) configuration
 /// at BENCH_scale's dev tiers. These constants are copied from
 /// BENCH_scale.baseline.json — if this test fails, the churn layer leaked
 /// into the legacy path.
