@@ -54,7 +54,7 @@ fn bench_fluid_recompute(c: &mut Criterion) {
                 for i in 0..200u32 {
                     let src = NodeId(i % 200);
                     let dst = NodeId((i * 37 + 1) % 200);
-                    net.start_flow(SimTime::ZERO, src, dst, 64 << 20, i as u64);
+                    net.start_flow(SimTime::ZERO, src, dst, 64 << 20);
                     net.flush();
                 }
                 black_box(net.active_flows());

@@ -50,7 +50,7 @@ fn loaded_net(flows: u32) -> FluidNet {
     for i in 0..flows {
         let src = NodeId(i * 7 % nodes);
         let dst = NodeId((i * 131 + 11) % nodes);
-        net.start_flow(SimTime::ZERO, src, dst, 256 << 20, i as u64);
+        net.start_flow(SimTime::ZERO, src, dst, 256 << 20);
     }
     net.flush();
     net
@@ -66,7 +66,7 @@ fn bench_fluid_recompute(c: &mut Criterion) {
                 |mut net| {
                     // One start, flushed = one incremental recompute of the
                     // touched component.
-                    net.start_flow(SimTime::ZERO, NodeId(3), NodeId(397), 256 << 20, 1 << 40);
+                    net.start_flow(SimTime::ZERO, NodeId(3), NodeId(397), 256 << 20);
                     black_box(net.next_completion());
                     black_box(net.recompute_work());
                     net
@@ -83,7 +83,7 @@ fn bench_fluid_recompute(c: &mut Criterion) {
                 for i in 0..64u32 {
                     let src = NodeId(i * 13 % 400);
                     let dst = NodeId((i * 61 + 5) % 400);
-                    net.start_flow(SimTime::ZERO, src, dst, 64 << 20, (1 << 40) + i as u64);
+                    net.start_flow(SimTime::ZERO, src, dst, 64 << 20);
                 }
                 black_box(net.next_completion());
                 black_box(net.recompute_work());

@@ -39,8 +39,10 @@ pub enum Fault {
         /// How long the degradation lasts.
         duration: SimDuration,
     },
-    /// `storage_failed` flips on up to `count` live, healthy datanodes at
-    /// once: the §IV-D.1 abandoned-node pathology as an outbreak.
+    /// Up to `count` healthy workers outside any partition lose their
+    /// storage at once while their daemons keep heartbeating: the
+    /// §IV-D.1 abandoned-node pathology as an outbreak. The masters
+    /// cannot see it; the mediator fails what the zombies source.
     ZombieOutbreak {
         /// Number of new zombies.
         count: usize,

@@ -19,6 +19,7 @@ use crate::config::{ClusterConfig, PlacementKind, ResourceConfig, DETECTION_TIME
 use crate::event::{DoomReason, Event};
 use crate::master::SingleMasterStack;
 use hog_chaos::{Auditor, ChaosFailure, Fault, ProgressSig, Watchdog};
+use hog_grid::config::GLIDEIN_SLOTS;
 use hog_grid::{
     ElasticController, ElasticDecision, GridModel, GridNote, GridOutput, LossReason, PoolSnapshot,
 };
@@ -29,8 +30,10 @@ use hog_hdfs::{
 };
 use hog_mapreduce::config::{DISK_READ_RATE, DISK_WRITE_RATE, HEARTBEAT_INTERVAL};
 use hog_mapreduce::jobtracker::FailReason;
-use hog_mapreduce::{Assignment, AttemptRef, JobId, JobSubmission, JobTracker, JtNote, ReduceStep};
-use hog_net::{FlowEnd, FlowId, FlowOutcome, FluidNet, NodeId, NodeSet, Topology};
+use hog_mapreduce::{
+    Assignment, AttemptRef, JobId, JobSubmission, JobTracker, JtNote, ReduceStep, TaskKind,
+};
+use hog_net::{FlowEnd, FlowId, FlowOutcome, FluidNet, NodeId, NodeMap, Topology};
 use hog_obs::{
     render_tail, HistogramId, Layer, MetricId, MetricsRegistry, TraceEvent, TraceLog, Tracer,
     DUMP_TAIL,
@@ -69,12 +72,8 @@ enum FlowCtx {
     PipeHead { write: u64 },
     /// First target → one further replica of a block write.
     PipeFan { write: u64, target: NodeId },
-    /// A balancer move: copy `block` to `dst`, then drop it from `src`.
-    Balancer {
-        block: BlockId,
-        src: NodeId,
-        dst: NodeId,
-    },
+    /// A balancer move: copy the block to `dst`, then drop it from `src`.
+    Balancer(ReplOrder),
 }
 
 /// Who asked for a block write.
@@ -102,14 +101,24 @@ struct WriteState {
     excluded: BTreeSet<NodeId>,
 }
 
-/// Cached per-map-attempt execution parameters.
+/// A worker whose daemons run, zombies included: the mediator's one
+/// record of its physical state.
 #[derive(Clone, Copy, Debug)]
-struct MapMeta {
-    node: NodeId,
-    block: BlockId,
-    input_bytes: u64,
-    cpu_secs: f64,
-    output_bytes: u64,
+struct Worker {
+    /// `(map, reduce)` slots it registered with; a re-registration after
+    /// a heal or a promotion reuses them.
+    slots: (u8, u8),
+    /// Storage gone while the daemons keep heartbeating (§IV-D.1). The
+    /// masters keep trusting a zombie; the mediator fails what it
+    /// sources.
+    zombie: bool,
+    /// Cut off by an injected partition: daemons alive, traffic and
+    /// heartbeats dropped (hog-chaos).
+    partitioned: bool,
+    /// The chaos `Straggler` fault slowing it down, by its index in the
+    /// fault plan, which holds the factors. Every heartbeat reads this
+    /// record, and an index keeps it small.
+    straggler: Option<u32>,
 }
 
 /// Run phase (see module docs).
@@ -242,17 +251,16 @@ pub struct Cluster {
     masters: SingleMasterStack,
     rng: SimRng,
     master: NodeId,
-    /// Nodes whose daemons are running (zombies included): the
-    /// per-heartbeat and per-disk-check gate, one bit per node.
-    daemons_up: NodeSet,
-    /// Zombie nodes: daemons up, storage gone.
-    zombies: BTreeSet<NodeId>,
+    /// Workers whose daemons run (zombies included), by node: the
+    /// per-heartbeat and per-disk-check gate.
+    workers: NodeMap<Worker>,
+    /// How many `workers` have `zombie` set, so the per-tick pool count
+    /// does not walk the table.
+    zombie_count: usize,
     flows: HashMap<FlowId, FlowCtx>,
     attempt_flows: HashMap<AttemptRef, Vec<FlowId>>,
     writes: HashMap<u64, WriteState>,
     next_write_id: u64,
-    map_meta: HashMap<AttemptRef, MapMeta>,
-    reduce_out: HashMap<AttemptRef, (u64, u16)>,
     schedule: Vec<JobSpec>,
     input_files: Vec<FileId>,
     job_of_schedule: HashMap<JobId, usize>,
@@ -283,23 +291,12 @@ pub struct Cluster {
     formation_grace: f64,
     /// Last availability-policy sweep instant (X17), when armed.
     avail_last: Option<SimTime>,
-    /// History of availability sweeps that changed any target:
-    /// (time, targets raised, targets lowered).
-    pub avail_actions: Vec<(SimTime, u64, u64)>,
     /// Elastic pool controller, when `cfg.elastic` is set on a grid run.
     elastic: Option<ElasticController>,
     /// History of elastic resizes: (time, signed node delta).
     pub elastic_actions: Vec<(SimTime, i64)>,
-    /// `(map, reduce)` slots each worker registered with (chaos heal
-    /// re-registration needs the original values).
-    slots_of: HashMap<NodeId, (u8, u8)>,
-    /// Nodes currently behind an injected network partition: daemons
-    /// alive, traffic and heartbeats cut (hog-chaos).
-    partitioned: BTreeSet<NodeId>,
     /// Which nodes each active partition fault cut off (for healing).
     partition_members: HashMap<u32, Vec<NodeId>>,
-    /// Straggler slowdowns: node → (cpu multiplier, disk multiplier).
-    straggle: HashMap<NodeId, (f64, f64)>,
     /// Masters suspended until this instant (chaos `MasterStall`).
     master_stalled_until: Option<SimTime>,
     /// Decorrelated RNG stream for chaos victim selection.
@@ -398,9 +395,7 @@ impl Cluster {
         // The controller only makes sense over a glidein pool; on fixed
         // clusters an `elastic` config is silently inert.
         let elastic = cfg.elastic.as_ref().and_then(|ec| match &cfg.resource {
-            ResourceConfig::Grid { sites, slots, .. } => {
-                Some(ElasticController::new(ec.clone(), *slots, sites))
-            }
+            ResourceConfig::Grid { sites, .. } => Some(ElasticController::new(ec.clone(), sites)),
             ResourceConfig::Fixed { .. } => None,
         });
         let n_jobs = schedule.len();
@@ -418,14 +413,12 @@ impl Cluster {
             masters: SingleMasterStack::new(nn, jt, failover_cfg),
             rng,
             master,
-            daemons_up: NodeSet::new(),
-            zombies: BTreeSet::new(),
+            workers: NodeMap::new(),
+            zombie_count: 0,
             flows: HashMap::new(),
             attempt_flows: HashMap::new(),
             writes: HashMap::new(),
             next_write_id: 0,
-            map_meta: HashMap::new(),
-            reduce_out: HashMap::new(),
             schedule: schedule.jobs().to_vec(),
             input_files: Vec::new(),
             job_of_schedule: HashMap::new(),
@@ -442,13 +435,9 @@ impl Cluster {
             target_nodes,
             formation_grace,
             avail_last: None,
-            avail_actions: Vec::new(),
             elastic,
             elastic_actions: Vec::new(),
-            slots_of: HashMap::new(),
-            partitioned: BTreeSet::new(),
             partition_members: HashMap::new(),
-            straggle: HashMap::new(),
             master_stalled_until: None,
             // Seeded independently of the master stream so enabling chaos
             // never perturbs the organic randomness of a run.
@@ -525,8 +514,8 @@ impl Cluster {
                     .iter()
                     .map(|&slots| (self.topo.add_node(site), slots))
                     .collect();
-                for (node, (m, r)) in specs {
-                    self.register_worker(node, m, r, sched);
+                for (node, slots) in specs {
+                    self.register_worker(node, slots, sched);
                 }
                 self.set_phase(RunPhase::Uploading);
                 self.begin_upload_queue();
@@ -535,15 +524,20 @@ impl Cluster {
         }
     }
 
-    fn register_worker(&mut self, node: NodeId, m: u8, r: u8, sched: &mut Scheduler<'_, Event>) {
+    fn register_worker(&mut self, node: NodeId, slots: (u8, u8), sched: &mut Scheduler<'_, Event>) {
         let now = sched.now();
-        self.daemons_up.insert(node);
-        self.slots_of.insert(node, (m, r));
+        let worker = Worker {
+            slots,
+            zombie: false,
+            partitioned: false,
+            straggler: None,
+        };
+        self.workers.insert(node, worker);
         self.net.register_node(node, self.topo.site_of(node));
         self.masters.nn.register_datanode(now, node);
         self.masters
             .jt
-            .register_tracker(now, node, self.topo.site_of(node), m, r);
+            .register_tracker(now, node, self.topo.site_of(node), slots.0, slots.1);
         let (hb, check) = self.worker_timers(node);
         sched.after(hb, Event::Heartbeat { node });
         if let Some(d) = check {
@@ -579,7 +573,7 @@ impl Cluster {
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Core, "phase")
                 .with("to", to)
-                .with("pool", self.daemons_up.len())
+                .with("pool", self.workers.len())
         });
     }
 
@@ -898,7 +892,7 @@ impl Cluster {
             self.retry_or_fail_write(sched, id);
         } else {
             let src = writer.unwrap_or(self.master);
-            let fid = self.net.start_flow(sched.now(), src, head, size, 0);
+            let fid = self.net.start_flow(sched.now(), src, head, size);
             self.flows.insert(fid, FlowCtx::PipeHead { write: id });
             self.writes.insert(id, st);
             self.track_write_flow(owner, fid);
@@ -925,22 +919,35 @@ impl Cluster {
 
     /// Whether a node is alive with working storage (writable target).
     fn node_usable(&self, node: NodeId) -> bool {
-        self.daemons_up.contains(node)
-            && !self.zombies.contains(&node)
-            && !self.partitioned.contains(&node)
+        self.workers
+            .get(node)
+            .is_some_and(|w| !w.zombie && !w.partitioned)
     }
 
     /// Whether a node is alive and on the network: daemons running and
     /// not cut off by an injected partition. Storage state is irrelevant
     /// (a zombie still serves cached map output and heartbeats).
     fn node_reachable(&self, node: NodeId) -> bool {
-        self.daemons_up.contains(node) && !self.partitioned.contains(&node)
+        self.workers.get(node).is_some_and(|w| !w.partitioned)
+    }
+
+    /// Whether a node is a zombie: daemons up, storage gone.
+    fn is_zombie(&self, node: NodeId) -> bool {
+        self.workers.get(node).is_some_and(|w| w.zombie)
     }
 
     /// Chaos straggler multipliers for `node`: `(cpu, disk)`, 1.0 = no
     /// slowdown.
     fn slow(&self, node: NodeId) -> (f64, f64) {
-        self.straggle.get(&node).copied().unwrap_or((1.0, 1.0))
+        let fault = self.workers.get(node).and_then(|w| w.straggler);
+        match fault.map(|i| &self.cfg.chaos.plan.faults()[i as usize].fault) {
+            Some(&Fault::Straggler {
+                cpu_factor,
+                disk_factor,
+                ..
+            }) => (cpu_factor, disk_factor),
+            _ => (1.0, 1.0),
+        }
     }
 
     /// Workload straggler-mix CPU multiplier for one task attempt: 1.0
@@ -976,7 +983,7 @@ impl Cluster {
             .expect("fanning write is live")
             .outstanding = rest.len();
         for t in rest {
-            let fid = self.net.start_flow(sched.now(), head, t, size, 0);
+            let fid = self.net.start_flow(sched.now(), head, t, size);
             self.flows
                 .insert(fid, FlowCtx::PipeFan { write, target: t });
             self.track_write_flow(owner, fid);
@@ -1119,16 +1126,14 @@ impl Cluster {
             FlowCtx::Repl { block, src, dst } => {
                 self.masters.nn.repl_done(block, src, dst, ok);
             }
-            FlowCtx::Balancer { block, src, dst } => {
-                if ok && self.node_usable(dst) {
-                    // Copy landed: register it, then drop the source copy
-                    // (a move, like `balancer::apply_move`, but with the
-                    // transfer having actually crossed the network).
-                    // `repl_done` also decrements both ends' replication
-                    // stream counters; balancer moves never incremented
-                    // them, which is safe because the decrement saturates.
-                    self.masters.nn.repl_done(block, src, dst, true);
-                    self.masters.nn.report_bad_replica(block, src);
+            FlowCtx::Balancer(mv) => {
+                if ok && self.node_usable(mv.dst) {
+                    // Copy landed: register it, then drop the source
+                    // copy. `apply_move`'s `repl_done` also decrements
+                    // both ends' replication stream counters; balancer
+                    // moves never incremented them, which is safe
+                    // because the decrement saturates.
+                    hog_hdfs::balancer::apply_move(&mut self.masters.nn, &mv);
                 }
                 // Failed moves are simply abandoned; the balancer re-plans
                 // on its next tick.
@@ -1167,17 +1172,14 @@ impl Cluster {
     // Worker lifecycle
     // ==================================================================
 
+    /// A glidein's daemons came up (grid runs only).
     fn on_node_started(&mut self, node: NodeId, sched: &mut Scheduler<'_, Event>) {
-        let (m, r) = match &self.cfg.resource {
-            ResourceConfig::Grid { slots, .. } => *slots,
-            ResourceConfig::Fixed { .. } => (1, 1),
-        };
-        self.register_worker(node, m, r, sched);
+        self.register_worker(node, GLIDEIN_SLOTS, sched);
         // Under churn a glidein pool carries a standing deficit of
         // (death rate x acquisition delay) nodes, so huge pools may never
         // hit `target_nodes` exactly; `formation_grace` admits that slack.
         let grace = (self.target_nodes as f64 * self.formation_grace) as usize;
-        if self.phase == RunPhase::Forming && self.daemons_up.len() >= self.target_nodes - grace {
+        if self.phase == RunPhase::Forming && self.workers.len() >= self.target_nodes - grace {
             self.set_phase(RunPhase::Uploading);
             self.begin_upload_queue();
             sched.now_event(Event::PumpUpload);
@@ -1192,13 +1194,26 @@ impl Cluster {
         if zombie_roll {
             // Double-forked daemons survive the kill; their working
             // directory is gone. They keep heartbeating.
-            self.zombies.insert(node);
             self.tracer
                 .emit(|| TraceEvent::new(Layer::Core, "zombie_spawn").with("node", node.0));
-            self.masters.nn.mark_storage_failed(node);
+            self.zombify(node);
         } else {
             self.shutdown_daemons(node, false, sched);
         }
+    }
+
+    /// `node`'s storage is gone while its daemons keep heartbeating
+    /// (§IV-D.1). Only the mediator knows: the masters keep trusting
+    /// the node until a read fails or the disk self-check shuts it down.
+    fn zombify(&mut self, node: NodeId) {
+        if let Some(w) = self.workers.get_mut(node) {
+            if !w.zombie {
+                w.zombie = true;
+                self.zombie_count += 1;
+            }
+        }
+        self.tracer
+            .emit(|| TraceEvent::new(Layer::Hdfs, "storage_failed").with("node", node.0));
     }
 
     /// Daemons on `node` are gone: kill its flows and stop its
@@ -1214,11 +1229,9 @@ impl Cluster {
         decommission: bool,
         sched: &mut Scheduler<'_, Event>,
     ) {
-        self.daemons_up.remove(node);
-        self.zombies.remove(&node);
-        self.partitioned.remove(&node);
-        self.straggle.remove(&node);
-        self.slots_of.remove(&node);
+        if self.workers.remove(node).is_some_and(|w| w.zombie) {
+            self.zombie_count -= 1;
+        }
         self.masters.nn.mark_silent(sched.now(), node);
         let notes = if decommission {
             self.masters.jt.decommission_tracker(sched.now(), node)
@@ -1287,11 +1300,9 @@ impl Cluster {
         self.node_reachable(node).then_some(node)
     }
 
-    /// A live map attempt's cached execution parameters (see
-    /// [`Cluster::live_attempt_node`]).
-    fn live_map(&self, attempt: AttemptRef) -> Option<MapMeta> {
-        self.live_attempt_node(attempt)?;
-        self.map_meta.get(&attempt).copied()
+    /// The parameters of `attempt`'s job, from the JobTracker's ledger.
+    fn spec(&self, attempt: AttemptRef) -> &JobSubmission {
+        &self.masters.jt.job(attempt.task.job).spec
     }
 
     /// Whether the masters are serving: not crashed, and not inside a
@@ -1306,14 +1317,14 @@ impl Cluster {
     /// queue's heartbeat lane. The assignment buffer is reused across
     /// every heartbeat of the run.
     fn deliver_heartbeat(&mut self, sched: &mut Scheduler<'_, Event>, node: NodeId, serving: bool) {
-        if !self.daemons_up.contains(node) {
+        let Some(worker) = self.workers.get(node) else {
             return; // daemon gone: heartbeats stop
-        }
+        };
         // A partitioned worker keeps its daemons (and this timer)
         // alive, but its heartbeats never reach the JobTracker; a
         // stalled or crashed master receives nothing. Either way
         // the masters' timeout machinery sees silence.
-        if serving && !self.partitioned.contains(&node) {
+        if serving && !worker.partitioned {
             let mut assignments = std::mem::take(&mut self.assign_buf);
             self.masters
                 .jt
@@ -1331,50 +1342,19 @@ impl Cluster {
         assignments: &[Assignment],
     ) {
         for a in assignments {
-            match *a {
-                Assignment::Map {
-                    attempt,
-                    block,
-                    input_bytes,
-                    cpu_secs,
-                    output_bytes,
-                    ..
-                } => {
-                    self.map_meta.insert(
+            let attempt = a.attempt();
+            if self.is_zombie(node) {
+                sched.after(
+                    ZOMBIE_FAIL_DELAY,
+                    Event::AttemptDoomed {
                         attempt,
-                        MapMeta {
-                            node,
-                            block,
-                            input_bytes,
-                            cpu_secs,
-                            output_bytes,
-                        },
-                    );
-                    if self.zombies.contains(&node) {
-                        sched.after(
-                            ZOMBIE_FAIL_DELAY,
-                            Event::AttemptDoomed {
-                                attempt,
-                                reason: DoomReason::Zombie,
-                            },
-                        );
-                    } else {
-                        self.start_map_read(sched, attempt);
-                    }
-                }
-                Assignment::Reduce { attempt } => {
-                    if self.zombies.contains(&node) {
-                        sched.after(
-                            ZOMBIE_FAIL_DELAY,
-                            Event::AttemptDoomed {
-                                attempt,
-                                reason: DoomReason::Zombie,
-                            },
-                        );
-                    } else {
-                        self.drive_reduce(sched, attempt);
-                    }
-                }
+                        reason: DoomReason::Zombie,
+                    },
+                );
+            } else if attempt.task.kind == TaskKind::Map {
+                self.start_map_read(sched, attempt);
+            } else {
+                self.drive_reduce(sched, attempt);
             }
         }
     }
@@ -1382,16 +1362,13 @@ impl Cluster {
     /// Resolve the input source for a map attempt and start the read
     /// (local disk or a network flow).
     fn start_map_read(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
-        let Some(meta) = self.live_map(attempt) else {
+        let Some(node) = self.live_attempt_node(attempt) else {
             return;
         };
-        let rtt = self.net.latency(self.master, meta.node) * 2;
+        let (block, input_bytes) = self.spec(attempt).input_blocks[attempt.task.index as usize];
+        let rtt = self.net.latency(self.master, node) * 2;
         loop {
-            match self
-                .masters
-                .nn
-                .pick_read_source(meta.block, meta.node, &self.topo)
-            {
+            match self.masters.nn.pick_read_source(block, node, &self.topo) {
                 None => {
                     sched.after(
                         rtt + SimDuration::from_secs(1),
@@ -1402,15 +1379,15 @@ impl Cluster {
                     );
                     return;
                 }
-                Some(src) if self.masters.nn.storage_failed(src) => {
+                Some(src) if self.is_zombie(src) => {
                     // Zombie replica: the read fails fast and the client
                     // reports the bad replica, then tries the next one.
-                    self.masters.nn.report_bad_replica(meta.block, src);
+                    self.masters.nn.report_bad_replica(block, src);
                     continue;
                 }
-                Some(src) if src == meta.node => {
-                    let (_, disk) = self.slow(meta.node);
-                    let secs = transfer_secs(meta.input_bytes, DISK_READ_RATE) * disk;
+                Some(src) if src == node => {
+                    let (_, disk) = self.slow(node);
+                    let secs = transfer_secs(input_bytes, DISK_READ_RATE) * disk;
                     sched.after(
                         rtt + SimDuration::from_secs_f64(secs),
                         Event::MapInputReady { attempt },
@@ -1418,9 +1395,7 @@ impl Cluster {
                     return;
                 }
                 Some(src) => {
-                    let fid = self
-                        .net
-                        .start_flow(sched.now(), src, meta.node, meta.input_bytes, 0);
+                    let fid = self.net.start_flow(sched.now(), src, node, input_bytes);
                     self.flows.insert(fid, FlowCtx::MapInput { attempt });
                     self.attempt_flows.entry(attempt).or_default().push(fid);
                     self.arm_net(sched);
@@ -1432,28 +1407,29 @@ impl Cluster {
 
     /// A map's input is in memory: schedule its compute phase.
     fn start_map_compute(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
-        let Some(meta) = self.live_map(attempt) else {
+        let Some(node) = self.live_attempt_node(attempt) else {
             return;
         };
-        let (cpu, _) = self.slow(meta.node);
+        let cpu_secs = self.spec(attempt).map_cpu_secs;
+        let (cpu, _) = self.slow(node);
         let strag = self.straggler_factor();
         sched.after(
-            SimDuration::from_secs_f64(meta.cpu_secs * cpu * strag),
+            SimDuration::from_secs_f64(cpu_secs * cpu * strag),
             Event::MapComputeDone { attempt },
         );
     }
 
     fn on_map_compute_done(&mut self, sched: &mut Scheduler<'_, Event>, attempt: AttemptRef) {
-        let Some(meta) = self.live_map(attempt) else {
+        let Some(node) = self.live_attempt_node(attempt) else {
             return;
         };
-        if !self.masters.jt.reserve_map_scratch(attempt, meta.node) {
+        if !self.masters.jt.reserve_map_scratch(attempt, node) {
             // Out of local disk: the §IV-D.2 failure mode.
             self.fail_attempt(sched, attempt, FailReason::DiskFull);
             return;
         }
-        let (_, disk) = self.slow(meta.node);
-        let secs = transfer_secs(meta.output_bytes, DISK_WRITE_RATE) * disk;
+        let (_, disk) = self.slow(node);
+        let secs = transfer_secs(self.spec(attempt).map_output_bytes, DISK_WRITE_RATE) * disk;
         sched.after(
             SimDuration::from_secs_f64(secs),
             Event::MapSpillDone { attempt },
@@ -1486,7 +1462,6 @@ impl Cluster {
                             order.src_rep,
                             node,
                             order.bytes,
-                            0,
                         );
                         self.flows
                             .insert(fid, FlowCtx::Shuffle { attempt, order: id });
@@ -1501,12 +1476,8 @@ impl Cluster {
                 }
                 self.arm_net(sched);
             }
-            ReduceStep::StartSort {
-                cpu_secs,
-                output_bytes,
-                replication,
-            } => {
-                self.reduce_out.insert(attempt, (output_bytes, replication));
+            ReduceStep::StartSort => {
+                let cpu_secs = self.spec(attempt).reduce_cpu_secs;
                 let (cpu, _) = self.slow(node);
                 let strag = self.straggler_factor();
                 sched.after(
@@ -1522,9 +1493,8 @@ impl Cluster {
         let Some(node) = self.live_attempt_node(attempt) else {
             return;
         };
-        let Some(&(bytes, repl)) = self.reduce_out.get(&attempt) else {
-            return;
-        };
+        let spec = self.spec(attempt);
+        let (bytes, repl) = (spec.reduce_output_bytes, spec.output_replication);
         let path = format!(
             "/out/j{}/r{}-a{}",
             attempt.task.job.0, attempt.task.index, attempt.attempt
@@ -1571,8 +1541,6 @@ impl Cluster {
     /// Drop the per-attempt state of an attempt that ended (succeeded,
     /// failed or killed), returning the flows registered under it.
     fn forget_attempt(&mut self, attempt: AttemptRef) -> Vec<FlowId> {
-        self.map_meta.remove(&attempt);
-        self.reduce_out.remove(&attempt);
         self.attempt_flows.remove(&attempt).unwrap_or_default()
     }
 
@@ -1762,9 +1730,10 @@ impl Cluster {
     /// appeared to leave safe.
     fn shrink_victims(&self, now: SimTime, n: usize) -> Vec<NodeId> {
         let mut ranked: Vec<(f64, NodeId)> = self
-            .daemons_up
+            .workers
             .iter()
-            .filter(|n| !self.zombies.contains(n))
+            .filter(|(_, w)| !w.zombie)
+            .map(|(n, _)| n)
             .filter(|&n| !self.masters.jt.tracker_busy(n))
             .map(|n| (self.masters.jt.site_penalty(self.topo.site_of(n), now), n))
             .collect();
@@ -1822,20 +1791,12 @@ impl Cluster {
             hog_hdfs::balancer::apply_trim(&mut self.masters.nn, block, node);
         }
         for mv in plan.moves {
-            if !self.node_reachable(mv.src) || !self.node_usable(mv.dst) {
+            // The plan sees zombies as the namenode does: healthy.
+            if !self.node_usable(mv.src) || !self.node_usable(mv.dst) {
                 continue;
             }
-            let fid = self
-                .net
-                .start_flow(sched.now(), mv.src, mv.dst, mv.bytes, 0);
-            self.flows.insert(
-                fid,
-                FlowCtx::Balancer {
-                    block: mv.block,
-                    src: mv.src,
-                    dst: mv.dst,
-                },
-            );
+            let fid = self.net.start_flow(sched.now(), mv.src, mv.dst, mv.bytes);
+            self.flows.insert(fid, FlowCtx::Balancer(mv));
         }
         self.arm_net(sched);
     }
@@ -1880,13 +1841,9 @@ impl Cluster {
                 }
             })
             .collect();
-        let (raised, lowered) = self
-            .masters
+        self.masters
             .nn
             .apply_availability(AvailabilitySnapshot { sites }, &self.topo);
-        if raised + lowered > 0 {
-            self.avail_actions.push((now, raised, lowered));
-        }
     }
 
     /// The configured preemption process for a site, by OSG resource
@@ -1925,16 +1882,13 @@ impl Cluster {
                 bytes,
             } in tick.orders
             {
-                if self.masters.nn.storage_failed(src) || !self.node_reachable(src) {
-                    // Zombie or just-died source: the transfer fails fast.
+                if !self.node_usable(src) || !self.node_reachable(dst) {
+                    // Zombie or just-died source, or a lost destination:
+                    // the transfer fails fast.
                     self.masters.nn.repl_done(block, src, dst, false);
                     continue;
                 }
-                if !self.node_reachable(dst) {
-                    self.masters.nn.repl_done(block, src, dst, false);
-                    continue;
-                }
-                let fid = self.net.start_flow(sched.now(), src, dst, bytes, 0);
+                let fid = self.net.start_flow(sched.now(), src, dst, bytes);
                 self.flows.insert(fid, FlowCtx::Repl { block, src, dst });
             }
             // JobTracker: dead trackers.
@@ -1944,7 +1898,7 @@ impl Cluster {
         // Series sampling (the Fig. 5 curves).
         self.reported_series
             .record(sched.now(), self.masters.jt.reported_live() as f64);
-        let usable = self.daemons_up.len() - self.zombies.len();
+        let usable = self.workers.len() - self.zombie_count;
         self.actual_series.record(sched.now(), usable as f64);
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Core, "master_tick")
@@ -1974,8 +1928,8 @@ impl Cluster {
             return;
         }
         let sig = self.progress_sig();
-        let usable = self.daemons_up.len() - self.zombies.len();
-        let zombies = self.zombies.len();
+        let usable = self.workers.len() - self.zombie_count;
+        let zombies = self.zombie_count;
         let reported = self.masters.jt.reported_live();
         let missing = self.missing_input_blocks();
         let flows_active = self.flows.len();
@@ -2108,8 +2062,6 @@ impl Cluster {
         self.flows.clear();
         self.attempt_flows.clear();
         self.writes.clear();
-        self.map_meta.clear();
-        self.reduce_out.clear();
 
         // 2. Kill-all in the restored ledger.
         let restored_jobs = self.masters.jt.job_count();
@@ -2144,40 +2096,36 @@ impl Cluster {
 
         // 5. Namenode recovery: reachable datanodes re-register and
         // replay what their disks actually hold (the ghost's view —
-        // updated through the downtime as nodes came and went). Zombies
-        // replay then re-flag storage failure: the restored namenode can
+        // updated through the downtime as nodes came and went). A
+        // zombie replays like any other node: the restored namenode can
         // no more tell them apart than the original could (§IV-D.1).
-        let reachable: Vec<NodeId> = self
-            .daemons_up
+        let reachable: Vec<(NodeId, (u8, u8))> = self
+            .workers
             .iter()
-            .filter(|&n| !self.partitioned.contains(&n))
+            .filter(|(_, w)| !w.partitioned)
+            .map(|(n, w)| (n, w.slots))
             .collect();
         let mut rereg = 0u64;
-        for &n in &reachable {
+        for &(n, _) in &reachable {
             let report: Vec<BlockId> = ghost_nn
                 .datanode(n)
                 .map(|d| d.blocks.iter().copied().collect())
                 .unwrap_or_default();
             self.masters.nn.replay_block_report(now, n, &report);
-            if self.zombies.contains(&n) {
-                self.masters.nn.mark_storage_failed(n);
-            }
             rereg += 1;
         }
         // Nodes the checkpoint believed live but that are unreachable
         // now (partitioned, or lost during the downtime) go silent; the
-        // normal dead-node machinery takes it from there.
-        let mut silent: Vec<NodeId> = self
+        // normal dead-node machinery takes it from there. Node tables
+        // iterate by ascending id, so the silences replay in a fixed
+        // order.
+        let silent: Vec<NodeId> = self
             .masters
             .nn
             .datanodes()
-            .filter(|&(n, d)| {
-                d.liveness == Liveness::Live
-                    && (!self.daemons_up.contains(n) || self.partitioned.contains(&n))
-            })
+            .filter(|&(n, d)| d.liveness == Liveness::Live && !self.node_reachable(n))
             .map(|(n, _)| n)
             .collect();
-        silent.sort_by_key(|n| n.0);
         for n in silent {
             self.masters.nn.mark_silent(now, n);
         }
@@ -2187,19 +2135,18 @@ impl Cluster {
         // fresh heartbeats (checkpoint-stale timestamps would trip mass
         // death detection on the first tick); known-but-unreachable ones
         // go silent; scratch accounting is rebuilt from the ledger.
-        for &n in &reachable {
-            let (m, r) = self.slots_of.get(&n).copied().unwrap_or((1, 1));
+        for &(n, (m, r)) in &reachable {
             self.masters
                 .jt
                 .register_tracker(now, n, self.topo.site_of(n), m, r);
             rereg += 1;
         }
-        let mut tracker_silent: Vec<NodeId> = self
-            .daemons_up
+        let tracker_silent: Vec<NodeId> = self
+            .workers
             .iter()
-            .filter(|&n| self.partitioned.contains(&n) && self.masters.jt.tracker_live(n))
+            .filter(|&(n, w)| w.partitioned && self.masters.jt.tracker_live(n))
+            .map(|(n, _)| n)
             .collect();
-        tracker_silent.sort_by_key(|n| n.0);
         for n in tracker_silent {
             self.masters.jt.tracker_silent(now, n);
         }
@@ -2276,12 +2223,15 @@ impl Cluster {
                     return;
                 };
                 let members: Vec<NodeId> = self
-                    .daemons_up
+                    .workers
                     .iter()
-                    .filter(|&n| self.topo.site_of(n) == site && !self.partitioned.contains(&n))
+                    .filter(|&(n, w)| self.topo.site_of(n) == site && !w.partitioned)
+                    .map(|(n, _)| n)
                     .collect();
                 for &n in &members {
-                    self.partitioned.insert(n);
+                    if let Some(w) = self.workers.get_mut(n) {
+                        w.partitioned = true;
+                    }
                     // Daemons stay up, but nothing gets through: both
                     // masters see silence, and every flow touching the
                     // node dies.
@@ -2298,29 +2248,28 @@ impl Cluster {
             }
             Fault::ZombieOutbreak { count } => {
                 let mut candidates: Vec<NodeId> = self
-                    .daemons_up
+                    .workers
                     .iter()
-                    .filter(|&n| !self.zombies.contains(&n) && !self.partitioned.contains(&n))
+                    .filter(|(_, w)| !w.zombie && !w.partitioned)
+                    .map(|(n, _)| n)
                     .collect();
                 self.chaos_rng.shuffle(&mut candidates);
                 for n in candidates.into_iter().take(count) {
-                    self.zombies.insert(n);
-                    self.masters.nn.mark_storage_failed(n);
+                    self.zombify(n);
                 }
             }
-            Fault::Straggler {
-                count,
-                cpu_factor,
-                disk_factor,
-            } => {
+            Fault::Straggler { count, .. } => {
                 let mut candidates: Vec<NodeId> = self
-                    .daemons_up
+                    .workers
                     .iter()
-                    .filter(|n| !self.straggle.contains_key(n))
+                    .filter(|(_, w)| w.straggler.is_none())
+                    .map(|(n, _)| n)
                     .collect();
                 self.chaos_rng.shuffle(&mut candidates);
                 for n in candidates.into_iter().take(count) {
-                    self.straggle.insert(n, (cpu_factor, disk_factor));
+                    if let Some(w) = self.workers.get_mut(n) {
+                        w.straggler = Some(index);
+                    }
                 }
             }
             Fault::MasterStall { duration } => {
@@ -2330,7 +2279,7 @@ impl Cluster {
             Fault::CorruptAccounting { delta_bytes } => {
                 // Deliberately breaks the namenode's books so the auditor
                 // has something real to catch (negative-testing fault).
-                if let Some(n) = self.daemons_up.iter().next() {
+                if let Some((n, _)) = self.workers.iter().next() {
                     self.masters.nn.debug_skew_used(n, delta_bytes);
                 }
             }
@@ -2357,10 +2306,11 @@ impl Cluster {
             Fault::SitePartition { .. } => {
                 let members = self.partition_members.remove(&index).unwrap_or_default();
                 for n in members {
-                    self.partitioned.remove(&n);
-                    if !self.daemons_up.contains(n) {
+                    let Some(w) = self.workers.get_mut(n) else {
                         continue; // lost for real while cut off
-                    }
+                    };
+                    w.partitioned = false;
+                    let (m, r) = w.slots;
                     self.net.register_node(n, self.topo.site_of(n));
                     let dn_dead = self
                         .masters
@@ -2372,14 +2322,10 @@ impl Cluster {
                         // block accounting); it reports back in empty, as
                         // a restarted datanode would.
                         self.masters.nn.register_datanode(sched.now(), n);
-                        if self.zombies.contains(&n) {
-                            self.masters.nn.mark_storage_failed(n);
-                        }
                     } else {
                         self.masters.nn.mark_live(sched.now(), n);
                     }
                     if !self.masters.jt.tracker_live(n) {
-                        let (m, r) = self.slots_of.get(&n).copied().unwrap_or((1, 1));
                         self.masters.jt.register_tracker(
                             sched.now(),
                             n,
@@ -2453,8 +2399,8 @@ impl Cluster {
                 ));
             }
         }
-        for n in self.daemons_up.iter() {
-            if self.masters.jt.tracker_live(n) && self.partitioned.contains(&n) {
+        for (n, w) in self.workers.iter() {
+            if w.partitioned && self.masters.jt.tracker_live(n) {
                 v.push(Violation::new(
                     "cluster",
                     format!("jobtracker believes {n:?} is Live across a partition"),
@@ -2477,9 +2423,9 @@ impl Cluster {
         ProgressSig {
             phase: self.phase as u8,
             pool_size: self
-                .daemons_up
+                .workers
                 .iter()
-                .filter(|&n| self.node_usable(n))
+                .filter(|&(n, _)| self.node_usable(n))
                 .count(),
             node_starts: self.grid.as_ref().map_or(0, |g| g.node_start_count()),
             upload_remaining: self.upload_queue.len() + self.upload_in_flight,
@@ -2542,10 +2488,10 @@ impl Model for Cluster {
                 self.deliver_heartbeat(sched, node, serving);
             }
             Event::DiskCheck { node } => {
-                if !self.daemons_up.contains(node) {
+                let Some(worker) = self.workers.get(node) else {
                     return;
-                }
-                if self.zombies.contains(&node) {
+                };
+                if worker.zombie {
                     // The self-check noticed the working directory is
                     // gone: shut down cleanly (the paper's fix).
                     self.tracer.emit(|| {
@@ -2668,8 +2614,6 @@ mod tests {
         cluster.bootstrap(&mut sim);
         sim.run(&mut cluster);
         assert_eq!(cluster.phase(), RunPhase::Done);
-        assert!(cluster.map_meta.is_empty(), "{:?}", cluster.map_meta);
-        assert!(cluster.reduce_out.is_empty(), "{:?}", cluster.reduce_out);
         assert!(
             cluster.attempt_flows.is_empty(),
             "{:?}",

@@ -40,11 +40,9 @@ pub enum ResourceConfig {
         /// Participating sites.
         sites: Vec<SiteConfig>,
         /// Pool size to form before the workload starts (the paper's
-        /// x-axis in Figure 4).
+        /// x-axis in Figure 4). Each glidein brings
+        /// [`hog_grid::config::GLIDEIN_SLOTS`] task slots.
         target_nodes: usize,
-        /// `(map, reduce)` slots per glidein — `(1, 1)` in the paper,
-        /// since each glidein gets one core.
-        slots: (u8, u8),
     },
     /// A fixed set of dedicated nodes in one site (Table III).
     Fixed {
@@ -226,7 +224,6 @@ impl ClusterConfig {
                 // synthetic OSG sites appear only past the paper's scale.
                 sites: hog_grid::config::scaled_sites(target_nodes),
                 target_nodes,
-                slots: (1, 1),
             },
             zombie: ZombieConfig::off(),
             placement: PlacementKind::SiteAware,
@@ -461,12 +458,9 @@ mod tests {
             ResourceConfig::Grid {
                 sites,
                 target_nodes,
-                slots,
-                ..
             } => {
                 assert_eq!(sites.len(), 5);
                 assert_eq!(*target_nodes, 100);
-                assert_eq!(*slots, (1, 1));
             }
             _ => panic!("HOG runs on the grid"),
         }

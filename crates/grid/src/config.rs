@@ -18,6 +18,10 @@ pub const PACKAGE_DOWNLOAD_RATE: f64 = 20.0 * MIB as f64;
 /// configuration rewriting and JVM startup).
 pub const CONFIGURE_TIME: SimDuration = SimDuration::from_secs(15);
 
+/// `(map, reduce)` task slots of one glidein worker. Each glidein gets
+/// one core, so the paper runs one map and one reduce slot per worker.
+pub const GLIDEIN_SLOTS: (u8, u8) = (1, 1);
+
 /// Delay before a preempted Condor job re-enters the negotiation cycle
 /// (`OnExitRemove = FALSE` requeue plus negotiator latency).
 pub const RESUBMIT_DELAY: UniformDuration =

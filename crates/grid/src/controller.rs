@@ -32,7 +32,9 @@
 //! [`GridModel::submit_workers`]: crate::GridModel::submit_workers
 //! [`GridModel::remove_workers_preferring`]: crate::GridModel::remove_workers_preferring
 
-use crate::config::{SiteConfig, CONFIGURE_TIME, PACKAGE_BYTES, PACKAGE_DOWNLOAD_RATE};
+use crate::config::{
+    SiteConfig, CONFIGURE_TIME, GLIDEIN_SLOTS, PACKAGE_BYTES, PACKAGE_DOWNLOAD_RATE,
+};
 use hog_sim_core::units::transfer_secs;
 use hog_sim_core::{SimDuration, SimTime};
 
@@ -65,8 +67,8 @@ pub const MAX_SHRINK_STEP: usize = 150;
 
 /// Bounds of the elastic pool controller.
 /// The tuning is fixed ([`HEADROOM`], [`HYSTERESIS`], [`COOLDOWN`],
-/// [`SHRINK_PATIENCE`], [`MAX_SHRINK_STEP`]); slots per worker come from
-/// the pool's resource config.
+/// [`SHRINK_PATIENCE`], [`MAX_SHRINK_STEP`]), and so are the slots per
+/// worker ([`GLIDEIN_SLOTS`]).
 #[derive(Clone, Debug)]
 pub struct ElasticConfig {
     /// Pool floor: never shrink below this many workers.
@@ -121,8 +123,6 @@ pub enum ElasticDecision {
 #[derive(Clone, Debug)]
 pub struct ElasticController {
     cfg: ElasticConfig,
-    /// `(map, reduce)` slots per worker.
-    slots: (u8, u8),
     spinup: SimDuration,
     last_action: Option<SimTime>,
     surplus_since: Option<SimTime>,
@@ -135,11 +135,11 @@ fn ceil_div(a: usize, b: usize) -> usize {
 }
 
 impl ElasticController {
-    /// Build a controller for workers with `slots` `(map, reduce)` slots
-    /// each, deriving the spin-up estimate from the grid configuration:
+    /// Build a controller for glidein workers ([`GLIDEIN_SLOTS`] slots
+    /// each), deriving the spin-up estimate from the grid configuration:
     /// mean batch-queue acquisition over the usable sites, plus package
     /// download, plus the fixed configure time.
-    pub fn new(cfg: ElasticConfig, slots: (u8, u8), sites: &[SiteConfig]) -> Self {
+    pub fn new(cfg: ElasticConfig, sites: &[SiteConfig]) -> Self {
         let usable: Vec<&SiteConfig> = sites.iter().filter(|s| s.public_ip).collect();
         let mut total = 0.0;
         for s in &usable {
@@ -154,7 +154,6 @@ impl ElasticController {
         };
         ElasticController {
             cfg,
-            slots,
             spinup,
             last_action: None,
             surplus_since: None,
@@ -177,10 +176,11 @@ impl ElasticController {
         if snap.active_jobs == 0 {
             return self.cfg.min_nodes;
         }
-        let map_nodes = ceil_div(snap.pending_maps + snap.running_maps, self.slots.0 as usize);
+        let (map_slots, reduce_slots) = GLIDEIN_SLOTS;
+        let map_nodes = ceil_div(snap.pending_maps + snap.running_maps, map_slots as usize);
         let reduce_nodes = ceil_div(
             snap.pending_reduces + snap.running_reduces,
-            self.slots.1 as usize,
+            reduce_slots as usize,
         );
         let demand = map_nodes.max(reduce_nodes);
         let padded = (demand as f64 * HEADROOM).ceil() as usize;
@@ -259,7 +259,7 @@ mod tests {
     use crate::config::paper_sites;
 
     fn controller(min: usize, max: usize) -> ElasticController {
-        ElasticController::new(ElasticConfig::new(min, max), (1, 1), &paper_sites())
+        ElasticController::new(ElasticConfig::new(min, max), &paper_sites())
     }
 
     fn busy(pending: usize, live: usize, outstanding: usize) -> PoolSnapshot {

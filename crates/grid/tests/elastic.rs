@@ -72,7 +72,7 @@ fn run_plant(
     churn_permille: u32,
     ticks: u64,
 ) -> (Vec<(SimTime, ElasticDecision)>, Plant, ElasticController) {
-    let mut c = ElasticController::new(ElasticConfig::new(min, max), (1, 1), &paper_sites());
+    let mut c = ElasticController::new(ElasticConfig::new(min, max), &paper_sites());
     let spinup = c.spinup_estimate();
     let mut rng = SimRng::seed_from_u64(seed);
     let mut plant = Plant {

@@ -33,10 +33,11 @@ pub struct BalancerPlan {
 pub fn plan(nn: &Namenode, topo: &Topology, threshold: f64, max_moves: usize) -> BalancerPlan {
     // Utilisation per live datanode. A zero-capacity node can be neither
     // a source nor a sink (and its utilisation would be 0/0), so it
-    // stays out of the plan.
+    // stays out of the plan. Zombies look live here, as they do to the
+    // namenode; the mediator refuses moves with an unusable end.
     let mut nodes: Vec<(NodeId, u64, u64)> = nn
         .datanodes()
-        .filter(|(n, d)| nn.is_live(*n) && d.capacity > 0 && !d.storage_failed)
+        .filter(|(n, d)| nn.is_live(*n) && d.capacity > 0)
         .map(|(n, d)| (n, d.used, d.capacity))
         .collect();
     if nodes.len() < 2 {

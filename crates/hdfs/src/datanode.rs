@@ -1,4 +1,8 @@
-//! Datanode-side state as tracked by the namenode and the mediator.
+//! Datanode-side state as tracked by the namenode.
+//!
+//! The record holds only what the namenode can know from heartbeats and
+//! block reports. A zombie's lost storage (§IV-D.1) is not here: the
+//! namenode cannot see it, so the mediator in `hog-core` owns that fact.
 
 use crate::types::BlockId;
 use hog_sim_core::{Liveness, SimTime};
@@ -18,11 +22,6 @@ pub struct DatanodeInfo {
     /// Liveness as the namenode sees it (changed only through the
     /// namenode's [`hog_sim_core::LivenessIndex`]).
     pub liveness: Liveness,
-    /// The zombie failure mode (§IV-D.1): the site preempted the glidein
-    /// but the double-forked daemon survived; its working directory is
-    /// gone, so the daemon keeps heartbeating while every disk operation
-    /// fails.
-    pub storage_failed: bool,
     /// In-flight replication transfers this node is sourcing or sinking.
     pub repl_streams: u8,
 }
@@ -36,7 +35,6 @@ impl DatanodeInfo {
             blocks: BTreeSet::new(),
             last_heartbeat: now,
             liveness: Liveness::Live,
-            storage_failed: false,
             repl_streams: 0,
         }
     }

@@ -10,10 +10,13 @@
 //!   replication monitor that re-replicates under-replicated blocks
 //!   after node loss;
 //! * **datanode** accounting ([`datanode::DatanodeInfo`]): disk capacity,
-//!   hosted blocks, and the *zombie* failure mode from §IV-D.1 (daemon
-//!   alive and heartbeating, but its working directory was deleted by the
-//!   site's preemption — every read/write fails), plus the paper's fix
-//!   (periodic working-directory self-check → clean shutdown);
+//!   hosted blocks, liveness and replication streams — what heartbeats and
+//!   block reports tell the namenode. The *zombie* failure mode from
+//!   §IV-D.1 (daemon alive and heartbeating, but its working directory
+//!   was deleted by the site's preemption — every read/write fails) is
+//!   invisible here by definition: the `hog-core` mediator owns it, fails
+//!   the transfers a zombie sources, and runs the paper's fix (periodic
+//!   working-directory self-check → clean shutdown);
 //! * pluggable **block placement** ([`placement`]): HOG's site-aware
 //!   policy, stock rack-aware placement, and a rack-oblivious policy used
 //!   as the ablation baseline;

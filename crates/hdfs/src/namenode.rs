@@ -10,9 +10,12 @@
 //!   [`Namenode::mark_silent`] — the node is still *believed* alive until
 //!   `dead_node_timeout` (30 s in HOG, ~10 min stock) passes;
 //! * a **zombie** (double-forked daemon that survived preemption, §IV-D.1)
-//!   instead stays `Live` with `storage_failed = true`: the namenode keeps
-//!   trusting it, reads and re-replications sourced from it fail, and only
-//!   the periodic disk self-check (the paper's fix) turns it silent;
+//!   keeps heartbeating, so its datanode simply stays `Live`: the namenode
+//!   has no record of the lost storage and keeps trusting it. The mediator
+//!   owns that fact. It fails the reads and re-replications sourced from
+//!   a zombie (a failed read reaches the namenode as
+//!   [`Namenode::report_bad_replica`]), and only the periodic disk
+//!   self-check (the paper's fix) turns the node silent;
 //! * [`Namenode::tick`] declares overdue nodes dead, strips their replicas
 //!   and queues re-replication work, which it dispatches subject to
 //!   per-node stream limits.
@@ -390,24 +393,6 @@ impl Namenode {
                     .emit(|| TraceEvent::new(Layer::Hdfs, "dn_silent").with("node", node.0));
             }
         }
-    }
-
-    /// The worker was preempted but its daemon survived outside the killed
-    /// process tree: heartbeats continue while storage is gone.
-    pub fn mark_storage_failed(&mut self, node: NodeId) {
-        self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(node) {
-            dn.storage_failed = true;
-            self.tracer
-                .emit(|| TraceEvent::new(Layer::Hdfs, "storage_failed").with("node", node.0));
-        }
-    }
-
-    /// Whether the node's storage has failed (zombie). The *mediator* uses
-    /// this to fail reads/writes; the namenode itself never consults it —
-    /// zombies look healthy to it, which is the point of §IV-D.1.
-    pub fn storage_failed(&self, node: NodeId) -> bool {
-        self.datanodes.get(node).is_some_and(|d| d.storage_failed)
     }
 
     /// Periodic tick: declare overdue silent nodes dead and dispatch
@@ -1383,7 +1368,6 @@ impl Namenode {
             .transition(node, Some(dn.liveness), Liveness::Live);
         dn.liveness = Liveness::Live;
         dn.last_heartbeat = now;
-        dn.storage_failed = false;
         dn.repl_streams = 0;
         let stale: Vec<BlockId> = dn.blocks.iter().copied().collect();
         dn.blocks.clear();
@@ -1488,14 +1472,8 @@ impl Namenode {
             let blocks: Vec<u64> = dn.blocks.iter().map(|b| b.0).collect();
             let _ = writeln!(
                 s,
-                "dn {} cap={} used={} hb={:?} live={:?} sf={} streams={} blocks={blocks:?}",
-                n.0,
-                dn.capacity,
-                dn.used,
-                dn.last_heartbeat,
-                dn.liveness,
-                dn.storage_failed,
-                dn.repl_streams
+                "dn {} cap={} used={} hb={:?} live={:?} streams={} blocks={blocks:?}",
+                n.0, dn.capacity, dn.used, dn.last_heartbeat, dn.liveness, dn.repl_streams
             );
         }
         let queued: Vec<u64> = self.needs_repl.iter().map(|b| b.0).collect();
@@ -1772,12 +1750,11 @@ mod tests {
         let (mut nn, topo, nodes) = setup(4, cfg);
         let f = write_file(&mut nn, &topo, "/in/a", 1, 1024);
         let b = nn.blocks_of(f)[0];
+        // A zombie's storage is gone, but the namenode cannot tell: the
+        // node keeps reporting and stays live.
         let zombie = *nn.block(b).replicas.iter().next().unwrap();
-        nn.mark_storage_failed(zombie);
-        // Zombie still looks alive.
         nn.tick(SimTime::from_secs(120), &topo);
         assert!(nn.is_live(zombie));
-        assert!(nn.storage_failed(zombie));
         // A reader hits it, fails, reports: the replica is invalidated.
         nn.report_bad_replica(b, zombie);
         assert!(!nn.block(b).replicas.contains(&zombie));
@@ -2193,7 +2170,7 @@ mod tests {
 
             /// The one-pass dispatch makes the oracle's orders and leaves
             /// the namenode exactly as the oracle does, over random states:
-            /// `Live`, `Silent` and `Dead` nodes and zombies, stream counts
+            /// `Live`, `Silent` and `Dead` nodes, stream counts
             /// at and below the cap, a short last block with free space on
             /// either side of its size, pending targets, order budgets that
             /// run out, and (armed) the availability policy with raised
@@ -2252,7 +2229,6 @@ mod tests {
                             nn.mark_silent(SimTime::ZERO, n);
                             nn.declare_dead(n);
                         }
-                        7 => nn.mark_storage_failed(n),
                         _ => {}
                     }
                     let dn = nn.datanodes.get_mut(n).unwrap();

@@ -16,7 +16,6 @@ use crate::job::{
 use crate::shuffle::{FetchOrder, ReducePlan};
 use crate::tracker::TrackerState;
 use crate::AttemptRef;
-use hog_hdfs::BlockId;
 use hog_net::{NodeId, NodeMap, RackId, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sched::{Gate, JobSnapshot, Scheduler, SlotKind};
@@ -28,18 +27,11 @@ pub use hog_sched::Locality;
 /// A task handed to a tasktracker on heartbeat.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Assignment {
-    /// Run a map task.
+    /// Run a map task. Its input block, CPU time and output size are
+    /// in the job's [`JobSubmission`], read through [`JobTracker::job`].
     Map {
         /// The attempt to execute.
         attempt: AttemptRef,
-        /// Input block to read.
-        block: BlockId,
-        /// Input bytes.
-        input_bytes: u64,
-        /// CPU seconds of the map function.
-        cpu_secs: f64,
-        /// Intermediate bytes the map writes to local scratch.
-        output_bytes: u64,
         /// Locality the scheduler achieved.
         locality: Locality,
     },
@@ -107,14 +99,9 @@ pub enum ReduceStep {
     /// map output lands.
     Wait,
     /// All partitions fetched: run merge-sort + reduce, then write output.
-    StartSort {
-        /// CPU seconds of merge + reduce.
-        cpu_secs: f64,
-        /// Final output bytes to write to HDFS.
-        output_bytes: u64,
-        /// Output replication factor.
-        replication: u16,
-    },
+    /// The CPU time, output size and output replication are in the job's
+    /// [`JobSubmission`].
+    StartSort,
 }
 
 /// Output of [`JobTracker::map_done`].
@@ -1082,16 +1069,7 @@ impl JobTracker {
         }
         self.sched
             .on_assigned(job, SlotKind::Map, node, Some(locality), now);
-        let spec = &self.jobs[job as usize].spec;
-        let (block, input_bytes) = spec.input_blocks[task.index as usize];
-        Assignment::Map {
-            attempt,
-            block,
-            input_bytes,
-            cpu_secs: spec.map_cpu_secs,
-            output_bytes: spec.map_output_bytes,
-            locality,
-        }
+        Assignment::Map { attempt, locality }
     }
 
     /// Populate a fresh reduce attempt's shuffle plan with every map
@@ -1241,7 +1219,6 @@ impl JobTracker {
             // short of the all-running-attempts-old bar exactly as in the
             // pre-index linear scan.
             let mut old_ok: BTreeMap<u32, usize> = BTreeMap::new();
-            let mut on_node: HashSet<u32> = HashSet::new();
             for &(started, k, index, attempt) in &job.running_by_start {
                 let young = !self.cfg.eager_copies
                     && now.saturating_since(started).as_secs_f64() <= threshold;
@@ -1253,23 +1230,19 @@ impl JobTracker {
                 }
                 let a = &tasks[index as usize].attempts[attempt as usize];
                 debug_assert_eq!(a.phase, AttemptPhase::Running);
-                if a.node == node {
-                    on_node.insert(index);
-                } else {
+                if a.node != node {
                     *old_ok.entry(index).or_insert(0) += 1;
                 }
             }
             // A task qualifies when it is unfinished, below `max_copies`
-            // running attempts, not running on this node, and every one
-            // of its running attempts is old.
+            // running attempts, and every one of its running attempts
+            // qualifies. The last test also keeps out a task with an
+            // attempt on this node (that attempt is never counted) and a
+            // task with none running (an entry counts at least one).
             let candidate = old_ok.iter().find(|&(&index, &qualifying)| {
                 let t = &tasks[index as usize];
                 let running = t.running_attempts();
-                !t.done
-                    && running >= 1
-                    && running < max_copies
-                    && !on_node.contains(&index)
-                    && qualifying == running
+                !t.done && running < max_copies && qualifying == running
             });
             let Some((&index, _)) = candidate else {
                 self.jobs[jid.0 as usize].spec_last_scan = now;
@@ -1661,12 +1634,7 @@ impl JobTracker {
         }
         if plan.complete() && all_maps_done {
             self.sorting.insert(att);
-            let spec = &self.jobs[jid.0 as usize].spec;
-            return ReduceStep::StartSort {
-                cpu_secs: spec.reduce_cpu_secs,
-                output_bytes: spec.reduce_output_bytes,
-                replication: spec.output_replication,
-            };
+            return ReduceStep::StartSort;
         }
         ReduceStep::Wait
     }
@@ -2194,6 +2162,7 @@ impl hog_sim_core::Auditable for JobTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hog_hdfs::BlockId;
     use hog_sim_core::HOG_DEAD_TIMEOUT;
 
     /// A JobTracker on a two-node pool with one job (2 maps, 1 reduce)

@@ -284,7 +284,7 @@ fn drive(jt: &mut JobTracker, att: AttemptRef, now: SimTime) {
                     jt.fetch_done(att, id);
                 }
             }
-            ReduceStep::StartSort { .. } => {
+            ReduceStep::StartSort => {
                 jt.reduce_done(now, att);
                 return;
             }

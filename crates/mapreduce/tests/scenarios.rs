@@ -103,7 +103,7 @@ impl Mini {
                             progressed = true;
                             done_any = true;
                         }
-                        ReduceStep::StartSort { .. } => {
+                        ReduceStep::StartSort => {
                             notes.extend(self.jt.reduce_done(now, att));
                             progressed = true;
                             done_any = true;
@@ -459,14 +459,12 @@ fn reduce_shuffle_protocol_reaches_sort_exactly_once() {
                     m.jt.fetch_done(reduce, id);
                 }
             }
-            ReduceStep::StartSort {
-                cpu_secs,
-                output_bytes,
-                replication,
-            } => {
-                assert_eq!(cpu_secs, 5.0);
-                assert_eq!(output_bytes, 500);
-                assert_eq!(replication, 3);
+            ReduceStep::StartSort => {
+                // The sort's parameters are the job's own, in the ledger.
+                let spec = &m.jt.job(reduce.task.job).spec;
+                assert_eq!(spec.reduce_cpu_secs, 5.0);
+                assert_eq!(spec.reduce_output_bytes, 500);
+                assert_eq!(spec.output_replication, 3);
                 sorted += 1;
             }
             ReduceStep::Wait => break,

@@ -87,7 +87,6 @@ const MAX_PATH: usize = 4;
 #[derive(Clone, Debug)]
 struct Flow {
     id: FlowId,
-    tag: u64,
     src: NodeId,
     dst: NodeId,
     /// Interned links this flow traverses (first `links_len` entries).
@@ -761,7 +760,6 @@ impl FluidNet {
             });
             self.finished.push(FlowEnd {
                 id: f.id,
-                tag: f.tag,
                 src: f.src,
                 dst: f.dst,
                 outcome: FlowOutcome::Completed,
@@ -789,7 +787,6 @@ impl FluidNet {
         src: NodeId,
         dst: NodeId,
         bytes: u64,
-        tag: u64,
         diffuse_src: bool,
     ) -> FlowId {
         assert!(
@@ -817,7 +814,6 @@ impl FluidNet {
         }
         self.flows.push(Flow {
             id,
-            tag,
             src,
             dst,
             links,
@@ -930,7 +926,6 @@ impl FluidNet {
                 });
                 killed.push(FlowEnd {
                     id: f.id,
-                    tag: f.tag,
                     src: f.src,
                     dst: f.dst,
                     outcome: FlowOutcome::Killed,
@@ -962,18 +957,11 @@ impl FluidNet {
         }
     }
 
-    /// Begin transferring `bytes` from `src` to `dst`. `tag` is returned in
-    /// the eventual [`FlowEnd`]. Zero-byte flows complete on the next
-    /// `advance`.
-    pub fn start_flow(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        tag: u64,
-    ) -> FlowId {
-        self.push_flow(now, src, dst, bytes, tag, false)
+    /// Begin transferring `bytes` from `src` to `dst`. The returned id
+    /// names the flow in its eventual [`FlowEnd`]. Zero-byte flows
+    /// complete on the next `advance`.
+    pub fn start_flow(&mut self, now: SimTime, src: NodeId, dst: NodeId, bytes: u64) -> FlowId {
+        self.push_flow(now, src, dst, bytes, false)
     }
 
     /// Like [`FluidNet::start_flow`], but the source side is *diffuse*: the
@@ -988,9 +976,8 @@ impl FluidNet {
         src: NodeId,
         dst: NodeId,
         bytes: u64,
-        tag: u64,
     ) -> FlowId {
-        self.push_flow(now, src, dst, bytes, tag, true)
+        self.push_flow(now, src, dst, bytes, true)
     }
 
     /// Cancel an in-flight flow (no `FlowEnd` is emitted). Unknown ids are
@@ -1079,12 +1066,12 @@ mod tests {
     fn single_intra_site_flow_runs_at_nic_speed() {
         let (mut net, a, _) = two_site_net();
         // 125 MB at 1 Gbps = 1.0 s
-        net.start_flow(SimTime::ZERO, a[0], a[1], 125_000_000, 1);
+        let id = net.start_flow(SimTime::ZERO, a[0], a[1], 125_000_000);
         let ends = drain(&mut net);
         assert_eq!(ends.len(), 1);
         let (t, e) = ends[0];
         assert_eq!(e.outcome, FlowOutcome::Completed);
-        assert_eq!(e.tag, 1);
+        assert_eq!(e.id, id);
         let secs = t.as_secs_f64();
         assert!((secs - 1.0).abs() < 0.01, "took {secs}s, expected ~1s");
     }
@@ -1092,8 +1079,8 @@ mod tests {
     #[test]
     fn two_flows_share_the_source_nic() {
         let (mut net, a, _) = two_site_net();
-        net.start_flow(SimTime::ZERO, a[0], a[1], 125_000_000, 1);
-        net.start_flow(SimTime::ZERO, a[0], a[2], 125_000_000, 2);
+        net.start_flow(SimTime::ZERO, a[0], a[1], 125_000_000);
+        net.start_flow(SimTime::ZERO, a[0], a[2], 125_000_000);
         // Both share a0's 1 Gbps uplink -> 0.5 Gbps each -> ~2 s.
         let ends = drain(&mut net);
         assert_eq!(ends.len(), 2);
@@ -1108,8 +1095,8 @@ mod tests {
         // 8 cross-site flows from 4 distinct sources (2 each). Site uplink
         // is 6 Gbps, NICs are 1 Gbps: per-source NIC is the bottleneck at
         // 0.5 Gbps per flow (8 * 0.5 = 4 < 6).
-        for (i, (&src, &dst)) in a.iter().cycle().zip(b.iter().cycle()).take(8).enumerate() {
-            net.start_flow(SimTime::ZERO, src, dst, 62_500_000, i as u64);
+        for (&src, &dst) in a.iter().cycle().zip(b.iter().cycle()).take(8) {
+            net.start_flow(SimTime::ZERO, src, dst, 62_500_000);
         }
         let r = net.rate_of(FlowId(0)).unwrap();
         assert!((r - gbit_per_s(0.5)).abs() < 1.0, "rate {r}");
@@ -1126,13 +1113,7 @@ mod tests {
             net.register_node(NodeId(100 + i), s1);
         }
         for i in 0..12 {
-            net.start_flow(
-                SimTime::ZERO,
-                NodeId(i),
-                NodeId(100 + i),
-                10 * MIB,
-                i as u64,
-            );
+            net.start_flow(SimTime::ZERO, NodeId(i), NodeId(100 + i), 10 * MIB);
         }
         let share = NetParams::grid_default().site_up / 12.0;
         for i in 0..12 {
@@ -1149,8 +1130,8 @@ mod tests {
         // One slow flow crossing the WAN plus one fast intra-site flow on
         // disjoint links: the intra-site flow must not be throttled.
         let (mut net, a, b) = two_site_net();
-        net.start_flow(SimTime::ZERO, a[0], b[0], 100 * MIB, 0);
-        net.start_flow(SimTime::ZERO, a[2], a[3], 100 * MIB, 1);
+        net.start_flow(SimTime::ZERO, a[0], b[0], 100 * MIB);
+        net.start_flow(SimTime::ZERO, a[2], a[3], 100 * MIB);
         let r0 = net.rate_of(FlowId(0)).unwrap();
         let r1 = net.rate_of(FlowId(1)).unwrap();
         assert!((r0 - gbit_per_s(1.0)).abs() < 1.0);
@@ -1164,15 +1145,15 @@ mod tests {
         // with a normal source they'd halve the 1 Gbps NIC; diffuse they
         // only share the 6 Gbps site uplink and distinct receiver NICs, so
         // each gets a full 1 Gbps (receiver-limited).
-        net.start_flow_diffuse(SimTime::ZERO, a[0], b[0], 100 * MIB, 0);
-        net.start_flow_diffuse(SimTime::ZERO, a[0], b[1], 100 * MIB, 1);
+        net.start_flow_diffuse(SimTime::ZERO, a[0], b[0], 100 * MIB);
+        net.start_flow_diffuse(SimTime::ZERO, a[0], b[1], 100 * MIB);
         for i in 0..2 {
             let r = net.rate_of(FlowId(i)).unwrap();
             assert!((r - gbit_per_s(1.0)).abs() < 1.0, "flow {i} rate {r}");
         }
         // Intra-site diffuse: only the receiver NIC constrains.
-        net.start_flow_diffuse(SimTime::ZERO, a[1], a[2], 100 * MIB, 2);
-        net.start_flow(SimTime::ZERO, a[3], a[2], 100 * MIB, 3);
+        net.start_flow_diffuse(SimTime::ZERO, a[1], a[2], 100 * MIB);
+        net.start_flow(SimTime::ZERO, a[3], a[2], 100 * MIB);
         // Both share a2's downlink NIC: 0.5 Gbps each.
         let r2 = net.rate_of(FlowId(2)).unwrap();
         assert!((r2 - gbit_per_s(0.5)).abs() < 1.0, "rate {r2}");
@@ -1181,7 +1162,7 @@ mod tests {
     #[test]
     fn loopback_flows_use_loopback_rate() {
         let (mut net, a, _) = two_site_net();
-        net.start_flow(SimTime::ZERO, a[0], a[0], 100 * MIB, 0);
+        net.start_flow(SimTime::ZERO, a[0], a[0], 100 * MIB);
         let r = net.rate_of(FlowId(0)).unwrap();
         assert_eq!(r, LOOPBACK);
     }
@@ -1190,14 +1171,14 @@ mod tests {
     fn completion_frees_bandwidth_for_survivors() {
         let (mut net, a, _) = two_site_net();
         // Short and long flow share a0's NIC.
-        net.start_flow(SimTime::ZERO, a[0], a[1], 62_500_000, 0); // 0.5 Gb-s worth
-        net.start_flow(SimTime::ZERO, a[0], a[2], 250_000_000, 1);
+        let short = net.start_flow(SimTime::ZERO, a[0], a[1], 62_500_000); // 0.5 Gb-s worth
+        net.start_flow(SimTime::ZERO, a[0], a[2], 250_000_000);
         // Phase 1: both at 0.5 Gbps. Short one (62.5 MB) finishes at t=1s.
         let t1 = net.next_completion().unwrap();
         assert!((t1.as_secs_f64() - 1.0).abs() < 0.01);
         let ends = net.advance(t1);
         assert_eq!(ends.len(), 1);
-        assert_eq!(ends[0].tag, 0);
+        assert_eq!(ends[0].id, short);
         // Survivor now gets the full NIC: 250-62.5=187.5 MB left at 1 Gbps
         // -> finishes 1.5 s later.
         let t2 = net.next_completion().unwrap();
@@ -1207,11 +1188,11 @@ mod tests {
     #[test]
     fn remove_node_kills_its_flows() {
         let (mut net, a, b) = two_site_net();
-        net.start_flow(SimTime::ZERO, a[0], b[0], 100 * MIB, 7);
-        net.start_flow(SimTime::ZERO, a[1], a[2], 100 * MIB, 8);
+        let doomed = net.start_flow(SimTime::ZERO, a[0], b[0], 100 * MIB);
+        net.start_flow(SimTime::ZERO, a[1], a[2], 100 * MIB);
         let killed = net.remove_node(SimTime::from_millis(10), a[0]);
         assert_eq!(killed.len(), 1);
-        assert_eq!(killed[0].tag, 7);
+        assert_eq!(killed[0].id, doomed);
         assert_eq!(killed[0].outcome, FlowOutcome::Killed);
         assert_eq!(net.active_flows(), 1);
     }
@@ -1219,7 +1200,7 @@ mod tests {
     #[test]
     fn cancel_is_silent_and_idempotent() {
         let (mut net, a, _) = two_site_net();
-        let id = net.start_flow(SimTime::ZERO, a[0], a[1], 100 * MIB, 0);
+        let id = net.start_flow(SimTime::ZERO, a[0], a[1], 100 * MIB);
         net.cancel_flow(SimTime::from_millis(5), id);
         net.cancel_flow(SimTime::from_millis(6), id); // unknown now: ignored
         assert_eq!(net.active_flows(), 0);
@@ -1229,7 +1210,7 @@ mod tests {
     #[test]
     fn zero_byte_flow_completes_immediately() {
         let (mut net, a, _) = two_site_net();
-        net.start_flow(SimTime::from_secs(1), a[0], a[1], 0, 3);
+        net.start_flow(SimTime::from_secs(1), a[0], a[1], 0);
         let t = net.next_completion().unwrap();
         assert_eq!(t, SimTime::from_secs(1));
         let ends = net.advance(t);
@@ -1251,11 +1232,11 @@ mod tests {
         let run = || {
             let (mut net, a, b) = two_site_net();
             let mut trace = Vec::new();
-            net.start_flow(SimTime::ZERO, a[0], b[0], 77 * MIB, 0);
-            net.start_flow(SimTime::from_millis(300), a[1], b[1], 33 * MIB, 1);
-            net.start_flow(SimTime::from_millis(700), a[0], a[2], 10 * MIB, 2);
+            net.start_flow(SimTime::ZERO, a[0], b[0], 77 * MIB);
+            net.start_flow(SimTime::from_millis(300), a[1], b[1], 33 * MIB);
+            net.start_flow(SimTime::from_millis(700), a[0], a[2], 10 * MIB);
             for (t, e) in drain(&mut net) {
-                trace.push((t.as_millis(), e.tag));
+                trace.push((t.as_millis(), e.id));
             }
             trace
         };
@@ -1274,7 +1255,6 @@ mod tests {
                 a[(i % 4) as usize],
                 b[((i + 1) % 4) as usize],
                 100 * MIB,
-                i,
             ));
         }
         net.cancel_flow(SimTime::from_millis(1), ids[0]);
@@ -1293,9 +1273,9 @@ mod tests {
         // transfer: two components, so two passes instead of four.
         let (mut net, a, b) = two_site_net();
         for &dst in &[a[1], a[2], a[3]] {
-            net.start_flow(SimTime::ZERO, a[0], dst, 100 * MIB, 0);
+            net.start_flow(SimTime::ZERO, a[0], dst, 100 * MIB);
         }
-        net.start_flow(SimTime::ZERO, b[0], b[1], 100 * MIB, 1);
+        net.start_flow(SimTime::ZERO, b[0], b[1], 100 * MIB);
         assert_eq!(net.recompute_count(), 0, "starts only queue");
         net.next_completion();
         assert_eq!(net.recompute_count(), 2);
@@ -1319,9 +1299,9 @@ mod tests {
         for n in 0..3 {
             net.register_node(NodeId(n), SiteId(0));
         }
-        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MIB, 0);
+        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(2), 100 * MIB);
         net.next_completion();
-        net.start_flow(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MIB, 1);
+        net.start_flow(SimTime::ZERO, NodeId(1), NodeId(2), 100 * MIB);
         net.next_completion();
         assert_eq!(net.recompute_work(), 3, "the second pass covers both flows");
         assert_eq!(net.projections.len(), 2);
@@ -1339,7 +1319,7 @@ mod tests {
         let mut net = FluidNet::new(params);
         net.register_node(NodeId(0), SiteId(0));
         net.register_node(NodeId(1), SiteId(1));
-        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 1000, 0);
+        net.start_flow(SimTime::ZERO, NodeId(0), NodeId(1), 1000);
         assert_eq!(net.next_completion(), Some(SimTime::from_millis(1)));
         net.set_wan_factor(SimTime::ZERO, 0.9998);
         assert_eq!(net.next_completion(), Some(SimTime::from_millis(2)));
@@ -1445,8 +1425,8 @@ mod tests {
         #[test]
         fn prop_rates_feasible(specs in proptest::collection::vec((0u32..8, 0u32..8, 1u64..200_000_000), 1..40)) {
             let (mut net, _, _) = two_site_net();
-            for (i, &(s, d, bytes)) in specs.iter().enumerate() {
-                net.start_flow(SimTime::ZERO, NodeId(s), NodeId(d), bytes, i as u64);
+            for &(s, d, bytes) in &specs {
+                net.start_flow(SimTime::ZERO, NodeId(s), NodeId(d), bytes);
             }
             // Reconstruct link loads from the flow table.
             let mut loads: std::collections::HashMap<String, f64> = Default::default();
@@ -1477,16 +1457,17 @@ mod tests {
         fn prop_all_flows_complete(specs in proptest::collection::vec((0u32..8, 0u32..8, 0u64..50_000_000, 0u64..5_000u64), 1..30)) {
             let (mut net, _, _) = two_site_net();
             let mut last_start = SimTime::ZERO;
-            for (i, &(s, d, bytes, delay)) in specs.iter().enumerate() {
+            for &(s, d, bytes, delay) in &specs {
                 let t = last_start + hog_sim_core::SimDuration::from_millis(delay);
                 last_start = t;
-                net.start_flow(t, NodeId(s), NodeId(d), bytes, i as u64);
+                net.start_flow(t, NodeId(s), NodeId(d), bytes);
             }
             let ends = drain(&mut net);
             prop_assert_eq!(ends.len(), specs.len());
-            let mut tags: Vec<u64> = ends.iter().map(|(_, e)| e.tag).collect();
-            tags.sort_unstable();
-            prop_assert_eq!(tags, (0..specs.len() as u64).collect::<Vec<_>>());
+            let mut ids: Vec<FlowId> = ends.iter().map(|(_, e)| e.id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            prop_assert_eq!(ids.len(), specs.len());
             // Times are non-decreasing as produced by drain().
             let times: Vec<u64> = ends.iter().map(|(t, _)| t.as_millis()).collect();
             prop_assert!(times.windows(2).all(|w| w[0] <= w[1]));
@@ -1577,7 +1558,7 @@ mod tests {
                 }
                 match op {
                     0 | 1 => {
-                        let id = net.start_flow(now, NodeId(src), NodeId(dst), bytes, step as u64);
+                        let id = net.start_flow(now, NodeId(src), NodeId(dst), bytes);
                         live.push((id, src, dst));
                     }
                     2 if !live.is_empty() => {
@@ -1672,9 +1653,9 @@ mod tests {
                         };
                         let start = |net: &mut FluidNet| {
                             if kind == 3 {
-                                net.start_flow_diffuse(now, src, dst, bytes, step as u64)
+                                net.start_flow_diffuse(now, src, dst, bytes)
                             } else {
-                                net.start_flow(now, src, dst, bytes, step as u64)
+                                net.start_flow(now, src, dst, bytes)
                             }
                         };
                         let id = start(&mut a);

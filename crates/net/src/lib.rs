@@ -7,8 +7,8 @@
 //! * [`topology`] — node/site identity, DNS-style hostnames and the
 //!   `workername.site.edu → site.edu` grouping rule HOG's site-awareness
 //!   script applies.
-//! * [`nodes`] — node-indexed containers ([`NodeMap`], [`NodeSet`]) for
-//!   per-node state probed on every heartbeat.
+//! * [`nodes`] — the node-indexed container [`NodeMap`] for per-node
+//!   state probed on every heartbeat.
 //! * [`params`] — link capacities and latencies ([`NetParams`]).
 //! * [`fluid`] — an event-driven **max-min fair fluid-flow** network
 //!   ([`FluidNet`]): every active transfer gets a rate from progressive
@@ -26,7 +26,7 @@ pub mod topology;
 pub mod wan;
 
 pub use fluid::FluidNet;
-pub use nodes::{NodeMap, NodeSet};
+pub use nodes::NodeMap;
 pub use params::NetParams;
 pub use topology::{site_domain_of, NodeId, RackId, SiteId, Topology, RACK_SIZE};
 pub use wan::{WanDone, WanTier, WanTransferId};
@@ -49,8 +49,6 @@ pub enum FlowOutcome {
 pub struct FlowEnd {
     /// The flow that ended.
     pub id: FlowId,
-    /// Caller-supplied correlation tag (opaque to the network).
-    pub tag: u64,
     /// Sending node.
     pub src: NodeId,
     /// Receiving node.

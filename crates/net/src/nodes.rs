@@ -3,8 +3,9 @@
 //! [`NodeId`]s are dense topology indices handed out in registration
 //! order, so per-node state fits a `Vec` indexed by id: a probe is one
 //! array access where a `BTreeMap<NodeId, _>` walks a tree, and iteration
-//! still ascends by id, exactly like the ordered map it replaces. Both
-//! containers grow on insert and never shrink (ids are never reused).
+//! still ascends by id, exactly like the ordered map it replaces. Its
+//! storage grows on insert and never shrinks (ids are never reused);
+//! `remove` only empties a slot.
 
 use crate::topology::NodeId;
 
@@ -55,6 +56,15 @@ impl<T> NodeMap<T> {
         old
     }
 
+    /// Remove the entry of `node`, returning it.
+    pub fn remove(&mut self, node: NodeId) -> Option<T> {
+        let old = self.slots.get_mut(node.0 as usize)?.take();
+        if old.is_some() {
+            self.len -= 1;
+        }
+        old
+    }
+
     /// The entry of `node`.
     #[inline]
     pub fn get(&self, node: NodeId) -> Option<&T> {
@@ -81,111 +91,30 @@ impl<T> NodeMap<T> {
     }
 }
 
-/// A set of [`NodeId`]s: one bit per id, with an O(1) count.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NodeSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl NodeSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of members.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the set has no member.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether `node` is a member.
-    #[inline]
-    pub fn contains(&self, node: NodeId) -> bool {
-        let i = node.0 as usize;
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w & (1 << (i % 64)) != 0)
-    }
-
-    /// Add `node`; `false` if it was already a member.
-    pub fn insert(&mut self, node: NodeId) -> bool {
-        let i = node.0 as usize;
-        if i / 64 >= self.words.len() {
-            self.words.resize(i / 64 + 1, 0);
-        }
-        let (w, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
-        let fresh = *w & bit == 0;
-        *w |= bit;
-        self.len += usize::from(fresh);
-        fresh
-    }
-
-    /// Drop `node`; `false` if it was not a member.
-    pub fn remove(&mut self, node: NodeId) -> bool {
-        let i = node.0 as usize;
-        let Some(w) = self.words.get_mut(i / 64) else {
-            return false;
-        };
-        let bit = 1u64 << (i % 64);
-        let present = *w & bit != 0;
-        *w &= !bit;
-        self.len -= usize::from(present);
-        present
-    }
-
-    /// Every member, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let b = rest.trailing_zeros();
-                rest &= rest - 1;
-                Some(NodeId(wi as u32 * 64 + b))
-            })
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Both containers behave as the ordered `BTreeMap` / `BTreeSet`
-        /// they replace: same answers, same count, same ascending
-        /// iteration.
+        /// The map behaves as the ordered `BTreeMap` it replaces: same
+        /// answers, same count, same ascending iteration.
         #[test]
-        fn prop_match_the_ordered_collections(
-            ops in proptest::collection::vec((0u8..3, 0u32..300), 1..200),
+        fn prop_matches_the_ordered_map(
+            ops in proptest::collection::vec((0u8..4, 0u32..300), 1..200),
         ) {
             let mut map: NodeMap<u32> = NodeMap::new();
-            let mut set = NodeSet::new();
             let mut map_ref: BTreeMap<NodeId, u32> = BTreeMap::new();
-            let mut set_ref: BTreeSet<NodeId> = BTreeSet::new();
             for (step, (op, id)) in ops.into_iter().enumerate() {
                 let n = NodeId(id);
                 match op {
                     0 => {
                         prop_assert_eq!(map.insert(n, step as u32), map_ref.insert(n, step as u32));
-                        prop_assert_eq!(set.insert(n), set_ref.insert(n));
                     }
                     1 => {
-                        prop_assert_eq!(set.remove(n), set_ref.remove(&n));
                         if let Some(v) = map.get_mut(n) {
                             *v += 1;
                         }
@@ -193,19 +122,19 @@ mod tests {
                             *v += 1;
                         }
                     }
+                    2 => {
+                        prop_assert_eq!(map.remove(n), map_ref.remove(&n));
+                    }
                     _ => {
                         prop_assert_eq!(map.get(n), map_ref.get(&n));
-                        prop_assert_eq!(set.contains(n), set_ref.contains(&n));
                     }
                 }
                 prop_assert_eq!(map.len(), map_ref.len());
-                prop_assert_eq!(set.len(), set_ref.len());
+                prop_assert_eq!(map.is_empty(), map_ref.is_empty());
             }
             let pairs: Vec<(NodeId, u32)> = map.iter().map(|(n, &v)| (n, v)).collect();
             let want: Vec<(NodeId, u32)> = map_ref.into_iter().collect();
             prop_assert_eq!(pairs, want);
-            let members: Vec<NodeId> = set.iter().collect();
-            prop_assert_eq!(members, set_ref.into_iter().collect::<Vec<_>>());
             prop_assert_eq!(map.values_mut().count(), map.len());
         }
     }

@@ -64,8 +64,9 @@ impl FailureAwareSched {
         }
     }
 
-    /// Override the score half-life (tests and ablations).
-    pub fn with_half_life(mut self, half_life: SimDuration) -> Self {
+    /// Override the score half-life.
+    #[cfg(test)]
+    fn with_half_life(mut self, half_life: SimDuration) -> Self {
         self.half_life = half_life;
         self
     }
@@ -87,7 +88,7 @@ impl FailureAwareSched {
 
     /// Effective penalty of a node: its own score plus `SITE_WEIGHT` (0.5)
     /// of its site's.
-    pub fn effective_penalty(&self, node: NodeId, site: SiteId, now: SimTime) -> f64 {
+    fn effective_penalty(&self, node: NodeId, site: SiteId, now: SimTime) -> f64 {
         self.decayed(self.node_scores.get(&node), now)
             + SITE_WEIGHT * self.decayed(self.site_scores.get(&site), now)
     }

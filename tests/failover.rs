@@ -235,6 +235,65 @@ fn stall_then_crash_still_recovers() {
     assert_eq!(r.failover.promotions, 1);
 }
 
+#[test]
+fn no_repair_copy_is_sourced_from_a_zombie_across_a_failover() {
+    // Regression: six workers turn zombie after the last checkpoint, a
+    // site is cut off two seconds before the master crashes, and the
+    // promoted master replays only the reachable workers. A cut-off
+    // zombie rejoins when the partition heals, and its storage must
+    // still count as gone: no repair copy may be read off it.
+    let plan = FaultPlan::new()
+        .at(secs(400), Fault::ZombieOutbreak { count: 6 })
+        .at(
+            secs(410),
+            Fault::SitePartition {
+                site: "FNAL_FERMIGRID".into(),
+                duration: secs(35),
+            },
+        )
+        .at(secs(412), Fault::MasterCrash);
+    let cfg = ClusterConfig::hog(20, 6)
+        .with_failover(secs(300))
+        .with_fault_plan(plan)
+        .with_tracing(TraceMode::Full);
+    let r = run_workload(
+        cfg,
+        &SubmissionSchedule::facebook_truncated(106),
+        secs(8000),
+    );
+    assert_eq!(r.failover.promotions, 1);
+    let log = r.trace.as_ref().expect("tracing was enabled");
+    let node = |e: &hog_repro::obs::TraceEvent, key: &str| match e.field(key) {
+        Some(hog_repro::obs::FieldValue::U64(n)) => *n,
+        other => panic!("{} without a numeric {key}: {other:?}", e.kind),
+    };
+    let mut zombies = std::collections::BTreeSet::new();
+    let mut bad = Vec::new();
+    for e in &log.events {
+        match e.kind {
+            "storage_failed" => {
+                zombies.insert(node(e, "node"));
+            }
+            "zombie_detected" | "node_lost" => {
+                zombies.remove(&node(e, "node"));
+            }
+            "repl_done"
+                if e.field("ok") == Some(&hog_repro::obs::FieldValue::Bool(true))
+                    && zombies.contains(&node(e, "src")) =>
+            {
+                bad.push((e.time, node(e, "block"), node(e, "src")));
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        bad.is_empty(),
+        "{} repair copies read off zombie storage, first {:?}",
+        bad.len(),
+        bad.first()
+    );
+}
+
 /// Build a pseudo-random master pair (namespace + block map + datanode
 /// table on the namenode; jobs, trackers and live attempts on the
 /// jobtracker) from a seed, exercising the real mutation API.
@@ -283,9 +342,8 @@ fn random_masters(
             nn.complete_file(fid);
         }
     }
-    // A couple of pathological datanodes for good measure.
+    // A silent datanode for good measure.
     if nodes > 2 {
-        nn.mark_storage_failed(node_ids[0]);
         nn.mark_silent(t0 + secs(5), node_ids[1]);
     }
 
