@@ -3,7 +3,9 @@
 //!
 //! * `event_queue/*` — popping and re-arming 10k per-node periodic timers
 //!   beside 10k one-shot timers, with the re-arms on the queue's
-//!   fixed-period lane or on its heap.
+//!   fixed-period lane, on its heap, or in place on the lane
+//!   (`EventQueue::pop_or_rearm`, the path of a firing that would do
+//!   nothing but re-arm).
 //! * `fluid_recompute/*` — cost of the waterfilling recompute triggered by
 //!   one flow start while N flows are already in the air. The incremental
 //!   engine only re-waterfills the connected component the new flow
@@ -35,6 +37,7 @@ use hog_hdfs::placement::{Candidate, PlacementPolicy, SiteAwarePolicy};
 use hog_hdfs::{BlockId, HdfsConfig, Namenode};
 use hog_mapreduce::{Assignment, JobSubmission, JobTracker, MrParams, SchedPolicy};
 use hog_net::{FluidNet, NetParams, NodeId, SiteId, Topology};
+use hog_sim_core::queue::Next;
 use hog_sim_core::{EventQueue, SimDuration, SimRng, SimTime, HOG_DEAD_TIMEOUT};
 use std::hint::black_box;
 
@@ -174,6 +177,19 @@ fn bench_namenode_tick(c: &mut Criterion) {
     group.finish();
 }
 
+/// How `bench_event_queue` re-arms a periodic timer.
+#[derive(Clone, Copy)]
+enum Rearm {
+    /// Pop, then `push_periodic` onto the lane.
+    Lane,
+    /// Pop, then `push` into the heap.
+    Heap,
+    /// `pop_or_rearm`: a lane entry moves to the lane's tail without
+    /// leaving the queue (a first firing, held in the heap, pops and
+    /// joins the lane).
+    InPlace,
+}
+
 /// Pop and re-arm 20k timers: 10k per-node periodic timers (first arms
 /// staggered over one 3 s period, like the cluster's heartbeats) and 10k
 /// one-shot timers spread over 30 s that re-arm at a spread later instant.
@@ -189,20 +205,32 @@ fn bench_event_queue(c: &mut Criterion) {
         q
     };
     let mut group = c.benchmark_group("event_queue");
-    for (name, lane) in [("rearm_on_lane", true), ("rearm_on_heap", false)] {
+    for (name, rearm) in [
+        ("rearm_on_lane", Rearm::Lane),
+        ("rearm_on_heap", Rearm::Heap),
+        ("rearm_in_place", Rearm::InPlace),
+    ] {
         group.bench_function(name, |b| {
             b.iter_batched(
                 setup,
                 |mut q| {
                     for _ in 0..2 * TIMERS {
-                        let (at, (periodic, n)) = q.pop().expect("timers re-arm");
+                        let next = match rearm {
+                            Rearm::InPlace => q.pop_or_rearm(|_, &(periodic, _)| periodic),
+                            Rearm::Lane | Rearm::Heap => {
+                                q.pop().map(|(at, event)| Next::Popped(at, event))
+                            }
+                        };
+                        let Next::Popped(at, (periodic, n)) = next.expect("timers re-arm") else {
+                            continue; // re-armed in place
+                        };
                         if !periodic {
                             let later = SimDuration::from_millis(n * 104_729 % 30_000 + 1);
                             q.push(at + later, (false, n));
-                        } else if lane {
-                            q.push_periodic(at + period, period, (true, n));
-                        } else {
+                        } else if let Rearm::Heap = rearm {
                             q.push(at + period, (true, n));
+                        } else {
+                            q.push_periodic(at + period, period, (true, n));
                         }
                     }
                     black_box(q.len());

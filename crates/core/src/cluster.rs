@@ -2585,6 +2585,30 @@ impl Model for Cluster {
         }
     }
 
+    /// Two timers can fire with nothing to do. A heartbeat re-arms only
+    /// when its worker's daemons still run (without a worker record the
+    /// dispatch drops the timer) and the JobTracker will not hear it or
+    /// will get nothing from it: the worker is partitioned, the masters
+    /// are not serving, or [`JobTracker::heartbeat_idle`] holds. A disk
+    /// check re-arms only when its worker runs and is not a zombie (a
+    /// zombie's check shuts it down). Either dispatch would then only
+    /// advance the trace clock and re-arm the timer on its period
+    /// (`HEARTBEAT_INTERVAL`, and the run's fixed disk-check interval),
+    /// and the clock is advanced again before anything is traced.
+    ///
+    /// [`JobTracker::heartbeat_idle`]: hog_mapreduce::JobTracker::heartbeat_idle
+    fn rearm_only(&self, event: &Event, now: SimTime) -> bool {
+        match *event {
+            Event::Heartbeat { node } => self.workers.get(node).is_some_and(|w| {
+                w.partitioned
+                    || !self.master_serving(now)
+                    || self.masters.jt.heartbeat_idle(now, node)
+            }),
+            Event::DiskCheck { node } => self.workers.get(node).is_some_and(|w| !w.zombie),
+            _ => false,
+        }
+    }
+
     fn finished(&self) -> bool {
         // A chaos failure (invariant violation or livelock) freezes the
         // run immediately so the dump reflects the moment of detection.

@@ -20,6 +20,7 @@ use hog_net::{NodeId, NodeMap, RackId, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sched::{Gate, JobSnapshot, Scheduler, SlotKind};
 use hog_sim_core::{Liveness, LivenessIndex, SimDuration, SimRng, SimTime};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 pub use hog_sched::Locality;
@@ -261,6 +262,14 @@ pub struct JobTracker {
     /// submitted. Derived state, audited against a recount and left out
     /// of the ledger.
     spec_quiet: [Option<SimTime>; 2],
+    /// Whether some `Running` job has a pending reduce and has reached
+    /// slowstart, memoized for the `sched_epoch` it was computed at (0
+    /// never matches). Every input bumps the epoch: the pending sets,
+    /// `maps_done` (through the running delta when a map succeeds, and
+    /// `pending_map_insert` when one is lost) and queue membership.
+    /// Derived state, audited against a recount and left out of the
+    /// ledger.
+    reduce_ready: Cell<(u64, bool)>,
     /// Reused snapshot scratch for [`Scheduler::job_order`] rebuilds.
     snap_buf: Vec<JobSnapshot>,
     /// Aggregate backlog over incomplete jobs, maintained incrementally
@@ -338,6 +347,7 @@ impl JobTracker {
             sched_epoch: 1,
             order_cache: [OrderCache::default(), OrderCache::default()],
             spec_quiet: [None; 2],
+            reduce_ready: Cell::new((0, false)),
             snap_buf: Vec::new(),
             agg: Backlog::default(),
         }
@@ -792,13 +802,18 @@ impl JobTracker {
             let Some(t) = self.trackers.get_mut(node) else {
                 return;
             };
-            if t.liveness == Liveness::Dead {
-                return;
+            match t.liveness {
+                Liveness::Dead => return,
+                Liveness::Live => {}
+                Liveness::Silent => {
+                    // A partition healed before the timeout: off the
+                    // suspect list.
+                    self.live
+                        .transition(node, Some(Liveness::Silent), Liveness::Live);
+                    t.liveness = Liveness::Live;
+                    t.last_heartbeat = now;
+                }
             }
-            t.last_heartbeat = now;
-            // A partition healed before the timeout: off the suspect list.
-            self.live.transition(node, Some(t.liveness), Liveness::Live);
-            t.liveness = Liveness::Live;
             (
                 t.site,
                 [
@@ -815,6 +830,67 @@ impl JobTracker {
                 }
             }
         }
+    }
+
+    /// Whether a heartbeat from `node` at `now` would change nothing and
+    /// assign nothing: [`JobTracker::heartbeat_into`] would return no
+    /// assignment and leave every field the ledger, the audit and later
+    /// decisions read as it is. Pure and exact, so a caller may skip
+    /// such a heartbeat.
+    ///
+    /// * No tracker record, or a `Dead` one: the heartbeat is ignored.
+    /// * `Silent`: the heartbeat revives the tracker, so it is never idle.
+    /// * `Live`: idle when every slot kind with a free slot has nothing
+    ///   assignable and no speculation scan due. A map is assignable when
+    ///   any map is pending; a reduce only when some `Running` job has a
+    ///   pending reduce and has reached slowstart.
+    ///
+    /// The common case answers from JobTracker-wide state alone, in
+    /// O(1): nothing assignable of either kind, both speculation kinds
+    /// idle and no `Silent` tracker. Only when that fails is the
+    /// tracker record read.
+    pub fn heartbeat_idle(&self, now: SimTime, node: NodeId) -> bool {
+        let map_idle = self.agg.pending_maps == 0 && self.speculation_idle(now, TaskKind::Map);
+        let reduce_idle = self.speculation_idle(now, TaskKind::Reduce) && !self.reduce_assignable();
+        if map_idle && reduce_idle && self.live.suspect_count() == 0 {
+            return true;
+        }
+        let Some(t) = self.trackers.get(node) else {
+            return true;
+        };
+        match t.liveness {
+            Liveness::Dead => true,
+            Liveness::Silent => false,
+            Liveness::Live => {
+                (map_idle || t.free_map_slots() == 0) && (reduce_idle || t.free_reduce_slots() == 0)
+            }
+        }
+    }
+
+    /// Whether a free reduce slot could be given pending work: some
+    /// `Running` job has a pending reduce and has reached slowstart.
+    /// Memoized per `sched_epoch`.
+    fn reduce_assignable(&self) -> bool {
+        if self.agg.pending_reduces == 0 {
+            return false;
+        }
+        let (epoch, ready) = self.reduce_ready.get();
+        if epoch == self.sched_epoch {
+            return ready;
+        }
+        let ready = self.recount_reduce_ready();
+        self.reduce_ready.set((self.sched_epoch, ready));
+        ready
+    }
+
+    /// [`JobTracker::reduce_assignable`]'s answer from the job table.
+    fn recount_reduce_ready(&self) -> bool {
+        self.fifo.iter().any(|&jid| {
+            let job = &self.jobs[jid.0 as usize];
+            job.status == JobStatus::Running
+                && !job.pending_reduces.is_empty()
+                && job.slowstart_reached(self.cfg.reduce_slowstart)
+        })
     }
 
     fn start_attempt(&mut self, now: SimTime, task: TaskRef, node: NodeId) -> AttemptRef {
@@ -2090,6 +2166,15 @@ impl hog_sim_core::Auditable for JobTracker {
                 }
             }
         }
+        // A memoized reduce readiness for the current epoch must equal a
+        // recount (an older epoch's is never read).
+        let (epoch, ready) = self.reduce_ready.get();
+        if epoch == self.sched_epoch && ready != self.recount_reduce_ready() {
+            out.push(Violation::new(
+                "mapreduce",
+                format!("reduce readiness {ready} memoized at epoch {epoch} drifted"),
+            ));
+        }
         // The O(1) aggregate backlog must equal a full recount.
         let recount = self.recount_backlog();
         if recount != self.agg {
@@ -2287,6 +2372,75 @@ mod tests {
         let got = jt.heartbeat(t(4), healthy, &topo);
         assert!(matches!(got[..], [Assignment::Map { .. }]), "{got:?}");
         assert!(jt.heartbeat(t(5), quarantined, &topo).is_empty());
+    }
+
+    /// `heartbeat_idle` answers each tracker state, and gates reduces on
+    /// slowstart: a tracker whose free slots can get nothing is idle, and
+    /// its heartbeat then assigns nothing and leaves the ledger as it is.
+    /// The audit checks the memoized reduce readiness against a recount.
+    #[test]
+    fn heartbeat_idle_follows_liveness_and_slowstart() {
+        use hog_sim_core::Auditable;
+        let mut topo = Topology::new();
+        let site = topo.add_site("S0".to_string(), "s0.edu".to_string());
+        let n: Vec<NodeId> = (0..3).map(|_| topo.add_node(site)).collect();
+        let cfg = MrParams::hog().with_speculation(false);
+        let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(1));
+        for &node in &n {
+            jt.register_tracker(SimTime::ZERO, node, site, 1, 1);
+        }
+        let spec = JobSubmission {
+            input_blocks: vec![(BlockId(0), 64), (BlockId(1), 64)],
+            split_locations: vec![vec![n[0]], vec![n[1]]],
+            reduces: 1,
+            map_cpu_secs: 1.0,
+            map_output_bytes: 100,
+            reduce_cpu_secs: 1.0,
+            reduce_output_bytes: 10,
+            output_replication: 1,
+        };
+        jt.submit_job(SimTime::ZERO, spec, &topo);
+        let t = SimTime::from_secs;
+        assert!(jt.heartbeat_idle(t(1), topo.add_node(site)), "no record");
+        assert!(!jt.heartbeat_idle(t(1), n[0]), "maps pending");
+        let maps: Vec<Assignment> = [n[0], n[1]]
+            .iter()
+            .flat_map(|&node| jt.heartbeat(t(1), node, &topo))
+            .collect();
+        assert_eq!(maps.len(), 2);
+        // No map pending, and the reduce waits for slowstart: a full map
+        // slot and a free reduce slot get nothing, and neither does an
+        // empty tracker.
+        assert!(jt.heartbeat_idle(t(2), n[0]));
+        assert!(jt.heartbeat_idle(t(2), n[2]));
+        let ledger = jt.export_ledger();
+        assert!(jt.heartbeat(t(2), n[2], &topo).is_empty());
+        assert_eq!(
+            jt.export_ledger(),
+            ledger,
+            "an idle heartbeat changed the ledger"
+        );
+        // A suspect fails the JobTracker-wide answer; the tracker record
+        // decides.
+        jt.tracker_silent(t(3), n[2]);
+        assert!(!jt.heartbeat_idle(t(4), n[2]), "a heartbeat revives it");
+        assert!(jt.heartbeat_idle(t(4), n[0]));
+        jt.check_dead(t(40));
+        assert!(jt.heartbeat_idle(t(41), n[2]), "dead trackers are ignored");
+        // The first map completion passes slowstart: the reduce is
+        // assignable, and goes to the first free reduce slot.
+        jt.map_done(t(42), maps[0].attempt(), &topo);
+        assert!(jt.audit().is_empty(), "{:?}", jt.audit());
+        assert!(!jt.heartbeat_idle(t(43), n[1]));
+        let got = jt.heartbeat(t(43), n[1], &topo);
+        assert!(matches!(got[..], [Assignment::Reduce { .. }]), "{got:?}");
+        assert!(jt.heartbeat_idle(t(44), n[0]));
+        assert!(jt.audit().is_empty(), "{:?}", jt.audit());
+        // A memo that disagrees with the recount is a violation.
+        jt.reduce_ready.set((jt.sched_epoch, true));
+        let audit = jt.audit();
+        assert_eq!(audit.len(), 1, "{audit:?}");
+        assert!(audit[0].to_string().contains("reduce readiness"));
     }
 
     #[test]

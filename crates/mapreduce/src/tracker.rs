@@ -19,7 +19,11 @@ pub struct TrackerState {
     pub reduce_slots: u8,
     /// Attempts currently running here.
     pub running: BTreeSet<AttemptRef>,
-    /// Last heartbeat instant.
+    /// When the tracker registered, went silent or revived, like
+    /// `DatanodeInfo::last_heartbeat` in hog-hdfs. Heartbeats of a
+    /// `Live` tracker leave it alone: it is read only while the tracker
+    /// is `Silent` (the death check times the silence from it) and by
+    /// the ledger, so an idle heartbeat changes nothing.
     pub last_heartbeat: SimTime,
     /// Liveness as the JobTracker sees it (changed only through the
     /// JobTracker's [`hog_sim_core::LivenessIndex`]).

@@ -11,7 +11,10 @@
 //!   batch path yields exactly the per-node assignments of fresh
 //!   per-event `heartbeat` calls, and leaves the tracker in an
 //!   observably identical state (audit-clean, same backlog, same
-//!   liveness census).
+//!   liveness census, same ledger). A third world skips every heartbeat
+//!   for which [`JobTracker::heartbeat_idle`] holds, as the engine's
+//!   in-place timer re-arm does, and must match the world that delivers
+//!   all of them; each case checks that some heartbeats were skipped.
 //! * `retry_backoff_gates_the_runnable_cursor` — the incremental
 //!   locality index keeps per-job runnable candidate sets; a task thrown
 //!   back into `pending` by a tracker death must not be served from the
@@ -48,11 +51,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Whether this world dispatches rounds per-event (fresh `Vec` per
-/// heartbeat) or batched (`heartbeat_into` reusing one buffer).
+/// heartbeat), batched (`heartbeat_into` reusing one buffer), or batched
+/// with the heartbeats `heartbeat_idle` answers for skipped.
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     PerEvent,
     Batched,
+    SkipIdle,
 }
 
 struct World {
@@ -66,10 +71,12 @@ struct World {
     /// The batch path's persistent buffer (lives across rounds, exactly
     /// like the cluster's `assign_buf`).
     buf: Vec<Assignment>,
+    /// Heartbeats a `SkipIdle` world did not deliver.
+    skipped: usize,
 }
 
 impl World {
-    fn new(seed: u64, mode: Mode) -> Self {
+    fn new(seed: u64, speculation: bool, mode: Mode) -> Self {
         let mut topo = Topology::new();
         let mut sites = Vec::new();
         let mut nodes = Vec::new();
@@ -80,7 +87,7 @@ impl World {
                 nodes.push(topo.add_node(site));
             }
         }
-        let cfg = MrParams::hog().with_speculation(false);
+        let cfg = MrParams::hog().with_speculation(speculation);
         let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(seed));
         for &n in &nodes {
             jt.register_tracker(SimTime::ZERO, n, topo.site_of(n), 1, 1);
@@ -94,6 +101,7 @@ impl World {
             now: SimTime::from_secs(1),
             mode,
             buf: Vec::new(),
+            skipped: 0,
         };
         let mut rng = SimRng::seed_from_u64(seed ^ 0xbeef);
         for j in 0..3u64 {
@@ -150,7 +158,11 @@ impl World {
             }
             let assigns = match self.mode {
                 Mode::PerEvent => self.jt.heartbeat(self.now, node, &self.topo),
-                Mode::Batched => {
+                Mode::SkipIdle if self.jt.heartbeat_idle(self.now, node) => {
+                    self.skipped += 1;
+                    Vec::new()
+                }
+                Mode::Batched | Mode::SkipIdle => {
                     let mut buf = std::mem::take(&mut self.buf);
                     self.jt.heartbeat_into(self.now, node, &self.topo, &mut buf);
                     let assigns = buf.clone();
@@ -209,24 +221,40 @@ proptest! {
     #[test]
     fn coalesced_rounds_match_per_event(
         seed in 0u64..1_000_000,
+        speculation in (0u8..2).prop_map(|b| b == 1),
         ops in proptest::collection::vec(op_strategy(), 1..50),
     ) {
-        let mut per_event = World::new(seed, Mode::PerEvent);
-        let mut batched = World::new(seed, Mode::Batched);
-        for (step, op) in ops.iter().enumerate() {
+        let mut per_event = World::new(seed, speculation, Mode::PerEvent);
+        let mut batched = World::new(seed, speculation, Mode::Batched);
+        let mut skipping = World::new(seed, speculation, Mode::SkipIdle);
+        // Two opening rounds: after the first has filled slots (and run
+        // the first speculation scans), the second has idle heartbeats
+        // to skip, so no case is vacuous.
+        let ops = [Op::Round, Op::Round].iter().chain(&ops);
+        for (step, op) in ops.enumerate() {
             let a = per_event.apply(op);
             let b = batched.apply(op);
+            let c = skipping.apply(op);
             prop_assert_eq!(
                 &a, &b,
                 "round {} diverged between per-event and batched dispatch",
                 step
             );
+            prop_assert_eq!(
+                &b, &c,
+                "round {} diverged when idle heartbeats were skipped",
+                step
+            );
         }
+        prop_assert!(skipping.skipped > 0, "no heartbeat was idle");
         // Observable state must agree too, not just the assignment log.
-        prop_assert_eq!(per_event.jt.backlog(), batched.jt.backlog());
-        prop_assert_eq!(per_event.jt.reported_live(), batched.jt.reported_live());
-        prop_assert_eq!(per_event.jt.job_queue(), batched.jt.job_queue());
-        for w in [&per_event, &batched] {
+        for w in [&batched, &skipping] {
+            prop_assert_eq!(per_event.jt.backlog(), w.jt.backlog());
+            prop_assert_eq!(per_event.jt.reported_live(), w.jt.reported_live());
+            prop_assert_eq!(per_event.jt.job_queue(), w.jt.job_queue());
+            prop_assert_eq!(per_event.jt.export_ledger(), w.jt.export_ledger());
+        }
+        for w in [&per_event, &batched, &skipping] {
             let violations = hog_sim_core::Auditable::audit(&w.jt);
             prop_assert!(violations.is_empty(), "audit failed: {:?}", violations);
         }

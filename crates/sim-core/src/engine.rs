@@ -9,7 +9,7 @@
 //! event enum for unit testing, and `hog-core` defines the unified event
 //! enum used for full-stack runs.
 
-use crate::queue::EventQueue;
+use crate::queue::{EventQueue, Next};
 use crate::time::{SimDuration, SimTime};
 
 /// Handle through which a model schedules future events during a callback.
@@ -100,6 +100,23 @@ pub trait Model {
 
     /// Return `true` to stop the run early (checked after every event).
     fn finished(&self) -> bool {
+        false
+    }
+
+    /// Whether handling `event` at `now` would do nothing but re-arm it
+    /// one period later, as [`Scheduler::every`] does. [`Simulation::run`]
+    /// asks only about the timer firing it would dispatch next, when
+    /// that firing sits on one of the queue's periodic lanes, and on
+    /// `true` re-arms it in place without calling [`Model::handle`] (see
+    /// [`EventQueue::pop_or_rearm`]). The firing still counts as handled,
+    /// and every other event pops at the same `(time, sequence)`, so the
+    /// run is the one per-event dispatch gives.
+    ///
+    /// The answer must be a pure function of the model state, and `true`
+    /// only when the handler would change nothing (no state, no trace, no
+    /// event other than the same timer re-armed on the same period). The
+    /// default dispatches everything.
+    fn rearm_only(&self, _event: &Self::Event, _now: SimTime) -> bool {
         false
     }
 
@@ -231,74 +248,82 @@ impl<M: Model> Simulation<M> {
     /// Contiguous same-instant events the model marks [`Model::batchable`]
     /// are popped together and dispatched through [`Model::handle_batch`]
     /// in exact pop order; everything else goes through [`Model::handle`]
-    /// one event at a time.
+    /// one event at a time. A lane timer firing the model answers
+    /// [`Model::rearm_only`] for is re-armed in place instead of
+    /// dispatched. The engine asks only about the event it would
+    /// dispatch next, never about one it collects into a batch: an
+    /// earlier event of the batch may give that one work.
     pub fn run(&mut self, model: &mut M) -> RunStats {
         let mut handled = 0u64;
         let mut batch: std::collections::VecDeque<M::Event> = std::collections::VecDeque::new();
         loop {
             if handled >= self.event_budget {
-                return RunStats {
-                    end_time: self.now,
-                    events_handled: handled,
-                    peak_queue: self.queue.peak_len(),
-                    stop: StopReason::EventBudgetExhausted,
-                };
+                return self.stats(handled, StopReason::EventBudgetExhausted);
             }
-            let Some((at, event)) = self.queue.pop() else {
-                return RunStats {
-                    end_time: self.now,
-                    events_handled: handled,
-                    peak_queue: self.queue.peak_len(),
-                    stop: StopReason::QueueEmpty,
-                };
-            };
-            debug_assert!(at >= self.now, "event queue produced a past event");
-            if at > self.horizon {
-                // Leave the event unexecuted; the clock parks at the horizon.
-                self.now = self.horizon;
-                return RunStats {
-                    end_time: self.now,
-                    events_handled: handled,
-                    peak_queue: self.queue.peak_len(),
-                    stop: StopReason::HorizonReached,
-                };
-            }
-            self.now = at;
-            let head_batchable = |q: &EventQueue<M::Event>, m: &M| {
-                q.peek().is_some_and(|(t, e)| t == at && m.batchable(e))
-            };
-            if model.batchable(&event) && head_batchable(&self.queue, model) {
-                batch.clear();
-                batch.push_back(event);
-                while (handled + batch.len() as u64) < self.event_budget
-                    && head_batchable(&self.queue, model)
-                {
-                    batch.push_back(self.queue.pop().expect("peeked event vanished").1);
+            let horizon = self.horizon;
+            let next = self
+                .queue
+                .pop_or_rearm(|at, e| at <= horizon && model.rearm_only(e, at));
+            match next {
+                None => return self.stats(handled, StopReason::QueueEmpty),
+                Some(Next::Rearmed(at)) => {
+                    // Handled as its dispatch would have been: the clock
+                    // moves, the firing counts, `finished` is asked after.
+                    debug_assert!(at >= self.now, "event queue produced a past event");
+                    self.now = at;
+                    handled += 1;
                 }
-                let popped = batch.len() as u64;
-                let mut sched = Scheduler {
-                    now: self.now,
-                    queue: &mut self.queue,
-                };
-                model.handle_batch(&mut batch, &mut sched);
-                handled += popped - batch.len() as u64;
-                batch.clear();
-            } else {
-                let mut sched = Scheduler {
-                    now: self.now,
-                    queue: &mut self.queue,
-                };
-                model.handle(event, &mut sched);
-                handled += 1;
+                Some(Next::Popped(at, event)) => {
+                    debug_assert!(at >= self.now, "event queue produced a past event");
+                    if at > self.horizon {
+                        // Leave the event unexecuted; the clock parks at the
+                        // horizon.
+                        self.now = self.horizon;
+                        return self.stats(handled, StopReason::HorizonReached);
+                    }
+                    self.now = at;
+                    let head_batchable = |q: &EventQueue<M::Event>, m: &M| {
+                        q.peek().is_some_and(|(t, e)| t == at && m.batchable(e))
+                    };
+                    if model.batchable(&event) && head_batchable(&self.queue, model) {
+                        batch.clear();
+                        batch.push_back(event);
+                        while (handled + batch.len() as u64) < self.event_budget
+                            && head_batchable(&self.queue, model)
+                        {
+                            batch.push_back(self.queue.pop().expect("peeked event vanished").1);
+                        }
+                        let popped = batch.len() as u64;
+                        let mut sched = Scheduler {
+                            now: self.now,
+                            queue: &mut self.queue,
+                        };
+                        model.handle_batch(&mut batch, &mut sched);
+                        handled += popped - batch.len() as u64;
+                        batch.clear();
+                    } else {
+                        let mut sched = Scheduler {
+                            now: self.now,
+                            queue: &mut self.queue,
+                        };
+                        model.handle(event, &mut sched);
+                        handled += 1;
+                    }
+                }
             }
             if model.finished() {
-                return RunStats {
-                    end_time: self.now,
-                    events_handled: handled,
-                    peak_queue: self.queue.peak_len(),
-                    stop: StopReason::ModelFinished,
-                };
+                return self.stats(handled, StopReason::ModelFinished);
             }
+        }
+    }
+
+    /// The statistics of a run that stops now, for `stop`.
+    fn stats(&self, events_handled: u64, stop: StopReason) -> RunStats {
+        RunStats {
+            end_time: self.now,
+            events_handled,
+            peak_queue: self.queue.peak_len(),
+            stop,
         }
     }
 }
@@ -470,6 +495,94 @@ mod tests {
         // Beat(0),Beat(1) coalesce; Other(0) breaks the run; Beat(2),Beat(3)
         // coalesce; the four re-armed beats at t+5 coalesce into one batch.
         assert_eq!(batch_batches, vec![2, 2, 4]);
+    }
+
+    /// In-place re-arms are invisible. A model whose lane timers are idle
+    /// on a known set of firings sees the same non-idle `(time, event)`
+    /// dispatches with `rearm_only` answering and with it off, and both
+    /// runs return equal [`RunStats`], whether they stop at the horizon,
+    /// on the event budget or on `finished`. Timers are batchable, so
+    /// re-arms also meet same-instant batches.
+    #[test]
+    fn rearm_in_place_matches_dispatch() {
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        enum Ev {
+            Timer(u32),
+            Once(u32),
+        }
+        const PERIODS: [u64; 2] = [3_000, 7_000];
+        fn period(id: u32) -> SimDuration {
+            SimDuration::from_millis(PERIODS[id as usize % 2])
+        }
+        /// Four firings in five do nothing but re-arm.
+        fn idle(now: SimTime, id: u32) -> bool {
+            (now.as_millis() / 1_000 + id as u64) % 5 != 0
+        }
+        struct Timers {
+            hook: bool,
+            log: Vec<(SimTime, Ev)>,
+            idle_dispatches: u64,
+            stop_after: usize,
+        }
+        impl Model for Timers {
+            type Event = Ev;
+            fn handle(&mut self, ev: Ev, sched: &mut Scheduler<'_, Ev>) {
+                let now = sched.now();
+                match ev {
+                    Ev::Timer(id) if idle(now, id) => self.idle_dispatches += 1,
+                    Ev::Timer(id) => {
+                        self.log.push((now, ev));
+                        sched.after(SimDuration::from_millis(500 * id as u64), Ev::Once(id));
+                    }
+                    Ev::Once(_) => self.log.push((now, ev)),
+                }
+                if let Ev::Timer(id) = ev {
+                    sched.every(period(id), ev);
+                }
+            }
+            fn finished(&self) -> bool {
+                self.log.len() >= self.stop_after
+            }
+            fn batchable(&self, ev: &Ev) -> bool {
+                matches!(ev, Ev::Timer(_))
+            }
+            fn rearm_only(&self, ev: &Ev, now: SimTime) -> bool {
+                self.hook && matches!(*ev, Ev::Timer(id) if idle(now, id))
+            }
+        }
+        let drive = |hook: bool, horizon: u64, budget: u64, stop_after: usize| {
+            let mut sim = Simulation::new()
+                .with_horizon(SimTime::from_secs(horizon))
+                .with_event_budget(budget);
+            for id in 0..6 {
+                // First firings sit in the heap; three pairs collide.
+                sim.schedule(SimTime::from_secs(id as u64 % 3), Ev::Timer(id));
+            }
+            let mut m = Timers {
+                hook,
+                log: vec![],
+                idle_dispatches: 0,
+                stop_after,
+            };
+            let stats = sim.run(&mut m);
+            (m.log, stats, m.idle_dispatches)
+        };
+        for (horizon, budget, stop_after, stop) in [
+            (120, u64::MAX, usize::MAX, StopReason::HorizonReached),
+            (10_000, 97, usize::MAX, StopReason::EventBudgetExhausted),
+            (10_000, u64::MAX, 40, StopReason::ModelFinished),
+        ] {
+            let (log_off, stats_off, idle_off) = drive(false, horizon, budget, stop_after);
+            let (log_on, stats_on, idle_on) = drive(true, horizon, budget, stop_after);
+            assert_eq!(stats_off.stop, stop);
+            assert_eq!(log_on, log_off, "re-arms changed the dispatches ({stop:?})");
+            assert_eq!(stats_on, stats_off, "re-arms changed the run ({stop:?})");
+            assert!(!log_off.is_empty());
+            assert!(
+                idle_on < idle_off,
+                "nothing was re-armed in place ({stop:?}): {idle_on} vs {idle_off}"
+            );
+        }
     }
 
     #[test]

@@ -104,6 +104,11 @@ impl<K: Ord + Copy> LivenessIndex<K> {
         records - self.dead
     }
 
+    /// Number of `Silent` records: the suspects.
+    pub fn suspect_count(&self) -> usize {
+        self.silent.len()
+    }
+
     /// Workers heartbeating right now out of `records`.
     pub fn live_count(&self, records: usize) -> usize {
         records - self.dead - self.silent.len()

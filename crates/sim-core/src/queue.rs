@@ -13,7 +13,9 @@
 //! the smallest of the heap head and the lane heads therefore yields
 //! exactly the order one heap of every entry would, while tens of
 //! thousands of per-node heartbeats cost an O(1) append and pop instead of
-//! two heap sifts each.
+//! two heap sifts each. A lane head whose firing would only re-arm it can
+//! be moved to the lane's tail in place ([`EventQueue::pop_or_rearm`]),
+//! which leaves the queue exactly as that pop and re-arm would.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -65,6 +67,16 @@ struct Lane<E> {
 enum Head {
     Heap,
     Lane(usize),
+}
+
+/// What [`EventQueue::pop_or_rearm`] did with the earliest entry.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Next<E> {
+    /// The entry left the queue: its firing time and event.
+    Popped(SimTime, E),
+    /// The entry, a timer firing due at this instant, stayed queued one
+    /// lane period later under a fresh sequence number.
+    Rearmed(SimTime),
 }
 
 /// A deterministic future-event list.
@@ -137,18 +149,25 @@ impl<E> EventQueue<E> {
     pub fn push_periodic(&mut self, at: SimTime, period: SimDuration, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { at, seq, event };
         let lane = match self.lanes.iter().position(|l| l.period == period) {
-            Some(i) => &mut self.lanes[i],
+            Some(i) => i,
             None => {
                 self.lanes.push(Lane {
                     period,
                     fifo: VecDeque::new(),
                 });
-                self.lanes.last_mut().expect("lane just pushed")
+                self.lanes.len() - 1
             }
         };
-        if lane.fifo.back().is_none_or(|b| b.at <= at) {
+        self.push_lane_entry(lane, Entry { at, seq, event });
+    }
+
+    /// Append `entry` to lane `i`, or put it in the heap when it falls
+    /// behind the lane's tail, and count the push.
+    #[inline]
+    fn push_lane_entry(&mut self, i: usize, entry: Entry<E>) {
+        let lane = &mut self.lanes[i];
+        if lane.fifo.back().is_none_or(|b| b.at <= entry.at) {
             if lane.fifo.len() == lane.fifo.capacity() {
                 // A lane holds about one entry per live node, and its ring
                 // touches its whole capacity as it turns: grow by an
@@ -230,6 +249,39 @@ impl<E> EventQueue<E> {
         }?;
         self.len -= 1;
         Some((e.at, e.event))
+    }
+
+    /// [`EventQueue::pop`], unless the earliest entry is a lane entry (a
+    /// timer firing pushed by [`EventQueue::push_periodic`]) for which
+    /// `rearm(at, &event)` holds. That entry is re-armed in place
+    /// instead: it moves to `at + period` of its lane under the next
+    /// sequence number, exactly where a pop followed by
+    /// `push_periodic(at + period, period, event)` would put it, with the
+    /// same push count, length and peak. One head lookup serves both
+    /// outcomes, and `rearm` is asked only about lane heads: an entry in
+    /// the heap always pops.
+    #[inline]
+    pub fn pop_or_rearm(&mut self, rearm: impl FnOnce(SimTime, &E) -> bool) -> Option<Next<E>> {
+        let i = match self.head()? {
+            Head::Heap => {
+                let e = self.heap.pop()?;
+                self.len -= 1;
+                return Some(Next::Popped(e.at, e.event));
+            }
+            Head::Lane(i) => i,
+        };
+        let lane = &mut self.lanes[i];
+        let mut e = lane.fifo.pop_front()?;
+        self.len -= 1;
+        if !rearm(e.at, &e.event) {
+            return Some(Next::Popped(e.at, e.event));
+        }
+        let at = e.at;
+        e.at = at + lane.period;
+        e.seq = self.next_seq;
+        self.next_seq += 1;
+        self.push_lane_entry(i, e);
+        Some(Next::Rearmed(at))
     }
 
     /// The firing time of the earliest pending event, if any.
@@ -382,6 +434,8 @@ mod tests {
         /// Hand back the oldest unused reserved sequence number.
         PushReserved(u64),
         Pop,
+        /// `pop_or_rearm` with a predicate answering this value.
+        PopOrRearm(bool),
         Peek,
         Clear,
     }
@@ -395,89 +449,160 @@ mod tests {
             (0u64..5_000).prop_map(Op::PushReserved),
             Just(Op::Pop),
             Just(Op::Pop),
+            Just(Op::PopOrRearm(true)),
+            Just(Op::PopOrRearm(true)),
+            Just(Op::PopOrRearm(false)),
             Just(Op::Peek),
             (0u8..40).prop_map(|x| if x == 0 { Op::Clear } else { Op::Pop }),
         ]
+    }
+
+    /// The reference for `prop_lanes_match_one_heap`: one `BinaryHeap` of
+    /// every entry, each tagged with the lane it joined (if any). Lane
+    /// membership follows `push_periodic`'s rule, which needs only each
+    /// lane's length and tail.
+    #[derive(Default)]
+    struct OneHeap {
+        heap: BinaryHeap<std::cmp::Reverse<(SimTime, u64, u32, Option<usize>)>>,
+        lane_len: [usize; 3],
+        lane_tail: [SimTime; 3],
+        seq: u64,
+        pushed: u64,
+    }
+
+    impl OneHeap {
+        fn push(&mut self, at: SimTime, seq: u64, id: u32, lane: Option<usize>) {
+            self.heap.push(std::cmp::Reverse((at, seq, id, lane)));
+            self.pushed += 1;
+        }
+
+        fn push_periodic(&mut self, at: SimTime, i: usize, id: u32) {
+            let seq = self.seq;
+            self.seq += 1;
+            let lane = (self.lane_len[i] == 0 || self.lane_tail[i] <= at).then(|| {
+                self.lane_len[i] += 1;
+                self.lane_tail[i] = at;
+                i
+            });
+            self.push(at, seq, id, lane);
+        }
+
+        fn head(&self) -> Option<(SimTime, u32, Option<usize>)> {
+            self.heap
+                .peek()
+                .map(|std::cmp::Reverse((at, _, id, lane))| (*at, *id, *lane))
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u32, Option<usize>)> {
+            let std::cmp::Reverse((at, _, id, lane)) = self.heap.pop()?;
+            if let Some(i) = lane {
+                self.lane_len[i] -= 1;
+            }
+            Some((at, id, lane))
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The lanes are invisible: any interleaving of pushes, timer
-        /// re-arms, reserved-sequence pushes, pops, peeks and clears pops
-        /// the same `(time, event)` sequence, and reports the same length,
-        /// peak and push count, as one `BinaryHeap` holding every entry.
+        /// re-arms, reserved-sequence pushes, pops, in-place re-arms,
+        /// peeks and clears pops the same `(time, event)` sequence, and
+        /// reports the same length, peak and push count, as one
+        /// `BinaryHeap` holding every entry. The heap models an in-place
+        /// re-arm as a pop plus a push at `at + period` under the next
+        /// sequence number, and the predicate is asked exactly when the
+        /// head is a lane entry.
         #[test]
         fn prop_lanes_match_one_heap(ops in proptest::collection::vec(op(), 1..400)) {
-            use std::cmp::Reverse;
             const PERIODS: [u64; 3] = [3_000, 180_000, 7];
+            let period = |i: usize| SimDuration::from_millis(PERIODS[i]);
             let mut q: EventQueue<u32> = EventQueue::new();
-            let mut heap: BinaryHeap<Reverse<(SimTime, u64, u32)>> = BinaryHeap::new();
-            let (mut seq, mut pushed, mut peak) = (0u64, 0u64, 0usize);
+            let mut model = OneHeap::default();
+            let mut peak = 0usize;
             let mut reserved: VecDeque<u64> = VecDeque::new();
             let mut now = SimTime::ZERO;
             for (id, op) in ops.into_iter().enumerate() {
                 let id = id as u32;
-                let mut model_push = |at: SimTime, s: u64| {
-                    heap.push(Reverse((at, s, id)));
-                    pushed += 1;
-                };
                 match op {
                     Op::Push(a) => {
                         let at = now + SimDuration::from_millis(a);
                         q.push(at, id);
-                        model_push(at, seq);
-                        seq += 1;
+                        let seq = model.seq;
+                        model.seq += 1;
+                        model.push(at, seq, id, None);
                     }
                     Op::Every(i) => {
-                        let period = SimDuration::from_millis(PERIODS[i]);
-                        q.push_periodic(now + period, period, id);
-                        model_push(now + period, seq);
-                        seq += 1;
+                        q.push_periodic(now + period(i), period(i), id);
+                        model.push_periodic(now + period(i), i, id);
                     }
                     Op::Periodic(i, a) => {
                         let at = now + SimDuration::from_millis(a);
-                        q.push_periodic(at, SimDuration::from_millis(PERIODS[i]), id);
-                        model_push(at, seq);
-                        seq += 1;
+                        q.push_periodic(at, period(i), id);
+                        model.push_periodic(at, i, id);
                     }
                     Op::Reserve(n) => {
                         let first = q.reserve_seqs(n);
-                        prop_assert_eq!(first, seq);
+                        prop_assert_eq!(first, model.seq);
                         reserved.extend(first..first + n);
-                        seq += n;
+                        model.seq += n;
                     }
                     Op::PushReserved(a) => {
                         if let Some(s) = reserved.pop_front() {
                             let at = now + SimDuration::from_millis(a);
                             q.push_with_seq(at, s, id);
-                            model_push(at, s);
+                            model.push(at, s, id, None);
                         }
                     }
                     Op::Pop => {
-                        let want = heap.pop().map(|Reverse((at, _, e))| (at, e));
+                        let want = model.pop().map(|(at, e, _)| (at, e));
                         prop_assert_eq!(q.pop(), want);
                         if let Some((at, _)) = want {
                             now = at;
                         }
                     }
+                    Op::PopOrRearm(answer) => {
+                        let head = model.head();
+                        let mut asked = None;
+                        let got = q.pop_or_rearm(|at, e| {
+                            asked = Some((at, *e));
+                            answer
+                        });
+                        let want_asked = head
+                            .filter(|&(_, _, lane)| lane.is_some())
+                            .map(|(at, e, _)| (at, e));
+                        prop_assert_eq!(asked, want_asked);
+                        let want = match model.pop() {
+                            None => None,
+                            Some((at, e, Some(i))) if answer => {
+                                model.push_periodic(at + period(i), i, e);
+                                Some(Next::Rearmed(at))
+                            }
+                            Some((at, e, _)) => Some(Next::Popped(at, e)),
+                        };
+                        prop_assert_eq!(&got, &want);
+                        if let Some(Next::Popped(at, _) | Next::Rearmed(at)) = want {
+                            now = at;
+                        }
+                    }
                     Op::Peek => {
-                        let want = heap.peek().map(|Reverse((at, _, e))| (*at, *e));
+                        let want = model.head().map(|(at, e, _)| (at, e));
                         prop_assert_eq!(q.peek().map(|(at, e)| (at, *e)), want);
                         prop_assert_eq!(q.peek_time(), want.map(|(at, _)| at));
                     }
                     Op::Clear => {
                         q.clear();
-                        heap.clear();
+                        model.heap.clear();
+                        model.lane_len = [0; 3];
                     }
                 }
-                peak = peak.max(heap.len());
-                prop_assert_eq!(q.len(), heap.len());
-                prop_assert_eq!(q.is_empty(), heap.is_empty());
+                peak = peak.max(model.heap.len());
+                prop_assert_eq!(q.len(), model.heap.len());
+                prop_assert_eq!(q.is_empty(), model.heap.is_empty());
                 prop_assert_eq!(q.peak_len(), peak);
-                prop_assert_eq!(q.total_pushed(), pushed);
+                prop_assert_eq!(q.total_pushed(), model.pushed);
             }
-            while let Some(Reverse((at, _, e))) = heap.pop() {
+            while let Some((at, e, _)) = model.pop() {
                 prop_assert_eq!(q.pop(), Some((at, e)));
             }
             prop_assert_eq!(q.pop(), None);
