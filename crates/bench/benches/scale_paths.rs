@@ -298,17 +298,13 @@ fn loaded_jt(
     (jt, topo, nodes)
 }
 
-/// One heartbeat round: every node in turn, assignments drained into a
-/// reused buffer exactly like the cluster's batched dispatch loop does.
-/// Returns the number of assignments.
+/// One heartbeat round: every node in turn, as the cluster dispatches
+/// them. Returns the number of assignments.
 fn heartbeat_round(jt: &mut JobTracker, topo: &Topology, nodes: &[NodeId], now: SimTime) -> usize {
-    let mut out: Vec<Assignment> = Vec::new();
-    let mut assigned = 0usize;
-    for &n in nodes {
-        jt.heartbeat_into(now, n, topo, &mut out);
-        assigned += out.len();
-    }
-    assigned
+    nodes
+        .iter()
+        .map(|&n| jt.heartbeat(now, n, topo).len())
+        .sum()
 }
 
 /// 10k trackers, speculation on, and 20 map-only jobs whose 1,000 maps
@@ -316,12 +312,10 @@ fn heartbeat_round(jt: &mut JobTracker, topo: &Topology, nodes: &[NodeId], now: 
 /// has a mean and nothing is pending.
 fn idle_jt() -> (JobTracker, Topology, Vec<NodeId>) {
     let (mut jt, topo, nodes) = loaded_jt(10_000, 20, MrParams::hog(), 0);
-    let mut out: Vec<Assignment> = Vec::new();
     let mut started: Vec<Vec<Assignment>> = vec![Vec::new(); 20];
     for &n in &nodes {
-        jt.heartbeat_into(SimTime::from_secs(3), n, &topo, &mut out);
-        for a in &out {
-            started[a.attempt().task.job.0 as usize].push(a.clone());
+        for a in jt.heartbeat(SimTime::from_secs(3), n, &topo) {
+            started[a.attempt().task.job.0 as usize].push(a);
         }
     }
     for job in &started {

@@ -149,39 +149,47 @@ pub struct ClusterCounters {
     pub fetch_timeouts: u64,
 }
 
+/// The fixed gauges of the per-layer metrics registry (hog-obs), in
+/// registration order. `Cluster::sample_metrics` sets every one each
+/// master tick, from one value array in this order.
+const GAUGES: [(Layer, &str); 29] = [
+    (Layer::Core, "pool_usable"),
+    (Layer::Core, "pool_reported"),
+    (Layer::Core, "zombies"),
+    (Layer::Grid, "node_starts"),
+    (Layer::Hdfs, "missing_blocks"),
+    (Layer::Hdfs, "repl_completed"),
+    (Layer::Hdfs, "block_reads"),
+    (Layer::Hdfs, "repl_trims"),
+    (Layer::Hdfs, "avail_raised"),
+    (Layer::Hdfs, "avail_lowered"),
+    (Layer::Hdfs, "replica_bytes"),
+    (Layer::MapReduce, "maps_done"),
+    (Layer::MapReduce, "reduces_done"),
+    (Layer::MapReduce, "task_failures"),
+    (Layer::MapReduce, "jobs_finished"),
+    (Layer::MapReduce, "sched_node_local"),
+    (Layer::MapReduce, "sched_rack_local"),
+    (Layer::MapReduce, "sched_site_local"),
+    (Layer::MapReduce, "sched_remote"),
+    (Layer::Net, "flows_active"),
+    (Layer::Net, "flows_done"),
+    (Layer::Core, "pool_target"),
+    (Layer::Core, "pool_outstanding"),
+    (Layer::Core, "elastic_resizes"),
+    (Layer::MapReduce, "fairness_jain"),
+    (Layer::Core, "failover_recovery_ms"),
+    (Layer::Core, "failover_lost_window_ms"),
+    (Layer::Core, "failover_reregistrations"),
+    (Layer::Core, "failover_crashes"),
+];
+
 /// Handles into the per-layer metrics registry (hog-obs), sampled every
 /// master tick.
 struct ObsMetrics {
     reg: MetricsRegistry,
-    pool_usable: MetricId,
-    pool_reported: MetricId,
-    zombies: MetricId,
-    node_starts: MetricId,
-    missing_blocks: MetricId,
-    repl_completed: MetricId,
-    block_reads: MetricId,
-    repl_trims: MetricId,
-    avail_raised: MetricId,
-    avail_lowered: MetricId,
-    replica_bytes: MetricId,
-    maps_done: MetricId,
-    reduces_done: MetricId,
-    task_failures: MetricId,
-    jobs_finished: MetricId,
-    sched_node_local: MetricId,
-    sched_rack_local: MetricId,
-    sched_site_local: MetricId,
-    sched_remote: MetricId,
-    flows_active: MetricId,
-    flows_done: MetricId,
-    pool_target: MetricId,
-    pool_outstanding: MetricId,
-    elastic_resizes: MetricId,
-    fairness_jain: MetricId,
-    failover_recovery_ms: MetricId,
-    failover_lost_window_ms: MetricId,
-    failover_reregistrations: MetricId,
-    failover_crashes: MetricId,
+    /// One handle per entry of [`GAUGES`].
+    gauges: [MetricId; GAUGES.len()],
     /// Per-job running-slot share series, registered lazily as jobs are
     /// submitted (`mapreduce/job<i>_slots`), indexed by `JobId`.
     job_slots: Vec<MetricId>,
@@ -192,35 +200,7 @@ impl ObsMetrics {
     fn new() -> Self {
         let mut reg = MetricsRegistry::new();
         ObsMetrics {
-            pool_usable: reg.register(Layer::Core, "pool_usable"),
-            pool_reported: reg.register(Layer::Core, "pool_reported"),
-            zombies: reg.register(Layer::Core, "zombies"),
-            node_starts: reg.register(Layer::Grid, "node_starts"),
-            missing_blocks: reg.register(Layer::Hdfs, "missing_blocks"),
-            repl_completed: reg.register(Layer::Hdfs, "repl_completed"),
-            block_reads: reg.register(Layer::Hdfs, "block_reads"),
-            repl_trims: reg.register(Layer::Hdfs, "repl_trims"),
-            avail_raised: reg.register(Layer::Hdfs, "avail_raised"),
-            avail_lowered: reg.register(Layer::Hdfs, "avail_lowered"),
-            replica_bytes: reg.register(Layer::Hdfs, "replica_bytes"),
-            maps_done: reg.register(Layer::MapReduce, "maps_done"),
-            reduces_done: reg.register(Layer::MapReduce, "reduces_done"),
-            task_failures: reg.register(Layer::MapReduce, "task_failures"),
-            jobs_finished: reg.register(Layer::MapReduce, "jobs_finished"),
-            sched_node_local: reg.register(Layer::MapReduce, "sched_node_local"),
-            sched_rack_local: reg.register(Layer::MapReduce, "sched_rack_local"),
-            sched_site_local: reg.register(Layer::MapReduce, "sched_site_local"),
-            sched_remote: reg.register(Layer::MapReduce, "sched_remote"),
-            flows_active: reg.register(Layer::Net, "flows_active"),
-            flows_done: reg.register(Layer::Net, "flows_done"),
-            pool_target: reg.register(Layer::Core, "pool_target"),
-            pool_outstanding: reg.register(Layer::Core, "pool_outstanding"),
-            elastic_resizes: reg.register(Layer::Core, "elastic_resizes"),
-            fairness_jain: reg.register(Layer::MapReduce, "fairness_jain"),
-            failover_recovery_ms: reg.register(Layer::Core, "failover_recovery_ms"),
-            failover_lost_window_ms: reg.register(Layer::Core, "failover_lost_window_ms"),
-            failover_reregistrations: reg.register(Layer::Core, "failover_reregistrations"),
-            failover_crashes: reg.register(Layer::Core, "failover_crashes"),
+            gauges: GAUGES.map(|(layer, name)| reg.register(layer, name)),
             job_slots: Vec::new(),
             job_secs: reg.register_histogram(
                 Layer::MapReduce,
@@ -230,15 +210,6 @@ impl ObsMetrics {
             reg,
         }
     }
-}
-
-/// One deferred entry of the workload/fault dispatch plan (see
-/// `Cluster::dispatch_plan`).
-#[derive(Clone, Copy, Debug)]
-enum PlannedEvent {
-    SubmitJob(usize),
-    Chaos(u32),
-    ChaosEnd(u32),
 }
 
 /// The full-cluster simulation model.
@@ -319,18 +290,6 @@ pub struct Cluster {
     armed_net_ticks: BTreeSet<SimTime>,
     /// Reusable buffer for `FluidNet::advance_into` (NetTick hot path).
     flow_end_buf: Vec<FlowEnd>,
-    /// Reusable buffer for `JobTracker::heartbeat_into` (Heartbeat hot
-    /// path): one allocation serves every heartbeat of the run.
-    assign_buf: Vec<Assignment>,
-    /// Deferred schedule/fault-plan dispatch: instead of flooding the
-    /// event queue with every SubmitJob/Chaos/ChaosEnd at workload start,
-    /// the plan is kept here sorted by firing order and fed to the queue
-    /// one entry at a time (each fired entry schedules the next). The
-    /// queue sequence numbers each entry *would* have received were
-    /// reserved up front, so heap ordering — and therefore the simulated
-    /// outcome — is bit-identical to eager dispatch.
-    dispatch_plan: Vec<(SimTime, u64, PlannedEvent)>,
-    dispatch_cursor: usize,
     /// Set when the chaos layer aborted the run.
     chaos_failure: Option<ChaosFailure>,
     /// Shared trace handle (hog-obs); a no-op unless configured.
@@ -448,9 +407,6 @@ impl Cluster {
             flows_done: 0,
             armed_net_ticks: BTreeSet::new(),
             flow_end_buf: Vec::new(),
-            assign_buf: Vec::new(),
-            dispatch_plan: Vec::new(),
-            dispatch_cursor: 0,
             chaos_failure: None,
             tracer,
             obs_metrics,
@@ -777,10 +733,12 @@ impl Cluster {
         self.begin_workload(sched.now(), sched);
     }
 
-    /// Anchor the submission + fault timeline at `base` and start feeding
-    /// it to the event queue. Standalone clusters call this from
+    /// Anchor the submission + fault timeline at `base` and push all of
+    /// it into the event queue. Standalone clusters call this from
     /// `finish_upload`; in pool mode the federation calls it once every
     /// pool is ready (so `base` is the same instant federation-wide).
+    /// `base` is the clock at the call and no entry precedes it, so each
+    /// event fires at its planned instant.
     pub fn begin_workload(&mut self, base: SimTime, sched: &mut Scheduler<'_, Event>) {
         let Some(first) = self.schedule.first() else {
             // A zero-job workload is complete the moment it starts.
@@ -790,57 +748,26 @@ impl Cluster {
             return;
         };
         self.workload_start = Some(base + (first.submit_at - SimTime::ZERO));
-        // Build the dispatch plan instead of pushing every event now: the
-        // full Facebook schedule plus fault plan used to sit in the queue
-        // for hours of simulated time, inflating queue depth for nothing.
-        // Sequence numbers are reserved here in exactly the order the
-        // eager loop consumed them, so replaying the plan cursor-style
-        // pops in the identical order.
-        let mut plan: Vec<(SimTime, u64, PlannedEvent)> = Vec::new();
         for (i, spec) in self.schedule.iter().enumerate() {
             // Pool mode: each index's submission timeline fires in its
             // home pool only (the fired event is then routed anywhere).
             if self.cfg.pool.as_ref().is_some_and(|p| !p.is_home(i)) {
                 continue;
             }
-            let at = base + (spec.submit_at - SimTime::ZERO);
-            plan.push((at, 0, PlannedEvent::SubmitJob(i)));
+            sched.at(
+                base + (spec.submit_at - SimTime::ZERO),
+                Event::SubmitJob { index: i },
+            );
         }
         // Fault injection is anchored to workload start, like job
         // submission: a plan is meaningful relative to the workload, not
         // to however long pool formation and upload happened to take.
         for (i, tf) in self.cfg.chaos.plan.faults().iter().enumerate() {
             let index = i as u32;
-            plan.push((base + tf.at, 0, PlannedEvent::Chaos(index)));
+            sched.at(base + tf.at, Event::Chaos { index });
             if let Some(w) = tf.fault.window() {
-                plan.push((base + tf.at + w, 0, PlannedEvent::ChaosEnd(index)));
+                sched.at(base + tf.at + w, Event::ChaosEnd { index });
             }
-        }
-        let first = sched.reserve_seqs(plan.len() as u64);
-        for (i, e) in plan.iter_mut().enumerate() {
-            e.1 = first + i as u64;
-        }
-        plan.sort_by_key(|&(at, seq, _)| (at, seq));
-        self.dispatch_plan = plan;
-        self.dispatch_cursor = 0;
-        self.pump_dispatch(sched);
-    }
-
-    /// Feed the next entry of the dispatch plan into the event queue under
-    /// its reserved sequence number. Every dispatched event's handler
-    /// calls this again, so exactly one plan entry is pending at a time.
-    /// An entry never fires before its predecessor (the plan is sorted by
-    /// firing order), so scheduling entry k+1 while handling entry k never
-    /// needs to place it in the past.
-    fn pump_dispatch(&mut self, sched: &mut Scheduler<'_, Event>) {
-        if let Some(&(at, seq, planned)) = self.dispatch_plan.get(self.dispatch_cursor) {
-            self.dispatch_cursor += 1;
-            let ev = match planned {
-                PlannedEvent::SubmitJob(index) => Event::SubmitJob { index },
-                PlannedEvent::Chaos(index) => Event::Chaos { index },
-                PlannedEvent::ChaosEnd(index) => Event::ChaosEnd { index },
-            };
-            sched.at_with_seq(at, seq, ev);
         }
     }
 
@@ -1309,30 +1236,6 @@ impl Cluster {
     /// chaos `MasterStall`.
     fn master_serving(&self, now: SimTime) -> bool {
         !self.masters.is_down() && self.master_stalled_until.is_none_or(|until| now >= until)
-    }
-
-    /// One tasktracker heartbeat: deliver it to the JobTracker (unless
-    /// the worker is partitioned or the masters are not `serving`) and
-    /// launch whatever was assigned, then re-arm the timer on the
-    /// queue's heartbeat lane. The assignment buffer is reused across
-    /// every heartbeat of the run.
-    fn deliver_heartbeat(&mut self, sched: &mut Scheduler<'_, Event>, node: NodeId, serving: bool) {
-        let Some(worker) = self.workers.get(node) else {
-            return; // daemon gone: heartbeats stop
-        };
-        // A partitioned worker keeps its daemons (and this timer)
-        // alive, but its heartbeats never reach the JobTracker; a
-        // stalled or crashed master receives nothing. Either way
-        // the masters' timeout machinery sees silence.
-        if serving && !worker.partitioned {
-            let mut assignments = std::mem::take(&mut self.assign_buf);
-            self.masters
-                .jt
-                .heartbeat_into(sched.now(), node, &self.topo, &mut assignments);
-            self.start_assignments(sched, node, &assignments);
-            self.assign_buf = assignments;
-        }
-        sched.every(HEARTBEAT_INTERVAL, Event::Heartbeat { node });
     }
 
     fn start_assignments(
@@ -1928,38 +1831,48 @@ impl Cluster {
             return;
         }
         let sig = self.progress_sig();
-        let usable = self.workers.len() - self.zombie_count;
-        let zombies = self.zombie_count;
-        let reported = self.masters.jt.reported_live();
-        let missing = self.missing_input_blocks();
-        let flows_active = self.flows.len();
         let jtc = self.masters.jt.counters();
-        let target = self.target_nodes;
-        let outstanding = self.grid.as_ref().map_or(0, |g| g.outstanding_count());
-        let resizes = self
-            .elastic
-            .as_ref()
-            .map_or(0, |c| c.resize_counts().0 + c.resize_counts().1);
-        let fairness = self.masters.jt.jain_fairness();
-        let shares: Vec<(JobId, u32)> = self.masters.jt.job_shares().collect();
-        let fo = self.masters.stats.clone();
-        let reads = self.masters.nn.read_count();
+        let fo = &self.masters.stats;
         let (raised, lowered, trimmed) = self.masters.nn.availability_counters();
-        let replica_bytes = self.masters.nn.bytes_written();
-        let m = self.obs_metrics.as_mut().unwrap();
-        m.reg.set(m.pool_target, target as f64);
-        m.reg.set(m.pool_outstanding, outstanding as f64);
-        m.reg.set(m.elastic_resizes, resizes as f64);
-        m.reg.set(m.fairness_jain, fairness);
-        m.reg
-            .set(m.failover_recovery_ms, fo.total_recovery.as_millis() as f64);
-        m.reg.set(
-            m.failover_lost_window_ms,
+        // One value per `GAUGES` entry, in its order.
+        let values: [f64; GAUGES.len()] = [
+            (self.workers.len() - self.zombie_count) as f64,
+            self.masters.jt.reported_live() as f64,
+            self.zombie_count as f64,
+            sig.node_starts as f64,
+            self.missing_input_blocks() as f64,
+            sig.repl_completed as f64,
+            self.masters.nn.read_count() as f64,
+            trimmed as f64,
+            raised as f64,
+            lowered as f64,
+            self.masters.nn.bytes_written() as f64,
+            sig.maps_done as f64,
+            sig.reduces_done as f64,
+            sig.task_failures as f64,
+            sig.jobs_finished as f64,
+            jtc.node_local as f64,
+            jtc.rack_local as f64,
+            jtc.site_local as f64,
+            jtc.remote as f64,
+            self.flows.len() as f64,
+            sig.flows_finished as f64,
+            self.target_nodes as f64,
+            self.grid.as_ref().map_or(0, |g| g.outstanding_count()) as f64,
+            self.elastic
+                .as_ref()
+                .map_or(0, |c| c.resize_counts().0 + c.resize_counts().1) as f64,
+            self.masters.jt.jain_fairness(),
+            fo.total_recovery.as_millis() as f64,
             fo.total_lost_window.as_millis() as f64,
-        );
-        m.reg
-            .set(m.failover_reregistrations, fo.reregistrations as f64);
-        m.reg.set(m.failover_crashes, fo.crashes as f64);
+            fo.reregistrations as f64,
+            fo.crashes as f64,
+        ];
+        let shares: Vec<(JobId, u32)> = self.masters.jt.job_shares().collect();
+        let m = self.obs_metrics.as_mut().unwrap();
+        for (&id, value) in m.gauges.iter().zip(values) {
+            m.reg.set(id, value);
+        }
         // Per-job slot shares: register a series the first tick a job id
         // appears; completed jobs drop out of the share list and read 0.
         if let Some(max_id) = shares.iter().map(|&(j, _)| j.0 as usize).max() {
@@ -1976,27 +1889,6 @@ impl Cluster {
         for &(j, s) in &shares {
             m.reg.set(m.job_slots[j.0 as usize], s as f64);
         }
-        m.reg.set(m.pool_usable, usable as f64);
-        m.reg.set(m.pool_reported, reported as f64);
-        m.reg.set(m.zombies, zombies as f64);
-        m.reg.set(m.node_starts, sig.node_starts as f64);
-        m.reg.set(m.missing_blocks, missing as f64);
-        m.reg.set(m.repl_completed, sig.repl_completed as f64);
-        m.reg.set(m.block_reads, reads as f64);
-        m.reg.set(m.repl_trims, trimmed as f64);
-        m.reg.set(m.avail_raised, raised as f64);
-        m.reg.set(m.avail_lowered, lowered as f64);
-        m.reg.set(m.replica_bytes, replica_bytes as f64);
-        m.reg.set(m.maps_done, sig.maps_done as f64);
-        m.reg.set(m.reduces_done, sig.reduces_done as f64);
-        m.reg.set(m.task_failures, sig.task_failures as f64);
-        m.reg.set(m.jobs_finished, sig.jobs_finished as f64);
-        m.reg.set(m.sched_node_local, jtc.node_local as f64);
-        m.reg.set(m.sched_rack_local, jtc.rack_local as f64);
-        m.reg.set(m.sched_site_local, jtc.site_local as f64);
-        m.reg.set(m.sched_remote, jtc.remote as f64);
-        m.reg.set(m.flows_active, flows_active as f64);
-        m.reg.set(m.flows_done, sig.flows_finished as f64);
         m.reg.snapshot(now);
     }
 
@@ -2484,8 +2376,18 @@ impl Model for Cluster {
             }
             Event::MasterTick => self.on_master_tick(sched),
             Event::Heartbeat { node } => {
-                let serving = self.master_serving(sched.now());
-                self.deliver_heartbeat(sched, node, serving);
+                let Some(worker) = self.workers.get(node) else {
+                    return; // daemon gone: heartbeats stop
+                };
+                // A partitioned worker keeps its daemons (and this timer)
+                // alive, but its heartbeats never reach the JobTracker; a
+                // stalled or crashed master receives nothing. Either way
+                // the masters' timeout machinery sees silence.
+                if !worker.partitioned && self.master_serving(sched.now()) {
+                    let assignments = self.masters.jt.heartbeat(sched.now(), node, &self.topo);
+                    self.start_assignments(sched, node, &assignments);
+                }
+                sched.every(HEARTBEAT_INTERVAL, Event::Heartbeat { node });
             }
             Event::DiskCheck { node } => {
                 let Some(worker) = self.workers.get(node) else {
@@ -2530,7 +2432,6 @@ impl Model for Cluster {
                 self.fail_attempt(sched, attempt, fr);
             }
             Event::SubmitJob { index } => {
-                self.pump_dispatch(sched);
                 if self.cfg.pool.is_some() {
                     // Pool mode: the fired submission goes to the
                     // federation's meta-scheduler, which picks a pool and
@@ -2543,45 +2444,9 @@ impl Model for Cluster {
             Event::PumpUpload => self.pump_upload(sched),
             Event::ResizePool { delta } => self.resize_pool(sched, delta, None),
             Event::BalancerTick => self.on_balancer_tick(sched),
-            Event::Chaos { index } => {
-                self.pump_dispatch(sched);
-                self.on_chaos(sched, index)
-            }
-            Event::ChaosEnd { index } => {
-                self.pump_dispatch(sched);
-                self.on_chaos_end(sched, index)
-            }
+            Event::Chaos { index } => self.on_chaos(sched, index),
+            Event::ChaosEnd { index } => self.on_chaos_end(sched, index),
             Event::MasterPromote => self.on_master_promote(sched),
-        }
-    }
-
-    /// Heartbeats coalesce: the stagger spreads first fires across the
-    /// interval, but at thousands of nodes many timers still share an
-    /// instant (at 10k nodes ~3 heartbeats land per simulated ms), and
-    /// one dispatch can drain the whole same-time run. Everything else
-    /// keeps per-event dispatch.
-    fn batchable(&self, event: &Event) -> bool {
-        matches!(event, Event::Heartbeat { .. })
-    }
-
-    /// Drain a same-instant run of heartbeats in one dispatch, hoisting
-    /// the per-batch constants a single heartbeat would recompute: the
-    /// trace clock and whether the masters are serving. A heartbeat only
-    /// mutates JobTracker/worker state — nothing in it stalls, crashes
-    /// or revives the master, so reading that predicate once per instant
-    /// is decision-identical to re-reading it per event. Per-node gates
-    /// (daemon up, partitioned) stay per heartbeat.
-    fn handle_batch(&mut self, events: &mut VecDeque<Event>, sched: &mut Scheduler<'_, Event>) {
-        self.tracer.advance(sched.now());
-        let serving = self.master_serving(sched.now());
-        while !self.finished() {
-            match events.pop_front() {
-                Some(Event::Heartbeat { node }) => self.deliver_heartbeat(sched, node, serving),
-                // `batchable` admits only heartbeats; keep the contract
-                // anyway.
-                Some(event) => self.handle(event, sched),
-                None => break,
-            }
         }
     }
 

@@ -237,8 +237,8 @@ pub struct Federation {
     phase: Vec<JobPhase>,
     /// (job, destination pool) → why it is staging there.
     awaiting: BTreeMap<(usize, usize), StageKind>,
-    /// In-flight WAN transfer → (job, destination pool, kind).
-    wan_pending: BTreeMap<WanTransferId, (usize, usize, StageKind)>,
+    /// In-flight WAN transfer → (job, destination pool).
+    wan_pending: BTreeMap<WanTransferId, (usize, usize)>,
 
     staging_started: bool,
     initial_pending: usize,
@@ -502,7 +502,7 @@ impl Federation {
     /// pool's datanodes (replication `r_remote`). Completion flows back
     /// through [`Cluster::take_completed_stagings`].
     fn on_wan_done(&mut self, now: SimTime, done: WanDone) {
-        let Some((job, to, kind)) = self.wan_pending.remove(&done.id) else {
+        let Some((job, to)) = self.wan_pending.remove(&done.id) else {
             return;
         };
         debug_assert_eq!(done.tag, job as u64);
@@ -510,8 +510,9 @@ impl Federation {
         let r = self.cfg.r_remote;
         let pool = &mut self.pools[to];
         let mut sched = Scheduler::over(now, &mut pool.queue);
+        // What the transfer was for (`awaiting`) resolves at stage
+        // completion.
         pool.cluster.stage_dataset(job, r, &mut sched);
-        let _ = kind; // resolution happens at stage completion
         self.drain_pool_notes(now, to);
     }
 
@@ -579,7 +580,7 @@ impl Federation {
         let from = self.home[job];
         let bytes = jobmodel::input_bytes(self.schedule.jobs()[job].maps);
         let id = self.wan.start_transfer(now, from, to, bytes, job as u64);
-        self.wan_pending.insert(id, (job, to, kind));
+        self.wan_pending.insert(id, (job, to));
         self.awaiting.insert((job, to), kind);
     }
 
@@ -652,13 +653,6 @@ impl Federation {
             // Already staging there (shared copy still in flight): the
             // job rides that transfer instead of starting another.
             *kind = StageKind::Route;
-            if let Some(entry) = self
-                .wan_pending
-                .values_mut()
-                .find(|(j, t, _)| *j == job && *t == picked)
-            {
-                entry.2 = StageKind::Route;
-            }
             self.phase[job] = JobPhase::AwaitingStage { pool: picked };
         } else {
             self.start_stage(now, job, picked, StageKind::Route);

@@ -776,34 +776,20 @@ impl JobTracker {
 
     /// A tasktracker heartbeat: record liveness and hand out work for its
     /// free slots (FIFO across jobs; node-local → site-local → remote for
-    /// maps; slowstart-gated reduces; speculation as a fallback).
+    /// maps; slowstart-gated reduces; speculation as a fallback). A
+    /// heartbeat that assigns nothing allocates nothing.
     pub fn heartbeat(&mut self, now: SimTime, node: NodeId, topo: &Topology) -> Vec<Assignment> {
         let mut out = Vec::new();
-        self.heartbeat_into(now, node, topo, &mut out);
-        out
-    }
-
-    /// [`JobTracker::heartbeat`] with a caller-owned assignment buffer
-    /// (cleared first): the allocation-free path the batched master tick
-    /// drives for every node in a coalesced heartbeat run.
-    pub fn heartbeat_into(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        topo: &Topology,
-        out: &mut Vec<Assignment>,
-    ) {
-        out.clear();
         // One tracker lookup serves the whole heartbeat: every successful
         // assignment starts exactly one attempt of its kind on this node,
         // so the free counts can be tracked locally instead of recounting
         // the running set per slot.
         let (site, free) = {
             let Some(t) = self.trackers.get_mut(node) else {
-                return;
+                return out;
             };
             match t.liveness {
-                Liveness::Dead => return,
+                Liveness::Dead => return out,
                 Liveness::Live => {}
                 Liveness::Silent => {
                     // A partition healed before the timeout: off the
@@ -830,10 +816,11 @@ impl JobTracker {
                 }
             }
         }
+        out
     }
 
     /// Whether a heartbeat from `node` at `now` would change nothing and
-    /// assign nothing: [`JobTracker::heartbeat_into`] would return no
+    /// assign nothing: [`JobTracker::heartbeat`] would return no
     /// assignment and leave every field the ledger, the audit and later
     /// decisions read as it is. Pure and exact, so a caller may skip
     /// such a heartbeat.

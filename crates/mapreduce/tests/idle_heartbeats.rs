@@ -1,20 +1,19 @@
-//! Property tests for the coalesced-heartbeat dispatch path.
+//! Property tests for the heartbeat path.
 //!
-//! The batched master tick drains a same-instant run of heartbeats in one
-//! dispatch, calling [`JobTracker::heartbeat_into`] with a single
-//! assignment buffer reused across the whole run. These properties pin
-//! the two ways that could diverge from the per-event path:
+//! The cluster dispatches heartbeats one at a time, and the engine
+//! re-arms a heartbeat timer in place, without dispatching it, when
+//! [`JobTracker::heartbeat_idle`] says the heartbeat would change
+//! nothing. These properties pin that skip, and the retry backoff that
+//! gates what a heartbeat may be assigned:
 //!
-//! * `coalesced_rounds_match_per_event` — over random interleavings of
-//!   heartbeat rounds, map completions, tracker silences/deaths, late
-//!   joins and time advances, a round delivered through the reused-buffer
-//!   batch path yields exactly the per-node assignments of fresh
-//!   per-event `heartbeat` calls, and leaves the tracker in an
-//!   observably identical state (audit-clean, same backlog, same
-//!   liveness census, same ledger). A third world skips every heartbeat
-//!   for which [`JobTracker::heartbeat_idle`] holds, as the engine's
-//!   in-place timer re-arm does, and must match the world that delivers
-//!   all of them; each case checks that some heartbeats were skipped.
+//! * `skipping_idle_heartbeats_matches_delivering_all` — over random
+//!   interleavings of heartbeat rounds, map completions, tracker
+//!   silences/deaths, late joins and time advances, a world that skips
+//!   every heartbeat for which `heartbeat_idle` holds yields exactly the
+//!   per-node assignments of a world that delivers every heartbeat, and
+//!   leaves the tracker in an observably identical state (audit-clean,
+//!   same backlog, same liveness census, same ledger); each case checks
+//!   that some heartbeats were skipped.
 //! * `retry_backoff_gates_the_runnable_cursor` — the incremental
 //!   locality index keeps per-job runnable candidate sets; a task thrown
 //!   back into `pending` by a tracker death must not be served from the
@@ -28,8 +27,7 @@ use hog_sim_core::{Liveness, SimDuration, SimRng, SimTime, HOG_DEAD_TIMEOUT};
 use proptest::prelude::*;
 
 /// One step of the random schedule. A `Round` heartbeats every live
-/// tracker at the same instant — the shape the engine's contiguous-pop
-/// batching produces.
+/// tracker at the same instant.
 #[derive(Clone, Debug)]
 enum Op {
     Round,
@@ -50,16 +48,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Whether this world dispatches rounds per-event (fresh `Vec` per
-/// heartbeat), batched (`heartbeat_into` reusing one buffer), or batched
-/// with the heartbeats `heartbeat_idle` answers for skipped.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    PerEvent,
-    Batched,
-    SkipIdle,
-}
-
 struct World {
     jt: JobTracker,
     topo: Topology,
@@ -67,16 +55,15 @@ struct World {
     sites: Vec<SiteId>,
     running_maps: Vec<AttemptRef>,
     now: SimTime,
-    mode: Mode,
-    /// The batch path's persistent buffer (lives across rounds, exactly
-    /// like the cluster's `assign_buf`).
-    buf: Vec<Assignment>,
-    /// Heartbeats a `SkipIdle` world did not deliver.
+    /// Skip the heartbeats `heartbeat_idle` answers for, as the engine's
+    /// in-place re-arm does, instead of delivering every one.
+    skip_idle: bool,
+    /// Heartbeats a skipping world did not deliver.
     skipped: usize,
 }
 
 impl World {
-    fn new(seed: u64, speculation: bool, mode: Mode) -> Self {
+    fn new(seed: u64, speculation: bool, skip_idle: bool) -> Self {
         let mut topo = Topology::new();
         let mut sites = Vec::new();
         let mut nodes = Vec::new();
@@ -99,8 +86,7 @@ impl World {
             sites,
             running_maps: Vec::new(),
             now: SimTime::from_secs(1),
-            mode,
-            buf: Vec::new(),
+            skip_idle,
             skipped: 0,
         };
         let mut rng = SimRng::seed_from_u64(seed ^ 0xbeef);
@@ -156,19 +142,11 @@ impl World {
             {
                 continue;
             }
-            let assigns = match self.mode {
-                Mode::PerEvent => self.jt.heartbeat(self.now, node, &self.topo),
-                Mode::SkipIdle if self.jt.heartbeat_idle(self.now, node) => {
-                    self.skipped += 1;
-                    Vec::new()
-                }
-                Mode::Batched | Mode::SkipIdle => {
-                    let mut buf = std::mem::take(&mut self.buf);
-                    self.jt.heartbeat_into(self.now, node, &self.topo, &mut buf);
-                    let assigns = buf.clone();
-                    self.buf = buf;
-                    assigns
-                }
+            let assigns = if self.skip_idle && self.jt.heartbeat_idle(self.now, node) {
+                self.skipped += 1;
+                Vec::new()
+            } else {
+                self.jt.heartbeat(self.now, node, &self.topo)
             };
             for a in &assigns {
                 if let Assignment::Map { attempt, .. } = a {
@@ -219,42 +197,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn coalesced_rounds_match_per_event(
+    fn skipping_idle_heartbeats_matches_delivering_all(
         seed in 0u64..1_000_000,
         speculation in (0u8..2).prop_map(|b| b == 1),
         ops in proptest::collection::vec(op_strategy(), 1..50),
     ) {
-        let mut per_event = World::new(seed, speculation, Mode::PerEvent);
-        let mut batched = World::new(seed, speculation, Mode::Batched);
-        let mut skipping = World::new(seed, speculation, Mode::SkipIdle);
+        let mut delivering = World::new(seed, speculation, false);
+        let mut skipping = World::new(seed, speculation, true);
         // Two opening rounds: after the first has filled slots (and run
         // the first speculation scans), the second has idle heartbeats
         // to skip, so no case is vacuous.
         let ops = [Op::Round, Op::Round].iter().chain(&ops);
         for (step, op) in ops.enumerate() {
-            let a = per_event.apply(op);
-            let b = batched.apply(op);
-            let c = skipping.apply(op);
+            let a = delivering.apply(op);
+            let b = skipping.apply(op);
             prop_assert_eq!(
                 &a, &b,
-                "round {} diverged between per-event and batched dispatch",
-                step
-            );
-            prop_assert_eq!(
-                &b, &c,
                 "round {} diverged when idle heartbeats were skipped",
                 step
             );
         }
         prop_assert!(skipping.skipped > 0, "no heartbeat was idle");
         // Observable state must agree too, not just the assignment log.
-        for w in [&batched, &skipping] {
-            prop_assert_eq!(per_event.jt.backlog(), w.jt.backlog());
-            prop_assert_eq!(per_event.jt.reported_live(), w.jt.reported_live());
-            prop_assert_eq!(per_event.jt.job_queue(), w.jt.job_queue());
-            prop_assert_eq!(per_event.jt.export_ledger(), w.jt.export_ledger());
-        }
-        for w in [&per_event, &batched, &skipping] {
+        prop_assert_eq!(delivering.jt.backlog(), skipping.jt.backlog());
+        prop_assert_eq!(delivering.jt.reported_live(), skipping.jt.reported_live());
+        prop_assert_eq!(delivering.jt.job_queue(), skipping.jt.job_queue());
+        prop_assert_eq!(delivering.jt.export_ledger(), skipping.jt.export_ledger());
+        for w in [&delivering, &skipping] {
             let violations = hog_sim_core::Auditable::audit(&w.jt);
             prop_assert!(violations.is_empty(), "audit failed: {:?}", violations);
         }

@@ -66,27 +66,6 @@ impl<'a, E> Scheduler<'a, E> {
     pub fn now_event(&mut self, event: E) {
         self.queue.push(self.now, event);
     }
-
-    /// Number of pending events (excluding the one being handled).
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Reserve `n` consecutive queue sequence numbers (see
-    /// [`EventQueue::reserve_seqs`]); pair with [`Scheduler::at_with_seq`].
-    #[inline]
-    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
-        self.queue.reserve_seqs(n)
-    }
-
-    /// Schedule `event` at `at` under a previously reserved sequence
-    /// number, clamping past times to "now" like [`Scheduler::at`].
-    #[inline]
-    pub fn at_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
-        let at = at.max(self.now);
-        self.queue.push_with_seq(at, seq, event);
-    }
 }
 
 /// A simulation model: world state plus an event handler.
@@ -129,10 +108,10 @@ pub trait Model {
     /// the exact order the events would have popped individually. Only
     /// *contiguous* events coalesce — a non-batchable event at the same
     /// instant ends the batch — so dispatch order is preserved verbatim
-    /// and outcomes stay bit-identical to per-event dispatch. Models
-    /// override this for high-frequency events (heartbeats) whose
-    /// per-dispatch overhead (tracer advance, liveness census) can be
-    /// hoisted out of the per-event loop.
+    /// and outcomes stay bit-identical to per-event dispatch. A model
+    /// may override this for events whose per-dispatch overhead can be
+    /// hoisted out of a same-instant run; the default dispatches every
+    /// event alone.
     fn batchable(&self, _event: &Self::Event) -> bool {
         false
     }
@@ -245,14 +224,15 @@ impl<M: Model> Simulation<M> {
     /// Drive `model` until the queue drains, the model finishes, the
     /// horizon passes, or the event budget is exhausted.
     ///
-    /// Contiguous same-instant events the model marks [`Model::batchable`]
-    /// are popped together and dispatched through [`Model::handle_batch`]
-    /// in exact pop order; everything else goes through [`Model::handle`]
-    /// one event at a time. A lane timer firing the model answers
+    /// Events go through [`Model::handle`] one at a time, in
+    /// `(time, sequence)` order. A lane timer firing the model answers
     /// [`Model::rearm_only`] for is re-armed in place instead of
-    /// dispatched. The engine asks only about the event it would
-    /// dispatch next, never about one it collects into a batch: an
-    /// earlier event of the batch may give that one work.
+    /// dispatched. Contiguous same-instant events the model marks
+    /// [`Model::batchable`] are popped together and dispatched through
+    /// [`Model::handle_batch`] in exact pop order. The engine asks
+    /// `rearm_only` only about the event it would dispatch next, never
+    /// about one it collects into a batch: an earlier event of the batch
+    /// may give that one work.
     pub fn run(&mut self, model: &mut M) -> RunStats {
         let mut handled = 0u64;
         let mut batch: std::collections::VecDeque<M::Event> = std::collections::VecDeque::new();
@@ -516,7 +496,7 @@ mod tests {
         }
         /// Four firings in five do nothing but re-arm.
         fn idle(now: SimTime, id: u32) -> bool {
-            (now.as_millis() / 1_000 + id as u64) % 5 != 0
+            !(now.as_millis() / 1_000 + id as u64).is_multiple_of(5)
         }
         struct Timers {
             hook: bool,

@@ -101,8 +101,6 @@ pub struct EventQueue<E> {
     /// Pending entries across the heap and every lane.
     len: usize,
     next_seq: u64,
-    /// Total number of events ever pushed (for instrumentation).
-    pushed: u64,
     /// High-water mark of pending events (for instrumentation).
     peak_len: usize,
 }
@@ -126,7 +124,6 @@ impl<E> EventQueue<E> {
             lanes: Vec::new(),
             len: 0,
             next_seq: 0,
-            pushed: 0,
             peak_len: 0,
         }
     }
@@ -136,7 +133,8 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_with_seq(at, seq, event);
+        self.heap.push(Entry { at, seq, event });
+        self.note_push();
     }
 
     /// Schedule the next firing of a timer that re-arms every `period`:
@@ -182,34 +180,8 @@ impl<E> EventQueue<E> {
         self.note_push();
     }
 
-    /// Reserve `n` consecutive sequence numbers without pushing anything,
-    /// returning the first of the range. Later [`push_with_seq`] calls can
-    /// hand the reserved numbers back one by one, letting a caller schedule
-    /// events *lazily* while preserving the exact tie-break order a
-    /// batch-at-once push would have produced.
-    ///
-    /// [`push_with_seq`]: EventQueue::push_with_seq
-    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
-        let first = self.next_seq;
-        self.next_seq += n;
-        first
-    }
-
-    /// Schedule `event` at `at` with an explicitly reserved sequence number
-    /// (from [`reserve_seqs`]). The queue orders solely on `(at, seq)`, so
-    /// an event pushed late with an early reserved seq pops exactly where
-    /// it would have had it been pushed eagerly.
-    ///
-    /// [`reserve_seqs`]: EventQueue::reserve_seqs
-    #[inline]
-    pub fn push_with_seq(&mut self, at: SimTime, seq: u64, event: E) {
-        self.heap.push(Entry { at, seq, event });
-        self.note_push();
-    }
-
     #[inline]
     fn note_push(&mut self) {
-        self.pushed += 1;
         self.len += 1;
         if self.len > self.peak_len {
             self.peak_len = self.len;
@@ -257,9 +229,9 @@ impl<E> EventQueue<E> {
     /// instead: it moves to `at + period` of its lane under the next
     /// sequence number, exactly where a pop followed by
     /// `push_periodic(at + period, period, event)` would put it, with the
-    /// same push count, length and peak. One head lookup serves both
-    /// outcomes, and `rearm` is asked only about lane heads: an entry in
-    /// the heap always pops.
+    /// same length and peak. One head lookup serves both outcomes, and
+    /// `rearm` is asked only about lane heads: an entry in the heap
+    /// always pops.
     #[inline]
     pub fn pop_or_rearm(&mut self, rearm: impl FnOnce(SimTime, &E) -> bool) -> Option<Next<E>> {
         let i = match self.head()? {
@@ -310,25 +282,10 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Total number of events pushed over the queue's lifetime.
-    #[inline]
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
     /// Largest number of events that were ever pending at once.
     #[inline]
     pub fn peak_len(&self) -> usize {
         self.peak_len
-    }
-
-    /// Drop every pending event (the lifetime push counter is preserved).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        for lane in &mut self.lanes {
-            lane.fifo.clear();
-        }
-        self.len = 0;
     }
 }
 
@@ -376,29 +333,12 @@ mod tests {
         q.push(SimTime::ZERO, ());
         q.push(SimTime::ZERO, ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.total_pushed(), 2);
-        q.clear();
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.total_pushed(), 2);
         assert_eq!(q.peak_len(), 2);
         q.push(SimTime::ZERO, ());
         assert_eq!(q.peak_len(), 2);
-    }
-
-    #[test]
-    fn reserved_seqs_pop_in_reserved_order() {
-        // Reserve three slots up front, push them out of wall-clock order
-        // (and interleaved with ordinary pushes), and check the pop order
-        // matches what an eager batch push would have produced.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        let first = q.reserve_seqs(3);
-        q.push(t, "plain-after-reserve"); // seq = first + 3
-        q.push_with_seq(t, first + 2, "r2");
-        q.push_with_seq(t, first, "r0");
-        q.push_with_seq(t, first + 1, "r1");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["r0", "r1", "r2", "plain-after-reserve"]);
     }
 
     #[test]
@@ -418,7 +358,7 @@ mod tests {
         q.push_periodic(SimTime::from_secs(5), p, "behind");
         assert_eq!(q.pop().unwrap().1, "behind");
         assert_eq!(q.pop().unwrap().1, "late");
-        assert_eq!((q.total_pushed(), q.peak_len()), (6, 4));
+        assert_eq!(q.peak_len(), 4);
     }
 
     /// One step of the lane-vs-heap comparison (see
@@ -430,14 +370,10 @@ mod tests {
         Every(usize),
         /// A lane push at an arbitrary offset (may fall behind the tail).
         Periodic(usize, u64),
-        Reserve(u64),
-        /// Hand back the oldest unused reserved sequence number.
-        PushReserved(u64),
         Pop,
         /// `pop_or_rearm` with a predicate answering this value.
         PopOrRearm(bool),
         Peek,
-        Clear,
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -445,15 +381,13 @@ mod tests {
             (0u64..5_000).prop_map(Op::Push),
             (0usize..3).prop_map(Op::Every),
             (0usize..3, 0u64..5_000).prop_map(|(i, a)| Op::Periodic(i, a)),
-            (1u64..4).prop_map(Op::Reserve),
-            (0u64..5_000).prop_map(Op::PushReserved),
+            Just(Op::Pop),
             Just(Op::Pop),
             Just(Op::Pop),
             Just(Op::PopOrRearm(true)),
             Just(Op::PopOrRearm(true)),
             Just(Op::PopOrRearm(false)),
             Just(Op::Peek),
-            (0u8..40).prop_map(|x| if x == 0 { Op::Clear } else { Op::Pop }),
         ]
     }
 
@@ -463,28 +397,29 @@ mod tests {
     /// lane's length and tail.
     #[derive(Default)]
     struct OneHeap {
-        heap: BinaryHeap<std::cmp::Reverse<(SimTime, u64, u32, Option<usize>)>>,
+        heap: BinaryHeap<std::cmp::Reverse<RefEntry>>,
         lane_len: [usize; 3],
         lane_tail: [SimTime; 3],
         seq: u64,
-        pushed: u64,
     }
 
+    /// A reference heap entry: firing time, sequence number, event id and
+    /// the lane it joined.
+    type RefEntry = (SimTime, u64, u32, Option<usize>);
+
     impl OneHeap {
-        fn push(&mut self, at: SimTime, seq: u64, id: u32, lane: Option<usize>) {
-            self.heap.push(std::cmp::Reverse((at, seq, id, lane)));
-            self.pushed += 1;
+        fn push(&mut self, at: SimTime, id: u32, lane: Option<usize>) {
+            self.heap.push(std::cmp::Reverse((at, self.seq, id, lane)));
+            self.seq += 1;
         }
 
         fn push_periodic(&mut self, at: SimTime, i: usize, id: u32) {
-            let seq = self.seq;
-            self.seq += 1;
             let lane = (self.lane_len[i] == 0 || self.lane_tail[i] <= at).then(|| {
                 self.lane_len[i] += 1;
                 self.lane_tail[i] = at;
                 i
             });
-            self.push(at, seq, id, lane);
+            self.push(at, id, lane);
         }
 
         fn head(&self) -> Option<(SimTime, u32, Option<usize>)> {
@@ -506,10 +441,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The lanes are invisible: any interleaving of pushes, timer
-        /// re-arms, reserved-sequence pushes, pops, in-place re-arms,
-        /// peeks and clears pops the same `(time, event)` sequence, and
-        /// reports the same length, peak and push count, as one
-        /// `BinaryHeap` holding every entry. The heap models an in-place
+        /// re-arms, pops, in-place re-arms and peeks pops the same
+        /// `(time, event)` sequence, and reports the same length and
+        /// peak, as one `BinaryHeap` holding every entry. The heap models an in-place
         /// re-arm as a pop plus a push at `at + period` under the next
         /// sequence number, and the predicate is asked exactly when the
         /// head is a lane entry.
@@ -520,7 +454,6 @@ mod tests {
             let mut q: EventQueue<u32> = EventQueue::new();
             let mut model = OneHeap::default();
             let mut peak = 0usize;
-            let mut reserved: VecDeque<u64> = VecDeque::new();
             let mut now = SimTime::ZERO;
             for (id, op) in ops.into_iter().enumerate() {
                 let id = id as u32;
@@ -528,9 +461,7 @@ mod tests {
                     Op::Push(a) => {
                         let at = now + SimDuration::from_millis(a);
                         q.push(at, id);
-                        let seq = model.seq;
-                        model.seq += 1;
-                        model.push(at, seq, id, None);
+                        model.push(at, id, None);
                     }
                     Op::Every(i) => {
                         q.push_periodic(now + period(i), period(i), id);
@@ -540,19 +471,6 @@ mod tests {
                         let at = now + SimDuration::from_millis(a);
                         q.push_periodic(at, period(i), id);
                         model.push_periodic(at, i, id);
-                    }
-                    Op::Reserve(n) => {
-                        let first = q.reserve_seqs(n);
-                        prop_assert_eq!(first, model.seq);
-                        reserved.extend(first..first + n);
-                        model.seq += n;
-                    }
-                    Op::PushReserved(a) => {
-                        if let Some(s) = reserved.pop_front() {
-                            let at = now + SimDuration::from_millis(a);
-                            q.push_with_seq(at, s, id);
-                            model.push(at, s, id, None);
-                        }
                     }
                     Op::Pop => {
                         let want = model.pop().map(|(at, e, _)| (at, e));
@@ -590,17 +508,11 @@ mod tests {
                         prop_assert_eq!(q.peek().map(|(at, e)| (at, *e)), want);
                         prop_assert_eq!(q.peek_time(), want.map(|(at, _)| at));
                     }
-                    Op::Clear => {
-                        q.clear();
-                        model.heap.clear();
-                        model.lane_len = [0; 3];
-                    }
                 }
                 peak = peak.max(model.heap.len());
                 prop_assert_eq!(q.len(), model.heap.len());
                 prop_assert_eq!(q.is_empty(), model.heap.is_empty());
                 prop_assert_eq!(q.peak_len(), peak);
-                prop_assert_eq!(q.total_pushed(), model.pushed);
             }
             while let Some((at, e, _)) = model.pop() {
                 prop_assert_eq!(q.pop(), Some((at, e)));

@@ -7,7 +7,9 @@
 //! * traces are deterministic: same seed + config → byte-identical
 //!   JSONL;
 //! * the metrics registry samples every layer and two seeds diff
-//!   without panicking.
+//!   without panicking;
+//! * the registry's series, their order and the final value of each
+//!   fixed per-tick gauge are pinned on one small run.
 
 use hog_repro::obs::{diff_registries, render_diff, to_jsonl, Layer};
 use hog_repro::prelude::*;
@@ -164,5 +166,65 @@ fn metrics_registry_samples_and_diffs() {
     // Scores are sorted descending.
     for w in diffs.windows(2) {
         assert!(w[0].score >= w[1].score);
+    }
+}
+
+/// The registry a small run leaves behind: every series and histogram
+/// by `layer/name` in registration order (the 29 fixed gauges, then one
+/// `job<i>_slots` share per job), and the value each fixed gauge held at
+/// the last master tick.
+#[test]
+fn metrics_registry_pins_its_series_and_final_values() {
+    let r = run_workload(
+        ClusterConfig::hog(20, 11).with_metrics(),
+        &schedule(3),
+        HORIZON,
+    );
+    let m = r.metrics.expect("metrics were on");
+    let gauges: [(&str, f64); 29] = [
+        ("core/pool_usable", 20.0),
+        ("core/pool_reported", 20.0),
+        ("core/zombies", 0.0),
+        ("grid/node_starts", 21.0),
+        ("hdfs/missing_blocks", 0.0),
+        ("hdfs/repl_completed", 7.0),
+        ("hdfs/block_reads", 0.0),
+        ("hdfs/repl_trims", 0.0),
+        ("hdfs/avail_raised", 0.0),
+        ("hdfs/avail_lowered", 0.0),
+        ("hdfs/replica_bytes", 25_971_130_368.0),
+        ("mapreduce/maps_done", 32.0),
+        ("mapreduce/reduces_done", 6.0),
+        ("mapreduce/task_failures", 0.0),
+        ("mapreduce/jobs_finished", 3.0),
+        ("mapreduce/sched_node_local", 25.0),
+        ("mapreduce/sched_rack_local", 0.0),
+        ("mapreduce/sched_site_local", 9.0),
+        ("mapreduce/sched_remote", 0.0),
+        ("net/flows_active", 18.0),
+        ("net/flows_done", 453.0),
+        ("core/pool_target", 20.0),
+        ("core/pool_outstanding", 0.0),
+        ("core/elastic_resizes", 0.0),
+        ("mapreduce/fairness_jain", 1.0),
+        ("core/failover_recovery_ms", 0.0),
+        ("core/failover_lost_window_ms", 0.0),
+        ("core/failover_reregistrations", 0.0),
+        ("core/failover_crashes", 0.0),
+    ];
+    let jobs = (0..4).map(|i| format!("mapreduce/job{i}_slots"));
+    let want: Vec<String> = gauges
+        .iter()
+        .map(|&(name, _)| name.to_string())
+        .chain(jobs)
+        .collect();
+    let names: Vec<String> = m.iter_series().map(|(name, _)| name).collect();
+    assert_eq!(names, want);
+    let hists: Vec<String> = m.iter_histograms().map(|(name, _)| name).collect();
+    assert_eq!(hists, ["mapreduce/job_secs"]);
+    for (name, value) in gauges {
+        let series = m.find(name).expect("registered");
+        assert!(!series.is_empty(), "{name} was never sampled");
+        assert_eq!(series.last_value(), value, "{name}");
     }
 }
