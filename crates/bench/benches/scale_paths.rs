@@ -19,8 +19,8 @@
 //!   churn_300's shape: 64 repair orders at replication 10, each
 //!   filtering the tick's one candidate table.
 //! * `jobtracker_heartbeat/*` — one cluster-wide heartbeat round against
-//!   a loaded job queue. The incremental job-order cache and pending-only
-//!   locality index keep the per-heartbeat cost flat in tracker count.
+//!   a loaded job queue: every free map slot walks the policy's job
+//!   order and each job's pending maps for the best locality rung.
 //!   `idle_10000_trackers_spec_on` is the long tail of a 10k-node run:
 //!   nothing pending, speculation on, every job with a mean.
 //!   `idle_300_trackers_failure_aware` is churn_300's idle round: the
@@ -293,7 +293,7 @@ fn loaded_jt(
         jt.register_tracker(SimTime::ZERO, n, topo.site_of(n), 1, 1);
     }
     for j in 0..jobs {
-        jt.submit_job(SimTime::ZERO, submission(j, &nodes, reduces), &topo);
+        jt.submit_job(SimTime::ZERO, submission(j, &nodes, reduces));
     }
     (jt, topo, nodes)
 }
@@ -352,7 +352,7 @@ fn idle_failure_aware_jt() -> (JobTracker, Topology, Vec<NodeId>) {
     }
     assert_eq!(jt.check_dead(SimTime::from_secs(31)).0.len(), victims.len());
     for j in 0..4 {
-        jt.submit_job(SimTime::from_secs(32), submission(j, &nodes, 0), &topo);
+        jt.submit_job(SimTime::from_secs(32), submission(j, &nodes, 0));
     }
     assert_eq!(
         heartbeat_round(&mut jt, &topo, &nodes, SimTime::from_secs(32)),

@@ -745,6 +745,7 @@ impl Cluster {
             self.workload_start = Some(base);
             self.workload_end = Some(base);
             self.set_phase(RunPhase::Done);
+            self.sample_metrics(base);
             return;
         };
         self.workload_start = Some(base + (first.submit_at - SimTime::ZERO));
@@ -1474,7 +1475,8 @@ impl Cluster {
     }
 
     /// Record schedule index `idx`'s outcome (the first report wins); the
-    /// last job to finish ends the run.
+    /// last job to finish ends the run, and the metrics registry samples
+    /// its final state.
     fn record_job_result(&mut self, now: SimTime, idx: usize, ok: bool) {
         if self.job_results[idx].is_some() {
             return;
@@ -1490,6 +1492,7 @@ impl Cluster {
         if self.finished_jobs == self.schedule.len() {
             self.workload_end = Some(now);
             self.set_phase(RunPhase::Done);
+            self.sample_metrics(now);
         }
     }
 
@@ -1528,10 +1531,7 @@ impl Cluster {
             },
             output_replication: self.cfg.hdfs.replication,
         };
-        let jid = self
-            .masters
-            .jt
-            .submit_job(sched.now(), submission, &self.topo);
+        let jid = self.masters.jt.submit_job(sched.now(), submission);
         self.job_of_schedule.insert(jid, index);
         // A job whose input vanished entirely (zero blocks uploaded) can
         // never run; terminal-fail it immediately.
@@ -1686,14 +1686,7 @@ impl Cluster {
     /// One balancer iteration: plan moves toward mean utilisation and
     /// execute them as copy-then-drop transfers.
     fn on_balancer_tick(&mut self, sched: &mut Scheduler<'_, Event>) {
-        let plan = hog_hdfs::balancer::plan(&self.masters.nn, &self.topo, 0.10, 32);
-        // Trims first: shedding an excess replica frees the same bytes
-        // as a move without a transfer. Empty unless the availability
-        // policy lowered targets below current replica counts.
-        for (block, node) in plan.trims {
-            hog_hdfs::balancer::apply_trim(&mut self.masters.nn, block, node);
-        }
-        for mv in plan.moves {
+        for mv in hog_hdfs::balancer::plan(&self.masters.nn, &self.topo, 0.10, 32) {
             // The plan sees zombies as the namenode does: healthy.
             if !self.node_usable(mv.src) || !self.node_usable(mv.dst) {
                 continue;
@@ -1825,7 +1818,8 @@ impl Cluster {
     }
 
     /// Record the current value of every registered metric (when the
-    /// registry is enabled). Called once per master tick.
+    /// registry is enabled). Called once per master tick and once when
+    /// the run enters [`RunPhase::Done`].
     fn sample_metrics(&mut self, now: SimTime) {
         if self.obs_metrics.is_none() {
             return;

@@ -99,8 +99,9 @@ impl MasterCheckpoint {
     /// block maps and job/task ledgers. Neither export carries the
     /// scheduling policy's failure history, the namenode's soft state
     /// (availability snapshot, read counters, dispatch cursor) or the
-    /// JobTracker's derived state (cached job orders, speculation quiet
-    /// instants). Tests use this to prove `restore(checkpoint(s)) == s`.
+    /// JobTracker's derived state (speculation quiet instants, memoized
+    /// reduce readiness). Tests use this to prove
+    /// `restore(checkpoint(s)) == s`.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for part in [self.nn.export_fsimage(), self.jt.export_ledger()] {

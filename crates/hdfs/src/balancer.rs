@@ -11,26 +11,16 @@ use crate::types::BlockId;
 use hog_net::{NodeId, Topology};
 use std::collections::{BTreeSet, HashMap};
 
-/// A planned balancer iteration: block moves (copy then delete source —
-/// here compressed to a move) to bring utilisation within `threshold`,
-/// plus excess-replica trims on over-utilised nodes (free space without
-/// moving a byte — only non-empty when the availability policy lowered
-/// per-block targets).
-#[derive(Clone, Debug, Default)]
-pub struct BalancerPlan {
-    /// Transfers to perform, in order.
-    pub moves: Vec<ReplOrder>,
-    /// `(block, holder)` excess replicas to drop, in order. Applied
-    /// before the moves: shedding is strictly cheaper than copying.
-    pub trims: Vec<(BlockId, NodeId)>,
-}
-
-/// Compute one balancer iteration.
+/// Compute one balancer iteration: the block moves (copy then delete
+/// source — here compressed to a move) that bring utilisation within
+/// `threshold`, in order.
 ///
 /// `threshold` is the allowed deviation from mean utilisation (Hadoop
 /// default 0.10 = 10 percentage points). `max_moves` bounds the plan so
 /// each iteration stays cheap, like the real balancer's bandwidth cap.
-pub fn plan(nn: &Namenode, topo: &Topology, threshold: f64, max_moves: usize) -> BalancerPlan {
+/// Excess replicas are not the balancer's business: the namenode's
+/// replication monitor sheds them ([`Namenode::tick`]).
+pub fn plan(nn: &Namenode, topo: &Topology, threshold: f64, max_moves: usize) -> Vec<ReplOrder> {
     // Utilisation per live datanode. A zero-capacity node can be neither
     // a source nor a sink (and its utilisation would be 0/0), so it
     // stays out of the plan. Zombies look live here, as they do to the
@@ -41,7 +31,7 @@ pub fn plan(nn: &Namenode, topo: &Topology, threshold: f64, max_moves: usize) ->
         .map(|(n, d)| (n, d.used, d.capacity))
         .collect();
     if nodes.len() < 2 {
-        return BalancerPlan::default();
+        return Vec::new();
     }
     let total_used: u64 = nodes.iter().map(|&(_, u, _)| u).sum();
     let total_cap: u64 = nodes.iter().map(|&(_, _, c)| c).sum();
@@ -68,40 +58,6 @@ pub fn plan(nn: &Namenode, topo: &Topology, threshold: f64, max_moves: usize) ->
         .map(|&(n, _, _)| n)
         .collect();
 
-    // Shed excess replicas (per-block targets lowered by the
-    // availability policy) from over-utilised nodes before copying
-    // anything: a trim frees the same bytes as a move at zero transfer
-    // cost. Flat runs never have excess, so this plans nothing there.
-    let mut trims: Vec<(BlockId, NodeId)> = Vec::new();
-    let mut trimmed: HashMap<BlockId, usize> = HashMap::new();
-    for &src in &over {
-        if trims.len() >= max_moves {
-            break;
-        }
-        let src_blocks: Vec<BlockId> = nn
-            .datanode(src)
-            .map(|d| d.blocks.iter().copied().collect())
-            .unwrap_or_default();
-        for b in src_blocks {
-            if trims.len() >= max_moves {
-                break;
-            }
-            if util(used[&src], cap[&src]) <= mean + threshold {
-                break; // source is balanced now
-            }
-            let meta = nn.block(b);
-            let excess = meta
-                .excess()
-                .saturating_sub(trimmed.get(&b).copied().unwrap_or(0));
-            if excess == 0 {
-                continue;
-            }
-            trims.push((b, src));
-            *trimmed.entry(b).or_default() += 1;
-            *used.get_mut(&src).unwrap() -= meta.size;
-        }
-    }
-
     for src in over {
         if moves.len() >= max_moves {
             break;
@@ -118,11 +74,6 @@ pub fn plan(nn: &Namenode, topo: &Topology, threshold: f64, max_moves: usize) ->
                 break; // source is balanced now
             }
             if moved.contains(&b) {
-                continue;
-            }
-            // Already planned to be trimmed off this node: not a move
-            // source any more.
-            if trims.iter().any(|&(tb, tn)| tb == b && tn == src) {
                 continue;
             }
             let size = nn.block(b).size;
@@ -173,7 +124,7 @@ pub fn plan(nn: &Namenode, topo: &Topology, threshold: f64, max_moves: usize) ->
             *used.get_mut(&dst).unwrap() += size;
         }
     }
-    BalancerPlan { moves, trims }
+    moves
 }
 
 /// Apply one completed balancer move to the namenode: the destination now
@@ -184,13 +135,6 @@ pub fn apply_move(nn: &mut Namenode, mv: &ReplOrder) {
     // `report_bad_replica` queues re-replication if the drop made the
     // block deficient, which cannot happen here because we just added a
     // replica; the pair is a net-zero move.
-}
-
-/// Apply one planned excess trim: the holder drops its copy. Instant
-/// metadata operation — no transfer, no counter noise beyond the trim
-/// counter itself.
-pub fn apply_trim(nn: &mut Namenode, block: BlockId, node: NodeId) {
-    nn.trim_replica(block, node);
 }
 
 #[cfg(test)]
@@ -238,9 +182,9 @@ mod tests {
         let (mut nn, topo, new) = setup_unbalanced();
         let (min_before, max_before) = spread(&nn);
         assert_eq!(min_before, 0, "new nodes start empty");
-        let plan = plan(&nn, &topo, 0.10, 100);
-        assert!(!plan.moves.is_empty(), "unbalanced cluster needs moves");
-        for mv in &plan.moves {
+        let moves = plan(&nn, &topo, 0.10, 100);
+        assert!(!moves.is_empty(), "unbalanced cluster needs moves");
+        for mv in &moves {
             apply_move(&mut nn, mv);
         }
         let (min_after, max_after) = spread(&nn);
@@ -258,50 +202,22 @@ mod tests {
         let (mut nn, topo, _) = setup_unbalanced();
         // Run the balancer to convergence first.
         for _ in 0..10 {
-            let p = plan(&nn, &topo, 0.10, 100);
-            if p.moves.is_empty() {
+            let moves = plan(&nn, &topo, 0.10, 100);
+            if moves.is_empty() {
                 break;
             }
-            for mv in &p.moves {
+            for mv in &moves {
                 apply_move(&mut nn, mv);
             }
         }
-        let p = plan(&nn, &topo, 0.10, 100);
-        assert!(p.moves.is_empty(), "already balanced: {:?}", p.moves);
+        let moves = plan(&nn, &topo, 0.10, 100);
+        assert!(moves.is_empty(), "already balanced: {moves:?}");
     }
 
     #[test]
     fn max_moves_bounds_plan() {
         let (nn, topo, _) = setup_unbalanced();
-        let p = plan(&nn, &topo, 0.10, 3);
-        assert!(p.moves.len() <= 3);
-    }
-
-    #[test]
-    fn plan_trims_excess_replicas_before_moving() {
-        let (mut nn, topo, _) = setup_unbalanced();
-        // Lower every block's target below its replica count: the
-        // balancer should shed copies from the full nodes, not move them.
-        let f = nn.file_by_path("/data").unwrap();
-        let blocks: Vec<BlockId> = nn.blocks_of(f).to_vec();
-        for &b in &blocks {
-            nn.set_block_replication(b, 1);
-        }
-        let p = plan(&nn, &topo, 0.10, 100);
-        assert!(!p.trims.is_empty(), "excess replicas should be shed");
-        let used_before = nn.total_used();
-        for &(b, n) in &p.trims {
-            apply_trim(&mut nn, b, n);
-        }
-        assert!(nn.total_used() < used_before);
-        // Never trimmed below target.
-        for &b in &blocks {
-            assert!(!nn.block(b).replicas.is_empty());
-        }
-        assert_eq!(nn.missing_block_count(), 0);
-        // Flat runs (no lowered targets) plan no trims.
-        let (nn2, topo2, _) = setup_unbalanced();
-        assert!(plan(&nn2, &topo2, 0.10, 100).trims.is_empty());
+        assert!(plan(&nn, &topo, 0.10, 3).len() <= 3);
     }
 
     #[test]
@@ -313,8 +229,7 @@ mod tests {
         for _ in 0..4 {
             nn.register_datanode(SimTime::ZERO, topo.add_node(site));
         }
-        let p = plan(&nn, &topo, 0.1, 10);
-        assert!(p.moves.is_empty() && p.trims.is_empty());
+        assert!(plan(&nn, &topo, 0.1, 10).is_empty());
     }
 
     #[test]
@@ -325,6 +240,6 @@ mod tests {
         let cfg = HdfsConfig::hog().with_replication(1);
         let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(1));
         nn.register_datanode(SimTime::ZERO, n);
-        assert!(plan(&nn, &topo, 0.1, 10).moves.is_empty());
+        assert!(plan(&nn, &topo, 0.1, 10).is_empty());
     }
 }

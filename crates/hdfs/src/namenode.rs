@@ -1112,10 +1112,10 @@ impl Namenode {
         )
     }
 
-    /// Drop one excess replica of `block` at `node` (availability trims
-    /// and the balancer's shed pass). Instant metadata operation — the
+    /// Drop one excess replica of `block` at `node` (the replication
+    /// monitor's availability trims). Instant metadata operation — the
     /// datanode just deletes the copy; no transfer.
-    pub fn trim_replica(&mut self, block: BlockId, node: NodeId) {
+    fn trim_replica(&mut self, block: BlockId, node: NodeId) {
         let size = self.blocks[block.0 as usize].size;
         if !self.blocks[block.0 as usize].replicas.remove(&node) {
             return;

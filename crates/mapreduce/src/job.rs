@@ -138,8 +138,9 @@ pub struct JobState {
     /// Per-reduce shuffle bookkeeping (indexed by reduce index; entries
     /// exist only while an attempt runs).
     pub reduce_plans: HashMap<AttemptRef, ReducePlan>,
-    /// Pending map indices not yet (re)assigned. Ordered for deterministic
-    /// pick order; the scheduler consults the locality index first.
+    /// Pending map indices not yet (re)assigned. Ascending, so the
+    /// JobTracker's one pass over them for the best locality rung picks
+    /// the lowest map index on that rung.
     pub pending_maps: BTreeSet<u32>,
     /// Pending reduce indices.
     pub pending_reduces: BTreeSet<u32>,

@@ -2,8 +2,8 @@
 //! speculation, shuffle coordination, tracker liveness and failure
 //! handling.
 //!
-//! All scheduling *mechanism* lives here — task tables, locality
-//! indices, slot accounting, the speculation index. The *choices* (job
+//! All scheduling *mechanism* lives here — task tables, the locality
+//! ladder, slot accounting, the speculation index. The *choices* (job
 //! order, locality gating, node admission) are delegated to the
 //! [`Scheduler`] policy selected by [`MrParams::sched`]; the default
 //! [FIFO policy](hog_sched::FifoSched) reproduces stock Hadoop (and the
@@ -16,12 +16,12 @@ use crate::job::{
 use crate::shuffle::{FetchOrder, ReducePlan};
 use crate::tracker::TrackerState;
 use crate::AttemptRef;
-use hog_net::{NodeId, NodeMap, RackId, SiteId, Topology};
+use hog_net::{NodeId, NodeMap, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sched::{Gate, JobSnapshot, Scheduler, SlotKind};
 use hog_sim_core::{Liveness, LivenessIndex, SimDuration, SimRng, SimTime};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 pub use hog_sched::Locality;
 
@@ -114,65 +114,9 @@ pub struct MapDoneOutput {
     pub wake_reduces: Vec<AttemptRef>,
 }
 
-/// Per-job locality index. The replica locations are fixed at submission
-/// (as Hadoop caches them), but membership tracks only maps still
-/// *pending*: every `pending_maps` transition updates the per-node/rack/
-/// site sets, so the locality ladder walks exactly the assignable
-/// candidates instead of filtering ever-longer lists of finished tasks.
-/// `BTreeSet` iteration is ascending by map index — the same pick the old
-/// static lists produced, since those were built in ascending map order.
-/// The rack tier is consulted only by rack-aware policies
-/// ([`Scheduler::rack_aware`]).
-#[derive(Clone, Default)]
-struct LocalityIndex {
-    /// Per-map `(node, rack, site)` replica triples, fixed at submission
-    /// so pending-set maintenance never needs the topology again.
-    locs: Vec<Vec<(NodeId, RackId, SiteId)>>,
-    /// Maps still pending with a replica on this node / rack / site.
-    pend_node: HashMap<NodeId, BTreeSet<u32>>,
-    pend_rack: HashMap<RackId, BTreeSet<u32>>,
-    pend_site: HashMap<SiteId, BTreeSet<u32>>,
-}
-
-impl LocalityIndex {
-    /// Map `m` became pending: add it to its replicas' candidate sets.
-    fn insert_pending(&mut self, m: u32) {
-        for &(n, r, s) in &self.locs[m as usize] {
-            self.pend_node.entry(n).or_default().insert(m);
-            self.pend_rack.entry(r).or_default().insert(m);
-            self.pend_site.entry(s).or_default().insert(m);
-        }
-    }
-
-    /// Map `m` left the pending set (assigned): drop it everywhere.
-    fn remove_pending(&mut self, m: u32) {
-        for &(n, r, s) in &self.locs[m as usize] {
-            if let Some(set) = self.pend_node.get_mut(&n) {
-                set.remove(&m);
-            }
-            if let Some(set) = self.pend_rack.get_mut(&r) {
-                set.remove(&m);
-            }
-            if let Some(set) = self.pend_site.get_mut(&s) {
-                set.remove(&m);
-            }
-        }
-    }
-}
-
 /// How long a job sits out of speculation scans after one found no
 /// straggler: repeated idle heartbeats stay cheap.
 const SPEC_SCAN_COOLDOWN: SimDuration = SimDuration::from_secs(5);
-
-/// One slot kind's cached policy job order. Valid while `epoch` matches
-/// the JobTracker's `sched_epoch` (0 never matches — a fresh cache is
-/// always stale). The buffer is reused across rebuilds, so steady-state
-/// heartbeats allocate nothing.
-#[derive(Clone, Default)]
-struct OrderCache {
-    epoch: u64,
-    buf: Vec<u32>,
-}
 
 /// Scheduling / failure counters for reports.
 #[derive(Clone, Copy, Debug, Default)]
@@ -224,7 +168,6 @@ pub struct JobTracker {
     /// dead-node timeout, so both masters time a worker out together.
     dead_timeout: SimDuration,
     jobs: Vec<JobState>,
-    locality: Vec<LocalityIndex>,
     /// Incomplete jobs in submission order (the queue policies reorder).
     fifo: Vec<JobId>,
     /// Tracker records by node id: an O(1) probe per heartbeat, and
@@ -248,12 +191,8 @@ pub struct JobTracker {
     tracer: Tracer,
     /// Monotonic epoch, bumped on every scheduling-relevant mutation
     /// (job submitted/retired, a task changed pending↔running). Guards
-    /// the cached policy orders and, transitively, the pending locality
-    /// index invariants (see DESIGN §15).
+    /// the memoized reduce readiness.
     sched_epoch: u64,
-    /// Cached policy job orders (`[map, reduce]`), valid while their
-    /// epoch matches `sched_epoch` ([`Scheduler::job_order`] is pure).
-    order_cache: [OrderCache; 2],
     /// The speculation quiet instant per slot kind (`[map, reduce]`): no
     /// `Running` job can pass both the scan cooldown and the mean test
     /// before it, so an idle heartbeat earlier than it skips the scan.
@@ -270,8 +209,6 @@ pub struct JobTracker {
     /// Derived state, audited against a recount and left out of the
     /// ledger.
     reduce_ready: Cell<(u64, bool)>,
-    /// Reused snapshot scratch for [`Scheduler::job_order`] rebuilds.
-    snap_buf: Vec<JobSnapshot>,
     /// Aggregate backlog over incomplete jobs, maintained incrementally
     /// at every pending/running transition so `backlog()` is O(1) per
     /// master tick (audited against a full recount).
@@ -293,17 +230,6 @@ impl TaskKind {
             TaskKind::Reduce => SlotKind::Reduce,
         }
     }
-}
-
-/// The non-empty sets of a pending-locality map (removals leave empty
-/// sets behind, which the audit must not count as drift).
-fn nonempty<K: Copy + Eq + std::hash::Hash>(
-    m: &HashMap<K, BTreeSet<u32>>,
-) -> HashMap<K, BTreeSet<u32>> {
-    m.iter()
-        .filter(|(_, s)| !s.is_empty())
-        .map(|(&k, s)| (k, s.clone()))
-        .collect()
 }
 
 /// `items` in ascending order (deterministic ledger lines from hash
@@ -334,7 +260,6 @@ impl JobTracker {
         JobTracker {
             dead_timeout,
             jobs: Vec::new(),
-            locality: Vec::new(),
             fifo: Vec::new(),
             trackers: NodeMap::new(),
             live: LivenessIndex::default(),
@@ -345,30 +270,28 @@ impl JobTracker {
             counters: JtCounters::default(),
             tracer: Tracer::disabled(),
             sched_epoch: 1,
-            order_cache: [OrderCache::default(), OrderCache::default()],
             spec_quiet: [None; 2],
             reduce_ready: Cell::new((0, false)),
-            snap_buf: Vec::new(),
             agg: Backlog::default(),
         }
     }
 
-    /// Invalidate the cached job orders: something a policy snapshot
-    /// reflects (queue membership, pending/running counts) changed.
+    /// Invalidate the memoized reduce readiness: queue membership or a
+    /// pending/running count changed.
     #[inline]
     fn bump_epoch(&mut self) {
         self.sched_epoch += 1;
     }
 
     // ------------------------------------------------------------------
-    // Incremental index maintenance
+    // Pending-set maintenance
     //
     // Every `pending_maps` / `pending_reduces` transition of an
-    // incomplete job flows through these helpers so three structures stay
-    // consistent transactionally: the per-job pending locality index, the
-    // aggregate backlog counters and the scheduling epoch. Jobs already
-    // terminal keep their raw sets (the ledger serializes them) but no
-    // longer contribute to the indices, which only cover the fifo.
+    // incomplete job flows through these helpers so the aggregate backlog
+    // counters and the scheduling epoch stay consistent with the sets.
+    // Jobs already terminal keep their raw sets (the ledger serializes
+    // them) but no longer contribute to the counters, which only cover
+    // the fifo.
     // ------------------------------------------------------------------
 
     fn pending_map_insert(&mut self, jid: JobId, m: u32) {
@@ -377,7 +300,6 @@ impl JobTracker {
             return;
         }
         if job.status == JobStatus::Running {
-            self.locality[jid.0 as usize].insert_pending(m);
             self.agg.pending_maps += 1;
             self.sched_epoch += 1;
         }
@@ -389,7 +311,6 @@ impl JobTracker {
             return;
         }
         if job.status == JobStatus::Running {
-            self.locality[jid.0 as usize].remove_pending(m);
             self.agg.pending_maps -= 1;
             self.sched_epoch += 1;
         }
@@ -412,7 +333,7 @@ impl JobTracker {
     }
 
     /// A `kind` attempt started or stopped: adjust the aggregate running
-    /// counters and invalidate the cached orders.
+    /// counters and bump the epoch.
     fn note_running_delta(&mut self, kind: TaskKind, delta: isize) {
         let slot = match kind {
             TaskKind::Map => &mut self.agg.running_maps,
@@ -711,26 +632,10 @@ impl JobTracker {
     // ------------------------------------------------------------------
 
     /// Submit a job; split locality hints come from the submission.
-    pub fn submit_job(&mut self, now: SimTime, spec: JobSubmission, topo: &Topology) -> JobId {
+    pub fn submit_job(&mut self, now: SimTime, spec: JobSubmission) -> JobId {
         let id = JobId(self.jobs.len() as u32);
         let maps = spec.maps();
         let reduces = spec.reduces as usize;
-        let mut idx = LocalityIndex {
-            locs: Vec::with_capacity(spec.split_locations.len()),
-            ..LocalityIndex::default()
-        };
-        for locs in &spec.split_locations {
-            idx.locs.push(
-                locs.iter()
-                    .map(|&n| (n, topo.rack_of(n), topo.site_of(n)))
-                    .collect(),
-            );
-        }
-        // Every map starts pending.
-        for m in 0..maps {
-            idx.insert_pending(m);
-        }
-        self.locality.push(idx);
         self.jobs.push(JobState::new(spec, now));
         self.fifo.push(id);
         self.agg.active_jobs += 1;
@@ -738,7 +643,6 @@ impl JobTracker {
         self.agg.pending_reduces += reduces;
         self.bump_epoch();
         self.spec_quiet = [None; 2];
-        self.sched.on_job_arrived(id.0, now);
         self.tracer.emit(|| {
             let spec = &self.jobs[id.0 as usize].spec;
             TraceEvent::new(Layer::MapReduce, "job_submit")
@@ -775,9 +679,10 @@ impl JobTracker {
     // ------------------------------------------------------------------
 
     /// A tasktracker heartbeat: record liveness and hand out work for its
-    /// free slots (FIFO across jobs; node-local → site-local → remote for
-    /// maps; slowstart-gated reduces; speculation as a fallback). A
-    /// heartbeat that assigns nothing allocates nothing.
+    /// free slots (jobs in policy order; node → (rack) → site → remote
+    /// for maps; slowstart-gated reduces; speculation as a fallback). A
+    /// heartbeat whose free slots could receive nothing (nothing of
+    /// their kind pending, no speculation scan due) allocates nothing.
     pub fn heartbeat(&mut self, now: SimTime, node: NodeId, topo: &Topology) -> Vec<Assignment> {
         let mut out = Vec::new();
         // One tracker lookup serves the whole heartbeat: every successful
@@ -908,44 +813,30 @@ impl JobTracker {
         att
     }
 
-    /// The policy's assignment order for one `kind` slot, served from the
-    /// epoch-guarded cache while nothing scheduling-relevant changed since
-    /// the last rebuild ([`Scheduler::job_order`] is pure, so a cached
-    /// order is the one a fresh call would return).
-    /// The cache is *taken out* (so the caller can iterate it while
-    /// mutating `self`) and must be handed back via [`JobTracker::put_order`];
-    /// a rebuild reuses both the snapshot scratch and the order buffer, so
-    /// the steady state allocates nothing.
-    fn take_order(&mut self, kind: SlotKind) -> OrderCache {
-        let slot = kind as usize;
-        let mut cache = std::mem::take(&mut self.order_cache[slot]);
-        if cache.epoch != self.sched_epoch {
-            self.snap_buf.clear();
-            for (queue_pos, &jid) in self.fifo.iter().enumerate() {
+    /// The policy's assignment order for one `kind` slot over a fresh
+    /// snapshot of the queue.
+    fn job_order(&self, kind: SlotKind) -> Vec<u32> {
+        let snaps: Vec<JobSnapshot> = self
+            .fifo
+            .iter()
+            .enumerate()
+            .map(|(queue_pos, &jid)| {
                 let job = &self.jobs[jid.0 as usize];
                 let (pending, running) = match kind {
                     SlotKind::Map => (job.pending_maps.len() as u32, job.running_maps),
                     SlotKind::Reduce => (job.pending_reduces.len() as u32, job.running_reduces),
                 };
-                self.snap_buf.push(JobSnapshot {
+                JobSnapshot {
                     id: jid.0,
                     queue_pos,
                     pending,
                     running,
-                });
-            }
-            cache.buf.clear();
-            self.sched.job_order(&self.snap_buf, kind, &mut cache.buf);
-            cache.epoch = self.sched_epoch;
-        }
-        cache
-    }
-
-    /// Return an order taken with [`JobTracker::take_order`]. If the epoch
-    /// moved while the caller held it (an assignment happened), the stored
-    /// epoch no longer matches and the next take rebuilds.
-    fn put_order(&mut self, kind: SlotKind, cache: OrderCache) {
-        self.order_cache[kind as usize] = cache;
+                }
+            })
+            .collect();
+        let mut order = Vec::with_capacity(snaps.len());
+        self.sched.job_order(&snaps, kind, &mut order);
+        order
     }
 
     /// Fill one free `kind` slot on `node` (in `site`): pending work in
@@ -976,12 +867,11 @@ impl JobTracker {
         // cannot pick anything, so it never reaches `locality_gate` or
         // `launch`; skipping it (and the pure order it walks) is exact.
         if pending > 0 {
-            let order = self.take_order(kind.slot());
+            let order = self.job_order(kind.slot());
             let picked = match kind {
-                TaskKind::Map => self.try_assign_map(now, node, site, topo, &order.buf),
-                TaskKind::Reduce => self.try_assign_reduce(now, node, topo, &order.buf),
+                TaskKind::Map => self.try_assign_map(now, node, site, topo, &order),
+                TaskKind::Reduce => self.try_assign_reduce(now, node, topo, &order),
             };
-            self.put_order(kind.slot(), order);
             if picked.is_some() {
                 return picked;
             }
@@ -1007,48 +897,47 @@ impl JobTracker {
             {
                 continue;
             }
-            if job.pending_maps.is_empty() {
-                continue;
-            }
-            // The index sets hold only pending maps, so membership is
-            // free; with no backoffs recorded every candidate is
-            // eligible without a per-task lookup.
-            let no_backoff = job.retry_after.is_empty();
-            let ok = |m: &&u32| no_backoff || job.retry_eligible(TaskKind::Map, **m, now);
             // Walk the locality ladder: node → (rack) → site → remote.
-            // The rack rung only exists for rack-aware policies; FIFO
-            // keeps the paper's exact three-level ladder.
-            let idx = &self.locality[jid.0 as usize];
-            let mut pick: Option<(u32, Locality)> = None;
-            if let Some(cands) = idx.pend_node.get(&node) {
-                if let Some(&m) = cands.iter().find(ok) {
-                    pick = Some((m, Locality::NodeLocal));
-                }
-            }
-            if pick.is_none() && rack_aware {
-                if let Some(cands) = idx.pend_rack.get(&rack) {
-                    if let Some(&m) = cands.iter().find(ok) {
-                        pick = Some((m, Locality::RackLocal));
-                    }
-                }
-            }
-            if pick.is_none() {
-                if let Some(cands) = idx.pend_site.get(&site) {
-                    if let Some(&m) = cands.iter().find(ok) {
-                        pick = Some((m, Locality::SiteLocal));
-                    }
-                }
-            }
-            // Remote (lowest eligible pending index).
-            if pick.is_none() {
-                pick = job
-                    .pending_maps
+            // A map's level is the best rung any of its split hints
+            // (fixed at submission) reaches; the pick is the lowest
+            // eligible pending map on the best level any reaches. The
+            // rack rung only exists for rack-aware policies; FIFO keeps
+            // the paper's exact three-level ladder. With no backoffs
+            // recorded every pending map is eligible without a per-task
+            // lookup.
+            let no_backoff = job.retry_after.is_empty();
+            let level = |m: u32| {
+                job.spec.split_locations[m as usize]
                     .iter()
-                    .find(ok)
-                    .map(|&m| (m, Locality::Remote));
+                    .map(|&n| {
+                        if n == node {
+                            Locality::NodeLocal
+                        } else if rack_aware && topo.rack_of(n) == rack {
+                            Locality::RackLocal
+                        } else if topo.site_of(n) == site {
+                            Locality::SiteLocal
+                        } else {
+                            Locality::Remote
+                        }
+                    })
+                    .min()
+                    .unwrap_or(Locality::Remote)
+            };
+            let mut pick: Option<(u32, Locality)> = None;
+            for &m in &job.pending_maps {
+                if !no_backoff && !job.retry_eligible(TaskKind::Map, m, now) {
+                    continue;
+                }
+                let l = level(m);
+                if pick.is_none_or(|(_, best)| l < best) {
+                    pick = Some((m, l));
+                    if l == Locality::NodeLocal {
+                        break;
+                    }
+                }
             }
             let Some((m, locality)) = pick else {
-                continue; // everything pending is cooling down
+                continue; // nothing pending, or all of it cooling down
             };
             // Delay scheduling: the policy may decline the best level on
             // offer, leaving the job's tasks pending in the hope that a
@@ -1197,9 +1086,8 @@ impl JobTracker {
         if self.speculation_idle(now, kind) || !self.sched.allow_speculation(node, site, now) {
             return None;
         }
-        let order = self.take_order(kind.slot());
-        let picked = self.try_speculate(now, node, kind, topo, &order.buf);
-        self.put_order(kind.slot(), order);
+        let order = self.job_order(kind.slot());
+        let picked = self.try_speculate(now, node, kind, topo, &order);
         if picked.is_none() && !self.cfg.eager_copies {
             self.spec_quiet[kind.slot() as usize] = Some(self.spec_quiet_instant(kind));
         }
@@ -1665,10 +1553,6 @@ impl JobTracker {
             self.agg.pending_reduces -= pr;
             self.agg.running_maps -= rm;
             self.agg.running_reduces -= rr;
-            let idx = &mut self.locality[jid.0 as usize];
-            idx.pend_node.clear();
-            idx.pend_rack.clear();
-            idx.pend_site.clear();
             self.bump_epoch();
         }
         self.sched.on_job_removed(jid.0, now);
@@ -1873,7 +1757,6 @@ impl JobTracker {
             let mut tomb = JobState::new(spec, now);
             tomb.status = JobStatus::Failed;
             self.jobs.push(tomb);
-            self.locality.push(LocalityIndex::default());
         }
     }
 
@@ -1930,11 +1813,11 @@ impl JobTracker {
     /// counterpart of the namenode's fsimage): jobs in id order with
     /// full task/attempt detail and every per-job field a scheduling
     /// decision reads (blacklist counts, fetch strikes, the speculation
-    /// scan stamp, duration sums), tracker records, queue and counters. Equal logical state produces byte-identical
-    /// output. The scheduling policy's own state (its failure history)
-    /// is not part of the ledger, and neither is derived state a recount
-    /// reproduces: the cached job orders and the speculation quiet
-    /// instants.
+    /// scan stamp, duration sums), tracker records, queue and counters.
+    /// Equal logical state produces byte-identical output. The
+    /// scheduling policy's own state (its failure history) is not part
+    /// of the ledger, and neither is derived state a recount reproduces:
+    /// the speculation quiet instants and the memoized reduce readiness.
     pub fn export_ledger(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -2173,38 +2056,6 @@ impl hog_sim_core::Auditable for JobTracker {
                 ),
             ));
         }
-        // Each queued job's pending-locality index must match a rebuild
-        // from its pending set: same members per node/rack/site, nothing
-        // stale left behind.
-        for &jid in &self.fifo {
-            let job = &self.jobs[jid.0 as usize];
-            if job.status != JobStatus::Running {
-                continue;
-            }
-            let idx = &self.locality[jid.0 as usize];
-            let mut node: HashMap<NodeId, BTreeSet<u32>> = HashMap::new();
-            let mut rack: HashMap<RackId, BTreeSet<u32>> = HashMap::new();
-            let mut site: HashMap<SiteId, BTreeSet<u32>> = HashMap::new();
-            for &m in &job.pending_maps {
-                for &(n, r, s) in &idx.locs[m as usize] {
-                    node.entry(n).or_default().insert(m);
-                    rack.entry(r).or_default().insert(m);
-                    site.entry(s).or_default().insert(m);
-                }
-            }
-            let stale = nonempty(&idx.pend_node) != node
-                || nonempty(&idx.pend_rack) != rack
-                || nonempty(&idx.pend_site) != site;
-            if stale {
-                out.push(Violation::new(
-                    "mapreduce",
-                    format!(
-                        "job {} pending-locality index out of sync with pending_maps",
-                        jid.0
-                    ),
-                ));
-            }
-        }
         for (n, t) in self.trackers.iter() {
             for &att in &t.running {
                 if !self.attempt_active(att) {
@@ -2257,7 +2108,7 @@ mod tests {
             reduce_output_bytes: 10,
             output_replication: 1,
         };
-        jt.submit_job(SimTime::ZERO, spec, &topo);
+        jt.submit_job(SimTime::ZERO, spec);
         (jt, nodes[0])
     }
 
@@ -2287,7 +2138,7 @@ mod tests {
             reduce_output_bytes: 10,
             output_replication: 1,
         };
-        let job = jt.submit_job(SimTime::ZERO, spec, &topo);
+        let job = jt.submit_job(SimTime::ZERO, spec);
         let t = SimTime::from_secs;
         let first = jt.heartbeat(t(0), nodes[0], &topo);
         let second = jt.heartbeat(t(0), nodes[1], &topo);
@@ -2344,7 +2195,7 @@ mod tests {
             reduce_output_bytes: 10,
             output_replication: 1,
         };
-        jt.submit_job(t(2), one_map(worker), &topo);
+        jt.submit_job(t(2), one_map(worker));
         assert_eq!(jt.heartbeat(t(2), worker, &topo).len(), 1);
         // Nothing pending. The first idle heartbeat scans for stragglers,
         // finds no job with a mean and leaves speculation quiet.
@@ -2354,7 +2205,7 @@ mod tests {
         assert!(jt.heartbeat(t(3), quarantined, &topo).is_empty());
         assert!(jt.heartbeat(t(3), healthy, &topo).is_empty());
         // A pending map, node-local to the quarantined node only.
-        jt.submit_job(t(4), one_map(quarantined), &topo);
+        jt.submit_job(t(4), one_map(quarantined));
         assert!(jt.heartbeat(t(4), quarantined, &topo).is_empty());
         let got = jt.heartbeat(t(4), healthy, &topo);
         assert!(matches!(got[..], [Assignment::Map { .. }]), "{got:?}");
@@ -2386,7 +2237,7 @@ mod tests {
             reduce_output_bytes: 10,
             output_replication: 1,
         };
-        jt.submit_job(SimTime::ZERO, spec, &topo);
+        jt.submit_job(SimTime::ZERO, spec);
         let t = SimTime::from_secs;
         assert!(jt.heartbeat_idle(t(1), topo.add_node(site)), "no record");
         assert!(!jt.heartbeat_idle(t(1), n[0]), "maps pending");
@@ -2428,6 +2279,69 @@ mod tests {
         let audit = jt.audit();
         assert_eq!(audit.len(), 1, "{audit:?}");
         assert!(audit[0].to_string().contains("reduce readiness"));
+    }
+
+    /// The locality ladder over one job's split hints, seen from the
+    /// heartbeating node: from the lowest map index up, a remote-only
+    /// map, a site-local map, a rack-local map, a node-local map in
+    /// retry backoff and an eligible node-local map. Both policies take
+    /// the eligible node-local map first. With no node-local map left,
+    /// FIFO skips the rack rung and takes the site-local map, while Fair
+    /// defers until its node delay has run out and then takes the
+    /// rack-local map.
+    #[test]
+    fn the_locality_ladder_takes_the_lowest_map_on_the_best_rung() {
+        use hog_sched::SchedPolicy;
+        use Locality::{NodeLocal, RackLocal, SiteLocal};
+        let mut topo = Topology::new();
+        let near = topo.add_site("S0", "s0.edu");
+        let far = topo.add_site("S1", "s1.edu");
+        // A rack is 16 consecutive nodes of one site.
+        let s0: Vec<NodeId> = (0..17).map(|_| topo.add_node(near)).collect();
+        let (node, rack_mate, site_mate) = (s0[0], s0[1], s0[16]);
+        let remote = topo.add_node(far);
+        assert_eq!(topo.rack_of(node), topo.rack_of(rack_mate));
+        assert_ne!(topo.rack_of(node), topo.rack_of(site_mate));
+        let t = SimTime::from_secs;
+        let ladder = |policy| {
+            let cfg = MrParams::hog()
+                .with_speculation(false)
+                .with_scheduler(policy);
+            let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(1));
+            jt.register_tracker(SimTime::ZERO, node, near, 2, 1);
+            let hints = [remote, site_mate, rack_mate, node, node];
+            jt.submit_job(
+                SimTime::ZERO,
+                JobSubmission {
+                    input_blocks: (0..5).map(|b| (BlockId(b), 64)).collect(),
+                    split_locations: hints.iter().map(|&n| vec![n]).collect(),
+                    reduces: 0,
+                    map_cpu_secs: 1.0,
+                    map_output_bytes: 100,
+                    reduce_cpu_secs: 1.0,
+                    reduce_output_bytes: 10,
+                    output_replication: 1,
+                },
+            );
+            // Map 3 failed an attempt and is still backing off.
+            jt.jobs[0].retry_after.insert((TaskKind::Map, 3), t(100));
+            jt
+        };
+        let picks = |got: Vec<Assignment>| -> Vec<(u32, Locality)> {
+            got.iter()
+                .map(|a| match a {
+                    Assignment::Map { attempt, locality } => (attempt.task.index, *locality),
+                    Assignment::Reduce { .. } => panic!("a map-only job"),
+                })
+                .collect()
+        };
+        let mut fifo = ladder(SchedPolicy::Fifo);
+        let got = picks(fifo.heartbeat(t(1), node, &topo));
+        assert_eq!(got, [(4, NodeLocal), (1, SiteLocal)]);
+        let mut fair = ladder(SchedPolicy::Fair);
+        assert_eq!(picks(fair.heartbeat(t(1), node, &topo)), [(4, NodeLocal)]);
+        assert!(fair.heartbeat(t(6), node, &topo).is_empty(), "waits 6 s");
+        assert_eq!(picks(fair.heartbeat(t(7), node, &topo)), [(2, RackLocal)]);
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl World {
             reduce_output_bytes: 10,
             output_replication: 1,
         };
-        self.jt.submit_job(self.now, spec, &self.topo);
+        self.jt.submit_job(self.now, spec);
     }
 
     fn tick(&mut self) {

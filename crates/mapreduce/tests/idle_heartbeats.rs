@@ -14,10 +14,9 @@
 //!   leaves the tracker in an observably identical state (audit-clean,
 //!   same backlog, same liveness census, same ledger); each case checks
 //!   that some heartbeats were skipped.
-//! * `retry_backoff_gates_the_runnable_cursor` — the incremental
-//!   locality index keeps per-job runnable candidate sets; a task thrown
-//!   back into `pending` by a tracker death must not be served from the
-//!   index before its retry backoff expires, and must be served after.
+//! * `retry_backoff_gates_the_runnable_cursor` — a map thrown back into
+//!   `pending` by a blamed failure must not be served by the pending
+//!   scan before its retry backoff expires, and must be served after.
 
 use hog_hdfs::BlockId;
 use hog_mapreduce::jobtracker::FailReason;
@@ -111,7 +110,7 @@ impl World {
                 reduce_output_bytes: 300,
                 output_replication: 2,
             };
-            w.jt.submit_job(w.now, spec, &w.topo);
+            w.jt.submit_job(w.now, spec);
         }
         w
     }
@@ -230,11 +229,10 @@ proptest! {
     }
 
     /// A map thrown back to `pending` by a blamed failure is invisible
-    /// to heartbeats until its retry backoff expires — the incremental
-    /// locality index must not serve it early — and is assignable again
-    /// the moment the backoff is over. (Node-death requeues carry no
-    /// blame, hence no backoff; that path is exercised by the round
-    /// test above.)
+    /// to heartbeats until its retry backoff expires — the pending scan
+    /// must not serve it early — and is assignable again the moment the
+    /// backoff is over. (Node-death requeues carry no blame, hence no
+    /// backoff; that path is exercised by the round test above.)
     #[test]
     fn retry_backoff_gates_the_runnable_cursor(
         seed in 0u64..1_000_000,
@@ -260,7 +258,7 @@ proptest! {
             reduce_output_bytes: 300,
             output_replication: 2,
         };
-        jt.submit_job(SimTime::from_secs(1), spec, &topo);
+        jt.submit_job(SimTime::from_secs(1), spec);
         let t0 = SimTime::from_secs(2);
         let launched = jt.heartbeat(t0, worker, &topo);
         prop_assert_eq!(launched.len(), 1, "the map must launch on its replica node");

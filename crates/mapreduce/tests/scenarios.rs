@@ -49,7 +49,7 @@ impl Mini {
             reduce_output_bytes: 500,
             output_replication: 3,
         };
-        self.jt.submit_job(now, spec, &self.topo)
+        self.jt.submit_job(now, spec)
     }
 
     /// Heartbeat every node once at `now`, collecting assignments.
@@ -155,7 +155,7 @@ fn locality_degrades_to_site_then_remote() {
             reduce_output_bytes: 10,
             output_replication: 1,
         };
-        m.jt.submit_job(SimTime::ZERO, spec, &m.topo)
+        m.jt.submit_job(SimTime::ZERO, spec)
     };
     // Node 1 (same site as 0) heartbeats first: site-local.
     let a = m.jt.heartbeat(SimTime::from_secs(3), m.nodes[1], &m.topo);
@@ -177,7 +177,7 @@ fn locality_degrades_to_site_then_remote() {
         reduce_output_bytes: 10,
         output_replication: 1,
     };
-    m.jt.submit_job(SimTime::ZERO, spec, &m.topo);
+    m.jt.submit_job(SimTime::ZERO, spec);
     let a = m.jt.heartbeat(SimTime::from_secs(3), m.nodes[3], &m.topo);
     match &a[0] {
         Assignment::Map { locality, .. } => assert_eq!(*locality, Locality::Remote),

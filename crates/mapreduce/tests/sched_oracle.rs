@@ -184,7 +184,7 @@ impl World {
                 reduce_output_bytes: 300,
                 output_replication: 2,
             };
-            w.jt.submit_job(w.now, spec, &w.topo);
+            w.jt.submit_job(w.now, spec);
         }
         w
     }

@@ -28,7 +28,7 @@ fn cluster(policy: SchedPolicy, nodes_n: usize) -> (JobTracker, Topology, Vec<No
     (jt, topo, nodes)
 }
 
-fn submit(jt: &mut JobTracker, topo: &Topology, nodes: &[NodeId], maps: u32, reduces: u32) {
+fn submit(jt: &mut JobTracker, nodes: &[NodeId], maps: u32, reduces: u32) {
     let locs: Vec<Vec<NodeId>> = (0..maps)
         .map(|i| vec![nodes[i as usize % nodes.len()]])
         .collect();
@@ -42,12 +42,12 @@ fn submit(jt: &mut JobTracker, topo: &Topology, nodes: &[NodeId], maps: u32, red
         reduce_output_bytes: 500,
         output_replication: 3,
     };
-    jt.submit_job(SimTime::from_secs(1), spec, topo);
+    jt.submit_job(SimTime::from_secs(1), spec);
 }
 
 fn drive_death(policy: SchedPolicy) {
     let (mut jt, topo, nodes) = cluster(policy, 4);
-    submit(&mut jt, &topo, &nodes, 8, 2);
+    submit(&mut jt, &nodes, 8, 2);
 
     // Assign work everywhere.
     let t1 = SimTime::from_secs(2);
@@ -128,10 +128,10 @@ fn jain_fairness_degenerate_and_skewed() {
     let (mut jt, topo, nodes) = cluster(SchedPolicy::Fifo, 4);
     // No jobs: vacuous fairness.
     assert_eq!(jt.jain_fairness(), 1.0);
-    submit(&mut jt, &topo, &nodes, 4, 1);
+    submit(&mut jt, &nodes, 4, 1);
     // One job: still 1.0 by definition.
     assert_eq!(jt.jain_fairness(), 1.0);
-    submit(&mut jt, &topo, &nodes, 4, 1);
+    submit(&mut jt, &nodes, 4, 1);
     // Two contenders, no slots assigned yet: equally starved.
     assert_eq!(jt.jain_fairness(), 1.0);
     let t = SimTime::from_secs(2);

@@ -25,16 +25,16 @@
 //!
 //! # Division of labour
 //!
-//! The JobTracker keeps all *mechanism*: task tables, locality indices,
-//! slot accounting, speculation bookkeeping. A [`Scheduler`] only makes
-//! *choices*, through three query hooks — [`Scheduler::job_order`] (which
-//! job gets the next slot), [`Scheduler::locality_gate`] (take this
-//! locality level now, or wait), [`Scheduler::admit`] /
-//! [`Scheduler::allow_speculation`] (is this node acceptable at all) —
-//! and observes the world through `on_*` feedback callbacks. Of the
-//! query hooks only `locality_gate` takes `&mut self`: the others are
-//! pure, which lets the JobTracker cache `job_order` and skip `admit`
-//! and `allow_speculation` on slots that could receive nothing.
+//! The JobTracker keeps all *mechanism*: task tables, the locality
+//! ladder, slot accounting, speculation bookkeeping. A [`Scheduler`]
+//! only makes *choices*, through three query hooks —
+//! [`Scheduler::job_order`] (which job gets the next slot),
+//! [`Scheduler::locality_gate`] (take this locality level now, or wait),
+//! [`Scheduler::admit`] / [`Scheduler::allow_speculation`] (is this node
+//! acceptable at all) — and observes the world through `on_*` feedback
+//! callbacks. Of the query hooks only `locality_gate` takes `&mut self`:
+//! the others are pure, which lets the JobTracker skip `job_order`,
+//! `admit` and `allow_speculation` on slots that could receive nothing.
 //!
 //! # Determinism rules
 //!
@@ -132,13 +132,13 @@ pub trait Scheduler {
     ///
     /// The order must be a *pure function* of the snapshot slice and the
     /// slot kind — `&self` and the absence of a clock enforce it. The
-    /// JobTracker caches the result and asks again only after a
-    /// scheduling-relevant mutation (job submitted or retired, a task
-    /// moved between pending and running), and it skips the call
-    /// outright while nothing of that kind is pending: that is what keeps
-    /// idle heartbeats O(1) instead of O(jobs) at 10k nodes. Stateful
-    /// choices belong in [`Scheduler::locality_gate`] and the `on_*`
-    /// hooks, which still run on every attempt.
+    /// JobTracker asks afresh each time it walks pending work or scans
+    /// for stragglers, and it skips the call outright when the slot
+    /// could receive nothing (nothing of that kind pending, and no
+    /// speculation scan due): that is what keeps idle heartbeats O(1)
+    /// instead of O(jobs) at 10k nodes. Stateful choices belong in
+    /// [`Scheduler::locality_gate`] and the `on_*` hooks, which still run
+    /// on every attempt.
     fn job_order(&self, jobs: &[JobSnapshot], kind: SlotKind, out: &mut Vec<u32>);
 
     /// The best locality level available to `job` on the heartbeating
@@ -171,11 +171,6 @@ pub trait Scheduler {
     fn allow_speculation(&self, node: NodeId, site: SiteId, now: SimTime) -> bool {
         let _ = (node, site, now);
         true
-    }
-
-    /// A job entered the queue.
-    fn on_job_arrived(&mut self, job: u32, now: SimTime) {
-        let _ = (job, now);
     }
 
     /// A job left the queue (completed or failed); drop its state.

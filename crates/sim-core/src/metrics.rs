@@ -1,8 +1,8 @@
 //! Measurement utilities: step-function time series (with the
-//! area-beneath-curve integral used by Table IV of the paper), counters,
-//! histograms and summary statistics.
+//! area-beneath-curve integral used by Table IV of the paper), counters
+//! and histograms.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::fmt;
 
 /// A right-continuous step function of time, e.g. "number of available HOG
@@ -116,24 +116,6 @@ impl StepSeries {
         self.area(from, to) / span
     }
 
-    /// Minimum and maximum recorded values within `[from, to]`, including
-    /// the value carried into the window. Returns `None` for an empty
-    /// series.
-    pub fn min_max_over(&self, from: SimTime, to: SimTime) -> Option<(f64, f64)> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let mut lo = self.value_at(from);
-        let mut hi = lo;
-        for &(pt, pv) in &self.points {
-            if pt > from && pt <= to {
-                lo = lo.min(pv);
-                hi = hi.max(pv);
-            }
-        }
-        Some((lo, hi))
-    }
-
     /// Downsample to at most `n` evenly spaced points over `[from, to]`
     /// (used by the ASCII figure renderers).
     pub fn resample(&self, from: SimTime, to: SimTime, n: usize) -> Vec<(SimTime, f64)> {
@@ -206,97 +188,6 @@ impl fmt::Display for Counter {
     }
 }
 
-/// Online summary statistics (Welford) over f64 observations.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Summary {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl Summary {
-    /// Empty summary.
-    pub fn new() -> Self {
-        Summary {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Record a duration in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-    /// Population standard deviation (0.0 when n < 2).
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.n == 0 {
-            return write!(f, "n=0");
-        }
-        write!(
-            f,
-            "n={} mean={:.2} sd={:.2} min={:.2} max={:.2}",
-            self.n,
-            self.mean(),
-            self.std_dev(),
-            self.min,
-            self.max
-        )
-    }
-}
-
 /// A fixed-bucket histogram of durations (seconds), used for task-duration
 /// and queue-delay distributions in reports.
 #[derive(Clone, Debug)]
@@ -336,11 +227,6 @@ impl Histogram {
         };
         let last = self.counts.len() - 1;
         self.counts[idx.min(last)] += 1;
-    }
-
-    /// Record a duration observation.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
     }
 
     /// Per-bucket counts.
@@ -436,16 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn step_series_mean_and_minmax() {
+    fn step_series_mean() {
         let mut s = StepSeries::new();
         s.record(SimTime::ZERO, 10.0);
         s.record(SimTime::from_secs(10), 30.0);
         let m = s.mean_over(SimTime::ZERO, SimTime::from_secs(20));
         assert!((m - 20.0).abs() < 1e-9);
-        let (lo, hi) = s
-            .min_max_over(SimTime::ZERO, SimTime::from_secs(20))
-            .unwrap();
-        assert_eq!((lo, hi), (10.0, 30.0));
     }
 
     #[test]
@@ -462,9 +344,6 @@ mod tests {
         let s = StepSeries::new();
         assert_eq!(s.value_at(SimTime::from_secs(5)), 0.0);
         assert_eq!(s.area(SimTime::ZERO, SimTime::from_secs(5)), 0.0);
-        assert!(s
-            .min_max_over(SimTime::ZERO, SimTime::from_secs(5))
-            .is_none());
     }
 
     #[test]
@@ -474,29 +353,6 @@ mod tests {
         c.add(4);
         assert_eq!(c.get(), 5);
         assert_eq!(c.to_string(), "5");
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert!((s.sum() - 40.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_empty() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
-        assert!(s.min().is_none());
-        assert_eq!(s.to_string(), "n=0");
     }
 
     #[test]
@@ -576,16 +432,5 @@ mod tests {
         let mut o = Histogram::with_edges(vec![0.0, 10.0]);
         o.record(99.0);
         assert_eq!(o.quantile(0.5), Some(10.0));
-    }
-
-    #[test]
-    fn summary_single_sample() {
-        let mut s = Summary::new();
-        s.record(7.0);
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.mean(), 7.0);
-        assert_eq!(s.std_dev(), 0.0);
-        assert_eq!(s.min(), Some(7.0));
-        assert_eq!(s.max(), Some(7.0));
     }
 }

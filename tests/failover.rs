@@ -375,7 +375,6 @@ fn random_masters(
                 reduce_output_bytes: 1 << 20,
                 output_replication: 2,
             },
-            &topo,
         );
     }
     // Drive some heartbeats so attempts start and the scheduler/rng

@@ -9,7 +9,8 @@
 //! * the metrics registry samples every layer and two seeds diff
 //!   without panicking;
 //! * the registry's series, their order and the final value of each
-//!   fixed per-tick gauge are pinned on one small run.
+//!   fixed gauge are pinned on one small run, and its last sample is
+//!   the end of the run.
 
 use hog_repro::obs::{diff_registries, render_diff, to_jsonl, Layer};
 use hog_repro::prelude::*;
@@ -171,8 +172,10 @@ fn metrics_registry_samples_and_diffs() {
 
 /// The registry a small run leaves behind: every series and histogram
 /// by `layer/name` in registration order (the 29 fixed gauges, then one
-/// `job<i>_slots` share per job), and the value each fixed gauge held at
-/// the last master tick.
+/// `job<i>_slots` share per job), and the value each fixed gauge held
+/// when the run ended. The last sample is the end of the run: every
+/// finished job is counted, as in the run result and the response-time
+/// histogram.
 #[test]
 fn metrics_registry_pins_its_series_and_final_values() {
     let r = run_workload(
@@ -192,17 +195,17 @@ fn metrics_registry_pins_its_series_and_final_values() {
         ("hdfs/repl_trims", 0.0),
         ("hdfs/avail_raised", 0.0),
         ("hdfs/avail_lowered", 0.0),
-        ("hdfs/replica_bytes", 25_971_130_368.0),
+        ("hdfs/replica_bytes", 27_313_307_648.0),
         ("mapreduce/maps_done", 32.0),
-        ("mapreduce/reduces_done", 6.0),
+        ("mapreduce/reduces_done", 8.0),
         ("mapreduce/task_failures", 0.0),
-        ("mapreduce/jobs_finished", 3.0),
+        ("mapreduce/jobs_finished", 4.0),
         ("mapreduce/sched_node_local", 25.0),
         ("mapreduce/sched_rack_local", 0.0),
         ("mapreduce/sched_site_local", 9.0),
         ("mapreduce/sched_remote", 0.0),
-        ("net/flows_active", 18.0),
-        ("net/flows_done", 453.0),
+        ("net/flows_active", 0.0),
+        ("net/flows_done", 471.0),
         ("core/pool_target", 20.0),
         ("core/pool_outstanding", 0.0),
         ("core/elastic_resizes", 0.0),
@@ -222,6 +225,11 @@ fn metrics_registry_pins_its_series_and_final_values() {
     assert_eq!(names, want);
     let hists: Vec<String> = m.iter_histograms().map(|(name, _)| name).collect();
     assert_eq!(hists, ["mapreduce/job_secs"]);
+    let finished = r.jobs.iter().filter(|j| j.finished.is_some()).count();
+    let (_, job_secs) = m.iter_histograms().next().expect("registered");
+    let counted = m.find("mapreduce/jobs_finished").expect("registered");
+    assert_eq!(counted.last_value(), finished as f64);
+    assert_eq!(job_secs.total(), finished as u64);
     for (name, value) in gauges {
         let series = m.find(name).expect("registered");
         assert!(!series.is_empty(), "{name} was never sampled");
