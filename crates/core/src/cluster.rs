@@ -320,7 +320,7 @@ impl Cluster {
         // The stable central server (Namenode + JobTracker) lives in its
         // own "site": a well-connected machine outside the worker pool.
         let central = topo.add_site("CENTRAL", "hcc.unl.edu");
-        let master = topo.add_node_named(central, "master.hcc.unl.edu".to_string());
+        let master = topo.add_node(central);
         let mut net = FluidNet::new(cfg.net);
         net.register_node(master, central);
 
@@ -1563,8 +1563,8 @@ impl Cluster {
             let shrink = delta.unsigned_abs() as usize;
             self.target_nodes = self.target_nodes.saturating_sub(shrink);
             match victims {
-                Some(v) => grid.remove_workers_preferring(now, shrink, &mut self.topo, v),
-                None => grid.remove_workers(now, shrink, &mut self.topo),
+                Some(v) => grid.remove_workers_preferring(shrink, &self.topo, v),
+                None => grid.remove_workers(shrink, &self.topo),
             }
         };
         self.grid = Some(grid);
@@ -2100,7 +2100,7 @@ impl Cluster {
                 let Some(mut grid) = self.grid.take() else {
                     return;
                 };
-                let out = grid.inject_preemptions(sched.now(), site, count, &mut self.topo);
+                let out = grid.inject_preemptions(site, count, &self.topo);
                 self.grid = Some(grid);
                 self.apply_grid_output(sched, out, false);
             }

@@ -158,17 +158,6 @@ pub fn scaled_sites(target_nodes: usize) -> Vec<SiteConfig> {
     sites
 }
 
-/// [`scaled_sites`] with every site switched to its OSG-calibrated churn
-/// profile — the site list for trace-calibrated studies (BENCH_churn,
-/// EXPERIMENTS X16). Slot capacities, acquisition delays and outage
-/// processes are untouched; only the preemption generator changes.
-pub fn calibrated_sites(target_nodes: usize) -> Vec<SiteConfig> {
-    scaled_sites(target_nodes)
-        .into_iter()
-        .map(SiteConfig::calibrated)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,7 +225,10 @@ mod tests {
 
     #[test]
     fn calibrated_sites_carry_per_site_profiles() {
-        let sites = calibrated_sites(1101);
+        let sites: Vec<SiteConfig> = scaled_sites(1101)
+            .into_iter()
+            .map(SiteConfig::calibrated)
+            .collect();
         assert_eq!(sites.len(), 5);
         for s in &sites {
             assert_eq!(

@@ -21,7 +21,6 @@ use crate::config::{
 use crate::{Deferred, GridEvent, GridNote, RequestId};
 use hog_net::{NodeId, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
-use hog_sim_core::metrics::{Counter, StepSeries};
 use hog_sim_core::units::transfer_secs;
 use hog_sim_core::{SimDuration, SimRng, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -95,10 +94,9 @@ pub struct GridModel {
     queued: VecDeque<RequestId>,
     nodes: BTreeMap<NodeId, RequestId>,
     rng: SimRng,
-    running_series: StepSeries,
-    preemptions: Counter,
-    outages: Counter,
-    node_starts: Counter,
+    preemptions: u64,
+    outages: u64,
+    node_starts: u64,
     tracer: Tracer,
 }
 
@@ -149,10 +147,9 @@ impl GridModel {
                 queued: VecDeque::new(),
                 nodes: BTreeMap::new(),
                 rng,
-                running_series: StepSeries::new(),
-                preemptions: Counter::new(),
-                outages: Counter::new(),
-                node_starts: Counter::new(),
+                preemptions: 0,
+                outages: 0,
+                node_starts: 0,
                 tracer: Tracer::disabled(),
             },
             defer,
@@ -193,8 +190,8 @@ impl GridModel {
 
     /// Shrink the pool by `n` workers: cancels queued/pending requests
     /// first, then kills the newest running nodes.
-    pub fn remove_workers(&mut self, now: SimTime, n: usize, topo: &mut Topology) -> GridOutput {
-        self.shrink(now, n, topo, None)
+    pub fn remove_workers(&mut self, n: usize, topo: &Topology) -> GridOutput {
+        self.shrink(n, topo, None)
     }
 
     /// Shrink the pool by `n` workers, but only ever kill running nodes
@@ -206,21 +203,14 @@ impl GridModel {
     /// replica of a block.
     pub fn remove_workers_preferring(
         &mut self,
-        now: SimTime,
         n: usize,
-        topo: &mut Topology,
+        topo: &Topology,
         preferred: &[NodeId],
     ) -> GridOutput {
-        self.shrink(now, n, topo, Some(preferred))
+        self.shrink(n, topo, Some(preferred))
     }
 
-    fn shrink(
-        &mut self,
-        now: SimTime,
-        n: usize,
-        topo: &mut Topology,
-        preferred: Option<&[NodeId]>,
-    ) -> GridOutput {
+    fn shrink(&mut self, n: usize, topo: &Topology, preferred: Option<&[NodeId]>) -> GridOutput {
         let mut out = GridOutput::default();
         let mut remaining = n;
         // Cancel queued requests (cheapest: nothing is running yet).
@@ -259,7 +249,7 @@ impl GridModel {
             None => self.nodes.keys().rev().take(remaining).copied().collect(),
         };
         for node in victims {
-            out.merge(self.kill_node(now, node, LossReason::Removed, topo, false));
+            out.merge(self.kill_node(node, LossReason::Removed, topo, false));
         }
         out
     }
@@ -271,8 +261,8 @@ impl GridModel {
             GridEvent::DownloadDone { request } => self.on_download_done(now, request, topo),
             GridEvent::Preempt { node } => {
                 if self.nodes.contains_key(&node) {
-                    self.preemptions.incr();
-                    self.kill_node(now, node, LossReason::Preempted, topo, true)
+                    self.preemptions += 1;
+                    self.kill_node(node, LossReason::Preempted, topo, true)
                 } else {
                     GridOutput::default() // stale: node already gone
                 }
@@ -291,10 +281,9 @@ impl GridModel {
     /// loss notes exactly like organic [`GridEvent::Preempt`] handling.
     pub fn inject_preemptions(
         &mut self,
-        now: SimTime,
         site: SiteId,
         count: usize,
-        topo: &mut Topology,
+        topo: &Topology,
     ) -> GridOutput {
         let victims: Vec<NodeId> = self
             .nodes
@@ -310,8 +299,8 @@ impl GridModel {
                 .with("victims", victims.len())
         });
         for node in victims {
-            self.preemptions.incr();
-            out.merge(self.kill_node(now, node, LossReason::Preempted, topo, true));
+            self.preemptions += 1;
+            out.merge(self.kill_node(node, LossReason::Preempted, topo, true));
         }
         out
     }
@@ -388,8 +377,7 @@ impl GridModel {
         self.requests.insert(request.0, RequestState::Running(node));
         self.in_flight.remove(&request.0);
         self.nodes.insert(node, request);
-        self.node_starts.incr();
-        self.running_series.record(now, self.nodes.len() as f64);
+        self.node_starts += 1;
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Grid, "node_start")
                 .with("node", node.0)
@@ -414,10 +402,9 @@ impl GridModel {
     /// back into the queue (true for involuntary loss, false for shrink).
     fn kill_node(
         &mut self,
-        now: SimTime,
         node: NodeId,
         reason: LossReason,
-        topo: &mut Topology,
+        topo: &Topology,
         requeue: bool,
     ) -> GridOutput {
         let mut out = GridOutput::default();
@@ -425,10 +412,8 @@ impl GridModel {
             return out;
         };
         let site = topo.site_of(node);
-        topo.mark_dead(node);
         let i = self.site_idx(site);
         self.sites[i].used_slots -= 1;
-        self.running_series.record(now, self.nodes.len() as f64);
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Grid, "node_lost")
                 .with("node", node.0)
@@ -447,13 +432,13 @@ impl GridModel {
         out
     }
 
-    fn on_site_outage(&mut self, now: SimTime, site: SiteId, topo: &mut Topology) -> GridOutput {
+    fn on_site_outage(&mut self, now: SimTime, site: SiteId, topo: &Topology) -> GridOutput {
         let mut out = GridOutput::default();
         let idx = self.site_idx(site);
         if !self.sites[idx].up {
             return out;
         }
-        self.outages.incr();
+        self.outages += 1;
         self.sites[idx].up = false;
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Grid, "site_outage").with("site", self.site_name(site))
@@ -466,7 +451,7 @@ impl GridModel {
             .filter(|&n| topo.site_of(n) == site)
             .collect();
         for node in victims {
-            out.merge(self.kill_node(now, node, LossReason::SiteOutage, topo, true));
+            out.merge(self.kill_node(node, LossReason::SiteOutage, topo, true));
         }
         // Requeue requests stuck in the site's batch queue or download
         // (ascending id order, matching submission order).
@@ -537,24 +522,19 @@ impl GridModel {
         self.requests.len()
     }
 
-    /// The actual available-node step series (Figure 5's ground truth).
-    pub fn running_series(&self) -> &StepSeries {
-        &self.running_series
-    }
-
     /// Total preemptions so far.
     pub fn preemption_count(&self) -> u64 {
-        self.preemptions.get()
+        self.preemptions
     }
 
     /// Total site outages so far.
     pub fn outage_count(&self) -> u64 {
-        self.outages.get()
+        self.outages
     }
 
     /// Total successful node starts.
     pub fn node_start_count(&self) -> u64 {
-        self.node_starts.get()
+        self.node_starts
     }
 
     /// Used slots at a site (testing hook).
@@ -578,6 +558,7 @@ mod tests {
     use super::*;
     use crate::config::paper_sites;
     use hog_sim_core::dist::{Exponential, UniformDuration};
+    use hog_sim_core::metrics::StepSeries;
     use hog_sim_core::{EventQueue, SimDuration};
 
     /// Drive a GridModel through its own event loop until `until`, applying
@@ -649,7 +630,7 @@ mod tests {
             .count();
         assert_eq!(starts, 20);
         assert_eq!(model.running_count(), 20);
-        assert_eq!(topo.alive_count(), 20);
+        assert_eq!(model.used_slots(topo.sites()[0].id), 20);
     }
 
     #[test]
@@ -689,9 +670,16 @@ mod tests {
         // Steady-state availability: lifetime / (lifetime + recovery) with
         // a ~80 s recovery pipeline and 300 s mean lifetime is ~0.79, so
         // the time-weighted mean pool size should sit around 23-24 of 30.
-        let mean = model
-            .running_series()
-            .mean_over(SimTime::from_secs(3600), SimTime::from_secs(4 * 3600));
+        let mut pool = StepSeries::new();
+        let mut running = 0.0;
+        for (t, n) in &notes {
+            running += match n {
+                GridNote::NodeStarted { .. } => 1.0,
+                GridNote::NodeLost { .. } => -1.0,
+            };
+            pool.record(*t, running);
+        }
+        let mean = pool.mean_over(SimTime::from_secs(3600), SimTime::from_secs(4 * 3600));
         assert!(
             (18.0..=29.0).contains(&mean),
             "steady-state pool {mean} outside expected band"
@@ -733,7 +721,7 @@ mod tests {
         let (mut model, _init) = GridModel::new(vec![quick_site("A", "a.edu", 5)], &mut topo, rng);
         // 5 match immediately, 15 remain queued.
         let _ = model.submit_workers(SimTime::ZERO, 20);
-        let out = model.remove_workers(SimTime::from_secs(1), 10, &mut topo);
+        let out = model.remove_workers(10, &topo);
         // Nothing was running yet, so no NodeLost notes.
         assert!(out.notes.is_empty());
     }
@@ -748,7 +736,7 @@ mod tests {
         all.extend(out.defer);
         drive(&mut model, &mut topo, all, SimTime::from_secs(600));
         assert_eq!(model.running_count(), 10);
-        let out = model.remove_workers(SimTime::from_secs(700), 4, &mut topo);
+        let out = model.remove_workers(4, &topo);
         let removed = out
             .notes
             .iter()
@@ -784,13 +772,10 @@ mod tests {
         all.extend(out.defer);
         drive(&mut model, &mut topo, all, SimTime::from_secs(1200));
         assert_eq!(model.running_count(), 1101, "HOG scaled to 1101 nodes");
-        // All five failure domains should host some of them.
+        // All five failure domains should host some of them. Every request
+        // is running, so a site's used slots are its running nodes.
         for s in topo.sites() {
-            assert!(
-                topo.alive_in_site(s.id).count() > 0,
-                "site {} unused",
-                s.name
-            );
+            assert!(model.used_slots(s.id) > 0, "site {} unused", s.name);
         }
     }
 
@@ -811,15 +796,15 @@ mod tests {
         for i in 0..5_000u64 {
             let t = SimTime::from_secs(10 + i);
             let _ = model.submit_workers(t, 1);
-            let _ = model.remove_workers(t, 1, &mut topo);
+            let _ = model.remove_workers(1, &topo);
         }
         // Phase 2: free a slot so each new request matches (WaitingBatch)
         // and each removal cancels it through the in-flight index.
-        let _ = model.remove_workers(SimTime::from_secs(20_000), 1, &mut topo);
+        let _ = model.remove_workers(1, &topo);
         for i in 0..5_000u64 {
             let t = SimTime::from_secs(30_000 + i);
             let _ = model.submit_workers(t, 1);
-            let _ = model.remove_workers(t, 1, &mut topo);
+            let _ = model.remove_workers(1, &topo);
         }
         assert!(
             model.request_table_len() <= 8,
@@ -838,12 +823,19 @@ mod tests {
         let out = model.submit_workers(SimTime::ZERO, 10);
         let mut all = init;
         all.extend(out.defer);
-        drive(&mut model, &mut topo, all, SimTime::from_secs(600));
+        let notes = drive(&mut model, &mut topo, all, SimTime::from_secs(600));
         assert_eq!(model.running_count(), 10);
-        let allowed: Vec<NodeId> = topo.alive_nodes().take(2).map(|r| r.id).collect();
+        let allowed: Vec<NodeId> = notes
+            .iter()
+            .filter_map(|(_, n)| match n {
+                GridNote::NodeStarted { node } => Some(*node),
+                _ => None,
+            })
+            .take(2)
+            .collect();
         // Ask for 5 but only 2 victims are eligible: shrink under-delivers
         // rather than touching protected nodes.
-        let out = model.remove_workers_preferring(SimTime::from_secs(700), 5, &mut topo, &allowed);
+        let out = model.remove_workers_preferring(5, &topo, &allowed);
         let killed: Vec<NodeId> = out
             .notes
             .iter()
@@ -877,21 +869,35 @@ mod tests {
     }
 
     #[test]
-    fn running_series_tracks_counts() {
+    fn running_count_tracks_every_step() {
         let mut topo = Topology::new();
         let rng = SimRng::seed_from_u64(9);
-        let (mut model, init) = GridModel::new(vec![quick_site("A", "a.edu", 10)], &mut topo, rng);
+        let site = quick_site("A", "a.edu", 10).with_mean_lifetime(SimDuration::from_secs(300));
+        let (mut model, init) = GridModel::new(vec![site], &mut topo, rng);
+        let mut q: EventQueue<GridEvent> = EventQueue::new();
         let out = model.submit_workers(SimTime::ZERO, 10);
-        let mut all = init;
-        all.extend(out.defer);
-        drive(&mut model, &mut topo, all, SimTime::from_secs(600));
-        assert_eq!(model.running_series().last_value(), 10.0);
-        // Area under a 10-node plateau over the tail must be positive.
-        assert!(
-            model
-                .running_series()
-                .area(SimTime::ZERO, SimTime::from_secs(600))
-                > 0.0
-        );
+        for (d, e) in init.into_iter().chain(out.defer) {
+            q.push(SimTime::ZERO + d, e);
+        }
+        let (mut started, mut lost) = (0, 0);
+        while let Some((t, e)) = q.pop() {
+            if t > SimTime::from_secs(3600) {
+                break;
+            }
+            let out = model.handle(t, e, &mut topo);
+            for n in &out.notes {
+                match n {
+                    GridNote::NodeStarted { .. } => started += 1,
+                    GridNote::NodeLost { .. } => lost += 1,
+                }
+            }
+            for (d, e) in out.defer {
+                q.push(t + d, e);
+            }
+            assert_eq!(model.running_count(), started - lost);
+            assert!(model.running_count() <= model.used_slots(topo.sites()[0].id));
+        }
+        assert!(lost > 0, "churn expected");
+        assert_eq!(model.node_start_count(), started as u64);
     }
 }

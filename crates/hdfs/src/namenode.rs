@@ -27,7 +27,6 @@ use crate::placement::{Candidate, PlacementPolicy};
 use crate::types::{BlockId, BlockMeta, FileId, FileMeta};
 use hog_net::{NodeId, NodeMap, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
-use hog_sim_core::metrics::Counter;
 use hog_sim_core::{Liveness, LivenessIndex, SimRng, SimTime};
 use std::collections::{BTreeSet, HashMap};
 
@@ -262,22 +261,22 @@ pub struct Namenode {
     /// when the availability policy is armed; soft state.
     reads: Vec<u32>,
     rng: SimRng,
-    repl_completed: Counter,
-    repl_failed: Counter,
-    blocks_lost: Counter,
-    bad_replica_reports: Counter,
+    repl_completed: u64,
+    repl_failed: u64,
+    blocks_lost: u64,
+    bad_replica_reports: u64,
     // Counters below are outside the outcome fingerprint (which pins
     // exactly the four above) — they can grow without breaking the
     // bit-identity guarantees of existing benchmarks.
-    targets_raised: Counter,
-    targets_lowered: Counter,
-    replicas_trimmed: Counter,
+    targets_raised: u64,
+    targets_lowered: u64,
+    replicas_trimmed: u64,
     /// Replica bytes written into HDFS, ever: pipeline commits,
     /// re-replication completions and balancer copies all count.
-    bytes_written: Counter,
+    bytes_written: u64,
     /// The re-replication (repair) share of `bytes_written`.
-    bytes_rereplicated: Counter,
-    total_reads: Counter,
+    bytes_rereplicated: u64,
+    total_reads: u64,
     tracer: Tracer,
 }
 
@@ -301,16 +300,16 @@ impl Namenode {
             avail_snapshot: None,
             reads: Vec::new(),
             rng,
-            repl_completed: Counter::new(),
-            repl_failed: Counter::new(),
-            blocks_lost: Counter::new(),
-            bad_replica_reports: Counter::new(),
-            targets_raised: Counter::new(),
-            targets_lowered: Counter::new(),
-            replicas_trimmed: Counter::new(),
-            bytes_written: Counter::new(),
-            bytes_rereplicated: Counter::new(),
-            total_reads: Counter::new(),
+            repl_completed: 0,
+            repl_failed: 0,
+            blocks_lost: 0,
+            bad_replica_reports: 0,
+            targets_raised: 0,
+            targets_lowered: 0,
+            replicas_trimmed: 0,
+            bytes_written: 0,
+            bytes_rereplicated: 0,
+            total_reads: 0,
             tracer: Tracer::disabled(),
         }
     }
@@ -449,7 +448,7 @@ impl Namenode {
     /// the block lost if no replica is left, then requeue it if short.
     fn count_loss_and_requeue(&mut self, block: BlockId) {
         if self.blocks[block.0 as usize].is_missing() {
-            self.blocks_lost.incr();
+            self.blocks_lost += 1;
         }
         self.requeue_if_short(block);
     }
@@ -601,7 +600,7 @@ impl Namenode {
                 if dn.liveness != Liveness::Dead {
                     dn.add_block(block, size);
                     self.blocks[block.0 as usize].replicas.insert(n);
-                    self.bytes_written.add(size);
+                    self.bytes_written += size;
                 }
             }
         }
@@ -707,7 +706,7 @@ impl Namenode {
                 self.reads.resize(idx + 1, 0);
             }
             self.reads[idx] = self.reads[idx].saturating_add(1);
-            self.total_reads.incr();
+            self.total_reads += 1;
         }
         let meta = &self.blocks[block.0 as usize];
         // Only consider replicas on nodes the namenode believes usable.
@@ -739,7 +738,7 @@ impl Namenode {
     /// invalidate it and queue re-replication.
     pub fn report_bad_replica(&mut self, block: BlockId, node: NodeId) {
         self.dn_changed();
-        self.bad_replica_reports.incr();
+        self.bad_replica_reports += 1;
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "bad_replica")
                 .with("block", block.0)
@@ -976,7 +975,7 @@ impl Namenode {
             }
         }
         if success {
-            self.repl_completed.incr();
+            self.repl_completed += 1;
             if self.blocks[block.0 as usize].expected == 0 {
                 // The block was deleted (or abandoned) while the transfer
                 // was in flight: the destination discards the copy rather
@@ -989,8 +988,8 @@ impl Namenode {
                 if dn.liveness != Liveness::Dead {
                     dn.add_block(block, size);
                     self.blocks[block.0 as usize].replicas.insert(dst);
-                    self.bytes_written.add(size);
-                    self.bytes_rereplicated.add(size);
+                    self.bytes_written += size;
+                    self.bytes_rereplicated += size;
                 }
             }
             let meta = &self.blocks[block.0 as usize];
@@ -1007,7 +1006,7 @@ impl Namenode {
                 self.over_repl.insert(block);
             }
         } else {
-            self.repl_failed.incr();
+            self.repl_failed += 1;
             // Stays (or re-enters) the queue if still deficient.
             self.requeue_if_short(block);
         }
@@ -1051,9 +1050,9 @@ impl Namenode {
             return;
         }
         if r > meta.expected {
-            self.targets_raised.incr();
+            self.targets_raised += 1;
         } else {
-            self.targets_lowered.incr();
+            self.targets_lowered += 1;
         }
         meta.expected = r;
         self.tracer.emit(|| {
@@ -1078,7 +1077,7 @@ impl Namenode {
         let Some(policy) = self.cfg.availability else {
             return (0, 0);
         };
-        let before = (self.targets_raised.get(), self.targets_lowered.get());
+        let before = (self.targets_raised, self.targets_lowered);
         let mut retargets: Vec<(BlockId, u16)> = Vec::new();
         for (i, meta) in self.blocks.iter().enumerate() {
             if meta.expected == 0 {
@@ -1107,8 +1106,8 @@ impl Namenode {
         }
         self.avail_snapshot = Some(snapshot);
         (
-            self.targets_raised.get() - before.0,
-            self.targets_lowered.get() - before.1,
+            self.targets_raised - before.0,
+            self.targets_lowered - before.1,
         )
     }
 
@@ -1124,7 +1123,7 @@ impl Namenode {
         if let Some(dn) = self.datanodes.get_mut(node) {
             dn.remove_block(block, size);
         }
-        self.replicas_trimmed.incr();
+        self.replicas_trimmed += 1;
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "replica_trim")
                 .with("block", block.0)
@@ -1188,27 +1187,27 @@ impl Namenode {
     /// off. Outside the outcome fingerprint.
     pub fn availability_counters(&self) -> (u64, u64, u64) {
         (
-            self.targets_raised.get(),
-            self.targets_lowered.get(),
-            self.replicas_trimmed.get(),
+            self.targets_raised,
+            self.targets_lowered,
+            self.replicas_trimmed,
         )
     }
 
     /// Replica bytes ever written into HDFS: pipeline commits,
     /// re-replication completions and balancer copies.
     pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.get()
+        self.bytes_written
     }
 
     /// The repair (re-replication) share of [`Namenode::bytes_written`].
     pub fn bytes_rereplicated(&self) -> u64 {
-        self.bytes_rereplicated.get()
+        self.bytes_rereplicated
     }
 
     /// Reads served since birth (0 unless the availability policy is
     /// armed — the counter is only maintained for its heat signal).
     pub fn read_count(&self) -> u64 {
-        self.total_reads.get()
+        self.total_reads
     }
 
     /// Lifetime read count of one block (0 unless the policy is armed).
@@ -1291,10 +1290,10 @@ impl Namenode {
     /// block-loss events, bad-replica reports.
     pub fn counters(&self) -> (u64, u64, u64, u64) {
         (
-            self.repl_completed.get(),
-            self.repl_failed.get(),
-            self.blocks_lost.get(),
-            self.bad_replica_reports.get(),
+            self.repl_completed,
+            self.repl_failed,
+            self.blocks_lost,
+            self.bad_replica_reports,
         )
     }
 
@@ -1393,7 +1392,7 @@ impl Namenode {
                 dn.add_block(b, size);
                 accepted += 1;
             } else {
-                self.bad_replica_reports.incr();
+                self.bad_replica_reports += 1;
                 orphaned += 1;
             }
         }
@@ -1489,10 +1488,10 @@ impl Namenode {
             s,
             "counters={:?}",
             (
-                self.repl_completed.get(),
-                self.repl_failed.get(),
-                self.blocks_lost.get(),
-                self.bad_replica_reports.get()
+                self.repl_completed,
+                self.repl_failed,
+                self.blocks_lost,
+                self.bad_replica_reports
             )
         );
         s

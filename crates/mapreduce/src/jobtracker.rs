@@ -389,7 +389,6 @@ impl JobTracker {
         );
         self.live
             .transition(node, old.map(|t| t.liveness), Liveness::Live);
-        self.sched.on_tracker_registered(node, site, now);
     }
 
     /// The tracker stopped heartbeating (worker preempted cleanly).
@@ -547,7 +546,7 @@ impl JobTracker {
         // so the `on_tracker_dead` policy hook below can do whatever it
         // likes to tracker state without an unwrap turning a missing
         // entry into a panic.
-        let running = {
+        let (site, running) = {
             let Some(t) = self.trackers.get_mut(node) else {
                 return notes; // unknown tracker: nothing to declare
             };
@@ -555,10 +554,10 @@ impl JobTracker {
             t.liveness = Liveness::Dead;
             let running: Vec<AttemptRef> = std::mem::take(&mut t.running).into_iter().collect();
             t.scratch_used = 0;
-            running
+            (t.site, running)
         };
         if !planned {
-            self.sched.on_tracker_dead(node, now);
+            self.sched.on_tracker_dead(node, site, now);
         }
         self.tracer.emit(|| {
             let kind = if planned {
@@ -1418,7 +1417,13 @@ impl JobTracker {
             let job = &mut self.jobs[att.task.job.0 as usize];
             *job.tracker_failures.entry(node).or_insert(0) += 1;
         }
-        self.sched.on_attempt_failed(att.task.job.0, node, now);
+        let site = self
+            .trackers
+            .get(node)
+            .expect("attempts start on registered trackers")
+            .site;
+        self.sched
+            .on_attempt_failed(att.task.job.0, node, site, now);
         self.tracer.emit(|| {
             TraceEvent::new(Layer::MapReduce, "attempt_fail")
                 .with("job", att.task.job.0)
@@ -2181,7 +2186,7 @@ mod tests {
         }
         let t = SimTime::from_secs;
         for _ in 0..5 {
-            jt.sched.on_attempt_failed(0, quarantined, t(1));
+            jt.sched.on_attempt_failed(0, quarantined, hot, t(1));
         }
         assert!(!jt.sched.admit(quarantined, hot, SlotKind::Map, t(2)));
         assert!(jt.sched.admit(healthy, calm, SlotKind::Map, t(2)));

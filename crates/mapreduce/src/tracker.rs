@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 #[derive(Clone, Debug)]
 pub struct TrackerState {
     /// The site the tracker's node lives in (read on every heartbeat by
-    /// the policy's admission checks).
+    /// the policy's admission checks, and passed to its failure hooks).
     pub site: SiteId,
     /// Concurrent map tasks this node may run (1 on HOG glideins; per
     /// Table III, 4 or 2 on the dedicated cluster).

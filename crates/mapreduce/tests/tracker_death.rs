@@ -9,21 +9,31 @@
 //! requeue semantics that borrow must preserve.
 
 use hog_hdfs::BlockId;
+use hog_mapreduce::jobtracker::FailReason;
 use hog_mapreduce::{Assignment, JobSubmission, JobTracker, MrParams, SchedPolicy};
-use hog_net::{NodeId, Topology};
+use hog_net::{NodeId, SiteId, Topology};
 use hog_sim_core::{SimDuration, SimRng, SimTime, HOG_DEAD_TIMEOUT};
 
-fn cluster(policy: SchedPolicy, nodes_n: usize) -> (JobTracker, Topology, Vec<NodeId>) {
+/// `nodes_n` trackers dealt round-robin over `sites_n` sites.
+fn cluster(
+    policy: SchedPolicy,
+    nodes_n: usize,
+    sites_n: usize,
+) -> (JobTracker, Topology, Vec<NodeId>) {
     let mut topo = Topology::new();
-    let site = topo.add_site("S0".to_string(), "s0.edu".to_string());
-    let nodes: Vec<NodeId> = (0..nodes_n).map(|_| topo.add_node(site)).collect();
+    let sites: Vec<SiteId> = (0..sites_n)
+        .map(|i| topo.add_site(format!("S{i}"), format!("s{i}.edu")))
+        .collect();
+    let nodes: Vec<NodeId> = (0..nodes_n)
+        .map(|i| topo.add_node(sites[i % sites_n]))
+        .collect();
     let cfg = MrParams {
         sched: policy,
         ..MrParams::hog()
     };
     let mut jt = JobTracker::new(cfg, HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(7));
     for &n in &nodes {
-        jt.register_tracker(SimTime::ZERO, n, site, 1, 1);
+        jt.register_tracker(SimTime::ZERO, n, topo.site_of(n), 1, 1);
     }
     (jt, topo, nodes)
 }
@@ -46,7 +56,7 @@ fn submit(jt: &mut JobTracker, nodes: &[NodeId], maps: u32, reduces: u32) {
 }
 
 fn drive_death(policy: SchedPolicy) {
-    let (mut jt, topo, nodes) = cluster(policy, 4);
+    let (mut jt, topo, nodes) = cluster(policy, 4, 1);
     submit(&mut jt, &nodes, 8, 2);
 
     // Assign work everywhere.
@@ -123,9 +133,47 @@ fn tracker_death_under_failure_aware() {
     drive_death(SchedPolicy::FailureAware);
 }
 
+/// FailureAware charges the site of the tracker record the JobTracker
+/// hands it: a death charges the victim's site (2.0 × 0.25) and leaves
+/// the other site clean, and a blamed attempt failure on a node of the
+/// other site raises that site's penalty by 1.0 × 0.25 at once.
+#[test]
+fn failure_aware_charges_the_failing_trackers_site() {
+    let (mut jt, topo, nodes) = cluster(SchedPolicy::FailureAware, 4, 2);
+    submit(&mut jt, &nodes, 8, 0);
+    let t1 = SimTime::from_secs(2);
+    let mut maps = Vec::new();
+    for &n in &nodes {
+        for a in jt.heartbeat(t1, n, &topo) {
+            if let Assignment::Map { attempt, .. } = a {
+                assert!(jt.reserve_map_scratch(attempt, n));
+                maps.push((attempt, n));
+            }
+        }
+    }
+    let victim = nodes[0];
+    let (home, other) = (topo.site_of(victim), topo.site_of(nodes[1]));
+    assert_ne!(home, other);
+
+    jt.tracker_silent(SimTime::from_secs(5), victim);
+    let t_dead = SimTime::from_secs(5) + HOG_DEAD_TIMEOUT;
+    let (died, _) = jt.check_dead(t_dead);
+    assert_eq!(died, vec![victim]);
+    assert_eq!(jt.site_penalty(home, t_dead), 0.5);
+    assert_eq!(jt.site_penalty(other, t_dead), 0.0);
+
+    let &(attempt, on) = maps
+        .iter()
+        .find(|&&(_, n)| topo.site_of(n) == other)
+        .expect("a map runs at the other site");
+    jt.attempt_failed(t_dead, attempt, FailReason::DiskFull);
+    assert_eq!(jt.site_penalty(other, t_dead), 0.25, "{on:?} not charged");
+    assert_eq!(jt.site_penalty(home, t_dead), 0.5);
+}
+
 #[test]
 fn jain_fairness_degenerate_and_skewed() {
-    let (mut jt, topo, nodes) = cluster(SchedPolicy::Fifo, 4);
+    let (mut jt, topo, nodes) = cluster(SchedPolicy::Fifo, 4, 1);
     // No jobs: vacuous fairness.
     assert_eq!(jt.jain_fairness(), 1.0);
     submit(&mut jt, &nodes, 4, 1);

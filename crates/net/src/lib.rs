@@ -4,7 +4,7 @@
 //! a site is much larger than bandwidth between sites* (HOG §III-B.1). This
 //! crate provides:
 //!
-//! * [`topology`] — node/site identity, DNS-style hostnames and the
+//! * [`topology`] — node/site/rack identity and the
 //!   `workername.site.edu → site.edu` grouping rule HOG's site-awareness
 //!   script applies.
 //! * [`nodes`] — the node-indexed container [`NodeMap`] for per-node

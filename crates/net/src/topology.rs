@@ -2,11 +2,10 @@
 //!
 //! HOG detects sites from worker DNS names: `workername.site.edu` nodes are
 //! grouped by their last two DNS labels (`site.edu`). [`site_domain_of`]
-//! implements exactly that rule; [`Topology`] keeps the authoritative
-//! node ↔ site mapping used by the network models, HDFS placement and the
-//! MapReduce scheduler.
-
-use std::collections::HashMap;
+//! implements exactly that rule. In the simulator the grid knows each
+//! glidein's site when it starts, so [`Topology`] records the node → site
+//! mapping directly, without hostnames: it is the authoritative registry
+//! read by the network models, HDFS placement and the MapReduce scheduler.
 
 /// A worker (or master) node. Ids are dense and never reused within a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -54,36 +53,23 @@ pub struct SiteInfo {
     pub id: SiteId,
     /// OSG resource name, e.g. `UCSDT2`.
     pub name: String,
-    /// DNS domain used for hostname synthesis, e.g. `ucsd.edu`.
+    /// DNS domain its workers' names end in, e.g. `ucsd.edu` (the key
+    /// [`site_domain_of`] groups them by).
     pub domain: String,
-}
-
-/// Per-node record.
-#[derive(Clone, Debug)]
-pub struct NodeRecord {
-    /// The node's id.
-    pub id: NodeId,
-    /// Site the node lives in.
-    pub site: SiteId,
-    /// Synthesised DNS name (`w17.ucsd.edu`).
-    pub hostname: String,
-    /// Synthesised rack within the site (see [`RackId`]).
-    pub rack: RackId,
-    /// Whether the node is currently alive (registered and not removed).
-    pub alive: bool,
 }
 
 /// The authoritative node/site registry.
 ///
-/// Nodes are added when a glidein starts and marked dead when it is
-/// preempted; ids are never reused so late-arriving events referencing a
-/// dead node are detectable rather than aliasing a new node.
+/// A node is added when its glidein starts and keeps its id, site and
+/// rack for the rest of the run: ids are never reused, so late-arriving
+/// events referencing a dead node are detectable rather than aliasing a
+/// new node. Which nodes are running is the grid's record, not this one.
 #[derive(Clone, Debug, Default)]
 pub struct Topology {
     sites: Vec<SiteInfo>,
-    nodes: Vec<NodeRecord>,
-    by_hostname: HashMap<String, NodeId>,
-    per_site_counter: Vec<u64>,
+    /// Site and rack of every node ever registered, by id.
+    nodes: Vec<(SiteId, RackId)>,
+    /// Nodes registered per site so far (numbers the racks).
     per_site_added: Vec<u32>,
 }
 
@@ -102,117 +88,35 @@ impl Topology {
             name: name.into(),
             domain: domain.into(),
         });
-        self.per_site_counter.push(0);
         self.per_site_added.push(0);
         id
     }
 
-    /// Register a new node at `site` with a synthesised unique hostname.
+    /// Register a new node at `site`. Its id is its registration index;
+    /// its rack is its per-site ordinal ÷ [`RACK_SIZE`].
     pub fn add_node(&mut self, site: SiteId) -> NodeId {
-        let n = &mut self.per_site_counter[site.0 as usize];
-        *n += 1;
-        let hostname = format!("w{}.{}", n, self.sites[site.0 as usize].domain);
-        self.add_node_named(site, hostname)
-    }
-
-    /// Register a new node with an explicit hostname.
-    pub fn add_node_named(&mut self, site: SiteId, hostname: String) -> NodeId {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("too many nodes"));
         let ordinal = &mut self.per_site_added[site.0 as usize];
         let rack = RackId((u32::from(site.0) << 16) | (*ordinal / RACK_SIZE));
         *ordinal += 1;
-        self.by_hostname.insert(hostname.clone(), id);
-        self.nodes.push(NodeRecord {
-            id,
-            site,
-            hostname,
-            rack,
-            alive: true,
-        });
+        self.nodes.push((site, rack));
         id
-    }
-
-    /// Mark a node dead. Idempotent.
-    pub fn mark_dead(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].alive = false;
     }
 
     /// Site of a node (dead or alive).
     pub fn site_of(&self, node: NodeId) -> SiteId {
-        self.nodes[node.0 as usize].site
-    }
-
-    /// Whether two nodes share a site — the paper's locality question.
-    pub fn same_site(&self, a: NodeId, b: NodeId) -> bool {
-        self.site_of(a) == self.site_of(b)
+        self.nodes[node.0 as usize].0
     }
 
     /// Rack of a node (dead or alive). Racks are synthesised: [`RACK_SIZE`]
     /// consecutive registrations within a site share one (see [`RackId`]).
     pub fn rack_of(&self, node: NodeId) -> RackId {
-        self.nodes[node.0 as usize].rack
-    }
-
-    /// Whether two nodes share a synthesised rack (implies same site).
-    pub fn same_rack(&self, a: NodeId, b: NodeId) -> bool {
-        self.rack_of(a) == self.rack_of(b)
-    }
-
-    /// Whether the node is currently alive.
-    pub fn is_alive(&self, node: NodeId) -> bool {
-        self.nodes[node.0 as usize].alive
-    }
-
-    /// Full record for a node.
-    pub fn node(&self, node: NodeId) -> &NodeRecord {
-        &self.nodes[node.0 as usize]
-    }
-
-    /// Info for a site.
-    pub fn site(&self, site: SiteId) -> &SiteInfo {
-        &self.sites[site.0 as usize]
+        self.nodes[node.0 as usize].1
     }
 
     /// All sites.
     pub fn sites(&self) -> &[SiteInfo] {
         &self.sites
-    }
-
-    /// Total nodes ever registered (alive + dead).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Iterator over currently-alive nodes.
-    pub fn alive_nodes(&self) -> impl Iterator<Item = &NodeRecord> {
-        self.nodes.iter().filter(|n| n.alive)
-    }
-
-    /// Number of currently-alive nodes.
-    pub fn alive_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.alive).count()
-    }
-
-    /// Currently-alive nodes in a given site.
-    pub fn alive_in_site(&self, site: SiteId) -> impl Iterator<Item = &NodeRecord> {
-        self.nodes.iter().filter(move |n| n.alive && n.site == site)
-    }
-
-    /// Resolve a hostname to its node id (alive or dead).
-    pub fn resolve(&self, hostname: &str) -> Option<NodeId> {
-        self.by_hostname.get(hostname).copied()
-    }
-
-    /// Apply the site-awareness script to a registered node: map its
-    /// hostname to the site whose domain matches. This mirrors what
-    /// `topology.script.file.name` does in HOG and is used by tests to
-    /// check consistency between DNS grouping and the registry.
-    pub fn site_by_dns(&self, node: NodeId) -> Option<SiteId> {
-        let domain = site_domain_of(&self.nodes[node.0 as usize].hostname)?;
-        self.sites
-            .iter()
-            .find(|s| s.domain == domain || s.domain.ends_with(domain))
-            .map(|s| s.id)
     }
 }
 
@@ -248,13 +152,12 @@ mod tests {
         let n1 = t.add_node(fnal);
         let n2 = t.add_node(fnal);
         let n3 = t.add_node(ucsd);
-        assert_eq!(t.node_count(), 3);
-        assert_eq!(t.alive_count(), 3);
-        assert!(t.same_site(n1, n2));
-        assert!(!t.same_site(n1, n3));
-        assert_eq!(t.node(n1).hostname, "w1.fnal.gov");
-        assert_eq!(t.node(n2).hostname, "w2.fnal.gov");
-        assert_eq!(t.resolve("w1.ucsd.edu"), Some(n3));
+        assert_eq!((n1, n2, n3), (NodeId(0), NodeId(1), NodeId(2)));
+        assert_eq!(t.site_of(n1), fnal);
+        assert_eq!(t.site_of(n2), fnal);
+        assert_eq!(t.site_of(n3), ucsd);
+        assert_eq!(t.sites().len(), 2);
+        assert_eq!(t.sites()[ucsd.0 as usize].domain, "ucsd.edu");
     }
 
     #[test]
@@ -266,31 +169,17 @@ mod tests {
         let b0 = t.add_node(b);
         // First RACK_SIZE nodes in site A share a rack; the next two spill
         // into a second rack.
-        assert!(t.same_rack(a_nodes[0], a_nodes[RACK_SIZE as usize - 1]));
-        assert!(!t.same_rack(a_nodes[0], a_nodes[RACK_SIZE as usize]));
-        assert!(t.same_rack(a_nodes[RACK_SIZE as usize], a_nodes[RACK_SIZE as usize + 1]));
+        let rack = |i: usize| t.rack_of(a_nodes[i]);
+        let r = RACK_SIZE as usize;
+        assert_eq!(rack(0), rack(r - 1));
+        assert_ne!(rack(0), rack(r));
+        assert_eq!(rack(r), rack(r + 1));
         // A rack never spans sites, even for the first node of each.
-        assert!(!t.same_rack(a_nodes[0], b0));
+        assert_ne!(rack(0), t.rack_of(b0));
         // Same rack implies same site.
         for &n in &a_nodes {
             assert_eq!(t.site_of(n), a);
         }
-    }
-
-    #[test]
-    fn dead_nodes_leave_registry_consistent() {
-        let mut t = Topology::new();
-        let s = t.add_site("X", "x.edu");
-        let n1 = t.add_node(s);
-        let n2 = t.add_node(s);
-        t.mark_dead(n1);
-        t.mark_dead(n1); // idempotent
-        assert!(!t.is_alive(n1));
-        assert!(t.is_alive(n2));
-        assert_eq!(t.alive_count(), 1);
-        assert_eq!(t.alive_in_site(s).count(), 1);
-        // id still resolvable, site still known
-        assert_eq!(t.site_of(n1), s);
     }
 
     #[test]
@@ -303,14 +192,26 @@ mod tests {
             ("AGLT2", "aglt2.org"),
             ("MIT_CMS", "mit.edu"),
         ];
-        let ids: Vec<SiteId> = sites.iter().map(|&(n, d)| t.add_site(n, d)).collect();
-        for &sid in &ids {
-            let node = t.add_node(sid);
-            let via_dns = t.site_by_dns(node).unwrap();
-            // The two FNAL sites share the fnal.gov suffix; DNS grouping may
+        for (name, domain) in sites {
+            t.add_site(name, domain);
+        }
+        for site in t.sites() {
+            // What `topology.script.file.name` sees for a worker there.
+            let worker = format!("w17.{}", site.domain);
+            let key = site_domain_of(&worker).unwrap();
+            assert!(site.domain.ends_with(key));
+            // Map the worker to the first site whose domain matches. The
+            // two FNAL sites share the fnal.gov suffix; DNS grouping may
             // legitimately collapse them (both are the FNAL failure domain).
-            let dns_domain = site_domain_of(&t.node(node).hostname).unwrap();
-            assert!(t.site(via_dns).domain.ends_with(dns_domain));
+            let via_dns = t
+                .sites()
+                .iter()
+                .find(|s| s.domain == key || s.domain.ends_with(key))
+                .unwrap();
+            assert!(via_dns.domain.ends_with(key));
+            if site.domain == key {
+                assert_eq!(via_dns.id, site.id);
+            }
         }
     }
 

@@ -3,9 +3,10 @@
 //! Three pieces, all deterministic and all off by default:
 //!
 //! * [`trace`] — structured [`TraceEvent`]s emitted by every layer through
-//!   a shared [`Tracer`] handle, recorded into a [`TraceSink`]: nothing
-//!   ([`TraceMode::Off`]), a bounded ring-buffer flight recorder
-//!   ([`TraceMode::Ring`]), or the full stream ([`TraceMode::Full`]).
+//!   a shared [`Tracer`] handle, which records nothing
+//!   ([`TraceMode::Off`]), the most recent events as a bounded
+//!   flight recorder ([`TraceMode::Ring`]), or the full stream
+//!   ([`TraceMode::Full`]).
 //! * [`export`] — byte-deterministic JSONL/CSV exporters plus the
 //!   flight-recorder tail rendering appended to chaos failure dumps.
 //! * [`registry`] — a per-layer [`MetricsRegistry`] of named
@@ -30,6 +31,5 @@ pub use registry::{
     diff_registries, render_diff, HistogramId, MetricId, MetricsRegistry, SeriesDivergence,
 };
 pub use trace::{
-    FieldValue, FullSink, Layer, NoopSink, ObsOptions, RingSink, TraceEvent, TraceLog, TraceMode,
-    TraceSink, Tracer, DUMP_TAIL,
+    FieldValue, Layer, ObsOptions, TraceEvent, TraceLog, TraceMode, Tracer, DUMP_TAIL,
 };

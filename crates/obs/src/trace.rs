@@ -1,5 +1,5 @@
-//! Structured trace events, sinks, and the [`Tracer`] handle shared by
-//! every layer of the simulation.
+//! Structured trace events and the [`Tracer`] handle shared by every
+//! layer of the simulation, recording into one in-memory recorder.
 //!
 //! The design constraint is determinism: emitting a trace event must never
 //! consume RNG state, schedule a simulation event, or otherwise perturb the
@@ -195,84 +195,6 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Where emitted events go. Implementations must be deterministic and must
-/// not observe wall-clock time.
-pub trait TraceSink {
-    /// Consume one event (time and sequence number already stamped).
-    fn record(&mut self, ev: TraceEvent);
-    /// Every retained event, oldest first.
-    fn retained(&self) -> Vec<TraceEvent>;
-    /// Events evicted by bounded retention (0 for unbounded sinks).
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// Discards every event. Useful for measuring the cost of event
-/// construction alone.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _ev: TraceEvent) {}
-    fn retained(&self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
-/// Bounded ring buffer keeping the most recent `cap` events — the flight
-/// recorder. Cheap enough to leave on for long runs; its tail is appended
-/// to chaos failure dumps.
-#[derive(Clone, Debug)]
-pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Ring retaining at most `cap` events (`cap` is clamped to ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
-        RingSink {
-            cap,
-            buf: VecDeque::with_capacity(cap),
-            dropped: 0,
-        }
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, ev: TraceEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev);
-    }
-    fn retained(&self) -> Vec<TraceEvent> {
-        self.buf.iter().cloned().collect()
-    }
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-/// Unbounded sink retaining every event, for full JSONL/CSV export.
-#[derive(Clone, Debug, Default)]
-pub struct FullSink {
-    events: Vec<TraceEvent>,
-}
-
-impl TraceSink for FullSink {
-    fn record(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
-    }
-    fn retained(&self) -> Vec<TraceEvent> {
-        self.events.clone()
-    }
-}
-
 /// What (if anything) a run records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraceMode {
@@ -285,11 +207,16 @@ pub enum TraceMode {
     Full,
 }
 
+/// The one recorder behind every enabled [`Tracer`]: events oldest
+/// first, bounded to `cap` under [`TraceMode::Ring`] (the oldest is
+/// evicted and counted in `dropped`), unbounded under [`TraceMode::Full`].
 struct Recorder {
     now: SimTime,
     seq: u64,
     recorded: u64,
-    sink: Box<dyn TraceSink>,
+    events: VecDeque<TraceEvent>,
+    cap: Option<usize>,
+    dropped: u64,
 }
 
 /// Cheap, cloneable handle through which layers emit events. Clones share
@@ -306,23 +233,22 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// Tracer for the given mode (`Off` yields a disabled tracer).
+    /// Tracer for the given mode (`Off` yields a disabled tracer). A
+    /// ring's capacity is clamped to at least one event.
     pub fn new(mode: TraceMode) -> Self {
-        match mode {
-            TraceMode::Off => Tracer::disabled(),
-            TraceMode::Ring(cap) => Tracer::with_sink(Box::new(RingSink::new(cap))),
-            TraceMode::Full => Tracer::with_sink(Box::new(FullSink::default())),
-        }
-    }
-
-    /// Tracer recording into a custom sink.
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
+        let cap = match mode {
+            TraceMode::Off => return Tracer::disabled(),
+            TraceMode::Ring(cap) => Some(cap.max(1)),
+            TraceMode::Full => None,
+        };
         Tracer {
             inner: Some(Rc::new(RefCell::new(Recorder {
                 now: SimTime::ZERO,
                 seq: 0,
                 recorded: 0,
-                sink,
+                events: VecDeque::with_capacity(cap.unwrap_or(0)),
+                cap,
+                dropped: 0,
             }))),
         }
     }
@@ -353,22 +279,25 @@ impl Tracer {
         ev.seq = rec.seq;
         rec.seq += 1;
         rec.recorded += 1;
-        rec.sink.record(ev);
+        if rec.cap == Some(rec.events.len()) {
+            rec.events.pop_front();
+            rec.dropped += 1;
+        }
+        rec.events.push_back(ev);
     }
 
     /// The most recent `n` retained events, oldest first.
     pub fn tail(&self, n: usize) -> Vec<TraceEvent> {
-        let mut events = self.retained();
-        let start = events.len().saturating_sub(n);
-        events.drain(..start);
-        events
+        self.inner.as_ref().map_or_else(Vec::new, |i| {
+            let events = &i.borrow().events;
+            let start = events.len().saturating_sub(n);
+            events.range(start..).cloned().collect()
+        })
     }
 
     /// Every retained event, oldest first.
     pub fn retained(&self) -> Vec<TraceEvent> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.borrow().sink.retained())
+        self.tail(usize::MAX)
     }
 
     /// Total events emitted (including any evicted from a ring).
@@ -378,7 +307,7 @@ impl Tracer {
 
     /// Events evicted by bounded retention.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.borrow().sink.dropped())
+        self.inner.as_ref().map_or(0, |i| i.borrow().dropped)
     }
 
     /// Snapshot the recorder into a plain-data [`TraceLog`] (None when
@@ -387,9 +316,9 @@ impl Tracer {
         self.inner.as_ref().map(|i| {
             let rec = i.borrow();
             TraceLog {
-                events: rec.sink.retained(),
+                events: rec.events.iter().cloned().collect(),
                 recorded: rec.recorded,
-                dropped: rec.sink.dropped(),
+                dropped: rec.dropped,
             }
         })
     }
@@ -460,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn full_sink_stamps_time_and_seq() {
+    fn full_mode_stamps_time_and_seq() {
         let t = Tracer::new(TraceMode::Full);
         t.advance(SimTime::from_secs(5));
         t.emit(|| ev("a"));
@@ -478,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_most_recent() {
+    fn ring_mode_keeps_most_recent() {
         let t = Tracer::new(TraceMode::Ring(3));
         for _ in 0..10 {
             t.emit(|| ev("tick"));

@@ -34,7 +34,6 @@ pub struct FailureAwareSched {
     half_life: SimDuration,
     node_scores: HashMap<NodeId, Decayed>,
     site_scores: HashMap<SiteId, Decayed>,
-    node_site: HashMap<NodeId, SiteId>,
 }
 
 /// Penalty for one blamed attempt failure on a node.
@@ -60,7 +59,6 @@ impl FailureAwareSched {
             half_life: SimDuration::from_secs(600),
             node_scores: HashMap::new(),
             site_scores: HashMap::new(),
-            node_site: HashMap::new(),
         }
     }
 
@@ -77,13 +75,11 @@ impl FailureAwareSched {
         d.value * 0.5f64.powf(dt / self.half_life.as_secs_f64())
     }
 
-    fn bump_node(&mut self, node: NodeId, amount: f64, now: SimTime) {
+    fn bump_node(&mut self, node: NodeId, site: SiteId, amount: f64, now: SimTime) {
         let value = self.decayed(self.node_scores.get(&node), now) + amount;
         self.node_scores.insert(node, Decayed { value, at: now });
-        if let Some(&site) = self.node_site.get(&node) {
-            let value = self.decayed(self.site_scores.get(&site), now) + amount * SITE_FRACTION;
-            self.site_scores.insert(site, Decayed { value, at: now });
-        }
+        let value = self.decayed(self.site_scores.get(&site), now) + amount * SITE_FRACTION;
+        self.site_scores.insert(site, Decayed { value, at: now });
     }
 
     /// Effective penalty of a node: its own score plus `SITE_WEIGHT` (0.5)
@@ -123,16 +119,12 @@ impl Scheduler for FailureAwareSched {
         self.effective_penalty(node, site, now) < SPEC_THRESHOLD
     }
 
-    fn on_attempt_failed(&mut self, _job: u32, node: NodeId, now: SimTime) {
-        self.bump_node(node, ATTEMPT_FAIL_PENALTY, now);
+    fn on_attempt_failed(&mut self, _job: u32, node: NodeId, site: SiteId, now: SimTime) {
+        self.bump_node(node, site, ATTEMPT_FAIL_PENALTY, now);
     }
 
-    fn on_tracker_registered(&mut self, node: NodeId, site: SiteId, _now: SimTime) {
-        self.node_site.insert(node, site);
-    }
-
-    fn on_tracker_dead(&mut self, node: NodeId, now: SimTime) {
-        self.bump_node(node, TRACKER_DEATH_PENALTY, now);
+    fn on_tracker_dead(&mut self, node: NodeId, site: SiteId, now: SimTime) {
+        self.bump_node(node, site, TRACKER_DEATH_PENALTY, now);
     }
 
     fn site_penalty(&self, site: SiteId, now: SimTime) -> f64 {
@@ -151,16 +143,9 @@ mod tests {
     const N: NodeId = NodeId(1);
     const S: SiteId = SiteId(0);
 
-    fn registered() -> FailureAwareSched {
-        let mut f = FailureAwareSched::new();
-        f.on_tracker_registered(N, S, SimTime::ZERO);
-        f.on_tracker_registered(NodeId(2), S, SimTime::ZERO);
-        f
-    }
-
     #[test]
     fn clean_nodes_admit_everything() {
-        let f = registered();
+        let f = FailureAwareSched::new();
         let t = SimTime::from_secs(100);
         assert!(f.admit(N, S, SlotKind::Map, t));
         assert!(f.admit(N, S, SlotKind::Reduce, t));
@@ -170,27 +155,27 @@ mod tests {
 
     #[test]
     fn graded_quarantine_spec_then_reduce_then_map() {
-        let mut f = registered();
+        let mut f = FailureAwareSched::new();
         let t = SimTime::from_secs(10);
         // One tracker death: node 2.0 + site 0.5·0.5 = 2.25.
-        f.on_tracker_dead(N, t);
+        f.on_tracker_dead(N, S, t);
         assert!(f.admit(N, S, SlotKind::Map, t));
         assert!(!f.admit(N, S, SlotKind::Reduce, t));
         assert!(!f.allow_speculation(N, S, t));
         // Two more failures push past the map threshold too.
-        f.on_attempt_failed(0, N, t);
-        f.on_attempt_failed(0, N, t);
+        f.on_attempt_failed(0, N, S, t);
+        f.on_attempt_failed(0, N, S, t);
         assert!(!f.admit(N, S, SlotKind::Map, t));
     }
 
     #[test]
     fn site_penalty_taints_neighbours() {
-        let mut f = registered();
+        let mut f = FailureAwareSched::new();
         let t = SimTime::from_secs(10);
         // Heavy churn on node 1 spills onto sibling node 2 via the site
         // score: 4 deaths × 2.0 × 0.25 site fraction × 0.5 weight = 1.0+.
         for _ in 0..5 {
-            f.on_tracker_dead(N, t);
+            f.on_tracker_dead(N, S, t);
         }
         assert!(f.admit(NodeId(2), S, SlotKind::Map, t));
         assert!(!f.allow_speculation(NodeId(2), S, t));
@@ -198,8 +183,8 @@ mod tests {
 
     #[test]
     fn scores_decay_back_to_service() {
-        let mut f = registered().with_half_life(SimDuration::from_secs(60));
-        f.on_tracker_dead(N, SimTime::ZERO);
+        let mut f = FailureAwareSched::new().with_half_life(SimDuration::from_secs(60));
+        f.on_tracker_dead(N, S, SimTime::ZERO);
         assert!(!f.allow_speculation(N, S, SimTime::from_secs(1)));
         // 2.25 effective halves every minute: below 1.0 within 2 minutes.
         assert!(f.allow_speculation(N, S, SimTime::from_secs(180)));

@@ -14,9 +14,9 @@ use std::collections::HashMap;
 /// is non-local, the job *declines* and keeps its tasks pending, betting
 /// that a better-placed slot frees up within a few heartbeats. A per-job
 /// wait clock starts at the first declined offer; as the wait grows the
-/// job walks down the ladder — after [`FairSched::with_delays`]'
-/// `node_delay` it accepts rack-local, after `+ rack_delay` site-local,
-/// after `+ site_delay` anything. A node-local launch resets the clock
+/// job walks down the ladder — after `NODE_DELAY` (6 s) it accepts
+/// rack-local, after `+ RACK_DELAY` (12 s) site-local, after
+/// `+ SITE_DELAY` (24 s) anything. A node-local launch resets the clock
 /// (locality is achievable again); non-local launches leave it running so
 /// an unlucky job does not re-serve its full sentence per task.
 ///
@@ -24,47 +24,33 @@ use std::collections::HashMap;
 /// ([`Scheduler::rack_aware`] is `true`).
 #[derive(Clone, Debug)]
 pub struct FairSched {
-    node_delay: SimDuration,
-    rack_delay: SimDuration,
-    site_delay: SimDuration,
     /// Per-job wait-clock start (present = currently waiting).
     waiting_since: HashMap<u32, SimTime>,
 }
 
+/// Ladder waits, tuned for the 3-second HOG heartbeat: `NODE_DELAY`
+/// before rack-local, `+ RACK_DELAY` before site-local, `+ SITE_DELAY`
+/// before remote.
+const NODE_DELAY: SimDuration = SimDuration::from_secs(6);
+const RACK_DELAY: SimDuration = SimDuration::from_secs(6);
+const SITE_DELAY: SimDuration = SimDuration::from_secs(12);
+
+/// Total wait required before `level` becomes acceptable.
+fn required_wait(level: Locality) -> SimDuration {
+    match level {
+        Locality::NodeLocal => SimDuration::ZERO,
+        Locality::RackLocal => NODE_DELAY,
+        Locality::SiteLocal => NODE_DELAY + RACK_DELAY,
+        Locality::Remote => NODE_DELAY + RACK_DELAY + SITE_DELAY,
+    }
+}
+
 impl FairSched {
-    /// Fair + delay scheduling with default waits tuned for the 3-second
-    /// HOG heartbeat: 6 s to rack-local, 12 s to site-local, 24 s to
-    /// remote.
+    /// Fair + delay scheduling: 6 s to rack-local, 12 s to site-local,
+    /// 24 s to remote.
     pub fn new() -> Self {
         FairSched {
-            node_delay: SimDuration::from_secs(6),
-            rack_delay: SimDuration::from_secs(6),
-            site_delay: SimDuration::from_secs(12),
             waiting_since: HashMap::new(),
-        }
-    }
-
-    /// Override the ladder waits: `node_delay` before rack-local,
-    /// `+ rack_delay` before site-local, `+ site_delay` before remote.
-    pub fn with_delays(
-        mut self,
-        node_delay: SimDuration,
-        rack_delay: SimDuration,
-        site_delay: SimDuration,
-    ) -> Self {
-        self.node_delay = node_delay;
-        self.rack_delay = rack_delay;
-        self.site_delay = site_delay;
-        self
-    }
-
-    /// Total wait required before `level` becomes acceptable.
-    fn required_wait(&self, level: Locality) -> SimDuration {
-        match level {
-            Locality::NodeLocal => SimDuration::ZERO,
-            Locality::RackLocal => self.node_delay,
-            Locality::SiteLocal => self.node_delay + self.rack_delay,
-            Locality::Remote => self.node_delay + self.rack_delay + self.site_delay,
         }
     }
 }
@@ -99,7 +85,7 @@ impl Scheduler for FairSched {
             return Gate::Accept;
         }
         let since = *self.waiting_since.entry(job).or_insert(now);
-        if now.saturating_since(since) >= self.required_wait(level) {
+        if now.saturating_since(since) >= required_wait(level) {
             Gate::Accept
         } else {
             Gate::Defer
@@ -156,23 +142,19 @@ mod tests {
 
     #[test]
     fn delay_ladder_unlocks_with_wait() {
-        let mut f = FairSched::new().with_delays(
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(5),
-            SimDuration::from_secs(10),
-        );
+        let mut f = FairSched::new();
         let t = SimTime::from_secs;
         // Node-local is always acceptable and does not start the clock.
         assert_eq!(f.locality_gate(9, Locality::NodeLocal, t(0)), Gate::Accept);
         // First non-local offer starts the clock and defers.
         assert_eq!(f.locality_gate(9, Locality::RackLocal, t(0)), Gate::Defer);
-        assert_eq!(f.locality_gate(9, Locality::RackLocal, t(4)), Gate::Defer);
-        assert_eq!(f.locality_gate(9, Locality::RackLocal, t(5)), Gate::Accept);
+        assert_eq!(f.locality_gate(9, Locality::RackLocal, t(5)), Gate::Defer);
+        assert_eq!(f.locality_gate(9, Locality::RackLocal, t(6)), Gate::Accept);
         // Worse levels need longer waits.
-        assert_eq!(f.locality_gate(9, Locality::SiteLocal, t(9)), Gate::Defer);
-        assert_eq!(f.locality_gate(9, Locality::SiteLocal, t(10)), Gate::Accept);
-        assert_eq!(f.locality_gate(9, Locality::Remote, t(19)), Gate::Defer);
-        assert_eq!(f.locality_gate(9, Locality::Remote, t(20)), Gate::Accept);
+        assert_eq!(f.locality_gate(9, Locality::SiteLocal, t(11)), Gate::Defer);
+        assert_eq!(f.locality_gate(9, Locality::SiteLocal, t(12)), Gate::Accept);
+        assert_eq!(f.locality_gate(9, Locality::Remote, t(23)), Gate::Defer);
+        assert_eq!(f.locality_gate(9, Locality::Remote, t(24)), Gate::Accept);
     }
 
     #[test]

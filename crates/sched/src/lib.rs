@@ -191,20 +191,16 @@ pub trait Scheduler {
         let _ = (job, kind, node, locality, now);
     }
 
-    /// An attempt of `job` failed on `node` (blamed failures only, not
-    /// kill-by-sibling).
-    fn on_attempt_failed(&mut self, job: u32, node: NodeId, now: SimTime) {
-        let _ = (job, node, now);
+    /// An attempt of `job` failed on `node`, which lives in `site`
+    /// (blamed failures only, not kill-by-sibling).
+    fn on_attempt_failed(&mut self, job: u32, node: NodeId, site: SiteId, now: SimTime) {
+        let _ = (job, node, site, now);
     }
 
-    /// A tasktracker registered (or re-registered) on `node` in `site`.
-    fn on_tracker_registered(&mut self, node: NodeId, site: SiteId, now: SimTime) {
+    /// The tasktracker on `node`, which lives in `site`, was declared
+    /// dead.
+    fn on_tracker_dead(&mut self, node: NodeId, site: SiteId, now: SimTime) {
         let _ = (node, site, now);
-    }
-
-    /// A tasktracker was declared dead.
-    fn on_tracker_dead(&mut self, node: NodeId, now: SimTime) {
-        let _ = (node, now);
     }
 
     /// The policy's current failure penalty for a whole site (0.0 when

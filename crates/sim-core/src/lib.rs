@@ -45,7 +45,7 @@ pub use audit::{Auditable, Violation};
 pub use dist::{Exponential, LogNormal, UniformDuration};
 pub use engine::{Model, Scheduler, Simulation};
 pub use liveness::{Liveness, LivenessIndex, HOG_DEAD_TIMEOUT, STOCK_DEAD_TIMEOUT};
-pub use metrics::{Counter, Histogram, StepSeries, TimeRegression};
+pub use metrics::{Histogram, StepSeries, TimeRegression};
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -1,6 +1,6 @@
 //! Measurement utilities: step-function time series (with the
-//! area-beneath-curve integral used by Table IV of the paper), counters
-//! and histograms.
+//! area-beneath-curve integral used by Table IV of the paper) and
+//! histograms.
 
 use crate::time::SimTime;
 use std::fmt;
@@ -155,38 +155,6 @@ impl fmt::Display for TimeRegression {
 }
 
 impl std::error::Error for TimeRegression {}
-
-/// A monotonically increasing event counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-    /// Add one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-    /// Add `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// A fixed-bucket histogram of durations (seconds), used for task-duration
 /// and queue-delay distributions in reports.
@@ -344,15 +312,6 @@ mod tests {
         let s = StepSeries::new();
         assert_eq!(s.value_at(SimTime::from_secs(5)), 0.0);
         assert_eq!(s.area(SimTime::ZERO, SimTime::from_secs(5)), 0.0);
-    }
-
-    #[test]
-    fn counter_behaviour() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
     }
 
     #[test]

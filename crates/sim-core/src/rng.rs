@@ -41,15 +41,6 @@ impl SimRng {
         self.inner.gen::<f64>()
     }
 
-    /// Uniform draw in `[lo, hi)`. Returns `lo` when the range is empty.
-    #[inline]
-    pub fn uniform_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        if hi <= lo {
-            return lo;
-        }
-        lo + (hi - lo) * self.unit()
-    }
-
     /// Uniform integer in `[lo, hi)`. Panics if `lo >= hi`.
     #[inline]
     pub fn uniform_u64(&mut self, lo: u64, hi: u64) -> u64 {
@@ -162,13 +153,6 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(!r.chance(-5.0));
         assert!(r.chance(2.0));
-    }
-
-    #[test]
-    fn uniform_f64_empty_range_returns_lo() {
-        let mut r = SimRng::seed_from_u64(3);
-        assert_eq!(r.uniform_f64(5.0, 5.0), 5.0);
-        assert_eq!(r.uniform_f64(5.0, 1.0), 5.0);
     }
 
     #[test]

@@ -46,17 +46,6 @@ pub fn transfer_secs(bytes: u64, rate: f64) -> f64 {
     }
 }
 
-/// Human-readable rendering of a byte count ("1.5 GiB").
-pub fn fmt_bytes(bytes: u64) -> String {
-    const UNITS: [(&str, u64); 4] = [("TiB", TIB), ("GiB", GIB), ("MiB", MIB), ("KiB", KIB)];
-    for (name, unit) in UNITS {
-        if bytes >= unit {
-            return format!("{:.2} {name}", bytes as f64 / unit as f64);
-        }
-    }
-    format!("{bytes} B")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,12 +62,5 @@ mod tests {
         // 125 MB over 1 Gbps = 1 second.
         assert!((transfer_secs(125_000_000, gbit_per_s(1.0)) - 1.0).abs() < 1e-12);
         assert!(transfer_secs(1, 0.0).is_infinite());
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_bytes(512), "512 B");
-        assert_eq!(fmt_bytes(64 * MIB), "64.00 MiB");
-        assert_eq!(fmt_bytes(3 * GIB / 2), "1.50 GiB");
     }
 }

@@ -6,7 +6,7 @@
 //! times is exponential with a mean of 14 seconds, making our total
 //! submission schedule 21 minutes long."
 
-use crate::facebook::{truncated_bins, Bin, FACEBOOK_BINS, MEAN_INTERARRIVAL_SECS};
+use crate::facebook::{truncated_bins, Bin, MEAN_INTERARRIVAL_SECS};
 use hog_sim_core::dist::Exponential;
 use hog_sim_core::{SimDuration, SimRng, SimTime};
 
@@ -36,12 +36,6 @@ impl SubmissionSchedule {
     /// inter-arrivals with mean 14 s. Deterministic in `seed`.
     pub fn facebook_truncated(seed: u64) -> Self {
         Self::from_bins(truncated_bins(), seed)
-    }
-
-    /// The full nine-bin, 100-job variant of the Zaharia et al. schedule
-    /// (needs a cluster able to hold bin-9's 4800-map jobs).
-    pub fn facebook_full(seed: u64) -> Self {
-        Self::from_bins(&FACEBOOK_BINS, seed)
     }
 
     /// Generic generator: `bins[i].jobs_in_benchmark` jobs per bin, order
@@ -190,13 +184,6 @@ mod tests {
         assert_eq!(s.jobs_in_bin(7), 0, "truncated: no >300-map jobs");
         assert_eq!(s.total_maps(), 2410);
         assert_eq!(s.total_reduces(), 38 + 16 + 70 + 80 + 120 + 180);
-    }
-
-    #[test]
-    fn full_schedule_has_100_jobs() {
-        let s = SubmissionSchedule::facebook_full(1);
-        assert_eq!(s.len(), 100);
-        assert_eq!(s.jobs_in_bin(9), 4);
     }
 
     #[test]

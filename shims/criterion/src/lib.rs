@@ -7,6 +7,11 @@
 //! fixed sample of timed iterations, and prints min/median per-iteration
 //! times. No statistics engine, no HTML reports — enough to compare hot
 //! paths between commits in this offline environment.
+//!
+//! As in criterion, the first command-line argument that is not a flag
+//! filters benchmarks by name: `cargo bench --bench scale_paths --
+//! jobtracker_heartbeat` runs only the benchmarks whose id (`group/name`
+//! inside a group) contains `jobtracker_heartbeat`. Flags are ignored.
 
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
@@ -91,6 +96,8 @@ fn report(id: &str, results: &mut [Duration]) {
 /// Top-level benchmark registry (criterion's `Criterion`).
 pub struct Criterion {
     sample_size: usize,
+    /// Run only benchmarks whose id contains this (all when `None`).
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -99,16 +106,29 @@ impl Default for Criterion {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(10);
-        Criterion { sample_size }
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+        Criterion {
+            sample_size,
+            filter,
+        }
     }
 }
 
 impl Criterion {
-    /// Run one named benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
-        let mut b = Bencher::new(self.sample_size);
+    /// Time `f` as benchmark `id` and print it, unless the filter
+    /// excludes `id`.
+    fn run(&self, id: &str, samples: usize, f: impl FnOnce(&mut Bencher)) {
+        if self.filter.as_deref().is_some_and(|s| !id.contains(s)) {
+            return;
+        }
+        let mut b = Bencher::new(samples);
         f(&mut b);
         report(id, &mut b.results);
+    }
+
+    /// Run one named benchmark.
+    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
+        self.run(id, self.sample_size, f);
         self
     }
 
@@ -137,11 +157,9 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Run one benchmark within the group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, mut f: F) -> &mut Self {
+    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
         let samples = self.sample_size.unwrap_or(self.parent.sample_size);
-        let mut b = Bencher::new(samples);
-        f(&mut b);
-        report(&format!("{}/{id}", self.name), &mut b.results);
+        self.parent.run(&format!("{}/{id}", self.name), samples, f);
         self
     }
 
@@ -173,15 +191,32 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Benchmarks `trivial` ran on this thread, in order.
+        static RAN: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    }
+
+    fn ran(id: &'static str) {
+        RAN.with(|r| r.borrow_mut().push(id));
+    }
 
     fn trivial(c: &mut Criterion) {
-        c.bench_function("noop", |b| b.iter(|| 1 + 1));
+        c.bench_function("noop", |b| {
+            ran("noop");
+            b.iter(|| 1 + 1)
+        });
         c.bench_function("batched", |b| {
+            ran("batched");
             b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::SmallInput)
         });
         let mut g = c.benchmark_group("grp");
         g.sample_size(3);
-        g.bench_function("inner", |b| b.iter(|| 2 * 2));
+        g.bench_function("inner", |b| {
+            ran("grp/inner");
+            b.iter(|| 2 * 2)
+        });
         g.finish();
     }
 
@@ -190,6 +225,27 @@ mod tests {
     #[test]
     fn harness_runs() {
         benches();
+    }
+
+    /// Without a filter every benchmark runs; a filter runs only the
+    /// benchmarks whose id contains it, group benchmarks matching on
+    /// `group/name`.
+    #[test]
+    fn the_name_filter_selects_benchmarks() {
+        for (filter, expect) in [
+            (None, vec!["noop", "batched", "grp/inner"]),
+            (Some("batch"), vec!["batched"]),
+            (Some("grp/inner"), vec!["grp/inner"]),
+            (Some("nothing"), vec![]),
+        ] {
+            RAN.with(|r| r.borrow_mut().clear());
+            let mut c = Criterion {
+                sample_size: 1,
+                filter: filter.map(str::to_string),
+            };
+            trivial(&mut c);
+            assert_eq!(RAN.with(|r| r.borrow().clone()), expect, "{filter:?}");
+        }
     }
 
     /// A routine's output is dropped after the clock stops, so a slow

@@ -310,7 +310,7 @@ fn random_masters(
     let node_ids: Vec<_> = (0..nodes)
         .map(|i| {
             let site = if i % 2 == 0 { site_a } else { site_b };
-            topo.add_node_named(site, format!("w{i}.example.org"))
+            topo.add_node(site)
         })
         .collect();
     let mut driver = SimRng::seed_from_u64(seed ^ 0x0fa1_10e4);
