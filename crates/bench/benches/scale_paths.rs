@@ -33,7 +33,7 @@
 //! harness drops it after the clock stops and no sample times teardown.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hog_hdfs::placement::{Candidate, PlacementPolicy, SiteAwarePolicy};
+use hog_hdfs::placement::{Candidate, PlacementKind};
 use hog_hdfs::{BlockId, HdfsConfig, Namenode};
 use hog_mapreduce::{Assignment, JobSubmission, JobTracker, MrParams, SchedPolicy};
 use hog_net::{FluidNet, NetParams, NodeId, SiteId, Topology};
@@ -118,7 +118,7 @@ fn loaded_nn(
             nodes.push(topo.add_node(site));
         }
     }
-    let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(3));
+    let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(3));
     for &n in &nodes {
         nn.register_datanode(SimTime::ZERO, n);
     }
@@ -433,7 +433,7 @@ fn bench_site_aware_choose(c: &mut Criterion) {
     let mut group = c.benchmark_group("site_aware_choose");
     group.bench_function("10k_candidates_32_sites_10_replicas", |b| {
         let mut rng = SimRng::seed_from_u64(5);
-        b.iter(|| black_box(SiteAwarePolicy.choose(None, 10, &[], &cands, &mut rng)))
+        b.iter(|| black_box(PlacementKind::SiteAware.choose(None, None, 10, &[], &cands, &mut rng)))
     });
     group.finish();
 }

@@ -3,7 +3,7 @@
 //! Usage: `tables [table1|table2|table3|all]` (no argument means `all`;
 //! anything else exits 2)
 
-use hog_core::config::{ClusterConfig, ResourceConfig};
+use hog_core::config::{ClusterConfig, DEDICATED_NODES};
 use hog_core::report::TextTable;
 use hog_workload::facebook::{truncated_bins, FACEBOOK_BINS};
 use hog_workload::SubmissionSchedule;
@@ -64,9 +64,7 @@ fn table3() -> String {
         "1".into(),
         "central server: Namenode + JobTracker".into(),
     ]);
-    let ResourceConfig::Fixed { nodes, .. } = &cfg.resource else {
-        unreachable!()
-    };
+    let nodes = DEDICATED_NODES;
     let quad = nodes.iter().filter(|&&(m, _)| m == 4).count();
     let dual = nodes.iter().filter(|&&(m, _)| m == 2).count();
     t.row(&[

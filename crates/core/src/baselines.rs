@@ -15,12 +15,13 @@
 //!   the opportunistic replication factor stay low — at the cost of the
 //!   anchor becoming a capacity/bandwidth bottleneck and scalability
 //!   limit. We model the anchor as an extra non-preempting grid site plus
-//!   the [`hog_hdfs::AnchorFirstPolicy`].
+//!   [`PlacementKind::AnchorFirst`] placement.
 
-use crate::config::{ClusterConfig, PlacementKind, ResourceConfig};
+use crate::config::{ClusterConfig, ResourceConfig};
 use crate::driver::{run_workload, RunResult};
 use crate::sweep::{run_sweep_schedules, SchedulePoint};
 use hog_grid::SiteConfig;
+use hog_hdfs::PlacementKind;
 use hog_sim_core::{SimDuration, SimTime};
 use hog_workload::facebook::Bin;
 use hog_workload::SubmissionSchedule;
@@ -119,10 +120,10 @@ pub fn run_hod_workload(
 pub fn moon_config(target_nodes: usize, anchors: usize, seed: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::hog(target_nodes, seed)
         .with_replication(3)
+        .with_placement(PlacementKind::AnchorFirst {
+            site_name: "ANCHOR".to_string(),
+        })
         .named(format!("moon-{target_nodes}-a{anchors}"));
-    cfg.placement = PlacementKind::AnchorFirst {
-        site_name: "ANCHOR".to_string(),
-    };
     if let ResourceConfig::Grid { sites, .. } = &mut cfg.resource {
         // The anchor site: exactly `anchors` slots, effectively infinite
         // node lifetime, no outages.

@@ -15,7 +15,10 @@
 //!    measured from the first submission to the last job's completion;
 //! 4. **Done**.
 
-use crate::config::{ClusterConfig, PlacementKind, ResourceConfig, DETECTION_TIMEOUT};
+use crate::config::{
+    ClusterConfig, ResourceConfig, DEDICATED_DOMAIN, DEDICATED_NODES, DEDICATED_SITE,
+    DETECTION_TIMEOUT,
+};
 use crate::event::{DoomReason, Event};
 use crate::master::SingleMasterStack;
 use hog_chaos::{Auditor, ChaosFailure, Fault, ProgressSig, Watchdog};
@@ -25,8 +28,8 @@ use hog_grid::{
 };
 use hog_hdfs::availability::RETARGET_INTERVAL;
 use hog_hdfs::{
-    AvailabilitySnapshot, BlockId, FileId, Namenode, RackAwarePolicy, RackObliviousPolicy,
-    ReplOrder, SiteAwarePolicy, SiteRisk, REPLICATION_MONITOR_INTERVAL,
+    AvailabilitySnapshot, BlockId, FileId, Namenode, ReplOrder, SiteRisk,
+    REPLICATION_MONITOR_INTERVAL,
 };
 use hog_mapreduce::config::{DISK_READ_RATE, DISK_WRITE_RATE, HEARTBEAT_INTERVAL};
 use hog_mapreduce::jobtracker::FailReason;
@@ -324,17 +327,9 @@ impl Cluster {
         let mut net = FluidNet::new(cfg.net);
         net.register_node(master, central);
 
-        let placement: Box<dyn hog_hdfs::PlacementPolicy> = match &cfg.placement {
-            PlacementKind::SiteAware => Box::new(SiteAwarePolicy),
-            PlacementKind::RackAware => Box::new(RackAwarePolicy),
-            PlacementKind::RackOblivious => Box::new(RackObliviousPolicy),
-            // Resolved to the concrete site id in bootstrap(), once the
-            // grid has registered its sites in the topology.
-            PlacementKind::AnchorFirst { .. } => Box::new(SiteAwarePolicy),
-        };
         let tracer = Tracer::new(cfg.obs.trace);
         net.set_tracer(tracer.clone());
-        let mut nn = Namenode::new(cfg.hdfs.clone(), placement, rng.fork(2));
+        let mut nn = Namenode::new(cfg.hdfs.clone(), rng.fork(2));
         nn.set_tracer(tracer.clone());
         // One failure detector (§III-B): the JobTracker times trackers
         // out on the namenode's dead-node timeout.
@@ -355,7 +350,7 @@ impl Cluster {
         // clusters an `elastic` config is silently inert.
         let elastic = cfg.elastic.as_ref().and_then(|ec| match &cfg.resource {
             ResourceConfig::Grid { sites, .. } => Some(ElasticController::new(ec.clone(), sites)),
-            ResourceConfig::Fixed { .. } => None,
+            ResourceConfig::Dedicated => None,
         });
         let n_jobs = schedule.len();
         let chaos_seed = cfg.seed ^ 0x686f_675f_6368_616f; // b"hog_chao"
@@ -417,7 +412,7 @@ impl Cluster {
         }
     }
 
-    /// Seed the initial events: grid submission (or fixed-node
+    /// Seed the initial events: grid submission (or dedicated-node
     /// registration) and the master tick.
     pub fn bootstrap(&mut self, sim: &mut hog_sim_core::Simulation<Self>) {
         self.bootstrap_sched(&mut sim.scheduler());
@@ -430,19 +425,6 @@ impl Cluster {
     pub fn bootstrap_sched(&mut self, sched: &mut Scheduler<'_, Event>) {
         debug_assert_eq!(sched.now(), SimTime::ZERO);
         sched.at(SimTime::ZERO, Event::MasterTick);
-        self.finish_bootstrap(sched);
-        // Anchor placement needs the anchor site's id, known only now.
-        if let PlacementKind::AnchorFirst { site_name } = self.cfg.placement.clone() {
-            let anchor = self
-                .site_by_name(&site_name)
-                .expect("anchor site not registered");
-            self.masters
-                .nn
-                .set_policy(Box::new(hog_hdfs::AnchorFirstPolicy { anchor }));
-        }
-    }
-
-    fn finish_bootstrap(&mut self, sched: &mut Scheduler<'_, Event>) {
         match self.cfg.resource.clone() {
             ResourceConfig::Grid {
                 sites,
@@ -460,17 +442,10 @@ impl Cluster {
                 self.apply_grid_output(sched, seed, false);
                 self.apply_grid_output(sched, out, false);
             }
-            ResourceConfig::Fixed {
-                site_name,
-                domain,
-                nodes,
-            } => {
-                let site = self.topo.add_site(site_name, domain);
-                let specs: Vec<(NodeId, (u8, u8))> = nodes
-                    .iter()
-                    .map(|&slots| (self.topo.add_node(site), slots))
-                    .collect();
-                for (node, slots) in specs {
+            ResourceConfig::Dedicated => {
+                let site = self.topo.add_site(DEDICATED_SITE, DEDICATED_DOMAIN);
+                for slots in DEDICATED_NODES {
+                    let node = self.topo.add_node(site);
                     self.register_worker(node, slots, sched);
                 }
                 self.set_phase(RunPhase::Uploading);

@@ -2,7 +2,7 @@
 
 use hog_chaos::FaultPlan;
 use hog_grid::{ChurnModel, ElasticConfig, SiteConfig};
-use hog_hdfs::HdfsConfig;
+use hog_hdfs::{HdfsConfig, PlacementKind};
 use hog_mapreduce::{MrParams, SchedPolicy};
 use hog_net::NetParams;
 use hog_obs::{ObsOptions, TraceMode};
@@ -16,21 +16,24 @@ use hog_workload::StragglerMix;
 /// retry/backoff.
 pub const DETECTION_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 
-/// Which block placement policy the namenode uses.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PlacementKind {
-    /// HOG's site-aware policy (§III-B.1).
-    SiteAware,
-    /// Stock Hadoop rack-aware placement (dedicated cluster).
-    RackAware,
-    /// Topology-oblivious random placement (ablation X7).
-    RackOblivious,
-    /// MOON-style: first replica pinned to the named (dedicated) site.
-    AnchorFirst {
-        /// Name of the anchor site in the resource config.
-        site_name: String,
-    },
-}
+/// Site name of the dedicated cluster's nodes in the topology.
+pub const DEDICATED_SITE: &str = "LOCAL";
+
+/// DNS domain of the dedicated cluster.
+pub const DEDICATED_DOMAIN: &str = "local.unl.edu";
+
+/// `(map_slots, reduce_slots)` of each dedicated node (Table III): 20
+/// nodes with 2 dual-core Opteron-275s (4 map slots, 1 reduce slot), then
+/// 10 nodes with 2 single-core Opterons (2 map slots, 1 reduce slot).
+pub const DEDICATED_NODES: [(u8, u8); 30] = {
+    let mut nodes = [(4, 1); 30];
+    let mut i = 20;
+    while i < 30 {
+        nodes[i] = (2, 1);
+        i += 1;
+    }
+    nodes
+};
 
 /// Where worker nodes come from.
 #[derive(Clone, Debug)]
@@ -44,15 +47,9 @@ pub enum ResourceConfig {
         /// [`hog_grid::config::GLIDEIN_SLOTS`] task slots.
         target_nodes: usize,
     },
-    /// A fixed set of dedicated nodes in one site (Table III).
-    Fixed {
-        /// Site name for the topology.
-        site_name: String,
-        /// DNS domain.
-        domain: String,
-        /// `(map_slots, reduce_slots)` per node, one entry per node.
-        nodes: Vec<(u8, u8)>,
-    },
+    /// Table III's dedicated nodes, [`DEDICATED_NODES`], all in site
+    /// [`DEDICATED_SITE`].
+    Dedicated,
 }
 
 impl ResourceConfig {
@@ -60,7 +57,7 @@ impl ResourceConfig {
     pub fn target_nodes(&self) -> usize {
         match self {
             ResourceConfig::Grid { target_nodes, .. } => *target_nodes,
-            ResourceConfig::Fixed { nodes, .. } => nodes.len(),
+            ResourceConfig::Dedicated => DEDICATED_NODES.len(),
         }
     }
 }
@@ -181,8 +178,6 @@ pub struct ClusterConfig {
     pub resource: ResourceConfig,
     /// Zombie-datanode mode.
     pub zombie: ZombieConfig,
-    /// Placement policy.
-    pub placement: PlacementKind,
     /// Fault injection / auditing / watchdog (hog-chaos); inert by
     /// default.
     pub chaos: ChaosOptions,
@@ -226,7 +221,6 @@ impl ClusterConfig {
                 target_nodes,
             },
             zombie: ZombieConfig::off(),
-            placement: PlacementKind::SiteAware,
             chaos: ChaosOptions::default(),
             obs: ObsOptions::default(),
             elastic: None,
@@ -241,21 +235,14 @@ impl ClusterConfig {
     /// single-core Opterons (2 map slots, 1 reduce slot), 1 Gbps
     /// Ethernet, stock Hadoop 0.20 (replication 3, rack awareness).
     pub fn dedicated(seed: u64) -> Self {
-        let mut nodes = vec![(4u8, 1u8); 20];
-        nodes.extend(vec![(2u8, 1u8); 10]);
         ClusterConfig {
             name: "dedicated-100-cores".to_string(),
             seed,
             net: NetParams::lan_default(),
             hdfs: HdfsConfig::stock(),
             mr: MrParams::stock(),
-            resource: ResourceConfig::Fixed {
-                site_name: "LOCAL".to_string(),
-                domain: "local.unl.edu".to_string(),
-                nodes,
-            },
+            resource: ResourceConfig::Dedicated,
             zombie: ZombieConfig::off(),
-            placement: PlacementKind::RackAware,
             chaos: ChaosOptions::default(),
             obs: ObsOptions::default(),
             elastic: None,
@@ -334,9 +321,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Override the placement policy (ablation X7).
+    /// Override the block placement (ablation X7, the MOON baseline).
     pub fn with_placement(mut self, p: PlacementKind) -> Self {
-        self.placement = p;
+        self.hdfs.placement = p;
         self
     }
 
@@ -453,7 +440,7 @@ mod tests {
         let c = ClusterConfig::hog(100, 1);
         assert_eq!(c.hdfs.replication, 10);
         assert_eq!(c.hdfs.dead_node_timeout, hog_sim_core::HOG_DEAD_TIMEOUT);
-        assert_eq!(c.placement, PlacementKind::SiteAware);
+        assert_eq!(c.hdfs.placement, PlacementKind::SiteAware);
         match &c.resource {
             ResourceConfig::Grid {
                 sites,
@@ -470,17 +457,12 @@ mod tests {
     fn dedicated_preset_matches_table3() {
         let c = ClusterConfig::dedicated(1);
         assert_eq!(c.hdfs.replication, 3);
-        assert_eq!(c.placement, PlacementKind::RackAware);
-        match &c.resource {
-            ResourceConfig::Fixed { nodes, .. } => {
-                assert_eq!(nodes.len(), 30);
-                let map_slots: u32 = nodes.iter().map(|&(m, _)| m as u32).sum();
-                let reduce_slots: u32 = nodes.iter().map(|&(_, r)| r as u32).sum();
-                assert_eq!(map_slots, 100, "1 map slot per core, 100 cores");
-                assert_eq!(reduce_slots, 30, "1 reduce slot per node");
-            }
-            _ => panic!("dedicated cluster is fixed"),
-        }
+        assert_eq!(c.hdfs.placement, PlacementKind::RackAware);
+        assert!(matches!(c.resource, ResourceConfig::Dedicated));
+        let map_slots: u32 = DEDICATED_NODES.iter().map(|&(m, _)| m as u32).sum();
+        let reduce_slots: u32 = DEDICATED_NODES.iter().map(|&(_, r)| r as u32).sum();
+        assert_eq!(map_slots, 100, "1 map slot per core, 100 cores");
+        assert_eq!(reduce_slots, 30, "1 reduce slot per node");
         assert_eq!(c.resource.target_nodes(), 30);
     }
 
@@ -494,7 +476,7 @@ mod tests {
             .named("x");
         assert_eq!(c.hdfs.replication, 5);
         assert_eq!(c.hdfs.dead_node_timeout, SimDuration::from_secs(600));
-        assert_eq!(c.placement, PlacementKind::RackOblivious);
+        assert_eq!(c.hdfs.placement, PlacementKind::RackOblivious);
         assert_eq!(c.zombie.probability, 0.5);
         assert!(c.hdfs.disk_check_interval.is_some());
         assert_eq!(c.name, "x");

@@ -5,9 +5,10 @@
 //! text tables / ASCII figures / CSV. Every experiment is deterministic
 //! given its seeds.
 
-use crate::config::{ClusterConfig, PlacementKind};
+use crate::config::ClusterConfig;
 use crate::driver::RunResult;
 use crate::sweep::{run_sweep, SweepPoint};
+use hog_hdfs::PlacementKind;
 use hog_sim_core::{SimDuration, SimTime};
 
 /// The pool sizes the paper samples in Figure 4.

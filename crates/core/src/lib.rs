@@ -41,11 +41,11 @@ pub mod sweep;
 
 pub use cluster::Cluster;
 pub use config::{
-    ChaosOptions, ClusterConfig, FailoverConfig, PlacementKind, ResourceConfig, ZombieConfig,
-    DETECTION_TIMEOUT,
+    ChaosOptions, ClusterConfig, FailoverConfig, ResourceConfig, ZombieConfig, DETECTION_TIMEOUT,
 };
 pub use driver::{run_workload, JobOutcome, RunResult};
 pub use hog_chaos as chaos;
+pub use hog_hdfs::PlacementKind;
 pub use hog_mapreduce::SchedPolicy;
 pub use hog_obs as obs;
 pub use master::{FailoverStats, MasterCheckpoint, MasterStatus, SingleMasterStack};

@@ -270,16 +270,12 @@ impl SingleMasterStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hog_hdfs::{HdfsConfig, SiteAwarePolicy};
+    use hog_hdfs::HdfsConfig;
     use hog_mapreduce::MrParams;
     use hog_sim_core::{SimRng, HOG_DEAD_TIMEOUT};
 
     fn stack(cfg: Option<FailoverConfig>) -> SingleMasterStack {
-        let nn = Namenode::new(
-            HdfsConfig::hog(),
-            Box::new(SiteAwarePolicy),
-            SimRng::seed_from_u64(7),
-        );
+        let nn = Namenode::new(HdfsConfig::hog(), SimRng::seed_from_u64(7));
         let jt = JobTracker::new(MrParams::hog(), HOG_DEAD_TIMEOUT, SimRng::seed_from_u64(8));
         SingleMasterStack::new(nn, jt, cfg)
     }

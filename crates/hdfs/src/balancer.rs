@@ -141,7 +141,6 @@ pub fn apply_move(nn: &mut Namenode, mv: &ReplOrder) {
 mod tests {
     use super::*;
     use crate::config::HdfsConfig;
-    use crate::placement::SiteAwarePolicy;
     use hog_sim_core::{SimRng, SimTime};
 
     fn setup_unbalanced() -> (Namenode, Topology, Vec<NodeId>) {
@@ -149,7 +148,7 @@ mod tests {
         let site = topo.add_site("S0", "s0.edu");
         let old: Vec<NodeId> = (0..4).map(|_| topo.add_node(site)).collect();
         let cfg = HdfsConfig::hog().with_replication(2).with_capacity(1 << 30);
-        let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(3));
+        let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(3));
         for &n in &old {
             nn.register_datanode(SimTime::ZERO, n);
         }
@@ -225,7 +224,7 @@ mod tests {
         let mut topo = Topology::new();
         let site = topo.add_site("S0", "s0.edu");
         let cfg = HdfsConfig::hog().with_replication(1).with_capacity(0);
-        let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(1));
+        let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(1));
         for _ in 0..4 {
             nn.register_datanode(SimTime::ZERO, topo.add_node(site));
         }
@@ -238,7 +237,7 @@ mod tests {
         let site = topo.add_site("S0", "s0.edu");
         let n = topo.add_node(site);
         let cfg = HdfsConfig::hog().with_replication(1);
-        let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(1));
+        let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(1));
         nn.register_datanode(SimTime::ZERO, n);
         assert!(plan(&nn, &topo, 0.1, 10).is_empty());
     }

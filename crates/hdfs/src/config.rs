@@ -1,6 +1,7 @@
 //! HDFS configuration.
 
 use crate::availability::AvailabilityPolicy;
+use crate::placement::PlacementKind;
 use hog_sim_core::units::GIB;
 use hog_sim_core::{SimDuration, HOG_DEAD_TIMEOUT, STOCK_DEAD_TIMEOUT};
 
@@ -9,14 +10,17 @@ use hog_sim_core::{SimDuration, HOG_DEAD_TIMEOUT, STOCK_DEAD_TIMEOUT};
 pub const REPLICATION_MONITOR_INTERVAL: SimDuration = SimDuration::from_secs(3);
 
 /// Tunables of the HDFS model. Two presets matter: [`HdfsConfig::hog`]
-/// (replication 10, 30 s dead-node timeout — §III-B) and
-/// [`HdfsConfig::stock`] (replication 3, ~10 min recheck, as on the
-/// dedicated cluster). Files split into
+/// (replication 10, 30 s dead-node timeout, site-aware placement —
+/// §III-B) and [`HdfsConfig::stock`] (replication 3, ~10 min recheck,
+/// rack-aware placement, as on the dedicated cluster). Files split into
 /// [`hog_sim_core::units::BLOCK_SIZE`] blocks.
 #[derive(Clone, Debug)]
 pub struct HdfsConfig {
     /// Default replication factor for new files.
     pub replication: u16,
+    /// Where a block's replicas go (ablation X7 varies it; the MOON
+    /// baseline anchors it).
+    pub placement: PlacementKind,
     /// Silence after which a worker is declared dead — by the namenode,
     /// and by the JobTracker, which the cluster hands the same value.
     /// The paper: "If the worker nodes do not report every 30 seconds,
@@ -47,11 +51,12 @@ pub struct HdfsConfig {
 }
 
 impl HdfsConfig {
-    /// HOG settings: replication 10, 30 s failure detection, 3-minute
-    /// zombie self-check.
+    /// HOG settings: replication 10, site-aware placement, 30 s failure
+    /// detection, 3-minute zombie self-check.
     pub fn hog() -> Self {
         HdfsConfig {
             replication: 10,
+            placement: PlacementKind::SiteAware,
             dead_node_timeout: HOG_DEAD_TIMEOUT,
             max_repl_streams_per_node: 2,
             max_repl_orders_per_tick: 64,
@@ -62,10 +67,12 @@ impl HdfsConfig {
     }
 
     /// Stock Hadoop 0.20 settings as used on the dedicated cluster:
-    /// replication 3, ~10 minute dead-node detection.
+    /// replication 3, rack-aware placement, ~10 minute dead-node
+    /// detection.
     pub fn stock() -> Self {
         HdfsConfig {
             replication: 3,
+            placement: PlacementKind::RackAware,
             dead_node_timeout: STOCK_DEAD_TIMEOUT,
             max_repl_streams_per_node: 2,
             max_repl_orders_per_tick: 64,
@@ -109,10 +116,12 @@ mod tests {
     fn presets_match_paper() {
         let hog = HdfsConfig::hog();
         assert_eq!(hog.replication, 10);
+        assert_eq!(hog.placement, PlacementKind::SiteAware);
         assert_eq!(hog.dead_node_timeout, HOG_DEAD_TIMEOUT);
         assert!(hog.disk_check_interval.is_some());
         let stock = HdfsConfig::stock();
         assert_eq!(stock.replication, 3);
+        assert_eq!(stock.placement, PlacementKind::RackAware);
         assert_eq!(stock.dead_node_timeout, STOCK_DEAD_TIMEOUT);
         assert!(stock.disk_check_interval.is_none());
     }

@@ -17,9 +17,10 @@
 //!   invisible here by definition: the `hog-core` mediator owns it, fails
 //!   the transfers a zombie sources, and runs the paper's fix (periodic
 //!   working-directory self-check → clean shutdown);
-//! * pluggable **block placement** ([`placement`]): HOG's site-aware
-//!   policy, stock rack-aware placement, and a rack-oblivious policy used
-//!   as the ablation baseline;
+//! * **block placement** ([`PlacementKind`], one field of
+//!   [`HdfsConfig`]): HOG's site-aware placement, stock rack-aware
+//!   placement, a rack-oblivious ablation baseline and MOON's
+//!   anchor-first placement;
 //! * the **balancer** ([`balancer`]) the paper uses when growing the pool.
 //!
 //! Timing (how long a replication transfer takes, when heartbeats arrive)
@@ -42,8 +43,5 @@ pub use availability::{AvailabilityPolicy, AvailabilitySnapshot, SiteBand, SiteR
 pub use config::{HdfsConfig, REPLICATION_MONITOR_INTERVAL};
 pub use datanode::DatanodeInfo;
 pub use namenode::{Namenode, NamenodeTickOutput, ReplOrder};
-pub use placement::{
-    stable_first, AnchorFirstPolicy, PlacementPolicy, RackAwarePolicy, RackObliviousPolicy,
-    SiteAwarePolicy,
-};
+pub use placement::{stable_first, PlacementKind};
 pub use types::{BlockId, BlockMeta, FileId, FileMeta};

@@ -23,7 +23,7 @@
 use crate::availability::{AvailabilitySnapshot, SiteBand};
 use crate::config::HdfsConfig;
 use crate::datanode::DatanodeInfo;
-use crate::placement::{Candidate, PlacementPolicy};
+use crate::placement::Candidate;
 use crate::types::{BlockId, BlockMeta, FileId, FileMeta};
 use hog_net::{NodeId, NodeMap, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
@@ -60,19 +60,19 @@ pub struct NamenodeTickOutput {
 const NOT_QUEUED: u32 = u32::MAX;
 
 /// Priority-bucketed re-replication queue (Hadoop's
-/// `UnderReplicatedBlocks`): queued blocks live in the bucket matching
-/// their live-replica count, so the per-tick dispatch walks most-critical
-/// first by concatenating buckets instead of re-sorting the whole queue
-/// every tick. Membership is updated at the handful of replica-count
-/// mutation sites, keeping dispatch iteration order identical to a stable
-/// sort by replica count over BlockId-ascending blocks.
+/// `UnderReplicatedBlocks`): a queued block's bucket is its live-replica
+/// count, and the queue is one set ordered by `(bucket, block)`, so the
+/// per-tick dispatch walks most-critical first without re-sorting the
+/// whole queue every tick. Membership is updated at the handful of
+/// replica-count mutation sites, keeping dispatch iteration order
+/// identical to a stable sort by replica count over BlockId-ascending
+/// blocks.
 #[derive(Clone, Default)]
 struct ReplQueue {
-    /// `buckets[c]` = queued blocks with exactly `c` live replicas.
-    buckets: Vec<BTreeSet<BlockId>>,
+    /// Queued `(bucket, block)` pairs.
+    queue: BTreeSet<(u32, BlockId)>,
     /// Block → occupied bucket, dense by BlockId ([`NOT_QUEUED`] = absent).
     bucket_of: Vec<u32>,
-    len: usize,
 }
 
 impl ReplQueue {
@@ -89,15 +89,10 @@ impl ReplQueue {
             return;
         }
         if cur != NOT_QUEUED {
-            self.buckets[cur as usize].remove(&block);
-            self.len -= 1;
+            self.queue.remove(&(cur, block));
         }
-        if self.buckets.len() <= count {
-            self.buckets.resize_with(count + 1, BTreeSet::new);
-        }
-        self.buckets[count].insert(block);
+        self.queue.insert((count as u32, block));
         self.bucket_of[idx] = count as u32;
-        self.len += 1;
     }
 
     /// Remove `block` from the queue if present.
@@ -107,9 +102,8 @@ impl ReplQueue {
             return;
         };
         if cur != NOT_QUEUED {
-            self.buckets[cur as usize].remove(&block);
+            self.queue.remove(&(cur, block));
             self.bucket_of[idx] = NOT_QUEUED;
-            self.len -= 1;
         }
     }
 
@@ -122,17 +116,17 @@ impl ReplQueue {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.queue.len()
     }
 
     fn is_empty(&self) -> bool {
-        self.len == 0
+        self.queue.is_empty()
     }
 
     /// Queued blocks, fewest-replicas bucket first, BlockId-ascending
     /// within a bucket.
     fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.buckets.iter().flat_map(|b| b.iter().copied())
+        self.queue.iter().map(|&(_, b)| b)
     }
 
     /// Queued blocks in dispatch order, rotated to start at the first
@@ -142,49 +136,34 @@ impl ReplQueue {
     /// to serve and resumes there, so a standing stream of critical
     /// blocks cannot starve the high-bucket tail forever.
     fn iter_rotated(&self, resume: Option<(u32, BlockId)>) -> Vec<BlockId> {
-        let mut ordered: Vec<(u32, BlockId)> = Vec::with_capacity(self.len);
-        for (c, bucket) in self.buckets.iter().enumerate() {
-            ordered.extend(bucket.iter().map(|&b| (c as u32, b)));
+        match resume {
+            None => self.iter().collect(),
+            Some(cursor) => self
+                .queue
+                .range(cursor..)
+                .chain(self.queue.range(..cursor))
+                .map(|&(_, b)| b)
+                .collect(),
         }
-        if let Some(cursor) = resume {
-            let split = ordered.partition_point(|&e| e < cursor);
-            ordered.rotate_left(split);
-        }
-        ordered.into_iter().map(|(_, b)| b).collect()
     }
 
-    /// Structural invariant check for the proptests: every `bucket_of`
-    /// entry points at a bucket actually containing the block, every
-    /// bucket member is indexed back, and `len` matches. Returns a
-    /// description of the first violation found.
+    /// Structural invariant check for the proptests: every queued pair
+    /// is indexed back by `bucket_of`, and every `bucket_of` entry is a
+    /// queued pair. Returns a description of the first violation found.
     fn check_invariant(&self) -> Result<(), String> {
-        let mut members = 0;
-        for (c, bucket) in self.buckets.iter().enumerate() {
-            members += bucket.len();
-            for &b in bucket {
-                match self.bucket_of.get(b.0 as usize) {
-                    Some(&idx) if idx as usize == c => {}
-                    other => {
-                        return Err(format!(
-                            "block {} in bucket {c} but bucket_of says {other:?}",
-                            b.0
-                        ));
-                    }
-                }
+        for &(c, b) in &self.queue {
+            let indexed = self.bucket_of.get(b.0 as usize);
+            if indexed != Some(&c) {
+                return Err(format!(
+                    "block {} in bucket {c} but bucket_of says {indexed:?}",
+                    b.0
+                ));
             }
         }
         for (i, &c) in self.bucket_of.iter().enumerate() {
-            if c != NOT_QUEUED
-                && !self
-                    .buckets
-                    .get(c as usize)
-                    .is_some_and(|bk| bk.contains(&BlockId(i as u64)))
-            {
-                return Err(format!("bucket_of[{i}]={c} but bucket lacks the block"));
+            if c != NOT_QUEUED && !self.queue.contains(&(c, BlockId(i as u64))) {
+                return Err(format!("bucket_of[{i}]={c} but the queue lacks the block"));
             }
-        }
-        if members != self.len {
-            return Err(format!("len={} but buckets hold {members}", self.len));
         }
         Ok(())
     }
@@ -219,13 +198,12 @@ struct CandCache {
 
 /// The HDFS master. See the module docs for the liveness protocol.
 ///
-/// `Clone` snapshots the namenode wholesale (namespace, block map,
-/// datanode records, replication queues, placement policy, rng) — the
-/// master-failover checkpoint in `hog-core` is exactly such a snapshot.
+/// `Clone` snapshots the namenode wholesale (config, namespace, block
+/// map, datanode records, replication queues, rng) — the master-failover
+/// checkpoint in `hog-core` is exactly such a snapshot.
 #[derive(Clone)]
 pub struct Namenode {
     cfg: HdfsConfig,
-    policy: Box<dyn PlacementPolicy>,
     files_by_path: HashMap<String, FileId>,
     files: Vec<FileMeta>,
     blocks: Vec<BlockMeta>,
@@ -281,11 +259,11 @@ pub struct Namenode {
 }
 
 impl Namenode {
-    /// A namenode with the given config and placement policy.
-    pub fn new(cfg: HdfsConfig, policy: Box<dyn PlacementPolicy>, rng: SimRng) -> Self {
+    /// A namenode with the given config; blocks go where
+    /// [`HdfsConfig::placement`] puts them.
+    pub fn new(cfg: HdfsConfig, rng: SimRng) -> Self {
         Namenode {
             cfg,
-            policy,
             files_by_path: HashMap::new(),
             files: Vec::new(),
             blocks: Vec::new(),
@@ -322,13 +300,6 @@ impl Namenode {
     /// The active configuration.
     pub fn config(&self) -> &HdfsConfig {
         &self.cfg
-    }
-
-    /// Swap the block placement policy (used when the policy needs
-    /// topology knowledge only available after site registration, e.g.
-    /// the MOON anchor site).
-    pub fn set_policy(&mut self, policy: Box<dyn PlacementPolicy>) {
-        self.policy = policy;
     }
 
     /// Retarget the replication factor of an *existing* file's blocks.
@@ -555,8 +526,8 @@ impl Namenode {
         // datanode churn in between). The scan is O(all datanodes) — at
         // BENCH_scale tiers it dominates the write path without this.
         // Taking the cache out of `self` sidesteps the borrow conflict
-        // with `self.policy`/`self.rng` below; an excluded-nodes retry is
-        // rare, so it recomputes and leaves the cache invalidated.
+        // with `self.candidates` below; an excluded-nodes retry is rare,
+        // so it recomputes and leaves the cache invalidated.
         let mut cache = std::mem::take(&mut self.cand_cache);
         let usable = exclude.is_empty() && cache.epoch == self.dn_epoch && cache.size == size;
         if !usable {
@@ -573,9 +544,15 @@ impl Namenode {
             self.cand_cache = cache;
             return None;
         }
-        let targets = self
-            .policy
-            .choose(writer, repl as usize, &[], &cache.cands, &mut self.rng);
+        let placement = &self.cfg.placement;
+        let targets = placement.choose(
+            placement.anchor(topo),
+            writer,
+            repl as usize,
+            &[],
+            &cache.cands,
+            &mut self.rng,
+        );
         self.cand_cache = cache;
         if targets.is_empty() {
             return None;
@@ -819,6 +796,8 @@ impl Namenode {
             })
             .collect();
         let position = |table: &[SpareNode], n: NodeId| table.binary_search_by_key(&n, |s| s.node);
+        let placement = &self.cfg.placement;
+        let anchor = placement.anchor(topo);
         let mut srcs: Vec<NodeId> = Vec::new();
         let mut existing: Vec<(NodeId, SiteId)> = Vec::new();
         let mut cands: Vec<Candidate> = Vec::new();
@@ -918,9 +897,7 @@ impl Namenode {
                         snap.classify(s) == SiteBand::Stable
                     });
                 }
-                let targets = self
-                    .policy
-                    .choose(None, 1, &existing, &cands, &mut self.rng);
+                let targets = placement.choose(anchor, None, 1, &existing, &cands, &mut self.rng);
                 let Some(&dst) = targets.first() else { break };
                 for n in [src, dst] {
                     if let Some(dn) = self.datanodes.get_mut(n) {
@@ -1596,9 +1573,10 @@ impl hog_sim_core::Auditable for Namenode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::SiteAwarePolicy;
+    use crate::placement::PlacementKind;
 
-    /// 3 sites × `per_site` nodes, all registered as datanodes at t=0.
+    /// 3 sites × `per_site` nodes, all registered as datanodes at t=0,
+    /// placing site-aware whatever the preset.
     fn setup(per_site: u32, cfg: HdfsConfig) -> (Namenode, Topology, Vec<NodeId>) {
         let mut topo = Topology::new();
         let mut nodes = Vec::new();
@@ -1608,7 +1586,11 @@ mod tests {
                 nodes.push(topo.add_node(site));
             }
         }
-        let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(11));
+        let cfg = HdfsConfig {
+            placement: PlacementKind::SiteAware,
+            ..cfg
+        };
+        let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(11));
         for &n in &nodes {
             nn.register_datanode(SimTime::ZERO, n);
         }
@@ -2035,6 +2017,8 @@ mod tests {
         } else {
             nn.needs_repl.iter().collect()
         };
+        let placement = nn.cfg.placement.clone();
+        let anchor = placement.anchor(topo);
         let mut orders = Vec::new();
         let mut unserved: Option<BlockId> = None;
         for b in queue {
@@ -2111,7 +2095,7 @@ mod tests {
                     .iter()
                     .map(|&n| (n, topo.site_of(n)))
                     .collect();
-                let targets = nn.policy.choose(None, 1, &existing, &cands, &mut nn.rng);
+                let targets = placement.choose(anchor, None, 1, &existing, &cands, &mut nn.rng);
                 let Some(&dst) = targets.first() else { break };
                 let Some(src_dn) = nn.datanodes.get_mut(src) else {
                     break;
@@ -2204,8 +2188,7 @@ mod tests {
                         ids.push(topo.add_node(site));
                     }
                 }
-                let mut nn =
-                    Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(seed));
+                let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(seed));
                 for &n in &ids {
                     nn.register_datanode(SimTime::ZERO, n);
                 }

@@ -1,21 +1,24 @@
-//! Block placement policies.
+//! Block placement: which datanodes receive a block's replicas.
 //!
 //! HOG's contribution is extending rack awareness to **site awareness**:
 //! sites are common failure domains (whole-site outages, correlated
 //! preemption bursts) and intra-site bandwidth dwarfs inter-site bandwidth,
 //! so replicas must spread across sites exactly like stock HDFS spreads
-//! them across racks. Three policies are provided:
+//! them across racks. [`crate::HdfsConfig::placement`] picks one of four
+//! placements:
 //!
-//! * [`SiteAwarePolicy`] — HOG §III-B.1: first replica local to the
-//!   writer, the rest spread over the sites currently holding the fewest
-//!   replicas of the block, preferring emptier nodes inside a site.
-//! * [`RackAwarePolicy`] — stock Hadoop 0.20 default (writer, remote
-//!   rack, same remote rack, then random); used on the dedicated cluster
-//!   where racks are the failure domain.
-//! * [`RackObliviousPolicy`] — uniform random placement, the ablation
-//!   baseline showing what site awareness buys (experiment X7).
+//! * [`PlacementKind::SiteAware`] — HOG §III-B.1: first replica local to
+//!   the writer, the rest spread over the sites currently holding the
+//!   fewest replicas of the block, preferring emptier nodes inside a site.
+//! * [`PlacementKind::RackAware`] — stock Hadoop 0.20 default (writer,
+//!   remote rack, same remote rack, then random); used on the dedicated
+//!   cluster where racks are the failure domain.
+//! * [`PlacementKind::RackOblivious`] — uniform random placement, the
+//!   ablation baseline showing what site awareness buys (experiment X7).
+//! * [`PlacementKind::AnchorFirst`] — MOON-style: one replica pinned to a
+//!   dedicated anchor site, the rest site-aware (experiment X5).
 
-use hog_net::{NodeId, SiteId};
+use hog_net::{NodeId, SiteId, Topology};
 use hog_sim_core::SimRng;
 
 /// A datanode eligible to receive a replica.
@@ -29,336 +32,298 @@ pub struct Candidate {
     pub free: u64,
 }
 
-/// A replica-target chooser. Implementations must return distinct nodes
-/// drawn from `candidates` (never one listed in `existing`), at most `n`
-/// of them; fewer when the cluster cannot satisfy the request.
-pub trait PlacementPolicy: Send {
-    /// Human-readable policy name (report labelling).
-    fn name(&self) -> &'static str;
+/// Which block placement the namenode uses.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PlacementKind {
+    /// HOG's site-aware policy (§III-B.1).
+    SiteAware,
+    /// Stock Hadoop rack-aware placement (dedicated cluster).
+    RackAware,
+    /// Topology-oblivious random placement (ablation X7).
+    RackOblivious,
+    /// MOON-style: first replica pinned to the named (dedicated) site.
+    AnchorFirst {
+        /// Name of the anchor site in the resource config.
+        site_name: String,
+    },
+}
 
-    /// Choose up to `n` targets for a block.
+impl PlacementKind {
+    /// The site [`PlacementKind::AnchorFirst`] pins a replica to, looked
+    /// up by name in `topo`. `None` for the other variants, and for a
+    /// name `topo` does not have: such an anchor pins nothing and places
+    /// exactly as [`PlacementKind::SiteAware`] does.
+    pub fn anchor(&self, topo: &Topology) -> Option<SiteId> {
+        let PlacementKind::AnchorFirst { site_name } = self else {
+            return None;
+        };
+        topo.sites()
+            .iter()
+            .find(|s| s.name == *site_name)
+            .map(|s| s.id)
+    }
+
+    /// Choose up to `n` targets for a block: distinct nodes drawn from
+    /// `candidates` (never one listed in `existing`), fewer when the
+    /// cluster cannot satisfy the request.
     ///
+    /// * `anchor` — this placement's [`PlacementKind::anchor`] in the
+    ///   run's topology, resolved once per namenode call.
     /// * `writer` — the datanode co-located with the writing client, if
     ///   any (map outputs written to HDFS, or a datanode-local upload).
     /// * `existing` — `(node, site)` of current replicas (non-empty for
     ///   re-replication).
     /// * `candidates` — eligible datanodes (live, storage OK, enough free
     ///   space); never contains nodes from `existing`.
-    fn choose(
+    pub fn choose(
         &self,
+        anchor: Option<SiteId>,
         writer: Option<NodeId>,
         n: usize,
         existing: &[(NodeId, SiteId)],
         candidates: &[Candidate],
         rng: &mut SimRng,
-    ) -> Vec<NodeId>;
-
-    /// Clone this policy into a fresh box. Master checkpointing clones
-    /// the whole Namenode, boxed policy included, through this hook.
-    fn box_clone(&self) -> Box<dyn PlacementPolicy>;
-}
-
-impl Clone for Box<dyn PlacementPolicy> {
-    fn clone(&self) -> Self {
-        self.box_clone()
+    ) -> Vec<NodeId> {
+        match self {
+            PlacementKind::SiteAware => site_aware(writer, n, existing, candidates, rng),
+            PlacementKind::RackAware => rack_aware(writer, n, existing, candidates, rng),
+            PlacementKind::RackOblivious => rack_oblivious(n, candidates, rng),
+            PlacementKind::AnchorFirst { .. } => match anchor {
+                Some(anchor) => anchor_first(anchor, writer, n, existing, candidates, rng),
+                // An anchor site the topology lacks pins nothing.
+                None => site_aware(writer, n, existing, candidates, rng),
+            },
+        }
     }
 }
 
 /// HOG's site-aware placement.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SiteAwarePolicy;
-
-impl PlacementPolicy for SiteAwarePolicy {
-    fn name(&self) -> &'static str {
-        "site-aware"
+fn site_aware(
+    writer: Option<NodeId>,
+    n: usize,
+    existing: &[(NodeId, SiteId)],
+    candidates: &[Candidate],
+    rng: &mut SimRng,
+) -> Vec<NodeId> {
+    let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
+    if n == 0 || candidates.is_empty() {
+        return chosen;
     }
-
-    fn choose(
-        &self,
-        writer: Option<NodeId>,
-        n: usize,
-        existing: &[(NodeId, SiteId)],
-        candidates: &[Candidate],
-        rng: &mut SimRng,
-    ) -> Vec<NodeId> {
-        let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
-        if n == 0 || candidates.is_empty() {
-            return chosen;
+    // This runs on every block allocation with n = the replication
+    // factor (10 under the HOG preset) over every datanode that can
+    // take the block, so it makes one pass over the candidates per
+    // call, not per replica. The result depends only on the
+    // candidate *set*: the site key is `(replicas so far, site id)`
+    // over sites with an unchosen candidate, and inside a site the
+    // most free space wins, ties drawn in ascending node order. So
+    // the pass threads each candidate onto its site's list (two flat
+    // buffers: a head per site, a link per candidate), and each
+    // replica scans the sites and then only the chosen site's list.
+    const END: u32 = u32::MAX;
+    // Per site: (replicas so far, head of its unchosen-candidate list).
+    // 64 slots cover every pool the presets build (32 sites at 10k
+    // nodes) without a regrowth.
+    let mut sites: Vec<(u32, u32)> = Vec::with_capacity(64);
+    let slot = |sites: &mut Vec<(u32, u32)>, site: SiteId| {
+        let s = site.0 as usize;
+        if s >= sites.len() {
+            sites.resize(s + 1, (0, END));
         }
-        // This runs on every block allocation with n = the replication
-        // factor (10 under the HOG preset) over every datanode that can
-        // take the block, so it makes one pass over the candidates per
-        // call, not per replica. The result depends only on the
-        // candidate *set*: the site key is `(replicas so far, site id)`
-        // over sites with an unchosen candidate, and inside a site the
-        // most free space wins, ties drawn in ascending node order. So
-        // the pass threads each candidate onto its site's list (two flat
-        // buffers: a head per site, a link per candidate), and each
-        // replica scans the sites and then only the chosen site's list.
-        const END: u32 = u32::MAX;
-        // Per site: (replicas so far, head of its unchosen-candidate list).
-        // 64 slots cover every pool the presets build (32 sites at 10k
-        // nodes) without a regrowth.
-        let mut sites: Vec<(u32, u32)> = Vec::with_capacity(64);
-        let slot = |sites: &mut Vec<(u32, u32)>, site: SiteId| {
-            let s = site.0 as usize;
-            if s >= sites.len() {
-                sites.resize(s + 1, (0, END));
-            }
-            s
-        };
-        for &(_, site) in existing {
-            let s = slot(&mut sites, site);
+        s
+    };
+    for &(_, site) in existing {
+        let s = slot(&mut sites, site);
+        sites[s].0 += 1;
+    }
+    // First replica: data locality — the writer's own datanode, when
+    // it is a candidate and this is a fresh write.
+    let writer = writer.filter(|_| existing.is_empty());
+    let mut next = vec![END; candidates.len()];
+    for (i, c) in candidates.iter().enumerate() {
+        let s = slot(&mut sites, c.site);
+        if Some(c.node) == writer {
+            chosen.push(c.node);
             sites[s].0 += 1;
+            continue;
         }
-        // First replica: data locality — the writer's own datanode, when
-        // it is a candidate and this is a fresh write.
-        let writer = writer.filter(|_| existing.is_empty());
-        let mut next = vec![END; candidates.len()];
-        for (i, c) in candidates.iter().enumerate() {
-            let s = slot(&mut sites, c.site);
-            if Some(c.node) == writer {
-                chosen.push(c.node);
-                sites[s].0 += 1;
-                continue;
-            }
-            next[i] = sites[s].1;
-            sites[s].1 = i as u32;
-        }
-        // `(node, candidate, predecessor on its site list)`.
-        let mut ties: Vec<(NodeId, u32, u32)> = Vec::new();
-        while chosen.len() < n {
-            // The site with the fewest replicas so far; count ties go to
-            // the lowest site id. Only sites that still have an unchosen
-            // candidate qualify.
-            let mut best: Option<(u32, usize)> = None;
-            for (s, &(count, head)) in sites.iter().enumerate() {
-                if head != END && best.is_none_or(|(c, _)| count < c) {
-                    best = Some((count, s));
-                }
-            }
-            let Some((_, s)) = best else { break };
-            // Inside the site prefer the emptiest node, ties drawn under
-            // the run rng in ascending node order.
-            let mut top_free = 0u64;
-            ties.clear();
-            let (mut prev, mut i) = (END, sites[s].1);
-            while i != END {
-                let c = &candidates[i as usize];
-                if ties.is_empty() || c.free > top_free {
-                    top_free = c.free;
-                    ties.clear();
-                    ties.push((c.node, i, prev));
-                } else if c.free == top_free {
-                    ties.push((c.node, i, prev));
-                }
-                prev = i;
-                i = next[i as usize];
-            }
-            ties.sort_unstable_by_key(|&(node, _, _)| node);
-            let (node, pick, prev) = ties[rng.index(ties.len())];
-            // Unlink the pick from its site's list.
-            let after = next[pick as usize];
-            match prev {
-                END => sites[s].1 = after,
-                p => next[p as usize] = after,
-            }
-            sites[s].0 += 1;
-            chosen.push(node);
-        }
-        chosen
+        next[i] = sites[s].1;
+        sites[s].1 = i as u32;
     }
-
-    fn box_clone(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(*self)
+    // `(node, candidate, predecessor on its site list)`.
+    let mut ties: Vec<(NodeId, u32, u32)> = Vec::new();
+    while chosen.len() < n {
+        // The site with the fewest replicas so far; count ties go to
+        // the lowest site id. Only sites that still have an unchosen
+        // candidate qualify.
+        let mut best: Option<(u32, usize)> = None;
+        for (s, &(count, head)) in sites.iter().enumerate() {
+            if head != END && best.is_none_or(|(c, _)| count < c) {
+                best = Some((count, s));
+            }
+        }
+        let Some((_, s)) = best else { break };
+        // Inside the site prefer the emptiest node, ties drawn under
+        // the run rng in ascending node order.
+        let mut top_free = 0u64;
+        ties.clear();
+        let (mut prev, mut i) = (END, sites[s].1);
+        while i != END {
+            let c = &candidates[i as usize];
+            if ties.is_empty() || c.free > top_free {
+                top_free = c.free;
+                ties.clear();
+                ties.push((c.node, i, prev));
+            } else if c.free == top_free {
+                ties.push((c.node, i, prev));
+            }
+            prev = i;
+            i = next[i as usize];
+        }
+        ties.sort_unstable_by_key(|&(node, _, _)| node);
+        let (node, pick, prev) = ties[rng.index(ties.len())];
+        // Unlink the pick from its site's list.
+        let after = next[pick as usize];
+        match prev {
+            END => sites[s].1 = after,
+            p => next[p as usize] = after,
+        }
+        sites[s].0 += 1;
+        chosen.push(node);
     }
+    chosen
 }
 
 /// Stock Hadoop 0.20 rack-aware placement (racks == our sites).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RackAwarePolicy;
+fn rack_aware(
+    writer: Option<NodeId>,
+    n: usize,
+    existing: &[(NodeId, SiteId)],
+    candidates: &[Candidate],
+    rng: &mut SimRng,
+) -> Vec<NodeId> {
+    let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
+    let mut remaining: Vec<&Candidate> = candidates.iter().collect();
+    let site_of =
+        |node: NodeId, cands: &[Candidate]| cands.iter().find(|c| c.node == node).map(|c| c.site);
+    let take = |pred: &dyn Fn(&Candidate) -> bool,
+                remaining: &mut Vec<&Candidate>,
+                rng: &mut SimRng|
+     -> Option<NodeId> {
+        let idxs: Vec<usize> = remaining
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| pred(c))
+            .map(|(i, _)| i)
+            .collect();
+        if idxs.is_empty() {
+            return None;
+        }
+        let i = idxs[rng.index(idxs.len())];
+        Some(remaining.swap_remove(i).node)
+    };
 
-impl PlacementPolicy for RackAwarePolicy {
-    fn name(&self) -> &'static str {
-        "rack-aware"
+    // Replica 1: the writer's node, else random.
+    if chosen.len() < n && existing.is_empty() {
+        let first = writer
+            .and_then(|w| take(&|c: &Candidate| c.node == w, &mut remaining, rng))
+            .or_else(|| take(&|_| true, &mut remaining, rng));
+        if let Some(f) = first {
+            chosen.push(f);
+        }
     }
-
-    fn choose(
-        &self,
-        writer: Option<NodeId>,
-        n: usize,
-        existing: &[(NodeId, SiteId)],
-        candidates: &[Candidate],
-        rng: &mut SimRng,
-    ) -> Vec<NodeId> {
-        let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
-        let mut remaining: Vec<&Candidate> = candidates.iter().collect();
-        let site_of = |node: NodeId, cands: &[Candidate]| {
-            cands.iter().find(|c| c.node == node).map(|c| c.site)
+    // Replica 2: a different rack/site than replica 1 (or than any
+    // existing replica, for re-replication).
+    if chosen.len() < n {
+        let first_site = chosen
+            .first()
+            .and_then(|&f| site_of(f, candidates))
+            .or_else(|| existing.first().map(|&(_, s)| s));
+        let second = match first_site {
+            Some(fs) => take(&|c: &Candidate| c.site != fs, &mut remaining, rng)
+                .or_else(|| take(&|_| true, &mut remaining, rng)),
+            None => take(&|_| true, &mut remaining, rng),
         };
-        let take = |pred: &dyn Fn(&Candidate) -> bool,
-                    remaining: &mut Vec<&Candidate>,
-                    rng: &mut SimRng|
-         -> Option<NodeId> {
-            let idxs: Vec<usize> = remaining
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| pred(c))
-                .map(|(i, _)| i)
-                .collect();
-            if idxs.is_empty() {
-                return None;
-            }
-            let i = idxs[rng.index(idxs.len())];
-            Some(remaining.swap_remove(i).node)
+        if let Some(s) = second {
+            chosen.push(s);
+        }
+    }
+    // Replica 3: same rack as replica 2, different node.
+    if chosen.len() < n {
+        let second_site = chosen.last().and_then(|&s| site_of(s, candidates));
+        let third = match second_site {
+            Some(ss) => take(&|c: &Candidate| c.site == ss, &mut remaining, rng)
+                .or_else(|| take(&|_| true, &mut remaining, rng)),
+            None => take(&|_| true, &mut remaining, rng),
         };
-
-        // Replica 1: the writer's node, else random.
-        if chosen.len() < n && existing.is_empty() {
-            let first = writer
-                .and_then(|w| take(&|c: &Candidate| c.node == w, &mut remaining, rng))
-                .or_else(|| take(&|_| true, &mut remaining, rng));
-            if let Some(f) = first {
-                chosen.push(f);
-            }
+        if let Some(t) = third {
+            chosen.push(t);
         }
-        // Replica 2: a different rack/site than replica 1 (or than any
-        // existing replica, for re-replication).
-        if chosen.len() < n {
-            let first_site = chosen
-                .first()
-                .and_then(|&f| site_of(f, candidates))
-                .or_else(|| existing.first().map(|&(_, s)| s));
-            let second = match first_site {
-                Some(fs) => take(&|c: &Candidate| c.site != fs, &mut remaining, rng)
-                    .or_else(|| take(&|_| true, &mut remaining, rng)),
-                None => take(&|_| true, &mut remaining, rng),
-            };
-            if let Some(s) = second {
-                chosen.push(s);
-            }
-        }
-        // Replica 3: same rack as replica 2, different node.
-        if chosen.len() < n {
-            let second_site = chosen.last().and_then(|&s| site_of(s, candidates));
-            let third = match second_site {
-                Some(ss) => take(&|c: &Candidate| c.site == ss, &mut remaining, rng)
-                    .or_else(|| take(&|_| true, &mut remaining, rng)),
-                None => take(&|_| true, &mut remaining, rng),
-            };
-            if let Some(t) = third {
-                chosen.push(t);
-            }
-        }
-        // The rest: random.
-        while chosen.len() < n {
-            match take(&|_| true, &mut remaining, rng) {
-                Some(x) => chosen.push(x),
-                None => break,
-            }
-        }
-        chosen
     }
-
-    fn box_clone(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(*self)
+    // The rest: random.
+    while chosen.len() < n {
+        match take(&|_| true, &mut remaining, rng) {
+            Some(x) => chosen.push(x),
+            None => break,
+        }
     }
+    chosen
 }
 
-/// MOON-style anchor placement: the first replica is pinned to a
-/// dedicated *anchor* site (nodes that are never preempted), the rest
+/// MOON-style anchor placement: the first replica is pinned to the
+/// dedicated `anchor` site (nodes that are never preempted), the rest
 /// spread site-aware over the opportunistic pool. Models Lin et al.'s
 /// MOON, which the paper contrasts with HOG in §V: data durability comes
 /// from the anchor, so the opportunistic replication factor can stay low,
 /// but the anchor's capacity and bandwidth bound the system.
-#[derive(Clone, Copy, Debug)]
-pub struct AnchorFirstPolicy {
-    /// The dedicated anchor site.
-    pub anchor: SiteId,
-}
-
-impl PlacementPolicy for AnchorFirstPolicy {
-    fn name(&self) -> &'static str {
-        "anchor-first"
+fn anchor_first(
+    anchor: SiteId,
+    writer: Option<NodeId>,
+    n: usize,
+    existing: &[(NodeId, SiteId)],
+    candidates: &[Candidate],
+    rng: &mut SimRng,
+) -> Vec<NodeId> {
+    if n == 0 || candidates.is_empty() {
+        return Vec::new();
     }
-
-    fn choose(
-        &self,
-        writer: Option<NodeId>,
-        n: usize,
-        existing: &[(NodeId, SiteId)],
-        candidates: &[Candidate],
-        rng: &mut SimRng,
-    ) -> Vec<NodeId> {
-        if n == 0 || candidates.is_empty() {
-            return Vec::new();
+    let mut chosen = Vec::with_capacity(n);
+    let anchor_has_replica = existing.iter().any(|&(_, s)| s == anchor);
+    if !anchor_has_replica {
+        // Pin one replica to the emptiest anchor node.
+        let mut anchors: Vec<&Candidate> = candidates.iter().filter(|c| c.site == anchor).collect();
+        anchors.sort_by_key(|c| (std::cmp::Reverse(c.free), c.node));
+        if let Some(a) = anchors.first() {
+            chosen.push(a.node);
         }
-        let mut chosen = Vec::with_capacity(n);
-        let anchor_has_replica = existing.iter().any(|&(_, s)| s == self.anchor);
-        if !anchor_has_replica {
-            // Pin one replica to the emptiest anchor node.
-            let mut anchors: Vec<&Candidate> = candidates
-                .iter()
-                .filter(|c| c.site == self.anchor)
-                .collect();
-            anchors.sort_by_key(|c| (std::cmp::Reverse(c.free), c.node));
-            if let Some(a) = anchors.first() {
-                chosen.push(a.node);
-            }
-        }
-        // Remaining replicas: site-aware spread over non-anchor nodes.
-        let rest: Vec<Candidate> = candidates
-            .iter()
-            .filter(|c| c.site != self.anchor && !chosen.contains(&c.node))
-            .copied()
-            .collect();
-        let mut existing_rest: Vec<(NodeId, SiteId)> = existing.to_vec();
-        for &c in &chosen {
-            existing_rest.push((c, self.anchor));
-        }
-        let more = SiteAwarePolicy.choose(
-            writer,
-            n.saturating_sub(chosen.len()),
-            &existing_rest,
-            &rest,
-            rng,
-        );
-        chosen.extend(more);
-        chosen.truncate(n);
-        chosen
     }
-
-    fn box_clone(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(*self)
+    // Remaining replicas: site-aware spread over non-anchor nodes.
+    let rest: Vec<Candidate> = candidates
+        .iter()
+        .filter(|c| c.site != anchor && !chosen.contains(&c.node))
+        .copied()
+        .collect();
+    let mut existing_rest: Vec<(NodeId, SiteId)> = existing.to_vec();
+    for &c in &chosen {
+        existing_rest.push((c, anchor));
     }
+    let more = site_aware(
+        writer,
+        n.saturating_sub(chosen.len()),
+        &existing_rest,
+        &rest,
+        rng,
+    );
+    chosen.extend(more);
+    chosen.truncate(n);
+    chosen
 }
 
 /// Uniform random placement, ignoring topology entirely (ablation).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RackObliviousPolicy;
-
-impl PlacementPolicy for RackObliviousPolicy {
-    fn name(&self) -> &'static str {
-        "rack-oblivious"
-    }
-
-    fn choose(
-        &self,
-        _writer: Option<NodeId>,
-        n: usize,
-        _existing: &[(NodeId, SiteId)],
-        candidates: &[Candidate],
-        rng: &mut SimRng,
-    ) -> Vec<NodeId> {
-        let mut pool: Vec<NodeId> = candidates.iter().map(|c| c.node).collect();
-        rng.shuffle(&mut pool);
-        pool.truncate(n);
-        pool
-    }
-
-    fn box_clone(&self) -> Box<dyn PlacementPolicy> {
-        Box::new(*self)
-    }
+fn rack_oblivious(n: usize, candidates: &[Candidate], rng: &mut SimRng) -> Vec<NodeId> {
+    let mut pool: Vec<NodeId> = candidates.iter().map(|c| c.node).collect();
+    rng.shuffle(&mut pool);
+    pool.truncate(n);
+    pool
 }
 
 /// Restrict `candidates` to stable sites when placing availability-
@@ -381,7 +346,7 @@ mod tests {
 
     /// The linear site-aware choice this module shipped before the
     /// site-bucketed one: two passes over every candidate per replica.
-    /// Kept as the oracle `SiteAwarePolicy::choose` must match.
+    /// Kept as the oracle [`PlacementKind::SiteAware`] must match.
     fn choose_linear(
         writer: Option<NodeId>,
         n: usize,
@@ -470,6 +435,16 @@ mod tests {
             .collect()
     }
 
+    /// Anchor placement on site `"A"`, which is [`ANCHOR`] wherever
+    /// the tests build a topology.
+    fn anchored() -> PlacementKind {
+        PlacementKind::AnchorFirst {
+            site_name: "A".into(),
+        }
+    }
+
+    const ANCHOR: Option<SiteId> = Some(SiteId(0));
+
     fn sites_of(chosen: &[NodeId], cands: &[Candidate]) -> Vec<SiteId> {
         chosen
             .iter()
@@ -481,7 +456,8 @@ mod tests {
     fn site_aware_prefers_writer_first() {
         let cands = cluster(20, 5);
         let mut rng = SimRng::seed_from_u64(1);
-        let chosen = SiteAwarePolicy.choose(Some(NodeId(7)), 3, &[], &cands, &mut rng);
+        let chosen =
+            PlacementKind::SiteAware.choose(None, Some(NodeId(7)), 3, &[], &cands, &mut rng);
         assert_eq!(chosen[0], NodeId(7));
         assert_eq!(chosen.len(), 3);
     }
@@ -490,7 +466,7 @@ mod tests {
     fn site_aware_spreads_across_sites() {
         let cands = cluster(25, 5);
         let mut rng = SimRng::seed_from_u64(2);
-        let chosen = SiteAwarePolicy.choose(None, 5, &[], &cands, &mut rng);
+        let chosen = PlacementKind::SiteAware.choose(None, None, 5, &[], &cands, &mut rng);
         let mut sites = sites_of(&chosen, &cands);
         sites.sort();
         sites.dedup();
@@ -502,7 +478,7 @@ mod tests {
         // Replication 10 over 5 sites: exactly 2 per site.
         let cands = cluster(50, 5);
         let mut rng = SimRng::seed_from_u64(3);
-        let chosen = SiteAwarePolicy.choose(None, 10, &[], &cands, &mut rng);
+        let chosen = PlacementKind::SiteAware.choose(None, None, 10, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 10);
         let sites = sites_of(&chosen, &cands);
         for s in 0..5u16 {
@@ -524,7 +500,7 @@ mod tests {
             (NodeId(101), SiteId(1)),
         ];
         let mut rng = SimRng::seed_from_u64(4);
-        let chosen = SiteAwarePolicy.choose(None, 2, &existing, &cands, &mut rng);
+        let chosen = PlacementKind::SiteAware.choose(None, None, 2, &existing, &cands, &mut rng);
         let sites = sites_of(&chosen, &cands);
         assert!(sites.contains(&SiteId(2)));
         assert!(sites.contains(&SiteId(3)));
@@ -537,7 +513,7 @@ mod tests {
             c.free = (i as u64) * 100; // node 9 is emptiest
         }
         let mut rng = SimRng::seed_from_u64(5);
-        let chosen = SiteAwarePolicy.choose(None, 1, &[], &cands, &mut rng);
+        let chosen = PlacementKind::SiteAware.choose(None, None, 1, &[], &cands, &mut rng);
         assert_eq!(chosen, vec![NodeId(9)]);
     }
 
@@ -545,7 +521,8 @@ mod tests {
     fn rack_aware_classic_pattern() {
         let cands = cluster(30, 3);
         let mut rng = SimRng::seed_from_u64(6);
-        let chosen = RackAwarePolicy.choose(Some(NodeId(0)), 3, &[], &cands, &mut rng);
+        let chosen =
+            PlacementKind::RackAware.choose(None, Some(NodeId(0)), 3, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 3);
         assert_eq!(chosen[0], NodeId(0));
         let s = sites_of(&chosen, &cands);
@@ -558,7 +535,8 @@ mod tests {
     fn rack_aware_single_site_degenerates_gracefully() {
         let cands = cluster(10, 1);
         let mut rng = SimRng::seed_from_u64(7);
-        let chosen = RackAwarePolicy.choose(Some(NodeId(2)), 3, &[], &cands, &mut rng);
+        let chosen =
+            PlacementKind::RackAware.choose(None, Some(NodeId(2)), 3, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 3);
         let mut c = chosen.clone();
         c.dedup();
@@ -568,9 +546,8 @@ mod tests {
     #[test]
     fn anchor_first_pins_one_replica() {
         let cands = cluster(20, 4); // site 0 is the anchor
-        let policy = AnchorFirstPolicy { anchor: SiteId(0) };
         let mut rng = SimRng::seed_from_u64(17);
-        let chosen = policy.choose(None, 3, &[], &cands, &mut rng);
+        let chosen = anchored().choose(ANCHOR, None, 3, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 3);
         let sites = sites_of(&chosen, &cands);
         assert_eq!(
@@ -586,11 +563,10 @@ mod tests {
             .into_iter()
             .filter(|c| c.site != SiteId(0))
             .collect();
-        let policy = AnchorFirstPolicy { anchor: SiteId(0) };
         let mut rng = SimRng::seed_from_u64(18);
         // Re-replication with the anchor already holding a copy.
         let existing = vec![(NodeId(100), SiteId(0))];
-        let chosen = policy.choose(None, 2, &existing, &cands, &mut rng);
+        let chosen = anchored().choose(ANCHOR, None, 2, &existing, &cands, &mut rng);
         assert_eq!(chosen.len(), 2);
         let sites = sites_of(&chosen, &cands);
         assert!(sites.iter().all(|&s| s != SiteId(0)));
@@ -606,10 +582,32 @@ mod tests {
                 c
             })
             .collect();
-        let policy = AnchorFirstPolicy { anchor: SiteId(0) };
         let mut rng = SimRng::seed_from_u64(19);
-        let chosen = policy.choose(None, 3, &[], &cands, &mut rng);
+        let chosen = anchored().choose(ANCHOR, None, 3, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 3);
+    }
+
+    #[test]
+    fn anchor_first_finds_its_site_by_name() {
+        let mut topo = Topology::new();
+        for name in ["A", "B", "C", "D"] {
+            topo.add_site(name, format!("{name}.edu"));
+        }
+        let mut cands = cluster(20, 4);
+        cands[8].free *= 2; // node 8, on site A: its emptiest node
+        let pick = |placement: &PlacementKind| {
+            let mut rng = SimRng::seed_from_u64(20);
+            placement.choose(placement.anchor(&topo), None, 3, &[], &cands, &mut rng)
+        };
+        let a = anchored();
+        assert_eq!(a.anchor(&topo), ANCHOR);
+        assert_eq!(pick(&a)[0], NodeId(8), "the anchor replica");
+        // A site the topology lacks pins nothing: site-aware placement.
+        let z = PlacementKind::AnchorFirst {
+            site_name: "Z".into(),
+        };
+        assert_eq!(z.anchor(&topo), None);
+        assert_eq!(pick(&z), pick(&PlacementKind::SiteAware));
     }
 
     #[test]
@@ -618,7 +616,14 @@ mod tests {
         let mut hits = 0;
         for seed in 0..50 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let chosen = RackObliviousPolicy.choose(Some(NodeId(3)), 1, &[], &cands, &mut rng);
+            let chosen = PlacementKind::RackOblivious.choose(
+                None,
+                Some(NodeId(3)),
+                1,
+                &[],
+                &cands,
+                &mut rng,
+            );
             if chosen[0] == NodeId(3) {
                 hits += 1;
             }
@@ -631,12 +636,12 @@ mod tests {
         let cands = cluster(2, 1);
         let mut rng = SimRng::seed_from_u64(8);
         for policy in [
-            &SiteAwarePolicy as &dyn PlacementPolicy,
-            &RackAwarePolicy,
-            &RackObliviousPolicy,
+            PlacementKind::SiteAware,
+            PlacementKind::RackAware,
+            PlacementKind::RackOblivious,
         ] {
-            let chosen = policy.choose(None, 10, &[], &cands, &mut rng);
-            assert_eq!(chosen.len(), 2, "{}: give what exists", policy.name());
+            let chosen = policy.choose(None, None, 10, &[], &cands, &mut rng);
+            assert_eq!(chosen.len(), 2, "{policy:?}: give what exists");
             assert_ne!(chosen[0], chosen[1]);
         }
     }
@@ -645,11 +650,11 @@ mod tests {
     fn empty_candidates_yield_empty() {
         let mut rng = SimRng::seed_from_u64(9);
         for policy in [
-            &SiteAwarePolicy as &dyn PlacementPolicy,
-            &RackAwarePolicy,
-            &RackObliviousPolicy,
+            PlacementKind::SiteAware,
+            PlacementKind::RackAware,
+            PlacementKind::RackOblivious,
         ] {
-            assert!(policy.choose(None, 3, &[], &[], &mut rng).is_empty());
+            assert!(policy.choose(None, None, 3, &[], &[], &mut rng).is_empty());
         }
     }
 
@@ -687,16 +692,16 @@ mod tests {
         ) {
             let cands = cluster(n_nodes, n_sites);
             let mut rng = SimRng::seed_from_u64(seed);
-            let policy: &dyn PlacementPolicy = match which {
-                0 => &SiteAwarePolicy,
-                1 => &RackAwarePolicy,
-                _ => &RackObliviousPolicy,
+            let policy = match which {
+                0 => PlacementKind::SiteAware,
+                1 => PlacementKind::RackAware,
+                _ => PlacementKind::RackOblivious,
             };
-            let chosen = policy.choose(Some(NodeId(0)), want, &[], &cands, &mut rng);
+            let chosen = policy.choose(None, Some(NodeId(0)), want, &[], &cands, &mut rng);
             prop_assert!(chosen.len() <= want);
             prop_assert!(chosen.len() <= cands.len());
             if want > 0 && !cands.is_empty() {
-                prop_assert!(!chosen.is_empty(), "{} returned nothing", policy.name());
+                prop_assert!(!chosen.is_empty(), "{:?} returned nothing", policy);
             }
             let mut uniq = chosen.clone();
             uniq.sort();
@@ -740,7 +745,7 @@ mod tests {
                 let chosen = if linear {
                     choose_linear(writer, want, &existing, cands, &mut rng)
                 } else {
-                    SiteAwarePolicy.choose(writer, want, &existing, cands, &mut rng)
+                    PlacementKind::SiteAware.choose(None, writer, want, &existing, cands, &mut rng)
                 };
                 (chosen, rng.index(1 << 30))
             };
@@ -766,7 +771,7 @@ mod tests {
             let cands = cluster(n_nodes, n_sites);
             let want = want.min(n_nodes as usize);
             let mut rng = SimRng::seed_from_u64(seed);
-            let chosen = SiteAwarePolicy.choose(None, want, &[], &cands, &mut rng);
+            let chosen = PlacementKind::SiteAware.choose(None, None, want, &[], &cands, &mut rng);
             let sites = sites_of(&chosen, &cands);
             let mut counts = vec![0usize; n_sites as usize];
             for s in sites { counts[s.0 as usize] += 1; }

@@ -2,7 +2,6 @@
 //! of writes, node deaths, bad-replica reports and repairs, the block map
 //! and the datanode accounting must agree and every invariant must hold.
 
-use hog_hdfs::placement::SiteAwarePolicy;
 use hog_hdfs::{HdfsConfig, Namenode};
 use hog_net::{NodeId, Topology};
 use hog_sim_core::{SimRng, SimTime};
@@ -77,7 +76,7 @@ proptest! {
             }
         }
         let cfg = HdfsConfig::hog().with_replication(4);
-        let mut nn = Namenode::new(cfg, Box::new(SiteAwarePolicy), SimRng::seed_from_u64(7));
+        let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(7));
         for &n in &nodes {
             nn.register_datanode(SimTime::ZERO, n);
         }
@@ -165,7 +164,6 @@ fn allocation_respects_exclusions() {
     let nodes: Vec<NodeId> = (0..6).map(|_| topo.add_node(site)).collect();
     let mut nn = Namenode::new(
         HdfsConfig::hog().with_replication(3),
-        Box::new(SiteAwarePolicy),
         SimRng::seed_from_u64(5),
     );
     for &n in &nodes {

@@ -112,18 +112,6 @@ pub fn truncated_bins() -> &'static [Bin] {
 /// exponential with a mean of 14 seconds").
 pub const MEAN_INTERARRIVAL_SECS: f64 = 14.0;
 
-/// The Table I bin whose *observed* map-count range contains `maps`
-/// (trace ingestion: SWIM traces carry bytes, not bins, so imported
-/// jobs are classified back into the taxonomy). Counts of zero clamp
-/// to bin 1; counts past bin 8's range fall into the open-ended bin 9.
-pub fn bin_for_maps(maps: u32) -> &'static Bin {
-    let maps = maps.max(1);
-    FACEBOOK_BINS
-        .iter()
-        .find(|b| maps >= b.maps_at_facebook.0 && maps <= b.maps_at_facebook.1)
-        .unwrap_or(&FACEBOOK_BINS[8])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,21 +153,6 @@ mod tests {
         assert!(FACEBOOK_BINS[TRUNCATED_BIN_COUNT..]
             .iter()
             .all(|b| b.maps > 300));
-    }
-
-    #[test]
-    fn bin_classification_covers_every_count() {
-        assert_eq!(bin_for_maps(0).number, 1);
-        assert_eq!(bin_for_maps(1).number, 1);
-        assert_eq!(bin_for_maps(2).number, 2);
-        assert_eq!(bin_for_maps(10).number, 3);
-        assert_eq!(bin_for_maps(300).number, 6);
-        assert_eq!(bin_for_maps(301).number, 7);
-        assert_eq!(bin_for_maps(1_000_000).number, 9);
-        // The representative benchmark sizes classify into their own bin.
-        for b in &FACEBOOK_BINS {
-            assert_eq!(bin_for_maps(b.maps).number, b.number);
-        }
     }
 
     #[test]

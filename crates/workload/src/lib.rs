@@ -15,8 +15,6 @@
 //!   ([`SubmissionSchedule::facebook_day`]).
 //! * [`jobmodel`] — the loadgen cost model (map output ratio, CPU cost)
 //!   applied to every generated job.
-//! * [`trace`] / [`swim`] — schedule import/export: the four-column CSV
-//!   round-trip and SWIM-format (tab-separated, byte-sized) ingestion.
 //! * [`straggler`] — the heavy-tailed task-slowdown mix the cluster can
 //!   layer on top of any schedule.
 
@@ -27,11 +25,7 @@ pub mod facebook;
 pub mod jobmodel;
 pub mod schedule;
 pub mod straggler;
-pub mod swim;
-pub mod trace;
 
-pub use facebook::{bin_for_maps, Bin, FACEBOOK_BINS, TRUNCATED_BIN_COUNT};
+pub use facebook::{Bin, FACEBOOK_BINS, TRUNCATED_BIN_COUNT};
 pub use schedule::{JobSpec, SubmissionSchedule};
 pub use straggler::StragglerMix;
-pub use swim::{from_swim, to_swim};
-pub use trace::{from_csv, to_csv};

@@ -8,7 +8,7 @@
 //! bit-identical for randomized master states.
 
 use hog_repro::core::{FailoverConfig, SingleMasterStack};
-use hog_repro::hdfs::{HdfsConfig, Namenode, SiteAwarePolicy};
+use hog_repro::hdfs::{HdfsConfig, Namenode};
 use hog_repro::mapreduce::{JobSubmission, JobTracker, MrParams};
 use hog_repro::net::Topology;
 use hog_repro::prelude::*;
@@ -318,7 +318,6 @@ fn random_masters(
 
     let mut nn = Namenode::new(
         HdfsConfig::hog().with_capacity(4 * GIB),
-        Box::new(SiteAwarePolicy),
         SimRng::seed_from_u64(seed),
     );
     for &n in &node_ids {

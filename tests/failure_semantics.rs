@@ -174,6 +174,23 @@ fn moon_baseline_runs_and_pins_anchor_replicas() {
 }
 
 #[test]
+fn anchor_site_missing_from_the_pool_places_site_aware() {
+    // An anchor named after no site in the topology pins no replica, so
+    // the run is the plain site-aware HOG run, replica for replica.
+    let sched = schedule(3, 8, 2, 17);
+    let plain = run_workload(ClusterConfig::hog(20, 1), &sched, HORIZON);
+    let cfg = ClusterConfig::hog(20, 1).with_placement(PlacementKind::AnchorFirst {
+        site_name: "NOWHERE".into(),
+    });
+    let r = run_workload(cfg, &sched, HORIZON);
+    assert_eq!(r.jobs_succeeded(), 3, "{:?}", r.stuck_jobs);
+    assert_eq!(
+        hog_bench::outcome_fingerprint(&r),
+        hog_bench::outcome_fingerprint(&plain)
+    );
+}
+
+#[test]
 fn hod_pays_reconstruction_overhead() {
     use hog_core::baselines::run_hod_workload;
     let sched = schedule(3, 8, 2, 19);
