@@ -1,7 +1,8 @@
-//! Criterion end-to-end benchmarks: two small workload runs, one on a
-//! dedicated cluster and one on a 30-node HOG pool. The per-path hot
-//! spots (event queue, fluid recompute, placement, namenode tick,
-//! JobTracker heartbeat) are timed by `scale_paths`.
+//! Criterion end-to-end benchmark: one small workload run on a
+//! dedicated cluster. The same workload on a 30-node HOG pool is
+//! `obs_overhead/off`. The per-path hot spots (event queue, fluid
+//! recompute, placement, namenode tick, JobTracker heartbeat) are timed
+//! by `scale_paths`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hog_core::driver::run_workload;
@@ -27,25 +28,6 @@ fn bench_end_to_end(c: &mut Criterion) {
         b.iter(|| {
             let r = run_workload(
                 ClusterConfig::dedicated(1),
-                &schedule,
-                SimDuration::from_secs(12 * 3600),
-            );
-            black_box(r.events)
-        })
-    });
-    group.bench_function("small_workload_hog30", |b| {
-        let bin = Bin {
-            number: 3,
-            maps_at_facebook: (10, 10),
-            fraction_at_facebook: 1.0,
-            maps: 10,
-            jobs_in_benchmark: 4,
-            reduces: 3,
-        };
-        let schedule = SubmissionSchedule::from_bins(&[bin], 5);
-        b.iter(|| {
-            let r = run_workload(
-                ClusterConfig::hog(30, 2),
                 &schedule,
                 SimDuration::from_secs(12 * 3600),
             );

@@ -1941,7 +1941,7 @@ impl Cluster {
         for (jid, idx) in entries {
             if (jid.0 as usize) < restored_jobs {
                 if let Some((t, ok)) = self.job_results[idx] {
-                    self.masters.jt.recover_force_terminal(now, jid, t, ok);
+                    self.masters.jt.recover_force_terminal(jid, t, ok);
                 }
             } else {
                 self.job_of_schedule.remove(&jid);

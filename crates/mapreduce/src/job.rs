@@ -7,18 +7,11 @@ use hog_net::NodeId;
 use hog_sim_core::SimTime;
 use std::collections::{BTreeSet, HashMap};
 
+pub use hog_sched::TaskKind;
+
 /// A MapReduce job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u32);
-
-/// Map or reduce side.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TaskKind {
-    /// A map task (one input block).
-    Map,
-    /// A reduce task (one partition).
-    Reduce,
-}
 
 /// A task within a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

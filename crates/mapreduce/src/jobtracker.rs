@@ -5,9 +5,8 @@
 //! All scheduling *mechanism* lives here — task tables, the locality
 //! ladder, slot accounting, the speculation index. The *choices* (job
 //! order, locality gating, node admission) are delegated to the
-//! [`Scheduler`] policy selected by [`MrParams::sched`]; the default
-//! [FIFO policy](hog_sched::FifoSched) reproduces stock Hadoop (and the
-//! pre-trait JobTracker) bit-for-bit.
+//! [`Scheduler`] selected by [`MrParams::sched`]; the default
+//! [`Scheduler::Fifo`] reproduces stock Hadoop bit-for-bit.
 
 use crate::config::{MrParams, FETCH_FAIL_THRESHOLD, SHUFFLE_PARALLEL, SPECULATIVE_FACTOR};
 use crate::job::{
@@ -18,7 +17,7 @@ use crate::tracker::TrackerState;
 use crate::AttemptRef;
 use hog_net::{NodeId, NodeMap, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
-use hog_sched::{Gate, JobSnapshot, Scheduler, SlotKind};
+use hog_sched::{Gate, Scheduler};
 use hog_sim_core::{Liveness, LivenessIndex, SimDuration, SimRng, SimTime};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
@@ -180,7 +179,7 @@ pub struct JobTracker {
     /// Reduce attempts that returned `StartSort` already.
     sorting: HashSet<AttemptRef>,
     /// The slot-assignment policy (chosen by [`MrParams::sched`]).
-    sched: Box<dyn Scheduler>,
+    sched: Scheduler,
     /// Nothing draws from this stream. It stays until the next
     /// deliberate re-baseline, which drops it together with the
     /// mediator's `rng.fork(3)` that creates it (the fork advances the
@@ -215,23 +214,6 @@ pub struct JobTracker {
     agg: Backlog,
 }
 
-impl TaskKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            TaskKind::Map => "map",
-            TaskKind::Reduce => "reduce",
-        }
-    }
-
-    /// The policy's slot kind for this task kind.
-    fn slot(self) -> SlotKind {
-        match self {
-            TaskKind::Map => SlotKind::Map,
-            TaskKind::Reduce => SlotKind::Reduce,
-        }
-    }
-}
-
 /// `items` in ascending order (deterministic ledger lines from hash
 /// maps and sets).
 fn sorted<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
@@ -264,7 +246,7 @@ impl JobTracker {
             trackers: NodeMap::new(),
             live: LivenessIndex::default(),
             sorting: HashSet::new(),
-            sched: hog_sched::build(cfg.sched),
+            sched: Scheduler::new(cfg.sched),
             cfg,
             rng,
             counters: JtCounters::default(),
@@ -812,29 +794,12 @@ impl JobTracker {
         att
     }
 
-    /// The policy's assignment order for one `kind` slot over a fresh
-    /// snapshot of the queue.
-    fn job_order(&self, kind: SlotKind) -> Vec<u32> {
-        let snaps: Vec<JobSnapshot> = self
-            .fifo
-            .iter()
-            .enumerate()
-            .map(|(queue_pos, &jid)| {
-                let job = &self.jobs[jid.0 as usize];
-                let (pending, running) = match kind {
-                    SlotKind::Map => (job.pending_maps.len() as u32, job.running_maps),
-                    SlotKind::Reduce => (job.pending_reduces.len() as u32, job.running_reduces),
-                };
-                JobSnapshot {
-                    id: jid.0,
-                    queue_pos,
-                    pending,
-                    running,
-                }
-            })
-            .collect();
-        let mut order = Vec::with_capacity(snaps.len());
-        self.sched.job_order(&snaps, kind, &mut order);
+    /// The policy's assignment order for one `kind` slot: the queue's
+    /// job ids, reordered by the policy.
+    fn job_order(&self, kind: TaskKind) -> Vec<u32> {
+        let mut order: Vec<u32> = self.fifo.iter().map(|jid| jid.0).collect();
+        self.sched
+            .job_order(&mut order, |job| self.jobs[job as usize].running_of(kind));
         order
     }
 
@@ -859,14 +824,14 @@ impl JobTracker {
         if pending == 0 && self.speculation_idle(now, kind) {
             return None;
         }
-        if !self.sched.admit(node, site, kind.slot(), now) {
+        if !self.sched.admit(node, site, kind, now) {
             return None;
         }
         // With nothing of this kind pending in any job, the walk below
         // cannot pick anything, so it never reaches `locality_gate` or
         // `launch`; skipping it (and the pure order it walks) is exact.
         if pending > 0 {
-            let order = self.job_order(kind.slot());
+            let order = self.job_order(kind);
             let picked = match kind {
                 TaskKind::Map => self.try_assign_map(now, node, site, topo, &order),
                 TaskKind::Reduce => self.try_assign_reduce(now, node, topo, &order),
@@ -993,9 +958,9 @@ impl JobTracker {
 
     /// Start `task` on `node` and build its assignment: a map counts the
     /// `locality` it achieved and reads its input block from the spec; a
-    /// reduce gets its shuffle plan (and ignores `locality`). Then the
-    /// policy hears of the assignment. Both assignment paths — pending
-    /// work and speculation — launch through here.
+    /// reduce gets its shuffle plan (and ignores `locality`). The policy
+    /// hears of a map launch. Both assignment paths — pending work and
+    /// speculation — launch through here.
     fn launch(
         &mut self,
         now: SimTime,
@@ -1005,11 +970,8 @@ impl JobTracker {
         topo: &Topology,
     ) -> Assignment {
         let attempt = self.start_attempt(now, task, node);
-        let job = task.job.0;
         if task.kind == TaskKind::Reduce {
             self.init_reduce_plan(attempt, topo);
-            self.sched
-                .on_assigned(job, SlotKind::Reduce, node, None, now);
             return Assignment::Reduce { attempt };
         }
         match locality {
@@ -1018,8 +980,7 @@ impl JobTracker {
             Locality::SiteLocal => self.counters.site_local += 1,
             Locality::Remote => self.counters.remote += 1,
         }
-        self.sched
-            .on_assigned(job, SlotKind::Map, node, Some(locality), now);
+        self.sched.on_map_launched(task.job.0, locality);
         Assignment::Map { attempt, locality }
     }
 
@@ -1085,10 +1046,10 @@ impl JobTracker {
         if self.speculation_idle(now, kind) || !self.sched.allow_speculation(node, site, now) {
             return None;
         }
-        let order = self.job_order(kind.slot());
+        let order = self.job_order(kind);
         let picked = self.try_speculate(now, node, kind, topo, &order);
         if picked.is_none() && !self.cfg.eager_copies {
-            self.spec_quiet[kind.slot() as usize] = Some(self.spec_quiet_instant(kind));
+            self.spec_quiet[kind as usize] = Some(self.spec_quiet_instant(kind));
         }
         picked
     }
@@ -1099,7 +1060,7 @@ impl JobTracker {
     fn speculation_idle(&self, now: SimTime, kind: TaskKind) -> bool {
         !self.cfg.speculative_enabled
             || (!self.cfg.eager_copies
-                && self.spec_quiet[kind.slot() as usize].is_some_and(|quiet| now < quiet))
+                && self.spec_quiet[kind as usize].is_some_and(|quiet| now < quiet))
     }
 
     /// The earliest instant a `Running` job could pass both the scan
@@ -1342,19 +1303,13 @@ impl JobTracker {
         if job.status != JobStatus::Running || !job.all_done() {
             return Vec::new();
         }
-        self.close_job(now, jid, Some(now), "job_done");
+        self.close_job(jid, Some(now), "job_done");
         vec![JtNote::JobCompleted { job: jid }]
     }
 
     /// Close a job: a finish instant means success, none failure. Sets
     /// the status, counts it, traces `kind` and retires the job.
-    fn close_job(
-        &mut self,
-        now: SimTime,
-        jid: JobId,
-        finished: Option<SimTime>,
-        kind: &'static str,
-    ) {
+    fn close_job(&mut self, jid: JobId, finished: Option<SimTime>, kind: &'static str) {
         let ok = finished.is_some();
         let job = &mut self.jobs[jid.0 as usize];
         job.status = if ok {
@@ -1373,7 +1328,7 @@ impl JobTracker {
                 .with("job", jid.0)
                 .with("ok", ok)
         });
-        self.retire_job(now, jid);
+        self.retire_job(jid);
     }
 
     /// Kill the other running attempts of `att`'s task.
@@ -1422,8 +1377,7 @@ impl JobTracker {
             .get(node)
             .expect("attempts start on registered trackers")
             .site;
-        self.sched
-            .on_attempt_failed(att.task.job.0, node, site, now);
+        self.sched.on_attempt_failed(node, site, now);
         self.tracer.emit(|| {
             TraceEvent::new(Layer::MapReduce, "attempt_fail")
                 .with("job", att.task.job.0)
@@ -1457,7 +1411,7 @@ impl JobTracker {
         if blame {
             ts.failures += 1;
             if ts.failures >= self.cfg.max_attempts {
-                return self.fail_job(now, jid);
+                return self.fail_job(jid);
             }
         }
         if ts.running_attempts() > 0 || ts.done {
@@ -1479,13 +1433,13 @@ impl JobTracker {
 
     /// A task exhausted its attempts: kill the job's running attempts
     /// and close it as failed.
-    fn fail_job(&mut self, now: SimTime, jid: JobId) -> Vec<JtNote> {
+    fn fail_job(&mut self, jid: JobId) -> Vec<JtNote> {
         let mut notes: Vec<JtNote> = self
             .kill_all(jid)
             .into_iter()
             .map(|(attempt, node)| JtNote::KillAttempt { attempt, node })
             .collect();
-        self.close_job(now, jid, None, "job_done");
+        self.close_job(jid, None, "job_done");
         notes.push(JtNote::JobFailed { job: jid });
         notes
     }
@@ -1532,7 +1486,7 @@ impl JobTracker {
 
     /// Free the job's scratch space everywhere, drop it from the queue
     /// and tell the policy.
-    fn retire_job(&mut self, now: SimTime, jid: JobId) {
+    fn retire_job(&mut self, jid: JobId) {
         let scratch = std::mem::take(&mut self.jobs[jid.0 as usize].scratch_by_node);
         for (node, bytes) in scratch {
             if let Some(t) = self.trackers.get_mut(node) {
@@ -1560,7 +1514,7 @@ impl JobTracker {
             self.agg.running_reduces -= rr;
             self.bump_epoch();
         }
-        self.sched.on_job_removed(jid.0, now);
+        self.sched.on_job_removed(jid.0);
     }
 
     // ------------------------------------------------------------------
@@ -1770,15 +1724,9 @@ impl JobTracker {
     /// master must not run it again even though the restored image still
     /// has it `Running`. Counters and queue membership update exactly as
     /// if the job finished normally.
-    pub fn recover_force_terminal(
-        &mut self,
-        now: SimTime,
-        jid: JobId,
-        finished: SimTime,
-        ok: bool,
-    ) {
+    pub fn recover_force_terminal(&mut self, jid: JobId, finished: SimTime, ok: bool) {
         if self.jobs[jid.0 as usize].status == JobStatus::Running {
-            self.close_job(now, jid, ok.then_some(finished), "recover_force_terminal");
+            self.close_job(jid, ok.then_some(finished), "recover_force_terminal");
         }
     }
 
@@ -1831,7 +1779,7 @@ impl JobTracker {
             "ledger v1 jobs={} trackers={} policy={}",
             self.jobs.len(),
             self.trackers.len(),
-            self.sched.name()
+            self.cfg.sched.as_str()
         );
         for (j, job) in self.jobs.iter().enumerate() {
             let _ = writeln!(
@@ -2028,7 +1976,7 @@ impl hog_sim_core::Auditable for JobTracker {
         // value would skip a scan that could launch or stamp.
         if !self.cfg.eager_copies {
             for kind in [TaskKind::Map, TaskKind::Reduce] {
-                let cached = self.spec_quiet[kind.slot() as usize];
+                let cached = self.spec_quiet[kind as usize];
                 let recount = self.spec_quiet_instant(kind);
                 if cached.is_some_and(|c| c > recount) {
                     out.push(Violation::new(
@@ -2186,10 +2134,10 @@ mod tests {
         }
         let t = SimTime::from_secs;
         for _ in 0..5 {
-            jt.sched.on_attempt_failed(0, quarantined, hot, t(1));
+            jt.sched.on_attempt_failed(quarantined, hot, t(1));
         }
-        assert!(!jt.sched.admit(quarantined, hot, SlotKind::Map, t(2)));
-        assert!(jt.sched.admit(healthy, calm, SlotKind::Map, t(2)));
+        assert!(!jt.sched.admit(quarantined, hot, TaskKind::Map, t(2)));
+        assert!(jt.sched.admit(healthy, calm, TaskKind::Map, t(2)));
         let one_map = |on: NodeId| JobSubmission {
             input_blocks: vec![(BlockId(0), 64)],
             split_locations: vec![vec![on]],

@@ -8,9 +8,9 @@
 //!   heartbeat the JobTracker hands out map tasks preferring *node-local*
 //!   input, then *site-local* (HOG's site awareness applied to
 //!   scheduling), then remote (§III-B.2). Job order, locality gating and
-//!   node admission are delegated to a pluggable [`hog_sched::Scheduler`]
-//!   policy selected by [`MrParams::sched`]; the default FIFO policy
-//!   reproduces stock Hadoop exactly.
+//!   node admission are delegated to the [`hog_sched::Scheduler`] the
+//!   JobTracker owns, selected by [`MrParams::sched`]; the default FIFO
+//!   policy reproduces stock Hadoop exactly.
 //! * **Speculative execution** — a task running ≥ 1/3 slower than the
 //!   job's average gets a second attempt; at most two copies ever run
 //!   (paper §IV-B; making this configurable for K > 2 is the paper's

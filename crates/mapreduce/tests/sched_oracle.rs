@@ -1,8 +1,8 @@
-//! Oracle property test for the scheduler extraction: the FIFO policy
-//! behind the [`hog_sched::Scheduler`] trait must make exactly the
-//! decisions the pre-refactor inline JobTracker logic made.
+//! Oracle property test for FIFO scheduling: the JobTracker under
+//! [`hog_sched::Scheduler::Fifo`] must make exactly the decisions of
+//! stock Hadoop's inline JobTracker logic.
 //!
-//! The oracle below is an independent reimplementation of the old
+//! The oracle below is an independent reimplementation of those
 //! assignment rules — submission-order job walk, node → site → remote
 //! locality ladder over the static split hints, blacklist / slowstart /
 //! retry-backoff eligibility — evaluated against the *live* JobTracker
@@ -293,8 +293,8 @@ impl World {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// 128 random interleavings: FIFO through the Scheduler trait is
-    /// decision-identical to the pre-refactor inline logic.
+    /// 128 random interleavings: the JobTracker under
+    /// `Scheduler::Fifo` is decision-identical to the inline logic.
     #[test]
     fn fifo_matches_pre_refactor_oracle(
         seed in 0u64..1_000_000,

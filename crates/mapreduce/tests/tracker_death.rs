@@ -136,7 +136,9 @@ fn tracker_death_under_failure_aware() {
 /// FailureAware charges the site of the tracker record the JobTracker
 /// hands it: a death charges the victim's site (2.0 × 0.25) and leaves
 /// the other site clean, and a blamed attempt failure on a node of the
-/// other site raises that site's penalty by 1.0 × 0.25 at once.
+/// other site raises that site's penalty by 1.0 × 0.25 at once. A clone
+/// of the JobTracker (what a master checkpoint takes) carries the
+/// policy's failure history as of the clone, and only that.
 #[test]
 fn failure_aware_charges_the_failing_trackers_site() {
     let (mut jt, topo, nodes) = cluster(SchedPolicy::FailureAware, 4, 2);
@@ -161,6 +163,12 @@ fn failure_aware_charges_the_failing_trackers_site() {
     assert_eq!(died, vec![victim]);
     assert_eq!(jt.site_penalty(home, t_dead), 0.5);
     assert_eq!(jt.site_penalty(other, t_dead), 0.0);
+    let snapshot = jt.clone();
+    assert_eq!(
+        snapshot.site_penalty(home, t_dead),
+        0.5,
+        "history not copied"
+    );
 
     let &(attempt, on) = maps
         .iter()
@@ -169,6 +177,7 @@ fn failure_aware_charges_the_failing_trackers_site() {
     jt.attempt_failed(t_dead, attempt, FailReason::DiskFull);
     assert_eq!(jt.site_penalty(other, t_dead), 0.25, "{on:?} not charged");
     assert_eq!(jt.site_penalty(home, t_dead), 0.5);
+    assert_eq!(snapshot.site_penalty(other, t_dead), 0.0, "history shared");
 }
 
 #[test]

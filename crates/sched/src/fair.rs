@@ -1,6 +1,8 @@
 //! Fair sharing with delay scheduling (Zaharia et al., EuroSys 2010).
 
-use crate::{Gate, JobSnapshot, Locality, Scheduler, SlotKind};
+#[cfg(doc)]
+use crate::Scheduler;
+use crate::{Gate, Locality};
 use hog_sim_core::{SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -21,8 +23,10 @@ use std::collections::HashMap;
 /// an unlucky job does not re-serve its full sentence per task.
 ///
 /// This is the only shipped policy that uses the rack rung
-/// ([`Scheduler::rack_aware`] is `true`).
-#[derive(Clone, Debug)]
+/// ([`Scheduler::rack_aware`](crate::Scheduler::rack_aware) is `true`).
+/// Its job order is in
+/// [`Scheduler::job_order`](crate::Scheduler::job_order).
+#[derive(Clone, Debug, Default)]
 pub struct FairSched {
     /// Per-job wait-clock start (present = currently waiting).
     waiting_since: HashMap<u32, SimTime>,
@@ -46,41 +50,7 @@ fn required_wait(level: Locality) -> SimDuration {
 }
 
 impl FairSched {
-    /// Fair + delay scheduling: 6 s to rack-local, 12 s to site-local,
-    /// 24 s to remote.
-    pub fn new() -> Self {
-        FairSched {
-            waiting_since: HashMap::new(),
-        }
-    }
-}
-
-impl Default for FairSched {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Scheduler for FairSched {
-    fn name(&self) -> &'static str {
-        "fair"
-    }
-
-    fn rack_aware(&self) -> bool {
-        true
-    }
-
-    // Sorts on snapshot fields only; `waiting_since` never feeds the order.
-    fn job_order(&self, jobs: &[JobSnapshot], _kind: SlotKind, out: &mut Vec<u32>) {
-        let mut order: Vec<(u32, usize, u32)> = jobs
-            .iter()
-            .map(|j| (j.running, j.queue_pos, j.id))
-            .collect();
-        order.sort_unstable();
-        out.extend(order.into_iter().map(|(_, _, id)| id));
-    }
-
-    fn locality_gate(&mut self, job: u32, level: Locality, now: SimTime) -> Gate {
+    pub(crate) fn locality_gate(&mut self, job: u32, level: Locality, now: SimTime) -> Gate {
         if level == Locality::NodeLocal {
             return Gate::Accept;
         }
@@ -92,57 +62,26 @@ impl Scheduler for FairSched {
         }
     }
 
-    fn on_assigned(
-        &mut self,
-        job: u32,
-        kind: SlotKind,
-        _node: hog_net::NodeId,
-        locality: Option<Locality>,
-        _now: SimTime,
-    ) {
-        // A node-local map launch proves locality is achievable again:
-        // restart the job's sentence. Reduce launches carry no locality
-        // signal and leave the clock alone.
-        if kind == SlotKind::Map && locality == Some(Locality::NodeLocal) {
+    /// A node-local map launch proves locality is achievable again:
+    /// restart the job's sentence.
+    pub(crate) fn on_map_launched(&mut self, job: u32, locality: Locality) {
+        if locality == Locality::NodeLocal {
             self.waiting_since.remove(&job);
         }
     }
 
-    fn on_job_removed(&mut self, job: u32, _now: SimTime) {
+    pub(crate) fn on_job_removed(&mut self, job: u32) {
         self.waiting_since.remove(&job);
-    }
-
-    fn box_clone(&self) -> Box<dyn Scheduler> {
-        Box::new(self.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hog_net::NodeId;
-
-    fn snap(id: u32, queue_pos: usize, running: u32) -> JobSnapshot {
-        JobSnapshot {
-            id,
-            queue_pos,
-            pending: 5,
-            running,
-        }
-    }
-
-    #[test]
-    fn fewest_running_first_ties_by_submission() {
-        let f = FairSched::new();
-        let jobs = [snap(0, 0, 4), snap(1, 1, 1), snap(2, 2, 1), snap(3, 3, 0)];
-        let mut out = Vec::new();
-        f.job_order(&jobs, SlotKind::Map, &mut out);
-        assert_eq!(out, vec![3, 1, 2, 0]);
-    }
 
     #[test]
     fn delay_ladder_unlocks_with_wait() {
-        let mut f = FairSched::new();
+        let mut f = FairSched::default();
         let t = SimTime::from_secs;
         // Node-local is always acceptable and does not start the clock.
         assert_eq!(f.locality_gate(9, Locality::NodeLocal, t(0)), Gate::Accept);
@@ -159,21 +98,15 @@ mod tests {
 
     #[test]
     fn node_local_launch_resets_the_clock() {
-        let mut f = FairSched::new();
+        let mut f = FairSched::default();
         let t = SimTime::from_secs;
         assert_eq!(f.locality_gate(1, Locality::Remote, t(0)), Gate::Defer);
         assert_eq!(f.locality_gate(1, Locality::Remote, t(24)), Gate::Accept);
         // Remote launch leaves the clock running...
-        f.on_assigned(1, SlotKind::Map, NodeId(0), Some(Locality::Remote), t(24));
+        f.on_map_launched(1, Locality::Remote);
         assert_eq!(f.locality_gate(1, Locality::Remote, t(25)), Gate::Accept);
         // ...but a node-local launch resets it.
-        f.on_assigned(
-            1,
-            SlotKind::Map,
-            NodeId(0),
-            Some(Locality::NodeLocal),
-            t(26),
-        );
+        f.on_map_launched(1, Locality::NodeLocal);
         assert_eq!(f.locality_gate(1, Locality::Remote, t(27)), Gate::Defer);
     }
 }

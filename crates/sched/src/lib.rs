@@ -1,60 +1,57 @@
-//! Pluggable slot-assignment policies for the HOG JobTracker.
+//! Slot-assignment policies for the HOG JobTracker.
 //!
 //! HOG inherits stock Hadoop's FIFO job queue, but the locality/fairness
 //! dimension of its evaluation (the workload replays Zaharia's delay-
 //! scheduling study) is policy-sensitive: on a churny multi-site pool the
 //! scheduler decides how much map input crosses the WAN and which nodes
-//! absorb retries. This crate factors those decisions out of the
-//! JobTracker behind the [`Scheduler`] trait so policies can be swapped
-//! without touching the MapReduce mechanics.
+//! absorb retries. This crate holds those decisions in one [`Scheduler`]
+//! value, which the JobTracker owns, so the MapReduce mechanics stay the
+//! same under every policy.
 //!
-//! Three policies ship:
+//! Three policies ship, one [`Scheduler`] variant each:
 //!
-//! * [`FifoSched`] — stock Hadoop: strict submission order, three-level
-//!   locality ladder (node → site → remote), no gating. A byte-faithful
-//!   port of the pre-trait JobTracker; the scale benchmark's outcome
-//!   fingerprints prove it bit-identical.
-//! * [`FairSched`] — fair sharing (fewest running tasks first) plus
-//!   *delay scheduling*: a job briefly declines non-local slots, walking
-//!   down a four-level ladder (node → rack → site → remote) as its wait
-//!   grows.
-//! * [`FailureAwareSched`] — ATLAS-style reliability placement: attempt
-//!   failures and tracker deaths accrue an exponentially-decaying penalty
-//!   per node and per site; work (and especially speculative copies) is
-//!   kept off nodes whose penalty exceeds per-kind thresholds.
+//! * [`Scheduler::Fifo`] — stock Hadoop: strict submission order,
+//!   three-level locality ladder (node → site → remote), no gating. It
+//!   holds no state.
+//! * [`Scheduler::Fair`] ([`FairSched`]) — fair sharing (fewest running
+//!   tasks first) plus *delay scheduling*: a job briefly declines
+//!   non-local slots, walking down a four-level ladder (node → rack →
+//!   site → remote) as its wait grows.
+//! * [`Scheduler::FailureAware`] ([`FailureAwareSched`]) — ATLAS-style
+//!   reliability placement: attempt failures and tracker deaths accrue an
+//!   exponentially-decaying penalty per node and per site; work (and
+//!   especially speculative copies) is kept off nodes whose penalty
+//!   exceeds per-kind thresholds.
 //!
 //! # Division of labour
 //!
 //! The JobTracker keeps all *mechanism*: task tables, the locality
-//! ladder, slot accounting, speculation bookkeeping. A [`Scheduler`]
-//! only makes *choices*, through three query hooks —
+//! ladder, slot accounting, speculation bookkeeping. The [`Scheduler`]
+//! only makes *choices* —
 //! [`Scheduler::job_order`] (which job gets the next slot),
 //! [`Scheduler::locality_gate`] (take this locality level now, or wait),
 //! [`Scheduler::admit`] / [`Scheduler::allow_speculation`] (is this node
 //! acceptable at all) — and observes the world through `on_*` feedback
-//! callbacks. Of the query hooks only `locality_gate` takes `&mut self`:
-//! the others are pure, which lets the JobTracker skip `job_order`,
-//! `admit` and `allow_speculation` on slots that could receive nothing.
+//! calls. Of the choices only `locality_gate` takes `&mut self`: the
+//! others are pure, which lets the JobTracker skip `job_order`, `admit`
+//! and `allow_speculation` on slots that could receive nothing.
 //!
 //! # Determinism rules
 //!
-//! Policies must be deterministic functions of their call history: no
+//! Policies are deterministic functions of their call history: no
 //! ambient randomness, no clocks other than the passed [`SimTime`], no
 //! iteration over unordered containers when the order can influence a
-//! decision. Everything here upholds that, so two same-seed runs of any
-//! policy produce bit-identical simulations (covered by the determinism
-//! suite in `hog-core`).
+//! decision. So two same-seed runs of any policy produce bit-identical
+//! simulations (covered by the determinism suite in `hog-core`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod failure;
 mod fair;
-mod fifo;
 
 pub use failure::FailureAwareSched;
 pub use fair::FairSched;
-pub use fifo::FifoSched;
 
 use hog_net::{NodeId, SiteId};
 use hog_sim_core::SimTime;
@@ -75,13 +72,23 @@ pub enum Locality {
     Remote,
 }
 
-/// Which slot type an assignment decision concerns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SlotKind {
-    /// A map slot.
+/// Map or reduce side: of a task, and of the slot it runs in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum TaskKind {
+    /// A map task (one input block).
     Map,
-    /// A reduce slot.
+    /// A reduce task (one partition).
     Reduce,
+}
+
+impl TaskKind {
+    /// `"map"` or `"reduce"` (trace fields).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            TaskKind::Map => "map",
+            TaskKind::Reduce => "reduce",
+        }
+    }
 }
 
 /// Verdict of [`Scheduler::locality_gate`].
@@ -94,138 +101,140 @@ pub enum Gate {
     Defer,
 }
 
-/// What a policy sees of one job when ordering the queue: identity,
-/// submission order, and its load for the slot kind being assigned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JobSnapshot {
-    /// Job id (the JobTracker's dense `JobId.0`).
-    pub id: u32,
-    /// Position in the submission-order queue (0 = oldest incomplete).
-    pub queue_pos: usize,
-    /// Pending (unassigned) tasks of the queried slot kind.
-    pub pending: u32,
-    /// Currently running attempts of the queried slot kind.
-    pub running: u32,
+/// The JobTracker's slot-assignment policy, with its state.
+///
+/// The JobTracker consults it on every heartbeat slot that could receive
+/// work. `Clone` copies the state too, so a master checkpoint (a clone of
+/// the JobTracker) carries the failure history across a failover.
+#[derive(Clone, Debug)]
+pub enum Scheduler {
+    /// Stock Hadoop FIFO (the paper's configuration): submission order,
+    /// any locality level taken at once, every node acceptable.
+    Fifo,
+    /// Fair sharing + delay scheduling.
+    Fair(FairSched),
+    /// ATLAS-style failure-aware placement on top of FIFO order.
+    FailureAware(FailureAwareSched),
 }
 
-/// A slot-assignment policy.
-///
-/// The JobTracker consults the policy on every heartbeat slot that
-/// could receive work; all methods must be deterministic (see the crate
-/// docs). Every hook except
-/// [`Scheduler::name`] and [`Scheduler::job_order`] has a permissive
-/// default, so a minimal policy only decides job order.
-pub trait Scheduler {
-    /// Short policy name for reports and traces (e.g. `"fifo"`).
-    fn name(&self) -> &'static str;
-
-    /// Whether the JobTracker should offer the rack-local rung of the
-    /// locality ladder to this policy. FIFO keeps the paper's exact
-    /// node → site → remote ladder and returns `false`.
-    fn rack_aware(&self) -> bool {
-        false
+impl Scheduler {
+    /// The live policy for a [`SchedPolicy`] selector, with its default
+    /// tuning and no history.
+    pub fn new(policy: SchedPolicy) -> Self {
+        match policy {
+            SchedPolicy::Fifo => Scheduler::Fifo,
+            SchedPolicy::Fair => Scheduler::Fair(FairSched::default()),
+            SchedPolicy::FailureAware => Scheduler::FailureAware(FailureAwareSched::default()),
+        }
     }
 
-    /// Order the incomplete jobs for assignment of one `kind` slot: push
-    /// job ids into `out`, highest priority first. Jobs arrive in
-    /// submission order; a pure FIFO policy copies the ids through.
+    /// Whether the JobTracker offers the rack-local rung of the locality
+    /// ladder. Only Fair does; FIFO keeps the paper's exact node → site →
+    /// remote ladder.
+    pub fn rack_aware(&self) -> bool {
+        matches!(self, Scheduler::Fair(_))
+    }
+
+    /// Reorder the incomplete jobs' ids, given in submission order, into
+    /// assignment order for one slot: highest priority first. `running`
+    /// gives a job's running attempts of the slot's kind. Only Fair
+    /// reorders: fewest running first, ties in submission order.
     ///
-    /// The order must be a *pure function* of the snapshot slice and the
-    /// slot kind — `&self` and the absence of a clock enforce it. The
-    /// JobTracker asks afresh each time it walks pending work or scans
-    /// for stragglers, and it skips the call outright when the slot
-    /// could receive nothing (nothing of that kind pending, and no
-    /// speculation scan due): that is what keeps idle heartbeats O(1)
-    /// instead of O(jobs) at 10k nodes. Stateful choices belong in
-    /// [`Scheduler::locality_gate`] and the `on_*` hooks, which still run
-    /// on every attempt.
-    fn job_order(&self, jobs: &[JobSnapshot], kind: SlotKind, out: &mut Vec<u32>);
+    /// The order is a *pure function* of the queue and the counts —
+    /// `&self` and the absence of a clock enforce it. The JobTracker asks
+    /// afresh each time it walks pending work or scans for stragglers,
+    /// and it skips the call outright when the slot could receive nothing
+    /// (nothing of that kind pending, and no speculation scan due): that
+    /// is what keeps idle heartbeats O(1) instead of O(jobs) at 10k
+    /// nodes.
+    pub fn job_order(&self, queue: &mut [u32], running: impl Fn(u32) -> u32) {
+        if let Scheduler::Fair(_) = self {
+            queue.sort_by_key(|&job| running(job));
+        }
+    }
 
     /// The best locality level available to `job` on the heartbeating
     /// node is `level`: take it, or defer hoping for better placement?
     /// Never called with a strictly better level available.
-    fn locality_gate(&mut self, job: u32, level: Locality, now: SimTime) -> Gate {
-        let _ = (job, level, now);
-        Gate::Accept
+    pub fn locality_gate(&mut self, job: u32, level: Locality, now: SimTime) -> Gate {
+        match self {
+            Scheduler::Fair(f) => f.locality_gate(job, level, now),
+            _ => Gate::Accept,
+        }
     }
 
-    /// Whether `kind` work may be placed on `node` at all (failure-aware
-    /// quarantine). Returning `false` leaves the node's slots idle this
-    /// heartbeat; the default accepts everything.
+    /// Whether `kind` work may be placed on `node`, which lives in
+    /// `site`, at all (failure-aware quarantine). `false` leaves the
+    /// node's slots idle this heartbeat.
     ///
-    /// The answer must be a *pure function* of the policy state and the
+    /// The answer is a *pure function* of the policy state and the
     /// arguments — `&self` enforces it. The JobTracker therefore skips
     /// the call for a slot that could receive nothing whatever it
     /// answers: nothing of `kind` pending, and speculation off or before
     /// its quiet instant.
-    fn admit(&self, node: NodeId, site: SiteId, kind: SlotKind, now: SimTime) -> bool {
-        let _ = (node, site, kind, now);
-        true
+    pub fn admit(&self, node: NodeId, site: SiteId, kind: TaskKind, now: SimTime) -> bool {
+        match self {
+            Scheduler::FailureAware(f) => f.admit(node, site, kind, now),
+            _ => true,
+        }
     }
 
-    /// Whether a *speculative* copy may be placed on `node`. Policies
-    /// biasing away from churn-prone nodes typically hold speculation to
-    /// a stricter standard than first attempts. Pure, like
-    /// [`Scheduler::admit`]: the JobTracker asks only once the
-    /// speculation quiet instant has passed.
-    fn allow_speculation(&self, node: NodeId, site: SiteId, now: SimTime) -> bool {
-        let _ = (node, site, now);
-        true
+    /// Whether a *speculative* copy may be placed on `node`: failure
+    /// awareness holds speculation to a stricter standard than first
+    /// attempts. Pure, like [`Scheduler::admit`]: the JobTracker asks
+    /// only once the speculation quiet instant has passed.
+    pub fn allow_speculation(&self, node: NodeId, site: SiteId, now: SimTime) -> bool {
+        match self {
+            Scheduler::FailureAware(f) => f.allow_speculation(node, site, now),
+            _ => true,
+        }
     }
 
     /// A job left the queue (completed or failed); drop its state.
-    fn on_job_removed(&mut self, job: u32, now: SimTime) {
-        let _ = (job, now);
+    pub fn on_job_removed(&mut self, job: u32) {
+        if let Scheduler::Fair(f) = self {
+            f.on_job_removed(job);
+        }
     }
 
-    /// An assignment was made. `locality` is `Some` for maps (including
-    /// speculative copies, which run remote) and `None` for reduces.
-    fn on_assigned(
-        &mut self,
-        job: u32,
-        kind: SlotKind,
-        node: NodeId,
-        locality: Option<Locality>,
-        now: SimTime,
-    ) {
-        let _ = (job, kind, node, locality, now);
+    /// A map of `job` launched at `locality` (speculative copies run
+    /// remote).
+    pub fn on_map_launched(&mut self, job: u32, locality: Locality) {
+        if let Scheduler::Fair(f) = self {
+            f.on_map_launched(job, locality);
+        }
     }
 
-    /// An attempt of `job` failed on `node`, which lives in `site`
-    /// (blamed failures only, not kill-by-sibling).
-    fn on_attempt_failed(&mut self, job: u32, node: NodeId, site: SiteId, now: SimTime) {
-        let _ = (job, node, site, now);
+    /// An attempt failed on `node`, which lives in `site` (blamed
+    /// failures only, not kill-by-sibling).
+    pub fn on_attempt_failed(&mut self, node: NodeId, site: SiteId, now: SimTime) {
+        if let Scheduler::FailureAware(f) = self {
+            f.on_attempt_failed(node, site, now);
+        }
     }
 
     /// The tasktracker on `node`, which lives in `site`, was declared
     /// dead.
-    fn on_tracker_dead(&mut self, node: NodeId, site: SiteId, now: SimTime) {
-        let _ = (node, site, now);
+    pub fn on_tracker_dead(&mut self, node: NodeId, site: SiteId, now: SimTime) {
+        if let Scheduler::FailureAware(f) = self {
+            f.on_tracker_dead(node, site, now);
+        }
     }
 
-    /// The policy's current failure penalty for a whole site (0.0 when
-    /// the policy keeps no failure history). The elastic pool controller
-    /// reads this to release workers at churn-prone sites first.
-    fn site_penalty(&self, site: SiteId, now: SimTime) -> f64 {
-        let _ = (site, now);
-        0.0
-    }
-
-    /// Clone this policy, state included, into a fresh box. Master
-    /// checkpointing snapshots the live policy through this hook so
-    /// accumulated failure history survives a JobTracker failover.
-    fn box_clone(&self) -> Box<dyn Scheduler>;
-}
-
-impl Clone for Box<dyn Scheduler> {
-    fn clone(&self) -> Self {
-        self.box_clone()
+    /// The current failure penalty of a whole site (0.0 for policies
+    /// that keep no failure history). The elastic pool controller reads
+    /// this to release workers at churn-prone sites first.
+    pub fn site_penalty(&self, site: SiteId, now: SimTime) -> f64 {
+        match self {
+            Scheduler::FailureAware(f) => f.site_penalty(site, now),
+            _ => 0.0,
+        }
     }
 }
 
 /// Which policy a cluster runs. `Copy` so it can ride inside the plain-
 /// old-data MapReduce parameter struct; construct the live policy with
-/// [`build`].
+/// [`Scheduler::new`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedPolicy {
     /// Stock Hadoop FIFO (the paper's configuration; the default).
@@ -238,7 +247,7 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// Short name matching [`Scheduler::name`] (CLI flags, reports).
+    /// Short name for CLI flags, reports and the JobTracker ledger.
     pub fn as_str(self) -> &'static str {
         match self {
             SchedPolicy::Fifo => "fifo",
@@ -248,29 +257,30 @@ impl SchedPolicy {
     }
 }
 
-/// Instantiate the live policy for a [`SchedPolicy`] selector, with each
-/// policy's default tuning.
-pub fn build(policy: SchedPolicy) -> Box<dyn Scheduler> {
-    match policy {
-        SchedPolicy::Fifo => Box::new(FifoSched::new()),
-        SchedPolicy::Fair => Box::new(FairSched::new()),
-        SchedPolicy::FailureAware => Box::new(FailureAwareSched::new()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The ledger prints these names, so they are part of every master
+    /// checkpoint's fingerprint.
     #[test]
     fn policy_names_round_trip() {
-        for p in [
-            SchedPolicy::Fifo,
-            SchedPolicy::Fair,
-            SchedPolicy::FailureAware,
+        for (p, name) in [
+            (SchedPolicy::Fifo, "fifo"),
+            (SchedPolicy::Fair, "fair"),
+            (SchedPolicy::FailureAware, "failure_aware"),
         ] {
-            assert_eq!(build(p).name(), p.as_str());
+            assert_eq!(p.as_str(), name);
         }
+        assert!(matches!(Scheduler::new(SchedPolicy::Fifo), Scheduler::Fifo));
+        assert!(matches!(
+            Scheduler::new(SchedPolicy::Fair),
+            Scheduler::Fair(_)
+        ));
+        assert!(matches!(
+            Scheduler::new(SchedPolicy::FailureAware),
+            Scheduler::FailureAware(_)
+        ));
         assert_eq!(SchedPolicy::default(), SchedPolicy::Fifo);
     }
 
@@ -279,5 +289,33 @@ mod tests {
         assert!(Locality::NodeLocal < Locality::RackLocal);
         assert!(Locality::RackLocal < Locality::SiteLocal);
         assert!(Locality::SiteLocal < Locality::Remote);
+    }
+
+    /// FIFO and FailureAware keep submission order; Fair puts the fewest
+    /// running first and breaks ties by submission order.
+    #[test]
+    fn job_order_by_policy() {
+        let running = |job: u32| [4, 1, 1, 0, 9, 0, 0, 2][job as usize];
+        let order = |policy| {
+            let mut queue = [3, 7, 1, 0, 2];
+            Scheduler::new(policy).job_order(&mut queue, running);
+            queue
+        };
+        assert_eq!(order(SchedPolicy::Fifo), [3, 7, 1, 0, 2]);
+        assert_eq!(order(SchedPolicy::FailureAware), [3, 7, 1, 0, 2]);
+        assert_eq!(order(SchedPolicy::Fair), [3, 1, 2, 7, 0]);
+    }
+
+    #[test]
+    fn fifo_is_permissive() {
+        let mut f = Scheduler::new(SchedPolicy::Fifo);
+        let (node, site, t) = (NodeId(0), SiteId(0), SimTime::ZERO);
+        assert!(!f.rack_aware());
+        assert_eq!(f.locality_gate(0, Locality::Remote, t), Gate::Accept);
+        assert!(f.admit(node, site, TaskKind::Map, t));
+        assert!(f.admit(node, site, TaskKind::Reduce, t));
+        assert!(f.allow_speculation(node, site, t));
+        f.on_tracker_dead(node, site, t);
+        assert_eq!(f.site_penalty(site, t), 0.0);
     }
 }
