@@ -12,7 +12,12 @@
 //!   touches, so cost scales with component size, not N.
 //!   `burst_64_at_1000` starts 64 flows at one instant (the
 //!   replication-monitor tick pattern), which the deferred recompute
-//!   settles with one pass per touched component.
+//!   settles with one pass per touched component. The `wake_16_*` pair is
+//!   one map spill waking 16 reduces, each starting 2 cross-site diffuse
+//!   fetches: `wake_16_query_each` asks for the next completion after
+//!   every reduce (one pass per reduce over the growing component, the
+//!   cost of arming the network tick per reduce), `wake_16_query_once`
+//!   asks once at the end (the mediator's one arm per dispatch).
 //! * `namenode_tick/*` — one replication-monitor tick with a deep
 //!   under-replication queue. The bucketed queue dispatches without the
 //!   per-tick sort of the whole backlog. `300_datanodes_r10` is
@@ -95,6 +100,29 @@ fn bench_fluid_recompute(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    for (name, query_each) in [("wake_16_query_each", true), ("wake_16_query_once", false)] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || loaded_net(1000),
+                |mut net| {
+                    for r in 0..16u32 {
+                        let dst = NodeId(r * 25 + 3);
+                        for hop in 1..=2u32 {
+                            let src = NodeId((dst.0 + hop * 50) % 400);
+                            net.start_flow_diffuse(SimTime::ZERO, src, dst, 16 << 20);
+                        }
+                        if query_each {
+                            black_box(net.next_completion());
+                        }
+                    }
+                    black_box(net.next_completion());
+                    black_box(net.recompute_work());
+                    net
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
     group.finish();
 }
 

@@ -284,12 +284,13 @@ pub struct Cluster {
     watchdog: Option<Watchdog>,
     /// Network transfers that ran to completion (progress signal).
     flows_done: u64,
-    /// Fire times with a NetTick already queued. Arming is cheap but the
-    /// naive "push one tick per net mutation" floods the queue with
-    /// duplicates at busy instants (they dominated event count at 1000+
-    /// nodes); a tick at an already-armed instant is a provable no-op, so
-    /// it is skipped. Distinct instants must all stay armed — a stale
-    /// earlier tick is a real progress point.
+    /// Fire times with a NetTick already queued. [`Cluster::arm_net`]
+    /// runs once per dispatch that moved the net, and many dispatches
+    /// arm the same next completion; a tick at an already-armed instant
+    /// would advance time by zero and harvest nothing, so it is skipped.
+    /// A tick left at an earlier instant stays queued: when it fires and
+    /// harvests nothing it rebases no flow (progress is lazy) and re-arms
+    /// an instant already armed, so it changes nothing.
     armed_net_ticks: BTreeSet<SimTime>,
     /// Reusable buffer for `FluidNet::advance_into` (NetTick hot path).
     flow_end_buf: Vec<FlowEnd>,
@@ -612,6 +613,9 @@ impl Cluster {
             self.upload_queue.push_back((f, BLOCK_SIZE));
         }
         self.pump_upload(sched);
+        // Called by the federation between dispatches, so no dispatch
+        // arms the ticks of the writes this started.
+        self.arm_net(sched);
     }
 
     /// One staged block reached a terminal state (committed or
@@ -799,7 +803,6 @@ impl Cluster {
             self.flows.insert(fid, FlowCtx::PipeHead { write: id });
             self.writes.insert(id, st);
             self.track_write_flow(owner, fid);
-            self.arm_net(sched);
         }
     }
 
@@ -891,7 +894,6 @@ impl Cluster {
                 .insert(fid, FlowCtx::PipeFan { write, target: t });
             self.track_write_flow(owner, fid);
         }
-        self.arm_net(sched);
     }
 
     fn finish_write(&mut self, sched: &mut Scheduler<'_, Event>, write: u64) {
@@ -984,10 +986,16 @@ impl Cluster {
     // Network plumbing
     // ==================================================================
 
-    /// (Re-)arm the network tick at the next flow completion, unless a
-    /// tick at that exact instant is already pending (see
-    /// [`Cluster::armed_net_ticks`]).
+    /// (Re-)arm the network tick at the next flow completion when some
+    /// call moved the net since the last arm, unless a tick at that exact
+    /// instant is already pending (see [`Cluster::armed_net_ticks`]).
+    /// Runs once at the end of every dispatch (and of
+    /// [`Cluster::stage_dataset`]), so all the flows one dispatch starts
+    /// settle in one deferred waterfilling pass per component.
     fn arm_net(&mut self, sched: &mut Scheduler<'_, Event>) {
+        if !self.net.take_changed() {
+            return;
+        }
         if let Some(t) = self.net.next_completion() {
             // Mirror Scheduler::at's past-clamp so the bookkeeping key
             // matches the instant the tick will actually fire at.
@@ -1143,15 +1151,13 @@ impl Cluster {
             Vec::new()
         };
         self.drain_node(sched, node);
-        self.arm_net(sched);
         self.handle_notes(sched, notes);
     }
 
     /// Kill every flow touching `node` and run their failure handlers.
     /// Callers mark the node silent at the masters first: the handlers
     /// may retry writes, and the namenode must not hand the departing
-    /// node out as a fresh pipeline target. Callers re-arm the network
-    /// tick.
+    /// node out as a fresh pipeline target.
     fn drain_node(&mut self, sched: &mut Scheduler<'_, Event>, node: NodeId) {
         for end in self.net.remove_node(sched.now(), node) {
             self.on_flow_end(sched, end);
@@ -1277,7 +1283,6 @@ impl Cluster {
                     let fid = self.net.start_flow(sched.now(), src, node, input_bytes);
                     self.flows.insert(fid, FlowCtx::MapInput { attempt });
                     self.attempt_flows.entry(attempt).or_default().push(fid);
-                    self.arm_net(sched);
                     return;
                 }
             }
@@ -1353,7 +1358,6 @@ impl Cluster {
                         );
                     }
                 }
-                self.arm_net(sched);
             }
             ReduceStep::StartSort => {
                 let cpu_secs = self.spec(attempt).reduce_cpu_secs;
@@ -1433,7 +1437,6 @@ impl Cluster {
             }
             self.net.cancel_flow(sched.now(), fid);
         }
-        self.arm_net(sched);
     }
 
     fn on_job_terminal(&mut self, sched: &mut Scheduler<'_, Event>, job: JobId, ok: bool) {
@@ -1669,7 +1672,6 @@ impl Cluster {
             let fid = self.net.start_flow(sched.now(), mv.src, mv.dst, mv.bytes);
             self.flows.insert(fid, FlowCtx::Balancer(mv));
         }
-        self.arm_net(sched);
     }
 
     /// One availability-policy sweep (X17): classify every site by its
@@ -1788,7 +1790,6 @@ impl Cluster {
             self.on_elastic_tick(sched);
         }
         self.run_chaos_supervision(sched.now());
-        self.arm_net(sched);
         sched.after(REPLICATION_MONITOR_INTERVAL, Event::MasterTick);
     }
 
@@ -2022,7 +2023,6 @@ impl Cluster {
                 .with("resubmissions", resubmitted)
                 .with("restored_jobs", restored_jobs)
         });
-        self.arm_net(sched);
     }
 
     /// Failover accounting (crashes, promotions, recovery/lost-window
@@ -2101,11 +2101,9 @@ impl Cluster {
                     self.drain_node(sched, n);
                 }
                 self.partition_members.insert(index, members);
-                self.arm_net(sched);
             }
             Fault::WanDegrade { factor, .. } => {
                 self.net.set_wan_factor(sched.now(), factor);
-                self.arm_net(sched);
             }
             Fault::ZombieOutbreak { count } => {
                 let mut candidates: Vec<NodeId> = self
@@ -2196,11 +2194,9 @@ impl Cluster {
                         );
                     }
                 }
-                self.arm_net(sched);
             }
             Fault::WanDegrade { .. } => {
                 self.net.set_wan_factor(sched.now(), 1.0);
-                self.arm_net(sched);
             }
             _ => {}
         }
@@ -2316,13 +2312,9 @@ impl Cluster {
     }
 }
 
-impl Model for Cluster {
-    type Event = Event;
-
-    fn handle(&mut self, event: Event, sched: &mut Scheduler<'_, Event>) {
-        // Keep the recorder's clock current: every emit between here and
-        // the next dispatch is stamped with this instant.
-        self.tracer.advance(sched.now());
+impl Cluster {
+    /// The body of [`Model::handle`]: route one event to its handler.
+    fn dispatch(&mut self, event: Event, sched: &mut Scheduler<'_, Event>) {
         match event {
             Event::Grid(g) => {
                 let Some(mut grid) = self.grid.take() else {
@@ -2336,12 +2328,13 @@ impl Model for Cluster {
                 self.armed_net_ticks.remove(&sched.now());
                 let mut ends = std::mem::take(&mut self.flow_end_buf);
                 ends.clear();
+                // An advance always counts as a change, so the tick
+                // re-arms at the end of this dispatch.
                 self.net.advance_into(sched.now(), &mut ends);
                 for end in ends.drain(..) {
                     self.on_flow_end(sched, end);
                 }
                 self.flow_end_buf = ends;
-                self.arm_net(sched);
             }
             Event::MasterTick => self.on_master_tick(sched),
             Event::Heartbeat { node } => {
@@ -2417,6 +2410,19 @@ impl Model for Cluster {
             Event::ChaosEnd { index } => self.on_chaos_end(sched, index),
             Event::MasterPromote => self.on_master_promote(sched),
         }
+    }
+}
+
+impl Model for Cluster {
+    type Event = Event;
+
+    fn handle(&mut self, event: Event, sched: &mut Scheduler<'_, Event>) {
+        // Keep the recorder's clock current: every emit between here and
+        // the next dispatch is stamped with this instant.
+        self.tracer.advance(sched.now());
+        self.dispatch(event, sched);
+        // The one arm point of a dispatch, early returns included.
+        self.arm_net(sched);
     }
 
     /// Two timers can fire with nothing to do. A heartbeat re-arms only

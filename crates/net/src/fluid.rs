@@ -43,10 +43,14 @@
 //!   call and whenever time advances, with one pass per connected
 //!   component reachable from the queued links, so a burst of starts at
 //!   one instant (a block write fanning out to its replicas, a
-//!   replication-monitor tick) costs one pass per component instead of one
-//!   per start. Between flushes components only merge, so each flushed
-//!   pass has the same members in the same order as that component's last
-//!   one-per-start pass would have had.
+//!   replication-monitor tick, every fetch that one map's spill wakes)
+//!   costs one pass per component instead of one per start. Between
+//!   flushes components only merge, so each flushed pass has the same
+//!   members in the same order as that component's last one-per-start
+//!   pass would have had. [`FluidNet::take_changed`] tells the caller
+//!   whether anything moved since it last asked, so it can read
+//!   [`FluidNet::next_completion`] (and flush) once per burst rather than
+//!   after every start.
 //! * **Allocation-free passes** — the waterfilling tables live in buffers
 //!   reused across passes (each local link's members in one CSR array),
 //!   and a flow whose predicted instants survive a rebase keeps its live
@@ -136,8 +140,10 @@ const NO_FLOW: u32 = u32::MAX;
 ///    [`FluidNet::advance`]) with the current time and handle the
 ///    returned [`FlowEnd`]s;
 /// 2. start/cancel flows as needed;
-/// 3. re-arm one tick at [`FluidNet::next_completion`] (spurious ticks
-///    are harmless — `advance` just returns nothing).
+/// 3. once the burst of calls at this instant is over, and only when
+///    [`FluidNet::take_changed`] says some call moved the net, re-arm one
+///    tick at [`FluidNet::next_completion`] (spurious ticks are harmless
+///    — `advance` just returns nothing).
 ///
 /// Same-instant starts defer their rate recompute and settle with one
 /// pass per touched component. Every other protocol call (and the clock
@@ -176,6 +182,9 @@ pub struct FluidNet {
     /// WAN degradation multiplier applied to site up/downlink capacity
     /// (1.0 = healthy; chaos fault injection lowers it temporarily).
     wan_factor: f64,
+    /// Whether a start, cancel, node removal, WAN change or advance ran
+    /// since the last [`FluidNet::take_changed`].
+    changed: bool,
     tracer: Tracer,
     // Scratch space reused across recomputes (stamp-marked, never cleared).
     link_mark: Vec<u32>,
@@ -227,6 +236,7 @@ impl FluidNet {
             recomputes: 0,
             recompute_work: 0,
             wan_factor: 1.0,
+            changed: false,
             tracer: Tracer::disabled(),
             link_mark: Vec::new(),
             link_local: Vec::new(),
@@ -288,6 +298,7 @@ impl FluidNet {
     /// bandwidth. In-flight flows are progressed to `now` first and their
     /// rates recomputed under the new capacities.
     pub fn set_wan_factor(&mut self, now: SimTime, factor: f64) {
+        self.changed = true;
         self.flush();
         self.progress_to(now);
         self.wan_factor = factor.max(1e-3);
@@ -793,6 +804,7 @@ impl FluidNet {
             self.site_of(src).is_some() && self.site_of(dst).is_some(),
             "both endpoints must be registered"
         );
+        self.changed = true;
         self.progress_to(now);
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
@@ -909,6 +921,7 @@ impl FluidNet {
     /// Remove `node`; every flow touching it is killed and reported in the
     /// returned vector immediately (not via `advance`).
     pub fn remove_node(&mut self, now: SimTime, node: NodeId) -> Vec<FlowEnd> {
+        self.changed = true;
         self.flush();
         self.progress_to(now);
         let mut killed = Vec::new();
@@ -983,6 +996,7 @@ impl FluidNet {
     /// Cancel an in-flight flow (no `FlowEnd` is emitted). Unknown ids are
     /// ignored (the flow may have completed in the same instant).
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) {
+        self.changed = true;
         self.flush();
         self.progress_to(now);
         let p = match self.flow_pos.get(id.0 as usize) {
@@ -1007,6 +1021,7 @@ impl FluidNet {
     /// Like [`FluidNet::advance`], but appends the finished flows to a
     /// caller-owned buffer so hot loops can reuse its allocation.
     pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<FlowEnd>) {
+        self.changed = true;
         self.flush();
         self.progress_to(now);
         self.settle_heaps();
@@ -1022,6 +1037,16 @@ impl FluidNet {
         }
         self.settle_heaps();
         self.projections.peek().map(|&Reverse((t, _, _))| t)
+    }
+
+    /// Whether any call that can move [`FluidNet::next_completion`] ran
+    /// since the last time this was asked: a flow start, a cancel, a node
+    /// removal, a WAN change or an advance. Reading it clears it. Between
+    /// such calls the answer of `next_completion` cannot change, so a
+    /// caller that re-arms its tick after every `true` has always armed
+    /// the current next completion.
+    pub fn take_changed(&mut self) -> bool {
+        std::mem::take(&mut self.changed)
     }
 
     /// Number of in-flight flows (diagnostics).
@@ -1285,6 +1310,32 @@ mod tests {
         }
         let r = net.rate_of(FlowId(3)).unwrap();
         assert!((r - gbit_per_s(1.0)).abs() < 1.0, "rate {r}");
+    }
+
+    #[test]
+    fn take_changed_reports_each_mutation_once() {
+        let (mut net, a, b) = two_site_net();
+        assert!(!net.take_changed());
+        let id = net.start_flow(SimTime::ZERO, a[0], b[0], 64 * MIB);
+        assert!(net.take_changed());
+        assert!(!net.take_changed(), "reading clears it");
+        // Reads run the deferred recompute but move nothing.
+        let next = net.next_completion();
+        assert!(net.rate_of(id).is_some());
+        assert!(!net.take_changed());
+        assert_eq!(net.next_completion(), next);
+        let t = SimTime::from_millis(10);
+        let mutations: [&dyn Fn(&mut FluidNet); 4] = [
+            &|n| drop(n.advance(t)),
+            &|n| n.set_wan_factor(t, 0.5),
+            &|n| n.cancel_flow(t, id),
+            &|n| drop(n.remove_node(t, a[1])),
+        ];
+        for mutate in mutations {
+            mutate(&mut net);
+            assert!(net.take_changed());
+        }
+        assert!(!net.take_changed());
     }
 
     #[test]

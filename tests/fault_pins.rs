@@ -1,13 +1,18 @@
 //! Outcome pins for the fault paths that no study baseline and no
 //! repository-benchmark workload reaches: zombie datanodes with and
 //! without the disk self-check (X3's three arms), a site partition, a
-//! zombie outbreak, chaos stragglers, and a master crash while a site is
-//! cut off. Each pin is the `hog_bench::outcome_fingerprint` of a small
-//! run, so a refactor of those paths that moves any job completion,
-//! locality count or replication counter fails here.
+//! zombie outbreak, chaos stragglers, a master crash while a site is cut
+//! off, and HDFS balancer moves after the pool grows. Each pin is the
+//! `hog_bench::outcome_fingerprint` of a small run, so a refactor of
+//! those paths that moves any job completion, locality count or
+//! replication counter fails here.
 
 use hog_bench::outcome_fingerprint;
+use hog_core::driver::run_workload_with_events;
+use hog_core::event::Event;
 use hog_repro::prelude::*;
+use hog_sim_core::units::GIB;
+use hog_sim_core::SimTime;
 use hog_workload::facebook::Bin;
 
 fn secs(s: u64) -> SimDuration {
@@ -114,4 +119,34 @@ fn crash_during_a_partition_keeps_its_fingerprint() {
     );
     assert_eq!(r.failover.promotions, 1);
     assert_eq!(outcome_fingerprint(&r), "a2c56ad4c173d454");
+}
+
+/// The pool grows by 15 nodes at 300 s, and two balancer ticks at 420 s
+/// and 480 s move blocks onto the new, empty datanodes while the jobs
+/// still run. The 4 GiB disks make the ten original nodes (holding every
+/// input block at replication 10) sit more than the balancer's 10-point
+/// threshold above mean utilisation; at the default 120 GiB no node
+/// would, and a tick would plan no move.
+#[test]
+fn balancer_moves_after_a_grow_keep_their_fingerprint() {
+    let run = |ticks: &[u64]| {
+        let mut cfg = ClusterConfig::hog(10, 41).with_mean_lifetime(secs(10_000_000));
+        cfg.hdfs = cfg.hdfs.with_capacity(4 * GIB);
+        let mut extra = vec![(SimTime::from_secs(300), Event::ResizePool { delta: 15 })];
+        extra.extend(
+            ticks
+                .iter()
+                .map(|&t| (SimTime::from_secs(t), Event::BalancerTick)),
+        );
+        run_workload_with_events(cfg, &schedule(6, 4, 2, 31), secs(12 * 3600), extra)
+    };
+    let balanced = run(&[420, 480]);
+    assert_eq!(balanced.jobs_succeeded(), 6, "{:?}", balanced.stuck_jobs);
+    let fingerprint = outcome_fingerprint(&balanced);
+    assert_ne!(
+        fingerprint,
+        outcome_fingerprint(&run(&[])),
+        "the balancer ticks must move blocks"
+    );
+    assert_eq!(fingerprint, "7404b02bbd0937d8");
 }
