@@ -242,7 +242,8 @@ pub struct Cluster {
     pub job_results: Vec<Option<(SimTime, bool)>>,
     finished_jobs: usize,
     phase: RunPhase,
-    upload_queue: VecDeque<(FileId, u64)>,
+    /// One entry per `BLOCK_SIZE` block still to write, by file.
+    upload_queue: VecDeque<FileId>,
     upload_in_flight: usize,
     /// Nodes the master believes alive (JobTracker view; Fig. 5 curve).
     pub reported_series: StepSeries,
@@ -586,6 +587,8 @@ impl Cluster {
     /// must already be resident (home, or staged via
     /// [`Cluster::stage_dataset`]).
     pub fn external_submit(&mut self, index: usize, sched: &mut Scheduler<'_, Event>) {
+        // Called between dispatches: trace at this call's instant.
+        self.tracer.advance(sched.now());
         self.on_submit_job(sched, index);
     }
 
@@ -601,6 +604,7 @@ impl Cluster {
         sched: &mut Scheduler<'_, Event>,
     ) {
         debug_assert!(self.cfg.pool.is_some());
+        self.tracer.advance(sched.now());
         let f = self.input_files[index];
         self.masters.nn.set_file_replication(f, replication);
         let blocks = self.schedule[index].maps as usize;
@@ -610,7 +614,7 @@ impl Cluster {
         }
         self.staging.insert(f, (index, blocks));
         for _ in 0..blocks {
-            self.upload_queue.push_back((f, BLOCK_SIZE));
+            self.upload_queue.push_back(f);
         }
         self.pump_upload(sched);
         // Called by the federation between dispatches, so no dispatch
@@ -654,21 +658,25 @@ impl Cluster {
                 continue;
             }
             for _ in 0..spec.maps {
-                self.upload_queue.push_back((f, BLOCK_SIZE));
+                self.upload_queue.push_back(f);
             }
         }
     }
 
     fn pump_upload(&mut self, sched: &mut Scheduler<'_, Event>) {
         while self.upload_in_flight < UPLOAD_PARALLEL {
-            let Some((file, size)) = self.upload_queue.pop_front() else {
+            let Some(file) = self.upload_queue.pop_front() else {
                 break;
             };
-            match self.masters.nn.allocate_block(file, size, None, &self.topo) {
+            match self
+                .masters
+                .nn
+                .allocate_block(file, BLOCK_SIZE, None, &self.topo)
+            {
                 Some(alloc) => {
                     self.upload_in_flight += 1;
                     let owner = WriteOwner::Upload;
-                    self.start_write(sched, owner, file, size, alloc, 0, BTreeSet::new());
+                    self.start_write(sched, owner, file, BLOCK_SIZE, alloc, 0, BTreeSet::new());
                 }
                 None => {
                     self.counters.upload_alloc_failures += 1;
@@ -719,6 +727,7 @@ impl Cluster {
     /// `base` is the clock at the call and no entry precedes it, so each
     /// event fires at its planned instant.
     pub fn begin_workload(&mut self, base: SimTime, sched: &mut Scheduler<'_, Event>) {
+        self.tracer.advance(base);
         let Some(first) = self.schedule.first() else {
             // A zero-job workload is complete the moment it starts.
             self.workload_start = Some(base);
@@ -1530,7 +1539,7 @@ impl Cluster {
         delta: i64,
         victims: Option<&[NodeId]>,
     ) {
-        let Some(mut grid) = self.grid.take() else {
+        let Some(grid) = self.grid.as_mut() else {
             return; // fixed clusters don't resize
         };
         let now = sched.now();
@@ -1545,7 +1554,6 @@ impl Cluster {
                 None => grid.remove_workers(shrink, &self.topo),
             }
         };
-        self.grid = Some(grid);
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Core, "pool_resize")
                 .with("delta", delta)
@@ -2072,11 +2080,10 @@ impl Cluster {
                 let Some(site) = self.site_by_name(&site) else {
                     return;
                 };
-                let Some(mut grid) = self.grid.take() else {
+                let Some(grid) = self.grid.as_mut() else {
                     return;
                 };
                 let out = grid.inject_preemptions(site, count, &self.topo);
-                self.grid = Some(grid);
                 self.apply_grid_output(sched, out, false);
             }
             Fault::SitePartition { site, .. } => {
@@ -2317,11 +2324,10 @@ impl Cluster {
     fn dispatch(&mut self, event: Event, sched: &mut Scheduler<'_, Event>) {
         match event {
             Event::Grid(g) => {
-                let Some(mut grid) = self.grid.take() else {
+                let Some(grid) = self.grid.as_mut() else {
                     return;
                 };
                 let out = grid.handle(sched.now(), g, &mut self.topo);
-                self.grid = Some(grid);
                 self.apply_grid_output(sched, out, false);
             }
             Event::NetTick => {

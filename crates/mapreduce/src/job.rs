@@ -128,8 +128,9 @@ pub struct JobState {
     pub maps: Vec<TaskState>,
     /// Reduce task states.
     pub reduces: Vec<TaskState>,
-    /// Per-reduce shuffle bookkeeping (indexed by reduce index; entries
-    /// exist only while an attempt runs).
+    /// Shuffle bookkeeping per reduce attempt: an entry exists exactly
+    /// while its attempt runs (made at launch, dropped when the attempt
+    /// stops or the job's attempts are killed wholesale).
     pub reduce_plans: HashMap<AttemptRef, ReducePlan>,
     /// Pending map indices not yet (re)assigned. Ascending, so the
     /// JobTracker's one pass over them for the best locality rung picks
@@ -151,15 +152,11 @@ pub struct JobState {
     /// Last unsuccessful speculation scan (rate-limits the scan so idle
     /// heartbeats stay cheap at 1000+ nodes).
     pub spec_last_scan: SimTime,
-    /// Every running attempt, ordered by start instant — the speculation
-    /// scan walks this oldest-first and stops at the first attempt too
-    /// young to be a straggler, the same bucketed-queue trick the
-    /// Namenode uses for under-replication. Keys are
-    /// `(started, kind, task index, attempt ordinal)`.
-    pub running_by_start: BTreeSet<(SimTime, TaskKind, u32, u8)>,
-    /// Currently running map attempts (fair-share accounting).
+    /// Running map attempts: the task tables' `Running` attempts,
+    /// counted so the fair scheduler's job order reads them on every
+    /// pick without a scan (audited against a recount).
     pub running_maps: u32,
-    /// Currently running reduce attempts.
+    /// Running reduce attempts, kept the same way.
     pub running_reduces: u32,
     /// Earliest instant a failed task may be retried (retry backoff),
     /// keyed by (kind, index).
@@ -192,7 +189,6 @@ impl JobState {
             tracker_failures: HashMap::new(),
             map_fetch_failures: HashMap::new(),
             spec_last_scan: SimTime::ZERO,
-            running_by_start: BTreeSet::new(),
             running_maps: 0,
             running_reduces: 0,
             retry_after: HashMap::new(),
@@ -246,36 +242,20 @@ impl JobState {
         }
     }
 
-    /// Record an attempt entering `Running`: index it for the speculation
-    /// scan and bump the per-kind running count.
-    pub fn note_attempt_started(
-        &mut self,
-        kind: TaskKind,
-        index: u32,
-        attempt: u8,
-        started: SimTime,
-    ) {
-        self.running_by_start
-            .insert((started, kind, index, attempt));
+    /// The running-attempt count of one kind, to adjust as an attempt
+    /// enters or leaves `Running`.
+    pub(crate) fn running_mut(&mut self, kind: TaskKind) -> &mut u32 {
         match kind {
-            TaskKind::Map => self.running_maps += 1,
-            TaskKind::Reduce => self.running_reduces += 1,
+            TaskKind::Map => &mut self.running_maps,
+            TaskKind::Reduce => &mut self.running_reduces,
         }
     }
 
-    /// Record an attempt leaving `Running` (succeeded, failed or killed).
-    pub fn note_attempt_stopped(
-        &mut self,
-        kind: TaskKind,
-        index: u32,
-        attempt: u8,
-        started: SimTime,
-    ) {
-        self.running_by_start
-            .remove(&(started, kind, index, attempt));
+    /// The pending indices of one kind.
+    pub(crate) fn pending_mut(&mut self, kind: TaskKind) -> &mut BTreeSet<u32> {
         match kind {
-            TaskKind::Map => self.running_maps = self.running_maps.saturating_sub(1),
-            TaskKind::Reduce => self.running_reduces = self.running_reduces.saturating_sub(1),
+            TaskKind::Map => &mut self.pending_maps,
+            TaskKind::Reduce => &mut self.pending_reduces,
         }
     }
 

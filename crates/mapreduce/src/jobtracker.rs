@@ -3,7 +3,7 @@
 //! handling.
 //!
 //! All scheduling *mechanism* lives here — task tables, the locality
-//! ladder, slot accounting, the speculation index. The *choices* (job
+//! ladder, slot accounting, the straggler scan. The *choices* (job
 //! order, locality gating, node admission) are delegated to the
 //! [`Scheduler`] selected by [`MrParams::sched`]; the default
 //! [`Scheduler::Fifo`] reproduces stock Hadoop bit-for-bit.
@@ -20,7 +20,6 @@ use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sched::{Gate, Scheduler};
 use hog_sim_core::{Liveness, LivenessIndex, SimDuration, SimRng, SimTime};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashSet};
 
 pub use hog_sched::Locality;
 
@@ -139,8 +138,9 @@ pub struct JtCounters {
     pub jobs_failed: u64,
 }
 
-/// Aggregate task backlog over incomplete jobs (one elastic-controller
-/// input; also exported as hog-obs gauges).
+/// Task backlog summed over the `Running` queued jobs: one input of the
+/// elastic controller, hog-fed's router and sampler. Counted from the
+/// job table on each [`JobTracker::backlog`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Backlog {
     /// Map tasks not yet (re)assigned.
@@ -176,8 +176,6 @@ pub struct JobTracker {
     /// The failure detector's suspect set and dead count over
     /// `trackers` (audited).
     live: LivenessIndex<NodeId>,
-    /// Reduce attempts that returned `StartSort` already.
-    sorting: HashSet<AttemptRef>,
     /// The slot-assignment policy (chosen by [`MrParams::sched`]).
     sched: Scheduler,
     /// Nothing draws from this stream. It stays until the next
@@ -203,15 +201,17 @@ pub struct JobTracker {
     /// Whether some `Running` job has a pending reduce and has reached
     /// slowstart, memoized for the `sched_epoch` it was computed at (0
     /// never matches). Every input bumps the epoch: the pending sets,
-    /// `maps_done` (through the running delta when a map succeeds, and
-    /// `pending_map_insert` when one is lost) and queue membership.
-    /// Derived state, audited against a recount and left out of the
-    /// ledger.
+    /// `maps_done` (through the stop of the winning attempt when a map
+    /// succeeds, and `pending_insert` when one is lost) and queue
+    /// membership. Derived state, audited against a recount and left out
+    /// of the ledger.
     reduce_ready: Cell<(u64, bool)>,
-    /// Aggregate backlog over incomplete jobs, maintained incrementally
-    /// at every pending/running transition so `backlog()` is O(1) per
-    /// master tick (audited against a full recount).
-    agg: Backlog,
+    /// Pending task count per slot kind (`[map, reduce]`) over the
+    /// `Running` queued jobs: the per-heartbeat paths (`heartbeat_idle`,
+    /// `assign`) read it instead of walking the queue. Kept at every
+    /// pending-set transition and queue change; audited against a
+    /// recount and left out of the ledger.
+    pending: [usize; 2],
 }
 
 /// `items` in ascending order (deterministic ledger lines from hash
@@ -245,7 +245,6 @@ impl JobTracker {
             fifo: Vec::new(),
             trackers: NodeMap::new(),
             live: LivenessIndex::default(),
-            sorting: HashSet::new(),
             sched: Scheduler::new(cfg.sched),
             cfg,
             rng,
@@ -254,12 +253,12 @@ impl JobTracker {
             sched_epoch: 1,
             spec_quiet: [None; 2],
             reduce_ready: Cell::new((0, false)),
-            agg: Backlog::default(),
+            pending: [0; 2],
         }
     }
 
-    /// Invalidate the memoized reduce readiness: queue membership or a
-    /// pending/running count changed.
+    /// Invalidate the memoized reduce readiness: queue membership, a
+    /// pending set or a running attempt changed.
     #[inline]
     fn bump_epoch(&mut self) {
         self.sched_epoch += 1;
@@ -269,60 +268,26 @@ impl JobTracker {
     // Pending-set maintenance
     //
     // Every `pending_maps` / `pending_reduces` transition of an
-    // incomplete job flows through these helpers so the aggregate backlog
-    // counters and the scheduling epoch stay consistent with the sets.
-    // Jobs already terminal keep their raw sets (the ledger serializes
-    // them) but no longer contribute to the counters, which only cover
-    // the fifo.
+    // incomplete job flows through these helpers so the pending counts
+    // and the scheduling epoch stay consistent with the sets. Jobs
+    // already terminal keep their raw sets (the ledger serializes them)
+    // but no longer contribute to the counts, which only cover the fifo.
     // ------------------------------------------------------------------
 
-    fn pending_map_insert(&mut self, jid: JobId, m: u32) {
+    fn pending_insert(&mut self, jid: JobId, kind: TaskKind, index: u32) {
         let job = &mut self.jobs[jid.0 as usize];
-        if !job.pending_maps.insert(m) {
-            return;
-        }
-        if job.status == JobStatus::Running {
-            self.agg.pending_maps += 1;
-            self.sched_epoch += 1;
+        if job.pending_mut(kind).insert(index) && job.status == JobStatus::Running {
+            self.pending[kind as usize] += 1;
+            self.bump_epoch();
         }
     }
 
-    fn pending_map_remove(&mut self, jid: JobId, m: u32) {
+    fn pending_remove(&mut self, jid: JobId, kind: TaskKind, index: u32) {
         let job = &mut self.jobs[jid.0 as usize];
-        if !job.pending_maps.remove(&m) {
-            return;
+        if job.pending_mut(kind).remove(&index) && job.status == JobStatus::Running {
+            self.pending[kind as usize] -= 1;
+            self.bump_epoch();
         }
-        if job.status == JobStatus::Running {
-            self.agg.pending_maps -= 1;
-            self.sched_epoch += 1;
-        }
-    }
-
-    fn pending_reduce_insert(&mut self, jid: JobId, r: u32) {
-        let job = &mut self.jobs[jid.0 as usize];
-        if job.pending_reduces.insert(r) && job.status == JobStatus::Running {
-            self.agg.pending_reduces += 1;
-            self.sched_epoch += 1;
-        }
-    }
-
-    fn pending_reduce_remove(&mut self, jid: JobId, r: u32) {
-        let job = &mut self.jobs[jid.0 as usize];
-        if job.pending_reduces.remove(&r) && job.status == JobStatus::Running {
-            self.agg.pending_reduces -= 1;
-            self.sched_epoch += 1;
-        }
-    }
-
-    /// A `kind` attempt started or stopped: adjust the aggregate running
-    /// counters and bump the epoch.
-    fn note_running_delta(&mut self, kind: TaskKind, delta: isize) {
-        let slot = match kind {
-            TaskKind::Map => &mut self.agg.running_maps,
-            TaskKind::Reduce => &mut self.agg.running_reduces,
-        };
-        *slot = slot.checked_add_signed(delta).expect("running underflow");
-        self.sched_epoch += 1;
     }
 
     /// Attach the shared trace handle (disabled by default).
@@ -425,17 +390,11 @@ impl JobTracker {
         self.live.reported_live(self.trackers.len())
     }
 
-    /// Aggregate task backlog over incomplete jobs — the demand half of
-    /// the elastic controller's pool snapshot. O(1): the counters are
-    /// maintained incrementally at every pending/running transition (and
-    /// audited against a full recount in debug builds).
+    /// Task backlog over the `Running` queued jobs — the demand half of
+    /// the elastic controller's pool snapshot, counted from the job
+    /// table: one pass over the queue per call (a master tick, a
+    /// federation route or sample).
     pub fn backlog(&self) -> Backlog {
-        self.agg
-    }
-
-    /// Recount the backlog from the job table (the audit oracle for the
-    /// incremental counters `backlog` returns).
-    fn recount_backlog(&self) -> Backlog {
         let mut b = Backlog::default();
         for &jid in &self.fifo {
             let job = &self.jobs[jid.0 as usize];
@@ -604,7 +563,7 @@ impl JobTracker {
             }
         }
         for &m in lost {
-            self.pending_map_insert(jid, m);
+            self.pending_insert(jid, TaskKind::Map, m);
         }
     }
 
@@ -619,9 +578,8 @@ impl JobTracker {
         let reduces = spec.reduces as usize;
         self.jobs.push(JobState::new(spec, now));
         self.fifo.push(id);
-        self.agg.active_jobs += 1;
-        self.agg.pending_maps += maps as usize;
-        self.agg.pending_reduces += reduces;
+        self.pending[TaskKind::Map as usize] += maps as usize;
+        self.pending[TaskKind::Reduce as usize] += reduces;
         self.bump_epoch();
         self.spec_quiet = [None; 2];
         self.tracer.emit(|| {
@@ -723,7 +681,8 @@ impl JobTracker {
     /// idle and no `Silent` tracker. Only when that fails is the
     /// tracker record read.
     pub fn heartbeat_idle(&self, now: SimTime, node: NodeId) -> bool {
-        let map_idle = self.agg.pending_maps == 0 && self.speculation_idle(now, TaskKind::Map);
+        let map_idle =
+            self.pending[TaskKind::Map as usize] == 0 && self.speculation_idle(now, TaskKind::Map);
         let reduce_idle = self.speculation_idle(now, TaskKind::Reduce) && !self.reduce_assignable();
         if map_idle && reduce_idle && self.live.suspect_count() == 0 {
             return true;
@@ -744,7 +703,7 @@ impl JobTracker {
     /// `Running` job has a pending reduce and has reached slowstart.
     /// Memoized per `sched_epoch`.
     fn reduce_assignable(&self) -> bool {
-        if self.agg.pending_reduces == 0 {
+        if self.pending[TaskKind::Reduce as usize] == 0 {
             return false;
         }
         let (epoch, ready) = self.reduce_ready.get();
@@ -775,9 +734,9 @@ impl JobTracker {
             started: now,
             phase: AttemptPhase::Running,
         });
-        job.note_attempt_started(task.kind, task.index, attempt, now);
+        *job.running_mut(task.kind) += 1;
         let att = AttemptRef { task, attempt };
-        self.note_running_delta(task.kind, 1);
+        self.bump_epoch();
         self.trackers
             .get_mut(node)
             .expect("attempts start on registered trackers")
@@ -813,10 +772,7 @@ impl JobTracker {
         kind: TaskKind,
         topo: &Topology,
     ) -> Option<Assignment> {
-        let pending = match kind {
-            TaskKind::Map => self.agg.pending_maps,
-            TaskKind::Reduce => self.agg.pending_reduces,
-        };
+        let pending = self.pending[kind as usize];
         // A slot that can receive nothing — nothing of this kind pending
         // and no speculation scan due — gets nothing whatever `admit`
         // answers. `admit` and `allow_speculation` are pure (`&self`), so
@@ -909,7 +865,7 @@ impl JobTracker {
             if self.sched.locality_gate(jid.0, locality, now) == Gate::Defer {
                 continue;
             }
-            self.pending_map_remove(jid, m);
+            self.pending_remove(jid, TaskKind::Map, m);
             let task = TaskRef {
                 job: jid,
                 kind: TaskKind::Map,
@@ -945,7 +901,7 @@ impl JobTracker {
             else {
                 continue; // all pending reduces cooling down
             };
-            self.pending_reduce_remove(jid, r);
+            self.pending_remove(jid, TaskKind::Reduce, r);
             let task = TaskRef {
                 job: jid,
                 kind: TaskKind::Reduce,
@@ -1024,11 +980,9 @@ impl JobTracker {
     /// One speculative attempt for a straggling `kind` task, if any
     /// qualifies (paper: task 1/3 slower than average; ≤ 2 copies).
     ///
-    /// Candidates are found through the job's [`JobState::running_by_start`]
-    /// index — the oldest-first walk stops at the first attempt too young
-    /// to be a straggler, the same bucketed-queue trick the Namenode uses
-    /// for its under-replication scan, so the cost is O(running stragglers)
-    /// rather than O(tasks) per idle heartbeat.
+    /// Each job past the scan cooldown and the mean test has its `kind`
+    /// task table scanned in index order (DESIGN §11): few scans get
+    /// that far, so the scan needs no index of its own.
     ///
     /// Before the kind's speculation quiet instant no job can pass the
     /// scan cooldown and the mean test, so the scan would neither launch
@@ -1108,57 +1062,42 @@ impl JobTracker {
             // Eager mode (multi-copy, §VI) skips the straggler threshold;
             // stock speculation requires a mean over completed tasks.
             let threshold = if self.cfg.eager_copies {
-                0.0
+                None
             } else {
                 let mean = match kind {
                     TaskKind::Map => job.mean_map_secs(self.cfg.speculative_min_completed),
                     TaskKind::Reduce => job.mean_reduce_secs(self.cfg.speculative_min_completed),
                 };
                 let Some(mean) = mean else { continue };
-                mean * SPECULATIVE_FACTOR
+                Some(mean * SPECULATIVE_FACTOR)
             };
             let max_copies = self.cfg.max_task_copies as usize;
             let tasks = match kind {
                 TaskKind::Map => &job.maps,
                 TaskKind::Reduce => &job.reduces,
             };
-            // Walk running attempts oldest-first. An attempt qualifies its
-            // task when it is older than the straggler threshold and not on
-            // the heartbeating node; a task is a candidate when *all* its
-            // running attempts qualify. Attempts younger than the threshold
-            // are never reached (the walk breaks), so their tasks fall
-            // short of the all-running-attempts-old bar exactly as in the
-            // pre-index linear scan.
-            let mut old_ok: BTreeMap<u32, usize> = BTreeMap::new();
-            for &(started, k, index, attempt) in &job.running_by_start {
-                let young = !self.cfg.eager_copies
-                    && now.saturating_since(started).as_secs_f64() <= threshold;
-                if young {
-                    break; // later entries started even more recently
-                }
-                if k != kind {
-                    continue;
-                }
-                let a = &tasks[index as usize].attempts[attempt as usize];
-                debug_assert_eq!(a.phase, AttemptPhase::Running);
-                if a.node != node {
-                    *old_ok.entry(index).or_insert(0) += 1;
-                }
-            }
-            // A task qualifies when it is unfinished, below `max_copies`
-            // running attempts, and every one of its running attempts
-            // qualifies. The last test also keeps out a task with an
-            // attempt on this node (that attempt is never counted) and a
-            // task with none running (an entry counts at least one).
-            let candidate = old_ok.iter().find(|&(&index, &qualifying)| {
-                let t = &tasks[index as usize];
+            // The lowest-indexed unfinished task with at least one and
+            // fewer than `max_copies` running attempts, every one of them
+            // on another node and older than the threshold.
+            let straggles = |a: &AttemptState| {
+                a.node != node
+                    && threshold.is_none_or(|t| now.saturating_since(a.started).as_secs_f64() > t)
+            };
+            let candidate = tasks.iter().position(|t| {
                 let running = t.running_attempts();
-                !t.done && running < max_copies && qualifying == running
+                !t.done
+                    && running > 0
+                    && running < max_copies
+                    && t.attempts
+                        .iter()
+                        .filter(|a| a.phase == AttemptPhase::Running)
+                        .all(straggles)
             });
-            let Some((&index, _)) = candidate else {
+            let Some(index) = candidate else {
                 self.jobs[jid.0 as usize].spec_last_scan = now;
                 continue;
             };
+            let index = index as u32;
             self.counters.speculative += 1;
             self.tracer.emit(|| {
                 TraceEvent::new(Layer::MapReduce, "speculate")
@@ -1278,21 +1217,20 @@ impl JobTracker {
     }
 
     /// Take a running attempt out of `Running` into `phase`: it leaves
-    /// the running index and counts, its tracker slot, and any shuffle
-    /// or sort state. Success, sibling kills and aborts all stop
+    /// the running count, its tracker slot, and its shuffle plan (with
+    /// the sort flag). Success, sibling kills and aborts all stop
     /// attempts here. Returns where it ran and when it started.
     fn stop_attempt(&mut self, att: AttemptRef, phase: AttemptPhase) -> (NodeId, SimTime) {
         let job = &mut self.jobs[att.task.job.0 as usize];
         let a = &mut job.task_mut(att.task).attempts[att.attempt as usize];
         a.phase = phase;
         let (node, started) = (a.node, a.started);
-        job.note_attempt_stopped(att.task.kind, att.task.index, att.attempt, started);
+        *job.running_mut(att.task.kind) -= 1;
         job.reduce_plans.remove(&att);
-        self.note_running_delta(att.task.kind, -1);
+        self.bump_epoch();
         if let Some(t) = self.trackers.get_mut(node) {
             t.running.remove(&att);
         }
-        self.sorting.remove(&att);
         (node, started)
     }
 
@@ -1424,10 +1362,7 @@ impl JobTracker {
                 now + self.cfg.retry_backoff,
             );
         }
-        match att.task.kind {
-            TaskKind::Map => self.pending_map_insert(jid, att.task.index),
-            TaskKind::Reduce => self.pending_reduce_insert(jid, att.task.index),
-        }
+        self.pending_insert(jid, att.task.kind, att.task.index);
         Vec::new()
     }
 
@@ -1445,9 +1380,9 @@ impl JobTracker {
     }
 
     /// Kill every running attempt of `jid` wholesale, without blame: the
-    /// running index, counts and shuffle plans empty, and each attempt
-    /// leaves its tracker slot and the sort set. Returns the killed
-    /// attempts in task order, with the nodes they ran on.
+    /// running counts and shuffle plans empty, and each attempt leaves
+    /// its tracker slot. Returns the killed attempts in task order, with
+    /// the nodes they ran on.
     fn kill_all(&mut self, jid: JobId) -> Vec<(AttemptRef, NodeId)> {
         let job = &mut self.jobs[jid.0 as usize];
         let mut killed = Vec::new();
@@ -1471,15 +1406,13 @@ impl JobTracker {
             }
         }
         job.reduce_plans.clear();
-        job.running_by_start.clear();
-        self.agg.running_maps -= std::mem::take(&mut job.running_maps) as usize;
-        self.agg.running_reduces -= std::mem::take(&mut job.running_reduces) as usize;
+        job.running_maps = 0;
+        job.running_reduces = 0;
         self.bump_epoch();
         for &(att, node) in &killed {
             if let Some(t) = self.trackers.get_mut(node) {
                 t.running.remove(&att);
             }
-            self.sorting.remove(&att);
         }
         killed
     }
@@ -1496,22 +1429,11 @@ impl JobTracker {
         let was_queued = self.fifo.contains(&jid);
         self.fifo.retain(|&j| j != jid);
         if was_queued {
-            // Whatever the job still contributed to the aggregate backlog
-            // (failed jobs retire with tasks still pending) leaves with it.
-            let (pm, pr, rm, rr) = {
-                let job = &self.jobs[jid.0 as usize];
-                (
-                    job.pending_maps.len(),
-                    job.pending_reduces.len(),
-                    job.running_maps as usize,
-                    job.running_reduces as usize,
-                )
-            };
-            self.agg.active_jobs -= 1;
-            self.agg.pending_maps -= pm;
-            self.agg.pending_reduces -= pr;
-            self.agg.running_maps -= rm;
-            self.agg.running_reduces -= rr;
+            // Whatever the job still had pending (failed jobs retire with
+            // tasks still pending) leaves the counts with it.
+            let job = &self.jobs[jid.0 as usize];
+            self.pending[TaskKind::Map as usize] -= job.pending_maps.len();
+            self.pending[TaskKind::Reduce as usize] -= job.pending_reduces.len();
             self.bump_epoch();
         }
         self.sched.on_job_removed(jid.0);
@@ -1524,14 +1446,14 @@ impl JobTracker {
     /// What should this reduce attempt do now? Called after assignment,
     /// after each fetch completes/fails, and when woken by new map output.
     pub fn reduce_next(&mut self, att: AttemptRef) -> ReduceStep {
-        if !self.attempt_active(att) || self.sorting.contains(&att) {
+        if !self.attempt_active(att) {
             return ReduceStep::Wait;
         }
         let parallel = SHUFFLE_PARALLEL;
         let jid = att.task.job;
         let job = &mut self.jobs[jid.0 as usize];
         let all_maps_done = job.all_maps_done();
-        let Some(plan) = job.reduce_plans.get_mut(&att) else {
+        let Some(plan) = job.reduce_plans.get_mut(&att).filter(|p| !p.sorting) else {
             return ReduceStep::Wait;
         };
         let orders = plan.next_orders(parallel);
@@ -1539,7 +1461,7 @@ impl JobTracker {
             return ReduceStep::Fetch(orders);
         }
         if plan.complete() && all_maps_done {
-            self.sorting.insert(att);
+            plan.sorting = true;
             return ReduceStep::StartSort;
         }
         ReduceStep::Wait
@@ -1652,13 +1574,9 @@ impl JobTracker {
             // hands everything back out as soon as slots heartbeat.
             job.retry_after.clear();
             for t in requeue {
-                match t.kind {
-                    TaskKind::Map => self.pending_map_insert(jid, t.index),
-                    TaskKind::Reduce => self.pending_reduce_insert(jid, t.index),
-                }
+                self.pending_insert(jid, t.kind, t.index);
             }
         }
-        self.sorting.clear();
         for t in self.trackers.values_mut() {
             t.running.clear();
         }
@@ -1812,14 +1730,14 @@ impl JobTracker {
                     );
                 }
             }
-            let plans = sorted(job.reduce_plans.iter().map(|(&a, p)| (a, p.complete())));
+            let plans = sorted(
+                job.reduce_plans
+                    .iter()
+                    .map(|(&a, p)| (a, p.complete(), p.sorting)),
+            );
             let scratch = sorted(job.scratch_by_node.iter().map(|(n, &b)| (n.0, b)));
             let retry = sorted(job.retry_after.iter().map(|(&k, &t)| (k, t)));
-            let _ = writeln!(
-                s,
-                "  plans={plans:?} scratch={scratch:?} retry={retry:?} rbs={:?}",
-                job.running_by_start
-            );
+            let _ = writeln!(s, "  plans={plans:?} scratch={scratch:?} retry={retry:?}");
             // Everything else the scheduling decisions read: blacklist
             // counts, fetch strikes, the speculation scan stamp and the
             // duration sums behind the straggler threshold.
@@ -1848,7 +1766,6 @@ impl JobTracker {
             );
         }
         let _ = writeln!(s, "fifo={:?}", self.fifo);
-        let _ = writeln!(s, "sorting={:?}", sorted(self.sorting.iter()));
         let _ = writeln!(s, "counters={:?}", self.counters);
         s
     }
@@ -1915,54 +1832,22 @@ impl hog_sim_core::Auditable for JobTracker {
                 ));
             }
         }
-        // The per-job running-attempt index must mirror the task tables:
-        // every indexed entry is a live Running attempt, and the per-kind
-        // counts match a full recount.
+        // The per-job running counts must equal a recount of the task
+        // tables.
         for (&jid, job) in self
             .fifo
             .iter()
             .map(|jid| (jid, &self.jobs[jid.0 as usize]))
         {
-            let mut maps = 0u32;
-            let mut reduces = 0u32;
-            for &(started, kind, index, attempt) in &job.running_by_start {
-                let tasks = match kind {
-                    TaskKind::Map => &job.maps,
-                    TaskKind::Reduce => &job.reduces,
-                };
-                match tasks
-                    .get(index as usize)
-                    .and_then(|t| t.attempts.get(attempt as usize))
-                {
-                    Some(a) if a.phase == AttemptPhase::Running && a.started == started => {
-                        match kind {
-                            TaskKind::Map => maps += 1,
-                            TaskKind::Reduce => reduces += 1,
-                        }
-                    }
-                    _ => out.push(Violation::new(
-                        "mapreduce",
-                        format!(
-                            "job {} running index holds stale {} task {index} attempt {attempt}",
-                            jid.0,
-                            kind.as_str()
-                        ),
-                    )),
-                }
-            }
-            let actual_maps: u32 = job.maps.iter().map(|t| t.running_attempts() as u32).sum();
-            let actual_reduces: u32 = job
-                .reduces
-                .iter()
-                .map(|t| t.running_attempts() as u32)
-                .sum();
-            if (maps, reduces) != (actual_maps, actual_reduces)
-                || (job.running_maps, job.running_reduces) != (actual_maps, actual_reduces)
-            {
+            let recount = |tasks: &[crate::job::TaskState]| -> u32 {
+                tasks.iter().map(|t| t.running_attempts() as u32).sum()
+            };
+            let (maps, reduces) = (recount(&job.maps), recount(&job.reduces));
+            if (job.running_maps, job.running_reduces) != (maps, reduces) {
                 out.push(Violation::new(
                     "mapreduce",
                     format!(
-                        "job {} running index out of sync: indexed {maps}m/{reduces}r, counted {}m/{}r, tables {actual_maps}m/{actual_reduces}r",
+                        "job {} running counts drifted: counted {}m/{}r, tables {maps}m/{reduces}r",
                         jid.0, job.running_maps, job.running_reduces
                     ),
                 ));
@@ -1998,14 +1883,15 @@ impl hog_sim_core::Auditable for JobTracker {
                 format!("reduce readiness {ready} memoized at epoch {epoch} drifted"),
             ));
         }
-        // The O(1) aggregate backlog must equal a full recount.
-        let recount = self.recount_backlog();
-        if recount != self.agg {
+        // The pending counts must equal a recount of the queue.
+        let b = self.backlog();
+        let recount = [b.pending_maps, b.pending_reduces];
+        if recount != self.pending {
             out.push(Violation::new(
                 "mapreduce",
                 format!(
-                    "aggregate backlog drifted: cached {:?}, recounted {recount:?}",
-                    self.agg
+                    "pending counts drifted: kept {:?}, recounted {recount:?}",
+                    self.pending
                 ),
             ));
         }

@@ -46,6 +46,9 @@ pub struct ReducePlan {
     next_order_id: u64,
     fetched: u32,
     total: u32,
+    /// Set once the JobTracker answered `StartSort`: the attempt is past
+    /// its shuffle and waits for nothing more.
+    pub(crate) sorting: bool,
 }
 
 impl ReducePlan {
@@ -60,6 +63,7 @@ impl ReducePlan {
             next_order_id: 0,
             fetched: 0,
             total: total_maps,
+            sorting: false,
         }
     }
 

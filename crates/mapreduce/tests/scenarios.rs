@@ -383,6 +383,63 @@ fn speculation_launches_second_copy_and_winner_kills_loser() {
     assert!(!m.jt.attempt_active(atts[2]));
 }
 
+/// Which running task an idle map slot copies: the lowest-indexed task
+/// below `max_task_copies` running attempts whose every running attempt
+/// is on another node and, outside eager mode, older than the straggler
+/// threshold.
+#[test]
+fn speculation_copies_the_lowest_task_whose_attempts_all_straggle_elsewhere() {
+    let t = SimTime::from_secs;
+    // (task index, attempt ordinal) of each map assignment.
+    let picks = |got: &[Assignment]| -> Vec<(u32, u8)> {
+        got.iter()
+            .map(|a| match a {
+                Assignment::Map { attempt, .. } => (attempt.task.index, attempt.attempt),
+                Assignment::Reduce { .. } => panic!("a map-only job"),
+            })
+            .collect()
+    };
+    // Stock speculation. Node 0 has two map slots; map i's split lives
+    // on node i % 4.
+    let mut cfg = MrParams::hog();
+    cfg.speculative_min_completed = 1;
+    let mut m = Mini::new(1, 4, cfg);
+    let site = m.topo.site_of(m.nodes[0]);
+    m.jt.register_tracker(SimTime::ZERO, m.nodes[0], site, 2, 1);
+    m.submit(SimTime::ZERO, 5, 0);
+    let first = m.jt.heartbeat(t(0), m.nodes[0], &m.topo);
+    assert_eq!(picks(&first), [(0, 0), (4, 0)]);
+    for n in [m.nodes[2], m.nodes[3]] {
+        m.jt.heartbeat(t(0), n, &m.topo);
+    }
+    // Map 4 finishes in 10 s: the straggler threshold is 13.3 s.
+    m.jt.map_done(t(10), first[1].attempt(), &m.topo);
+    // Map 1 starts late, on node 1.
+    let late = m.jt.heartbeat(t(95), m.nodes[1], &m.topo);
+    assert_eq!(picks(&late), [(1, 0)]);
+    // Node 0 heartbeats at 100 s with a free map slot. Task 0 runs on
+    // node 0 itself, task 1's only attempt is 5 s old, tasks 2 and 3
+    // straggle elsewhere: the lowest of them, task 2, gets the copy.
+    let got = m.jt.heartbeat(t(100), m.nodes[0], &m.topo);
+    assert_eq!(picks(&got), [(2, 1)]);
+    assert_eq!(m.jt.counters().speculative, 1);
+
+    // Eager copies ignore age (no task has finished, and every attempt
+    // is 1 s old) and stop at `max_task_copies` running attempts.
+    let second_copy = |k: u8| {
+        let mut m = Mini::new(1, 5, MrParams::hog().with_task_copies(k, true));
+        m.submit(SimTime::ZERO, 3, 0);
+        for &n in &m.nodes[..3] {
+            m.jt.heartbeat(t(0), n, &m.topo);
+        }
+        let a = m.jt.heartbeat(t(1), m.nodes[3], &m.topo);
+        assert_eq!(picks(&a), [(0, 1)]);
+        picks(&m.jt.heartbeat(t(1), m.nodes[4], &m.topo))
+    };
+    assert_eq!(second_copy(2), [(1, 1)], "task 0 is at the cap");
+    assert_eq!(second_copy(3), [(0, 2)], "a third copy of task 0");
+}
+
 #[test]
 fn speculation_disabled_means_no_second_copies() {
     let mut m = Mini::new(1, 3, MrParams::hog().with_speculation(false));
