@@ -21,8 +21,11 @@
 //! * `namenode_tick/*` — one replication-monitor tick with a deep
 //!   under-replication queue. The bucketed queue dispatches without the
 //!   per-tick sort of the whole backlog. `300_datanodes_r10` is
-//!   churn_300's shape: 64 repair orders at replication 10, each
-//!   filtering the tick's one candidate table.
+//!   churn_300's shape: 64 repair orders at replication 10.
+//!   `10k_datanodes_repair` makes the same 64 orders over 10k datanodes
+//!   in 32 sites: each reads only site heads of the namenode's
+//!   free-space index, so it should cost about what the 300-node tick
+//!   does.
 //! * `jobtracker_heartbeat/*` — one cluster-wide heartbeat round against
 //!   a loaded job queue: every free map slot walks the policy's job
 //!   order and each job's pending maps for the best locality rung.
@@ -31,14 +34,14 @@
 //!   `idle_300_trackers_failure_aware` is churn_300's idle round: the
 //!   failure-aware policy holds a penalty on every site, and nothing is
 //!   pending.
-//! * `site_aware_choose/*` — one 10-replica block placement over 10k
-//!   candidates in 32 sites.
+//! * `allocate_block/*` — one 10-replica site-aware block allocation
+//!   over 10k datanodes in 32 sites, whose free space takes a few hundred
+//!   values so in-site ties occur.
 //!
 //! Every `iter_batched` routine returns the state it consumed, so the
 //! harness drops it after the clock stops and no sample times teardown.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hog_hdfs::placement::{Candidate, PlacementKind};
 use hog_hdfs::{BlockId, HdfsConfig, Namenode};
 use hog_mapreduce::{Assignment, JobSubmission, JobTracker, MrParams, SchedPolicy};
 use hog_net::{FluidNet, NetParams, NodeId, SiteId, Topology};
@@ -148,7 +151,7 @@ fn loaded_nn(
     }
     let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(3));
     for &n in &nodes {
-        nn.register_datanode(SimTime::ZERO, n);
+        nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
     }
     let f = nn.create_file_default("/in");
     for _ in 0..blocks {
@@ -191,6 +194,23 @@ fn bench_namenode_tick(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let (nn, topo) = loaded_nn(HdfsConfig::hog(), 5, 60, 400, 64 << 20, 30);
+                assert!(nn.under_replicated_count() >= 64);
+                (nn, topo)
+            },
+            |(mut nn, topo)| {
+                let out = nn.tick(SimTime::from_secs(3603), &topo);
+                assert_eq!(out.orders.len(), 64);
+                (nn, topo)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // scale_10k's pool: 10,016 datanodes over 32 sites at replication
+    // 10, 80 of them dead, so the measured tick makes its full budget.
+    group.bench_function("10k_datanodes_repair", |b| {
+        b.iter_batched(
+            || {
+                let (nn, topo) = loaded_nn(HdfsConfig::hog(), 32, 313, 2_000, 64 << 20, 80);
                 assert!(nn.under_replicated_count() >= 64);
                 (nn, topo)
             },
@@ -448,20 +468,29 @@ fn bench_jobtracker_heartbeat(c: &mut Criterion) {
     group.finish();
 }
 
-/// One 10-replica placement over 10k candidates in 32 sites, with free
-/// space drawn from a few hundred values so in-site ties occur.
-fn bench_site_aware_choose(c: &mut Criterion) {
-    let cands: Vec<Candidate> = (0..10_000u32)
-        .map(|i| Candidate {
-            node: NodeId(i),
-            site: SiteId((i / 313) as u16),
-            free: (40u64 << 30) - (u64::from(i) * 7919 % 300) * (64 << 20),
-        })
-        .collect();
-    let mut group = c.benchmark_group("site_aware_choose");
-    group.bench_function("10k_candidates_32_sites_10_replicas", |b| {
-        let mut rng = SimRng::seed_from_u64(5);
-        b.iter(|| black_box(PlacementKind::SiteAware.choose(None, None, 10, &[], &cands, &mut rng)))
+/// One 10-replica block allocation on a namenode with 10,016 datanodes
+/// in 32 sites (scale_10k's pool), after writes that leave free space
+/// at a few hundred values so in-site ties occur.
+fn bench_allocate_block(c: &mut Criterion) {
+    let mut topo = Topology::new();
+    let mut nn = Namenode::new(HdfsConfig::hog(), SimRng::seed_from_u64(5));
+    for s in 0..32 {
+        let site = topo.add_site(format!("S{s}"), format!("s{s}.edu"));
+        for _ in 0..313 {
+            let n = topo.add_node(site);
+            nn.register_datanode(SimTime::ZERO, n, site);
+        }
+    }
+    let f = nn.create_file_default("/in");
+    for i in 0..3_000u64 {
+        let (blk, t) = nn
+            .allocate_block(f, (64 << 20) - (i % 7) * (1 << 20), None, &topo)
+            .unwrap();
+        nn.commit_block(blk, &t);
+    }
+    let mut group = c.benchmark_group("allocate_block");
+    group.bench_function("10k_datanodes_32_sites_r10", |b| {
+        b.iter(|| black_box(nn.allocate_block(f, 64 << 20, None, &topo)))
     });
     group.finish();
 }
@@ -472,6 +501,6 @@ criterion_group!(
     bench_fluid_recompute,
     bench_namenode_tick,
     bench_jobtracker_heartbeat,
-    bench_site_aware_choose
+    bench_allocate_block
 );
 criterion_main!(benches);

@@ -467,7 +467,9 @@ impl Cluster {
         };
         self.workers.insert(node, worker);
         self.net.register_node(node, self.topo.site_of(node));
-        self.masters.nn.register_datanode(now, node);
+        self.masters
+            .nn
+            .register_datanode(now, node, self.topo.site_of(node));
         self.masters
             .jt
             .register_tracker(now, node, self.topo.site_of(node), slots.0, slots.1);
@@ -1981,7 +1983,9 @@ impl Cluster {
                 .datanode(n)
                 .map(|d| d.blocks.iter().copied().collect())
                 .unwrap_or_default();
-            self.masters.nn.replay_block_report(now, n, &report);
+            self.masters
+                .nn
+                .replay_block_report(now, n, self.topo.site_of(n), &report);
             rereg += 1;
         }
         // Nodes the checkpoint believed live but that are unreachable
@@ -2187,7 +2191,9 @@ impl Cluster {
                         // The namenode wrote the node off (and dropped its
                         // block accounting); it reports back in empty, as
                         // a restarted datanode would.
-                        self.masters.nn.register_datanode(sched.now(), n);
+                        self.masters
+                            .nn
+                            .register_datanode(sched.now(), n, self.topo.site_of(n));
                     } else {
                         self.masters.nn.mark_live(sched.now(), n);
                     }

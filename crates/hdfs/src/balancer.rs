@@ -150,7 +150,7 @@ mod tests {
         let cfg = HdfsConfig::hog().with_replication(2).with_capacity(1 << 30);
         let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(3));
         for &n in &old {
-            nn.register_datanode(SimTime::ZERO, n);
+            nn.register_datanode(SimTime::ZERO, n, site);
         }
         // Fill the old nodes with data.
         let f = nn.create_file_default("/data");
@@ -162,7 +162,7 @@ mod tests {
         // New empty nodes join (pool grew).
         let new: Vec<NodeId> = (0..4).map(|_| topo.add_node(site)).collect();
         for &n in &new {
-            nn.register_datanode(SimTime::from_secs(100), n);
+            nn.register_datanode(SimTime::from_secs(100), n, site);
         }
         (nn, topo, new)
     }
@@ -226,7 +226,7 @@ mod tests {
         let cfg = HdfsConfig::hog().with_replication(1).with_capacity(0);
         let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(1));
         for _ in 0..4 {
-            nn.register_datanode(SimTime::ZERO, topo.add_node(site));
+            nn.register_datanode(SimTime::ZERO, topo.add_node(site), site);
         }
         assert!(plan(&nn, &topo, 0.1, 10).is_empty());
     }
@@ -238,7 +238,7 @@ mod tests {
         let n = topo.add_node(site);
         let cfg = HdfsConfig::hog().with_replication(1);
         let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(1));
-        nn.register_datanode(SimTime::ZERO, n);
+        nn.register_datanode(SimTime::ZERO, n, site);
         assert!(plan(&nn, &topo, 0.1, 10).is_empty());
     }
 }

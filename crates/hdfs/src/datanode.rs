@@ -5,6 +5,7 @@
 //! namenode cannot see it, so the mediator in `hog-core` owns that fact.
 
 use crate::types::BlockId;
+use hog_net::SiteId;
 use hog_sim_core::{Liveness, SimTime};
 use std::collections::BTreeSet;
 
@@ -13,6 +14,8 @@ use std::collections::BTreeSet;
 pub struct DatanodeInfo {
     /// Usable HDFS capacity in bytes.
     pub capacity: u64,
+    /// The site the node registered from (its network location).
+    pub site: SiteId,
     /// Bytes of block data currently stored.
     pub used: u64,
     /// Blocks hosted here.
@@ -27,10 +30,11 @@ pub struct DatanodeInfo {
 }
 
 impl DatanodeInfo {
-    /// A fresh, healthy datanode registered at `now`.
-    pub fn new(capacity: u64, now: SimTime) -> Self {
+    /// A fresh, healthy datanode on `site`, registered at `now`.
+    pub fn new(capacity: u64, site: SiteId, now: SimTime) -> Self {
         DatanodeInfo {
             capacity,
+            site,
             used: 0,
             blocks: BTreeSet::new(),
             last_heartbeat: now,
@@ -72,7 +76,7 @@ mod tests {
 
     #[test]
     fn capacity_accounting() {
-        let mut dn = DatanodeInfo::new(100, SimTime::ZERO);
+        let mut dn = DatanodeInfo::new(100, SiteId(0), SimTime::ZERO);
         dn.add_block(BlockId(1), 40);
         dn.add_block(BlockId(2), 40);
         assert_eq!(dn.free(), 20);
@@ -84,7 +88,7 @@ mod tests {
 
     #[test]
     fn double_add_is_idempotent() {
-        let mut dn = DatanodeInfo::new(100, SimTime::ZERO);
+        let mut dn = DatanodeInfo::new(100, SiteId(0), SimTime::ZERO);
         dn.add_block(BlockId(1), 40);
         dn.add_block(BlockId(1), 40);
         assert_eq!(dn.used, 40);
@@ -94,7 +98,7 @@ mod tests {
 
     #[test]
     fn dead_nodes_accept_nothing() {
-        let mut dn = DatanodeInfo::new(100, SimTime::ZERO);
+        let mut dn = DatanodeInfo::new(100, SiteId(0), SimTime::ZERO);
         dn.liveness = Liveness::Dead;
         assert!(!dn.can_accept(1));
     }

@@ -23,12 +23,13 @@
 use crate::availability::{AvailabilitySnapshot, SiteBand};
 use crate::config::HdfsConfig;
 use crate::datanode::DatanodeInfo;
-use crate::placement::Candidate;
+use crate::placement::{self, Ask, Candidate, FreeIndex, PlacementKind, Scratch};
 use crate::types::{BlockId, BlockMeta, FileId, FileMeta};
 use hog_net::{NodeId, NodeMap, SiteId, Topology};
 use hog_obs::{Layer, TraceEvent, Tracer};
 use hog_sim_core::{Liveness, LivenessIndex, SimRng, SimTime};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::RangeInclusive;
 
 /// A replication transfer the namenode wants executed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -169,31 +170,70 @@ impl ReplQueue {
     }
 }
 
-/// One row of the replication monitor's per-tick candidate table: a
-/// `Live` datanode that had a stream to spare when the tick's dispatch
-/// began. Scratch state of [`Namenode::dispatch_replication`], never
-/// kept between calls.
-#[derive(Clone, Copy)]
-struct SpareNode {
-    node: NodeId,
-    site: SiteId,
-    free: u64,
-    streams: u8,
-    /// A replica holder or in-flight target of the block being served.
-    excluded: bool,
+/// The datanode records, and the per-site free-space index over them
+/// that the site-aware placements choose from ([`FreeIndex`]). Reads go
+/// through `Deref` to the records. A record changes only through
+/// [`Datanodes::update`], or is replaced through [`Datanodes::insert`],
+/// and both re-file the node in the index, so no change to a node's
+/// free space, liveness or repair streams can miss it. No record is
+/// ever removed, so iteration ascends by id over every node ever
+/// registered.
+#[derive(Clone)]
+struct Datanodes {
+    records: NodeMap<DatanodeInfo>,
+    free: FreeIndex,
 }
 
-/// Memoized result of [`Namenode::candidates`] for the hot empty-exclude
-/// allocation path (every `allocate_block` call during an upload). Valid
-/// only while `epoch` matches `Namenode::dn_epoch` — bumped on every
-/// datanode-record mutation — and the block size matches; `epoch` 0 never
-/// matches. The cached vector is exactly what a fresh ascending scan of
-/// `datanodes` would produce, so hits are bit-identical to misses.
-#[derive(Clone, Default)]
-struct CandCache {
-    epoch: u64,
+impl Datanodes {
+    /// Put `dn` in as `node`'s record, returning the record it replaces.
+    fn insert(&mut self, node: NodeId, dn: DatanodeInfo) -> Option<DatanodeInfo> {
+        if let Some(old) = self.records.get(node) {
+            self.free.leave(node, old);
+        }
+        self.free.enter(node, &dn);
+        self.records.insert(node, dn)
+    }
+
+    /// Change `node`'s record through `f`; `None` if it has none.
+    fn update<R>(&mut self, node: NodeId, f: impl FnOnce(&mut DatanodeInfo) -> R) -> Option<R> {
+        let dn = self.records.get_mut(node)?;
+        self.free.leave(node, dn);
+        let out = f(dn);
+        self.free.enter(node, dn);
+        Some(out)
+    }
+}
+
+impl std::ops::Deref for Datanodes {
+    type Target = NodeMap<DatanodeInfo>;
+
+    fn deref(&self) -> &NodeMap<DatanodeInfo> {
+        &self.records
+    }
+}
+
+/// One target choice: what the block needs, where its replicas are and
+/// which nodes it must avoid.
+struct Want<'a> {
+    /// Bytes the block needs on a target.
     size: u64,
-    cands: Vec<Candidate>,
+    /// Targets wanted.
+    n: usize,
+    /// The writing client's datanode, if any (a fresh write only).
+    writer: Option<NodeId>,
+    /// `(node, site)` of the block's current replicas.
+    existing: &'a [(NodeId, SiteId)],
+    /// Nodes no target may be, ascending and distinct.
+    exclude: &'a [NodeId],
+    /// A repair copy: a target needs a repair stream to spare.
+    repair: bool,
+    /// An availability-boosted copy: stable sites first.
+    boosted: bool,
+}
+
+/// Every `(block, node)` key of `block` in a set ordered by block.
+fn keys_of(block: BlockId) -> RangeInclusive<(BlockId, NodeId)> {
+    (block, NodeId(0))..=(block, NodeId(u32::MAX))
 }
 
 /// The HDFS master. See the module docs for the liveness protocol.
@@ -207,21 +247,16 @@ pub struct Namenode {
     files_by_path: HashMap<String, FileId>,
     files: Vec<FileMeta>,
     blocks: Vec<BlockMeta>,
-    /// Datanode records by node id. No record is ever removed, so
-    /// iteration ascends by id over every node ever registered.
-    datanodes: NodeMap<DatanodeInfo>,
+    /// Datanode records by node id, with the free-space index over them.
+    datanodes: Datanodes,
     /// The failure detector's suspect set and dead count over
     /// `datanodes` (audited).
     live: LivenessIndex<NodeId>,
-    /// Generation counter for `datanodes`: any mutation of a datanode
-    /// record (liveness, usage, registration) bumps it, invalidating
-    /// `cand_cache`.
-    dn_epoch: u64,
-    cand_cache: CandCache,
     /// Blocks below their replication target, bucketed by replica count.
     needs_repl: ReplQueue,
-    /// In-flight replication targets per block (counted against deficit).
-    pending_repl: HashMap<BlockId, Vec<NodeId>>,
+    /// In-flight replication targets, as `(block, target)` (counted
+    /// against the block's deficit).
+    pending_repl: BTreeSet<(BlockId, NodeId)>,
     /// Blocks holding more replicas than their per-block target, awaiting
     /// excess trims. Only ever populated on availability-policy paths —
     /// flat runs never lower a target, so this stays empty and the trim
@@ -239,6 +274,8 @@ pub struct Namenode {
     /// when the availability policy is armed; soft state.
     reads: Vec<u32>,
     rng: SimRng,
+    /// The placement choices' working buffers.
+    scratch: Scratch,
     repl_completed: u64,
     repl_failed: u64,
     blocks_lost: u64,
@@ -262,22 +299,25 @@ impl Namenode {
     /// A namenode with the given config; blocks go where
     /// [`HdfsConfig::placement`] puts them.
     pub fn new(cfg: HdfsConfig, rng: SimRng) -> Self {
+        let free = FreeIndex::new(cfg.max_repl_streams_per_node);
         Namenode {
             cfg,
             files_by_path: HashMap::new(),
             files: Vec::new(),
             blocks: Vec::new(),
-            datanodes: NodeMap::new(),
+            datanodes: Datanodes {
+                records: NodeMap::new(),
+                free,
+            },
             live: LivenessIndex::default(),
-            dn_epoch: 1,
-            cand_cache: CandCache::default(),
             needs_repl: ReplQueue::default(),
-            pending_repl: HashMap::new(),
+            pending_repl: BTreeSet::new(),
             over_repl: BTreeSet::new(),
             fair_resume: None,
             avail_snapshot: None,
             reads: Vec::new(),
             rng,
+            scratch: Scratch::default(),
             repl_completed: 0,
             repl_failed: 0,
             blocks_lost: 0,
@@ -329,22 +369,14 @@ impl Namenode {
     // Datanode liveness
     // ------------------------------------------------------------------
 
-    /// Record that datanode state changed, invalidating the candidates
-    /// cache. Called (conservatively, even when the mutation turns out to
-    /// be a no-op) by every method that can touch a datanode record.
-    #[inline]
-    fn dn_changed(&mut self) {
-        self.dn_epoch += 1;
-    }
-
-    /// A new datanode reported in (worker started).
-    pub fn register_datanode(&mut self, now: SimTime, node: NodeId) {
-        self.dn_changed();
+    /// A new datanode on `site` reported in (worker started).
+    pub fn register_datanode(&mut self, now: SimTime, node: NodeId, site: SiteId) {
         self.tracer
             .emit(|| TraceEvent::new(Layer::Hdfs, "dn_register").with("node", node.0));
-        let old = self
-            .datanodes
-            .insert(node, DatanodeInfo::new(self.cfg.datanode_capacity, now));
+        let old = self.datanodes.insert(
+            node,
+            DatanodeInfo::new(self.cfg.datanode_capacity, site, now),
+        );
         self.live
             .transition(node, old.map(|d| d.liveness), Liveness::Live);
     }
@@ -352,8 +384,7 @@ impl Namenode {
     /// The worker vanished cleanly: heartbeats stop now; death is declared
     /// after the timeout.
     pub fn mark_silent(&mut self, now: SimTime, node: NodeId) {
-        self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(node) {
+        self.datanodes.update(node, |dn| {
             if dn.liveness == Liveness::Live {
                 self.live
                     .transition(node, Some(dn.liveness), Liveness::Silent);
@@ -362,7 +393,7 @@ impl Namenode {
                 self.tracer
                     .emit(|| TraceEvent::new(Layer::Hdfs, "dn_silent").with("node", node.0));
             }
-        }
+        });
     }
 
     /// Periodic tick: declare overdue silent nodes dead and dispatch
@@ -399,17 +430,14 @@ impl Namenode {
     }
 
     fn declare_dead(&mut self, node: NodeId) {
-        self.dn_changed();
-        let Some(dn) = self.datanodes.get_mut(node) else {
-            return;
-        };
-        self.live
-            .transition(node, Some(dn.liveness), Liveness::Dead);
-        dn.liveness = Liveness::Dead;
-        let hosted: Vec<BlockId> = dn.blocks.iter().copied().collect();
-        dn.blocks.clear();
-        dn.used = 0;
-        for b in hosted {
+        let hosted = self.datanodes.update(node, |dn| {
+            self.live
+                .transition(node, Some(dn.liveness), Liveness::Dead);
+            dn.liveness = Liveness::Dead;
+            dn.used = 0;
+            std::mem::take(&mut dn.blocks)
+        });
+        for b in hosted.unwrap_or_default() {
             self.blocks[b.0 as usize].replicas.remove(&node);
             self.count_loss_and_requeue(b);
         }
@@ -521,39 +549,18 @@ impl Namenode {
             Some(p) => p.birth_target(file_repl),
             None => file_repl,
         };
-        // Reuse the candidate scan across back-to-back allocations (an
-        // upload allocates one block per pipeline round-trip with no
-        // datanode churn in between). The scan is O(all datanodes) — at
-        // BENCH_scale tiers it dominates the write path without this.
-        // Taking the cache out of `self` sidesteps the borrow conflict
-        // with `self.candidates` below; an excluded-nodes retry is rare,
-        // so it recomputes and leaves the cache invalidated.
-        let mut cache = std::mem::take(&mut self.cand_cache);
-        let usable = exclude.is_empty() && cache.epoch == self.dn_epoch && cache.size == size;
-        if !usable {
-            cache.cands.clear();
-            cache.cands.extend(self.candidates(size, exclude, topo));
-            if exclude.is_empty() {
-                cache.epoch = self.dn_epoch;
-                cache.size = size;
-            } else {
-                cache.epoch = 0;
-            }
-        }
-        if cache.cands.is_empty() {
-            self.cand_cache = cache;
-            return None;
-        }
-        let placement = &self.cfg.placement;
-        let targets = placement.choose(
-            placement.anchor(topo),
+        let exclude: Vec<NodeId> = exclude.iter().copied().collect();
+        let want = Want {
+            size,
+            n: repl as usize,
             writer,
-            repl as usize,
-            &[],
-            &cache.cands,
-            &mut self.rng,
-        );
-        self.cand_cache = cache;
+            existing: &[],
+            exclude: &exclude,
+            repair: false,
+            boosted: false,
+        };
+        let mut targets = Vec::with_capacity(want.n);
+        self.choose_targets(self.cfg.placement.anchor(topo), &want, &mut targets);
         if targets.is_empty() {
             return None;
         }
@@ -571,38 +578,8 @@ impl Namenode {
     /// The pipeline finished: record which targets actually hold the block.
     /// Fewer than `expected` enqueues re-replication.
     pub fn commit_block(&mut self, block: BlockId, written: &[NodeId]) {
-        let size = self.blocks[block.0 as usize].size;
         for &n in written {
-            if let Some(dn) = self.datanodes.get_mut(n) {
-                if dn.liveness != Liveness::Dead {
-                    dn.add_block(block, size);
-                    self.blocks[block.0 as usize].replicas.insert(n);
-                    self.bytes_written += size;
-                }
-            }
-        }
-        // The only datanode state touched above is `used` on `written`,
-        // and only upward — no node can become newly eligible. So instead
-        // of bumping the epoch (which would invalidate the candidate cache
-        // between every allocate/commit pair of an upload, i.e. exactly
-        // where it matters), patch the cached entries in place: the result
-        // is byte-identical to a fresh scan. The cache stays node-sorted
-        // because `NodeMap` iteration built it ascending and removals keep
-        // relative order.
-        if self.cand_cache.epoch == self.dn_epoch {
-            for &n in written {
-                let Ok(i) = self.cand_cache.cands.binary_search_by_key(&n, |c| c.node) else {
-                    continue;
-                };
-                match self.datanodes.get(n) {
-                    Some(dn) if dn.can_accept(self.cand_cache.size) => {
-                        self.cand_cache.cands[i].free = dn.free();
-                    }
-                    _ => {
-                        self.cand_cache.cands.remove(i);
-                    }
-                }
-            }
+            self.add_replica(block, n);
         }
         let meta = &self.blocks[block.0 as usize];
         self.tracer.emit(|| {
@@ -614,6 +591,43 @@ impl Namenode {
         self.count_loss_and_requeue(block);
     }
 
+    /// Record `node` as a holder of `block` unless the node is dead or
+    /// unknown; returns whether it now holds the block.
+    fn add_replica(&mut self, block: BlockId, node: NodeId) -> bool {
+        let size = self.blocks[block.0 as usize].size;
+        let added = self.datanodes.update(node, |dn| {
+            let alive = dn.liveness != Liveness::Dead;
+            if alive {
+                dn.add_block(block, size);
+            }
+            alive
+        });
+        if added == Some(true) {
+            self.blocks[block.0 as usize].replicas.insert(node);
+            self.bytes_written += size;
+        }
+        added == Some(true)
+    }
+
+    /// Drop `block` from `node`'s records.
+    fn drop_replica(&mut self, block: BlockId, node: NodeId) {
+        let size = self.blocks[block.0 as usize].size;
+        self.datanodes
+            .update(node, |dn| dn.remove_block(block, size));
+    }
+
+    /// Forget every in-flight repair target of `block`.
+    fn drop_pending(&mut self, block: BlockId) {
+        while let Some(&key) = self.pending_repl.range(keys_of(block)).next() {
+            self.pending_repl.remove(&key);
+        }
+    }
+
+    /// The in-flight repair targets of `block`, ascending.
+    fn pending_targets(&self, block: BlockId) -> impl Iterator<Item = NodeId> + '_ {
+        self.pending_repl.range(keys_of(block)).map(|&(_, n)| n)
+    }
+
     /// Mark the file complete (write-once-read-many).
     pub fn complete_file(&mut self, file: FileId) {
         self.files[file.0 as usize].complete = true;
@@ -623,39 +637,31 @@ impl Namenode {
     /// file, free any partial replicas, and stop tracking it for
     /// replication. The file simply ends up shorter.
     pub fn abandon_block(&mut self, block: BlockId) {
-        self.dn_changed();
         let meta = &mut self.blocks[block.0 as usize];
-        let size = meta.size;
         meta.expected = 0;
         let replicas = std::mem::take(&mut meta.replicas);
         let file = meta.file;
         for n in replicas {
-            if let Some(dn) = self.datanodes.get_mut(n) {
-                dn.remove_block(block, size);
-            }
+            self.drop_replica(block, n);
         }
         self.needs_repl.remove(block);
-        self.pending_repl.remove(&block);
+        self.drop_pending(block);
         self.files[file.0 as usize].blocks.retain(|&b| b != block);
     }
 
     /// Delete a file: every replica of every block is dropped immediately.
     pub fn delete_file(&mut self, path: &str) {
-        self.dn_changed();
         let Some(id) = self.files_by_path.remove(path) else {
             return;
         };
         let blocks = std::mem::take(&mut self.files[id.0 as usize].blocks);
         for b in blocks {
-            let size = self.blocks[b.0 as usize].size;
             let replicas = std::mem::take(&mut self.blocks[b.0 as usize].replicas);
             for n in replicas {
-                if let Some(dn) = self.datanodes.get_mut(n) {
-                    dn.remove_block(b, size);
-                }
+                self.drop_replica(b, n);
             }
             self.needs_repl.remove(b);
-            self.pending_repl.remove(&b);
+            self.drop_pending(b);
             // Expected 0 so the block never re-enters the repl queue.
             self.blocks[b.0 as usize].expected = 0;
         }
@@ -714,18 +720,14 @@ impl Namenode {
     /// A reader found the replica unusable (zombie node, checksum error):
     /// invalidate it and queue re-replication.
     pub fn report_bad_replica(&mut self, block: BlockId, node: NodeId) {
-        self.dn_changed();
         self.bad_replica_reports += 1;
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "bad_replica")
                 .with("block", block.0)
                 .with("node", node.0)
         });
-        let size = self.blocks[block.0 as usize].size;
         if self.blocks[block.0 as usize].replicas.remove(&node) {
-            if let Some(dn) = self.datanodes.get_mut(node) {
-                dn.remove_block(block, size);
-            }
+            self.drop_replica(block, node);
             self.count_loss_and_requeue(block);
         }
     }
@@ -734,22 +736,82 @@ impl Namenode {
     // Replication monitor
     // ------------------------------------------------------------------
 
-    /// The datanodes that can take `size` more bytes, outside `exclude`:
-    /// placement candidates in ascending node order.
-    fn candidates<'a>(
-        &'a self,
-        size: u64,
-        exclude: &'a BTreeSet<NodeId>,
-        topo: &'a Topology,
-    ) -> impl Iterator<Item = Candidate> + 'a {
-        self.datanodes
-            .iter()
-            .filter(move |(n, dn)| dn.can_accept(size) && !exclude.contains(n))
-            .map(|(n, dn)| Candidate {
-                node: n,
-                site: topo.site_of(n),
-                free: dn.free(),
-            })
+    /// Choose up to `want.n` targets into `out` (empty on entry) as the
+    /// configured placement does, `anchor` being its resolved
+    /// [`PlacementKind::anchor`]. A target is a `Live` datanode with
+    /// `want.size` bytes free, outside `want.exclude`, and for a repair
+    /// with a stream to spare; an availability-boosted repair takes a
+    /// stable site's node when some stable site has one. The site-aware
+    /// placements read the free-space index; the flat ones draw over one
+    /// ascending scan of the records.
+    fn choose_targets(&mut self, anchor: Option<SiteId>, want: &Want<'_>, out: &mut Vec<NodeId>) {
+        let Namenode {
+            cfg,
+            datanodes,
+            avail_snapshot,
+            rng,
+            scratch,
+            ..
+        } = self;
+        let cap = cfg.max_repl_streams_per_node;
+        let qualifies = |n: NodeId, dn: &DatanodeInfo| {
+            dn.can_accept(want.size)
+                && want.exclude.binary_search(&n).is_err()
+                && (!want.repair || dn.repl_streams < cap)
+        };
+        let stable = |s: SiteId| {
+            avail_snapshot
+                .as_ref()
+                .is_some_and(|snap| snap.classify(s) == SiteBand::Stable)
+        };
+        if let flat @ (PlacementKind::RackAware | PlacementKind::RackOblivious) = &cfg.placement {
+            let mut cands: Vec<Candidate> = datanodes
+                .iter()
+                .filter(|&(n, dn)| qualifies(n, dn))
+                .map(|(n, dn)| Candidate {
+                    node: n,
+                    site: dn.site,
+                    free: dn.free(),
+                })
+                .collect();
+            if want.boosted {
+                placement::stable_first(&mut cands, stable);
+            }
+            out.extend(match flat {
+                PlacementKind::RackAware => {
+                    placement::rack_aware(want.writer, want.n, want.existing, &cands, rng)
+                }
+                _ => placement::rack_oblivious(want.n, &cands, rng),
+            });
+            return;
+        }
+        let writer = want.writer.and_then(|w| {
+            let dn = datanodes.get(w)?;
+            qualifies(w, dn).then_some((w, dn.site))
+        });
+        let stable_only = want.boosted
+            && datanodes.free.any(&Ask {
+                size: want.size,
+                n: want.n,
+                writer,
+                existing: want.existing,
+                exclude: want.exclude,
+                spare_only: want.repair,
+                admit: stable,
+            });
+        let ask = Ask {
+            size: want.size,
+            n: want.n,
+            writer,
+            existing: want.existing,
+            exclude: want.exclude,
+            spare_only: want.repair,
+            admit: |s: SiteId| !stable_only || stable(s),
+        };
+        match anchor {
+            Some(anchor) => datanodes.free.anchor_first(anchor, &ask, scratch, rng, out),
+            None => datanodes.free.site_aware(&ask, scratch, rng, out),
+        }
     }
 
     /// Issue replication orders for under-replicated blocks, most-critical
@@ -759,14 +821,12 @@ impl Namenode {
     /// instead of always restarting at bucket 0, so a standing trickle of
     /// critical blocks cannot starve higher buckets forever.
     ///
-    /// The datanodes are scanned once per call, into a table of every
-    /// `Live` node with a stream to spare; each order filters that table.
-    /// This is exact: inside this call only stream counts change (each
-    /// order patches its two ends in the table and in the records), while
-    /// free space and liveness move only outside it — pipeline commits,
-    /// repair completions, deletes, trims and `tick`'s death step, which
-    /// runs first. So every order sees the candidates, in the order, that
-    /// a fresh scan of the records would yield.
+    /// Each order chooses its target as a one-replica placement that
+    /// excludes the block's holders and in-flight targets
+    /// ([`Namenode::choose_targets`]). The site-aware placements read
+    /// only the spare side of the free-space index, and an order re-files
+    /// its two ends there as their stream counts rise, so a node that
+    /// reaches the cap leaves every later order's view.
     fn dispatch_replication(&mut self, topo: &Topology) -> Vec<ReplOrder> {
         if self.needs_repl.is_empty() {
             self.fair_resume = None;
@@ -783,24 +843,11 @@ impl Namenode {
         };
         let cap = self.cfg.max_repl_streams_per_node;
         let budget = self.cfg.max_repl_orders_per_tick;
-        let mut table: Vec<SpareNode> = self
-            .datanodes
-            .iter()
-            .filter(|(_, dn)| dn.liveness == Liveness::Live && dn.repl_streams < cap)
-            .map(|(n, dn)| SpareNode {
-                node: n,
-                site: topo.site_of(n),
-                free: dn.free(),
-                streams: dn.repl_streams,
-                excluded: false,
-            })
-            .collect();
-        let position = |table: &[SpareNode], n: NodeId| table.binary_search_by_key(&n, |s| s.node);
-        let placement = &self.cfg.placement;
-        let anchor = placement.anchor(topo);
+        let anchor = self.cfg.placement.anchor(topo);
         let mut srcs: Vec<NodeId> = Vec::new();
         let mut existing: Vec<(NodeId, SiteId)> = Vec::new();
-        let mut cands: Vec<Candidate> = Vec::new();
+        let mut exclude: Vec<NodeId> = Vec::new();
+        let mut target: Vec<NodeId> = Vec::with_capacity(1);
         let mut orders = Vec::new();
         // First block the order budget refused to serve; next tick's
         // fair walk resumes there.
@@ -811,7 +858,7 @@ impl Namenode {
                 break;
             }
             let meta = &self.blocks[b.0 as usize];
-            let pending = self.pending_repl.get(&b).map_or(0, |v| v.len());
+            let pending = self.pending_targets(b).count();
             let deficit = meta.deficit().saturating_sub(pending);
             if deficit == 0 {
                 if pending == 0 {
@@ -839,14 +886,11 @@ impl Namenode {
             // Availability-boosted copies (target above the birth
             // target) exist to *survive*: prefer stable sites for them,
             // falling back to the full set when none qualify.
-            let stable = match (avail.as_ref(), self.avail_snapshot.as_ref()) {
-                (Some(p), Some(snap))
-                    if meta.expected
-                        > p.birth_target(self.files[meta.file.0 as usize].replication) =>
-                {
-                    Some(snap)
+            let boosted = match (avail.as_ref(), self.avail_snapshot.as_ref()) {
+                (Some(p), Some(_)) => {
+                    meta.expected > p.birth_target(self.files[meta.file.0 as usize].replication)
                 }
-                _ => None,
+                _ => false,
             };
             for _ in 0..deficit {
                 // Budget exhaustion mid-block only breaks the copy loop;
@@ -864,50 +908,28 @@ impl Namenode {
                 if !src_has_stream {
                     break;
                 }
-                // Exclude existing replicas and in-flight targets: mark
-                // them in the table, filter it, unmark them.
-                let in_flight = self.pending_repl.get(&b).map_or(&[][..], Vec::as_slice);
-                let excluded = existing
-                    .iter()
-                    .map(|&(n, _)| n)
-                    .chain(in_flight.iter().copied());
-                for n in excluded.clone() {
-                    if let Ok(i) = position(&table, n) {
-                        table[i].excluded = true;
-                    }
-                }
-                cands.clear();
-                cands.extend(
-                    table
-                        .iter()
-                        .filter(|s| !s.excluded && s.free >= size && s.streams < cap)
-                        .map(|s| Candidate {
-                            node: s.node,
-                            site: s.site,
-                            free: s.free,
-                        }),
-                );
-                for n in excluded {
-                    if let Ok(i) = position(&table, n) {
-                        table[i].excluded = false;
-                    }
-                }
-                if let Some(snap) = stable {
-                    crate::placement::stable_first(&mut cands, |s| {
-                        snap.classify(s) == SiteBand::Stable
-                    });
-                }
-                let targets = placement.choose(anchor, None, 1, &existing, &cands, &mut self.rng);
-                let Some(&dst) = targets.first() else { break };
+                // Exclude existing replicas and in-flight targets.
+                exclude.clear();
+                exclude.extend(existing.iter().map(|&(n, _)| n));
+                exclude.extend(self.pending_targets(b));
+                exclude.sort_unstable();
+                exclude.dedup();
+                let want = Want {
+                    size,
+                    n: 1,
+                    writer: None,
+                    existing: &existing,
+                    exclude: &exclude,
+                    repair: true,
+                    boosted,
+                };
+                target.clear();
+                self.choose_targets(anchor, &want, &mut target);
+                let Some(&dst) = target.first() else { break };
                 for n in [src, dst] {
-                    if let Some(dn) = self.datanodes.get_mut(n) {
-                        dn.repl_streams += 1;
-                    }
-                    if let Ok(i) = position(&table, n) {
-                        table[i].streams += 1;
-                    }
+                    self.datanodes.update(n, |dn| dn.repl_streams += 1);
                 }
-                self.pending_repl.entry(b).or_default().push(dst);
+                self.pending_repl.insert((b, dst));
                 orders.push(ReplOrder {
                     block: b,
                     src,
@@ -929,7 +951,6 @@ impl Namenode {
 
     /// A replication transfer finished (or failed / was killed).
     pub fn repl_done(&mut self, block: BlockId, src: NodeId, dst: NodeId, success: bool) {
-        self.dn_changed();
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "repl_done")
                 .with("block", block.0)
@@ -937,20 +958,11 @@ impl Namenode {
                 .with("dst", dst.0)
                 .with("ok", success)
         });
-        if let Some(dn) = self.datanodes.get_mut(src) {
-            dn.repl_streams = dn.repl_streams.saturating_sub(1);
+        for n in [src, dst] {
+            self.datanodes
+                .update(n, |dn| dn.repl_streams = dn.repl_streams.saturating_sub(1));
         }
-        if let Some(dn) = self.datanodes.get_mut(dst) {
-            dn.repl_streams = dn.repl_streams.saturating_sub(1);
-        }
-        if let Some(p) = self.pending_repl.get_mut(&block) {
-            if let Some(pos) = p.iter().position(|&n| n == dst) {
-                p.swap_remove(pos);
-            }
-            if p.is_empty() {
-                self.pending_repl.remove(&block);
-            }
-        }
+        self.pending_repl.remove(&(block, dst));
         if success {
             self.repl_completed += 1;
             if self.blocks[block.0 as usize].expected == 0 {
@@ -960,14 +972,8 @@ impl Namenode {
                 // path leaked that replica's bytes forever.
                 return;
             }
-            let size = self.blocks[block.0 as usize].size;
-            if let Some(dn) = self.datanodes.get_mut(dst) {
-                if dn.liveness != Liveness::Dead {
-                    dn.add_block(block, size);
-                    self.blocks[block.0 as usize].replicas.insert(dst);
-                    self.bytes_written += size;
-                    self.bytes_rereplicated += size;
-                }
+            if self.add_replica(block, dst) {
+                self.bytes_rereplicated += self.blocks[block.0 as usize].size;
             }
             let meta = &self.blocks[block.0 as usize];
             if meta.deficit() == 0 {
@@ -1092,14 +1098,10 @@ impl Namenode {
     /// monitor's availability trims). Instant metadata operation — the
     /// datanode just deletes the copy; no transfer.
     fn trim_replica(&mut self, block: BlockId, node: NodeId) {
-        let size = self.blocks[block.0 as usize].size;
         if !self.blocks[block.0 as usize].replicas.remove(&node) {
             return;
         }
-        self.dn_changed(); // frees space → candidate cache is stale
-        if let Some(dn) = self.datanodes.get_mut(node) {
-            dn.remove_block(block, size);
-        }
+        self.drop_replica(block, node);
         self.replicas_trimmed += 1;
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "replica_trim")
@@ -1293,8 +1295,7 @@ impl Namenode {
     /// once declared `Dead` the node must re-register from scratch — its
     /// blocks were already dropped and queued for re-replication.
     pub fn mark_live(&mut self, now: SimTime, node: NodeId) {
-        self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(node) {
+        self.datanodes.update(node, |dn| {
             if dn.liveness == Liveness::Silent {
                 self.live
                     .transition(node, Some(dn.liveness), Liveness::Live);
@@ -1303,7 +1304,7 @@ impl Namenode {
                 self.tracer
                     .emit(|| TraceEvent::new(Layer::Hdfs, "dn_revived").with("node", node.0));
             }
-        }
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1324,56 +1325,49 @@ impl Namenode {
         &mut self,
         now: SimTime,
         node: NodeId,
+        site: SiteId,
         report: &[BlockId],
     ) -> (usize, usize) {
-        self.dn_changed();
         self.tracer.emit(|| {
             TraceEvent::new(Layer::Hdfs, "dn_block_report")
                 .with("node", node.0)
                 .with("blocks", report.len())
         });
         if self.datanodes.get(node).is_none() {
-            let fresh = DatanodeInfo::new(self.cfg.datanode_capacity, now);
+            let fresh = DatanodeInfo::new(self.cfg.datanode_capacity, site, now);
             self.datanodes.insert(node, fresh);
         }
-        let dn = self
-            .datanodes
-            .get_mut(node)
-            .expect("replay_block_report: record exists or was just inserted");
-        self.live
-            .transition(node, Some(dn.liveness), Liveness::Live);
-        dn.liveness = Liveness::Live;
-        dn.last_heartbeat = now;
-        dn.repl_streams = 0;
-        let stale: Vec<BlockId> = dn.blocks.iter().copied().collect();
-        dn.blocks.clear();
-        dn.used = 0;
-        for b in stale {
-            self.blocks[b.0 as usize].replicas.remove(&node);
-        }
-        let mut accepted = 0;
-        let mut orphaned = 0;
-        // Re-borrow the record once for the whole report instead of an
-        // unwrap per block: `datanodes` and `blocks` are disjoint
-        // fields, so both can be borrowed through `self` concurrently.
-        let dn = self
-            .datanodes
-            .get_mut(node)
-            .expect("replay_block_report: record exists or was just inserted");
-        for &b in report {
-            let known =
-                (b.0 as usize) < self.blocks.len() && self.blocks[b.0 as usize].expected > 0;
-            if known {
-                let size = self.blocks[b.0 as usize].size;
-                self.blocks[b.0 as usize].replicas.insert(node);
-                dn.add_block(b, size);
-                accepted += 1;
-            } else {
-                self.bad_replica_reports += 1;
-                orphaned += 1;
-            }
-        }
-        (accepted, orphaned)
+        // `datanodes`, `live`, `blocks` and the counter are disjoint
+        // fields, so the one record update can touch them all.
+        self.datanodes
+            .update(node, |dn| {
+                self.live
+                    .transition(node, Some(dn.liveness), Liveness::Live);
+                dn.liveness = Liveness::Live;
+                dn.last_heartbeat = now;
+                dn.repl_streams = 0;
+                dn.used = 0;
+                for b in std::mem::take(&mut dn.blocks) {
+                    self.blocks[b.0 as usize].replicas.remove(&node);
+                }
+                let mut accepted = 0;
+                let mut orphaned = 0;
+                for &b in report {
+                    let known = (b.0 as usize) < self.blocks.len()
+                        && self.blocks[b.0 as usize].expected > 0;
+                    if known {
+                        let size = self.blocks[b.0 as usize].size;
+                        self.blocks[b.0 as usize].replicas.insert(node);
+                        dn.add_block(b, size);
+                        accepted += 1;
+                    } else {
+                        self.bad_replica_reports += 1;
+                        orphaned += 1;
+                    }
+                }
+                (accepted, orphaned)
+            })
+            .expect("replay_block_report: record exists or was just inserted")
     }
 
     /// Rebuild the replication monitor's queues from the block map after
@@ -1382,10 +1376,10 @@ impl Namenode {
     /// master), so pending targets and stream counts reset and the
     /// under-replication queue is rescanned from replica deficits.
     pub fn rebuild_replication_state(&mut self) {
-        self.dn_changed();
         self.pending_repl.clear();
-        for dn in self.datanodes.values_mut() {
-            dn.repl_streams = 0;
+        let nodes: Vec<NodeId> = self.datanodes.iter().map(|(n, _)| n).collect();
+        for n in nodes {
+            self.datanodes.update(n, |dn| dn.repl_streams = 0);
         }
         self.needs_repl = ReplQueue::default();
         self.fair_resume = None;
@@ -1454,12 +1448,13 @@ impl Namenode {
         }
         let queued: Vec<u64> = self.needs_repl.iter().map(|b| b.0).collect();
         let _ = writeln!(s, "needs_repl={queued:?}");
-        let mut pending: Vec<(u64, Vec<u32>)> = self
-            .pending_repl
-            .iter()
-            .map(|(b, v)| (b.0, v.iter().map(|n| n.0).collect()))
-            .collect();
-        pending.sort();
+        let mut pending: Vec<(u64, Vec<u32>)> = Vec::new();
+        for &(b, n) in &self.pending_repl {
+            match pending.last_mut() {
+                Some((last, targets)) if *last == b.0 => targets.push(n.0),
+                _ => pending.push((b.0, vec![n.0])),
+            }
+        }
         let _ = writeln!(s, "pending_repl={pending:?}");
         let _ = writeln!(
             s,
@@ -1480,10 +1475,7 @@ impl Namenode {
     /// itself.
     #[doc(hidden)]
     pub fn debug_skew_used(&mut self, node: NodeId, delta: u64) {
-        self.dn_changed();
-        if let Some(dn) = self.datanodes.get_mut(node) {
-            dn.used += delta;
-        }
+        self.datanodes.update(node, |dn| dn.used += delta);
     }
 }
 
@@ -1491,7 +1483,8 @@ impl hog_sim_core::Auditable for Namenode {
     /// Cross-check the namenode's two views of the cluster: the per-block
     /// replica map and the per-datanode block/usage accounting must agree
     /// exactly, dead datanodes must hold nothing, and no datanode may
-    /// claim more bytes than its capacity.
+    /// claim more bytes than its capacity. The free-space index must
+    /// recount from the datanode records.
     fn audit(&self) -> Vec<hog_sim_core::Violation> {
         use hog_sim_core::Violation;
         let mut out = Vec::new();
@@ -1566,6 +1559,8 @@ impl hog_sim_core::Auditable for Namenode {
         // The failure detector's summaries must mirror the records.
         let liveness = self.datanodes.iter().map(|(n, dn)| (n, dn.liveness));
         out.extend(self.live.audit("hdfs", "datanode", liveness));
+        let index = self.datanodes.free.audit(&self.datanodes.records);
+        out.extend(index.into_iter().map(|v| Violation::new("hdfs", v)));
         out
     }
 }
@@ -1573,7 +1568,7 @@ impl hog_sim_core::Auditable for Namenode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::PlacementKind;
+    use crate::placement::oracle;
 
     /// 3 sites × `per_site` nodes, all registered as datanodes at t=0,
     /// placing site-aware whatever the preset.
@@ -1592,7 +1587,7 @@ mod tests {
         };
         let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(11));
         for &n in &nodes {
-            nn.register_datanode(SimTime::ZERO, n);
+            nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
         }
         (nn, topo, nodes)
     }
@@ -2002,9 +1997,10 @@ mod tests {
     }
 
     /// The replication dispatch this module shipped before the per-tick
-    /// candidate table: for every order a fresh `srcs` vec, an `exclude`
-    /// set, a scan of every datanode and an `existing` vec. Kept as the
-    /// oracle `Namenode::dispatch_replication` must match.
+    /// candidate table and the free-space index: for every order a fresh
+    /// `srcs` vec, an `exclude` set, a scan of every datanode, an
+    /// `existing` vec and the placement's choice over the scanned list.
+    /// Kept as the oracle `Namenode::dispatch_replication` must match.
     fn dispatch_per_order_scan(nn: &mut Namenode, topo: &Topology) -> Vec<ReplOrder> {
         if nn.needs_repl.is_empty() {
             nn.fair_resume = None;
@@ -2019,6 +2015,7 @@ mod tests {
         };
         let placement = nn.cfg.placement.clone();
         let anchor = placement.anchor(topo);
+        let cap = nn.cfg.max_repl_streams_per_node;
         let mut orders = Vec::new();
         let mut unserved: Option<BlockId> = None;
         for b in queue {
@@ -2027,7 +2024,7 @@ mod tests {
                 break;
             }
             let meta = &nn.blocks[b.0 as usize];
-            let pending = nn.pending_repl.get(&b).map_or(0, |v| v.len());
+            let pending = nn.pending_targets(b).count();
             let deficit = meta.deficit().saturating_sub(pending);
             if deficit == 0 {
                 if pending == 0 {
@@ -2041,11 +2038,7 @@ mod tests {
                 .iter()
                 .copied()
                 .filter(|&n| {
-                    nn.is_live(n)
-                        && nn
-                            .datanodes
-                            .get(n)
-                            .is_some_and(|d| d.repl_streams < nn.cfg.max_repl_streams_per_node)
+                    nn.is_live(n) && nn.datanodes.get(n).is_some_and(|d| d.repl_streams < cap)
                 })
                 .collect();
             if srcs.is_empty() {
@@ -2056,19 +2049,13 @@ mod tests {
                     break;
                 }
                 let src = *nn.rng.choose(&srcs);
-                let src_has_stream = nn
-                    .datanodes
-                    .get(src)
-                    .is_some_and(|d| d.repl_streams < nn.cfg.max_repl_streams_per_node);
+                let src_has_stream = nn.datanodes.get(src).is_some_and(|d| d.repl_streams < cap);
                 if !src_has_stream {
                     break;
                 }
                 let mut exclude: BTreeSet<NodeId> =
                     nn.blocks[b.0 as usize].replicas.iter().copied().collect();
-                if let Some(p) = nn.pending_repl.get(&b) {
-                    exclude.extend(p.iter().copied());
-                }
-                let cap = nn.cfg.max_repl_streams_per_node;
+                exclude.extend(nn.pending_targets(b));
                 let mut cands: Vec<Candidate> = nn
                     .datanodes
                     .iter()
@@ -2095,20 +2082,13 @@ mod tests {
                     .iter()
                     .map(|&n| (n, topo.site_of(n)))
                     .collect();
-                let targets = placement.choose(anchor, None, 1, &existing, &cands, &mut nn.rng);
+                let targets =
+                    oracle::choose(&placement, anchor, None, 1, &existing, &cands, &mut nn.rng);
                 let Some(&dst) = targets.first() else { break };
-                let Some(src_dn) = nn.datanodes.get_mut(src) else {
-                    break;
-                };
-                src_dn.repl_streams += 1;
-                let Some(dst_dn) = nn.datanodes.get_mut(dst) else {
-                    if let Some(s) = nn.datanodes.get_mut(src) {
-                        s.repl_streams = s.repl_streams.saturating_sub(1);
-                    }
-                    break;
-                };
-                dst_dn.repl_streams += 1;
-                nn.pending_repl.entry(b).or_default().push(dst);
+                for n in [src, dst] {
+                    nn.datanodes.update(n, |dn| dn.repl_streams += 1);
+                }
+                nn.pending_repl.insert((b, dst));
                 orders.push(ReplOrder {
                     block: b,
                     src,
@@ -2125,6 +2105,97 @@ mod tests {
         orders
     }
 
+    /// The write path's target choice before the free-space index: one
+    /// ascending scan of the records into a candidate list, and the
+    /// placement's choice over it. Kept as the oracle
+    /// `Namenode::allocate_block_excluding` must match.
+    fn allocate_by_scan(
+        nn: &mut Namenode,
+        file: FileId,
+        size: u64,
+        writer: Option<NodeId>,
+        exclude: &BTreeSet<NodeId>,
+        topo: &Topology,
+    ) -> Option<(BlockId, Vec<NodeId>)> {
+        let file_repl = nn.files[file.0 as usize].replication;
+        let repl = match &nn.cfg.availability {
+            Some(p) => p.birth_target(file_repl),
+            None => file_repl,
+        };
+        let cands: Vec<Candidate> = nn
+            .datanodes
+            .iter()
+            .filter(|(n, dn)| dn.can_accept(size) && !exclude.contains(n))
+            .map(|(n, dn)| Candidate {
+                node: n,
+                site: topo.site_of(n),
+                free: dn.free(),
+            })
+            .collect();
+        if cands.is_empty() {
+            return None;
+        }
+        let placement = nn.cfg.placement.clone();
+        let anchor = placement.anchor(topo);
+        let targets = oracle::choose(
+            &placement,
+            anchor,
+            writer,
+            repl as usize,
+            &[],
+            &cands,
+            &mut nn.rng,
+        );
+        if targets.is_empty() {
+            return None;
+        }
+        let id = BlockId(nn.blocks.len() as u64);
+        nn.blocks.push(BlockMeta {
+            file,
+            size,
+            replicas: BTreeSet::new(),
+            expected: repl,
+        });
+        nn.files[file.0 as usize].blocks.push(id);
+        Some((id, targets))
+    }
+
+    #[test]
+    fn audit_recounts_the_free_space_index() {
+        let cfg = HdfsConfig::hog().with_replication(3);
+        let (mut nn, topo, nodes) = setup(4, cfg);
+        write_file(&mut nn, &topo, "/in/a", 4, 1 << 20);
+        nn.mark_silent(SimTime::ZERO, nodes[5]);
+        let audit = |nn: &Namenode| hog_sim_core::Auditable::audit(nn);
+        assert!(audit(&nn).is_empty(), "{:?}", audit(&nn));
+        // A live node dropped from the index.
+        let mut lost = nn.clone();
+        let record = lost.datanodes.get(nodes[0]).unwrap().clone();
+        lost.datanodes.free.leave(nodes[0], &record);
+        let found = audit(&lost);
+        assert!(
+            found
+                .iter()
+                .any(|v| v.layer == "hdfs" && v.detail.contains("not filed")),
+            "{found:?}"
+        );
+        // A node filed twice.
+        let mut twice = nn.clone();
+        twice.datanodes.free.enter(nodes[1], &record);
+        assert!(!audit(&twice).is_empty());
+        // A node filed under stale free space: a record changed behind
+        // the index's back.
+        let mut stale = nn.clone();
+        stale.datanodes.records.get_mut(nodes[2]).unwrap().used += 1;
+        let found = audit(&stale);
+        assert!(
+            found
+                .iter()
+                .any(|v| v.detail.contains("datanode 2 is not filed")),
+            "{found:?}"
+        );
+    }
+
     mod one_pass_dispatch_props {
         use super::*;
         use crate::availability::{AvailabilityPolicy, AvailabilitySnapshot, SiteRisk};
@@ -2134,10 +2205,10 @@ mod tests {
         const BLOCK: u64 = 1 << 20;
         const SHORT: u64 = 300_000;
 
-        /// What the oracle comparison checks after a dispatch besides the
-        /// orders: the fair cursor, every datanode's stream count, the
-        /// whole fsimage (queues and pending targets included) and the
-        /// next draw of the namenode's rng.
+        /// What the oracle comparison checks after a dispatch or an
+        /// allocation besides its result: the fair cursor, every
+        /// datanode's stream count, the whole fsimage (queues and pending
+        /// targets included) and the next draw of the namenode's rng.
         #[allow(clippy::type_complexity)]
         fn observe(nn: &Namenode) -> (Option<(u32, BlockId)>, Vec<(NodeId, u8)>, String, u64) {
             (
@@ -2151,15 +2222,21 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// The one-pass dispatch makes the oracle's orders and leaves
-            /// the namenode exactly as the oracle does, over random states:
-            /// `Live`, `Silent` and `Dead` nodes, stream counts
-            /// at and below the cap, a short last block with free space on
-            /// either side of its size, pending targets, order budgets that
-            /// run out, and (armed) the availability policy with raised
-            /// targets and a snapshot, so stable-first filtering fires.
-            /// Three rounds, with half of each round's orders completed or
-            /// failed in between, carry the fair cursor across dispatches.
+            /// Index-driven dispatch and allocation make the oracles'
+            /// choices and leave the namenode exactly as the oracles do,
+            /// under each placement (site-aware, anchor-first on a real
+            /// site, rack-aware, rack-oblivious), over random states:
+            /// `Live`, `Silent` and `Dead` nodes, stream counts at and
+            /// below the cap, a short last block with free space on either
+            /// side of its size, late-joining empty nodes (large tie
+            /// groups at full free space), pending targets, order budgets
+            /// that run out, and (armed) the availability policy with
+            /// raised targets and a snapshot, so stable-first filtering
+            /// fires. Three rounds each dispatch, complete or fail half of
+            /// the orders (carrying the fair cursor across dispatches),
+            /// then allocate a block for a writer that may or may not
+            /// qualify, with an exclusion set, and commit it. The index
+            /// recounts clean after every round.
             #[test]
             fn prop_one_pass_dispatch_matches_per_order_oracle(
                 shape in (2u32..5, 2u32..8, 2u16..6, 1usize..6, 1u8..4, 1usize..24),
@@ -2167,12 +2244,19 @@ mod tests {
                 pending in proptest::collection::vec((0usize..16, 0u32..40), 0..6),
                 raises in proptest::collection::vec((0usize..16, 1u16..4), 0..6),
                 bands in proptest::collection::vec(0u8..3, 5..6),
-                (armed, seed) in (proptest::bool::ANY, 0u64..10_000),
+                (armed, seed, which, late) in (proptest::bool::ANY, 0u64..10_000, 0u8..4, 0u32..24),
+                writes in proptest::collection::vec((0u32..80, 0u64..1 << 20), 3..4),
             ) {
                 let (sites, per_site, r, full_blocks, cap, budget) = shape;
                 let mut cfg = HdfsConfig::hog().with_replication(r).with_capacity(64 * BLOCK);
                 cfg.max_repl_streams_per_node = cap;
                 cfg.max_repl_orders_per_tick = budget;
+                cfg.placement = match which {
+                    0 => PlacementKind::SiteAware,
+                    1 => PlacementKind::AnchorFirst { site_name: "S0".into() },
+                    2 => PlacementKind::RackAware,
+                    _ => PlacementKind::RackOblivious,
+                };
                 if armed {
                     cfg = cfg.with_availability(AvailabilityPolicy {
                         r_min: 1,
@@ -2182,15 +2266,17 @@ mod tests {
                 }
                 let mut topo = Topology::new();
                 let mut ids = Vec::new();
+                let mut site_ids = Vec::new();
                 for s in 0..sites {
                     let site = topo.add_site(format!("S{s}"), format!("s{s}.edu"));
+                    site_ids.push(site);
                     for _ in 0..per_site {
                         ids.push(topo.add_node(site));
                     }
                 }
                 let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(seed));
                 for &n in &ids {
-                    nn.register_datanode(SimTime::ZERO, n);
+                    nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
                 }
                 let f = nn.create_file_default("/in/a");
                 for i in 0..=full_blocks {
@@ -2213,25 +2299,31 @@ mod tests {
                         }
                         _ => {}
                     }
-                    let dn = nn.datanodes.get_mut(n).unwrap();
-                    dn.repl_streams = streams.min(cap);
-                    dn.capacity = dn.used
-                        + match slack {
-                            0 => SHORT - 1,
-                            1 => SHORT,
-                            2 => BLOCK,
-                            _ => 64 * BLOCK,
-                        };
+                    nn.datanodes.update(n, |dn| {
+                        dn.repl_streams = streams.min(cap);
+                        dn.capacity = dn.used
+                            + match slack {
+                                0 => SHORT - 1,
+                                1 => SHORT,
+                                2 => BLOCK,
+                                _ => 64 * BLOCK,
+                            };
+                    });
+                }
+                // Late joiners: empty disks, so each site's head is a tie
+                // group of fresh nodes.
+                for i in 0..late {
+                    let n = topo.add_node(site_ids[i as usize % site_ids.len()]);
+                    nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
+                    ids.push(n);
                 }
                 for &(bi, node) in &pending {
                     let b = blocks[bi % blocks.len()];
                     let n = ids[node as usize % ids.len()];
-                    let in_flight = nn.pending_repl.entry(b).or_default();
-                    if !nn.blocks[b.0 as usize].replicas.contains(&n) && !in_flight.contains(&n) {
-                        in_flight.push(n);
+                    if !nn.blocks[b.0 as usize].replicas.contains(&n) {
+                        nn.pending_repl.insert((b, n));
                     }
                 }
-                nn.pending_repl.retain(|_, v| !v.is_empty());
                 if armed {
                     let sites = bands
                         .iter()
@@ -2243,8 +2335,9 @@ mod tests {
                         .collect();
                     nn.avail_snapshot = Some(AvailabilitySnapshot { sites });
                 }
+                let g = nn.create_file_default("/in/b");
                 let mut oracle = nn.clone();
-                for round in 0..3 {
+                for (round, &(pick, mask)) in writes.iter().enumerate() {
                     let got = nn.dispatch_replication(&topo);
                     let want = dispatch_per_order_scan(&mut oracle, &topo);
                     prop_assert_eq!(&got, &want, "round {}", round);
@@ -2254,6 +2347,28 @@ mod tests {
                         nn.repl_done(o.block, o.src, o.dst, ok);
                         oracle.repl_done(o.block, o.src, o.dst, ok);
                     }
+                    // A writer on any node, registered or not (one pick in
+                    // five writes from off the pool), and an exclusion set
+                    // from the mask's bits over the node list.
+                    let writer = (pick % 5 != 0).then(|| NodeId(pick % (ids.len() as u32 + 2)));
+                    let exclude: BTreeSet<NodeId> = ids
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| mask & (1 << (i % 20)) != 0 && i % 3 == round % 3)
+                        .map(|(_, &n)| n)
+                        .collect();
+                    let size = if round == 1 { SHORT } else { BLOCK };
+                    let got = nn.allocate_block_excluding(g, size, writer, &exclude, &topo);
+                    let want = allocate_by_scan(&mut oracle, g, size, writer, &exclude, &topo);
+                    prop_assert_eq!(&got, &want, "round {} allocation", round);
+                    if let Some((b, targets)) = got {
+                        let written = &targets[..targets.len().div_ceil(2)];
+                        nn.commit_block(b, written);
+                        oracle.commit_block(b, written);
+                    }
+                    prop_assert_eq!(observe(&nn), observe(&oracle), "round {} allocation", round);
+                    let index = nn.datanodes.free.audit(&nn.datanodes.records);
+                    prop_assert!(index.is_empty(), "round {}: {:?}", round, index);
                 }
             }
         }

@@ -17,11 +17,21 @@
 //!   ablation baseline showing what site awareness buys (experiment X7).
 //! * [`PlacementKind::AnchorFirst`] — MOON-style: one replica pinned to a
 //!   dedicated anchor site, the rest site-aware (experiment X5).
+//!
+//! The two site-aware placements never look at a node outside the head
+//! of a site: they read the namenode's free-space index, which keeps each
+//! site's `Live` datanodes ordered by free space. The other two draw
+//! over the whole candidate list, so the namenode hands them one flat
+//! scan of its records ([`Candidate`]).
 
-use hog_net::{NodeId, SiteId, Topology};
-use hog_sim_core::SimRng;
+use crate::datanode::DatanodeInfo;
+use hog_net::{NodeId, NodeMap, SiteId, Topology};
+use hog_sim_core::{Liveness, SimRng};
+use std::cmp::Reverse;
 
-/// A datanode eligible to receive a replica.
+/// A datanode eligible to receive a replica, as the flat placements
+/// ([`PlacementKind::RackAware`], [`PlacementKind::RackOblivious`]) see
+/// it.
 #[derive(Clone, Copy, Debug)]
 pub struct Candidate {
     /// The node.
@@ -62,139 +72,390 @@ impl PlacementKind {
             .find(|s| s.name == *site_name)
             .map(|s| s.id)
     }
+}
 
-    /// Choose up to `n` targets for a block: distinct nodes drawn from
-    /// `candidates` (never one listed in `existing`), fewer when the
-    /// cluster cannot satisfy the request.
-    ///
-    /// * `anchor` — this placement's [`PlacementKind::anchor`] in the
-    ///   run's topology, resolved once per namenode call.
-    /// * `writer` — the datanode co-located with the writing client, if
-    ///   any (map outputs written to HDFS, or a datanode-local upload).
-    /// * `existing` — `(node, site)` of current replicas (non-empty for
-    ///   re-replication).
-    /// * `candidates` — eligible datanodes (live, storage OK, enough free
-    ///   space); never contains nodes from `existing`.
-    pub fn choose(
-        &self,
-        anchor: Option<SiteId>,
-        writer: Option<NodeId>,
-        n: usize,
-        existing: &[(NodeId, SiteId)],
-        candidates: &[Candidate],
-        rng: &mut SimRng,
-    ) -> Vec<NodeId> {
-        match self {
-            PlacementKind::SiteAware => site_aware(writer, n, existing, candidates, rng),
-            PlacementKind::RackAware => rack_aware(writer, n, existing, candidates, rng),
-            PlacementKind::RackOblivious => rack_oblivious(n, candidates, rng),
-            PlacementKind::AnchorFirst { .. } => match anchor {
-                Some(anchor) => anchor_first(anchor, writer, n, existing, candidates, rng),
-                // An anchor site the topology lacks pins nothing.
-                None => site_aware(writer, n, existing, candidates, rng),
-            },
-        }
+/// An index entry: most free space first, ties by ascending node.
+type Entry = (Reverse<u64>, NodeId);
+
+/// One site's `Live` datanodes, each list ascending by [`Entry`].
+#[derive(Clone, Debug, Default)]
+struct SiteFree {
+    /// Nodes with a repair stream to spare.
+    spare: Vec<Entry>,
+    /// Nodes at the repair-stream cap: write targets, not repair targets.
+    busy: Vec<Entry>,
+}
+
+/// The namenode's per-site free-space index: every `Live` datanode,
+/// filed under its site by (free bytes descending, node ascending), on
+/// the spare or the busy side of the site by whether its repair streams
+/// are below the cap. The namenode re-files a node at every change to
+/// its record ([`FreeIndex::leave`] before, [`FreeIndex::enter`] after),
+/// so the index is always what a recount of the records would build
+/// ([`FreeIndex::audit`]).
+///
+/// A choice reads only site heads: a site's best candidate is its first
+/// entry that is not excluded or already chosen, and that entry's tie
+/// group (the entries at the same free space) is contiguous and
+/// node-ascending, so its size and its `k`-th member come from binary
+/// searches. A repair reads only the spare side, so nodes at the stream
+/// cap cost it nothing.
+#[derive(Clone, Debug)]
+pub(crate) struct FreeIndex {
+    /// `max_repl_streams_per_node`: a node with this many streams is busy.
+    cap: u8,
+    /// By site id.
+    sites: Vec<SiteFree>,
+}
+
+/// What one choice asks the [`FreeIndex`] for. A node qualifies when it
+/// is in the index (`Live`), has `size` bytes free, is not excluded or
+/// already chosen, sits on an admitted site and, for a repair, has a
+/// stream to spare.
+pub(crate) struct Ask<'a, A> {
+    /// Bytes the block needs.
+    pub size: u64,
+    /// Replicas wanted.
+    pub n: usize,
+    /// The writer's datanode and site when the node has room and is not
+    /// excluded: a fresh write's first replica, if its site is admitted.
+    pub writer: Option<(NodeId, SiteId)>,
+    /// `(node, site)` of the block's current replicas.
+    pub existing: &'a [(NodeId, SiteId)],
+    /// Nodes no replica may go to, ascending and distinct.
+    pub exclude: &'a [NodeId],
+    /// A repair copy: only nodes with a stream to spare qualify.
+    pub spare_only: bool,
+    /// The sites a replica may go to.
+    pub admit: A,
+}
+
+impl<A: Fn(SiteId) -> bool> Ask<'_, A> {
+    fn may_take(&self, node: NodeId, chosen: &[NodeId]) -> bool {
+        self.exclude.binary_search(&node).is_err() && !chosen.contains(&node)
     }
 }
 
-/// HOG's site-aware placement.
-fn site_aware(
-    writer: Option<NodeId>,
-    n: usize,
-    existing: &[(NodeId, SiteId)],
-    candidates: &[Candidate],
-    rng: &mut SimRng,
-) -> Vec<NodeId> {
-    let mut chosen: Vec<NodeId> = Vec::with_capacity(n);
-    if n == 0 || candidates.is_empty() {
-        return chosen;
-    }
-    // This runs on every block allocation with n = the replication
-    // factor (10 under the HOG preset) over every datanode that can
-    // take the block, so it makes one pass over the candidates per
-    // call, not per replica. The result depends only on the
-    // candidate *set*: the site key is `(replicas so far, site id)`
-    // over sites with an unchosen candidate, and inside a site the
-    // most free space wins, ties drawn in ascending node order. So
-    // the pass threads each candidate onto its site's list (two flat
-    // buffers: a head per site, a link per candidate), and each
-    // replica scans the sites and then only the chosen site's list.
-    const END: u32 = u32::MAX;
-    // Per site: (replicas so far, head of its unchosen-candidate list).
-    // 64 slots cover every pool the presets build (32 sites at 10k
-    // nodes) without a regrowth.
-    let mut sites: Vec<(u32, u32)> = Vec::with_capacity(64);
-    let slot = |sites: &mut Vec<(u32, u32)>, site: SiteId| {
-        let s = site.0 as usize;
-        if s >= sites.len() {
-            sites.resize(s + 1, (0, END));
+/// Buffers a choice works in, kept by the caller so that choosing
+/// allocates nothing once they have grown.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Scratch {
+    /// Replicas per site so far.
+    counts: Vec<u32>,
+    /// Places in a tie group that a draw must skip.
+    skip: Vec<usize>,
+}
+
+impl FreeIndex {
+    /// An empty index for nodes allowed `cap` repair streams.
+    pub(crate) fn new(cap: u8) -> Self {
+        FreeIndex {
+            cap,
+            sites: Vec::new(),
         }
-        s
+    }
+
+    /// The list `dn` belongs on and its entry there; `None` unless the
+    /// node is `Live`.
+    fn slot(&mut self, node: NodeId, dn: &DatanodeInfo) -> Option<(&mut Vec<Entry>, Entry)> {
+        if dn.liveness != Liveness::Live {
+            return None;
+        }
+        let s = dn.site.0 as usize;
+        if self.sites.len() <= s {
+            self.sites.resize_with(s + 1, SiteFree::default);
+        }
+        let site = &mut self.sites[s];
+        let list = if dn.repl_streams < self.cap {
+            &mut site.spare
+        } else {
+            &mut site.busy
+        };
+        Some((list, (Reverse(dn.free()), node)))
+    }
+
+    /// File `node` as its record `dn` now reads (nothing unless `Live`).
+    pub(crate) fn enter(&mut self, node: NodeId, dn: &DatanodeInfo) {
+        if let Some((list, entry)) = self.slot(node, dn) {
+            let at = list.binary_search(&entry).unwrap_or_else(|at| at);
+            list.insert(at, entry);
+        }
+    }
+
+    /// Take `node` out, where its record `dn` (unchanged since it was
+    /// filed) put it.
+    pub(crate) fn leave(&mut self, node: NodeId, dn: &DatanodeInfo) {
+        if let Some((list, entry)) = self.slot(node, dn) {
+            let found = list.binary_search(&entry);
+            debug_assert!(
+                found.is_ok(),
+                "datanode {} is not filed as {entry:?}",
+                node.0
+            );
+            if let Ok(at) = found {
+                list.remove(at);
+            }
+        }
+    }
+
+    /// Recount the index against the datanode records: every `Live` node
+    /// is filed exactly once, under its site, its free bytes and its side
+    /// of the stream cap, and nothing else is filed. One line per
+    /// violation.
+    pub(crate) fn audit(&self, records: &NodeMap<DatanodeInfo>) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut filed = 0;
+        for (s, site) in self.sites.iter().enumerate() {
+            for (side, list) in [("spare", &site.spare), ("busy", &site.busy)] {
+                if !list.windows(2).all(|w| w[0] < w[1]) {
+                    out.push(format!(
+                        "free-space index: site {s}'s {side} list is out of order"
+                    ));
+                }
+                filed += list.len();
+            }
+        }
+        let mut live = 0;
+        for (n, dn) in records.iter() {
+            if dn.liveness != Liveness::Live {
+                continue;
+            }
+            live += 1;
+            let filed_here = self.sites.get(dn.site.0 as usize).is_some_and(|site| {
+                let list = if dn.repl_streams < self.cap {
+                    &site.spare
+                } else {
+                    &site.busy
+                };
+                list.binary_search(&(Reverse(dn.free()), n)).is_ok()
+            });
+            if !filed_here {
+                out.push(format!(
+                    "free-space index: live datanode {} is not filed at site {} with {} bytes free",
+                    n.0,
+                    dn.site.0,
+                    dn.free()
+                ));
+            }
+        }
+        if filed != live {
+            out.push(format!(
+                "free-space index: {filed} entries for {live} live datanodes"
+            ));
+        }
+        out
+    }
+
+    /// The best entry of site `s` a replica may take: the smaller of its
+    /// sides' first qualifying entries. Sorted by free space, a side's
+    /// walk stops at the first entry without room and passes only the
+    /// excluded and chosen nodes before it.
+    fn head<A: Fn(SiteId) -> bool>(
+        &self,
+        s: usize,
+        ask: &Ask<'_, A>,
+        chosen: &[NodeId],
+    ) -> Option<Entry> {
+        let site = self.sites.get(s)?;
+        let first = |list: &[Entry]| {
+            list.iter()
+                .take_while(|e| e.0 .0 >= ask.size)
+                .find(|e| ask.may_take(e.1, chosen))
+                .copied()
+        };
+        let spare = first(&site.spare);
+        if ask.spare_only {
+            return spare;
+        }
+        match (spare, first(&site.busy)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Whether some admitted site has a node `ask` may take.
+    pub(crate) fn any<A: Fn(SiteId) -> bool>(&self, ask: &Ask<'_, A>) -> bool {
+        (0..self.sites.len())
+            .any(|s| (ask.admit)(SiteId(s as u16)) && self.head(s, ask, &[]).is_some())
+    }
+
+    /// Draw one node of site `s`'s tie group at `free` bytes: the group's
+    /// qualifying nodes in ascending order, one `rng.index` over them.
+    fn draw<A: Fn(SiteId) -> bool>(
+        &self,
+        s: usize,
+        free: u64,
+        ask: &Ask<'_, A>,
+        chosen: &[NodeId],
+        skip: &mut Vec<usize>,
+        rng: &mut SimRng,
+    ) -> NodeId {
+        let site = &self.sites[s];
+        let spare = tie_group(&site.spare, free);
+        let busy = if ask.spare_only {
+            &[][..]
+        } else {
+            tie_group(&site.busy, free)
+        };
+        // The group's excluded and chosen members, by place in the group.
+        skip.clear();
+        for &x in ask.exclude.iter().chain(chosen) {
+            let entry = (Reverse(free), x);
+            if spare.binary_search(&entry).is_ok() || busy.binary_search(&entry).is_ok() {
+                skip.push(spare.partition_point(|e| e.1 < x) + busy.partition_point(|e| e.1 < x));
+            }
+        }
+        skip.sort_unstable();
+        let mut place = rng.index(spare.len() + busy.len() - skip.len());
+        for &at in skip.iter() {
+            if at > place {
+                break;
+            }
+            place += 1;
+        }
+        nth_of_union(spare, busy, place)
+    }
+
+    /// Spread replicas site-aware until `out` holds `ask.n`, given the
+    /// replicas per site so far in `scratch.counts` (one slot per index
+    /// site). First the writer's node, when `writer_first` and it
+    /// qualifies; then, per replica, the site with the fewest replicas
+    /// (count ties to the lowest site id) among sites with a qualifying
+    /// node, and in it the most free space, ties drawn in ascending node
+    /// order.
+    fn spread<A: Fn(SiteId) -> bool>(
+        &self,
+        ask: &Ask<'_, A>,
+        writer_first: bool,
+        scratch: &mut Scratch,
+        rng: &mut SimRng,
+        out: &mut Vec<NodeId>,
+    ) {
+        let Scratch { counts, skip } = scratch;
+        if let Some((w, s)) = ask.writer.filter(|&(_, s)| writer_first && (ask.admit)(s)) {
+            out.push(w);
+            counts[s.0 as usize] += 1;
+        }
+        while out.len() < ask.n {
+            let mut best: Option<(u32, usize, u64)> = None;
+            for (s, &count) in counts.iter().enumerate() {
+                if best.is_some_and(|(c, _, _)| count >= c) || !(ask.admit)(SiteId(s as u16)) {
+                    continue;
+                }
+                if let Some((Reverse(free), _)) = self.head(s, ask, out) {
+                    best = Some((count, s, free));
+                }
+            }
+            let Some((_, s, free)) = best else { break };
+            let node = self.draw(s, free, ask, out, skip, rng);
+            out.push(node);
+            counts[s] += 1;
+        }
+    }
+
+    /// Load `scratch.counts` with `existing`'s replicas per index site.
+    fn count(&self, existing: &[(NodeId, SiteId)], scratch: &mut Scratch) {
+        scratch.counts.clear();
+        scratch.counts.resize(self.sites.len(), 0);
+        for &(_, s) in existing {
+            // A site the index never filed a node under has no candidate.
+            if let Some(c) = scratch.counts.get_mut(s.0 as usize) {
+                *c += 1;
+            }
+        }
+    }
+
+    /// HOG's site-aware placement into `out` (empty on entry).
+    pub(crate) fn site_aware<A: Fn(SiteId) -> bool>(
+        &self,
+        ask: &Ask<'_, A>,
+        scratch: &mut Scratch,
+        rng: &mut SimRng,
+        out: &mut Vec<NodeId>,
+    ) {
+        if ask.n == 0 {
+            return;
+        }
+        self.count(ask.existing, scratch);
+        self.spread(ask, ask.existing.is_empty(), scratch, rng, out);
+    }
+
+    /// MOON-style anchor placement into `out` (empty on entry): unless
+    /// the block already has a replica on the dedicated `anchor` site
+    /// (nodes that are never preempted), its first replica goes to the
+    /// anchor's emptiest qualifying node; the rest spread site-aware over
+    /// the opportunistic pool. Models Lin et al.'s MOON, which the paper
+    /// contrasts with HOG in §V: data durability comes from the anchor,
+    /// so the opportunistic replication factor can stay low, but the
+    /// anchor's capacity and bandwidth bound the system.
+    pub(crate) fn anchor_first<A: Fn(SiteId) -> bool>(
+        &self,
+        anchor: SiteId,
+        ask: &Ask<'_, A>,
+        scratch: &mut Scratch,
+        rng: &mut SimRng,
+        out: &mut Vec<NodeId>,
+    ) {
+        if ask.n == 0 {
+            return;
+        }
+        if (ask.admit)(anchor) && !ask.existing.iter().any(|&(_, s)| s == anchor) {
+            if let Some((_, node)) = self.head(anchor.0 as usize, ask, out) {
+                out.push(node);
+            }
+        }
+        let rest = Ask {
+            size: ask.size,
+            n: ask.n,
+            writer: ask.writer,
+            existing: ask.existing,
+            exclude: ask.exclude,
+            spare_only: ask.spare_only,
+            admit: |s: SiteId| s != anchor && (ask.admit)(s),
+        };
+        self.count(ask.existing, scratch);
+        // The pin counts as an existing replica: no writer-first after it.
+        let writer_first = ask.existing.is_empty() && out.is_empty();
+        self.spread(&rest, writer_first, scratch, rng, out);
+    }
+}
+
+/// The entries of `list` at exactly `free` bytes: contiguous, and
+/// ascending by node.
+fn tie_group(list: &[Entry], free: u64) -> &[Entry] {
+    let lo = list.partition_point(|e| e.0 .0 > free);
+    let len = list[lo..].partition_point(|e| e.0 .0 == free);
+    &list[lo..lo + len]
+}
+
+/// The `place`-th node (from 0) of two node-ascending, disjoint runs
+/// taken together.
+fn nth_of_union(a: &[Entry], b: &[Entry], place: usize) -> NodeId {
+    if b.is_empty() {
+        return a[place].1;
+    }
+    // An entry's place in the union is its index in its own run plus the
+    // entries of the other run below it; that grows with the index.
+    let find = |a: &[Entry], b: &[Entry]| {
+        let at = |i: usize| i + b.partition_point(|e| e.1 < a[i].1);
+        let (mut lo, mut hi) = (0, a.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if at(mid) < place {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo < a.len() && at(lo) == place).then(|| a[lo].1)
     };
-    for &(_, site) in existing {
-        let s = slot(&mut sites, site);
-        sites[s].0 += 1;
-    }
-    // First replica: data locality — the writer's own datanode, when
-    // it is a candidate and this is a fresh write.
-    let writer = writer.filter(|_| existing.is_empty());
-    let mut next = vec![END; candidates.len()];
-    for (i, c) in candidates.iter().enumerate() {
-        let s = slot(&mut sites, c.site);
-        if Some(c.node) == writer {
-            chosen.push(c.node);
-            sites[s].0 += 1;
-            continue;
-        }
-        next[i] = sites[s].1;
-        sites[s].1 = i as u32;
-    }
-    // `(node, candidate, predecessor on its site list)`.
-    let mut ties: Vec<(NodeId, u32, u32)> = Vec::new();
-    while chosen.len() < n {
-        // The site with the fewest replicas so far; count ties go to
-        // the lowest site id. Only sites that still have an unchosen
-        // candidate qualify.
-        let mut best: Option<(u32, usize)> = None;
-        for (s, &(count, head)) in sites.iter().enumerate() {
-            if head != END && best.is_none_or(|(c, _)| count < c) {
-                best = Some((count, s));
-            }
-        }
-        let Some((_, s)) = best else { break };
-        // Inside the site prefer the emptiest node, ties drawn under
-        // the run rng in ascending node order.
-        let mut top_free = 0u64;
-        ties.clear();
-        let (mut prev, mut i) = (END, sites[s].1);
-        while i != END {
-            let c = &candidates[i as usize];
-            if ties.is_empty() || c.free > top_free {
-                top_free = c.free;
-                ties.clear();
-                ties.push((c.node, i, prev));
-            } else if c.free == top_free {
-                ties.push((c.node, i, prev));
-            }
-            prev = i;
-            i = next[i as usize];
-        }
-        ties.sort_unstable_by_key(|&(node, _, _)| node);
-        let (node, pick, prev) = ties[rng.index(ties.len())];
-        // Unlink the pick from its site's list.
-        let after = next[pick as usize];
-        match prev {
-            END => sites[s].1 = after,
-            p => next[p as usize] = after,
-        }
-        sites[s].0 += 1;
-        chosen.push(node);
-    }
-    chosen
+    find(a, b)
+        .or_else(|| find(b, a))
+        .expect("the place lies inside the union")
 }
 
 /// Stock Hadoop 0.20 rack-aware placement (racks == our sites).
-fn rack_aware(
+pub(crate) fn rack_aware(
     writer: Option<NodeId>,
     n: usize,
     existing: &[(NodeId, SiteId)],
@@ -269,57 +530,8 @@ fn rack_aware(
     chosen
 }
 
-/// MOON-style anchor placement: the first replica is pinned to the
-/// dedicated `anchor` site (nodes that are never preempted), the rest
-/// spread site-aware over the opportunistic pool. Models Lin et al.'s
-/// MOON, which the paper contrasts with HOG in §V: data durability comes
-/// from the anchor, so the opportunistic replication factor can stay low,
-/// but the anchor's capacity and bandwidth bound the system.
-fn anchor_first(
-    anchor: SiteId,
-    writer: Option<NodeId>,
-    n: usize,
-    existing: &[(NodeId, SiteId)],
-    candidates: &[Candidate],
-    rng: &mut SimRng,
-) -> Vec<NodeId> {
-    if n == 0 || candidates.is_empty() {
-        return Vec::new();
-    }
-    let mut chosen = Vec::with_capacity(n);
-    let anchor_has_replica = existing.iter().any(|&(_, s)| s == anchor);
-    if !anchor_has_replica {
-        // Pin one replica to the emptiest anchor node.
-        let mut anchors: Vec<&Candidate> = candidates.iter().filter(|c| c.site == anchor).collect();
-        anchors.sort_by_key(|c| (std::cmp::Reverse(c.free), c.node));
-        if let Some(a) = anchors.first() {
-            chosen.push(a.node);
-        }
-    }
-    // Remaining replicas: site-aware spread over non-anchor nodes.
-    let rest: Vec<Candidate> = candidates
-        .iter()
-        .filter(|c| c.site != anchor && !chosen.contains(&c.node))
-        .copied()
-        .collect();
-    let mut existing_rest: Vec<(NodeId, SiteId)> = existing.to_vec();
-    for &c in &chosen {
-        existing_rest.push((c, anchor));
-    }
-    let more = site_aware(
-        writer,
-        n.saturating_sub(chosen.len()),
-        &existing_rest,
-        &rest,
-        rng,
-    );
-    chosen.extend(more);
-    chosen.truncate(n);
-    chosen
-}
-
 /// Uniform random placement, ignoring topology entirely (ablation).
-fn rack_oblivious(n: usize, candidates: &[Candidate], rng: &mut SimRng) -> Vec<NodeId> {
+pub(crate) fn rack_oblivious(n: usize, candidates: &[Candidate], rng: &mut SimRng) -> Vec<NodeId> {
     let mut pool: Vec<NodeId> = candidates.iter().map(|c| c.node).collect();
     rng.shuffle(&mut pool);
     pool.truncate(n);
@@ -332,22 +544,46 @@ fn rack_oblivious(n: usize, candidates: &[Candidate], rng: &mut SimRng) -> Vec<N
 /// it earns its bytes. Filters in place, and leaves the full set when
 /// no candidate sits on a stable site — durability first, placement
 /// preference second. Relative candidate order is preserved, so
-/// downstream policy choices stay deterministic.
+/// downstream policy choices stay deterministic. (The site-aware
+/// placements apply the same rule as a site filter on the
+/// free-space index.)
 pub fn stable_first<F: Fn(SiteId) -> bool>(candidates: &mut Vec<Candidate>, is_stable: F) {
     if candidates.iter().any(|c| is_stable(c.site)) {
         candidates.retain(|c| is_stable(c.site));
     }
 }
 
+/// The choices over a flat candidate list that the namenode made before
+/// the [`FreeIndex`]: the oracles the index-driven choices must match.
 #[cfg(test)]
-mod tests {
+pub(crate) mod oracle {
     use super::*;
-    use proptest::prelude::*;
 
-    /// The linear site-aware choice this module shipped before the
-    /// site-bucketed one: two passes over every candidate per replica.
-    /// Kept as the oracle [`PlacementKind::SiteAware`] must match.
-    fn choose_linear(
+    /// Choose up to `n` targets from `candidates` (never one listed in
+    /// `existing`) as `placement` does, with `anchor` its
+    /// [`PlacementKind::anchor`].
+    pub(crate) fn choose(
+        placement: &PlacementKind,
+        anchor: Option<SiteId>,
+        writer: Option<NodeId>,
+        n: usize,
+        existing: &[(NodeId, SiteId)],
+        candidates: &[Candidate],
+        rng: &mut SimRng,
+    ) -> Vec<NodeId> {
+        match (placement, anchor) {
+            (PlacementKind::RackAware, _) => rack_aware(writer, n, existing, candidates, rng),
+            (PlacementKind::RackOblivious, _) => rack_oblivious(n, candidates, rng),
+            (PlacementKind::AnchorFirst { .. }, Some(anchor)) => {
+                anchor_first(anchor, writer, n, existing, candidates, rng)
+            }
+            _ => site_aware(writer, n, existing, candidates, rng),
+        }
+    }
+
+    /// The linear site-aware choice: two passes over every candidate per
+    /// replica.
+    pub(crate) fn site_aware(
         writer: Option<NodeId>,
         n: usize,
         existing: &[(NodeId, SiteId)],
@@ -399,8 +635,7 @@ mod tests {
             // Inside the site prefer the emptiest node, tie-broken
             // randomly (via node id shuffle under the run rng). Ties are
             // ordered by ascending node id — what a stable sort by
-            // `(Reverse(free), node)` yields — so the draw below lands on
-            // the same node the sort-based code picked.
+            // `(Reverse(free), node)` yields.
             let mut top_free = 0u64;
             ties.clear();
             for (i, c) in candidates.iter().enumerate() {
@@ -422,6 +657,97 @@ mod tests {
             chosen.push(candidates[pick].node);
         }
         chosen
+    }
+
+    /// Anchor placement over a candidate list: the emptiest anchor
+    /// candidate, then [`site_aware`] over the non-anchor rest.
+    fn anchor_first(
+        anchor: SiteId,
+        writer: Option<NodeId>,
+        n: usize,
+        existing: &[(NodeId, SiteId)],
+        candidates: &[Candidate],
+        rng: &mut SimRng,
+    ) -> Vec<NodeId> {
+        if n == 0 || candidates.is_empty() {
+            return Vec::new();
+        }
+        let mut chosen = Vec::with_capacity(n);
+        if !existing.iter().any(|&(_, s)| s == anchor) {
+            let mut anchors: Vec<&Candidate> =
+                candidates.iter().filter(|c| c.site == anchor).collect();
+            anchors.sort_by_key(|c| (Reverse(c.free), c.node));
+            if let Some(a) = anchors.first() {
+                chosen.push(a.node);
+            }
+        }
+        let rest: Vec<Candidate> = candidates
+            .iter()
+            .filter(|c| c.site != anchor && !chosen.contains(&c.node))
+            .copied()
+            .collect();
+        let mut existing_rest: Vec<(NodeId, SiteId)> = existing.to_vec();
+        for &c in &chosen {
+            existing_rest.push((c, anchor));
+        }
+        let more = site_aware(
+            writer,
+            n.saturating_sub(chosen.len()),
+            &existing_rest,
+            &rest,
+            rng,
+        );
+        chosen.extend(more);
+        chosen.truncate(n);
+        chosen
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hog_sim_core::SimTime;
+    use proptest::prelude::*;
+
+    /// `placement`'s choice as the namenode makes it, with `candidates`
+    /// as the only `Live` datanodes: the site-aware arms read an index of
+    /// them, the flat arms the list itself.
+    fn choose(
+        placement: &PlacementKind,
+        anchor: Option<SiteId>,
+        writer: Option<NodeId>,
+        n: usize,
+        existing: &[(NodeId, SiteId)],
+        candidates: &[Candidate],
+        rng: &mut SimRng,
+    ) -> Vec<NodeId> {
+        let mut index = FreeIndex::new(u8::MAX);
+        for c in candidates {
+            index.enter(c.node, &DatanodeInfo::new(c.free, c.site, SimTime::ZERO));
+        }
+        let ask = Ask {
+            size: 0,
+            n,
+            writer: writer
+                .and_then(|w| candidates.iter().find(|c| c.node == w))
+                .map(|c| (c.node, c.site)),
+            existing,
+            exclude: &[],
+            spare_only: false,
+            admit: |_| true,
+        };
+        let mut out = Vec::new();
+        let mut scratch = Scratch::default();
+        match (placement, anchor) {
+            (PlacementKind::RackAware | PlacementKind::RackOblivious, _) => {
+                out = oracle::choose(placement, anchor, writer, n, existing, candidates, rng);
+            }
+            (PlacementKind::AnchorFirst { .. }, Some(a)) => {
+                index.anchor_first(a, &ask, &mut scratch, rng, &mut out)
+            }
+            _ => index.site_aware(&ask, &mut scratch, rng, &mut out),
+        }
+        out
     }
 
     /// `sites` nodes spread round-robin over `n_sites` sites.
@@ -456,8 +782,15 @@ mod tests {
     fn site_aware_prefers_writer_first() {
         let cands = cluster(20, 5);
         let mut rng = SimRng::seed_from_u64(1);
-        let chosen =
-            PlacementKind::SiteAware.choose(None, Some(NodeId(7)), 3, &[], &cands, &mut rng);
+        let chosen = choose(
+            &PlacementKind::SiteAware,
+            None,
+            Some(NodeId(7)),
+            3,
+            &[],
+            &cands,
+            &mut rng,
+        );
         assert_eq!(chosen[0], NodeId(7));
         assert_eq!(chosen.len(), 3);
     }
@@ -466,7 +799,15 @@ mod tests {
     fn site_aware_spreads_across_sites() {
         let cands = cluster(25, 5);
         let mut rng = SimRng::seed_from_u64(2);
-        let chosen = PlacementKind::SiteAware.choose(None, None, 5, &[], &cands, &mut rng);
+        let chosen = choose(
+            &PlacementKind::SiteAware,
+            None,
+            None,
+            5,
+            &[],
+            &cands,
+            &mut rng,
+        );
         let mut sites = sites_of(&chosen, &cands);
         sites.sort();
         sites.dedup();
@@ -478,7 +819,15 @@ mod tests {
         // Replication 10 over 5 sites: exactly 2 per site.
         let cands = cluster(50, 5);
         let mut rng = SimRng::seed_from_u64(3);
-        let chosen = PlacementKind::SiteAware.choose(None, None, 10, &[], &cands, &mut rng);
+        let chosen = choose(
+            &PlacementKind::SiteAware,
+            None,
+            None,
+            10,
+            &[],
+            &cands,
+            &mut rng,
+        );
         assert_eq!(chosen.len(), 10);
         let sites = sites_of(&chosen, &cands);
         for s in 0..5u16 {
@@ -500,7 +849,15 @@ mod tests {
             (NodeId(101), SiteId(1)),
         ];
         let mut rng = SimRng::seed_from_u64(4);
-        let chosen = PlacementKind::SiteAware.choose(None, None, 2, &existing, &cands, &mut rng);
+        let chosen = choose(
+            &PlacementKind::SiteAware,
+            None,
+            None,
+            2,
+            &existing,
+            &cands,
+            &mut rng,
+        );
         let sites = sites_of(&chosen, &cands);
         assert!(sites.contains(&SiteId(2)));
         assert!(sites.contains(&SiteId(3)));
@@ -513,7 +870,15 @@ mod tests {
             c.free = (i as u64) * 100; // node 9 is emptiest
         }
         let mut rng = SimRng::seed_from_u64(5);
-        let chosen = PlacementKind::SiteAware.choose(None, None, 1, &[], &cands, &mut rng);
+        let chosen = choose(
+            &PlacementKind::SiteAware,
+            None,
+            None,
+            1,
+            &[],
+            &cands,
+            &mut rng,
+        );
         assert_eq!(chosen, vec![NodeId(9)]);
     }
 
@@ -521,8 +886,15 @@ mod tests {
     fn rack_aware_classic_pattern() {
         let cands = cluster(30, 3);
         let mut rng = SimRng::seed_from_u64(6);
-        let chosen =
-            PlacementKind::RackAware.choose(None, Some(NodeId(0)), 3, &[], &cands, &mut rng);
+        let chosen = choose(
+            &PlacementKind::RackAware,
+            None,
+            Some(NodeId(0)),
+            3,
+            &[],
+            &cands,
+            &mut rng,
+        );
         assert_eq!(chosen.len(), 3);
         assert_eq!(chosen[0], NodeId(0));
         let s = sites_of(&chosen, &cands);
@@ -535,8 +907,15 @@ mod tests {
     fn rack_aware_single_site_degenerates_gracefully() {
         let cands = cluster(10, 1);
         let mut rng = SimRng::seed_from_u64(7);
-        let chosen =
-            PlacementKind::RackAware.choose(None, Some(NodeId(2)), 3, &[], &cands, &mut rng);
+        let chosen = choose(
+            &PlacementKind::RackAware,
+            None,
+            Some(NodeId(2)),
+            3,
+            &[],
+            &cands,
+            &mut rng,
+        );
         assert_eq!(chosen.len(), 3);
         let mut c = chosen.clone();
         c.dedup();
@@ -547,7 +926,7 @@ mod tests {
     fn anchor_first_pins_one_replica() {
         let cands = cluster(20, 4); // site 0 is the anchor
         let mut rng = SimRng::seed_from_u64(17);
-        let chosen = anchored().choose(ANCHOR, None, 3, &[], &cands, &mut rng);
+        let chosen = choose(&anchored(), ANCHOR, None, 3, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 3);
         let sites = sites_of(&chosen, &cands);
         assert_eq!(
@@ -566,7 +945,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(18);
         // Re-replication with the anchor already holding a copy.
         let existing = vec![(NodeId(100), SiteId(0))];
-        let chosen = anchored().choose(ANCHOR, None, 2, &existing, &cands, &mut rng);
+        let chosen = choose(&anchored(), ANCHOR, None, 2, &existing, &cands, &mut rng);
         assert_eq!(chosen.len(), 2);
         let sites = sites_of(&chosen, &cands);
         assert!(sites.iter().all(|&s| s != SiteId(0)));
@@ -583,7 +962,7 @@ mod tests {
             })
             .collect();
         let mut rng = SimRng::seed_from_u64(19);
-        let chosen = anchored().choose(ANCHOR, None, 3, &[], &cands, &mut rng);
+        let chosen = choose(&anchored(), ANCHOR, None, 3, &[], &cands, &mut rng);
         assert_eq!(chosen.len(), 3);
     }
 
@@ -597,7 +976,15 @@ mod tests {
         cands[8].free *= 2; // node 8, on site A: its emptiest node
         let pick = |placement: &PlacementKind| {
             let mut rng = SimRng::seed_from_u64(20);
-            placement.choose(placement.anchor(&topo), None, 3, &[], &cands, &mut rng)
+            choose(
+                placement,
+                placement.anchor(&topo),
+                None,
+                3,
+                &[],
+                &cands,
+                &mut rng,
+            )
         };
         let a = anchored();
         assert_eq!(a.anchor(&topo), ANCHOR);
@@ -616,7 +1003,8 @@ mod tests {
         let mut hits = 0;
         for seed in 0..50 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let chosen = PlacementKind::RackOblivious.choose(
+            let chosen = choose(
+                &PlacementKind::RackOblivious,
                 None,
                 Some(NodeId(3)),
                 1,
@@ -640,7 +1028,7 @@ mod tests {
             PlacementKind::RackAware,
             PlacementKind::RackOblivious,
         ] {
-            let chosen = policy.choose(None, None, 10, &[], &cands, &mut rng);
+            let chosen = choose(&policy, None, None, 10, &[], &cands, &mut rng);
             assert_eq!(chosen.len(), 2, "{policy:?}: give what exists");
             assert_ne!(chosen[0], chosen[1]);
         }
@@ -654,7 +1042,7 @@ mod tests {
             PlacementKind::RackAware,
             PlacementKind::RackOblivious,
         ] {
-            assert!(policy.choose(None, None, 3, &[], &[], &mut rng).is_empty());
+            assert!(choose(&policy, None, None, 3, &[], &[], &mut rng).is_empty());
         }
     }
 
@@ -677,6 +1065,17 @@ mod tests {
         assert_eq!(fallback.len(), cands.len());
     }
 
+    #[test]
+    fn union_draw_walks_both_runs_in_node_order() {
+        let run =
+            |ids: &[u32]| -> Vec<Entry> { ids.iter().map(|&i| (Reverse(5), NodeId(i))).collect() };
+        let (a, b) = (run(&[1, 4, 5, 9]), run(&[2, 3, 7]));
+        let all: Vec<u32> = (0..7).map(|p| nth_of_union(&a, &b, p).0).collect();
+        assert_eq!(all, vec![1, 2, 3, 4, 5, 7, 9]);
+        assert_eq!(nth_of_union(&a, &[], 2), NodeId(5));
+        assert_eq!(nth_of_union(&[], &b, 1), NodeId(3));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -697,7 +1096,7 @@ mod tests {
                 1 => PlacementKind::RackAware,
                 _ => PlacementKind::RackOblivious,
             };
-            let chosen = policy.choose(None, Some(NodeId(0)), want, &[], &cands, &mut rng);
+            let chosen = choose(&policy, None, Some(NodeId(0)), want, &[], &cands, &mut rng);
             prop_assert!(chosen.len() <= want);
             prop_assert!(chosen.len() <= cands.len());
             if want > 0 && !cands.is_empty() {
@@ -712,50 +1111,83 @@ mod tests {
             }
         }
 
-        /// The site-bucketed choice returns what the linear oracle
-        /// returns under the same rng, draws the rng the same number of
-        /// times, and ignores the order of its candidates. Free space
-        /// comes from a few values so in-site ties are common, and some
-        /// existing replicas sit on sites with no candidate.
+        /// The index-driven site-aware and anchor-first choices return
+        /// what the linear oracle returns over the candidates a flat scan
+        /// would list, under the same rng, and draw the rng the same
+        /// number of times. Free space comes from a few values, and one
+        /// value in three is the full disk of a fresh node, so tie groups
+        /// run large; some nodes are at the stream cap (repair targets
+        /// skip them, write targets do not), some are excluded or lack
+        /// room for the block, some sites are not admitted, some existing
+        /// replicas sit on sites with no candidate, and the writer may or
+        /// may not qualify.
         #[test]
-        fn prop_site_aware_matches_linear_oracle_in_any_order(
-            spec in proptest::collection::vec((0u16..12, 0u64..4), 1..80),
+        fn prop_indexed_choice_matches_linear_oracle(
+            spec in proptest::collection::vec((0u16..12, 0u64..6, proptest::bool::ANY, 0u8..8), 1..120),
             existing_sites in proptest::collection::vec(0u16..14, 0..4),
-            writer in 0u32..100,
-            want in 0usize..14,
+            (writer, want, size) in (0u32..130, 0usize..14, 0u64..3),
+            (spare_only, admitted, anchor) in (proptest::bool::ANY, 0u16..4096, 0u16..20),
             seed in 0u64..10_000,
         ) {
-            let cands: Vec<Candidate> = spec
+            let nodes: Vec<(Candidate, bool, bool)> = spec
                 .iter()
                 .enumerate()
-                .map(|(i, &(site, free))| Candidate {
-                    node: NodeId(i as u32 * 3 + 1),
-                    site: SiteId(site),
-                    free: free * 1_000,
+                .map(|(i, &(site, free, busy, flag))| {
+                    let free = if free >= 3 { 9_000 } else { free * 1_000 };
+                    let cand = Candidate { node: NodeId(i as u32), site: SiteId(site), free };
+                    (cand, busy, flag == 0)
                 })
                 .collect();
+            let size = size * 1_000;
+            let admit = |s: SiteId| admitted & (1 << (s.0 % 12)) != 0;
+            let exclude: Vec<NodeId> = nodes.iter().filter(|n| n.2).map(|n| n.0.node).collect();
+            let qualifies = |&(c, busy, excluded): &(Candidate, bool, bool)| {
+                c.free >= size && !excluded && !(spare_only && busy) && admit(c.site)
+            };
+            let flat: Vec<Candidate> = nodes.iter().filter(|n| qualifies(n)).map(|n| n.0).collect();
             let existing: Vec<(NodeId, SiteId)> = existing_sites
                 .iter()
                 .enumerate()
                 .map(|(i, &s)| (NodeId(10_000 + i as u32), SiteId(s)))
                 .collect();
-            let writer = Some(NodeId(writer));
-            let run = |cands: &[Candidate], linear: bool| {
-                let mut rng = SimRng::seed_from_u64(seed);
-                let chosen = if linear {
-                    choose_linear(writer, want, &existing, cands, &mut rng)
-                } else {
-                    PlacementKind::SiteAware.choose(None, writer, want, &existing, cands, &mut rng)
-                };
-                (chosen, rng.index(1 << 30))
+            // Only a write has a writer.
+            let writer = (!spare_only).then_some(NodeId(writer));
+            // Anchor-first on one of the sites in use, or on none.
+            let anchor = (anchor < 13).then_some(anchor);
+            let placement = match anchor {
+                Some(_) => PlacementKind::AnchorFirst { site_name: "A".into() },
+                None => PlacementKind::SiteAware,
             };
-            let want_out = run(&cands, true);
-            prop_assert_eq!(run(&cands, false), want_out.clone());
-            let mut shuffled = cands.clone();
-            SimRng::seed_from_u64(seed ^ 0x5eed).shuffle(&mut shuffled);
-            prop_assert_eq!(run(&shuffled, false), want_out.clone());
-            shuffled.reverse();
-            prop_assert_eq!(run(&shuffled, false), want_out);
+            let anchor = anchor.map(SiteId);
+            let mut want_rng = SimRng::seed_from_u64(seed);
+            let want_out = oracle::choose(&placement, anchor, writer, want, &existing, &flat, &mut want_rng);
+
+            let mut index = FreeIndex::new(2);
+            for &(c, busy, _) in &nodes {
+                let mut dn = DatanodeInfo::new(c.free, c.site, SimTime::ZERO);
+                dn.repl_streams = if busy { 2 } else { 0 };
+                index.enter(c.node, &dn);
+            }
+            let ask = Ask {
+                size,
+                n: want,
+                writer: writer
+                    .and_then(|w| nodes.iter().find(|n| n.0.node == w && n.0.free >= size && !n.2))
+                    .map(|n| (n.0.node, n.0.site)),
+                existing: &existing,
+                exclude: &exclude,
+                spare_only,
+                admit,
+            };
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut got = Vec::new();
+            match anchor {
+                Some(a) => index.anchor_first(a, &ask, &mut Scratch::default(), &mut rng, &mut got),
+                None => index.site_aware(&ask, &mut Scratch::default(), &mut rng, &mut got),
+            }
+            prop_assert_eq!(&got, &want_out);
+            prop_assert_eq!(rng.next_u64(), want_rng.next_u64());
+            prop_assert_eq!(index.any(&ask), !flat.is_empty());
         }
 
         /// Site-aware invariant: replica counts across sites never differ
@@ -771,7 +1203,7 @@ mod tests {
             let cands = cluster(n_nodes, n_sites);
             let want = want.min(n_nodes as usize);
             let mut rng = SimRng::seed_from_u64(seed);
-            let chosen = PlacementKind::SiteAware.choose(None, None, want, &[], &cands, &mut rng);
+            let chosen = choose(&PlacementKind::SiteAware, None, None, want, &[], &cands, &mut rng);
             let sites = sites_of(&chosen, &cands);
             let mut counts = vec![0usize; n_sites as usize];
             for s in sites { counts[s.0 as usize] += 1; }

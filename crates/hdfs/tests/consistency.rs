@@ -78,7 +78,7 @@ proptest! {
         let cfg = HdfsConfig::hog().with_replication(4);
         let mut nn = Namenode::new(cfg, SimRng::seed_from_u64(7));
         for &n in &nodes {
-            nn.register_datanode(SimTime::ZERO, n);
+            nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
         }
         let mut blocks = Vec::new();
         let mut t = 0u64;
@@ -167,7 +167,7 @@ fn allocation_respects_exclusions() {
         SimRng::seed_from_u64(5),
     );
     for &n in &nodes {
-        nn.register_datanode(SimTime::ZERO, n);
+        nn.register_datanode(SimTime::ZERO, n, topo.site_of(n));
     }
     let f = nn.create_file_default("/x");
     // Exclude three specific nodes: they must never appear as targets.

@@ -321,7 +321,7 @@ fn random_masters(
         SimRng::seed_from_u64(seed),
     );
     for &n in &node_ids {
-        nn.register_datanode(t0, n);
+        nn.register_datanode(t0, n, topo.site_of(n));
     }
     let mut blocks = Vec::new();
     for f in 0..files {
